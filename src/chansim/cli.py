@@ -23,14 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import applications, fidelity, simulate, typeclasses, zero_error
+from . import applications, covering, fidelity, simulate, typeclasses, zero_error
 from ._seeds import child_seed
 from .applications import (DistortionSpec, build_dilution, expected_distortion,
                            rd_grid_oracle, rd_sweep, realize_from_uniform,
                            uniform_index_stream)
 from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
                         mutual_information, output_marginal, tv_distance)
-from .covering import build_covering, verify_covering
+from .covering import build_covering
 from .errors import (CapExceededError, InfeasibleError, InvalidInputError,
                      RetriesExhaustedError)
 from .fidelity import derandomize, derandomized_family, measure_fidelity
@@ -39,7 +39,7 @@ from .simulate import (accounting, build_sim_code, jointly_typical_types,
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
-CSV_VERSION = "v2"
+CSV_VERSION = "v3"
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -54,6 +54,7 @@ CAP_REGISTRY = {
     "JOINT_ENUM_CELLS_CAP": typeclasses,
     "WORD_ENUM_CAP": typeclasses,
     "EXACT_PROB_N_CAP": typeclasses,
+    "COVER_TABLE_CAP": covering,
     "OUTPUT_ENUM_CAP": simulate,
     "BLOCK_ENUM_CAP": simulate,
     "FIDELITY_ENUM_CAP": fidelity,
@@ -371,7 +372,7 @@ def _run_cover(cfg, bundle):
     for idx, t in enumerate(types):
         fam = build_covering(t, epsilon, mode="guaranteed",
                              seed=child_seed(cfg.seed, f"cover:{idx}"))
-        check = verify_covering(fam)
+        check = fam.check
         m_i = float(check.condition_I_margin.min())
         m_ii = float(check.condition_II_margin)
         counts = ";".join("-".join(str(c) for c in row) for row in t.counts)

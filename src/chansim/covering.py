@@ -14,21 +14,22 @@ Condition (I) makes the uniform distribution over compatible entries of any
 single list imitate the per-letter channel on the class; condition (II)
 makes the whole family blanket the class of S evenly. Random families of the
 threshold size succeed with constant probability, so construction is
-rejection sampling with verification.
+rejection sampling with verification. Since both conditions, and every
+later use of the family, see a list only through how often it holds each
+word of the class of S, a family is stored as that multiplicity table.
 
 Margins are reported in eps units: margin = eps - max relative deviation, so
 any nonnegative margin means the condition holds.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._seeds import child_rng
-from .errors import InvalidInputError, RetriesExhaustedError
+from .errors import CapExceededError, InvalidInputError, RetriesExhaustedError
 from .typeclasses import (
-    ExactType,
     JointType,
     enumerate_type_class,
     joint_type_class_size,
@@ -37,6 +38,11 @@ from .typeclasses import (
 
 LN2 = math.log(2.0)
 DEFAULT_MAX_RETRIES = 64
+# Largest counts table (N x |T_S|) or compatibility matrix (|T_R| x |T_S|)
+# build_covering allocates, in entries. At 2^25 the int64 table and the
+# float64 copies verification makes stay under about 1 GB together; the
+# BSC(1/4) sweep needs about 2.9 M at n = 13.
+COVER_TABLE_CAP = 1 << 25
 
 
 def lemma2_failure_bound(K_size: int, M: int, eta: float, s: float) -> float:
@@ -74,7 +80,7 @@ def _rhs_condition_II(t: JointType, epsilon: float) -> float:
 def required_M_N(t: JointType, epsilon: float, forced_N: int = None):
     """Smallest (M, N) satisfying both covering inequalities.
 
-    Starts from N = 1 and alternates the two thresshold formulas until they
+    Starts from N = 1 and alternates the two threshold formulas until they
     agree; each pass only raises N, so the loop terminates. With forced_N the
     list count is pinned and only M is computed.
     """
@@ -94,28 +100,52 @@ def required_M_N(t: JointType, epsilon: float, forced_N: int = None):
 
 
 @dataclass
+class CoveringCheck:
+    condition_I_margin: np.ndarray  # per list nu, in eps units
+    condition_II_margin: float
+    passed: bool
+
+
 class CoveringFamily:
-    """N lists of M words from the class of the column marginal of joint_type,
-    stored as ranks into the lexicographic enumeration of that class."""
+    """N lists of M words from the class of the column marginal of joint_type.
 
-    joint_type: JointType
-    N: int
-    M: int
-    words: np.ndarray  # shape (N, M), integer ranks
-    epsilon: float
-    retries: int = 0
+    Every use of a list depends on it only through how often it holds each
+    word, so the family is stored as counts[nu, r]: the multiplicity of the
+    class word of lexicographic rank r in list nu, shape (N, |T_S|), each row
+    summing to M. Slot mu of list nu is the mu-th entry of the list sorted by
+    rank. A hand-built family may pass an explicit (N, M) rank array as
+    words instead; it is converted to counts once. check holds the passing
+    verification when the family came from build_covering.
+    """
 
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 0.5:
+    def __init__(self, joint_type: JointType, N: int, M: int, words=None,
+                 epsilon: float = None, retries: int = 0, *, counts=None):
+        if epsilon is None or not 0.0 < epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
-        words = np.asarray(self.words)
-        if words.shape != (self.N, self.M):
-            raise InvalidInputError(f"words shape {words.shape} != ({self.N}, {self.M})")
-        size_s = type_class_size(self.joint_type.col_marginal())
-        if words.size and (words.min() < 0 or words.max() >= size_s):
-            raise InvalidInputError("word rank outside the column-marginal class")
-        self.words = words
-        self._y_words = None
+        if (words is None) == (counts is None):
+            raise InvalidInputError("give exactly one of words and counts")
+        size_s = type_class_size(joint_type.col_marginal())
+        if words is not None:
+            words = np.asarray(words)
+            if words.shape != (N, M):
+                raise InvalidInputError(f"words shape {words.shape} != ({N}, {M})")
+            if words.size and (words.min() < 0 or words.max() >= size_s):
+                raise InvalidInputError("word rank outside the column-marginal class")
+            flat = (np.arange(N, dtype=np.int64)[:, None] * size_s + words).ravel()
+            counts = np.bincount(flat, minlength=N * size_s).reshape(N, size_s)
+        counts = np.array(counts, dtype=np.int64)
+        if counts.shape != (N, size_s):
+            raise InvalidInputError(f"counts shape {counts.shape} != ({N}, {size_s})")
+        if counts.size and counts.min() < 0:
+            raise InvalidInputError("negative word multiplicity")
+        if np.any(counts.sum(axis=1) != M):
+            raise InvalidInputError(f"a list does not hold exactly M = {M} entries")
+        counts.flags.writeable = False
+        self.joint_type, self.N, self.M = joint_type, N, M
+        self.counts = counts
+        self.epsilon, self.retries = epsilon, retries
+        self.check = None
+        self._y_words = self._cum = self._words = None
 
     def y_class_words(self) -> np.ndarray:
         """The lexicographic enumeration of the column-marginal class, as an
@@ -125,8 +155,29 @@ class CoveringFamily:
                 enumerate_type_class(self.joint_type.col_marginal()), dtype=np.int64)
         return self._y_words
 
+    def cumulative(self) -> np.ndarray:
+        """Per-list running totals of counts: slots [cum[nu, r] - counts[nu, r],
+        cum[nu, r]) of list nu hold the word of rank r."""
+        if self._cum is None:
+            self._cum = np.cumsum(self.counts, axis=1)
+        return self._cum
+
+    def list_ranks(self, nu: int) -> np.ndarray:
+        """List nu as M class ranks in slot order."""
+        return np.repeat(np.arange(self.counts.shape[1]), self.counts[nu])
+
+    @property
+    def words(self) -> np.ndarray:
+        """Read-only (N, M) array of every list in slot order, built on first
+        access; for tests and inspection."""
+        if self._words is None:
+            self._words = np.stack([self.list_ranks(nu) for nu in range(self.N)])
+            self._words.flags.writeable = False
+        return self._words
+
     def word(self, nu: int, mu: int) -> tuple:
-        return tuple(int(s) for s in self.y_class_words()[self.words[nu, mu]])
+        rank = np.searchsorted(self.cumulative()[nu], mu, side="right")
+        return tuple(int(s) for s in self.y_class_words()[rank])
 
     def to_json_dict(self) -> dict:
         return {
@@ -135,7 +186,7 @@ class CoveringFamily:
             "M": int(self.M),
             "epsilon": float(self.epsilon),
             "retries": int(self.retries),
-            "words": [[int(r) for r in row] for row in self.words],
+            "counts": self.counts.tolist(),
         }
 
     @classmethod
@@ -144,58 +195,51 @@ class CoveringFamily:
             joint_type=JointType.from_json_dict(doc["joint_type"]),
             N=int(doc["N"]),
             M=int(doc["M"]),
-            words=np.asarray(doc["words"], dtype=np.int64),
+            counts=doc["counts"],
             epsilon=float(doc["epsilon"]),
             retries=int(doc.get("retries", 0)),
         )
 
 
-@dataclass
-class CoveringCheck:
-    condition_I_margin: np.ndarray  # per list nu, in eps units
-    condition_II_margin: float
-    passed: bool
-
-
 def compatibility_matrix(t: JointType, x_words: np.ndarray, y_words: np.ndarray) -> np.ndarray:
     """Boolean matrix: entry (i, j) says whether (x_words[i], y_words[j]) has
-    joint type exactly t. Computed cell by cell with indicator products."""
-    n = t.n
+    joint type exactly t. Computed cell by cell with indicator products, in
+    float32, which is exact because every product is a count of at most n."""
     ok = np.ones((x_words.shape[0], y_words.shape[0]), dtype=bool)
     for a in range(t.x_size):
-        xa = (x_words == a).astype(np.int32)
+        xa = (x_words == a).astype(np.float32)
         for b in range(t.y_size):
-            yb = (y_words == b).astype(np.int32)
+            yb = (y_words == b).astype(np.float32)
             ok &= (xa @ yb.T) == t.counts[a][b]
     return ok
 
 
-def verify_covering(family: CoveringFamily, x_words: np.ndarray = None) -> CoveringCheck:
+def compatible_counts(family: CoveringFamily, compat: np.ndarray) -> np.ndarray:
+    """c_nu(x) for every list nu and every x of the row-marginal class, shape
+    (N, |T_R|), given the family's compatibility matrix. Taken as a float64
+    product, which is exact because every entry is at most M < 2^53."""
+    return family.counts.astype(np.float64) @ compat.T.astype(np.float64)
+
+
+def verify_covering(family: CoveringFamily, compat: np.ndarray = None) -> CoveringCheck:
     """Exact exhaustive verification of both covering conditions.
 
-    Margins depend only on the multiset of entries per list, so they are
-    invariant under permuting words within a list and permuting lists.
+    compat is the family's compatibility matrix (rows: the row-marginal
+    class, columns: the column-marginal class), computed when omitted.
     """
     t = family.joint_type
     size_r, size_s, size_t = _class_sizes(t)
-    if x_words is None:
+    if compat is None:
         x_words = np.asarray(enumerate_type_class(t.row_marginal()), dtype=np.int64)
-    y_words = family.y_class_words()
-
-    # multiplicity of each y-class rank in each list
-    mult = np.zeros((family.N, size_s), dtype=np.int64)
-    for nu in range(family.N):
-        mult[nu] = np.bincount(family.words[nu], minlength=size_s)
-
-    compat = compatibility_matrix(t, x_words, y_words)
-    counts = mult @ compat.T.astype(np.int64)  # c_nu(x), shape (N, |T_R|)
+        compat = compatibility_matrix(t, x_words, family.y_class_words())
+    hits = compatible_counts(family, compat)
 
     mean_i = family.M * size_t / (size_r * size_s)
-    dev_i = np.abs(counts / mean_i - 1.0)
+    dev_i = np.abs(hits / mean_i - 1.0)
     margin_i = family.epsilon - dev_i.max(axis=1)
 
     mean_ii = family.N * family.M / size_s
-    dev_ii = np.abs(mult.sum(axis=0) / mean_ii - 1.0)
+    dev_ii = np.abs(family.counts.sum(axis=0) / mean_ii - 1.0)
     margin_ii = float(family.epsilon - dev_ii.max())
 
     passed = bool(margin_ii >= 0.0 and np.all(margin_i >= 0.0))
@@ -210,7 +254,11 @@ def build_covering(t: JointType, epsilon: float, mode: str = "guaranteed",
 
     mode "guaranteed" sizes (M, N) from the threshold formulas (optionally
     with the list count pinned to forced_N); mode "sized" uses the caller's
-    M and N. Draws fresh words until verification passes; raises
+    M and N. Each attempt draws all N lists at once as multinomial counts,
+    the law of M i.i.d. uniform ranks per list, until verification passes;
+    the passing check is kept on the family. Raises CapExceededError, before
+    anything is enumerated or sampled, when the counts table or the
+    compatibility matrix would exceed COVER_TABLE_CAP entries, and
     RetriesExhaustedError after max_retries failures.
     """
     if mode == "guaranteed":
@@ -222,16 +270,20 @@ def build_covering(t: JointType, epsilon: float, mode: str = "guaranteed",
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
     else:
         raise InvalidInputError(f"unknown mode {mode!r}")
-    size_s = type_class_size(t.col_marginal())
+    size_r, size_s, _ = _class_sizes(t)
+    entries = max(N, size_r) * size_s
+    if entries > COVER_TABLE_CAP:
+        raise CapExceededError(
+            f"covering tables of {entries} entries exceed COVER_TABLE_CAP = {COVER_TABLE_CAP}")
     x_words = np.asarray(enumerate_type_class(t.row_marginal()), dtype=np.int64)
+    y_words = np.asarray(enumerate_type_class(t.col_marginal()), dtype=np.int64)
+    compat = compatibility_matrix(t, x_words, y_words)
+    uniform = np.full(size_s, 1.0 / size_s)
     for attempt in range(max_retries):
-        # per-list seed streams keep results independent of scheduling
-        words = np.empty((N, M), dtype=np.int32)
-        for nu in range(N):
-            rng = child_rng(seed, f"covering:try:{attempt}:nu:{nu}")
-            words[nu] = rng.integers(0, size_s, size=M, dtype=np.int32)
-        family = CoveringFamily(t, N, M, words, epsilon, retries=attempt)
-        if verify_covering(family, x_words=x_words).passed:
+        counts = child_rng(seed, f"covering:try:{attempt}").multinomial(M, uniform, size=N)
+        family = CoveringFamily(t, N, M, counts=counts, epsilon=epsilon, retries=attempt)
+        family.check = verify_covering(family, compat)
+        if family.check.passed:
             return family
     raise RetriesExhaustedError(
         f"covering for joint type {t.counts} failed verification {max_retries} times")

@@ -7,7 +7,8 @@ Protocol for one block x = (x_1 ... x_n), with nu a shared uniform index:
      jointly typical, the encoder announces termination and the decoder
      emits the fixed fallback word (0, ..., 0),
   3. otherwise the encoder announces T and sends the index mu of a uniformly
-     chosen compatible entry of list nu of T's covering family,
+     chosen compatible entry of list nu of T's covering family, entries
+     numbered in the lexicographic order of the words they hold,
   4. the decoder outputs the word stored at (nu, mu).
 
 The covering conditions squeeze the protocol's output, conditioned on any
@@ -39,8 +40,8 @@ from .covering import (
     CoveringFamily,
     build_covering,
     compatibility_matrix,
+    compatible_counts,
     required_M_N,
-    verify_covering,
 )
 from .errors import CapExceededError, InvalidInputError
 from .typeclasses import (
@@ -166,7 +167,7 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
 
     The shared-randomness index must be uniform over one common range, so N
     is first sized per type, then fixed globally to the maximum, and every
-    family's M is re-derived at that N. With keep_words=False the word arrays
+    family's M is re-derived at that N. With keep_words=False the families
     are verified and then dropped, keeping only size/margin records (rates
     and bound accounting remain available; encoding does not).
     """
@@ -181,7 +182,7 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
         fam = build_covering(t, epsilon, mode="guaranteed", forced_N=n_global,
                              seed=child_seed(seed, f"simulate:covering:{idx}"),
                              max_retries=max_retries)
-        check = verify_covering(fam)
+        check = fam.check
         records[t] = FamilyRecord(t, fam.M, fam.N, fam.retries,
                                   float(check.condition_I_margin.min()),
                                   float(check.condition_II_margin))
@@ -204,11 +205,8 @@ class _TypeTables:
         self.x_index = {tuple(int(v) for v in w): i for i, w in enumerate(self.x_words)}
         self.y_words = fam.y_class_words()
         self.compat = compatibility_matrix(t, self.x_words, self.y_words)
-        size_s = self.y_words.shape[0]
-        self.mult = np.zeros((fam.N, size_s), dtype=np.int64)
-        for nu in range(fam.N):
-            self.mult[nu] = np.bincount(fam.words[nu], minlength=size_s)
-        self.c = self.mult @ self.compat.T.astype(np.int64)  # (N, |T_R|)
+        self.counts = fam.counts
+        self.c = compatible_counts(fam, self.compat)  # (N, |T_R|)
         # global lexicographic indices of the y-class words in Y^n
         weights = code.channel.output_size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
         self.y_global = self.y_words @ weights
@@ -264,12 +262,15 @@ def encode(code: SimCode, x_word, nu: int, seed):
     if not type_is_typical(base, spec) or t not in code.families:
         return TERMINATE
     tables = _tables_for(code, t)
-    xi = tables.x_index[x_word]
-    slot_ok = tables.compat[xi][code.families[t].words[nu]]
-    compatible = np.flatnonzero(slot_ok)
-    if compatible.size == 0:
+    # compatible slots per class rank; slots are numbered in rank order
+    hits = tables.counts[nu] * tables.compat[tables.x_index[x_word]]
+    hit_cum = np.cumsum(hits)
+    total = int(hit_cum[-1])
+    if total == 0:
         return TERMINATE
-    mu = int(compatible[int(rng.integers(compatible.size))])
+    k = int(rng.integers(total))
+    r = int(np.searchsorted(hit_cum, k, side="right"))
+    mu = int(tables.family.cumulative()[nu, r] - hit_cum[r] + k)
     return t, mu
 
 
@@ -333,11 +334,11 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
             continue
         tables = _tables_for(code, t)
         xi = tables.x_index[x_word]
-        c = tables.c[:, xi].astype(float)
+        c = tables.c[:, xi]
         live = c > 0
         if not live.all():
             terminate_mass += w_t * (np.count_nonzero(~live) / code.N)
-        contrib = (tables.mult[live] / c[live, None]).sum(axis=0) / code.N
+        contrib = (tables.counts[live] / c[live, None]).sum(axis=0) / code.N
         contrib *= tables.compat[xi]
         np.add.at(out, tables.y_global, w_t * contrib)
     out[0] += terminate_mass
@@ -437,11 +438,11 @@ def fixed_nu_block_channel(code: SimCode, nu: int) -> Channel:
                 continue
             tables = _tables_for(code, t)
             xi = tables.x_index[x_word]
-            c = float(tables.c[nu, xi])
+            c = tables.c[nu, xi]
             if c == 0:
                 terminate_mass += w_t
                 continue
-            contrib = tables.mult[nu] * tables.compat[xi] / c
+            contrib = tables.counts[nu] * tables.compat[xi] / c
             np.add.at(rows[rank], tables.y_global, w_t * contrib)
         rows[rank, 0] += terminate_mass
     return Channel(a ** n, y_size, rows)
@@ -474,10 +475,9 @@ def encoder_message_law(code: SimCode, nu: int):
     cond = np.zeros((a ** n, num))
     y_ranks = np.zeros(num, dtype=np.int64)
     spec = TypicalSpec(code.source, n, code.delta)
-    for t in code.typical_joint_types:
-        tables = _tables_for(code, t)
-        sel = code.families[t].words[nu]
-        y_ranks[offsets[t]:offsets[t] + sel.size] = tables.y_global[sel]
+    slot_ranks = {t: code.families[t].list_ranks(nu) for t in code.typical_joint_types}
+    for t, sel in slot_ranks.items():
+        y_ranks[offsets[t]:offsets[t] + sel.size] = _tables_for(code, t).y_global[sel]
     for rank in range(a ** n):
         x_word = tuple((rank // a ** (n - 1 - k)) % a for k in range(n))
         if not is_typical(x_word, spec):
@@ -493,7 +493,7 @@ def encoder_message_law(code: SimCode, nu: int):
                 terminate_mass += w_t
                 continue
             tables = _tables_for(code, t)
-            slot_ok = tables.compat[tables.x_index[x_word]][code.families[t].words[nu]]
+            slot_ok = tables.compat[tables.x_index[x_word]][slot_ranks[t]]
             hits = np.flatnonzero(slot_ok)
             if hits.size == 0:
                 terminate_mass += w_t

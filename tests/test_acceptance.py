@@ -1,11 +1,6 @@
 """Acceptance battery: every advertised guarantee checked end to end at its
 stated tolerance, with wall-clock budgets asserted where they are part of
 the contract.
-
-One check is expected to stay red: the heuristic sub-gaussian typicality
-floor overshoots the exact mass at the skewed binary source with n=8 and
-a wide window. The floor is reported as heuristic for exactly this
-reason; the test states the desired inequality and fails honestly there.
 """
 
 import math

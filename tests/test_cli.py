@@ -122,6 +122,11 @@ def test_cap_override_can_lower_limit(bsc_file):
                  "--cap-override", "WORD_ENUM_CAP=2"]) == 3
 
 
+def test_cover_table_cap_exits_before_sampling(bsc_file):
+    assert main(["simulate", bsc_file, "--n", "6",
+                 "--cap-override", "COVER_TABLE_CAP=10"]) == 3
+
+
 def test_cap_override_rejects_unknown_key():
     with pytest.raises(InvalidInputError):
         parse_cap_overrides(["NO_SUCH_CAP=5"])
@@ -185,7 +190,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v2"
+    assert lines[0] == "# chansim typical csv v3"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"

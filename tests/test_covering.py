@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chansim.covering import (
     CoveringFamily,
@@ -10,7 +12,7 @@ from chansim.covering import (
     required_M_N,
     verify_covering,
 )
-from chansim.errors import InvalidInputError, RetriesExhaustedError
+from chansim.errors import CapExceededError, InvalidInputError, RetriesExhaustedError
 from chansim.typeclasses import (
     ExactType,
     JointType,
@@ -176,3 +178,96 @@ class TestBuild:
                 assert c >= 0
         check = verify_covering(fam)
         assert np.all(check.condition_I_margin >= 0)
+
+
+@st.composite
+def small_families(draw):
+    """A joint type of two short words over alphabets of 2 or 3 letters and
+    an explicit (N, M) array of column-class ranks."""
+    n = draw(st.integers(2, 5))
+    x_size, y_size = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    x = draw(st.lists(st.integers(0, x_size - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, y_size - 1), min_size=n, max_size=n))
+    t = count_joint_occurrences(x, y, x_size, y_size)
+    size_s = type_class_size(t.col_marginal())
+    N, M = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    ranks = draw(st.lists(st.integers(0, size_s - 1), min_size=N * M, max_size=N * M))
+    return t, np.array(ranks, dtype=np.int64).reshape(N, M)
+
+
+class TestMultiplicityTables:
+    @settings(max_examples=60, deadline=None)
+    @given(small_families())
+    def test_margins_match_pairwise_brute_force(self, case):
+        t, words = case
+        N, M = words.shape
+        fam = CoveringFamily(t, N, M, words, 0.1)
+        x_words = enumerate_type_class(t.row_marginal())
+        y_words = enumerate_type_class(t.col_marginal())
+        size_r, size_s = len(x_words), len(y_words)
+        mean_i = M * joint_type_class_size(t) / (size_r * size_s)
+        margin_i = [0.1 - max(abs(sum(count_joint_occurrences(x, y_words[r], t.x_size,
+                                                                t.y_size) == t
+                                      for r in words[nu]) / mean_i - 1.0)
+                              for x in x_words)
+                    for nu in range(N)]
+        occurrences = [np.count_nonzero(words == r) for r in range(size_s)]
+        margin_ii = 0.1 - max(abs(c / (N * M / size_s) - 1.0) for c in occurrences)
+        check = verify_covering(fam)
+        assert np.allclose(check.condition_I_margin, margin_i, rtol=0, atol=1e-12)
+        assert check.condition_II_margin == pytest.approx(margin_ii, abs=1e-12)
+        assert check.passed == (margin_ii >= 0 and min(margin_i) >= 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_families())
+    def test_explicit_words_and_counts_twin_agree(self, case):
+        t, words = case
+        N, M = words.shape
+        size_s = type_class_size(t.col_marginal())
+        counts = np.array([np.bincount(row, minlength=size_s) for row in words])
+        from_words = CoveringFamily(t, N, M, words, 0.1)
+        twin = CoveringFamily(t, N, M, counts=counts, epsilon=0.1)
+        assert np.array_equal(from_words.counts, counts)
+        assert np.array_equal(from_words.words, np.sort(words, axis=1))
+        assert np.array_equal(twin.words, np.sort(words, axis=1))
+        a, b = verify_covering(from_words), verify_covering(twin)
+        assert np.array_equal(a.condition_I_margin, b.condition_I_margin)
+        assert a.condition_II_margin == b.condition_II_margin
+        y_words = twin.y_class_words()
+        for nu in range(N):
+            for mu in range(M):
+                assert twin.word(nu, mu) == tuple(y_words[twin.words[nu, mu]])
+
+    def test_counts_validation(self):
+        size_s = type_class_size(T_N4.col_marginal())
+        with pytest.raises(InvalidInputError):  # a row not summing to M
+            CoveringFamily(T_N4, 1, 3, counts=np.ones((1, size_s), dtype=int), epsilon=0.1)
+        with pytest.raises(InvalidInputError):  # wrong table width
+            CoveringFamily(T_N4, 1, 2, counts=[[1, 1]], epsilon=0.1)
+        with pytest.raises(InvalidInputError):  # both representations
+            CoveringFamily(T_N4, 1, 1, np.zeros((1, 1), dtype=int), 0.1,
+                           counts=np.eye(1, size_s, dtype=int))
+
+    def test_words_view_is_read_only(self):
+        fam = build_covering(T_N4, 0.1, seed=SEED)
+        assert np.all(fam.counts.sum(axis=1) == fam.M)
+        with pytest.raises(ValueError):
+            fam.words[0, 0] = 1
+        with pytest.raises(ValueError):
+            fam.counts[0, 0] = 1
+
+    def test_build_keeps_its_passing_check(self):
+        fam = build_covering(T_N4, 0.1, seed=SEED)
+        again = verify_covering(fam)
+        assert fam.check.passed
+        assert np.array_equal(fam.check.condition_I_margin, again.condition_I_margin)
+        assert fam.check.condition_II_margin == again.condition_II_margin
+
+    def test_table_cap_checked_before_sampling(self, monkeypatch):
+        import chansim.covering as covering
+        M, N = required_M_N(T_N4, 0.1)
+        size_s = type_class_size(T_N4.col_marginal())
+        monkeypatch.setattr(covering, "COVER_TABLE_CAP", N * size_s - 1)
+        monkeypatch.setattr(covering, "enumerate_type_class", None)  # must not be reached
+        with pytest.raises(CapExceededError):
+            build_covering(T_N4, 0.1, seed=SEED)

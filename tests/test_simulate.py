@@ -270,3 +270,12 @@ def test_save_load_rates_only(tmp_path):
     loaded = load_code(str(tmp_path / "ro"))
     assert loaded.rates_only and not loaded.families
     assert accounting(loaded)[0] == accounting(code)[0]
+
+
+def test_decode_reads_the_sorted_slot_of_every_list():
+    code = build_sim_code(UNIF, BSC, n=3, delta=2.0, epsilon=0.1, seed=7)
+    for t, fam in code.families.items():
+        y_words = fam.y_class_words()
+        for nu in range(code.N):
+            expected = [tuple(int(v) for v in y_words[r]) for r in fam.words[nu]]
+            assert [decode(code, t, nu, mu) for mu in range(fam.M)] == expected
