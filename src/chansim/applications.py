@@ -41,10 +41,11 @@ from .simulate import (
     SimCode,
     accounting,
     build_sim_code,
-    channel_block_row,
     encoder_message_law,
     fixed_nu_block_channel,
+    iid_block_law,
     strong_fidelity_report,
+    word_letters,
 )
 
 GRID_ORACLE_CAP = 1 << 24
@@ -417,16 +418,10 @@ class RDCodeResult:
         }
 
 
-def _word_letters(size: int, n: int) -> np.ndarray:
-    ranks = np.arange(size ** n, dtype=np.int64)
-    powers = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (ranks[:, None] // powers) % size
-
-
 def block_distortion_matrix(spec: DistortionSpec, n: int) -> np.ndarray:
     """Per-letter average distortion between every X^n and Y^n word pair."""
-    x_letters = _word_letters(spec.x_size, n)
-    y_letters = _word_letters(spec.y_size, n)
+    x_letters = word_letters(spec.x_size, n)
+    y_letters = word_letters(spec.y_size, n)
     d = spec.matrix
     out = np.zeros((x_letters.shape[0], y_letters.shape[0]))
     for i in range(n):
@@ -448,9 +443,7 @@ def rd_code_via_simulation(source: Distribution, spec: DistortionSpec, y_size: i
     """
     rd_value, w_opt = rd_function(source, spec, y_size)
     code = build_sim_code(source, w_opt, n, delta, epsilon, seed)
-    p_block = np.ones(1)
-    for _ in range(n):
-        p_block = np.kron(p_block, source.probs)
+    p_block = iid_block_law(source.probs, n)
     d_block = block_distortion_matrix(spec, n)
     per_nu = np.empty(code.N)
     for nu in range(code.N):
@@ -509,9 +502,7 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     code = build_sim_code(source, channel, n, delta, epsilon, seed)
     messages, cond, y_ranks = encoder_message_law(code, nu)
     a, ysz = source.alphabet_size, channel.output_size ** n
-    p_block = np.ones(1)
-    for _ in range(n):
-        p_block = np.kron(p_block, source.probs)
+    p_block = iid_block_law(source.probs, n)
     q = p_block @ cond
     law = Distribution(len(messages), q / q.sum())
     plan = build_dilution(law, dilution_epsilon)
@@ -524,10 +515,7 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
         np.add.at(acc, y_ranks, (cond * p_block[:, None]).T * message_scale[:, None])
         return acc.T
 
-    target = np.empty((a ** n, ysz))
-    x_letters = _word_letters(a, n)
-    for rank in range(a ** n):
-        target[rank] = p_block[rank] * channel_block_row(channel, x_letters[rank])
+    target = p_block[:, None] * iid_block_law(channel.rows, n)
     produced = joint_from(ratio)
     undiluted = joint_from(np.ones(len(messages)))
     return PairSimulationResult(

@@ -33,11 +33,15 @@ from .errors import CapExceededError, InvalidInputError, RetriesExhaustedError
 from .simulate import (
     SimCode,
     Transcript,
+    _channel_tv_rows,
+    _typical_classes,
+    block_tv,
     channel_block_row,
     fixed_nu_block_channel,
+    iid_block_law,
     run_protocol,
+    word_letters,
 )
-from .typeclasses import TypicalSpec, is_typical
 
 LN2 = math.log(2.0)
 FIDELITY_ENUM_CAP = 1 << 24
@@ -140,18 +144,13 @@ def _infer_block_length(rows_shape, x_size: int, y_size: int) -> int:
     return n
 
 
-def _letter_marginals(row: np.ndarray, n: int, y_size: int) -> np.ndarray:
-    """Per-position output marginals of one block row, shape (n, y_size)."""
-    cube = row.reshape((y_size,) * n)
-    out = np.empty((n, y_size))
-    for k in range(n):
-        axes = tuple(i for i in range(n) if i != k)
-        out[k] = cube.sum(axis=axes)
-    return out
-
-
-def _tv(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.abs(p - q).sum())
+def _letter_marginals(rows: np.ndarray, n: int, y_size: int) -> np.ndarray:
+    """Per-position output marginals of block rows: shape (..., y_size**n)
+    becomes (..., n, y_size)."""
+    lead = rows.ndim - 1
+    cube = rows.reshape(rows.shape[:-1] + (y_size,) * n)
+    return np.stack([cube.sum(axis=tuple(lead + i for i in range(n) if i != k))
+                     for k in range(n)], axis=-2)
 
 
 def measure_fidelity(source: Distribution, channel: Channel, family,
@@ -179,29 +178,25 @@ def measure_fidelity(source: Distribution, channel: Channel, family,
 
 def _measure_exact(source, channel, rows, n):
     a, b = channel.input_size, channel.output_size
-    eq3 = eq4 = 0.0
-    cond = np.zeros((n, a, b))      # letter-k output law conditioned on x_k
-    pair = np.zeros((a, b))         # position-averaged input-output pairs
-    for rank in range(a ** n):
-        x = tuple((rank // a ** (n - 1 - k)) % a for k in range(n))
-        p_x = float(np.prod(source.probs[list(x)]))
-        w_row = channel_block_row(channel, x)
-        eq3 += p_x * _tv(rows[rank], w_row)
-        margs = _letter_marginals(rows[rank], n, b)
-        eq4 += p_x * sum(_tv(margs[k], channel.rows[x[k]]) for k in range(n)) / n
-        if p_x > 0:
-            for k in range(n):
-                cond[k, x[k]] += p_x * margs[k]
-                pair[x[k]] += p_x * margs[k] / n
+    x = word_letters(a, n)
+    p_x = iid_block_law(source.probs, n)
+    eq3 = float(p_x @ _channel_tv_rows(rows, channel, n))
+    margs = _letter_marginals(rows, n, b)                  # (a^n, n, b)
+    letter_tv = 0.5 * np.abs(margs - channel.rows[x]).sum(axis=2)
+    eq4 = float(p_x @ letter_tv.sum(axis=1)) / n
+    # letter-k output law conditioned on x_k, weighted by the source
+    on_sym = (x[:, :, None] == np.arange(a)) * p_x[:, None, None]
+    cond = np.einsum("rka,rkb->kab", on_sym, margs)
+    pair = cond.sum(axis=0) / n     # position-averaged input-output pairs
     eq5 = 0.0
     for k in range(n):
         for sym in range(a):
             p_sym = source.probs[sym]
             if p_sym <= 0:
                 continue
-            eq5 += p_sym * _tv(cond[k, sym] / p_sym, channel.rows[sym]) / n
+            eq5 += p_sym * block_tv(cond[k, sym] / p_sym, channel.rows[sym]) / n
     joint_true = source.probs[:, None] * channel.rows
-    eq6 = _tv(pair.ravel(), joint_true.ravel())
+    eq6 = block_tv(pair.ravel(), joint_true.ravel())
     return FidelityReport(eq3, eq4, eq5, eq6)
 
 
@@ -218,10 +213,10 @@ def _measure_mc(source, channel, rows, n, samples, seed):
     for i in range(samples):
         x = xs[i]
         row = rows[int(x @ place)]
-        s3[i] = _tv(row, channel_block_row(channel, x))
+        s3[i] = block_tv(row, channel_block_row(channel, x))
         m = _letter_marginals(row, n, b)
         margs_all[i] = m
-        s4[i] = sum(_tv(m[k], channel.rows[x[k]]) for k in range(n)) / n
+        s4[i] = sum(block_tv(m[k], channel.rows[x[k]]) for k in range(n)) / n
 
     joint_true = source.probs[:, None] * channel.rows
 
@@ -235,9 +230,9 @@ def _measure_mc(source, channel, rows, n, samples, seed):
                 if cnt[k, sym] == 0:
                     e5 += p_sym / n      # unseen symbol charged in full
                     continue
-                e5 += p_sym * _tv(cond_sum[k, sym] / cnt[k, sym],
-                                  channel.rows[sym]) / n
-        return e5, _tv(pair_sum.ravel() / m, joint_true.ravel())
+                e5 += p_sym * block_tv(cond_sum[k, sym] / cnt[k, sym],
+                                       channel.rows[sym]) / n
+        return e5, block_tv(pair_sum.ravel() / m, joint_true.ravel())
 
     cond_sum = np.zeros((n, a, b))
     cnt = np.zeros((n, a), dtype=np.int64)
@@ -291,19 +286,6 @@ def derandomized_family(dcode: DerandomizedCode):
     return fam, weights
 
 
-def _typical_letter_marginals(code: SimCode, rows):
-    """Per-letter output marginals of every source-typical word under the
-    given block rows, as {x_word rank: (n, y_size) array}."""
-    a, b, n = code.source.alphabet_size, code.channel.output_size, code.n
-    spec = TypicalSpec(code.source, n, code.delta)
-    out = {}
-    for rank in range(a ** n):
-        x = tuple((rank // a ** (n - 1 - k)) % a for k in range(n))
-        if is_typical(x, spec):
-            out[rank] = _letter_marginals(rows[rank], n, b)
-    return out
-
-
 def derandomize(code: SimCode, epsilon: float, seed: int, max_retries: int = 64,
                 verify: str = "auto") -> DerandomizedCode:
     """Sample Q shared-index values so a uniform choice among them replaces
@@ -331,31 +313,23 @@ def derandomize(code: SimCode, epsilon: float, seed: int, max_retries: int = 64,
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
         return DerandomizedCode(selected, Q, code, epsilon, u, False, 0)
 
-    per_nu = [fixed_nu_block_channel(code, nu).rows for nu in range(code.N)]
-    averaged = sum(per_nu) / code.N
-    base_margs = _typical_letter_marginals(code, averaged)
-    supp = code.channel.rows > 0
-    for rank, margs in base_margs.items():
-        for k in range(n):
-            x_k = (rank // code.source.alphabet_size ** (n - 1 - k)) \
-                % code.source.alphabet_size
-            if (margs[k][supp[x_k]] < u / 2).any():
-                raise InvalidInputError(
-                    "averaged per-letter marginals fall below u/2 on the "
-                    "channel support; shrink epsilon or delta")
+    per_nu = np.stack([fixed_nu_block_channel(code, nu).rows for nu in range(code.N)])
+    averaged = sum(per_nu) / code.N     # summed one index at a time, in index order
+    typical = ~_typical_classes(code)[1]
+    b = code.channel.output_size
+    base_margs = _letter_marginals(averaged[typical], n, b)
+    supp = code.channel.rows[word_letters(code.source.alphabet_size, n)[typical]] > 0
+    if (base_margs[supp] < u / 2).any():
+        raise InvalidInputError(
+            "averaged per-letter marginals fall below u/2 on the "
+            "channel support; shrink epsilon or delta")
     for attempt in range(max_retries):
         rng = child_rng(seed, f"derandomize:try:{attempt}")
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
         counts = np.bincount(selected, minlength=code.N)
-        mixed_rows = np.tensordot(counts / Q, np.stack(per_nu), axes=1)
-        mixed_margs = _typical_letter_marginals(code, mixed_rows)
-        ok = True
-        for rank, margs in base_margs.items():
-            dev = np.abs(mixed_margs[rank] - margs)
-            if (dev > epsilon * margs + 1e-12).any():
-                ok = False
-                break
-        if ok:
+        mixed_rows = np.tensordot(counts / Q, per_nu, axes=1)
+        mixed_margs = _letter_marginals(mixed_rows[typical], n, b)
+        if not (np.abs(mixed_margs - base_margs) > epsilon * base_margs + 1e-12).any():
             return DerandomizedCode(selected, Q, code, epsilon, u, True, attempt)
     raise RetriesExhaustedError(
         f"derandomization failed exact verification {max_retries} times")

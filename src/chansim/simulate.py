@@ -53,7 +53,6 @@ from .typeclasses import (
     enumerate_joint_types,
     enumerate_type_class,
     is_conditionally_typical,
-    is_typical,
     type_is_typical,
     typical_probability_bounds,
     typical_types,
@@ -195,28 +194,62 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
                    announce_bits=announce_bits, seed=seed, rates_only=not keep_words)
 
 
-class _TypeTables:
-    """Per-type working tables for exact protocol computations."""
+def word_letters(size: int, n: int) -> np.ndarray:
+    """Every word of length n over {0, ..., size-1} as a row of letters, in
+    lexicographic rank order, shape (size**n, n)."""
+    return np.stack(np.unravel_index(np.arange(size ** n), (size,) * n), axis=1)
 
-    def __init__(self, code: SimCode, t: JointType):
-        fam = code.families[t]
-        self.family = fam
-        self.x_words = np.asarray(enumerate_type_class(t.row_marginal()), dtype=np.int64)
+
+def iid_block_law(law, n: int) -> np.ndarray:
+    """The n-fold i.i.d. extension of a single-letter law in lexicographic rank
+    order: a distribution of shape (a,) gives its law over X^n, channel rows of
+    shape (a, b) give the block channel, shape (a**n, b**n)."""
+    law = np.asarray(law, dtype=float)
+    out = np.ones((1,) * law.ndim)
+    for _ in range(n):
+        out = np.kron(out, law)
+    return out
+
+
+def _require_words(code: SimCode):
+    if code.rates_only:
+        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
+
+
+class _BaseTables:
+    """Per input type: the class words in lexicographic order, their ranks in
+    X^n, and every joint type with this row marginal with its weight."""
+
+    def __init__(self, code: SimCode, base: ExactType):
+        self.x_words = np.asarray(enumerate_type_class(base), dtype=np.int64)
         self.x_index = {tuple(int(v) for v in w): i for i, w in enumerate(self.x_words)}
-        self.y_words = fam.y_class_words()
-        self.compat = compatibility_matrix(t, self.x_words, self.y_words)
+        self.x_global = np.ravel_multi_index(self.x_words.T, (base.alphabet_size,) * base.n)
+        self.t_list, self.weights = _type_weights(code, base)
+
+
+class _TypeTables:
+    """Per joint type: the family, its compatibility matrix against the input
+    class and c_nu(x), and the ranks of the output class words in Y^n."""
+
+    def __init__(self, code: SimCode, t: JointType, base: _BaseTables):
+        self.family = fam = code.families[t]
+        self.x_index = base.x_index    # shared with the input type; encode reads it
+        y_words = fam.y_class_words()
+        self.compat = compatibility_matrix(t, base.x_words, y_words)
         self.counts = fam.counts
         self.c = compatible_counts(fam, self.compat)  # (N, |T_R|)
-        # global lexicographic indices of the y-class words in Y^n
-        weights = code.channel.output_size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
-        self.y_global = self.y_words @ weights
+        self.y_global = np.ravel_multi_index(y_words.T, (t.y_size,) * t.n)
+
+
+def _base_tables_for(code: SimCode, base: ExactType) -> _BaseTables:
+    if base not in code._tables:
+        code._tables[base] = _BaseTables(code, base)
+    return code._tables[base]
 
 
 def _tables_for(code: SimCode, t: JointType) -> _TypeTables:
-    if code.rates_only:
-        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
     if t not in code._tables:
-        code._tables[t] = _TypeTables(code, t)
+        code._tables[t] = _TypeTables(code, t, _base_tables_for(code, t.row_marginal()))
     return code._tables[t]
 
 
@@ -247,10 +280,41 @@ def _type_weights(code: SimCode, base: ExactType):
     return t_list, weights / total
 
 
+def _law_blocks(code: SimCode, base: ExactType, nu: int = None, rows=None):
+    """The protocol's exact output law on the class of a typical input type.
+
+    Given joint type t, index nu and input x, the output is uniform over the
+    compatible slots of list nu: y gets counts[nu, y] compat[x, y] / c[nu, x],
+    and the block terminates when c[nu, x] = 0. Averaged over the k = N lists
+    (nu None) or pinned (k = 1), t adds (w_t / k) (1/c)^T @ counts * compat
+    over (class rows, t's output class); rows picks class rows. Returns the
+    [(type tables, block)] of covered types and the terminate mass per row.
+    """
+    _require_words(code)
+    bt = _base_tables_for(code, base)
+    sel = slice(None) if rows is None else rows
+    lists = slice(None) if nu is None else slice(nu, nu + 1)
+    terminate = np.zeros(bt.x_global[sel].size)
+    blocks = []
+    for t, w_t in zip(bt.t_list, bt.weights):
+        if w_t == 0.0:
+            continue
+        if t not in code.families:
+            terminate += w_t
+            continue
+        tables = _tables_for(code, t)
+        c = tables.c[lists, sel]
+        k = c.shape[0]
+        inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
+        terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
+        block = (w_t / k) * (inv_c.T @ tables.counts[lists]) * tables.compat[sel]
+        blocks.append((tables, block))
+    return blocks, terminate
+
+
 def encode(code: SimCode, x_word, nu: int, seed):
     """One protocol run; returns (announced_type, mu) or TERMINATE."""
-    if code.rates_only:
-        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
+    _require_words(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     x_word = tuple(int(v) for v in x_word)
@@ -278,8 +342,7 @@ def decode(code: SimCode, announced_type, nu: int, mu) -> tuple:
     """Pure table lookup; TERMINATE maps to the fallback word."""
     if announced_type == TERMINATE:
         return code.fallback_word()
-    if code.rates_only:
-        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
+    _require_words(code)
     fam = code.families.get(announced_type)
     if fam is None:
         raise InvalidInputError("announced type has no covering family")
@@ -310,39 +373,53 @@ def _check_output_cap(code: SimCode):
         raise CapExceededError("output word space exceeds the enumeration cap")
 
 
+def _typical_classes(code: SimCode):
+    """Base tables of every source-typical input type, and a mask over X^n of
+    the words outside them, which emit the fallback word."""
+    spec = TypicalSpec(code.source, code.n, code.delta)
+    classes = {base: _base_tables_for(code, base) for base in typical_types(spec)}
+    atypical = np.ones(code.source.alphabet_size ** code.n, dtype=bool)
+    for bt in classes.values():
+        atypical[bt.x_global] = False
+    return classes, atypical
+
+
 def output_distribution(code: SimCode, x_word) -> Distribution:
     """Exact law of the decoder output for a fixed input word, averaged over
     the uniform shared index and all protocol sampling."""
-    if code.rates_only:
-        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
+    _require_words(code)
     _check_output_cap(code)
     x_word = tuple(int(v) for v in x_word)
     size = code.channel.output_size ** code.n
     out = np.zeros(size)
-    spec = TypicalSpec(code.source, code.n, code.delta)
-    if not is_typical(x_word, spec):
+    base = count_occurrences(x_word, code.source.alphabet_size)
+    if not type_is_typical(base, TypicalSpec(code.source, code.n, code.delta)):
         out[0] = 1.0
         return Distribution(size, out)
-    base = count_occurrences(x_word, code.source.alphabet_size)
-    t_list, weights = _type_weights(code, base)
-    terminate_mass = 0.0
-    for t, w_t in zip(t_list, weights):
-        if w_t == 0.0:
-            continue
-        if t not in code.families:
-            terminate_mass += w_t
-            continue
-        tables = _tables_for(code, t)
-        xi = tables.x_index[x_word]
-        c = tables.c[:, xi]
-        live = c > 0
-        if not live.all():
-            terminate_mass += w_t * (np.count_nonzero(~live) / code.N)
-        contrib = (tables.counts[live] / c[live, None]).sum(axis=0) / code.N
-        contrib *= tables.compat[xi]
-        np.add.at(out, tables.y_global, w_t * contrib)
-    out[0] += terminate_mass
+    xi = _base_tables_for(code, base).x_index[x_word]
+    blocks, terminate = _law_blocks(code, base, rows=[xi])
+    for tables, block in blocks:
+        out[tables.y_global] += block[0]
+    out[0] += terminate[0]
     return Distribution(size, out)
+
+
+def _block_law(code: SimCode, nu: int = None) -> np.ndarray:
+    """The protocol as block channel rows X^n -> Y^n, averaged over the
+    shared index or pinned to nu; atypical inputs emit the fallback word."""
+    _check_output_cap(code)
+    if code.source.alphabet_size ** code.n * code.channel.output_size ** code.n \
+            > BLOCK_ENUM_CAP:
+        raise CapExceededError("block channel exceeds the enumeration cap")
+    classes, atypical = _typical_classes(code)
+    rows = np.zeros((atypical.size, code.channel.output_size ** code.n))
+    for base, bt in classes.items():
+        blocks, terminate = _law_blocks(code, base, nu)
+        for tables, block in blocks:
+            rows[np.ix_(bt.x_global, tables.y_global)] += block
+        rows[bt.x_global, 0] += terminate
+    rows[atypical, 0] = 1.0
+    return rows
 
 
 def channel_block_row(channel: Channel, x_word) -> np.ndarray:
@@ -357,6 +434,14 @@ def block_tv(p: np.ndarray, q: np.ndarray) -> float:
     return float(0.5 * np.abs(p - q).sum())
 
 
+def _channel_tv_rows(rows: np.ndarray, channel: Channel, n: int) -> np.ndarray:
+    """block_tv of every row of a block channel X^n -> Y^n against the i.i.d.
+    channel row of its input word, with one block-sized temporary."""
+    gap = iid_block_law(channel.rows, n)
+    np.subtract(rows, gap, out=gap)
+    return 0.5 * np.abs(gap, out=gap).sum(axis=1)
+
+
 def strong_fidelity_report(code: SimCode) -> dict:
     """Exact per-word and average fidelity of the protocol.
 
@@ -365,87 +450,34 @@ def strong_fidelity_report(code: SimCode) -> dict:
     corridor) plus that word's mass on non-covered joint types. The average
     error sums over all input words, typical or not.
     """
-    _check_output_cap(code)
-    if code.source.alphabet_size ** code.n * code.channel.output_size ** code.n \
-            > BLOCK_ENUM_CAP:
-        raise CapExceededError("input-output space exceeds the enumeration cap")
-    n, a = code.n, code.source.alphabet_size
-    spec = TypicalSpec(code.source, n, code.delta)
-    per_word, bound_parts, global_err = [], [], 0.0
-    p_block = np.ones(1)
-    for _ in range(n):
-        p_block = np.kron(p_block, code.source.probs)
-    for rank in range(a ** n):
-        x_word = tuple((rank // a ** (n - 1 - k)) % a for k in range(n))
-        w_row = channel_block_row(code.channel, x_word)
-        out = output_distribution(code, x_word).probs
-        tv = block_tv(w_row, out)
-        global_err += p_block[rank] * tv
-        if is_typical(x_word, spec):
-            base = count_occurrences(x_word, a)
-            _, weights = _type_weights(code, base)
-            t_list = enumerate_joint_types(n, a, code.channel.output_size, base_type=base)
-            miss = sum(w for t, w in zip(t_list, weights) if t not in code.families)
-            per_word.append(tv)
-            bound_parts.append(code.epsilon / (1 - code.epsilon) + miss)
-    atypicality = 1.0 - typical_probability_bounds(spec).exact
+    n = code.n
+    tv = _channel_tv_rows(averaged_block_channel(code).rows, code.channel, n)
+    classes, atypical = _typical_classes(code)
+    bound_parts = [code.epsilon / (1 - code.epsilon)
+                   + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.families)
+                   for bt in classes.values()]
+    per_word = tv[~atypical].tolist()
+    atypicality = 1.0 - typical_probability_bounds(
+        TypicalSpec(code.source, n, code.delta)).exact
     return {
         "lambda_measured": max(per_word) if per_word else 1.0,
         "lambda_bound": max(bound_parts) if bound_parts else 1.0,
         "per_word_tv": per_word,
-        "global_err": global_err,
+        "global_err": float(iid_block_law(code.source.probs, n) @ tv),
         "atypicality_mass": atypicality,
     }
 
 
 def averaged_block_channel(code: SimCode) -> Channel:
     """The protocol as a block channel X^n -> Y^n, averaged over nu."""
-    _check_output_cap(code)
-    n, a = code.n, code.source.alphabet_size
-    if a ** n * code.channel.output_size ** n > BLOCK_ENUM_CAP:
-        raise CapExceededError("block channel exceeds the enumeration cap")
-    rows = np.empty((a ** n, code.channel.output_size ** n))
-    for rank in range(a ** n):
-        x_word = tuple((rank // a ** (n - 1 - k)) % a for k in range(n))
-        rows[rank] = output_distribution(code, x_word).probs
-    return Channel(a ** n, code.channel.output_size ** n, rows)
+    return Channel.from_rows(_block_law(code))
 
 
 def fixed_nu_block_channel(code: SimCode, nu: int) -> Channel:
     """The block channel induced by pinning the shared index to one value."""
-    _check_output_cap(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
-    n, a = code.n, code.source.alphabet_size
-    y_size = code.channel.output_size ** n
-    if a ** n * y_size > BLOCK_ENUM_CAP:
-        raise CapExceededError("block channel exceeds the enumeration cap")
-    spec = TypicalSpec(code.source, n, code.delta)
-    rows = np.zeros((a ** n, y_size))
-    for rank in range(a ** n):
-        x_word = tuple((rank // a ** (n - 1 - k)) % a for k in range(n))
-        if not is_typical(x_word, spec):
-            rows[rank, 0] = 1.0
-            continue
-        base = count_occurrences(x_word, a)
-        t_list, weights = _type_weights(code, base)
-        terminate_mass = 0.0
-        for t, w_t in zip(t_list, weights):
-            if w_t == 0.0:
-                continue
-            if t not in code.families:
-                terminate_mass += w_t
-                continue
-            tables = _tables_for(code, t)
-            xi = tables.x_index[x_word]
-            c = tables.c[nu, xi]
-            if c == 0:
-                terminate_mass += w_t
-                continue
-            contrib = tables.counts[nu] * tables.compat[xi] / c
-            np.add.at(rows[rank], tables.y_global, w_t * contrib)
-        rows[rank, 0] += terminate_mass
-    return Channel(a ** n, y_size, rows)
+    return Channel.from_rows(_block_law(code, nu))
 
 
 def encoder_message_law(code: SimCode, nu: int):
@@ -458,8 +490,7 @@ def encoder_message_law(code: SimCode, nu: int):
     word (lexicographic X^n order, rows sum to 1), and y_ranks[j] is the
     lexicographic Y^n rank of the word the decoder emits on message j.
     """
-    if code.rates_only:
-        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
+    _require_words(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     n, a = code.n, code.source.alphabet_size
@@ -474,32 +505,17 @@ def encoder_message_law(code: SimCode, nu: int):
         raise CapExceededError("message law table exceeds the enumeration cap")
     cond = np.zeros((a ** n, num))
     y_ranks = np.zeros(num, dtype=np.int64)
-    spec = TypicalSpec(code.source, n, code.delta)
-    slot_ranks = {t: code.families[t].list_ranks(nu) for t in code.typical_joint_types}
-    for t, sel in slot_ranks.items():
-        y_ranks[offsets[t]:offsets[t] + sel.size] = _tables_for(code, t).y_global[sel]
-    for rank in range(a ** n):
-        x_word = tuple((rank // a ** (n - 1 - k)) % a for k in range(n))
-        if not is_typical(x_word, spec):
-            cond[rank, -1] = 1.0
-            continue
-        base = count_occurrences(x_word, a)
-        t_list, weights = _type_weights(code, base)
-        terminate_mass = 0.0
-        for t, w_t in zip(t_list, weights):
-            if w_t == 0.0:
-                continue
-            if t not in code.families:
-                terminate_mass += w_t
-                continue
-            tables = _tables_for(code, t)
-            slot_ok = tables.compat[tables.x_index[x_word]][slot_ranks[t]]
-            hits = np.flatnonzero(slot_ok)
-            if hits.size == 0:
-                terminate_mass += w_t
-                continue
-            cond[rank, offsets[t] + hits] = w_t / hits.size
-        cond[rank, -1] = terminate_mass
+    classes, atypical = _typical_classes(code)
+    for base, bt in classes.items():
+        blocks, terminate = _law_blocks(code, base, nu)
+        for tables, block in blocks:
+            # a slot holding class rank r has probability block[x, r] / counts[nu, r]
+            sel = tables.family.list_ranks(nu)
+            slots = offsets[tables.family.joint_type] + np.arange(sel.size)
+            cond[np.ix_(bt.x_global, slots)] = block[:, sel] / tables.counts[nu, sel]
+            y_ranks[slots] = tables.y_global[sel]
+        cond[bt.x_global, -1] = terminate
+    cond[atypical, -1] = 1.0
     return messages, cond, y_ranks
 
 

@@ -101,6 +101,36 @@ def test_two_letter_stochastic_code_matches_manual_summation():
     assert rep.empirical_joint_err == pytest.approx(eq6, abs=1e-12)
 
 
+def test_exact_criteria_match_per_word_sums_on_skewed_source():
+    source = Distribution.from_probs([0.7, 0.3])
+    channel = Channel.from_rows([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
+    n, a, b = 3, 2, 3
+    rows = np.random.default_rng(4).dirichlet(np.ones(b ** n), size=a ** n)
+    rep = measure_fidelity(source, channel, Channel(a ** n, b ** n, rows))
+
+    eq3 = eq4 = 0.0
+    cond = np.zeros((n, a, b))
+    for rank, x in enumerate(np.ndindex(*(a,) * n)):
+        p_x = float(np.prod(source.probs[list(x)]))
+        cube = rows[rank].reshape((b,) * n)
+        margs = [cube.sum(axis=tuple(i for i in range(n) if i != k)) for k in range(n)]
+        eq3 += p_x * 0.5 * np.abs(rows[rank] - channel_block_row(channel, x)).sum()
+        eq4 += p_x * sum(0.5 * np.abs(margs[k] - channel.rows[x[k]]).sum()
+                         for k in range(n)) / n
+        for k in range(n):
+            cond[k, x[k]] += p_x * margs[k]
+    eq5 = sum(source.probs[s] * 0.5 * np.abs(cond[k, s] / source.probs[s]
+                                             - channel.rows[s]).sum()
+              for k in range(n) for s in range(a)) / n
+    pair = cond.sum(axis=0) / n
+    eq6 = 0.5 * np.abs(pair - source.probs[:, None] * channel.rows).sum()
+
+    assert rep.global_err == pytest.approx(eq3, abs=1e-12)
+    assert rep.local_err == pytest.approx(eq4, abs=1e-12)
+    assert rep.letterwise_source_err == pytest.approx(eq5, abs=1e-12)
+    assert rep.empirical_joint_err == pytest.approx(eq6, abs=1e-12)
+
+
 def test_criterion_ordering_on_protocol_code(base_code):
     rep = measure_fidelity(UNIF, BSC, averaged_block_channel(base_code))
     assert rep.local_err <= rep.global_err + 1e-9

@@ -1,11 +1,13 @@
 """Protocol-level tests for the block channel simulation code."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from chansim.core_prob import Channel, Distribution, tv_distance
+from chansim.covering import CoveringFamily
 from chansim.errors import CapExceededError, InvalidInputError
 from chansim.simulate import (
     TERMINATE,
@@ -18,14 +20,22 @@ from chansim.simulate import (
     encode,
     encoder_message_law,
     fixed_nu_block_channel,
+    iid_block_law,
     jointly_typical_types,
     load_code,
     output_distribution,
     run_protocol,
     save_code,
     strong_fidelity_report,
+    word_letters,
 )
-from chansim.typeclasses import JointType, count_joint_occurrences, count_occurrences
+from chansim.typeclasses import (
+    JointType,
+    TypicalSpec,
+    count_joint_occurrences,
+    count_occurrences,
+    is_typical,
+)
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 UNIF = Distribution.uniform(2)
@@ -151,21 +161,102 @@ def test_output_distribution_matches_sampled_transcripts(small_code):
     assert tv_distance(emp, exact) <= mean_bound + 3 / (2 * math.sqrt(trials))
 
 
-def test_averaged_block_channel_rows(small_code):
-    block = averaged_block_channel(small_code)
-    x = (1, 0, 1, 0)
-    rank = int(np.ravel_multi_index(x, (2, 2, 2, 2)))
-    expect = output_distribution(small_code, x).probs
-    assert np.allclose(block.rows[rank], expect)
+@pytest.fixture(scope="module")
+def skewed_code():
+    source = Distribution.from_probs([0.6, 0.4])
+    channel = Channel.from_rows([[0.9, 0.1], [0.3, 0.7]])
+    return build_sim_code(source, channel, n=5, delta=2.0, epsilon=0.1, seed=11)
 
 
-def test_fixed_nu_rows_average_to_block_channel(small_code):
-    acc = np.zeros((16, 16))
-    for nu in range(small_code.N):
-        acc += fixed_nu_block_channel(small_code, nu).rows
-    acc /= small_code.N
-    block = averaged_block_channel(small_code)
-    assert np.allclose(acc, block.rows, atol=1e-12)
+@pytest.fixture(scope="module")
+def lopsided_code(small_code):
+    """small_code with one family whose lists all hold only the first word
+    of its class, so most inputs find no compatible slot and terminate."""
+    t = small_code.typical_joint_types[len(small_code.typical_joint_types) // 2]
+    fam = small_code.families[t]
+    counts = np.zeros_like(fam.counts)
+    counts[:, 0] = fam.M
+    lopsided = CoveringFamily(t, fam.N, fam.M, counts=counts, epsilon=fam.epsilon)
+    return dataclasses.replace(small_code, families={**small_code.families, t: lopsided},
+                               _tables={})
+
+
+CODES = ["small_code", "skewed_code", "lopsided_code"]
+
+
+def reference_pinned_law(code, x, nu):
+    """The output law for input x and shared index nu, from the protocol's
+    definition: the channel output's joint type t with x is announced (or
+    the block terminates), then a slot of list nu whose word forms t with x
+    is drawn uniformly."""
+    a, b, n = code.source.alphabet_size, code.channel.output_size, code.n
+    out = np.zeros(b ** n)
+    if not is_typical(x, TypicalSpec(code.source, n, code.delta)):
+        out[0] = 1.0
+        return out
+    weight = {}
+    for y in np.ndindex(*(b,) * n):
+        t = count_joint_occurrences(x, y, a, b)
+        weight[t] = weight.get(t, 0.0) + np.prod(code.channel.rows[list(x), list(y)])
+    for t, w in weight.items():
+        fam = code.families.get(t)
+        slots = np.zeros(1)
+        if fam is not None:
+            words = fam.y_class_words()
+            slots = fam.counts[nu] * np.array(
+                [count_joint_occurrences(x, y, a, b) == t for y in words])
+        if slots.sum() == 0:
+            out[0] += w
+            continue
+        out[np.ravel_multi_index(words.T, (b,) * n)] += w * slots / slots.sum()
+    return out
+
+
+@pytest.mark.parametrize("code_name", CODES)
+def test_pinned_laws_match_the_protocol_definition(code_name, request):
+    code = request.getfixturevalue(code_name)
+    letters = word_letters(code.source.alphabet_size, code.n)
+    for nu in range(code.N):
+        rows = fixed_nu_block_channel(code, nu).rows
+        for rank, x in enumerate(letters):
+            np.testing.assert_allclose(rows[rank], reference_pinned_law(code, x, nu),
+                                       rtol=0, atol=1e-12)
+
+
+def test_averaged_block_channel_rows(request):
+    for code in map(request.getfixturevalue, CODES):
+        block = averaged_block_channel(code)
+        letters = word_letters(code.source.alphabet_size, code.n)
+        assert block.rows.shape == (letters.shape[0], code.channel.output_size ** code.n)
+        for rank, x in enumerate(letters):
+            expect = output_distribution(code, x).probs
+            np.testing.assert_allclose(block.rows[rank], expect, rtol=0, atol=1e-12)
+            assert abs(block.rows[rank].sum() - 1.0) <= 1e-12
+
+
+def test_word_letters_and_iid_block_law_round_trip():
+    assert word_letters(3, 2)[:4].tolist() == [[0, 0], [0, 1], [0, 2], [1, 0]]
+    for size, n in [(2, 1), (2, 5), (3, 4)]:
+        letters = word_letters(size, n)
+        expect = np.stack(np.unravel_index(np.arange(size ** n), (size,) * n), axis=1)
+        assert np.array_equal(letters, expect)
+        assert np.array_equal(np.ravel_multi_index(letters.T, (size,) * n),
+                              np.arange(size ** n))
+    channel = Channel.from_rows([[0.5, 0.3, 0.2], [0.1, 0.1, 0.8]])
+    source = Distribution.from_probs([0.7, 0.3])
+    block = iid_block_law(channel.rows, 4)
+    p_block = iid_block_law(source.probs, 4)
+    assert block.shape == (16, 81) and p_block.shape == (16,)
+    for rank, x in enumerate(word_letters(2, 4)):
+        assert np.array_equal(block[rank], channel_block_row(channel, x))
+        assert p_block[rank] == pytest.approx(np.prod(source.probs[x]), rel=1e-15)
+
+
+def test_fixed_nu_rows_average_to_block_channel(request):
+    for code in map(request.getfixturevalue, CODES):
+        acc = sum(fixed_nu_block_channel(code, nu).rows for nu in range(code.N)) / code.N
+        block = averaged_block_channel(code)
+        assert np.allclose(acc, block.rows, atol=1e-12)
 
 
 def test_strong_fidelity_report_structure(small_code):
