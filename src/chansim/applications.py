@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core_prob import (
     Distribution,
     entropy,
     mutual_information,
+    simplex_grid,
     tv_distance,
 )
 from .errors import CapExceededError, InvalidInputError
@@ -337,21 +337,6 @@ def rd_function(source: Distribution, spec: DistortionSpec, y_size: int):
     return mutual_information(source, w), w
 
 
-def rd_sweep(source: Distribution, d_matrix, targets, y_size: int, workers: int = 1):
-    """rd_function over many targets; order follows the input."""
-    specs = [DistortionSpec(d_matrix, float(t)) for t in targets]
-    if workers <= 1:
-        return [rd_function(source, s, y_size) for s in specs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda s: rd_function(source, s, y_size), specs))
-
-
-def _simplex_grid_rows(y_size: int, resolution: int) -> np.ndarray:
-    cuts = itertools.combinations_with_replacement(range(resolution + 1), y_size - 1)
-    rows = np.array([np.diff((0, *c, resolution)) for c in cuts], dtype=float)
-    return rows / resolution
-
-
 def rd_grid_oracle(source: Distribution, spec: DistortionSpec, y_size: int,
                    resolution: int):
     """Exhaustive search over channels with grid-valued rows; the returned
@@ -361,7 +346,7 @@ def rd_grid_oracle(source: Distribution, spec: DistortionSpec, y_size: int,
     if resolution < 2:
         raise InvalidInputError("grid resolution must be at least 2")
     x_size = source.alphabet_size
-    rows = _simplex_grid_rows(y_size, resolution)
+    rows = simplex_grid(y_size, resolution)
     g = rows.shape[0]
     if g ** x_size > GRID_ORACLE_CAP:
         raise CapExceededError("channel grid exceeds the search cap")

@@ -26,13 +26,13 @@ import numpy as np
 from . import applications, covering, fidelity, simulate, typeclasses, zero_error
 from ._seeds import child_seed
 from .applications import (DistortionSpec, build_dilution, expected_distortion,
-                           rd_grid_oracle, rd_sweep, realize_from_uniform,
+                           rd_function, rd_grid_oracle, realize_from_uniform,
                            uniform_index_stream)
 from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
                         mutual_information, output_marginal, tv_distance)
 from .covering import build_covering
-from .errors import (CapExceededError, InfeasibleError, InvalidInputError,
-                     RetriesExhaustedError)
+from .errors import (CapExceededError, ChansimError, InfeasibleError,
+                     InvalidInputError, RetriesExhaustedError)
 from .fidelity import derandomize, derandomized_family, measure_fidelity
 from .simulate import (accounting, build_sim_code, jointly_typical_types,
                        strong_fidelity_report)
@@ -66,9 +66,9 @@ CAP_REGISTRY = {
 }
 
 _INSTANCE_KEYS = {"source", "channel", "target", "distortion", "c_max"}
-_COMMON_KEYS = {"command", "config", "instance", "seed", "out", "workers",
-                "mode", "cap_override"}
-_CONFIG_KEYS = {"instance", "seed", "out", "workers", "mode", "caps", "params"}
+_COMMON_KEYS = {"command", "config", "instance", "seed", "out", "mode",
+                "cap_override"}
+_CONFIG_KEYS = {"instance", "seed", "out", "mode", "caps", "params"}
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,14 @@ class ExperimentConfig:
     params: dict
     seed: int = 0
     out: str = None
-    workers: int = 1
     mode: str = "exact"
     caps: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
         """Canonical document the hash is taken over: instance content
-        inlined, every registry cap listed with its effective value.
-        Output directory and worker count are excluded because they do
-        not change any computed number."""
+        inlined, every registry cap listed with its effective value. The
+        output directory is excluded because it changes no computed
+        number."""
         caps = {name: int(self.caps.get(name, getattr(mod, name)))
                 for name, mod in CAP_REGISTRY.items()}
         return {"command": self.command, "instance": self.instance,
@@ -370,8 +369,7 @@ def _run_cover(cfg, bundle):
         raise InvalidInputError("no jointly typical types; widen delta")
     rows, margins_i, margins_ii, retries_total = [], [], [], 0
     for idx, t in enumerate(types):
-        fam = build_covering(t, epsilon, mode="guaranteed",
-                             seed=child_seed(cfg.seed, f"cover:{idx}"))
+        fam = build_covering(t, epsilon, seed=child_seed(cfg.seed, f"cover:{idx}"))
         check = fam.check
         m_i = float(check.condition_I_margin.min())
         m_ii = float(check.condition_II_margin)
@@ -436,11 +434,9 @@ def _run_simulate(cfg, bundle):
 
 def _run_derandomize(cfg, bundle):
     epsilon = float(cfg.params.get("epsilon", 0.1))
-    verify = cfg.params.get("verify", "auto")
     code = _build_code(cfg, bundle, keep_words=True)
     dcode = derandomize(code, epsilon, seed=cfg.seed,
-                        max_retries=int(cfg.params.get("max_retries", 64)),
-                        verify=verify)
+                        max_retries=int(cfg.params.get("max_retries", 64)))
     family, weights = derandomized_family(dcode)
     kwargs = {"mode": cfg.mode}
     if cfg.mode == "monte-carlo":
@@ -517,11 +513,11 @@ def _run_rd(cfg, bundle):
         raise InvalidInputError("distortion rows must match the source alphabet")
     y_size = d_matrix.shape[1]
     targets = _parse_targets(str(_need_param(cfg, "targets")))
-    results = rd_sweep(source, d_matrix, targets, y_size, workers=cfg.workers)
     resolution = cfg.params.get("certify_resolution")
     rows, excesses, gaps = [], [], []
-    for target, (rate, w_opt) in zip(targets, results):
+    for target in targets:
         spec = DistortionSpec(d_matrix, float(target))
+        rate, w_opt = rd_function(source, spec, y_size)
         ed = expected_distortion(source, w_opt, spec)
         slack = float(target) - ed
         excesses.append(-slack)
@@ -670,7 +666,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="configuration JSON file")
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--workers", type=int, default=None)
     mode = common.add_mutually_exclusive_group()
     mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
     mode.add_argument("--monte-carlo", dest="mode", action="store_const",
@@ -711,7 +706,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--verify", choices=("auto", "exact", "declared"), default=None)
     p.add_argument("--max-retries", dest="max_retries", type=int, default=None)
     p.add_argument("--samples", type=int, default=None,
                    help="Monte Carlo fidelity sample count")
@@ -759,6 +753,11 @@ def build_config(argv=None) -> ExperimentConfig:
             raise InvalidInputError(
                 f"unknown config keys {sorted(unknown)}; allowed: {sorted(_CONFIG_KEYS)}")
     params = dict(doc.get("params", {}))
+    allowed = set(vars(ns)) - _COMMON_KEYS
+    unknown = set(params) - allowed
+    if unknown:
+        raise InvalidInputError(f"unknown {ns.command} params {sorted(unknown)}; "
+                                f"allowed: {sorted(allowed)}")
     for key, value in vars(ns).items():
         if key in _COMMON_KEYS or value is None:
             continue
@@ -784,17 +783,14 @@ def build_config(argv=None) -> ExperimentConfig:
 
     seed = ns.seed if ns.seed is not None else int(doc.get("seed", 0))
     out = ns.out if ns.out is not None else doc.get("out")
-    workers = ns.workers if ns.workers is not None else int(doc.get("workers", 1))
     mode = ns.mode if ns.mode is not None else doc.get("mode", "exact")
     if mode not in ("exact", "monte-carlo"):
         raise InvalidInputError(f"unknown mode {mode!r}")
-    if workers < 1:
-        raise InvalidInputError("workers must be positive")
     if not 0 <= seed < 2 ** 64:
         raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
     return ExperimentConfig(command=ns.command, instance=instance_doc,
-                            params=params, seed=seed, out=out, workers=workers,
-                            mode=mode, caps=caps)
+                            params=params, seed=seed, out=out, mode=mode,
+                            caps=caps)
 
 
 def _print_record(record: RunRecord):
@@ -815,21 +811,24 @@ _ERROR_LABELS = (
 )
 
 
-def exit_code_for(exc: Exception) -> int:
-    for klass, _, code in _ERROR_LABELS:
+def _error_label(exc: Exception):
+    """(label, exit code) of a package error; other exceptions propagate."""
+    for klass, label, code in _ERROR_LABELS:
         if isinstance(exc, klass):
-            return code
+            return label, code
     raise exc
+
+
+def exit_code_for(exc: Exception) -> int:
+    return _error_label(exc)[1]
 
 
 def _report_error(exc: Exception, command: str) -> int:
-    for klass, label, code in _ERROR_LABELS:
-        if isinstance(exc, klass):
-            reason = " ".join(str(exc).split())
-            print(f"chansim: error={label} command={command} reason={reason}",
-                  file=sys.stderr)
-            return code
-    raise exc
+    label, code = _error_label(exc)
+    reason = " ".join(str(exc).split())
+    print(f"chansim: error={label} command={command} reason={reason}",
+          file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -837,13 +836,11 @@ def main(argv=None) -> int:
         cfg = build_config(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID_INPUT
-    except (InvalidInputError, CapExceededError, InfeasibleError,
-            RetriesExhaustedError) as exc:
+    except ChansimError as exc:
         return _report_error(exc, "(parse)")
     try:
         record = run(cfg)
-    except (InvalidInputError, CapExceededError, InfeasibleError,
-            RetriesExhaustedError) as exc:
+    except ChansimError as exc:
         return _report_error(exc, cfg.command)
     _print_record(record)
     for phase, seconds in record.timings.items():

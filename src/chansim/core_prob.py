@@ -9,6 +9,7 @@ Conventions used throughout the package:
     larger ones are rejected.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,3 +247,11 @@ def rate_lower_bound_defect(lam: float, x_size: int, y_size: int) -> float:
     if not 0.0 <= lam <= 0.5 + ZERO_TOL:
         raise InvalidInputError(f"defect formula needs 0 <= lam <= 1/2, got {lam}")
     return float(lam * (np.log2(x_size) + 2 * np.log2(y_size)) + 2 * binary_entropy(lam))
+
+
+def simplex_grid(size: int, resolution: int) -> np.ndarray:
+    """Every distribution on {0, ..., size-1} whose entries are multiples of
+    1/resolution, one per row, ordered by the cut points that delimit them."""
+    cuts = itertools.combinations_with_replacement(range(resolution + 1), size - 1)
+    rows = np.array([np.diff((0, *c, resolution)) for c in cuts], dtype=float)
+    return rows / resolution

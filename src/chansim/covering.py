@@ -246,30 +246,21 @@ def verify_covering(family: CoveringFamily, compat: np.ndarray = None) -> Coveri
     return CoveringCheck(margin_i, margin_ii, passed)
 
 
-def build_covering(t: JointType, epsilon: float, mode: str = "guaranteed",
-                   M: int = None, N: int = None, seed: int = 0,
+def build_covering(t: JointType, epsilon: float, seed: int = 0,
                    max_retries: int = DEFAULT_MAX_RETRIES,
                    forced_N: int = None) -> CoveringFamily:
     """Rejection-sample a covering family and verify it exactly.
 
-    mode "guaranteed" sizes (M, N) from the threshold formulas (optionally
-    with the list count pinned to forced_N); mode "sized" uses the caller's
-    M and N. Each attempt draws all N lists at once as multinomial counts,
-    the law of M i.i.d. uniform ranks per list, until verification passes;
-    the passing check is kept on the family. Raises CapExceededError, before
-    anything is enumerated or sampled, when the counts table or the
-    compatibility matrix would exceed COVER_TABLE_CAP entries, and
-    RetriesExhaustedError after max_retries failures.
+    (M, N) come from the threshold formulas of required_M_N, with the list
+    count pinned to forced_N when given. Each attempt draws all N lists at
+    once as multinomial counts, the law of M i.i.d. uniform ranks per list,
+    until verification passes; the passing check is kept on the family.
+    Raises CapExceededError, before anything is enumerated or sampled, when
+    the counts table or the compatibility matrix would exceed
+    COVER_TABLE_CAP entries, and RetriesExhaustedError after max_retries
+    failures.
     """
-    if mode == "guaranteed":
-        M, N = required_M_N(t, epsilon, forced_N=forced_N)
-    elif mode == "sized":
-        if M is None or N is None:
-            raise InvalidInputError("sized mode needs explicit M and N")
-        if not 0.0 < epsilon < 0.5:
-            raise InvalidInputError("epsilon must lie in (0, 1/2)")
-    else:
-        raise InvalidInputError(f"unknown mode {mode!r}")
+    M, N = required_M_N(t, epsilon, forced_N=forced_N)
     size_r, size_s, _ = _class_sizes(t)
     entries = max(N, size_r) * size_s
     if entries > COVER_TABLE_CAP:

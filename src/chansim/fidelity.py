@@ -286,19 +286,18 @@ def derandomized_family(dcode: DerandomizedCode):
     return fam, weights
 
 
-def derandomize(code: SimCode, epsilon: float, seed: int, max_retries: int = 64,
-                verify: str = "auto") -> DerandomizedCode:
+def derandomize(code: SimCode, epsilon: float, seed: int,
+                max_retries: int = 64) -> DerandomizedCode:
     """Sample Q shared-index values so a uniform choice among them replaces
     the common randomness.
 
-    Exact mode (default for n <= 6) recomputes every typical word's per-letter
-    marginals and requires each to stay within (1 +- eps) of the averaged
-    code's value on the support of the true channel row, redrawing on failure.
-    Declared mode skips verification and relies on the Chernoff bound that
-    sized Q. Precondition, checked in exact mode: the averaged code's
-    per-letter marginals reach u/2 on those support entries."""
-    if verify not in ("auto", "exact", "declared"):
-        raise InvalidInputError(f"unknown verify mode {verify!r}")
+    For n <= EXACT_VERIFY_N_CAP (read at call time) the sample is verified
+    exactly: every typical word's per-letter marginals must stay within
+    (1 +- eps) of the averaged code's value on the support of the true
+    channel row, and the sample is redrawn on failure. Above the cap the
+    first sample is declared good on the Chernoff bound that sized Q, with
+    verified False. Precondition, checked when verifying: the averaged
+    code's per-letter marginals reach u/2 on those support entries."""
     if code.rates_only:
         raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
     if code.N == 1:
@@ -307,8 +306,7 @@ def derandomize(code: SimCode, epsilon: float, seed: int, max_retries: int = 64,
     u = min_nonzero_entry(code.channel)
     n = code.n
     Q = required_Q(n, code.source.alphabet_size, code.channel.output_size, epsilon, u)
-    exact = verify == "exact" or (verify == "auto" and n <= EXACT_VERIFY_N_CAP)
-    if not exact:
+    if n > EXACT_VERIFY_N_CAP:
         rng = child_rng(seed, "derandomize:try:0")
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
         return DerandomizedCode(selected, Q, code, epsilon, u, False, 0)

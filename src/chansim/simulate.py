@@ -160,8 +160,7 @@ def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta:
 
 
 def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
-                   epsilon: float, seed: int, keep_words: bool = True,
-                   max_retries: int = 64) -> SimCode:
+                   epsilon: float, seed: int, keep_words: bool = True) -> SimCode:
     """Construct verified covering families for every jointly typical type.
 
     The shared-randomness index must be uniform over one common range, so N
@@ -178,9 +177,8 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
     n_global = max(required_M_N(t, epsilon)[1] for t in jt_list)
     families, records = {}, {}
     for idx, t in enumerate(jt_list):
-        fam = build_covering(t, epsilon, mode="guaranteed", forced_N=n_global,
-                             seed=child_seed(seed, f"simulate:covering:{idx}"),
-                             max_retries=max_retries)
+        fam = build_covering(t, epsilon, forced_N=n_global,
+                             seed=child_seed(seed, f"simulate:covering:{idx}"))
         check = fam.check
         records[t] = FamilyRecord(t, fam.M, fam.N, fam.retries,
                                   float(check.condition_I_margin.min()),

@@ -334,17 +334,16 @@ def enumerate_type_classes(n: int, alphabet_size: int):
     return [ExactType(n, c) for c in _compositions(n, alphabet_size)]
 
 
-def enumerate_joint_types(n: int, x_size: int, y_size: int, base_type: ExactType = None,
-                          n_cap: int = JOINT_ENUM_N_CAP,
-                          cells_cap: int = JOINT_ENUM_CELLS_CAP):
+def enumerate_joint_types(n: int, x_size: int, y_size: int, base_type: ExactType = None):
     """All joint types over X x Y for length n, lexicographic on the flattened
     count matrix. With base_type given, only joint types whose row marginal
-    equals base_type. Enumeration caps guard against blowup; raise the caps
-    explicitly to go past them."""
-    if n > n_cap:
-        raise CapExceededError(f"joint type enumeration capped at n <= {n_cap}")
-    if x_size * y_size > cells_cap:
-        raise CapExceededError(f"joint type enumeration capped at {cells_cap} cells")
+    equals base_type. JOINT_ENUM_N_CAP and JOINT_ENUM_CELLS_CAP, read at call
+    time, guard against blowup."""
+    if n > JOINT_ENUM_N_CAP:
+        raise CapExceededError(f"joint type enumeration capped at n <= {JOINT_ENUM_N_CAP}")
+    if x_size * y_size > JOINT_ENUM_CELLS_CAP:
+        raise CapExceededError(
+            f"joint type enumeration capped at {JOINT_ENUM_CELLS_CAP} cells")
     out = []
     if base_type is None:
         for flat in _compositions(n, x_size * y_size):
@@ -359,13 +358,12 @@ def enumerate_joint_types(n: int, x_size: int, y_size: int, base_type: ExactType
     return out
 
 
-def enumerate_type_class(t: ExactType, word_cap: int = None):
-    """All words with exact type t, in lexicographic order."""
-    if word_cap is None:
-        word_cap = WORD_ENUM_CAP
+def enumerate_type_class(t: ExactType):
+    """All words with exact type t, in lexicographic order; at most
+    WORD_ENUM_CAP of them."""
     size = type_class_size(t)
-    if size > word_cap:
-        raise CapExceededError(f"type class has {size} words, cap is {word_cap}")
+    if size > WORD_ENUM_CAP:
+        raise CapExceededError(f"type class has {size} words, cap is {WORD_ENUM_CAP}")
     words = []
     word = [0] * t.n
     counts = list(t.counts)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import child_rng
-from .core_prob import Channel, Distribution, entropy, mutual_information
+from .core_prob import Channel, Distribution, entropy, mutual_information, simplex_grid
 from .errors import CapExceededError, InfeasibleError, InvalidInputError
 
 FEAS_TOL = 1e-7
@@ -163,12 +163,10 @@ def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
     return [e for _, e in found]
 
 
-def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray,
-           exact_cap: int = None) -> np.ndarray:
+def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray) -> np.ndarray:
     """E rows minimizing H(mu) for fixed D: exact search over per-row vertex
-    combinations when their product is small, coordinate descent otherwise."""
-    if exact_cap is None:
-        exact_cap = EXACT_COMBO_CAP
+    combinations when their product is at most EXACT_COMBO_CAP, coordinate
+    descent otherwise."""
     d_rows = np.asarray(d_rows, dtype=float)
     p = instance.source.probs
     per_x = []
@@ -180,7 +178,7 @@ def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray,
         per_x.append(verts)
     counts = [len(v) for v in per_x]
     total = math.prod(counts)
-    if total <= exact_cap:
+    if total <= EXACT_COMBO_CAP:
         best_h, best = None, None
         for combo in itertools.product(*(range(c) for c in counts)):
             mu = sum(p[x] * per_x[x][i] for x, i in enumerate(combo))
@@ -368,13 +366,6 @@ def alternate(instance: ZeroErrorInstance, seed: int = 0, restarts: int = 20,
     return best
 
 
-def _simplex_grid(y_size: int, resolution: int):
-    for parts in itertools.combinations_with_replacement(range(resolution + 1),
-                                                         y_size - 1):
-        cuts = (0,) + parts + (resolution,)
-        yield np.diff(cuts) / resolution
-
-
 def brute_force_oracle(instance: ZeroErrorInstance,
                        grid_resolution: int) -> Factorization:
     """Exhaustive minimum over D with rows on a simplex grid (one exact
@@ -388,7 +379,7 @@ def brute_force_oracle(instance: ZeroErrorInstance,
         raise CapExceededError("oracle intermediate-size cap exceeded")
     if grid_resolution < 2:
         raise InvalidInputError("grid resolution must be at least 2")
-    rows = [np.asarray(r) for r in _simplex_grid(y_size, grid_resolution)]
+    rows = simplex_grid(y_size, grid_resolution)
     best_h, best_e, best_d = None, None, None
     # D rows are exchangeable, so multisets of grid rows suffice
     for combo in itertools.combinations_with_replacement(range(len(rows)),

@@ -121,7 +121,7 @@ def test_covering_families_verify_and_retry_statistics():
     assert types
     hardest, hardest_fam = None, None
     for idx, t in enumerate(types):
-        fam = build_covering(t, 0.1, mode="guaranteed", seed=idx)
+        fam = build_covering(t, 0.1, seed=idx)
         check = verify_covering(fam)
         assert check.passed
         assert float(check.condition_I_margin.min()) >= 0.0
@@ -131,7 +131,7 @@ def test_covering_families_verify_and_retry_statistics():
     # retry statistics across 100 seeds on the most demanding type
     failed_first = 0
     for s in range(100):
-        fam = build_covering(hardest, 0.1, mode="guaranteed", seed=1000 + s)
+        fam = build_covering(hardest, 0.1, seed=1000 + s)
         assert fam.retries < 16
         failed_first += 1 if fam.retries > 0 else 0
     size_r = type_class_size(hardest.row_marginal())

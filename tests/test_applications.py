@@ -18,7 +18,6 @@ from chansim.applications import (
     rd_code_via_simulation,
     rd_function,
     rd_grid_oracle,
-    rd_sweep,
     realize_from_uniform,
     uniform_index_stream,
 )
@@ -207,15 +206,6 @@ def test_rd_grid_oracle_validation():
                                 for i in range(3)), 0.2)
     with pytest.raises(CapExceededError):
         rd_grid_oracle(big, spec, 3, 300)
-
-
-def test_rd_sweep_parallel_matches_serial():
-    targets = [0.05, 0.15, 0.3]
-    d = ((0.0, 1.0), (1.0, 0.0))
-    serial = rd_sweep(UNIF2, d, targets, 2, workers=1)
-    parallel = rd_sweep(UNIF2, d, targets, 2, workers=3)
-    for (ra, _), (rb, _) in zip(serial, parallel):
-        assert ra == rb
 
 
 def test_block_distortion_matrix_hand_values():

@@ -127,6 +127,21 @@ def test_cover_table_cap_exits_before_sampling(bsc_file):
                  "--cap-override", "COVER_TABLE_CAP=10"]) == 3
 
 
+@pytest.mark.parametrize("cap", ["JOINT_ENUM_N_CAP=3", "JOINT_ENUM_CELLS_CAP=2"])
+def test_joint_enum_cap_overrides_apply(bsc_file, capsys, cap):
+    assert main(["simulate", bsc_file, "--n", "6", "--rates-only",
+                 "--cap-override", cap]) == 3
+    assert "error=cap-exceeded" in capsys.readouterr().err
+
+
+def test_derandomize_cap_override_declares_without_verifying(bsc_file, capsys):
+    args = ["derandomize", bsc_file, "--n", "4", "--delta", "2.0"]
+    assert main(args) == 0
+    assert "verified = 1" in capsys.readouterr().out
+    assert main(args + ["--cap-override", "EXACT_VERIFY_N_CAP=0"]) == 0
+    assert "verified = 0" in capsys.readouterr().out
+
+
 def test_cap_override_rejects_unknown_key():
     with pytest.raises(InvalidInputError):
         parse_cap_overrides(["NO_SUCH_CAP=5"])
@@ -168,6 +183,24 @@ def test_config_file_rejects_unknown_keys(tmp_path, bsc_file):
         build_config(["info", "--config", str(conf)])
 
 
+def test_config_file_rejects_unknown_params(tmp_path, bsc_file):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"instance": bsc_file,
+                                "params": {"n": 4, "epsilom": 0.1}}))
+    with pytest.raises(InvalidInputError, match="epsilom"):
+        build_config(["simulate", "--config", str(conf)])
+    assert main(["simulate", "--config", str(conf)]) == 2
+
+
+def test_config_file_accepts_subcommand_params(tmp_path, bsc_file):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"instance": bsc_file,
+                                "params": {"n": 4, "epsilon": 0.2,
+                                           "rates_only": True}}))
+    cfg = build_config(["simulate", "--config", str(conf)])
+    assert cfg.params == {"n": 4, "epsilon": 0.2, "rates_only": True}
+
+
 def test_config_hash_reflects_instance_and_caps(bsc_file):
     base = build_config(["typical", bsc_file, "--n", "8", "--delta", "1.0"])
     same = build_config(["typical", bsc_file, "--n", "8", "--delta", "1.0"])
@@ -178,9 +211,9 @@ def test_config_hash_reflects_instance_and_caps(bsc_file):
     other_cap = build_config(["typical", bsc_file, "--n", "8", "--delta", "1.0",
                               "--cap-override", "EXACT_PROB_N_CAP=200"])
     assert other_cap.config_hash() != base.config_hash()
-    # out dir and workers change no numbers, so they do not change the hash
+    # the out dir changes no numbers, so it does not change the hash
     moved = build_config(["typical", bsc_file, "--n", "8", "--delta", "1.0",
-                          "--out", "elsewhere", "--workers", "4"])
+                          "--out", "elsewhere"])
     assert moved.config_hash() == base.config_hash()
 
 
@@ -232,14 +265,6 @@ def test_rd_linspace_targets(bsc_file):
 
 def test_rd_needs_distortion(bsc_file):
     assert main(["rd", bsc_file, "--targets", "0.1"]) == 2
-
-
-def test_rd_workers_match_serial(bsc_file):
-    base = ["rd", bsc_file, "--hamming", "2", "--targets", "0.05,0.1,0.2"]
-    serial = run(build_config(base))
-    parallel = run(build_config(base + ["--workers", "3"]))
-    assert serial.table_rows == parallel.table_rows
-    assert serial.config_hash == parallel.config_hash
 
 
 def test_dilute_from_target_key(tmp_path):

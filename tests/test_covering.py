@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chansim import covering
 from chansim.covering import (
     CoveringFamily,
     build_covering,
@@ -139,13 +140,10 @@ class TestBuild:
         assert np.array_equal(f1.words, f2.words)
         assert f1.retries == f2.retries
 
-    def test_sized_mode_too_small_exhausts_retries(self):
+    def test_sized_mode_too_small_exhausts_retries(self, monkeypatch):
+        monkeypatch.setattr(covering, "required_M_N", lambda t, eps, forced_N=None: (1, 1))
         with pytest.raises(RetriesExhaustedError):
-            build_covering(T_N4, 0.1, mode="sized", M=1, N=1, seed=SEED, max_retries=5)
-
-    def test_sized_mode_needs_sizes(self):
-        with pytest.raises(InvalidInputError):
-            build_covering(T_N4, 0.1, mode="sized", seed=SEED)
+            build_covering(T_N4, 0.1, seed=SEED, max_retries=5)
 
     def test_rank_validation(self):
         with pytest.raises(InvalidInputError):

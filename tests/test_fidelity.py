@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chansim import fidelity
 from chansim.core_prob import Channel, Distribution
 from chansim.errors import InvalidInputError
 from chansim.fidelity import (
@@ -229,8 +230,9 @@ def test_derandomize_deterministic_under_seed(base_code):
     assert a.selected_indices == b.selected_indices
 
 
-def test_derandomize_declared_mode(base_code):
-    dcode = derandomize(base_code, epsilon=0.1, seed=11, verify="declared")
+def test_derandomize_declared_mode(base_code, monkeypatch):
+    monkeypatch.setattr(fidelity, "EXACT_VERIFY_N_CAP", 0)
+    dcode = derandomize(base_code, epsilon=0.1, seed=11)
     assert not dcode.verified and dcode.Q == 6655
 
 
@@ -250,8 +252,6 @@ def test_derandomize_rejects_rates_only():
                           keep_words=False)
     with pytest.raises(InvalidInputError):
         derandomize(code, epsilon=0.1, seed=0)
-    with pytest.raises(InvalidInputError):
-        derandomize(code, epsilon=0.1, seed=0, verify="sometimes")
 
 
 def test_run_fixed_code_accounting(base_code):

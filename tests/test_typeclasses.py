@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from chansim import typeclasses
 from chansim.core_prob import Channel, Distribution, entropy
 from chansim.errors import CapExceededError, InvalidInputError
 from chansim.typeclasses import (
@@ -180,13 +181,18 @@ class TestEnumeration:
         # compositions of 3 into 3 parts times compositions of 2 into 3 parts
         assert len(joints) == 10 * 6
 
-    def test_caps(self):
+    def test_caps(self, monkeypatch):
         with pytest.raises(CapExceededError):
             enumerate_joint_types(17, 2, 2)
         with pytest.raises(CapExceededError):
             enumerate_joint_types(4, 4, 3)
+        monkeypatch.setattr(typeclasses, "WORD_ENUM_CAP", 1000)
         with pytest.raises(CapExceededError):
-            enumerate_type_class(ExactType(40, (20, 20)), word_cap=1000)
+            enumerate_type_class(ExactType(40, (20, 20)))
+
+    def test_caps_are_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(typeclasses, "JOINT_ENUM_N_CAP", 17)
+        assert len(enumerate_joint_types(17, 2, 1)) == 18
 
     def test_word_enumeration_lex(self):
         words = enumerate_type_class(ExactType(4, (2, 2)))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from chansim import zero_error
 from chansim.core_prob import (
     Channel,
     Distribution,
@@ -125,9 +126,10 @@ def test_e_step_infeasible_decoder(bsc_instance):
         e_step(bsc_instance, np.array([[0.9, 0.1], [0.9, 0.1], [0.9, 0.1]]))
 
 
-def test_e_step_greedy_matches_exact_here(bsc_instance):
+def test_e_step_greedy_matches_exact_here(bsc_instance, monkeypatch):
     exact = e_step(bsc_instance, OPT_D)
-    greedy = e_step(bsc_instance, OPT_D, exact_cap=1)
+    monkeypatch.setattr(zero_error, "EXACT_COMBO_CAP", 1)
+    greedy = e_step(bsc_instance, OPT_D)
     h_exact = entropy(UNIF.probs @ exact)
     h_greedy = entropy(UNIF.probs @ greedy)
     assert h_greedy == pytest.approx(h_exact, abs=1e-9)
