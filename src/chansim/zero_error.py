@@ -34,6 +34,8 @@ ALTERNATE_TOL = 1e-9
 EXACT_COMBO_CAP = 20000
 ORACLE_XY_CAP = 3
 ORACLE_C_CAP = 4
+ORACLE_CHUNK = 1 << 14
+HULL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,17 +144,32 @@ def make_factorization(instance: ZeroErrorInstance, e_rows, d_rows,
 def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
     """Extreme points of {e >= 0 : e @ d_rows = w_row}, each with at most
     |Y| nonzero entries, sorted by support pattern for deterministic ties."""
+    return _row_vertices(d_rows, w_row,
+                         lambda supp: _support_weights(d_rows[list(supp)].T, w_row))
+
+
+def _support_weights(a: np.ndarray, w_row: np.ndarray):
+    """Least-squares weights of the columns of a for w_row, clipped at 0;
+    None when a is rank deficient or a weight is below -SOLVE_TOL."""
+    sol, _, rank, _ = np.linalg.lstsq(a, w_row, rcond=None)
+    if rank < a.shape[1] or (sol < -SOLVE_TOL).any():
+        return None
+    return np.clip(sol, 0.0, None)
+
+
+def _row_vertices(d_rows, w_row, weights):
+    """row_vertices with the solve of each support (a tuple of row
+    positions) delegated to weights(supp), as computed by _support_weights."""
     c_size, y_size = d_rows.shape
     found = []
     seen = set()
     for r in range(1, min(y_size, c_size) + 1):
         for supp in itertools.combinations(range(c_size), r):
-            a = d_rows[list(supp)].T
-            sol, _, rank, _ = np.linalg.lstsq(a, w_row, rcond=None)
-            if rank < r or (sol < -SOLVE_TOL).any():
+            sol = weights(supp)
+            if sol is None:
                 continue
             e = np.zeros(c_size)
-            e[list(supp)] = np.clip(sol, 0.0, None)
+            e[list(supp)] = sol
             if np.abs(e @ d_rows - w_row).max() > SOLVE_TOL:
                 continue
             key = tuple(np.round(e, 10))
@@ -168,7 +185,6 @@ def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray) -> np.ndarray:
     combinations when their product is at most EXACT_COMBO_CAP, coordinate
     descent otherwise."""
     d_rows = np.asarray(d_rows, dtype=float)
-    p = instance.source.probs
     per_x = []
     for x in range(instance.channel.input_size):
         verts = row_vertices(d_rows, instance.channel.rows[x])
@@ -176,6 +192,11 @@ def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray) -> np.ndarray:
             raise InfeasibleError(f"no nonnegative decomposition of channel "
                                   f"row {x} over the given D")
         per_x.append(verts)
+    return _min_entropy_rows(instance.source.probs, per_x)
+
+
+def _min_entropy_rows(p: np.ndarray, per_x) -> np.ndarray:
+    """One vertex per channel row, chosen to minimize H(sum_x p(x) e_x)."""
     counts = [len(v) for v in per_x]
     total = math.prod(counts)
     if total <= EXACT_COMBO_CAP:
@@ -368,9 +389,18 @@ def alternate(instance: ZeroErrorInstance, seed: int = 0, restarts: int = 20,
 
 def brute_force_oracle(instance: ZeroErrorInstance,
                        grid_resolution: int) -> Factorization:
-    """Exhaustive minimum over D with rows on a simplex grid (one exact
-    e_step per candidate). Declared accuracy is an empirical Lipschitz
-    modulus near the optimum times the grid pitch."""
+    """Exhaustive minimum over D with rows on a simplex grid. Declared
+    accuracy is an empirical Lipschitz modulus near the optimum times the
+    grid pitch.
+
+    D rows are exchangeable, so the candidates are the multisets of c_max
+    grid rows, visited in combinations_with_replacement order. The box test
+    of _hull_candidates first drops every multiset over which some channel
+    row has no vertex (it only drops what e_step would reject as
+    infeasible). Each survivor then gets the exact per-row vertex search
+    and vertex choice of e_step, with the least-squares solve of every
+    support (its grid rows against one channel row) computed once per call
+    and shared by all multisets that contain it."""
     x_size = instance.channel.input_size
     y_size = instance.channel.output_size
     if x_size > ORACLE_XY_CAP or y_size > ORACLE_XY_CAP:
@@ -380,24 +410,70 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     if grid_resolution < 2:
         raise InvalidInputError("grid resolution must be at least 2")
     rows = simplex_grid(y_size, grid_resolution)
+    w_rows = instance.channel.rows
+    solved = {}
+
+    def support_weights(x, key):
+        if (x, key) not in solved:
+            solved[x, key] = _support_weights(rows[list(key)].T, w_rows[x])
+        return solved[x, key]
+
     best_h, best_e, best_d = None, None, None
-    # D rows are exchangeable, so multisets of grid rows suffice
-    for combo in itertools.combinations_with_replacement(range(len(rows)),
-                                                         instance.c_max):
-        d_rows = np.vstack([rows[i] for i in combo])
-        try:
-            e_rows = e_step(instance, d_rows)
-        except InfeasibleError:
-            continue
-        h = _entropy_fast(_mu_of(instance, e_rows))
-        if best_h is None or h < best_h - 1e-12:
-            best_h, best_e, best_d = h, e_rows, d_rows
+    multisets = itertools.combinations_with_replacement(range(len(rows)),
+                                                        instance.c_max)
+    n_multisets = math.comb(len(rows) + instance.c_max - 1, instance.c_max)
+    for _ in range(0, n_multisets, ORACLE_CHUNK):
+        block = np.array(list(itertools.islice(multisets, ORACLE_CHUNK)), dtype=np.intp)
+        for combo in block[_hull_candidates(rows[block], w_rows)].tolist():
+            d_rows = rows[combo]
+            per_x = []
+            for x in range(x_size):
+                verts = _row_vertices(
+                    d_rows, w_rows[x],
+                    lambda supp: support_weights(x, tuple(combo[j] for j in supp)))
+                if not verts:
+                    break
+                per_x.append(verts)
+            else:
+                e_rows = _min_entropy_rows(instance.source.probs, per_x)
+                h = _entropy_fast(_mu_of(instance, e_rows))
+                if best_h is None or h < best_h - 1e-12:
+                    best_h, best_e, best_d = h, e_rows, d_rows
     if best_h is None:
         raise InfeasibleError("no feasible D on the grid; raise resolution")
     pitch = y_size / grid_resolution
     modulus = _local_modulus(instance, best_d, best_h, grid_resolution)
     accuracy = modulus * pitch * instance.c_max + 1e-9
     return make_factorization(instance, best_e, best_d, accuracy=accuracy)
+
+
+def _hull_candidates(d_stack: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
+    """Mask over a (k, c, |Y|) stack of nonnegative D matrices: False only
+    where some channel row w certainly has no vertex in row_vertices.
+
+    row_vertices accepts an e >= 0 only when |e @ D - w|_inf <= tau
+    (SOLVE_TOL). With s_c the row sums of D, sum_c e_c s_c is then within
+    |Y| tau of sum(w), so sum(e) lies in [(sum(w) - |Y| tau) / max s,
+    (sum(w) + |Y| tau) / min s], and every coordinate obeys
+    min_c D[c, y] sum(e) - tau <= w_y <= max_c D[c, y] sum(e) + tau.
+    A row is rejected only outside that band by more than HULL_SLACK
+    (relative to the band's edge, which covers the rounding of the test
+    itself); a NaN edge (from 0 * inf) never rejects."""
+    tau = SOLVE_TOL
+    y_size = d_stack.shape[2]
+    sums = d_stack.sum(axis=2)
+    lo, hi = d_stack.min(axis=1), d_stack.max(axis=1)
+    keep = np.ones(d_stack.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for w in w_rows:
+            s_lo = (w.sum() - y_size * tau) / sums.max(axis=1)
+            s_hi = (w.sum() + y_size * tau) / sums.min(axis=1)
+            low = lo * s_lo[:, None] - tau
+            high = hi * s_hi[:, None] + tau
+            out = (w < low - HULL_SLACK * (1 + np.abs(low))) \
+                | (w > high + HULL_SLACK * (1 + np.abs(high)))
+            keep &= ~out.any(axis=1)
+    return keep
 
 
 def _local_modulus(instance, d_rows, h_at, resolution):

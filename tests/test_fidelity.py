@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from chansim import fidelity
+from chansim._seeds import child_rng
 from chansim.core_prob import Channel, Distribution
-from chansim.errors import InvalidInputError
+from chansim.errors import InvalidInputError, RetriesExhaustedError
 from chansim.fidelity import (
     DerandomizedCode,
     FidelityReport,
@@ -19,7 +20,13 @@ from chansim.fidelity import (
     run_fixed_code,
     sim_code_family,
 )
-from chansim.simulate import averaged_block_channel, build_sim_code, channel_block_row
+from chansim.simulate import (
+    averaged_block_channel,
+    build_sim_code,
+    channel_block_row,
+    fixed_nu_block_channel,
+    word_letters,
+)
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 UNIF = Distribution.uniform(2)
@@ -234,6 +241,63 @@ def test_derandomize_declared_mode(base_code, monkeypatch):
     monkeypatch.setattr(fidelity, "EXACT_VERIFY_N_CAP", 0)
     dcode = derandomize(base_code, epsilon=0.1, seed=11)
     assert not dcode.verified and dcode.Q == 6655
+
+
+@pytest.fixture(scope="module")
+def bsc30_code():
+    bsc30 = Channel.from_rows([[0.7, 0.3], [0.3, 0.7]])
+    return build_sim_code(UNIF, bsc30, n=3, delta=2.0, epsilon=0.1, seed=3)
+
+
+def _letter_deviation(code):
+    """Largest relative gap between the per-letter output marginals of a
+    sampled index list's mixture and of the averaged code, over typical
+    inputs, as a function of the list."""
+    per_nu = np.stack([fixed_nu_block_channel(code, nu).rows for nu in range(code.N)])
+    typical = ~fidelity._typical_classes(code)[1]
+    letters = word_letters(code.channel.output_size, code.n)
+    masks = [letters[:, k] == b for k in range(code.n)
+             for b in range(code.channel.output_size)]
+    base = [per_nu.mean(axis=0)[typical][:, cols].sum(axis=1) for cols in masks]
+
+    def deviation(selected):
+        mixed = per_nu[list(selected)].mean(axis=0)[typical]
+        return max(float(np.max(np.abs(mixed[:, cols].sum(axis=1) - b) / b))
+                   for cols, b in zip(masks, base))
+    return deviation
+
+
+def test_derandomize_redraws_until_the_sample_verifies(bsc30_code, monkeypatch):
+    # With Q = 2 most draws miss epsilon, so derandomize must redraw. The
+    # index pairs of this code deviate by 0.0362 or less, or by 0.0376 or
+    # more; epsilon = 0.037 sits between, so an acceptance test loosened by
+    # 2% takes a draw that must be redrawn.
+    monkeypatch.setattr(fidelity, "required_Q", lambda *args: 2)
+    deviation = _letter_deviation(bsc30_code)
+    retries = []
+    for seed in range(8):
+        dcode = derandomize(bsc30_code, epsilon=0.037, seed=seed)
+        assert dcode.verified and dcode.Q == 2
+        assert deviation(dcode.selected_indices) <= 0.037
+        for attempt in range(dcode.retries):
+            draw = child_rng(seed, f"derandomize:try:{attempt}").integers(
+                0, bsc30_code.N, size=2)
+            assert deviation(draw) > 0.037
+        retries.append(dcode.retries)
+    assert min(retries) == 0 and max(retries) >= 2
+
+
+def test_derandomize_gives_up_after_max_retries(bsc30_code, monkeypatch):
+    monkeypatch.setattr(fidelity, "required_Q", lambda *args: 2)
+    with pytest.raises(RetriesExhaustedError):
+        derandomize(bsc30_code, epsilon=0.037, seed=1, max_retries=1)
+
+
+def test_derandomize_checks_the_half_u_precondition(bsc30_code, monkeypatch):
+    # u = 0.9 puts u/2 above the averaged marginals of the 0.3 letters
+    monkeypatch.setattr(fidelity, "min_nonzero_entry", lambda channel: 0.9)
+    with pytest.raises(InvalidInputError, match="u/2"):
+        derandomize(bsc30_code, epsilon=0.037, seed=1)
 
 
 def test_derandomize_single_index_shortcut():

@@ -1,5 +1,6 @@
 """Tests for the exact-factorization solver and its certification oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from chansim.core_prob import (
     binary_entropy,
     entropy,
     mutual_information,
+    simplex_grid,
 )
 from chansim.errors import CapExceededError, InfeasibleError, InvalidInputError
 from chansim.zero_error import (
@@ -250,6 +252,85 @@ def test_oracle_caps():
         brute_force_oracle(wide, 8)
     with pytest.raises(InvalidInputError):
         brute_force_oracle(ZeroErrorInstance.build(UNIF, BSC), 1)
+
+
+def _random_d_stack(rng, c_size, y_size):
+    d_rows = rng.dirichlet(np.ones(y_size), size=c_size)
+    d_rows[rng.random((c_size, y_size)) < 0.3] = 0.0
+    d_rows[d_rows.sum(axis=1) == 0.0, rng.integers(y_size)] = 1.0
+    d_rows /= d_rows.sum(axis=1, keepdims=True)
+    return d_rows * (1.0 + rng.uniform(-1e-9, 1e-9, size=(c_size, 1)))
+
+
+def _random_w_row(rng, d_rows):
+    """Channel rows inside, on the edge of and outside the cone of D."""
+    y_size = d_rows.shape[1]
+    kind = rng.integers(4)
+    if kind == 0:
+        return rng.dirichlet(np.ones(y_size))
+    if kind == 1:
+        return d_rows[rng.integers(len(d_rows))] \
+            + rng.uniform(-2e-9, 2e-9, size=y_size)
+    e = rng.dirichlet(np.ones(len(d_rows)))
+    e[rng.random(len(d_rows)) < 0.5] = 0.0
+    return e @ d_rows + rng.uniform(-2e-9, 2e-9, size=y_size) * (kind == 2)
+
+
+@pytest.mark.parametrize("y_size", [2, 3])
+def test_hull_prefilter_rejects_only_rows_without_vertices(y_size):
+    rng = np.random.default_rng(20 + y_size)
+    rejected = kept_with_vertices = 0
+    for _ in range(1500):
+        d_rows = _random_d_stack(rng, int(rng.integers(1, 5)), y_size)
+        w = _random_w_row(rng, d_rows)
+        if zero_error._hull_candidates(d_rows[None], w[None])[0]:
+            kept_with_vertices += bool(row_vertices(d_rows, w))
+        else:
+            rejected += 1
+            assert row_vertices(d_rows, w) == []
+    assert rejected > 100 and kept_with_vertices > 100
+
+
+def _reference_oracle(instance, resolution):
+    """The oracle as a plain loop: one e_step per multiset of grid rows."""
+    y_size = instance.channel.output_size
+    rows = simplex_grid(y_size, resolution)
+    best_h = best_e = best_d = None
+    for combo in itertools.combinations_with_replacement(range(len(rows)),
+                                                         instance.c_max):
+        d_rows = np.vstack([rows[i] for i in combo])
+        try:
+            e_rows = e_step(instance, d_rows)
+        except InfeasibleError:
+            continue
+        h = zero_error._entropy_fast(instance.source.probs @ e_rows)
+        if best_h is None or h < best_h - 1e-12:
+            best_h, best_e, best_d = h, e_rows, d_rows
+    modulus = zero_error._local_modulus(instance, best_d, best_h, resolution)
+    accuracy = modulus * (y_size / resolution) * instance.c_max + 1e-9
+    return make_factorization(instance, best_e, best_d, accuracy=accuracy)
+
+
+SKEWED = Channel.from_rows([[0.9, 0.1], [0.3, 0.7]])
+TWO_BY_THREE = Channel.from_rows([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]])
+
+
+@pytest.mark.parametrize("source, channel, c_max, resolution", [
+    (UNIF, BSC, None, 8),
+    (UNIF, BSC, None, 12),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 8),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 12),
+    (Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 3, 4),
+    (Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 4, 4),
+])
+def test_oracle_equals_plain_loop(source, channel, c_max, resolution):
+    instance = ZeroErrorInstance.build(source, channel, c_max)
+    got = brute_force_oracle(instance, resolution)
+    want = _reference_oracle(instance, resolution)
+    assert np.array_equal(got.E.rows, want.E.rows)
+    assert np.array_equal(got.D.rows, want.D.rows)
+    assert got.objective == want.objective
+    assert got.accuracy == want.accuracy
 
 
 def test_product_instance_shapes(bsc_instance):
