@@ -78,14 +78,12 @@ class DilutionPlan:
     total_uniform_size: int
 
     def realized_mixture(self) -> Distribution:
-        """Exact law produced by the two-stage sampler."""
+        """Exact law produced by the two-stage sampler: each member of a live
+        bucket gets weight_count / (k^2 * bucket size)."""
         probs = np.zeros(self.target.alphabet_size)
         for b in self.buckets:
-            if b.weight_count == 0:
-                continue
-            share = b.weight_count / (self.helper_size * len(b.members))
-            for c in b.members:
-                probs[c] += share
+            if b.weight_count:
+                probs[np.array(b.members)] = b.weight_count / (self.helper_size * len(b.members))
         return Distribution(self.target.alphabet_size, probs)
 
     def tv_error(self) -> float:
@@ -119,47 +117,48 @@ class DilutionPlan:
                    int(doc["helper_size"]), int(doc["total_uniform_size"]))
 
 
-def _bucket_index(q: float, epsilon: float, k: int):
-    """Geometric interval index for probability q; None marks the tail.
-
-    Boundary values (exact powers of 1+eps) go to the lower index; a value
-    within 1e-12 relative of a power is snapped onto it first.
-    """
-    t = math.log(1.0 / q) / math.log1p(epsilon)
-    nearest = round(t)
-    if abs(t - nearest) <= 1e-12 * max(1.0, abs(t)):
-        t = nearest
-    a = max(1, math.ceil(t))
-    return a if a <= k else None
-
-
 def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     """Group target probabilities into geometric buckets and round the
-    bucket weights to a k^2-denominator type by largest remainder."""
+    bucket weights to a k^2-denominator type by largest remainder.
+
+    Probability q > 0 goes to bucket a = max(1, ceil(t)) with
+    t = ln(1/q) / ln(1+eps); a t within 1e-12 relative of an integer is
+    snapped onto it first, so exact powers of 1+eps go to the lower index.
+    Zero probabilities and buckets beyond k form the tail, whose mass is
+    added in symbol order. Members keep symbol order within a bucket, and
+    each bucket mass is added in the same order. np.log may differ from
+    math.log in the last bit; the snap absorbs that.
+    """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must be in (0, 1)")
-    size = target.alphabet_size
-    k = math.ceil((math.log2(size) - math.log2(epsilon)) / epsilon)
-    members = {}
-    infinite_mass = 0.0
-    for c, q in enumerate(target.probs):
-        a = _bucket_index(float(q), epsilon, k) if q > 0.0 else None
-        if a is None:
-            infinite_mass += float(q)
-        else:
-            members.setdefault(a, []).append(c)
+    probs = target.probs
+    k = math.ceil((math.log2(probs.size) - math.log2(epsilon)) / epsilon)
+    live = np.flatnonzero(probs > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):   # subnormal q: t = inf, tail
+        t = np.log(1.0 / probs[live]) / math.log1p(epsilon)
+        nearest = np.rint(t)
+        t = np.where(np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)), nearest, t)
+    index = np.maximum(1.0, np.ceil(t))
+    kept = index <= k
+    in_bucket = live[kept]
+    tail = np.ones(probs.size, dtype=bool)
+    tail[in_bucket] = False
+    infinite_mass = float(np.cumsum(np.append(0.0, probs[tail]))[-1])
+    order, bucket_of, sizes = np.unique(index[kept].astype(np.int64),
+                                        return_inverse=True, return_counts=True)
+    masses = np.bincount(bucket_of, weights=probs[in_bucket], minlength=order.size).tolist()
+    members = np.split(in_bucket[np.argsort(bucket_of, kind="stable")], np.cumsum(sizes)[:-1])
+    order = order.tolist()
     finite_mass = 1.0 - infinite_mass
-    order = sorted(members)
-    masses = {a: float(sum(target.probs[c] for c in members[a])) for a in order}
     helper = k * k
-    shares = [masses[a] / finite_mass for a in order]
+    shares = [m / finite_mass for m in masses]
     counts = [math.floor(s * helper) for s in shares]
     leftovers = sorted(range(len(order)),
                        key=lambda i: (counts[i] - shares[i] * helper, order[i]))
     for i in leftovers[:helper - sum(counts)]:
         counts[i] += 1
     buckets = tuple(
-        DilutionBucket(a, tuple(members[a]), masses[a], counts[i])
+        DilutionBucket(a, tuple(members[i].tolist()), masses[i], counts[i])
         for i, a in enumerate(order)
     )
     block = math.lcm(*(len(b.members) for b in buckets if b.weight_count > 0))
@@ -472,6 +471,22 @@ class PairSimulationResult:
     message_law: Distribution = field(default=None, repr=False)
 
 
+def _message_joint(cond: np.ndarray, p_block: np.ndarray, y_ranks: np.ndarray,
+                   y_size: int, message_scale: np.ndarray) -> np.ndarray:
+    """Joint law over (input word, output word) when message j, sent on
+    input word x with probability cond[x, j], carries weight
+    message_scale[j] and decodes to output rank y_ranks[j].
+
+    One scatter per input word: bincount adds the messages in index order,
+    so each cell equals a sequential sum over its messages.
+    """
+    acc = np.zeros((y_size, p_block.size))
+    for x in range(p_block.size):
+        acc[:, x] = np.bincount(y_ranks, weights=(cond[x] * p_block[x]) * message_scale,
+                                minlength=y_size)
+    return acc.T
+
+
 def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
                              delta: float, epsilon: float, seed: int,
                              dilution_epsilon: float = None,
@@ -488,27 +503,22 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
         dilution_epsilon = epsilon
     code = build_sim_code(source, channel, n, delta, epsilon, seed)
     messages, cond, y_ranks = encoder_message_law(code, nu)
-    a, ysz = source.alphabet_size, channel.output_size ** n
+    ysz = channel.output_size ** n
     p_block = iid_block_law(source.probs, n)
     q = p_block @ cond
     law = Distribution(len(messages), q / q.sum())
     plan = build_dilution(law, dilution_epsilon)
-    q_tilde = plan.realized_mixture().probs
+    mixture = plan.realized_mixture()
+    q_tilde = mixture.probs
     ratio = np.divide(q_tilde, law.probs, out=np.zeros_like(q_tilde),
                       where=law.probs > 0)
-
-    def joint_from(message_scale: np.ndarray) -> np.ndarray:
-        acc = np.zeros((ysz, a ** n))
-        np.add.at(acc, y_ranks, (cond * p_block[:, None]).T * message_scale[:, None])
-        return acc.T
-
     target = p_block[:, None] * iid_block_law(channel.rows, n)
-    produced = joint_from(ratio)
-    undiluted = joint_from(np.ones(len(messages)))
+    produced = _message_joint(cond, p_block, y_ranks, ysz, ratio)
+    undiluted = _message_joint(cond, p_block, y_ranks, ysz, np.ones(len(messages)))
     return PairSimulationResult(
         n=n, nu=nu, message_count=len(messages), plan=plan,
         code_joint_tv=float(0.5 * np.abs(undiluted - target).sum()),
-        dilution_tv=plan.tv_error(),
+        dilution_tv=tv_distance(law, mixture),
         joint_tv=float(0.5 * np.abs(produced - target).sum()),
         cr_bits_exact=math.log2(plan.total_uniform_size),
         cr_bits_per_letter=math.log2(plan.total_uniform_size) / n,

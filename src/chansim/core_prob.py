@@ -6,7 +6,7 @@ Conventions used throughout the package:
     an exact zero inside entropy-like sums,
   * distributions and channel rows must sum to 1 within STOCH_TOL = 1e-9 at
     construction; deviations below the tolerance are renormalized away,
-    larger ones are rejected.
+    larger ones are rejected, and so are NaN and infinite entries.
 """
 
 import itertools
@@ -26,6 +26,9 @@ def _clean_prob_vector(v, what: str) -> np.ndarray:
         raise InvalidInputError(f"{what} must be one dimensional")
     if arr.size == 0:
         raise InvalidInputError(f"{what} must be nonempty")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(
+            f"{what} has a non-finite entry: {arr[~np.isfinite(arr)][0]}")
     if np.any(arr < -ZERO_TOL):
         raise InvalidInputError(f"{what} has a negative entry: {arr.min()}")
     arr[arr < 0] = 0.0
@@ -79,20 +82,40 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2:
+        """Apply `_clean_prob_vector`'s rules to every row in one pass.
+
+        The rows are copied in C order, so `sum(axis=1)` adds each row as
+        the per-row sum of a contiguous vector would, and the cleaned rows
+        equal a row-by-row loop bit for bit. A bad row (non-finite entry,
+        entry below -ZERO_TOL, or sum off by STOCH_TOL or more) raises
+        InvalidInputError naming the first such row.
+        """
+        given = np.asarray(self.rows, dtype=float)
+        if given.ndim != 2:
             raise InvalidInputError("channel rows must be a matrix")
-        if rows.shape != (self.input_size, self.output_size):
+        if given.shape != (self.input_size, self.output_size):
             raise InvalidInputError(
-                f"channel shape {rows.shape} != ({self.input_size}, {self.output_size})")
-        cleaned = np.stack([_clean_prob_vector(r, f"channel row {x}")
-                            for x, r in enumerate(rows)])
-        cleaned.flags.writeable = False
-        self.rows = cleaned
+                f"channel shape {given.shape} != ({self.input_size}, {self.output_size})")
+        if given.shape[0] == 0:
+            raise InvalidInputError("channel has no rows")
+        rows = np.array(given, order="C")
+        bad = ~np.isfinite(rows).all(axis=1) | (rows < -ZERO_TOL).any(axis=1)
+        rows[rows < 0] = 0.0
+        totals = rows.sum(axis=1)
+        bad |= np.abs(totals - 1.0) >= STOCH_TOL
+        if bad.any():
+            # the per-row check raises the first bad row's message
+            x = int(np.argmax(bad))
+            _clean_prob_vector(given[x], f"channel row {x}")
+        rows /= totals[:, None]
+        rows.flags.writeable = False
+        self.rows = rows
 
     @classmethod
     def from_rows(cls, rows) -> "Channel":
         rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2:
+            raise InvalidInputError("channel rows must be a matrix")
         return cls(rows.shape[0], rows.shape[1], rows)
 
     def row(self, x: int) -> Distribution:

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from chansim import applications
-from chansim.core_prob import Channel, Distribution, binary_entropy, entropy, simplex_grid
+from chansim import applications, simulate
+from chansim.core_prob import (Channel, Distribution, binary_entropy, entropy, simplex_grid,
+                                tv_distance)
 from chansim.errors import CapExceededError, InvalidInputError
 from chansim.applications import (
     DilutionPlan,
@@ -305,3 +306,109 @@ def test_pair_simulation_pipeline_exact_accounting():
     assert pipe.cr_bits_exact > 0
     assert pipe.cr_bits_per_letter == pytest.approx(pipe.cr_bits_exact / 4)
     assert "conjectural" in pipe.note
+
+
+# ---------------------------------------------------------------------------
+# the array passes in build_dilution, realized_mixture and the pipeline's
+# joint scatter against the per-element loops they replaced
+
+def _scalar_bucket_index(q, epsilon, k):
+    """Geometric interval index of one probability; None marks the tail."""
+    t = math.log(1.0 / q) / math.log1p(epsilon)
+    nearest = round(t)
+    if abs(t - nearest) <= 1e-12 * max(1.0, abs(t)):
+        t = nearest
+    a = max(1, math.ceil(t))
+    return a if a <= k else None
+
+
+def _loop_dilution(target, epsilon):
+    k = math.ceil((math.log2(target.alphabet_size) - math.log2(epsilon)) / epsilon)
+    members, infinite_mass = {}, 0.0
+    for c, q in enumerate(target.probs):
+        a = _scalar_bucket_index(float(q), epsilon, k) if q > 0.0 else None
+        if a is None:
+            infinite_mass += float(q)
+        else:
+            members.setdefault(a, []).append(c)
+    order = sorted(members)
+    masses = {a: float(sum(target.probs[c] for c in members[a])) for a in order}
+    helper = k * k
+    shares = [masses[a] / (1.0 - infinite_mass) for a in order]
+    counts = [math.floor(s * helper) for s in shares]
+    leftovers = sorted(range(len(order)),
+                       key=lambda i: (counts[i] - shares[i] * helper, order[i]))
+    for i in leftovers[:helper - sum(counts)]:
+        counts[i] += 1
+    buckets = tuple(applications.DilutionBucket(a, tuple(members[a]), masses[a], counts[i])
+                    for i, a in enumerate(order))
+    block = math.lcm(*(len(b.members) for b in buckets if b.weight_count > 0))
+    return DilutionPlan(target, epsilon, k, buckets, infinite_mass, helper, helper * block)
+
+
+def _loop_mixture(plan):
+    probs = np.zeros(plan.target.alphabet_size)
+    for b in plan.buckets:
+        if b.weight_count == 0:
+            continue
+        share = b.weight_count / (plan.helper_size * len(b.members))
+        for c in b.members:
+            probs[c] += share
+    return Distribution(plan.target.alphabet_size, probs).probs
+
+
+def _assert_dilution_matches_loops(target, epsilon):
+    plan, ref = build_dilution(target, epsilon), _loop_dilution(target, epsilon)
+    assigned = {c: b.interval_index for b in plan.buckets for c in b.members}
+    for c, q in enumerate(target.probs):
+        scalar = _scalar_bucket_index(float(q), epsilon, plan.k) if q > 0.0 else None
+        assert assigned.get(c) == scalar, (c, float(q))
+    assert plan.to_json_dict() == ref.to_json_dict()
+    assert np.array_equal(plan.realized_mixture().probs, _loop_mixture(ref))
+    return plan
+
+
+PIPELINE_INSTANCES = {
+    "bsc25": (UNIF2, Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])),
+    "skewed_pair": (Distribution.from_probs([0.6, 0.4]),
+                    Channel.from_rows([[0.9, 0.1], [0.3, 0.7]])),
+}
+
+
+@pytest.mark.parametrize("bench_seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PIPELINE_INSTANCES))
+def test_pipeline_matches_loop_and_add_at_reference(name, bench_seed):
+    source, channel = PIPELINE_INSTANCES[name]
+    n, seed = 5, 7 + 1000003 * bench_seed     # the benchmark's pair-n5 seeds
+    pipe = pair_simulation_pipeline(source, channel, n, 2.0, 0.1, seed)
+    plan = _assert_dilution_matches_loops(pipe.message_law, 0.1)
+    assert plan.to_json_dict() == pipe.plan.to_json_dict()
+
+    code = simulate.build_sim_code(source, channel, n, 2.0, 0.1, seed)
+    _, cond, y_ranks = simulate.encoder_message_law(code, 0)
+    p_block = simulate.iid_block_law(source.probs, n)
+    law = pipe.message_law.probs
+    q_tilde = _loop_mixture(_loop_dilution(pipe.message_law, 0.1))
+    ratio = np.divide(q_tilde, law, out=np.zeros_like(q_tilde), where=law > 0)
+    target = p_block[:, None] * simulate.iid_block_law(channel.rows, n)
+
+    for scale, tv in ((np.ones(law.size), pipe.code_joint_tv), (ratio, pipe.joint_tv)):
+        acc = np.zeros((channel.output_size ** n, p_block.size))
+        np.add.at(acc, y_ranks, (cond * p_block[:, None]).T * scale[:, None])
+        joint = applications._message_joint(cond, p_block, y_ranks, acc.shape[0], scale)
+        assert np.array_equal(joint, acc.T) and joint.strides == acc.T.strides
+        assert tv == float(0.5 * np.abs(acc.T - target).sum())
+    assert pipe.dilution_tv == tv_distance(law, q_tilde)
+
+
+@pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3])
+def test_bucket_assignment_matches_scalar_near_powers(epsilon):
+    rng = np.random.default_rng(20261018)
+    k = math.ceil((math.log2(64) - math.log2(epsilon)) / epsilon)
+    for _ in range(40):
+        powers = (1.0 + epsilon) ** -rng.integers(k // 2, k + 4, size=20).astype(float)
+        nudged = powers * rng.choice([1.0, 1.0 - 1e-12, 1.0 + 1e-12], size=20)
+        probs = np.concatenate([nudged, rng.dirichlet(np.ones(43)) * 1e-3, [0.0]])
+        rng.shuffle(probs)
+        probs[np.argmax(probs)] += 1.0 - probs.sum()
+        _assert_dilution_matches_loops(Distribution.from_probs(probs), epsilon)

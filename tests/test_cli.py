@@ -78,6 +78,29 @@ def test_unknown_instance_key_exits_2(tmp_path):
     assert main(["info", str(path)]) == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"source": {"probs": [float("nan"), 1.0]}, "channel": BSC_DOC["channel"]},
+    {"source": BSC_DOC["source"], "channel": {"rows": [[float("inf"), 0.0], [0.25, 0.75]]}},
+    {"source": BSC_DOC["source"], "channel": {"rows": [[0.75, 0.25], [0.25, -float("inf")]]}},
+])
+def test_non_finite_instance_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))   # json writes NaN and Infinity, as Python reads them
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error=invalid-input" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[], []]])
+def test_empty_channel_exits_2(tmp_path, capsys, rows):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"source": BSC_DOC["source"], "channel": {"rows": rows}}))
+    with pytest.raises(InvalidInputError):
+        build_config(["info", str(path)])
+    assert main(["info", str(path)]) == 2
+    assert "error=invalid-input" in capsys.readouterr().err
+
+
 def test_missing_instance_exits_2():
     assert main(["info"]) == 2
 

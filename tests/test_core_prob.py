@@ -5,6 +5,7 @@ from chansim.core_prob import (
     Channel,
     Distribution,
     JointDistribution,
+    _clean_prob_vector,
     binary_entropy,
     channel_compose,
     conditional_entropy,
@@ -63,6 +64,66 @@ class TestConstruction:
         assert np.allclose(Channel.from_json_dict(w.to_json_dict()).rows, w.rows)
         j = JointDistribution.from_source_and_channel(random_distribution(rng, 3), w)
         assert np.allclose(JointDistribution.from_json_dict(j.to_json_dict()).probs, j.probs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            Distribution.from_probs([bad, 1.0])
+        with pytest.raises(InvalidInputError, match="channel row 1 has a non-finite"):
+            Channel.from_rows([[0.5, 0.5], [bad, 1.0]])
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            JointDistribution(2, 2, [[0.5, 0.5], [bad, 0.0]])
+
+    @pytest.mark.parametrize("rows", [[], np.zeros((0, 2)), np.zeros((2, 0)), [[]]])
+    def test_rejects_empty_channel(self, rows):
+        with pytest.raises(InvalidInputError):
+            Channel.from_rows(rows)
+
+
+def _loop_channel_rows(rows):
+    """Row-by-row reference for Channel's vectorised validation."""
+    return np.stack([_clean_prob_vector(r, f"channel row {x}")
+                     for x, r in enumerate(np.asarray(rows, dtype=float))])
+
+
+def _error_text(build, rows):
+    with pytest.raises(InvalidInputError) as info:
+        build(rows)
+    return str(info.value)
+
+
+class TestChannelValidation:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 9), (7, 130), (64, 64), (3, 300)])
+    def test_rows_equal_per_row_loop(self, shape):
+        rng = np.random.default_rng(SEED + shape[1])
+        for trial in range(20):
+            rows = rng.dirichlet(np.full(shape[1], 0.3), size=shape[0])
+            if trial % 2:   # entries in (-1e-12, 0), mass moved to each row's largest
+                drift = rng.random(shape) < 0.2
+                rows[drift] = -rng.uniform(0.0, 1e-12, size=drift.sum())
+                rows[np.arange(shape[0]), rows.argmax(axis=1)] += 1.0 - rows.sum(axis=1)
+            rows *= 1.0 + rng.uniform(-9e-10, 9e-10, size=(shape[0], 1))
+            for given in (rows, np.asfortranarray(rows), np.ascontiguousarray(rows.T).T,
+                          rows[:, ::-1]):
+                got = Channel.from_rows(given).rows
+                assert got.flags.c_contiguous and not got.flags.writeable
+                assert np.array_equal(got, _loop_channel_rows(given))
+
+    def test_error_names_first_bad_row(self):
+        good = [0.25, 0.75]
+        cases = [
+            [good, [0.5, 0.6], [1.1, -0.1], [np.nan, 1.0]],
+            [good, good, [1.1, -0.1], [0.5, 0.6]],
+            [good, [np.inf, 0.0], [0.5, 0.6]],
+            [[1.2, -0.2], good, [0.5, 0.6]],
+            [good, [0.5, 0.5 + 2e-9]],
+            [good, [np.nan, -1.0]],
+        ]
+        for rows in cases:
+            arr = np.array(rows, dtype=float)
+            for given in (arr, np.asfortranarray(arr)):
+                assert _error_text(Channel.from_rows, given) \
+                    == _error_text(_loop_channel_rows, given)
 
 
 class TestEntropy:
