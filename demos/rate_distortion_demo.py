@@ -15,11 +15,12 @@ from chansim.core_prob import Distribution, binary_entropy
 source = Distribution.uniform(2)
 hamming = 1.0 - np.eye(2)
 
+specs = [DistortionSpec(hamming, d) for d in (0.05, 0.1, 0.25, 0.4)]
+curve = rd_grid_oracle(source, specs, 2, resolution=400)   # one grid pass
 print(" d      R(d)        1-h(d)      grid oracle")
-for d in (0.05, 0.1, 0.25, 0.4):
-    spec = DistortionSpec(hamming, d)
+for spec, (grid, _) in zip(specs, curve):
+    d = spec.target_d
     rate, _ = rd_function(source, spec, 2)
-    grid, _ = rd_grid_oracle(source, spec, 2, resolution=400)
     print(f"{d:.2f}  {rate:.8f}  {1 - binary_entropy(d):.8f}  {grid:.8f}")
 
 res = rd_code_via_simulation(source, DistortionSpec(hamming, 0.25), 2,

@@ -256,7 +256,7 @@ def _check_rd_shapes(source: Distribution, spec: DistortionSpec, y_size: int):
         raise InvalidInputError("distortion columns must match y_size")
 
 
-def _fit_channel(source: Distribution, gain: np.ndarray, mask=None):
+def _fit_channel(source: Distribution, gain: np.ndarray):
     """Alternating minimization of mutual information against a fixed
     per-entry gain; returns the fixed-point channel."""
     x_size, y_size = gain.shape
@@ -335,17 +335,27 @@ def rd_function(source: Distribution, spec: DistortionSpec, y_size: int):
     return mutual_information(source, w), w
 
 
-def rd_grid_oracle(source: Distribution, spec: DistortionSpec, y_size: int,
-                   resolution: int):
-    """Exhaustive search over channels with grid-valued rows; the returned
-    rate upper-bounds the true optimum and is exact whenever the optimal
-    channel lies on the grid.
+def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
+    """Exhaustive search over channels with grid-valued rows for every
+    target of one distortion curve: specs is a sequence of DistortionSpec
+    sharing one matrix, and the result holds one (rate, channel) per spec,
+    in order. Each rate upper-bounds the true optimum at its target and is
+    exact whenever the optimal channel lies on the grid.
 
     Channels are visited in itertools.product order of their grid-row
-    indices (C order of the flat index), GRID_CHUNK at a time. The first
-    minimum of a chunk replaces the best so far only when it is lower by
-    more than 1e-15."""
-    _check_rd_shapes(source, spec, y_size)
+    indices (C order of the flat index), GRID_CHUNK at a time. A chunk's
+    distortions are computed once, and its rates once, for the channels
+    that meet the largest target. For each target, the first minimum of a
+    chunk among the channels meeting that target replaces the target's best
+    so far only when it is lower by more than 1e-15."""
+    specs = list(specs)
+    if not specs:
+        raise InvalidInputError("the grid oracle needs at least one target")
+    for spec in specs:
+        _check_rd_shapes(source, spec, y_size)
+        if spec.d != specs[0].d:
+            raise InvalidInputError("the targets of one curve must share "
+                                    "the distortion matrix")
     if resolution < 2:
         raise InvalidInputError("grid resolution must be at least 2")
     x_size = source.alphabet_size
@@ -353,27 +363,36 @@ def rd_grid_oracle(source: Distribution, spec: DistortionSpec, y_size: int,
     g = rows.shape[0]
     if g ** x_size > GRID_ORACLE_CAP:
         raise CapExceededError("channel grid exceeds the search cap")
-    d = spec.matrix
-    row_cost = rows @ d.T                      # (g, x): E d(x, .) per grid row
+    limits = [spec.target_d + 1e-12 for spec in specs]
+    widest = max(limits)
+    row_cost = rows @ specs[0].matrix.T        # (g, x): E d(x, .) per grid row
     row_ent = np.array([entropy(r) for r in rows])
-    best_rate, best_idx = math.inf, None
+    best_rate, best_idx = [math.inf] * len(specs), [None] * len(specs)
     for start in range(0, g ** x_size, GRID_CHUNK):
         flat = np.arange(start, min(start + GRID_CHUNK, g ** x_size))
         chunk = np.stack(np.unravel_index(flat, (g,) * x_size), axis=1)
         dist = (row_cost[chunk, np.arange(x_size)] * source.probs).sum(axis=1)
-        ok = np.flatnonzero(dist <= spec.target_d + 1e-12)
+        ok = np.flatnonzero(dist <= widest)
         if ok.size == 0:
             continue
         q = np.einsum("x,cxy->cy", source.probs, rows[chunk[ok]])
         with np.errstate(divide="ignore", invalid="ignore"):
             h_q = -np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0).sum(axis=1)
         rate = h_q - row_ent[chunk[ok]] @ source.probs
-        j = int(np.argmin(rate))
-        if rate[j] < best_rate - 1e-15:
-            best_rate, best_idx = float(rate[j]), chunk[ok[j]].copy()
-    if best_idx is None:
-        raise InvalidInputError("no grid channel meets the distortion target")
-    return best_rate, Channel(x_size, y_size, rows[best_idx])
+        dist = dist[ok]
+        for i, limit in enumerate(limits):
+            meets = np.flatnonzero(dist <= limit)
+            if meets.size == 0:
+                continue
+            j = meets[int(np.argmin(rate[meets]))]
+            if rate[j] < best_rate[i] - 1e-15:
+                best_rate[i], best_idx[i] = float(rate[j]), chunk[ok[j]].copy()
+    for spec, idx in zip(specs, best_idx):
+        if idx is None:
+            raise InvalidInputError(f"no grid channel meets the distortion "
+                                    f"target {spec.target_d}")
+    return [(rate, Channel(x_size, y_size, rows[idx]))
+            for rate, idx in zip(best_rate, best_idx)]
 
 
 # ---------------------------------------------------------------------------

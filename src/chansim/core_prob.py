@@ -165,6 +165,8 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "JointDistribution":
         probs = np.asarray(doc["probs"], dtype=float)
+        if probs.ndim != 2 or probs.size == 0:
+            raise InvalidInputError("joint probabilities must be a non-empty matrix")
         return cls(probs.shape[0], probs.shape[1], probs)
 
 

@@ -19,6 +19,7 @@ on small instances.
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ ALTERNATE_TOL = 1e-9
 EXACT_COMBO_CAP = 20000
 ORACLE_XY_CAP = 3
 ORACLE_C_CAP = 4
+ORACLE_MULTISET_CAP = 1 << 16
 ORACLE_CHUNK = 1 << 14
 HULL_SLACK = 1e-12
 
@@ -144,8 +146,15 @@ def make_factorization(instance: ZeroErrorInstance, e_rows, d_rows,
 def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
     """Extreme points of {e >= 0 : e @ d_rows = w_row}, each with at most
     |Y| nonzero entries, sorted by support pattern for deterministic ties."""
-    return _row_vertices(d_rows, w_row,
-                         lambda supp: _support_weights(d_rows[list(supp)].T, w_row))
+    return _distinct_vertices(_support_vertex(d_rows, w_row, supp)
+                              for supp in _supports(*d_rows.shape))
+
+
+def _supports(c_size: int, y_size: int):
+    """The row-position tuples row_vertices solves on, by size and then in
+    combinations order."""
+    return [supp for r in range(1, min(y_size, c_size) + 1)
+            for supp in itertools.combinations(range(c_size), r)]
 
 
 def _support_weights(a: np.ndarray, w_row: np.ndarray):
@@ -157,27 +166,32 @@ def _support_weights(a: np.ndarray, w_row: np.ndarray):
     return np.clip(sol, 0.0, None)
 
 
-def _row_vertices(d_rows, w_row, weights):
-    """row_vertices with the solve of each support (a tuple of row
-    positions) delegated to weights(supp), as computed by _support_weights."""
-    c_size, y_size = d_rows.shape
-    found = []
-    seen = set()
-    for r in range(1, min(y_size, c_size) + 1):
-        for supp in itertools.combinations(range(c_size), r):
-            sol = weights(supp)
-            if sol is None:
-                continue
-            e = np.zeros(c_size)
-            e[list(supp)] = sol
-            if np.abs(e @ d_rows - w_row).max() > SOLVE_TOL:
-                continue
-            key = tuple(np.round(e, 10))
-            if key not in seen:
-                seen.add(key)
-                found.append((tuple(np.flatnonzero(e > SOLVE_TOL)), e))
-    found.sort(key=lambda se: (se[0], tuple(np.round(se[1], 12))))
-    return [e for _, e in found]
+def _support_vertex(d_rows: np.ndarray, w_row: np.ndarray, supp):
+    """The vertex of {e >= 0 : e @ d_rows = w_row} on the row positions
+    supp, as (dedupe key, sort key, e); None when the solve is rejected or
+    misses w_row by more than SOLVE_TOL. It depends on d_rows only through
+    supp and the rows at supp (e is zero elsewhere)."""
+    sol = _support_weights(d_rows[list(supp)].T, w_row)
+    if sol is None:
+        return None
+    e = np.zeros(d_rows.shape[0])
+    e[list(supp)] = sol
+    if np.abs(e @ d_rows - w_row).max() > SOLVE_TOL:
+        return None
+    return (tuple(np.round(e, 10)),
+            (tuple(np.flatnonzero(e > SOLVE_TOL)), tuple(np.round(e, 12))), e)
+
+
+def _distinct_vertices(found):
+    """The vertices among _support_vertex results in support order, None
+    skipped and the first of each dedupe key kept, sorted by sort key."""
+    seen, kept = set(), []
+    for vertex in found:
+        if vertex is not None and vertex[0] not in seen:
+            seen.add(vertex[0])
+            kept.append(vertex)
+    kept.sort(key=lambda vertex: vertex[1])
+    return [vertex[2] for vertex in kept]
 
 
 def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray) -> np.ndarray:
@@ -394,13 +408,15 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     grid pitch.
 
     D rows are exchangeable, so the candidates are the multisets of c_max
-    grid rows, visited in combinations_with_replacement order. The box test
-    of _hull_candidates first drops every multiset over which some channel
-    row has no vertex (it only drops what e_step would reject as
-    infeasible). Each survivor then gets the exact per-row vertex search
-    and vertex choice of e_step, with the least-squares solve of every
-    support (its grid rows against one channel row) computed once per call
-    and shared by all multisets that contain it."""
+    grid rows, visited in combinations_with_replacement order; more than
+    ORACLE_MULTISET_CAP of them is refused before any is built. The box
+    test of _hull_candidates first drops every multiset over which some
+    channel row has no vertex (it only drops what e_step would reject as
+    infeasible). Each survivor then gets e_step's per-row vertex search and
+    vertex choice, with every per-support vertex looked up in a table built
+    once per call: an entry is keyed by the channel row, the support's
+    positions and the grid rows at them, since e @ D's rounding depends on
+    where e's zeros sit, and holds _support_vertex's result."""
     x_size = instance.channel.input_size
     y_size = instance.channel.output_size
     if x_size > ORACLE_XY_CAP or y_size > ORACLE_XY_CAP:
@@ -409,28 +425,34 @@ def brute_force_oracle(instance: ZeroErrorInstance,
         raise CapExceededError("oracle intermediate-size cap exceeded")
     if grid_resolution < 2:
         raise InvalidInputError("grid resolution must be at least 2")
+    g = math.comb(grid_resolution + y_size - 1, y_size - 1)
+    n_multisets = math.comb(g + instance.c_max - 1, instance.c_max)
+    if n_multisets > ORACLE_MULTISET_CAP:
+        raise CapExceededError(f"oracle grid has {n_multisets} multisets of D rows, "
+                               f"above ORACLE_MULTISET_CAP = {ORACLE_MULTISET_CAP}")
     rows = simplex_grid(y_size, grid_resolution)
     w_rows = instance.channel.rows
-    solved = {}
+    supports = [(supp, operator.itemgetter(*supp))
+                for supp in _supports(instance.c_max, y_size)]
+    table = {}
 
-    def support_weights(x, key):
-        if (x, key) not in solved:
-            solved[x, key] = _support_weights(rows[list(key)].T, w_rows[x])
-        return solved[x, key]
+    def vertices(x, combo):
+        found = []
+        for supp, at in supports:
+            key = (x, supp, at(combo))
+            if key not in table:
+                table[key] = _support_vertex(rows[combo], w_rows[x], supp)
+            found.append(table[key])
+        return _distinct_vertices(found)
 
     best_h, best_e, best_d = None, None, None
-    multisets = itertools.combinations_with_replacement(range(len(rows)),
-                                                        instance.c_max)
-    n_multisets = math.comb(len(rows) + instance.c_max - 1, instance.c_max)
+    multisets = itertools.combinations_with_replacement(range(g), instance.c_max)
     for _ in range(0, n_multisets, ORACLE_CHUNK):
         block = np.array(list(itertools.islice(multisets, ORACLE_CHUNK)), dtype=np.intp)
         for combo in block[_hull_candidates(rows[block], w_rows)].tolist():
-            d_rows = rows[combo]
             per_x = []
             for x in range(x_size):
-                verts = _row_vertices(
-                    d_rows, w_rows[x],
-                    lambda supp: support_weights(x, tuple(combo[j] for j in supp)))
+                verts = vertices(x, combo)
                 if not verts:
                     break
                 per_x.append(verts)
@@ -438,7 +460,7 @@ def brute_force_oracle(instance: ZeroErrorInstance,
                 e_rows = _min_entropy_rows(instance.source.probs, per_x)
                 h = _entropy_fast(_mu_of(instance, e_rows))
                 if best_h is None or h < best_h - 1e-12:
-                    best_h, best_e, best_d = h, e_rows, d_rows
+                    best_h, best_e, best_d = h, e_rows, rows[combo]
     if best_h is None:
         raise InfeasibleError("no feasible D on the grid; raise resolution")
     pitch = y_size / grid_resolution

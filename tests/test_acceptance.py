@@ -232,11 +232,11 @@ def test_zero_error_solver_exact_and_certified():
 def test_rate_distortion_curve_certified_and_block_code():
     t0 = time.perf_counter()
     hamming = 1.0 - np.eye(2)
-    for d in (0.05, 0.1, 0.25):
-        spec = DistortionSpec(hamming, d)
+    specs = [DistortionSpec(hamming, d) for d in (0.05, 0.1, 0.25)]
+    grid = rd_grid_oracle(UNIF, specs, 2, 400)
+    for spec, (grid_rate, _) in zip(specs, grid):
         rate, _ = rd_function(UNIF, spec, 2)
-        assert rate == pytest.approx(1.0 - binary_entropy(d), abs=1e-4)
-        grid_rate, _ = rd_grid_oracle(UNIF, spec, 2, 400)
+        assert rate == pytest.approx(1.0 - binary_entropy(spec.target_d), abs=1e-4)
         assert rate == pytest.approx(grid_rate, abs=1e-4)
     targets = np.linspace(0.02, 0.48, 24)
     rates = [rd_function(UNIF, DistortionSpec(hamming, float(t)), 2)[0]

@@ -26,6 +26,7 @@ from chansim.applications import (
 )
 
 UNIF2 = Distribution.uniform(2)
+SKEWED2 = Distribution.from_probs([0.6, 0.4])
 
 
 def test_build_dilution_hand_instance():
@@ -182,9 +183,9 @@ def test_rd_function_monotone_and_convex():
 
 def test_rd_grid_oracle_certifies_binary_hamming():
     # resolution 400 puts the optimal channel exactly on the grid
-    for d in (0.05, 0.1, 0.25):
-        spec = DistortionSpec.hamming(2, d)
-        r_grid, w_grid = rd_grid_oracle(UNIF2, spec, 2, 400)
+    specs = [DistortionSpec.hamming(2, d) for d in (0.05, 0.1, 0.25)]
+    for spec, (r_grid, w_grid) in zip(specs, rd_grid_oracle(UNIF2, specs, 2, 400)):
+        d = spec.target_d
         assert r_grid == pytest.approx(1.0 - binary_entropy(d), abs=1e-12)
         assert expected_distortion(UNIF2, w_grid, spec) <= d + 1e-12
         r_alt, _ = rd_function(UNIF2, spec, 2)
@@ -195,7 +196,7 @@ def test_rd_grid_oracle_two_by_three():
     src = Distribution.from_probs([0.6, 0.4])
     spec = DistortionSpec(((0.0, 1.0, 0.5), (1.0, 0.0, 0.5)), 0.2)
     r_alt, w_alt = rd_function(src, spec, 3)
-    r_grid, w_grid = rd_grid_oracle(src, spec, 3, 40)
+    [(r_grid, w_grid)] = rd_grid_oracle(src, [spec], 3, 40)
     assert r_grid >= r_alt - 1e-6      # grid points are feasible channels
     assert r_grid - r_alt <= 0.05      # pitch-limited gap
     assert expected_distortion(src, w_grid, spec) <= 0.2 + 1e-12
@@ -237,9 +238,9 @@ def _reference_grid_oracle(source, spec, y_size, resolution, chunk_size):
 @pytest.mark.parametrize("chunk_size", [7, 1000])
 def test_rd_grid_chunks_follow_product_order(monkeypatch, chunk_size, source,
                                              spec, y_size, resolution):
-    default_rate, default_channel = rd_grid_oracle(source, spec, y_size, resolution)
+    [(default_rate, default_channel)] = rd_grid_oracle(source, [spec], y_size, resolution)
     monkeypatch.setattr(applications, "GRID_CHUNK", chunk_size)
-    rate, channel = rd_grid_oracle(source, spec, y_size, resolution)
+    [(rate, channel)] = rd_grid_oracle(source, [spec], y_size, resolution)
     ref_rate, ref_rows = _reference_grid_oracle(source, spec, y_size, resolution,
                                                 chunk_size)
     assert (rate, channel.rows.tolist()) == (ref_rate, ref_rows.tolist())
@@ -249,14 +250,51 @@ def test_rd_grid_chunks_follow_product_order(monkeypatch, chunk_size, source,
     assert rate == pytest.approx(default_rate, rel=0, abs=1e-15)
 
 
+@pytest.mark.parametrize("source", [UNIF2, SKEWED2], ids=["bsc25", "skewed_pair"])
+def test_rd_grid_curve_equals_per_target_loop(source):
+    # the solvers benchmark's curve: 12 targets in [0.02, 0.4] at resolution 400
+    specs = [DistortionSpec.hamming(2, float(d)) for d in np.linspace(0.02, 0.4, 12)]
+    curve = rd_grid_oracle(source, specs, 2, 400)
+    for spec, (rate, channel) in zip(specs, curve):
+        ref_rate, ref_rows = _reference_grid_oracle(source, spec, 2, 400,
+                                                    applications.GRID_CHUNK)
+        assert (rate, channel.rows.tolist()) == (ref_rate, ref_rows.tolist())
+
+
+@pytest.mark.parametrize("source, specs, y_size, resolution", [
+    (SKEWED2, [DistortionSpec(((0.0, 1.0, 0.5), (1.0, 0.0, 0.5)), d)
+               for d in (0.3, 0.05, 0.2, 0.3)], 3, 20),
+    # at d = 0.5 every constant channel qualifies: rate-0 ties across chunks
+    (UNIF2, [DistortionSpec.hamming(2, d) for d in (0.5, 0.1)], 2, 4),
+], ids=["two_by_three", "hamming_ties"])
+@pytest.mark.parametrize("chunk_size", [7, 1000])
+def test_rd_grid_curve_chunks_follow_product_order(monkeypatch, chunk_size, source,
+                                                   specs, y_size, resolution):
+    monkeypatch.setattr(applications, "GRID_CHUNK", chunk_size)
+    curve = rd_grid_oracle(source, specs, y_size, resolution)
+    for spec, (rate, channel) in zip(specs, curve):
+        ref_rate, ref_rows = _reference_grid_oracle(source, spec, y_size, resolution,
+                                                    chunk_size)
+        assert (rate, channel.rows.tolist()) == (ref_rate, ref_rows.tolist())
+
+
 def test_rd_grid_oracle_validation():
     with pytest.raises(InvalidInputError):
-        rd_grid_oracle(UNIF2, DistortionSpec.hamming(2, 0.1), 2, 1)
+        rd_grid_oracle(UNIF2, [DistortionSpec.hamming(2, 0.1)], 2, 1)
+    with pytest.raises(InvalidInputError):
+        rd_grid_oracle(UNIF2, [], 2, 400)
+    with pytest.raises(InvalidInputError):
+        rd_grid_oracle(UNIF2, [DistortionSpec.hamming(2, 0.1),
+                               DistortionSpec(((0.0, 2.0), (2.0, 0.0)), 0.1)], 2, 400)
+    floor = ((0.5, 1.0), (1.0, 0.5))          # no channel goes below 0.5
+    with pytest.raises(InvalidInputError, match="target 0.1"):
+        rd_grid_oracle(UNIF2, [DistortionSpec(floor, 0.6), DistortionSpec(floor, 0.1)],
+                       2, 4)
     big = Distribution.uniform(3)
     spec = DistortionSpec(tuple(tuple(float(i != j) for j in range(3))
                                 for i in range(3)), 0.2)
     with pytest.raises(CapExceededError):
-        rd_grid_oracle(big, spec, 3, 300)
+        rd_grid_oracle(big, [spec], 3, 300)
 
 
 def test_block_distortion_matrix_hand_values():

@@ -123,6 +123,20 @@ def test_infeasible_exits_4(tmp_path, capsys):
     assert "error=infeasible" in capsys.readouterr().err
 
 
+def test_oracle_multiset_cap_exits_3(tmp_path, bsc_file, capsys):
+    doc = {"source": {"probs": [0.6, 0.4]},
+           "channel": {"rows": [[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]]}, "c_max": 4}
+    path = tmp_path / "two_by_three.json"
+    path.write_text(json.dumps(doc))
+    # C(564, 4) = 4.17e9 multisets of grid rows at resolution 32
+    assert main(["zero-error", str(path), "--restarts", "1",
+                 "--oracle-resolution", "32"]) == 3
+    assert "error=cap-exceeded" in capsys.readouterr().err
+    # bsc at resolution 32 has C(35, 3) = 6545 multisets
+    assert main(["zero-error", bsc_file, "--restarts", "1", "--oracle-resolution", "32",
+                 "--cap-override", "ORACLE_MULTISET_CAP=6544"]) == 3
+
+
 def test_exit_code_mapping_covers_all_errors():
     assert exit_code_for(InvalidInputError("x")) == 2
     assert exit_code_for(CapExceededError("x")) == 3

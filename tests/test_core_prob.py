@@ -79,6 +79,12 @@ class TestConstruction:
         with pytest.raises(InvalidInputError):
             Channel.from_rows(rows)
 
+    @pytest.mark.parametrize("probs", [[], np.zeros((0, 2)), np.zeros((2, 0)), [[]],
+                                       [0.5, 0.5], [[[1.0]]]])
+    def test_rejects_empty_or_non_matrix_joint(self, probs):
+        with pytest.raises(InvalidInputError):
+            JointDistribution.from_json_dict({"probs": probs})
+
 
 def _loop_channel_rows(rows):
     """Row-by-row reference for Channel's vectorised validation."""

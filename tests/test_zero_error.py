@@ -333,6 +333,55 @@ def test_oracle_equals_plain_loop(source, channel, c_max, resolution):
     assert got.accuracy == want.accuracy
 
 
+def _per_multiset_oracle(instance, resolution):
+    """The oracle with the vertex search redone for every multiset: the hull
+    prefilter, then row_vertices on each channel row of each survivor."""
+    rows = simplex_grid(instance.channel.output_size, resolution)
+    w_rows = instance.channel.rows
+    combos = np.array(list(itertools.combinations_with_replacement(
+        range(len(rows)), instance.c_max)), dtype=np.intp)
+    best_h = best_e = best_d = None
+    for combo in combos[zero_error._hull_candidates(rows[combos], w_rows)]:
+        d_rows = rows[combo]
+        per_x = [row_vertices(d_rows, w) for w in w_rows]
+        if not all(per_x):
+            continue
+        e_rows = zero_error._min_entropy_rows(instance.source.probs, per_x)
+        h = zero_error._entropy_fast(instance.source.probs @ e_rows)
+        if best_h is None or h < best_h - 1e-12:
+            best_h, best_e, best_d = h, e_rows, d_rows
+    modulus = zero_error._local_modulus(instance, best_d, best_h, resolution)
+    accuracy = modulus * (instance.channel.output_size / resolution) * instance.c_max + 1e-9
+    return make_factorization(instance, best_e, best_d, accuracy=accuracy)
+
+
+@pytest.mark.parametrize("source, channel, c_max, resolution", [
+    (UNIF, BSC, None, 8),
+    (UNIF, BSC, None, 32),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 8),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 32),
+    (Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 4, 4),
+], ids=["bsc25-8", "bsc25-32", "skewed_pair-8", "skewed_pair-32", "two_by_three-4"])
+def test_vertex_table_equals_per_multiset_search(source, channel, c_max, resolution):
+    instance = ZeroErrorInstance.build(source, channel, c_max)
+    got = brute_force_oracle(instance, resolution)
+    want = _per_multiset_oracle(instance, resolution)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_oracle_multiset_cap(monkeypatch):
+    wide = ZeroErrorInstance.build(Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 4)
+    with pytest.raises(CapExceededError, match="4171338501 multisets"):   # C(564, 4)
+        brute_force_oracle(wide, 32)
+    bsc = ZeroErrorInstance.build(UNIF, BSC)
+    monkeypatch.setattr(zero_error, "ORACLE_MULTISET_CAP", math.comb(35, 3) - 1)
+    with pytest.raises(CapExceededError):
+        brute_force_oracle(bsc, 32)
+    monkeypatch.setattr(zero_error, "ORACLE_MULTISET_CAP", math.comb(35, 3))
+    assert brute_force_oracle(bsc, 32).objective == pytest.approx(
+        binary_entropy(1 / 3), abs=1e-12)
+
+
 def test_product_instance_shapes(bsc_instance):
     prod = product_instance(bsc_instance)
     assert prod.source.alphabet_size == 4
