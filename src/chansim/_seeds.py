@@ -19,3 +19,10 @@ def child_seed(master: int, label: str) -> int:
 
 def child_rng(master: int, label: str) -> np.random.Generator:
     return np.random.default_rng(child_seed(master, label))
+
+
+def _as_rng(seed) -> np.random.Generator:
+    """seed itself when it is a Generator, else a fresh Generator seeded by it."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)

@@ -521,11 +521,12 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     if dilution_epsilon is None:
         dilution_epsilon = epsilon
     code = build_sim_code(source, channel, n, delta, epsilon, seed)
-    messages, cond, y_ranks = encoder_message_law(code, nu)
+    cond, y_ranks = encoder_message_law(code, nu)
+    count = cond.shape[1]
     ysz = channel.output_size ** n
     p_block = iid_block_law(source.probs, n)
     q = p_block @ cond
-    law = Distribution(len(messages), q / q.sum())
+    law = Distribution(count, q / q.sum())
     plan = build_dilution(law, dilution_epsilon)
     mixture = plan.realized_mixture()
     q_tilde = mixture.probs
@@ -533,9 +534,9 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
                       where=law.probs > 0)
     target = p_block[:, None] * iid_block_law(channel.rows, n)
     produced = _message_joint(cond, p_block, y_ranks, ysz, ratio)
-    undiluted = _message_joint(cond, p_block, y_ranks, ysz, np.ones(len(messages)))
+    undiluted = _message_joint(cond, p_block, y_ranks, ysz, np.ones(count))
     return PairSimulationResult(
-        n=n, nu=nu, message_count=len(messages), plan=plan,
+        n=n, nu=nu, message_count=count, plan=plan,
         code_joint_tv=float(0.5 * np.abs(undiluted - target).sum()),
         dilution_tv=tv_distance(law, mixture),
         joint_tv=float(0.5 * np.abs(produced - target).sum()),

@@ -115,7 +115,9 @@ class CoveringFamily:
     summing to M. Slot mu of list nu is the mu-th entry of the list sorted by
     rank. A hand-built family may pass an explicit (N, M) rank array as
     words instead; it is converted to counts once. check holds the passing
-    verification when the family came from build_covering.
+    verification when the family came from build_covering. The class words,
+    their Y^n ranks, the compatibility matrix and c_nu(x) are built on first
+    use and kept read-only; build_covering shares one matrix among attempts.
     """
 
     def __init__(self, joint_type: JointType, N: int, M: int, words=None,
@@ -145,15 +147,42 @@ class CoveringFamily:
         self.counts = counts
         self.epsilon, self.retries = epsilon, retries
         self.check = None
-        self._y_words = self._cum = self._words = None
+        self._y_words = self._y_ranks = self._compat = self._c = None
+        self._cum = self._words = None
 
     def y_class_words(self) -> np.ndarray:
         """The lexicographic enumeration of the column-marginal class, as an
         array of shape (|T_S|, n)."""
         if self._y_words is None:
-            self._y_words = np.asarray(
-                enumerate_type_class(self.joint_type.col_marginal()), dtype=np.int64)
+            self._y_words = enumerate_type_class(self.joint_type.col_marginal())
         return self._y_words
+
+    def y_ranks(self) -> np.ndarray:
+        """The lexicographic Y^n rank of every class word, shape (|T_S|,)."""
+        if self._y_ranks is None:
+            t = self.joint_type
+            self._y_ranks = np.ravel_multi_index(self.y_class_words().T, (t.y_size,) * t.n)
+            self._y_ranks.flags.writeable = False
+        return self._y_ranks
+
+    def compat(self) -> np.ndarray:
+        """The compatibility matrix of the joint type, shape (|T_R|, |T_S|):
+        rows the row-marginal class, columns the column-marginal class."""
+        if self._compat is None:
+            t = self.joint_type
+            self._compat = compatibility_matrix(
+                t, enumerate_type_class(t.row_marginal()), self.y_class_words())
+            self._compat.flags.writeable = False
+        return self._compat
+
+    def compatible_counts(self) -> np.ndarray:
+        """c_nu(x) for every list nu and every x of the row-marginal class,
+        shape (N, |T_R|), for the exact-law kernels. Taken as a float64
+        product, which is exact because every entry is at most M < 2^53."""
+        if self._c is None:
+            self._c = self.counts.astype(np.float64) @ self.compat().T.astype(np.float64)
+            self._c.flags.writeable = False
+        return self._c
 
     def cumulative(self) -> np.ndarray:
         """Per-list running totals of counts: slots [cum[nu, r] - counts[nu, r],
@@ -214,25 +243,12 @@ def compatibility_matrix(t: JointType, x_words: np.ndarray, y_words: np.ndarray)
     return ok
 
 
-def compatible_counts(family: CoveringFamily, compat: np.ndarray) -> np.ndarray:
-    """c_nu(x) for every list nu and every x of the row-marginal class, shape
-    (N, |T_R|), given the family's compatibility matrix. Taken as a float64
-    product, which is exact because every entry is at most M < 2^53."""
-    return family.counts.astype(np.float64) @ compat.T.astype(np.float64)
-
-
-def verify_covering(family: CoveringFamily, compat: np.ndarray = None) -> CoveringCheck:
-    """Exact exhaustive verification of both covering conditions.
-
-    compat is the family's compatibility matrix (rows: the row-marginal
-    class, columns: the column-marginal class), computed when omitted.
-    """
-    t = family.joint_type
-    size_r, size_s, size_t = _class_sizes(t)
-    if compat is None:
-        x_words = np.asarray(enumerate_type_class(t.row_marginal()), dtype=np.int64)
-        compat = compatibility_matrix(t, x_words, family.y_class_words())
-    hits = compatible_counts(family, compat)
+def verify_covering(family: CoveringFamily) -> CoveringCheck:
+    """Exact exhaustive verification of both covering conditions. c_nu(x)
+    is taken afresh from the counts and not kept: kept, it would double the
+    memory of every family a build keeps."""
+    size_r, size_s, size_t = _class_sizes(family.joint_type)
+    hits = family.counts.astype(np.float64) @ family.compat().T.astype(np.float64)
 
     mean_i = family.M * size_t / (size_r * size_s)
     dev_i = np.abs(hits / mean_i - 1.0)
@@ -266,15 +282,15 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0,
     if entries > COVER_TABLE_CAP:
         raise CapExceededError(
             f"covering tables of {entries} entries exceed COVER_TABLE_CAP = {COVER_TABLE_CAP}")
-    x_words = np.asarray(enumerate_type_class(t.row_marginal()), dtype=np.int64)
-    y_words = np.asarray(enumerate_type_class(t.col_marginal()), dtype=np.int64)
-    compat = compatibility_matrix(t, x_words, y_words)
     uniform = np.full(size_s, 1.0 / size_s)
+    compat = None   # built by the first attempt, shared by every later one
     for attempt in range(max_retries):
         counts = child_rng(seed, f"covering:try:{attempt}").multinomial(M, uniform, size=N)
         family = CoveringFamily(t, N, M, counts=counts, epsilon=epsilon, retries=attempt)
-        family.check = verify_covering(family, compat)
+        family._compat = compat
+        family.check = verify_covering(family)
         if family.check.passed:
             return family
+        compat = family.compat()
     raise RetriesExhaustedError(
         f"covering for joint type {t.counts} failed verification {max_retries} times")

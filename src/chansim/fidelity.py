@@ -27,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._seeds import child_rng
+from ._seeds import _as_rng, child_rng
 from .core_prob import Channel, Distribution
 from .errors import CapExceededError, InvalidInputError, RetriesExhaustedError
 from .simulate import (
     SimCode,
     Transcript,
     _channel_tv_rows,
+    _require_words,
     _typical_classes,
     block_tv,
     channel_block_row,
@@ -298,8 +299,7 @@ def derandomize(code: SimCode, epsilon: float, seed: int,
     first sample is declared good on the Chernoff bound that sized Q, with
     verified False. Precondition, checked when verifying: the averaged
     code's per-letter marginals reach u/2 on those support entries."""
-    if code.rates_only:
-        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
+    _require_words(code)
     if code.N == 1:
         return DerandomizedCode((0,), 1, code, epsilon, min_nonzero_entry(code.channel),
                                 True, 0)
@@ -336,7 +336,7 @@ def derandomize(code: SimCode, epsilon: float, seed: int,
 def run_fixed_code(dcode: DerandomizedCode, x_word, seed) -> Transcript:
     """Run the base protocol with a sender-chosen index from the sampled list;
     the index rides in the message, so no common randomness is consumed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     nu = dcode.selected_indices[int(rng.integers(dcode.Q))]
     tr = run_protocol(dcode.base, x_word, nu, rng)
     return Transcript(tr.x_word, tr.announced_type, nu, tr.mu, tr.y_word,

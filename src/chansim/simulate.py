@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._seeds import child_seed
+from ._seeds import _as_rng, child_seed
 from .core_prob import (
     Channel,
     Distribution,
@@ -36,13 +36,7 @@ from .core_prob import (
     mutual_information,
     output_marginal,
 )
-from .covering import (
-    CoveringFamily,
-    build_covering,
-    compatibility_matrix,
-    compatible_counts,
-    required_M_N,
-)
+from .covering import CoveringFamily, build_covering, required_M_N
 from .errors import CapExceededError, InvalidInputError
 from .typeclasses import (
     ExactType,
@@ -215,40 +209,20 @@ def _require_words(code: SimCode):
 
 
 class _BaseTables:
-    """Per input type: the class words in lexicographic order, their ranks in
+    """Per input type: the class position of each class word, their ranks in
     X^n, and every joint type with this row marginal with its weight."""
 
     def __init__(self, code: SimCode, base: ExactType):
-        self.x_words = np.asarray(enumerate_type_class(base), dtype=np.int64)
-        self.x_index = {tuple(int(v) for v in w): i for i, w in enumerate(self.x_words)}
-        self.x_global = np.ravel_multi_index(self.x_words.T, (base.alphabet_size,) * base.n)
+        x_words = enumerate_type_class(base)
+        self.x_index = {tuple(int(v) for v in w): i for i, w in enumerate(x_words)}
+        self.x_global = np.ravel_multi_index(x_words.T, (base.alphabet_size,) * base.n)
         self.t_list, self.weights = _type_weights(code, base)
-
-
-class _TypeTables:
-    """Per joint type: the family, its compatibility matrix against the input
-    class and c_nu(x), and the ranks of the output class words in Y^n."""
-
-    def __init__(self, code: SimCode, t: JointType, base: _BaseTables):
-        self.family = fam = code.families[t]
-        self.x_index = base.x_index    # shared with the input type; encode reads it
-        y_words = fam.y_class_words()
-        self.compat = compatibility_matrix(t, base.x_words, y_words)
-        self.counts = fam.counts
-        self.c = compatible_counts(fam, self.compat)  # (N, |T_R|)
-        self.y_global = np.ravel_multi_index(y_words.T, (t.y_size,) * t.n)
 
 
 def _base_tables_for(code: SimCode, base: ExactType) -> _BaseTables:
     if base not in code._tables:
         code._tables[base] = _BaseTables(code, base)
     return code._tables[base]
-
-
-def _tables_for(code: SimCode, t: JointType) -> _TypeTables:
-    if t not in code._tables:
-        code._tables[t] = _TypeTables(code, t, _base_tables_for(code, t.row_marginal()))
-    return code._tables[t]
 
 
 def _type_weights(code: SimCode, base: ExactType):
@@ -286,7 +260,7 @@ def _law_blocks(code: SimCode, base: ExactType, nu: int = None, rows=None):
     and the block terminates when c[nu, x] = 0. Averaged over the k = N lists
     (nu None) or pinned (k = 1), t adds (w_t / k) (1/c)^T @ counts * compat
     over (class rows, t's output class); rows picks class rows. Returns the
-    [(type tables, block)] of covered types and the terminate mass per row.
+    [(family, block)] of covered types and the terminate mass per row.
     """
     _require_words(code)
     bt = _base_tables_for(code, base)
@@ -300,13 +274,13 @@ def _law_blocks(code: SimCode, base: ExactType, nu: int = None, rows=None):
         if t not in code.families:
             terminate += w_t
             continue
-        tables = _tables_for(code, t)
-        c = tables.c[lists, sel]
+        fam = code.families[t]
+        c = fam.compatible_counts()[lists, sel]
         k = c.shape[0]
         inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
         terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
-        block = (w_t / k) * (inv_c.T @ tables.counts[lists]) * tables.compat[sel]
-        blocks.append((tables, block))
+        block = (w_t / k) * (inv_c.T @ fam.counts[lists]) * fam.compat()[sel]
+        blocks.append((fam, block))
     return blocks, terminate
 
 
@@ -316,23 +290,23 @@ def encode(code: SimCode, x_word, nu: int, seed):
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     x_word = tuple(int(v) for v in x_word)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     base = count_occurrences(x_word, code.source.alphabet_size)
     t_list, weights = _type_weights(code, base)
     t = t_list[int(rng.choice(len(t_list), p=weights))]
     spec = TypicalSpec(code.source, code.n, code.delta)
     if not type_is_typical(base, spec) or t not in code.families:
         return TERMINATE
-    tables = _tables_for(code, t)
+    fam = code.families[t]
     # compatible slots per class rank; slots are numbered in rank order
-    hits = tables.counts[nu] * tables.compat[tables.x_index[x_word]]
+    hits = fam.counts[nu] * fam.compat()[_base_tables_for(code, base).x_index[x_word]]
     hit_cum = np.cumsum(hits)
     total = int(hit_cum[-1])
     if total == 0:
         return TERMINATE
     k = int(rng.integers(total))
     r = int(np.searchsorted(hit_cum, k, side="right"))
-    mu = int(tables.family.cumulative()[nu, r] - hit_cum[r] + k)
+    mu = int(fam.cumulative()[nu, r] - hit_cum[r] + k)
     return t, mu
 
 
@@ -396,8 +370,8 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
         return Distribution(size, out)
     xi = _base_tables_for(code, base).x_index[x_word]
     blocks, terminate = _law_blocks(code, base, rows=[xi])
-    for tables, block in blocks:
-        out[tables.y_global] += block[0]
+    for fam, block in blocks:
+        out[fam.y_ranks()] += block[0]
     out[0] += terminate[0]
     return Distribution(size, out)
 
@@ -413,8 +387,8 @@ def _block_law(code: SimCode, nu: int = None) -> np.ndarray:
     rows = np.zeros((atypical.size, code.channel.output_size ** code.n))
     for base, bt in classes.items():
         blocks, terminate = _law_blocks(code, base, nu)
-        for tables, block in blocks:
-            rows[np.ix_(bt.x_global, tables.y_global)] += block
+        for fam, block in blocks:
+            rows[np.ix_(bt.x_global, fam.y_ranks())] += block
         rows[bt.x_global, 0] += terminate
     rows[atypical, 0] = 1.0
     return rows
@@ -482,8 +456,9 @@ def encoder_message_law(code: SimCode, nu: int):
     """Exact law of the encoder's transmitted message for a pinned shared
     index.
 
-    Messages are (announced_type, mu) pairs in announcement order with the
-    terminate sentinel appended last. Returns (messages, cond, y_ranks):
+    Returns (cond, y_ranks). Column j is one message: the M slots
+    (announced_type, mu), mu ascending, of each joint type in announcement
+    order (code.typical_joint_types), then the terminate sentinel last.
     cond[rank, j] is the probability of message j given the rank-th input
     word (lexicographic X^n order, rows sum to 1), and y_ranks[j] is the
     lexicographic Y^n rank of the word the decoder emits on message j.
@@ -492,13 +467,9 @@ def encoder_message_law(code: SimCode, nu: int):
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     n, a = code.n, code.source.alphabet_size
-    messages = []
-    offsets = {}
-    for t in code.typical_joint_types:
-        offsets[t] = len(messages)
-        messages.extend((t, mu) for mu in range(code.records[t].M))
-    messages.append(TERMINATE)
-    num = len(messages)
+    sizes = np.array([code.records[t].M for t in code.typical_joint_types], dtype=np.int64)
+    offsets = dict(zip(code.typical_joint_types, (np.cumsum(sizes) - sizes).tolist()))
+    num = int(sizes.sum()) + 1
     if a ** n * num > BLOCK_ENUM_CAP:
         raise CapExceededError("message law table exceeds the enumeration cap")
     cond = np.zeros((a ** n, num))
@@ -506,15 +477,15 @@ def encoder_message_law(code: SimCode, nu: int):
     classes, atypical = _typical_classes(code)
     for base, bt in classes.items():
         blocks, terminate = _law_blocks(code, base, nu)
-        for tables, block in blocks:
+        for fam, block in blocks:
             # a slot holding class rank r has probability block[x, r] / counts[nu, r]
-            sel = tables.family.list_ranks(nu)
-            slots = offsets[tables.family.joint_type] + np.arange(sel.size)
-            cond[np.ix_(bt.x_global, slots)] = block[:, sel] / tables.counts[nu, sel]
-            y_ranks[slots] = tables.y_global[sel]
+            sel = fam.list_ranks(nu)
+            slots = offsets[fam.joint_type] + np.arange(sel.size)
+            cond[np.ix_(bt.x_global, slots)] = block[:, sel] / fam.counts[nu, sel]
+            y_ranks[slots] = fam.y_ranks()[sel]
         cond[bt.x_global, -1] = terminate
     cond[atypical, -1] = 1.0
-    return messages, cond, y_ranks
+    return cond, y_ranks
 
 
 def accounting(code: SimCode):

@@ -13,6 +13,7 @@ window is applied cell by cell (with row counts in place of n) to joint types
 relative to a channel.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._seeds import _as_rng
 from .core_prob import ZERO_TOL, Channel, Distribution
 from .errors import CapExceededError, InvalidInputError
 
@@ -27,12 +29,6 @@ JOINT_ENUM_N_CAP = 16
 JOINT_ENUM_CELLS_CAP = 9
 WORD_ENUM_CAP = 2_000_000
 EXACT_PROB_N_CAP = 170
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -358,19 +354,25 @@ def enumerate_joint_types(n: int, x_size: int, y_size: int, base_type: ExactType
     return out
 
 
-def enumerate_type_class(t: ExactType):
-    """All words with exact type t, in lexicographic order; at most
-    WORD_ENUM_CAP of them."""
+def enumerate_type_class(t: ExactType) -> np.ndarray:
+    """All words with exact type t as a read-only (|T|, n) int64 array in
+    lexicographic order; at most WORD_ENUM_CAP of them. The cap is read and
+    checked on every call, the array built once per type and cached."""
     size = type_class_size(t)
     if size > WORD_ENUM_CAP:
         raise CapExceededError(f"type class has {size} words, cap is {WORD_ENUM_CAP}")
+    return _class_words(t)
+
+
+@functools.lru_cache(maxsize=64)
+def _class_words(t: ExactType) -> np.ndarray:
     words = []
     word = [0] * t.n
     counts = list(t.counts)
 
     def descend(pos: int):
         if pos == t.n:
-            words.append(tuple(word))
+            words.extend(word)
             return
         for sym in range(t.alphabet_size):
             if counts[sym] > 0:
@@ -380,7 +382,9 @@ def enumerate_type_class(t: ExactType):
                 counts[sym] += 1
 
     descend(0)
-    return words
+    table = np.array(words, dtype=np.int64).reshape(type_class_size(t), t.n)
+    table.flags.writeable = False
+    return table
 
 
 def typical_types(spec: TypicalSpec):

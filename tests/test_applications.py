@@ -423,7 +423,11 @@ def test_pipeline_matches_loop_and_add_at_reference(name, bench_seed):
     assert plan.to_json_dict() == pipe.plan.to_json_dict()
 
     code = simulate.build_sim_code(source, channel, n, 2.0, 0.1, seed)
-    _, cond, y_ranks = simulate.encoder_message_law(code, 0)
+    cond, y_ranks = simulate.encoder_message_law(code, 0)
+    # one column per slot of each type's list, then the terminate column last
+    spans = np.cumsum([code.records[t].M for t in code.typical_joint_types])
+    assert cond.shape[1] == pipe.message_count == spans[-1] + 1
+    assert y_ranks[-1] == 0
     p_block = simulate.iid_block_law(source.probs, n)
     law = pipe.message_law.probs
     q_tilde = _loop_mixture(_loop_dilution(pipe.message_law, 0.1))

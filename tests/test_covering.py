@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from chansim import covering
 from chansim.covering import (
     CoveringFamily,
     build_covering,
+    compatibility_matrix,
     lemma2_failure_bound,
     required_M_N,
     verify_covering,
@@ -253,6 +256,52 @@ class TestMultiplicityTables:
             fam.words[0, 0] = 1
         with pytest.raises(ValueError):
             fam.counts[0, 0] = 1
+
+    def test_family_tables_match_a_fresh_build(self):
+        built = build_covering(T_N4, 0.1, seed=SEED)
+        by_words = CoveringFamily(T_N4, built.N, built.M, built.words, 0.1)
+        loaded = CoveringFamily.from_json_dict(built.to_json_dict())
+        x_words = np.array(sorted(set(itertools.permutations((0, 0, 0, 1)))))
+        y_words = np.array(sorted(set(itertools.permutations((0, 0, 1, 1)))))
+        compat = compatibility_matrix(T_N4, x_words, y_words)
+        c = built.counts.astype(np.float64) @ compat.T.astype(np.float64)
+        for fam in (built, by_words, loaded):
+            assert np.array_equal(fam.y_class_words(), y_words)
+            assert np.array_equal(fam.compat(), compat)
+            assert np.array_equal(fam.compatible_counts(), c)
+            assert np.array_equal(fam.y_ranks(), y_words @ (2 ** np.arange(3, -1, -1)))
+
+    def test_attempts_share_one_matrix(self, monkeypatch):
+        built, matrices = [], []
+        real_matrix, real_verify = covering.compatibility_matrix, covering.verify_covering
+        monkeypatch.setattr(covering, "compatibility_matrix",
+                            lambda *args: built.append(1) or real_matrix(*args))
+
+        def fail_twice(fam):
+            check = real_verify(fam)
+            matrices.append(fam.compat())
+            return check if len(matrices) > 2 else dataclasses.replace(check, passed=False)
+
+        monkeypatch.setattr(covering, "verify_covering", fail_twice)
+        fam = build_covering(T_N4, 0.1, seed=SEED)
+        assert fam.retries == 2 and len(built) == 1
+        assert all(m is matrices[0] for m in matrices)
+
+    def test_reverification_reads_the_counts_afresh(self):
+        fam = build_covering(T_N4, 0.1, seed=SEED)
+        assert verify_covering(fam).passed
+        constant = np.zeros_like(fam.counts)
+        constant[:, 0] = fam.M      # every list holds one word M times
+        fam.counts = constant
+        assert not verify_covering(fam).passed
+
+    def test_family_tables_are_read_only(self):
+        fam = build_covering(T_N4, 0.1, seed=SEED)
+        for table in (fam.y_class_words(), fam.y_ranks(), fam.compat(),
+                      fam.compatible_counts()):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
 
     def test_build_keeps_its_passing_check(self):
         fam = build_covering(T_N4, 0.1, seed=SEED)

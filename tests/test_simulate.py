@@ -331,10 +331,19 @@ def test_output_cap_enforced():
 
 
 def test_message_law_aggregates_to_block_channel(small_code):
-    messages, cond, y_ranks = encoder_message_law(small_code, nu=2)
-    assert cond.shape == (16, len(messages))
+    cond, y_ranks = encoder_message_law(small_code, nu=2)
+    fams = [small_code.families[t] for t in small_code.typical_joint_types]
+    starts = np.cumsum([0] + [fam.M for fam in fams])
+    assert cond.shape == (16, starts[-1] + 1)      # the terminate column is last
     assert np.allclose(cond.sum(axis=1), 1.0, atol=1e-9)
-    assert messages[-1] == TERMINATE
+    assert y_ranks[-1] == 0
+    x_types = [count_occurrences(x, 2) for x in word_letters(2, 4)]
+    for fam, lo, hi in zip(fams, starts, starts[1:]):
+        # the type's columns span its M slots, in slot order
+        assert hi - lo == fam.M
+        assert np.array_equal(y_ranks[lo:hi], fam.y_ranks()[fam.words[2]])
+        other = [r for r, t in enumerate(x_types) if t != fam.joint_type.row_marginal()]
+        assert not cond[other, lo:hi].any()
     rows = np.zeros((16, small_code.channel.output_size ** 4))
     np.add.at(rows.T, y_ranks, cond.T)
     assert np.allclose(rows, fixed_nu_block_channel(small_code, 2).rows,
@@ -352,6 +361,15 @@ def test_save_load_round_trip(tmp_path, small_code):
     tr_a = run_protocol(small_code, (0, 1, 1, 0), 4, seed=99)
     tr_b = run_protocol(loaded, (0, 1, 1, 0), 4, seed=99)
     assert tr_a == tr_b
+
+
+def test_output_distribution_survives_save_load(tmp_path, small_code):
+    save_code(small_code, str(tmp_path / "code"))
+    loaded = load_code(str(tmp_path / "code"))
+    for x in word_letters(2, 4):
+        a = output_distribution(small_code, x).probs
+        b = output_distribution(loaded, x).probs
+        assert a.tobytes() == b.tobytes()
 
 
 def test_save_load_rates_only(tmp_path):

@@ -196,9 +196,22 @@ class TestEnumeration:
 
     def test_word_enumeration_lex(self):
         words = enumerate_type_class(ExactType(4, (2, 2)))
-        assert words == sorted(words)
-        assert words[0] == (0, 0, 1, 1)
-        assert words[-1] == (1, 1, 0, 0)
+        assert words.dtype == np.int64
+        assert np.array_equal(words, sorted(set(itertools.permutations((0, 0, 1, 1)))))
+
+    def test_class_array_is_cached_and_read_only(self):
+        t = ExactType(5, (2, 3))
+        words = enumerate_type_class(t)
+        assert enumerate_type_class(ExactType(5, (2, 3))) is words
+        with pytest.raises(ValueError):
+            words[0, 0] = 1
+
+    def test_cap_checked_after_the_class_is_cached(self, monkeypatch):
+        t = ExactType(6, (3, 3))
+        assert enumerate_type_class(t).shape == (20, 6)
+        monkeypatch.setattr(typeclasses, "WORD_ENUM_CAP", 19)
+        with pytest.raises(CapExceededError):
+            enumerate_type_class(t)
 
 
 class TestTypicality:
