@@ -536,7 +536,7 @@ def _run_rd(cfg, bundle):
     comparisons = [
         _row_le("every channel meets its distortion budget",
                 "constraint satisfied by the returned minimizer",
-                -min(slacks), 0.0),
+                0.0 - min(slacks), 0.0),   # not -min(): a zero slack writes +0
         _row_le("curve nonincreasing in allowed distortion",
                 "larger budgets only relax the problem", increase, 0.0),
     ]

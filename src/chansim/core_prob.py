@@ -181,7 +181,8 @@ def entropy(p) -> float:
     arr = _prob_array(p)
     mask = arr >= ZERO_TOL
     vals = arr[mask]
-    return float(-(vals * np.log2(vals)).sum())
+    # + 0.0 turns the -0.0 of a point mass into +0.0
+    return float(-(vals * np.log2(vals)).sum()) + 0.0
 
 
 def binary_entropy(t: float) -> float:

@@ -172,6 +172,54 @@ def test_rd_function_infeasible_and_shape_errors():
         rd_function(UNIF2, DistortionSpec.hamming(2, 0.1), 3)
 
 
+def _plain_fit_channel(source, gain):
+    """Plain alternating minimization from the uniform output law, with
+    rd_function's stopping rule: the reference for its accelerated loop."""
+    q = np.full(gain.shape[1], 1.0 / gain.shape[1])
+    for _ in range(applications.RD_INNER_ITERS):
+        rows = q[None, :] * gain
+        rows /= rows.sum(axis=1, keepdims=True)
+        q_next = source.probs @ rows
+        done = np.abs(q_next - q).max() < applications.RD_INNER_TOL
+        q = q_next
+        if done:
+            break
+    rows = q[None, :] * gain
+    rows /= rows.sum(axis=1, keepdims=True)
+    return Channel(*gain.shape, rows)
+
+
+def _rd_battery_instance(rng):
+    """Source, distortion matrix (small integers or uniform reals) and five
+    interior targets."""
+    x_size, y_size = (int(v) for v in rng.integers(2, 5, size=2))
+    p = rng.dirichlet(np.ones(x_size))
+    if rng.random() < 0.5:
+        d = rng.integers(0, 3, size=(x_size, y_size)).astype(float)
+    else:
+        d = rng.random((x_size, y_size))
+    lo, hi = float(p @ d.min(axis=1)), float((p @ d).min())
+    return Distribution.from_probs(p), d, lo + (hi - lo) * rng.random(5)
+
+
+# Instances of the default_rng(1) stream on which extrapolation without
+# backtracking (clipping at 0 alone) misses the optimum by 2.6e-5 to 1.7e-3:
+# BA's multiplicative step cannot revive a letter the clip set to zero.
+RD_BATTERY = (10, 53, 91, 100, 113)
+
+
+@pytest.mark.parametrize("index", RD_BATTERY)
+def test_rd_function_matches_plain_alternating_minimization(monkeypatch, index):
+    rng = np.random.default_rng(1)
+    for _ in range(index + 1):
+        source, d, targets = _rd_battery_instance(rng)
+    specs = [DistortionSpec(d, float(t)) for t in targets]
+    fast = [rd_function(source, spec, d.shape[1])[0] for spec in specs]
+    monkeypatch.setattr(applications, "_fit_channel", _plain_fit_channel)
+    plain = [rd_function(source, spec, d.shape[1])[0] for spec in specs]
+    assert fast == pytest.approx(plain, rel=0.0, abs=1e-9)
+
+
 def test_rd_function_monotone_and_convex():
     ds = np.linspace(0.02, 0.48, 12)
     rates = [rd_function(UNIF2, DistortionSpec.hamming(2, float(d)), 2)[0]
@@ -179,6 +227,25 @@ def test_rd_function_monotone_and_convex():
     assert all(b <= a + 1e-8 for a, b in zip(rates, rates[1:]))
     for i in range(1, len(rates) - 1):
         assert rates[i - 1] + rates[i + 1] >= 2 * rates[i] - 1e-8
+
+
+@pytest.mark.parametrize("source", [UNIF2, SKEWED2], ids=["bsc25", "skewed_pair"])
+def test_rd_function_meets_dual_lower_bound(source):
+    # Blahut's dual bound at the slope s read off the 2x2 channel:
+    # R(D) >= -s*D + sum_x p(x) log2(lambda(x)/c), with q = PW,
+    # lambda(x) = 1/sum_y q(y) 2^(-s d(x,y)), c = max_y sum_x p(x) lambda(x) 2^(-s d(x,y))
+    p, d = source.probs, 1.0 - np.eye(2)
+    for target in np.linspace(0.02, 0.4, 12)[:11]:
+        spec = DistortionSpec.hamming(2, float(target))
+        rate, w = rd_function(source, spec, 2)
+        rows = w.rows
+        s = 0.5 * math.log2(rows[0, 0] * rows[1, 1] / (rows[1, 0] * rows[0, 1]))
+        tilt = np.exp2(-s * d)
+        lam = 1.0 / (tilt @ (p @ rows))
+        c = float((p * lam @ tilt).max())
+        dual = -s * target + float(p @ np.log2(lam / c))
+        assert 0.0 <= rate - dual <= 1e-9
+        assert target - expected_distortion(source, w, spec) >= 0.0
 
 
 def test_rd_grid_oracle_certifies_binary_hamming():

@@ -300,6 +300,33 @@ def test_rd_linspace_targets(bsc_file):
     assert ds == pytest.approx([0.1, 0.2, 0.3], abs=1e-12)
 
 
+def test_rd_zero_slack_writes_positive_zero(tmp_path):
+    # the zero-rate corner at D = 0.4 leaves slack exactly 0.0
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps({"source": {"probs": [0.6, 0.4]}}))
+    out = tmp_path / "rd"
+    assert main(["rd", str(path), "--hamming", "2", "--targets", "0.2,0.4",
+                 "--out", str(out)]) == 0
+    budget = [line.split(",") for line in (out / "bounds.csv").read_text().splitlines()
+              if line.startswith("every channel meets its distortion budget")]
+    assert [row[2] for row in budget] == ["0"]
+
+
+def test_rd_point_mass_rate_writes_positive_zero(tmp_path, capsys):
+    # every letter's distortion minimizer is output 0, so R(0) is the
+    # entropy of a point mass
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps({"source": {"probs": [0.5, 0.5]},
+                                "distortion": [[0, 1], [0, 1]]}))
+    out = tmp_path / "rd"
+    assert main(["rd", str(path), "--targets", "0,0.2", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert "min_rate = 0\n" in printed and "max_rate = 0\n" in printed
+    lines = (out / "rd.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[4:]] == ["0", "0"]
+    assert "-0" not in (out / "bounds.csv").read_text()
+
+
 def test_rd_needs_distortion(bsc_file):
     assert main(["rd", bsc_file, "--targets", "0.1"]) == 2
 

@@ -137,7 +137,8 @@ class TestEntropy:
         assert entropy(Distribution.uniform(8)) == pytest.approx(3.0, abs=1e-12)
 
     def test_point_mass(self):
-        assert entropy(Distribution.from_probs([1.0, 0.0, 0.0])) == 0.0
+        h = entropy(Distribution.from_probs([1.0, 0.0, 0.0]))
+        assert h == 0.0 and np.copysign(1.0, h) == 1.0     # +0, not -0
 
     def test_binary_entropy_quarter(self):
         assert binary_entropy(0.25) == pytest.approx(0.8112781244591328, abs=1e-12)
