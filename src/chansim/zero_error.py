@@ -13,10 +13,12 @@ enumerates basic feasible solutions exactly. For fixed E the feasible D set
 is affine and the D-step maximizes the concave mixture entropy
 sum_c mu_c H(D row c) by projected gradient ascent; this cannot change H(mu)
 but widens the next E-step's polytope. Alternation therefore never increases
-the objective. A simplex-grid brute force provides independent certification
-on small instances.
+the objective. On small instances a simplex-grid brute force gives the
+minimum over decoders with rows on the grid at a given resolution; its
+declared accuracy is an empirical local modulus, not a proven bound.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -146,8 +148,10 @@ def make_factorization(instance: ZeroErrorInstance, e_rows, d_rows,
 def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
     """Extreme points of {e >= 0 : e @ d_rows = w_row}, each with at most
     |Y| nonzero entries, sorted by support pattern for deterministic ties."""
-    return _distinct_vertices(_support_vertex(d_rows, w_row, supp)
-                              for supp in _supports(*d_rows.shape))
+    return _distinct_vertices(
+        _support_vertex(d_rows, w_row, supp,
+                        _support_weights(d_rows[list(supp)].T, w_row))
+        for supp in _supports(*d_rows.shape))
 
 
 def _supports(c_size: int, y_size: int):
@@ -163,23 +167,24 @@ def _support_weights(a: np.ndarray, w_row: np.ndarray):
     sol, _, rank, _ = np.linalg.lstsq(a, w_row, rcond=None)
     if rank < a.shape[1] or (sol < -SOLVE_TOL).any():
         return None
-    return np.clip(sol, 0.0, None)
+    return np.maximum(sol, 0.0)
 
 
-def _support_vertex(d_rows: np.ndarray, w_row: np.ndarray, supp):
+def _support_vertex(d_rows: np.ndarray, w_row: np.ndarray, supp, sol):
     """The vertex of {e >= 0 : e @ d_rows = w_row} on the row positions
-    supp, as (dedupe key, sort key, e); None when the solve is rejected or
-    misses w_row by more than SOLVE_TOL. It depends on d_rows only through
-    supp and the rows at supp (e is zero elsewhere)."""
-    sol = _support_weights(d_rows[list(supp)].T, w_row)
+    supp, given sol = _support_weights(d_rows[supp].T, w_row), as
+    (dedupe key, sort key, e); None when the solve is rejected or misses
+    w_row by more than SOLVE_TOL. It depends on d_rows only through supp
+    and the rows at supp (e is zero elsewhere)."""
     if sol is None:
         return None
     e = np.zeros(d_rows.shape[0])
     e[list(supp)] = sol
     if np.abs(e @ d_rows - w_row).max() > SOLVE_TOL:
         return None
-    return (tuple(np.round(e, 10)),
-            (tuple(np.flatnonzero(e > SOLVE_TOL)), tuple(np.round(e, 12))), e)
+    return (tuple(np.round(e, 10).tolist()),
+            (tuple(np.flatnonzero(e > SOLVE_TOL).tolist()),
+             tuple(np.round(e, 12).tolist())), e)
 
 
 def _distinct_vertices(found):
@@ -212,15 +217,9 @@ def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray) -> np.ndarray:
 def _min_entropy_rows(p: np.ndarray, per_x) -> np.ndarray:
     """One vertex per channel row, chosen to minimize H(sum_x p(x) e_x)."""
     counts = [len(v) for v in per_x]
-    total = math.prod(counts)
-    if total <= EXACT_COMBO_CAP:
-        best_h, best = None, None
-        for combo in itertools.product(*(range(c) for c in counts)):
-            mu = sum(p[x] * per_x[x][i] for x, i in enumerate(combo))
-            h = _entropy_fast(mu)
-            if best_h is None or h < best_h - 1e-12:
-                best_h, best = h, combo
-        return np.vstack([per_x[x][i] for x, i in enumerate(best)])
+    if math.prod(counts) <= EXACT_COMBO_CAP:
+        return _min_entropy_stack(p, [(np.array(v)[None], np.array([len(v)]))
+                                      for v in per_x])[0]
     # coordinate descent over vertices from the lexicographically first corner
     choice = [0] * len(counts)
     improved = True
@@ -238,6 +237,66 @@ def _min_entropy_rows(p: np.ndarray, per_x) -> np.ndarray:
                 choice[x] = best_i
                 improved = True
     return np.vstack([per_x[x][choice[x]] for x in range(len(counts))])
+
+
+def _min_entropy_stack(p: np.ndarray, per_x) -> np.ndarray:
+    """_min_entropy_rows' exact search for k stacked instances at once.
+
+    per_x holds, for each channel row x, a (k, L, c) stack of vertex lists
+    and their (k,) lengths (entries past a length are ignored); returns the
+    (k, |X|, c) chosen rows. Each instance's combinations are scored in
+    itertools.product order, mu summed as (p_0 v_0 + p_1 v_1) + ... and H
+    by _entropy_rows, and the one chosen is the last to pass
+    h < best - 1e-12 in that order. That is the first minimizer unless an
+    earlier h lies within 2e-12 above the minimum (only such an acceptance
+    can block it, and no later h can pass once it is taken), so only those
+    instances are scanned one by one. Instances are scored in pieces of
+    about ORACLE_CHUNK padded combinations."""
+    shape = tuple(verts.shape[1] for verts, _ in per_x)
+    k, _, c = per_x[0][0].shape
+    index = np.unravel_index(np.arange(math.prod(shape)), shape)
+    step = max(1, ORACLE_CHUNK // len(index[0]))
+    chosen = np.empty(k, dtype=np.intp)
+    for lo in range(0, k, step):
+        mu = padded = None
+        for x, (verts, counts) in enumerate(per_x):
+            term = p[x] * verts[lo:lo + step, index[x]]
+            past = index[x] >= counts[lo:lo + step, None]
+            mu = term if mu is None else mu + term
+            padded = past if padded is None else padded | past
+        h = _entropy_rows(mu.reshape(-1, c)).reshape(padded.shape)
+        h[padded] = np.inf
+        pick = h.argmin(axis=1)
+        # every h before the first minimizer lies above it
+        near = (h <= h.min(axis=1, keepdims=True) + 2e-12).argmax(axis=1) < pick
+        for j in np.flatnonzero(near):
+            pick[j] = _sequential_pick(h[j, :pick[j] + 1])
+        chosen[lo:lo + step] = pick
+    return np.stack([verts[np.arange(k), i[chosen]]
+                     for (verts, _), i in zip(per_x, index)], axis=1)
+
+
+def _sequential_pick(values: np.ndarray) -> int:
+    """Index of the last value to pass h < best - 1e-12, scanning in order
+    from no best."""
+    best_h = best = None
+    for i, h in enumerate(values.tolist()):
+        if best_h is None or h < best_h - 1e-12:
+            best_h, best = h, i
+    return best
+
+
+def _entropy_rows(mu: np.ndarray) -> np.ndarray:
+    """_entropy_fast of each row of a 2-D stack, bit for bit. NumPy sums
+    fewer than 8 terms left to right, so live entries are added in column
+    order with zeros (1 log 1) in place of the others; a row with 8 or more
+    live entries goes through _entropy_fast itself."""
+    safe = np.where(mu > 1e-12, mu, 1.0)
+    h = -functools.reduce(operator.add, (safe * np.log2(safe)).T)
+    if mu.shape[1] >= 8:
+        for i in np.flatnonzero((mu > 1e-12).sum(axis=1) >= 8):
+            h[i] = _entropy_fast(mu[i])
+    return h
 
 
 class _AffineProjector:
@@ -409,14 +468,22 @@ def brute_force_oracle(instance: ZeroErrorInstance,
 
     D rows are exchangeable, so the candidates are the multisets of c_max
     grid rows, visited in combinations_with_replacement order; more than
-    ORACLE_MULTISET_CAP of them is refused before any is built. The box
-    test of _hull_candidates first drops every multiset over which some
-    channel row has no vertex (it only drops what e_step would reject as
-    infeasible). Each survivor then gets e_step's per-row vertex search and
-    vertex choice, with every per-support vertex looked up in a table built
-    once per call: an entry is keyed by the channel row, the support's
-    positions and the grid rows at them, since e @ D's rounding depends on
-    where e's zeros sit, and holds _support_vertex's result."""
+    ORACLE_MULTISET_CAP of them is refused before any is built. They are
+    taken ORACLE_CHUNK at a time, and each chunk is handled by array passes
+    that give e_step's result on every multiset, bit for bit:
+    - the box test of _hull_candidates drops every multiset over which some
+      channel row has no vertex (it only drops what e_step would reject as
+      infeasible);
+    - per channel row, _block_vertices gives every survivor its
+      row_vertices list, solving each distinct set of grid rows once per
+      call and placing and testing the solve once per support position,
+      and the survivors left without a vertex are dropped;
+    - _min_entropy_stack makes e_step's vertex choice for all survivors
+      (the caps keep every product of list lengths, at most 14^3, below
+      EXACT_COMBO_CAP, so the exact search is the one that applies);
+    - one stacked p @ E scores them, and they are scanned in multiset
+      order, a multiset replacing the best only when its entropy is lower
+      by more than 1e-12."""
     x_size = instance.channel.input_size
     y_size = instance.channel.output_size
     if x_size > ORACLE_XY_CAP or y_size > ORACLE_XY_CAP:
@@ -432,41 +499,86 @@ def brute_force_oracle(instance: ZeroErrorInstance,
                                f"above ORACLE_MULTISET_CAP = {ORACLE_MULTISET_CAP}")
     rows = simplex_grid(y_size, grid_resolution)
     w_rows = instance.channel.rows
-    supports = [(supp, operator.itemgetter(*supp))
-                for supp in _supports(instance.c_max, y_size)]
-    table = {}
-
-    def vertices(x, combo):
-        found = []
-        for supp, at in supports:
-            key = (x, supp, at(combo))
-            if key not in table:
-                table[key] = _support_vertex(rows[combo], w_rows[x], supp)
-            found.append(table[key])
-        return _distinct_vertices(found)
-
+    p = instance.source.probs
+    supports = _supports(instance.c_max, y_size)
+    lookups = [({}, {}) for _ in range(x_size)]
     best_h, best_e, best_d = None, None, None
     multisets = itertools.combinations_with_replacement(range(g), instance.c_max)
     for _ in range(0, n_multisets, ORACLE_CHUNK):
         block = np.array(list(itertools.islice(multisets, ORACLE_CHUNK)), dtype=np.intp)
-        for combo in block[_hull_candidates(rows[block], w_rows)].tolist():
-            per_x = []
-            for x in range(x_size):
-                verts = vertices(x, combo)
-                if not verts:
-                    break
-                per_x.append(verts)
-            else:
-                e_rows = _min_entropy_rows(instance.source.probs, per_x)
-                h = _entropy_fast(_mu_of(instance, e_rows))
-                if best_h is None or h < best_h - 1e-12:
-                    best_h, best_e, best_d = h, e_rows, rows[combo]
+        block = block[_hull_candidates(rows[block], w_rows)]
+        per_x = []
+        for x in range(x_size):
+            if not len(block):
+                break
+            verts, counts = _block_vertices(rows, block, w_rows[x], supports,
+                                            *lookups[x])
+            feasible = counts > 0
+            block = block[feasible]
+            per_x = [(v[feasible], n[feasible]) for v, n in per_x] \
+                + [(verts[feasible], counts[feasible])]
+        if not len(block):
+            continue
+        e_stack = _min_entropy_stack(p, per_x)
+        for i, h in enumerate(_entropy_rows(p @ e_stack).tolist()):
+            if best_h is None or h < best_h - 1e-12:
+                best_h, best_e, best_d = h, e_stack[i], rows[block[i]]
     if best_h is None:
         raise InfeasibleError("no feasible D on the grid; raise resolution")
     pitch = y_size / grid_resolution
     modulus = _local_modulus(instance, best_d, best_h, grid_resolution)
     accuracy = modulus * pitch * instance.c_max + 1e-9
     return make_factorization(instance, best_e, best_d, accuracy=accuracy)
+
+
+def _block_vertices(rows, block, w_row, supports, table, solves):
+    """row_vertices(rows[combo], w_row) for every multiset combo in block:
+    a (k, L, c) stack of vertex lists, each padded past its length, and the
+    (k,) lengths.
+
+    Each distinct (support, grid rows at it) pair is looked up once. table
+    maps (supp, key) to _support_vertex's result and solves maps key, the
+    grid rows, to the _support_weights solve it places: the solve sees only
+    the rows, so supports holding the same rows share it, while the
+    residual test does not, since e @ D's rounding depends on where e's
+    zeros sit. Both persist across the chunks of one oracle call. Per combo
+    the first vertex in support order of each dedupe key is kept and the
+    kept ones are ordered by sort key, as _distinct_vertices does."""
+    # code (support index, grid rows at it) as one integer per position
+    size = len(supports)
+    digits = np.zeros((block.shape[1], size), dtype=np.intp)
+    for s, supp in enumerate(supports):
+        for j, position in enumerate(supp):
+            digits[position, s] = len(rows) ** j
+    _, first, ids = np.unique((block @ digits) * size + np.arange(size),
+                              return_index=True, return_inverse=True)
+    found, at = [], (first % size).tolist()
+    for combo, s in zip(block[first // size].tolist(), at):
+        supp = supports[s]
+        key = tuple([combo[j] for j in supp])
+        if (supp, key) not in table:
+            if key not in solves:
+                solves[key] = _support_weights(rows[list(key)].T, w_row)
+            table[supp, key] = _support_vertex(rows[combo], w_row, supp, solves[key])
+        found.append(table[supp, key])
+    ids = ids.reshape(len(block), size)
+    live = [j for j, vertex in enumerate(found) if vertex is not None]
+    group = np.full(len(found), -1)
+    dedupe = {}
+    for j in live:
+        group[j] = dedupe.setdefault(found[j][0], len(dedupe))
+    rank = np.full(len(found), len(found))
+    # ties in sort key keep support order, as the stable sort there does
+    rank[sorted(live, key=lambda j: (found[j][1], at[j]))] = np.arange(len(live))
+    group = group[ids]
+    repeat = (group[:, :, None] == group[:, None, :]) & np.tri(size, k=-1, dtype=bool)
+    kept = (group >= 0) & ~repeat.any(axis=2)
+    counts = kept.sum(axis=1)
+    order = np.argsort(np.where(kept, rank[ids], len(found)), axis=1)
+    e = np.zeros((len(found), block.shape[1]))
+    if live:
+        e[live] = [found[j][2] for j in live]
+    return e[np.take_along_axis(ids, order[:, :counts.max()], axis=1)], counts
 
 
 def _hull_candidates(d_stack: np.ndarray, w_rows: np.ndarray) -> np.ndarray:

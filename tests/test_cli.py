@@ -254,13 +254,23 @@ def test_config_hash_reflects_instance_and_caps(bsc_file):
     assert moved.config_hash() == base.config_hash()
 
 
+def test_config_hash_ignores_default_caps(monkeypatch, bsc_file):
+    argv = ["typical", bsc_file, "--n", "8", "--delta", "1.0"]
+    base = build_config(argv).config_hash()
+    monkeypatch.setattr(typeclasses, "EXTRA_TEST_CAP", 7, raising=False)
+    monkeypatch.setitem(CAP_REGISTRY, "EXTRA_TEST_CAP", typeclasses)
+    assert build_config(argv).config_hash() == base
+    override = build_config(argv + ["--cap-override", "EXTRA_TEST_CAP=8"])
+    assert override.config_hash() != base
+
+
 def test_csv_headers_and_versioning(tmp_path, bsc_file):
     out = tmp_path / "run"
     assert main(["typical", bsc_file, "--n", "8", "--delta", "1.0",
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v3"
+    assert lines[0] == "# chansim typical csv v4"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"

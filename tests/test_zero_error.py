@@ -190,6 +190,17 @@ def test_alternate_matches_oracle_on_bsc(bsc_instance, bsc_oracle, bsc_alternate
     assert gap <= bsc_oracle.accuracy + 1e-4
 
 
+def test_bsc_objectives_above_wyner_common_information(bsc_oracle, bsc_alternate):
+    """Any exact factorization's label carries at least Wyner's common
+    information, which for the doubly symmetric binary source with crossover
+    a is 1 + h(a) - 2 h(a1), a1 = (1 - sqrt(1 - 2a)) / 2 (Wyner, IEEE Trans.
+    IT 21(2), 1975); here a = 1/4."""
+    wyner = 1 + binary_entropy(0.25) - 2 * binary_entropy((1 - math.sqrt(0.5)) / 2)
+    assert wyner == pytest.approx(0.60953, abs=1e-5)
+    assert bsc_alternate.objective >= wyner
+    assert bsc_oracle.objective >= wyner
+
+
 def test_alternate_trace_non_increasing(bsc_alternate):
     trace = bsc_alternate.trace
     assert len(trace) >= 2
@@ -333,6 +344,105 @@ def test_oracle_equals_plain_loop(source, channel, c_max, resolution):
     assert got.accuracy == want.accuracy
 
 
+@pytest.mark.parametrize("channel, c_max, resolution", [
+    (BSC, 3, 8),
+    (SKEWED, 3, 10),
+    (Channel.from_rows([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]]), 3, 4),
+], ids=["bsc25-8", "skewed_pair-10", "three_by_three-4"])
+def test_block_vertices_equal_row_vertices(channel, c_max, resolution):
+    """Channel rows on the grid make supports that differ in size yield
+    vertices with one dedupe key and different bits; the block lookup must
+    keep the same one as row_vertices (the first in support order)."""
+    rows = simplex_grid(channel.output_size, resolution)
+    block = np.array(list(itertools.combinations_with_replacement(range(len(rows)), c_max)),
+                     dtype=np.intp)
+    supports = zero_error._supports(c_max, channel.output_size)
+    for w in channel.rows:
+        verts, counts = zero_error._block_vertices(rows, block, w, supports, {}, {})
+        for combo, got, n in zip(block, verts, counts):
+            want = row_vertices(rows[combo], w)
+            assert n == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def _reference_min_entropy_rows(p, per_x):
+    """The exact vertex choice as the plain loop over itertools.product that
+    _min_entropy_stack replaced (_min_entropy_rows' coordinate descent above
+    EXACT_COMBO_CAP is unchanged)."""
+    best_h, best = None, None
+    for combo in itertools.product(*(range(len(v)) for v in per_x)):
+        mu = sum(p[x] * per_x[x][i] for x, i in enumerate(combo))
+        h = zero_error._entropy_fast(mu)
+        if best_h is None or h < best_h - 1e-12:
+            best_h, best = h, combo
+    return np.vstack([per_x[x][i] for x, i in enumerate(best)])
+
+
+def _vertex_with_entropy(h, c, pair):
+    """A length-c vertex, live at the two positions in pair, of entropy h
+    (bisection on its smaller entry)."""
+    lo, hi = 0.0, 0.5
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if binary_entropy(mid) < h else (lo, mid)
+    v = np.zeros(c)
+    v[list(pair)] = lo, 1.0 - lo
+    return v
+
+
+def _stack_lists(instances):
+    """Per channel row, the (k, L, c) zero-padded stack of k instances'
+    vertex lists and their (k,) lengths."""
+    stacks = []
+    for x in range(len(instances[0])):
+        width = max(len(per_x[x]) for per_x in instances)
+        verts = np.zeros((len(instances), width, len(instances[0][x][0])))
+        for k, per_x in enumerate(instances):
+            verts[k, :len(per_x[x])] = per_x[x]
+        stacks.append((verts, np.array([len(per_x[x]) for per_x in instances])))
+    return stacks
+
+
+def test_stacked_choice_equals_product_loop_with_near_ties():
+    """Row 0's vertices live on positions 0 and 1 and the other rows' on the
+    rest, so H(mu) moves by p_0 times row 0's entropy offsets: 0, 0.5e-12,
+    1.5e-12 and more, in random order. Where an offset of 0.5e-12 comes
+    first, the sequential rule keeps it and an argmin does not. Up to 9
+    positions, so some mu have 8 live entries."""
+    rng = np.random.default_rng(41)
+    disagree = 0
+    for _ in range(40):
+        x_size, c = int(rng.integers(1, 4)), int(rng.integers(4, 10))
+        p = rng.dirichlet(np.ones(x_size))
+        instances = []
+        for _ in range(int(rng.integers(1, 5))):
+            offsets = rng.permutation([0.0, 0.5e-12, 1.5e-12, 2.5e-12, 0.2])
+            base = rng.uniform(0.3, 0.9)
+            per_x = [[_vertex_with_entropy(base + d / p[0], c, (0, 1))
+                      for d in offsets[:rng.integers(2, 6)]]]
+            for _ in range(1, x_size):
+                verts = []
+                for _ in range(rng.integers(1, 4)):
+                    v = np.zeros(c)
+                    live = rng.choice(np.arange(2, c), size=min(3, c - 2), replace=False)
+                    v[live] = rng.dirichlet(np.ones(len(live)))
+                    verts.append(v)
+                per_x.append(verts)
+            instances.append(per_x)
+        got = zero_error._min_entropy_stack(p, _stack_lists(instances))
+        for k, per_x in enumerate(instances):
+            want = _reference_min_entropy_rows(p, per_x)
+            assert np.array_equal(got[k], want)
+            assert np.array_equal(zero_error._min_entropy_rows(p, per_x), want)
+            combos = list(itertools.product(*(range(len(v)) for v in per_x)))
+            hs = [zero_error._entropy_fast(sum(p[x] * per_x[x][i] for x, i in enumerate(combo)))
+                  for combo in combos]
+            best = combos[int(np.argmin(hs))]
+            disagree += not np.array_equal(
+                want, np.vstack([per_x[x][i] for x, i in enumerate(best)]))
+    assert disagree >= 10
+
+
 def _per_multiset_oracle(instance, resolution):
     """The oracle with the vertex search redone for every multiset: the hull
     prefilter, then row_vertices on each channel row of each survivor."""
@@ -346,7 +456,7 @@ def _per_multiset_oracle(instance, resolution):
         per_x = [row_vertices(d_rows, w) for w in w_rows]
         if not all(per_x):
             continue
-        e_rows = zero_error._min_entropy_rows(instance.source.probs, per_x)
+        e_rows = _reference_min_entropy_rows(instance.source.probs, per_x)
         h = zero_error._entropy_fast(instance.source.probs @ e_rows)
         if best_h is None or h < best_h - 1e-12:
             best_h, best_e, best_d = h, e_rows, d_rows
@@ -355,18 +465,37 @@ def _per_multiset_oracle(instance, resolution):
     return make_factorization(instance, best_e, best_d, accuracy=accuracy)
 
 
+def _random_pair(seed, x_size, y_size):
+    rng = np.random.default_rng(seed)
+    return (Distribution(x_size, rng.dirichlet(np.ones(x_size))),
+            Channel(x_size, y_size, rng.dirichlet(np.ones(y_size), size=x_size)))
+
+
 @pytest.mark.parametrize("source, channel, c_max, resolution", [
     (UNIF, BSC, None, 8),
     (UNIF, BSC, None, 32),
     (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 8),
     (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 32),
     (Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 4, 4),
-], ids=["bsc25-8", "bsc25-32", "skewed_pair-8", "skewed_pair-32", "two_by_three-4"])
+    (*_random_pair(1, 3, 2), 3, 16),
+    (*_random_pair(2, 3, 2), 4, 8),
+    (*_random_pair(3, 3, 3), 3, 4),
+    (*_random_pair(4, 3, 3), 4, 4),
+], ids=["bsc25-8", "bsc25-32", "skewed_pair-8", "skewed_pair-32", "two_by_three-4",
+        "random3x2-c3-16", "random3x2-c4-8", "random3x3-c3-4", "random3x3-c4-4"])
 def test_vertex_table_equals_per_multiset_search(source, channel, c_max, resolution):
     instance = ZeroErrorInstance.build(source, channel, c_max)
     got = brute_force_oracle(instance, resolution)
     want = _per_multiset_oracle(instance, resolution)
     assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_oracle_infeasible_grid():
+    # the box test keeps some pairs of grid rows, yet for one channel row
+    # none of the kept pairs has a vertex
+    instance = ZeroErrorInstance(Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 2)
+    with pytest.raises(InfeasibleError, match="no feasible D on the grid"):
+        brute_force_oracle(instance, 2)
 
 
 def test_oracle_multiset_cap(monkeypatch):
