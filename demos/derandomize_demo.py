@@ -24,7 +24,7 @@ print(f"index bits            = {dcode.index_bits()}")
 print(f"exactly verified      = {dcode.verified} (retries: {dcode.retries})")
 
 family, weights = derandomized_family(dcode)
-report = measure_fidelity(source, channel, family, weights, mode="exact")
+report = measure_fidelity(source, channel, family, weights)
 print(f"\nletterwise error   = {report.letterwise_source_err:.6f}"
       f"  (budget 3*eps = {3 * 0.1:.1f})")
 print(f"average block tv   = {report.global_err:.6f}")

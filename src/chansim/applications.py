@@ -550,7 +550,6 @@ def _message_joint(cond: np.ndarray, p_block: np.ndarray, y_ranks: np.ndarray,
 
 def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
                              delta: float, epsilon: float, seed: int,
-                             dilution_epsilon: float = None,
                              nu: int = 0) -> PairSimulationResult:
     """Reproduce the joint input-output law from shared randomness alone.
 
@@ -560,8 +559,6 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     message. All laws are computed exactly and compared against the
     i.i.d. source-channel joint in total variation.
     """
-    if dilution_epsilon is None:
-        dilution_epsilon = epsilon
     code = build_sim_code(source, channel, n, delta, epsilon, seed)
     cond, y_ranks = encoder_message_law(code, nu)
     count = cond.shape[1]
@@ -569,7 +566,7 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     p_block = iid_block_law(source.probs, n)
     q = p_block @ cond
     law = Distribution(count, q / q.sum())
-    plan = build_dilution(law, dilution_epsilon)
+    plan = build_dilution(law, epsilon)
     mixture = plan.realized_mixture()
     q_tilde = mixture.probs
     ratio = np.divide(q_tilde, law.probs, out=np.zeros_like(q_tilde),

@@ -39,7 +39,7 @@ from .simulate import (accounting, build_sim_code, jointly_typical_types,
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
-CSV_VERSION = "v4"
+CSV_VERSION = "v5"
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -67,9 +67,8 @@ CAP_REGISTRY = {
 }
 
 _INSTANCE_KEYS = {"source", "channel", "target", "distortion", "c_max"}
-_COMMON_KEYS = {"command", "config", "instance", "seed", "out", "mode",
-                "cap_override"}
-_CONFIG_KEYS = {"instance", "seed", "out", "mode", "caps", "params"}
+_COMMON_KEYS = {"command", "config", "instance", "seed", "out", "cap_override"}
+_CONFIG_KEYS = {"instance", "seed", "out", "caps", "params"}
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class ExperimentConfig:
     params: dict
     seed: int = 0
     out: str = None
-    mode: str = "exact"
     caps: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
@@ -102,7 +100,7 @@ class ExperimentConfig:
         carries. The output directory is excluded because it changes no
         computed number."""
         return {"command": self.command, "instance": self.instance,
-                "params": self.params, "seed": self.seed, "mode": self.mode,
+                "params": self.params, "seed": self.seed,
                 "caps": {name: int(value) for name, value in self.caps.items()}}
 
     def config_hash(self) -> str:
@@ -195,13 +193,21 @@ class InstanceBundle:
             self.target = Distribution.from_json_dict(doc["target"])
         self.distortion = None
         if "distortion" in doc:
-            m = np.asarray(doc["distortion"], dtype=float)
+            try:
+                m = np.asarray(doc["distortion"], dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidInputError('instance "distortion" must be numeric')
             if m.ndim != 2:
                 raise InvalidInputError('instance "distortion" must be a matrix')
             self.distortion = m
         self.c_max = None
         if "c_max" in doc:
-            self.c_max = int(doc["c_max"])
+            c_max = doc["c_max"]
+            if isinstance(c_max, float) and c_max.is_integer():
+                c_max = int(c_max)
+            if isinstance(c_max, bool) or not isinstance(c_max, int):
+                raise InvalidInputError('instance "c_max" must be an integer')
+            self.c_max = c_max
 
     def need_channel(self) -> Channel:
         if self.channel is None:
@@ -439,11 +445,7 @@ def _run_derandomize(cfg, bundle):
     dcode = derandomize(code, epsilon, seed=cfg.seed,
                         max_retries=int(cfg.params.get("max_retries", 64)))
     family, weights = derandomized_family(dcode)
-    kwargs = {"mode": cfg.mode}
-    if cfg.mode == "monte-carlo":
-        kwargs["samples"] = int(cfg.params.get("samples", 4096))
-        kwargs["seed"] = child_seed(cfg.seed, "cli:fidelity")
-    report = measure_fidelity(code.source, code.channel, family, weights, **kwargs)
+    report = measure_fidelity(code.source, code.channel, family, weights)
     outputs = {"n": code.n, "Q": dcode.Q, "index_bits": dcode.index_bits(),
                "index_bits_per_letter": dcode.index_bits() / code.n,
                "u": dcode.u, "verified": dcode.verified, "retries": dcode.retries,
@@ -567,6 +569,8 @@ def _run_dilute(cfg, bundle):
                            "geometric bucketing plus tail and rounding budget",
                            tv, bound)]
     samples = int(cfg.params.get("samples", 0))
+    if samples < 0:
+        raise InvalidInputError("samples must be nonnegative")
     empirical_tv = None
     if samples > 0:
         stream = uniform_index_stream(plan.total_uniform_size,
@@ -669,10 +673,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None, help="configuration JSON file")
     common.add_argument("--seed", type=int, default=None, help="master seed")
     common.add_argument("--out", default=None, help="output directory")
-    mode = common.add_mutually_exclusive_group()
-    mode.add_argument("--exact", dest="mode", action="store_const", const="exact")
-    mode.add_argument("--monte-carlo", dest="mode", action="store_const",
-                      const="monte-carlo")
     common.add_argument("--cap-override", action="append", metavar="KEY=VALUE",
                         help="raise or lower an enumeration cap for this run")
 
@@ -710,8 +710,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--max-retries", dest="max_retries", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None,
-                   help="Monte Carlo fidelity sample count")
 
     p = sub.add_parser("zero-error", parents=[common],
                        help="minimal-entropy exact factorization")
@@ -786,14 +784,10 @@ def build_config(argv=None) -> ExperimentConfig:
 
     seed = ns.seed if ns.seed is not None else int(doc.get("seed", 0))
     out = ns.out if ns.out is not None else doc.get("out")
-    mode = ns.mode if ns.mode is not None else doc.get("mode", "exact")
-    if mode not in ("exact", "monte-carlo"):
-        raise InvalidInputError(f"unknown mode {mode!r}")
     if not 0 <= seed < 2 ** 64:
         raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
     return ExperimentConfig(command=ns.command, instance=instance_doc,
-                            params=params, seed=seed, out=out, mode=mode,
-                            caps=caps)
+                            params=params, seed=seed, out=out, caps=caps)
 
 
 def _print_record(record: RunRecord):

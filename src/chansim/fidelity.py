@@ -37,7 +37,6 @@ from .simulate import (
     _require_words,
     _typical_classes,
     block_tv,
-    channel_block_row,
     fixed_nu_block_channel,
     iid_block_law,
     run_protocol,
@@ -47,15 +46,6 @@ from .simulate import (
 LN2 = math.log(2.0)
 FIDELITY_ENUM_CAP = 1 << 24
 EXACT_VERIFY_N_CAP = 6
-DEFAULT_MC_SAMPLES = 2000
-
-
-@dataclass(frozen=True)
-class FidelityStandardErrors:
-    global_err: float
-    local_err: float
-    letterwise_source_err: float
-    empirical_joint_err: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,6 @@ class FidelityReport:
     local_err: float
     letterwise_source_err: float
     empirical_joint_err: float
-    standard_errors: object = None   # FidelityStandardErrors in Monte Carlo mode
 
     def __post_init__(self):
         for name in ("global_err", "local_err", "letterwise_source_err",
@@ -72,12 +61,6 @@ class FidelityReport:
             v = getattr(self, name)
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise InvalidInputError(f"{name} {v} outside [0, 1]")
-
-    def as_text_record(self) -> str:
-        return ("global_err=%.12g local_err=%.12g letterwise_source_err=%.12g "
-                "empirical_joint_err=%.12g") % (
-            self.global_err, self.local_err, self.letterwise_source_err,
-            self.empirical_joint_err)
 
 
 @dataclass(frozen=True)
@@ -155,30 +138,17 @@ def _letter_marginals(rows: np.ndarray, n: int, y_size: int) -> np.ndarray:
 
 
 def measure_fidelity(source: Distribution, channel: Channel, family,
-                     weights=None, mode: str = "exact",
-                     samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> FidelityReport:
+                     weights=None) -> FidelityReport:
     """All four fidelity criteria for a code given as a block channel or a
-    weighted family of block channels (weighted averaging happens first).
-
-    Exact mode enumerates the input space; Monte Carlo mode samples input
-    words, keeps the per-word computations exact, and attaches standard
-    errors (jackknife for the two criteria that average before the TV)."""
+    weighted family of block channels (weighted averaging happens first),
+    computed exactly by enumerating the input space."""
     if source.alphabet_size != channel.input_size:
         raise InvalidInputError("source alphabet does not match channel input")
     rows = _family_average(family, weights)
     a, b = channel.input_size, channel.output_size
     n = _infer_block_length(rows.shape, a, b)
-    if mode == "exact":
-        if rows.size > FIDELITY_ENUM_CAP:
-            raise CapExceededError("exact fidelity exceeds the enumeration cap")
-        return _measure_exact(source, channel, rows, n)
-    if mode == "monte-carlo":
-        return _measure_mc(source, channel, rows, n, samples, seed)
-    raise InvalidInputError(f"unknown mode {mode!r}")
-
-
-def _measure_exact(source, channel, rows, n):
-    a, b = channel.input_size, channel.output_size
+    if rows.size > FIDELITY_ENUM_CAP:
+        raise CapExceededError("exact fidelity exceeds the enumeration cap")
     x = word_letters(a, n)
     p_x = iid_block_law(source.probs, n)
     eq3 = float(p_x @ _channel_tv_rows(rows, channel, n))
@@ -199,75 +169,6 @@ def _measure_exact(source, channel, rows, n):
     joint_true = source.probs[:, None] * channel.rows
     eq6 = block_tv(pair.ravel(), joint_true.ravel())
     return FidelityReport(eq3, eq4, eq5, eq6)
-
-
-def _measure_mc(source, channel, rows, n, samples, seed):
-    if samples < 2:
-        raise InvalidInputError("Monte Carlo mode needs at least 2 samples")
-    a, b = channel.input_size, channel.output_size
-    rng = np.random.default_rng(seed)
-    xs = rng.choice(a, size=(samples, n), p=source.probs)
-    place = a ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    s3 = np.empty(samples)
-    s4 = np.empty(samples)
-    margs_all = np.empty((samples, n, b))
-    for i in range(samples):
-        x = xs[i]
-        row = rows[int(x @ place)]
-        s3[i] = block_tv(row, channel_block_row(channel, x))
-        m = _letter_marginals(row, n, b)
-        margs_all[i] = m
-        s4[i] = sum(block_tv(m[k], channel.rows[x[k]]) for k in range(n)) / n
-
-    joint_true = source.probs[:, None] * channel.rows
-
-    def evaluate(cond_sum, cnt, pair_sum, m):
-        e5 = 0.0
-        for k in range(n):
-            for sym in range(a):
-                p_sym = source.probs[sym]
-                if p_sym <= 0:
-                    continue
-                if cnt[k, sym] == 0:
-                    e5 += p_sym / n      # unseen symbol charged in full
-                    continue
-                e5 += p_sym * block_tv(cond_sum[k, sym] / cnt[k, sym],
-                                       channel.rows[sym]) / n
-        return e5, block_tv(pair_sum.ravel() / m, joint_true.ravel())
-
-    cond_sum = np.zeros((n, a, b))
-    cnt = np.zeros((n, a), dtype=np.int64)
-    pair_sum = np.zeros((a, b))
-    for i in range(samples):
-        for k in range(n):
-            cond_sum[k, xs[i, k]] += margs_all[i, k]
-            cnt[k, xs[i, k]] += 1
-            pair_sum[xs[i, k]] += margs_all[i, k] / n
-
-    eq5, eq6 = evaluate(cond_sum, cnt, pair_sum, samples)
-    # Leave-one-out jackknife standard errors for the plug-in criteria.
-    # Each replicate removes one sample's contribution from copies of the
-    # totals; rebuilding the sums per replicate would be quadratic in samples.
-    jack = np.empty((samples, 2))
-    for i in range(samples):
-        cond_i = cond_sum.copy()
-        cnt_i = cnt.copy()
-        pair_i = pair_sum.copy()
-        for k in range(n):
-            cond_i[k, xs[i, k]] -= margs_all[i, k]
-            cnt_i[k, xs[i, k]] -= 1
-            pair_i[xs[i, k]] -= margs_all[i, k] / n
-        jack[i] = evaluate(cond_i, cnt_i, pair_i, samples - 1)
-    jm = jack.mean(axis=0)
-    se56 = np.sqrt((samples - 1) / samples * ((jack - jm) ** 2).sum(axis=0))
-    ses = FidelityStandardErrors(
-        float(s3.std(ddof=1) / math.sqrt(samples)),
-        float(s4.std(ddof=1) / math.sqrt(samples)),
-        float(se56[0]), float(se56[1]))
-    return FidelityReport(float(np.clip(s3.mean(), 0, 1)),
-                          float(np.clip(s4.mean(), 0, 1)),
-                          float(np.clip(eq5, 0, 1)),
-                          float(np.clip(eq6, 0, 1)), ses)
 
 
 def sim_code_family(code: SimCode):

@@ -113,8 +113,8 @@ class TypicalSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError("n must be positive")
-        if self.delta < 0:
-            raise InvalidInputError("delta must be nonnegative")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise InvalidInputError("delta must be finite and nonnegative")
 
 
 def count_occurrences(word, alphabet_size: int) -> ExactType:

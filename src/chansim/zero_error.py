@@ -435,6 +435,8 @@ def alternate(instance: ZeroErrorInstance, seed: int = 0, restarts: int = 20,
     c_max >= |X|); later restarts draw random stochastic D and keep it only
     if every channel row decomposes. Iteration stops when the objective
     improves by less than 1e-9; the per-iteration objective is traced."""
+    if restarts < 1:
+        raise InvalidInputError("restarts must be at least 1")
     best = None
     for restart in range(restarts):
         if restart == 0:

@@ -182,7 +182,7 @@ def test_derandomized_code_letterwise_error_and_index_budget():
     code = build_sim_code(UNIF, BSC, 4, delta=2.0, epsilon=0.1, seed=7)
     dcode = derandomize(code, epsilon=0.1, seed=11)
     family, weights = derandomized_family(dcode)
-    report = measure_fidelity(UNIF, BSC, family, weights, mode="exact")
+    report = measure_fidelity(UNIF, BSC, family, weights)
     assert report.letterwise_source_err <= 3 * 0.1 + 1e-12
     # index count matches the stated polynomial sample-size formula
     u = min_nonzero_entry(BSC)

@@ -63,11 +63,14 @@ def test_compare_bounds_rejects_empty():
 
 def test_malformed_instance_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"probs": nope')
-    assert main(["info", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "error=invalid-input" in err
+    fields = [{"c_max": "abc"}, {"c_max": 2.7}, {"c_max": True},
+              {"distortion": [["a", 1], [1, 0]]}, {"distortion": [[0, 1], [1]]}]
+    for text in ['{"probs": nope'] + [json.dumps({**BSC_DOC, **f}) for f in fields]:
+        bad.write_text(text)
+        assert main(["info", str(bad)]) == 2, text
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "error=invalid-input" in err
 
 
 def test_unknown_instance_key_exits_2(tmp_path):
@@ -99,6 +102,21 @@ def test_empty_channel_exits_2(tmp_path, capsys, rows):
         build_config(["info", str(path)])
     assert main(["info", str(path)]) == 2
     assert "error=invalid-input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["typical", "simulate", "cover"])
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_non_finite_delta_exits_2(bsc_file, capsys, command, delta):
+    assert main([command, bsc_file, "--n", "3", "--delta", delta]) == 2
+    assert "error=invalid-input" in capsys.readouterr().err
+
+
+def test_unmeetable_counts_exit_2(tmp_path, bsc_file, capsys):
+    assert main(["zero-error", bsc_file, "--restarts", "0"]) == 2
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"target": {"probs": [0.7, 0.2, 0.1]}}))
+    assert main(["dilute", str(path), "--epsilon", "0.1", "--samples", "-3"]) == 2
+    assert capsys.readouterr().err.count("error=invalid-input") == 2
 
 
 def test_missing_instance_exits_2():
@@ -215,9 +233,11 @@ def test_config_file_merging(tmp_path, bsc_file):
 
 def test_config_file_rejects_unknown_keys(tmp_path, bsc_file):
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"instance": bsc_file, "sede": 9}))
-    with pytest.raises(InvalidInputError):
-        build_config(["info", "--config", str(conf)])
+    for doc in ({"instance": bsc_file, "sede": 9},
+                {"instance": bsc_file, "mode": "exact"}):
+        conf.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError):
+            build_config(["info", "--config", str(conf)])
 
 
 def test_config_file_rejects_unknown_params(tmp_path, bsc_file):
@@ -270,7 +290,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v4"
+    assert lines[0] == "# chansim typical csv v5"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"
