@@ -504,7 +504,7 @@ def rd_code_via_simulation(source: Distribution, spec: DistortionSpec, y_size: i
     slack = (max(expected_distortion(source, w_opt, spec) - spec.target_d, 0.0)
              + delta / math.sqrt(n) * float(sigma @ letter_cost)
              + d_max * (min(report["lambda_bound"], 1.0) + report["atypicality_mass"]))
-    rate, _, _ = accounting(code)
+    rate, _ = accounting(code)
     return RDCodeResult(rd_value, w_opt, code, nu_best, float(per_nu[nu_best]),
                         float(per_nu.mean()), rate, slack, spec.target_d)
 

@@ -143,11 +143,6 @@ def _row_le(name, reference, lhs, rhs, tol=1e-9):
     return BoundRow(name, reference, lhs, rhs, rhs - lhs, lhs <= rhs + tol)
 
 
-def _wrap_comparisons(comparisons, reference):
-    return [BoundRow(c.name, reference, float(c.lhs), float(c.rhs),
-                     float(c.slack), bool(c.passed)) for c in comparisons]
-
-
 # ---------------------------------------------------------------------------
 # instance documents
 
@@ -163,6 +158,12 @@ def _load_json_file(path: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise InvalidInputError(f"{what} {path} must hold a JSON object")
     return doc
+
+
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer: an int or an integral float."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
 
 
 class InstanceBundle:
@@ -202,12 +203,9 @@ class InstanceBundle:
             self.distortion = m
         self.c_max = None
         if "c_max" in doc:
-            c_max = doc["c_max"]
-            if isinstance(c_max, float) and c_max.is_integer():
-                c_max = int(c_max)
-            if isinstance(c_max, bool) or not isinstance(c_max, int):
+            if not _is_int(doc["c_max"]):
                 raise InvalidInputError('instance "c_max" must be an integer')
-            self.c_max = c_max
+            self.c_max = int(doc["c_max"])
 
     def need_channel(self) -> Channel:
         if self.channel is None:
@@ -228,15 +226,16 @@ def _need_param(cfg: ExperimentConfig, key: str):
 
 
 def _parse_targets(text: str):
-    """Comma list "0.05,0.1" or linspace "lo:hi:count"."""
+    """Comma list "0.05,0.1" or linspace "lo:hi:count", not empty."""
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            count = int(count)
-            if count < 1:
-                raise ValueError("count must be positive")
-            return [float(t) for t in np.linspace(float(lo), float(hi), count)]
-        return [float(t) for t in text.split(",") if t.strip()]
+            targets = np.linspace(float(lo), float(hi), int(count)).tolist()
+        else:
+            targets = [float(t) for t in text.split(",") if t.strip()]
+        if not targets:
+            raise ValueError("no targets")
+        return targets
     except ValueError as exc:
         raise InvalidInputError(f"bad --targets {text!r}: {exc}")
 
@@ -306,11 +305,9 @@ def _write_artifacts(cfg: ExperimentConfig, record: RunRecord):
     if record.table_columns:
         _write_csv(os.path.join(cfg.out, f"{stem}.csv"), cfg.command,
                    record.table_columns, record.table_rows, record.config_hash)
-    bound_rows = [(c.name, c.reference, c.lhs, c.rhs, c.slack, c.passed)
-                  for c in record.comparisons]
     _write_csv(os.path.join(cfg.out, "bounds.csv"), f"{cfg.command}-bounds",
                ("name", "reference", "lhs", "rhs", "slack", "passed"),
-               bound_rows, record.config_hash)
+               compare_bounds(record), record.config_hash)
     for filename, doc in record.artifacts.items():
         with open(os.path.join(cfg.out, filename), "w", encoding="utf-8",
                   newline="\n") as fh:
@@ -410,12 +407,15 @@ def _build_code(cfg, bundle, keep_words):
 def _run_simulate(cfg, bundle):
     rates_only = bool(cfg.params.get("rates_only", False))
     code = _build_code(cfg, bundle, keep_words=not rates_only)
-    rate, cr_rate, bounds = accounting(code)
+    rate, cr_rate = accounting(code)
     outputs = {"n": code.n, "rate": rate, "cr_rate": cr_rate,
                "announce_bits": code.announce_bits, "N": code.N,
                "type_count": len(code.typical_joint_types)}
-    comparisons = _wrap_comparisons(bounds.comparisons,
-                                    "single-letter information floors")
+    floors = "single-letter information floors"
+    comparisons = [_row("message rate >= mutual information", floors, rate,
+                        mutual_information(code.source, code.channel)),
+                   _row("message plus randomness rate >= output entropy", floors,
+                        rate + cr_rate, entropy(output_marginal(code.source, code.channel)))]
     lam = lam_bound = global_err = None
     if not rates_only:
         try:
@@ -442,8 +442,7 @@ def _run_simulate(cfg, bundle):
 def _run_derandomize(cfg, bundle):
     epsilon = float(cfg.params.get("epsilon", 0.1))
     code = _build_code(cfg, bundle, keep_words=True)
-    dcode = derandomize(code, epsilon, seed=cfg.seed,
-                        max_retries=int(cfg.params.get("max_retries", 64)))
+    dcode = derandomize(code, epsilon, seed=cfg.seed)
     family, weights = derandomized_family(dcode)
     report = measure_fidelity(code.source, code.channel, family, weights)
     outputs = {"n": code.n, "Q": dcode.Q, "index_bits": dcode.index_bits(),
@@ -514,8 +513,6 @@ def _run_rd(cfg, bundle):
     else:
         raise InvalidInputError(
             'rd needs a "distortion" matrix in the instance or --hamming SIZE')
-    if d_matrix.shape[0] != source.alphabet_size:
-        raise InvalidInputError("distortion rows must match the source alphabet")
     y_size = d_matrix.shape[1]
     targets = _parse_targets(str(_need_param(cfg, "targets")))
     resolution = cfg.params.get("certify_resolution")
@@ -605,7 +602,7 @@ def _run_sweep(cfg, bundle):
         keep = n <= keep_limit
         code = build_sim_code(source, channel, n, delta, epsilon, cfg.seed,
                               keep_words=keep)
-        rate, cr_rate, _ = accounting(code)
+        rate, cr_rate = accounting(code)
         lam = None
         if keep:
             try:
@@ -709,7 +706,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--max-retries", dest="max_retries", type=int, default=None)
 
     p = sub.add_parser("zero-error", parents=[common],
                        help="minimal-entropy exact factorization")
@@ -745,7 +741,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def build_config(argv=None) -> ExperimentConfig:
     """Parse flags, merge the optional config document (flags win), inline
     the instance content, and resolve cap overrides."""
-    ns = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    ns = parser.parse_args(argv)
     doc = {}
     if ns.config:
         doc = _load_json_file(ns.config, "config file")
@@ -753,12 +750,22 @@ def build_config(argv=None) -> ExperimentConfig:
         if unknown:
             raise InvalidInputError(
                 f"unknown config keys {sorted(unknown)}; allowed: {sorted(_CONFIG_KEYS)}")
+        for key in ("caps", "params"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise InvalidInputError(f'config "{key}" must be an object')
     params = dict(doc.get("params", {}))
     allowed = set(vars(ns)) - _COMMON_KEYS
     unknown = set(params) - allowed
     if unknown:
         raise InvalidInputError(f"unknown {ns.command} params {sorted(unknown)}; "
                                 f"allowed: {sorted(allowed)}")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in commands.choices[ns.command]._actions}
+    for key, value in params.items():   # checked, not converted: the hash keeps them
+        kind = bool if flags[key].const is True else flags[key].type or str
+        number = _is_int(value) or kind is float and isinstance(value, float)
+        if not (number if kind in (int, float) else isinstance(value, kind)):
+            raise InvalidInputError(f"param {key!r} must be of type {kind.__name__}")
     for key, value in vars(ns).items():
         if key in _COMMON_KEYS or value is None:
             continue
@@ -776,18 +783,22 @@ def build_config(argv=None) -> ExperimentConfig:
     InstanceBundle(instance_doc)   # validate early so bad files exit 2 fast
 
     caps = dict(doc.get("caps", {}))
-    for key in caps:
+    for key, value in caps.items():
         if key not in CAP_REGISTRY:
             raise InvalidInputError(f"unknown cap {key!r} in config file")
+        if not _is_int(value):
+            raise InvalidInputError(f"cap {key} must be an integer")
     caps.update(parse_cap_overrides(ns.cap_override))
     caps = {k: int(v) for k, v in caps.items()}
 
-    seed = ns.seed if ns.seed is not None else int(doc.get("seed", 0))
+    seed = ns.seed if ns.seed is not None else doc.get("seed", 0)
     out = ns.out if ns.out is not None else doc.get("out")
-    if not 0 <= seed < 2 ** 64:
-        raise InvalidInputError("seed must fit in an unsigned 64-bit integer")
+    if out is not None and not isinstance(out, str):
+        raise InvalidInputError('config "out" must be a directory path')
+    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
+        raise InvalidInputError("seed must be an unsigned 64-bit integer")
     return ExperimentConfig(command=ns.command, instance=instance_doc,
-                            params=params, seed=seed, out=out, caps=caps)
+                            params=params, seed=int(seed), out=out, caps=caps)
 
 
 def _print_record(record: RunRecord):

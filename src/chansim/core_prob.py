@@ -9,7 +9,6 @@ Conventions used throughout the package:
     larger ones are rejected, and so are NaN and infinite entries.
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,27 +217,22 @@ def tv_distance(p, q) -> float:
     return float(0.5 * np.abs(a - b).sum())
 
 
-def transpose_channel(p: Distribution, w: Channel, *, with_unreachable: bool = False):
+def transpose_channel(p: Distribution, w: Channel):
     """Reverse the joint distribution P(x) W(y|x) = Q(y) V(x|y).
 
-    Returns (q, v). Output symbols y with Q(y) = 0 get a uniform row in v;
-    pass with_unreachable=True to also receive the tuple of those symbols.
+    Returns (q, v). Output symbols y with Q(y) below ZERO_TOL are the
+    unreachable ones (q.probs < ZERO_TOL); each gets a uniform row in v.
     """
     joint = JointDistribution.from_source_and_channel(p, w)
     q_vec = joint.probs.sum(axis=0)
     v_rows = np.empty((w.output_size, w.input_size))
-    unreachable = []
     for y in range(w.output_size):
         if q_vec[y] < ZERO_TOL:
             v_rows[y] = 1.0 / w.input_size
-            unreachable.append(y)
         else:
             v_rows[y] = joint.probs[:, y] / q_vec[y]
     q = Distribution(w.output_size, q_vec)
-    v = Channel(w.output_size, w.input_size, v_rows)
-    if with_unreachable:
-        return q, v, tuple(unreachable)
-    return q, v
+    return q, Channel(w.output_size, w.input_size, v_rows)
 
 
 def channel_compose(first: Channel, second: Channel) -> Channel:
@@ -275,9 +269,19 @@ def rate_lower_bound_defect(lam: float, x_size: int, y_size: int) -> float:
     return float(lam * (np.log2(x_size) + 2 * np.log2(y_size)) + 2 * binary_entropy(lam))
 
 
+def _compositions(total: int, parts: int):
+    """All nonnegative integer vectors of the given length summing to total,
+    in ascending lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 def simplex_grid(size: int, resolution: int) -> np.ndarray:
     """Every distribution on {0, ..., size-1} whose entries are multiples of
-    1/resolution, one per row, ordered by the cut points that delimit them."""
-    cuts = itertools.combinations_with_replacement(range(resolution + 1), size - 1)
-    rows = np.array([np.diff((0, *c, resolution)) for c in cuts], dtype=float)
-    return rows / resolution
+    1/resolution, one per row: the types of length-resolution words, in
+    lexicographic order of their counts."""
+    return np.array(list(_compositions(resolution, size)), dtype=float) / resolution

@@ -113,28 +113,17 @@ class CoveringFamily:
     word, so the family is stored as counts[nu, r]: the multiplicity of the
     class word of lexicographic rank r in list nu, shape (N, |T_S|), each row
     summing to M. Slot mu of list nu is the mu-th entry of the list sorted by
-    rank. A hand-built family may pass an explicit (N, M) rank array as
-    words instead; it is converted to counts once. check holds the passing
-    verification when the family came from build_covering. The class words,
-    their Y^n ranks, the compatibility matrix and c_nu(x) are built on first
-    use and kept read-only; build_covering shares one matrix among attempts.
+    rank; list_ranks(nu) gives the M ranks in slot order. check holds the
+    passing verification when the family came from build_covering. The class
+    words, their Y^n ranks, the compatibility matrix and c_nu(x) are built on
+    first use and kept read-only; build_covering shares one matrix among attempts.
     """
 
-    def __init__(self, joint_type: JointType, N: int, M: int, words=None,
-                 epsilon: float = None, retries: int = 0, *, counts=None):
-        if epsilon is None or not 0.0 < epsilon < 0.5:
+    def __init__(self, joint_type: JointType, N: int, M: int, counts,
+                 epsilon: float, retries: int = 0):
+        if not 0.0 < epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
-        if (words is None) == (counts is None):
-            raise InvalidInputError("give exactly one of words and counts")
         size_s = type_class_size(joint_type.col_marginal())
-        if words is not None:
-            words = np.asarray(words)
-            if words.shape != (N, M):
-                raise InvalidInputError(f"words shape {words.shape} != ({N}, {M})")
-            if words.size and (words.min() < 0 or words.max() >= size_s):
-                raise InvalidInputError("word rank outside the column-marginal class")
-            flat = (np.arange(N, dtype=np.int64)[:, None] * size_s + words).ravel()
-            counts = np.bincount(flat, minlength=N * size_s).reshape(N, size_s)
         counts = np.array(counts, dtype=np.int64)
         if counts.shape != (N, size_s):
             raise InvalidInputError(f"counts shape {counts.shape} != ({N}, {size_s})")
@@ -148,7 +137,7 @@ class CoveringFamily:
         self.epsilon, self.retries = epsilon, retries
         self.check = None
         self._y_words = self._y_ranks = self._compat = self._c = None
-        self._cum = self._words = None
+        self._cum = None
 
     def y_class_words(self) -> np.ndarray:
         """The lexicographic enumeration of the column-marginal class, as an
@@ -194,15 +183,6 @@ class CoveringFamily:
     def list_ranks(self, nu: int) -> np.ndarray:
         """List nu as M class ranks in slot order."""
         return np.repeat(np.arange(self.counts.shape[1]), self.counts[nu])
-
-    @property
-    def words(self) -> np.ndarray:
-        """Read-only (N, M) array of every list in slot order, built on first
-        access; for tests and inspection."""
-        if self._words is None:
-            self._words = np.stack([self.list_ranks(nu) for nu in range(self.N)])
-            self._words.flags.writeable = False
-        return self._words
 
     def word(self, nu: int, mu: int) -> tuple:
         rank = np.searchsorted(self.cumulative()[nu], mu, side="right")
@@ -263,7 +243,6 @@ def verify_covering(family: CoveringFamily) -> CoveringCheck:
 
 
 def build_covering(t: JointType, epsilon: float, seed: int = 0,
-                   max_retries: int = DEFAULT_MAX_RETRIES,
                    forced_N: int = None) -> CoveringFamily:
     """Rejection-sample a covering family and verify it exactly.
 
@@ -273,8 +252,8 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0,
     until verification passes; the passing check is kept on the family.
     Raises CapExceededError, before anything is enumerated or sampled, when
     the counts table or the compatibility matrix would exceed
-    COVER_TABLE_CAP entries, and RetriesExhaustedError after max_retries
-    failures.
+    COVER_TABLE_CAP entries, and RetriesExhaustedError after
+    DEFAULT_MAX_RETRIES failures; both are read at call time.
     """
     M, N = required_M_N(t, epsilon, forced_N=forced_N)
     size_r, size_s, _ = _class_sizes(t)
@@ -284,13 +263,13 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0,
             f"covering tables of {entries} entries exceed COVER_TABLE_CAP = {COVER_TABLE_CAP}")
     uniform = np.full(size_s, 1.0 / size_s)
     compat = None   # built by the first attempt, shared by every later one
-    for attempt in range(max_retries):
+    for attempt in range(DEFAULT_MAX_RETRIES):
         counts = child_rng(seed, f"covering:try:{attempt}").multinomial(M, uniform, size=N)
-        family = CoveringFamily(t, N, M, counts=counts, epsilon=epsilon, retries=attempt)
+        family = CoveringFamily(t, N, M, counts, epsilon, retries=attempt)
         family._compat = compat
         family.check = verify_covering(family)
         if family.check.passed:
             return family
         compat = family.compat()
-    raise RetriesExhaustedError(
-        f"covering for joint type {t.counts} failed verification {max_retries} times")
+    raise RetriesExhaustedError(f"covering for joint type {t.counts} failed "
+                                f"verification {DEFAULT_MAX_RETRIES} times")

@@ -23,4 +23,4 @@ class InfeasibleError(ChansimError):
 
 
 class RetriesExhaustedError(ChansimError):
-    """A randomized construction failed verification max_retries times."""
+    """A randomized construction failed all covering.DEFAULT_MAX_RETRIES draws."""

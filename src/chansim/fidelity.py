@@ -27,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import covering
 from ._seeds import _as_rng, child_rng
-from .core_prob import Channel, Distribution
+from .core_prob import Channel, Distribution, tv_distance
 from .errors import CapExceededError, InvalidInputError, RetriesExhaustedError
 from .simulate import (
     SimCode,
@@ -36,7 +37,6 @@ from .simulate import (
     _channel_tv_rows,
     _require_words,
     _typical_classes,
-    block_tv,
     fixed_nu_block_channel,
     iid_block_law,
     run_protocol,
@@ -165,9 +165,9 @@ def measure_fidelity(source: Distribution, channel: Channel, family,
             p_sym = source.probs[sym]
             if p_sym <= 0:
                 continue
-            eq5 += p_sym * block_tv(cond[k, sym] / p_sym, channel.rows[sym]) / n
+            eq5 += p_sym * tv_distance(cond[k, sym] / p_sym, channel.rows[sym]) / n
     joint_true = source.probs[:, None] * channel.rows
-    eq6 = block_tv(pair.ravel(), joint_true.ravel())
+    eq6 = tv_distance(pair.ravel(), joint_true.ravel())
     return FidelityReport(eq3, eq4, eq5, eq6)
 
 
@@ -188,18 +188,18 @@ def derandomized_family(dcode: DerandomizedCode):
     return fam, weights
 
 
-def derandomize(code: SimCode, epsilon: float, seed: int,
-                max_retries: int = 64) -> DerandomizedCode:
+def derandomize(code: SimCode, epsilon: float, seed: int) -> DerandomizedCode:
     """Sample Q shared-index values so a uniform choice among them replaces
     the common randomness.
 
-    For n <= EXACT_VERIFY_N_CAP (read at call time) the sample is verified
-    exactly: every typical word's per-letter marginals must stay within
-    (1 +- eps) of the averaged code's value on the support of the true
-    channel row, and the sample is redrawn on failure. Above the cap the
-    first sample is declared good on the Chernoff bound that sized Q, with
-    verified False. Precondition, checked when verifying: the averaged
-    code's per-letter marginals reach u/2 on those support entries."""
+    For n <= EXACT_VERIFY_N_CAP the sample is verified exactly: every
+    typical word's per-letter marginals must stay within (1 +- eps) of the
+    averaged code's value on the support of the true channel row, and the
+    sample is redrawn on failure, up to covering.DEFAULT_MAX_RETRIES draws;
+    both limits are read at call time. Above the cap the first sample is
+    declared good on the Chernoff bound that sized Q, with verified False.
+    Precondition, checked when verifying: the averaged code's per-letter
+    marginals reach u/2 on those support entries."""
     _require_words(code)
     if code.N == 1:
         return DerandomizedCode((0,), 1, code, epsilon, min_nonzero_entry(code.channel),
@@ -222,7 +222,7 @@ def derandomize(code: SimCode, epsilon: float, seed: int,
         raise InvalidInputError(
             "averaged per-letter marginals fall below u/2 on the "
             "channel support; shrink epsilon or delta")
-    for attempt in range(max_retries):
+    for attempt in range(covering.DEFAULT_MAX_RETRIES):
         rng = child_rng(seed, f"derandomize:try:{attempt}")
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
         counts = np.bincount(selected, minlength=code.N)
@@ -230,8 +230,8 @@ def derandomize(code: SimCode, epsilon: float, seed: int,
         mixed_margs = _letter_marginals(mixed_rows[typical], n, b)
         if not (np.abs(mixed_margs - base_margs) > epsilon * base_margs + 1e-12).any():
             return DerandomizedCode(selected, Q, code, epsilon, u, True, attempt)
-    raise RetriesExhaustedError(
-        f"derandomization failed exact verification {max_retries} times")
+    raise RetriesExhaustedError("derandomization failed exact verification "
+                                f"{covering.DEFAULT_MAX_RETRIES} times")
 
 
 def run_fixed_code(dcode: DerandomizedCode, x_word, seed) -> Transcript:

@@ -28,14 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._seeds import _as_rng, child_seed
-from .core_prob import (
-    Channel,
-    Distribution,
-    conditional_entropy,
-    entropy,
-    mutual_information,
-    output_marginal,
-)
+from .core_prob import Channel, Distribution
 from .covering import CoveringFamily, build_covering, required_M_N
 from .errors import CapExceededError, InvalidInputError
 from .typeclasses import (
@@ -118,24 +111,6 @@ class Transcript:
     y_word: tuple
     bits_sent: float
     randomness_used: float
-
-
-@dataclass
-class BoundComparison:
-    name: str
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-
-
-@dataclass
-class AccountingBounds:
-    mutual_information: float
-    conditional_entropy: float
-    output_entropy: float
-    announce_bits: int
-    comparisons: list
 
 
 def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta: float):
@@ -402,13 +377,9 @@ def channel_block_row(channel: Channel, x_word) -> np.ndarray:
     return row
 
 
-def block_tv(p: np.ndarray, q: np.ndarray) -> float:
-    return float(0.5 * np.abs(p - q).sum())
-
-
 def _channel_tv_rows(rows: np.ndarray, channel: Channel, n: int) -> np.ndarray:
-    """block_tv of every row of a block channel X^n -> Y^n against the i.i.d.
-    channel row of its input word, with one block-sized temporary."""
+    """Total variation of every row of a block channel X^n -> Y^n against the
+    i.i.d. channel row of its input word, with one block-sized temporary."""
     gap = iid_block_law(channel.rows, n)
     np.subtract(rows, gap, out=gap)
     return 0.5 * np.abs(gap, out=gap).sum(axis=1)
@@ -489,27 +460,16 @@ def encoder_message_law(code: SimCode, nu: int):
 
 
 def accounting(code: SimCode):
-    """Rates and the information bounds they are squeezed against."""
+    """(rate, cr_rate) in bits per letter: message (largest log2 M plus the
+    announcement) and shared randomness (log2 N), each over n."""
     rate = (code.max_log2_M() + code.announce_bits) / code.n
-    cr_rate = math.log2(code.N) / code.n
-    mi = mutual_information(code.source, code.channel)
-    h_cond = conditional_entropy(code.source, code.channel)
-    h_out = entropy(output_marginal(code.source, code.channel))
-    comparisons = [
-        BoundComparison("message rate >= mutual information", rate, mi,
-                        rate - mi, rate >= mi - 1e-9),
-        BoundComparison("message plus randomness rate >= output entropy",
-                        rate + cr_rate, h_out, rate + cr_rate - h_out,
-                        rate + cr_rate >= h_out - 1e-9),
-    ]
-    bounds = AccountingBounds(mi, h_cond, h_out, code.announce_bits, comparisons)
-    return rate, cr_rate, bounds
+    return rate, math.log2(code.N) / code.n
 
 
 def save_code(code: SimCode, directory: str):
     """Persist manifest plus one covering file per joint type."""
     os.makedirs(directory, exist_ok=True)
-    rate, cr_rate, _ = accounting(code)
+    rate, cr_rate = accounting(code)
     manifest = {
         "n": code.n, "delta": code.delta, "epsilon": code.epsilon,
         "seed": code.seed, "N": code.N, "announce_bits": code.announce_bits,

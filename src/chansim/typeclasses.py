@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._seeds import _as_rng
-from .core_prob import ZERO_TOL, Channel, Distribution
+from .core_prob import ZERO_TOL, Channel, Distribution, _compositions
 from .errors import CapExceededError, InvalidInputError
 
 JOINT_ENUM_N_CAP = 16
@@ -277,21 +277,22 @@ def typical_probability_bounds(spec: TypicalSpec) -> TypicalBounds:
     return TypicalBounds(chebyshev, chernoff, min(exact, 1.0))
 
 
-def type_class_size(t: ExactType) -> int:
-    """Number of words with exact type t (a multinomial coefficient)."""
-    size = math.factorial(t.n)
-    for c in t.counts:
+def _multinomial(counts) -> int:
+    """(sum counts)! / prod(c!), exactly."""
+    size = math.factorial(sum(counts))
+    for c in counts:
         size //= math.factorial(c)
     return size
 
 
+def type_class_size(t: ExactType) -> int:
+    """Number of words with exact type t (a multinomial coefficient)."""
+    return _multinomial(t.counts)
+
+
 def joint_type_class_size(t: JointType) -> int:
     """Number of word pairs with joint type t."""
-    size = math.factorial(t.n)
-    for row in t.counts:
-        for c in row:
-            size //= math.factorial(c)
-    return size
+    return _multinomial([c for row in t.counts for c in row])
 
 
 def conditional_type_class_size(t: JointType, x_word) -> int:
@@ -301,28 +302,13 @@ def conditional_type_class_size(t: JointType, x_word) -> int:
         raise InvalidInputError("x_word type does not match the joint type's row marginal")
     size = 1
     for row in t.counts:
-        r = sum(row)
-        block = math.factorial(r)
-        for c in row:
-            block //= math.factorial(c)
-        size *= block
+        size *= _multinomial(row)
     return size
 
 
 def conditional_class_size_given_y(t: JointType, y_word) -> int:
     """Number of x-words forming joint type t against the fixed y_word."""
     return conditional_type_class_size(t.transpose(), y_word)
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total,
-    in ascending lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def enumerate_type_classes(n: int, alphabet_size: int):

@@ -116,7 +116,9 @@ def test_unmeetable_counts_exit_2(tmp_path, bsc_file, capsys):
     path = tmp_path / "target.json"
     path.write_text(json.dumps({"target": {"probs": [0.7, 0.2, 0.1]}}))
     assert main(["dilute", str(path), "--epsilon", "0.1", "--samples", "-3"]) == 2
-    assert capsys.readouterr().err.count("error=invalid-input") == 2
+    for targets in (",", ""):
+        assert main(["rd", bsc_file, "--hamming", "2", "--targets", targets]) == 2
+    assert capsys.readouterr().err.count("error=invalid-input") == 4
 
 
 def test_missing_instance_exits_2():
@@ -229,6 +231,15 @@ def test_config_file_merging(tmp_path, bsc_file):
                          "--n", "6"])
     assert cfg2.seed == 3
     assert cfg2.params["n"] == 6
+    # integral floats stand for integers and keep the hash
+    conf.write_text(json.dumps({
+        "instance": bsc_file,
+        "seed": 9.0,
+        "params": {"n": 8, "delta": 1.0},
+        "caps": {"EXACT_PROB_N_CAP": 200.0},
+    }))
+    cfg3 = build_config(["typical", "--config", str(conf)])
+    assert cfg3.config_hash() == cfg.config_hash()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, bsc_file):
@@ -238,6 +249,28 @@ def test_config_file_rejects_unknown_keys(tmp_path, bsc_file):
         conf.write_text(json.dumps(doc))
         with pytest.raises(InvalidInputError):
             build_config(["info", "--config", str(conf)])
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", {"caps": {"WORD_ENUM_CAP": "abc"}}),
+    ("simulate", {"caps": ["WORD_ENUM_CAP"]}),
+    ("simulate", {"caps": {"WORD_ENUM_CAP": 2.5}}),
+    ("simulate", {"seed": "abc"}),
+    ("simulate", {"seed": 1.5}),
+    ("simulate", {"seed": True}),
+    ("simulate", {"params": [1, 2]}),
+    ("simulate", {"params": {"n": "abc"}}),
+    ("simulate", {"params": {"n": 4.7}}),
+    ("simulate", {"params": {"n": 4, "delta": "2"}}),
+    ("simulate", {"params": {"n": 4, "rates_only": "false"}}),
+    ("rd", {"params": {"hamming": 2, "targets": 0.1}}),
+    ("simulate", {"out": 5}),
+])
+def test_malformed_config_exits_2(tmp_path, bsc_file, capsys, command, doc):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"instance": bsc_file, "params": {"n": 4}, **doc}))
+    assert main([command, "--config", str(conf)]) == 2
+    assert "error=invalid-input" in capsys.readouterr().err
 
 
 def test_config_file_rejects_unknown_params(tmp_path, bsc_file):

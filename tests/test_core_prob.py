@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chansim.core_prob import (
+    ZERO_TOL,
     Channel,
     Distribution,
     JointDistribution,
@@ -190,8 +191,8 @@ class TestIdentities:
     def test_transpose_dead_output_uniform_and_flagged(self):
         p = Distribution.from_probs([0.5, 0.5])
         w = Channel.from_rows([[1.0, 0.0], [1.0, 0.0]])
-        q, v, dead = transpose_channel(p, w, with_unreachable=True)
-        assert dead == (1,)
+        q, v = transpose_channel(p, w)
+        assert np.flatnonzero(q.probs < ZERO_TOL).tolist() == [1]
         assert np.allclose(v.rows[1], [0.5, 0.5])
         assert q.probs[1] == 0.0
 

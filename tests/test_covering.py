@@ -33,6 +33,18 @@ T_N4 = JointType(4, ((2, 1), (0, 1)))
 T_DIAG = JointType(4, ((2, 0), (0, 2)))
 
 
+def rank_counts(t, words):
+    """The multiplicity table of an explicit (N, M) array of class ranks; a
+    rank outside the class widens the table past |T_S|."""
+    size_s = type_class_size(t.col_marginal())
+    return np.array([np.bincount(row, minlength=size_s) for row in np.asarray(words)])
+
+
+def all_lists(fam):
+    """Every list of the family as class ranks in slot order, shape (N, M)."""
+    return np.stack([fam.list_ranks(nu) for nu in range(fam.N)])
+
+
 class TestFailureBound:
     def test_plug_in_value(self):
         got = lemma2_failure_bound(2, 1000, 0.1, 0.5)
@@ -104,13 +116,13 @@ class TestVerification:
         # every list enumerates the whole class once: (II) is exact
         size_s = type_class_size(T_N4.col_marginal())
         words = np.tile(np.arange(size_s), (2, 1))
-        fam = CoveringFamily(T_N4, 2, size_s, words, 0.1)
+        fam = CoveringFamily(T_N4, 2, size_s, rank_counts(T_N4, words), 0.1)
         check = verify_covering(fam)
         assert check.condition_II_margin == pytest.approx(0.1, abs=1e-12)
 
     def test_point_mass_family_fails_condition_II(self):
         words = np.zeros((2, 50), dtype=int)
-        fam = CoveringFamily(T_N4, 2, 50, words, 0.1)
+        fam = CoveringFamily(T_N4, 2, 50, rank_counts(T_N4, words), 0.1)
         check = verify_covering(fam)
         assert check.condition_II_margin < 0
         assert not check.passed
@@ -118,10 +130,11 @@ class TestVerification:
     def test_margins_permutation_invariant(self):
         fam = build_covering(T_N4, 0.1, seed=SEED + 1)
         rng = np.random.default_rng(SEED)
-        shuffled = fam.words.copy()
+        shuffled = all_lists(fam)
         for nu in range(fam.N):
             rng.shuffle(shuffled[nu])
-        fam2 = CoveringFamily(fam.joint_type, fam.N, fam.M, shuffled, fam.epsilon)
+        fam2 = CoveringFamily(fam.joint_type, fam.N, fam.M,
+                              rank_counts(fam.joint_type, shuffled), fam.epsilon)
         c1, c2 = verify_covering(fam), verify_covering(fam2)
         assert np.allclose(c1.condition_I_margin, c2.condition_I_margin)
         assert c1.condition_II_margin == pytest.approx(c2.condition_II_margin, abs=1e-15)
@@ -140,17 +153,18 @@ class TestBuild:
     def test_deterministic_under_seed(self):
         f1 = build_covering(T_N4, 0.1, seed=SEED)
         f2 = build_covering(T_N4, 0.1, seed=SEED)
-        assert np.array_equal(f1.words, f2.words)
+        assert np.array_equal(f1.counts, f2.counts)
         assert f1.retries == f2.retries
 
     def test_sized_mode_too_small_exhausts_retries(self, monkeypatch):
         monkeypatch.setattr(covering, "required_M_N", lambda t, eps, forced_N=None: (1, 1))
-        with pytest.raises(RetriesExhaustedError):
-            build_covering(T_N4, 0.1, seed=SEED, max_retries=5)
+        monkeypatch.setattr(covering, "DEFAULT_MAX_RETRIES", 5)
+        with pytest.raises(RetriesExhaustedError, match="5 times"):
+            build_covering(T_N4, 0.1, seed=SEED)
 
     def test_rank_validation(self):
         with pytest.raises(InvalidInputError):
-            CoveringFamily(T_N4, 1, 2, np.array([[0, 99]]), 0.1)
+            CoveringFamily(T_N4, 1, 2, rank_counts(T_N4, [[0, 99]]), 0.1)
 
     def test_forced_N_padding_keeps_verification(self):
         _, N0 = required_M_N(T_DIAG, 0.1)
@@ -162,7 +176,7 @@ class TestBuild:
         fam = build_covering(T_DIAG, 0.1, seed=SEED + 3)
         back = CoveringFamily.from_json_dict(fam.to_json_dict())
         assert back.joint_type == fam.joint_type
-        assert np.array_equal(back.words, fam.words)
+        assert np.array_equal(back.counts, fam.counts)
         assert back.epsilon == fam.epsilon
 
     def test_compatible_counts_positive_on_guaranteed_families(self):
@@ -171,7 +185,7 @@ class TestBuild:
         x_words = np.asarray(enumerate_type_class(T_N4.row_marginal()))
         y_words = fam.y_class_words()
         for nu in range(fam.N):
-            ranks = fam.words[nu]
+            ranks = fam.list_ranks(nu)
             for xi in range(x_words.shape[0]):
                 c = sum(count_joint_occurrences(x_words[xi], y_words[r], 2, 2) == T_N4
                         for r in ranks[:200])
@@ -202,7 +216,7 @@ class TestMultiplicityTables:
     def test_margins_match_pairwise_brute_force(self, case):
         t, words = case
         N, M = words.shape
-        fam = CoveringFamily(t, N, M, words, 0.1)
+        fam = CoveringFamily(t, N, M, rank_counts(t, words), 0.1)
         x_words = enumerate_type_class(t.row_marginal())
         y_words = enumerate_type_class(t.col_marginal())
         size_r, size_s = len(x_words), len(y_words)
@@ -221,23 +235,16 @@ class TestMultiplicityTables:
 
     @settings(max_examples=60, deadline=None)
     @given(small_families())
-    def test_explicit_words_and_counts_twin_agree(self, case):
+    def test_list_ranks_and_words_follow_the_counts(self, case):
         t, words = case
         N, M = words.shape
-        size_s = type_class_size(t.col_marginal())
-        counts = np.array([np.bincount(row, minlength=size_s) for row in words])
-        from_words = CoveringFamily(t, N, M, words, 0.1)
-        twin = CoveringFamily(t, N, M, counts=counts, epsilon=0.1)
-        assert np.array_equal(from_words.counts, counts)
-        assert np.array_equal(from_words.words, np.sort(words, axis=1))
-        assert np.array_equal(twin.words, np.sort(words, axis=1))
-        a, b = verify_covering(from_words), verify_covering(twin)
-        assert np.array_equal(a.condition_I_margin, b.condition_I_margin)
-        assert a.condition_II_margin == b.condition_II_margin
-        y_words = twin.y_class_words()
+        fam = CoveringFamily(t, N, M, rank_counts(t, words), 0.1)
+        lists = all_lists(fam)
+        assert np.array_equal(lists, np.sort(words, axis=1))
+        y_words = fam.y_class_words()
         for nu in range(N):
             for mu in range(M):
-                assert twin.word(nu, mu) == tuple(y_words[twin.words[nu, mu]])
+                assert fam.word(nu, mu) == tuple(y_words[lists[nu, mu]])
 
     def test_counts_validation(self):
         size_s = type_class_size(T_N4.col_marginal())
@@ -245,27 +252,22 @@ class TestMultiplicityTables:
             CoveringFamily(T_N4, 1, 3, counts=np.ones((1, size_s), dtype=int), epsilon=0.1)
         with pytest.raises(InvalidInputError):  # wrong table width
             CoveringFamily(T_N4, 1, 2, counts=[[1, 1]], epsilon=0.1)
-        with pytest.raises(InvalidInputError):  # both representations
-            CoveringFamily(T_N4, 1, 1, np.zeros((1, 1), dtype=int), 0.1,
-                           counts=np.eye(1, size_s, dtype=int))
 
-    def test_words_view_is_read_only(self):
+    def test_counts_table_is_read_only(self):
         fam = build_covering(T_N4, 0.1, seed=SEED)
         assert np.all(fam.counts.sum(axis=1) == fam.M)
-        with pytest.raises(ValueError):
-            fam.words[0, 0] = 1
         with pytest.raises(ValueError):
             fam.counts[0, 0] = 1
 
     def test_family_tables_match_a_fresh_build(self):
         built = build_covering(T_N4, 0.1, seed=SEED)
-        by_words = CoveringFamily(T_N4, built.N, built.M, built.words, 0.1)
+        by_hand = CoveringFamily(T_N4, built.N, built.M, built.counts, 0.1)
         loaded = CoveringFamily.from_json_dict(built.to_json_dict())
         x_words = np.array(sorted(set(itertools.permutations((0, 0, 0, 1)))))
         y_words = np.array(sorted(set(itertools.permutations((0, 0, 1, 1)))))
         compat = compatibility_matrix(T_N4, x_words, y_words)
         c = built.counts.astype(np.float64) @ compat.T.astype(np.float64)
-        for fam in (built, by_words, loaded):
+        for fam in (built, by_hand, loaded):
             assert np.array_equal(fam.y_class_words(), y_words)
             assert np.array_equal(fam.compat(), compat)
             assert np.array_equal(fam.compatible_counts(), c)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chansim import fidelity
+from chansim import covering, fidelity
 from chansim._seeds import child_rng
 from chansim.core_prob import Channel, Distribution
 from chansim.errors import InvalidInputError, RetriesExhaustedError
@@ -269,8 +269,9 @@ def test_derandomize_redraws_until_the_sample_verifies(bsc30_code, monkeypatch):
 
 def test_derandomize_gives_up_after_max_retries(bsc30_code, monkeypatch):
     monkeypatch.setattr(fidelity, "required_Q", lambda *args: 2)
-    with pytest.raises(RetriesExhaustedError):
-        derandomize(bsc30_code, epsilon=0.037, seed=1, max_retries=1)
+    monkeypatch.setattr(covering, "DEFAULT_MAX_RETRIES", 1)
+    with pytest.raises(RetriesExhaustedError, match="1 times"):
+        derandomize(bsc30_code, epsilon=0.037, seed=1)
 
 
 def test_derandomize_checks_the_half_u_precondition(bsc30_code, monkeypatch):
