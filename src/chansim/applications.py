@@ -41,7 +41,7 @@ from .simulate import (
     accounting,
     build_sim_code,
     encoder_message_law,
-    fixed_nu_block_channel,
+    fixed_nu_block_channels,
     iid_block_law,
     strong_fidelity_report,
     word_letters,
@@ -493,9 +493,8 @@ def rd_code_via_simulation(source: Distribution, spec: DistortionSpec, y_size: i
     p_block = iid_block_law(source.probs, n)
     d_block = block_distortion_matrix(spec, n)
     per_nu = np.empty(code.N)
-    for nu in range(code.N):
-        rows = fixed_nu_block_channel(code, nu).rows
-        per_nu[nu] = p_block @ (rows * d_block).sum(axis=1)
+    for nu, ch in enumerate(fixed_nu_block_channels(code, range(code.N))):
+        per_nu[nu] = p_block @ (ch.rows * d_block).sum(axis=1)
     nu_best = int(np.argmin(per_nu))
     report = strong_fidelity_report(code)
     sigma = np.sqrt(source.probs * (1.0 - source.probs))
@@ -576,9 +575,9 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     undiluted = _message_joint(cond, p_block, y_ranks, ysz, np.ones(count))
     return PairSimulationResult(
         n=n, nu=nu, message_count=count, plan=plan,
-        code_joint_tv=float(0.5 * np.abs(undiluted - target).sum()),
+        code_joint_tv=tv_distance(undiluted, target),
         dilution_tv=tv_distance(law, mixture),
-        joint_tv=float(0.5 * np.abs(produced - target).sum()),
+        joint_tv=tv_distance(produced, target),
         cr_bits_exact=math.log2(plan.total_uniform_size),
         cr_bits_per_letter=math.log2(plan.total_uniform_size) / n,
         message_law=law,

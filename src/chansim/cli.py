@@ -341,10 +341,22 @@ def _run_info(cfg, bundle):
     return outputs, comparisons, ("quantity", "value"), table, {}
 
 
+def _tolerances(cfg):
+    """The typicality width delta and covering accuracy epsilon, defaulting
+    to 1.0 and 0.1."""
+    return float(cfg.params.get("delta", 1.0)), float(cfg.params.get("epsilon", 0.1))
+
+
+def _code_inputs(cfg, bundle):
+    """(source, channel, n, delta, epsilon) of a one-block-length command."""
+    source, channel = bundle.need_source(), bundle.need_channel()
+    return (source, channel, int(_need_param(cfg, "n"))) + _tolerances(cfg)
+
+
 def _run_typical(cfg, bundle):
     source = bundle.need_source()
     n = int(_need_param(cfg, "n"))
-    delta = float(cfg.params.get("delta", 1.0))
+    delta, _ = _tolerances(cfg)
     spec = TypicalSpec(source, n, delta)
     bounds = typical_probability_bounds(spec)
     count = len(typical_types(spec))
@@ -364,10 +376,7 @@ def _run_typical(cfg, bundle):
 
 
 def _run_cover(cfg, bundle):
-    source, channel = bundle.need_source(), bundle.need_channel()
-    n = int(_need_param(cfg, "n"))
-    delta = float(cfg.params.get("delta", 1.0))
-    epsilon = float(cfg.params.get("epsilon", 0.1))
+    source, channel, n, delta, epsilon = _code_inputs(cfg, bundle)
     types = jointly_typical_types(source, channel, n, delta)
     if not types:
         raise InvalidInputError("no jointly typical types; widen delta")
@@ -396,12 +405,7 @@ def _run_cover(cfg, bundle):
 
 
 def _build_code(cfg, bundle, keep_words):
-    source, channel = bundle.need_source(), bundle.need_channel()
-    n = int(_need_param(cfg, "n"))
-    delta = float(cfg.params.get("delta", 1.0))
-    epsilon = float(cfg.params.get("epsilon", 0.1))
-    return build_sim_code(source, channel, n, delta, epsilon, cfg.seed,
-                          keep_words=keep_words)
+    return build_sim_code(*_code_inputs(cfg, bundle), cfg.seed, keep_words=keep_words)
 
 
 def _run_simulate(cfg, bundle):
@@ -440,9 +444,8 @@ def _run_simulate(cfg, bundle):
 
 
 def _run_derandomize(cfg, bundle):
-    epsilon = float(cfg.params.get("epsilon", 0.1))
     code = _build_code(cfg, bundle, keep_words=True)
-    dcode = derandomize(code, epsilon, seed=cfg.seed)
+    dcode = derandomize(code, code.epsilon, seed=cfg.seed)
     family, weights = derandomized_family(dcode)
     report = measure_fidelity(code.source, code.channel, family, weights)
     outputs = {"n": code.n, "Q": dcode.Q, "index_bits": dcode.index_bits(),
@@ -454,11 +457,11 @@ def _run_derandomize(cfg, bundle):
     comparisons = [_row_le(
         "letterwise error <= 3*epsilon",
         "per-letter miss ceiling after freezing the shared index",
-        report.letterwise_source_err, 3.0 * epsilon)]
+        report.letterwise_source_err, 3.0 * code.epsilon)]
     columns = ("n", "delta", "epsilon", "seed", "Q", "index_bits", "u",
                "verified", "retries", "global_err", "local_err",
                "letterwise_source_err", "empirical_joint_err")
-    rows = [(code.n, code.delta, epsilon, cfg.seed, dcode.Q, dcode.index_bits(),
+    rows = [(code.n, code.delta, code.epsilon, cfg.seed, dcode.Q, dcode.index_bits(),
              dcode.u, dcode.verified, dcode.retries, report.global_err,
              report.local_err, report.letterwise_source_err,
              report.empirical_joint_err)]
@@ -594,8 +597,7 @@ def _run_sweep(cfg, bundle):
     n_max = int(_need_param(cfg, "n_max"))
     if n_min < 1 or n_max < n_min:
         raise InvalidInputError("need 1 <= n_min <= n_max")
-    delta = float(cfg.params.get("delta", 1.0))
-    epsilon = float(cfg.params.get("epsilon", 0.1))
+    delta, epsilon = _tolerances(cfg)
     keep_limit = int(cfg.params.get("keep_words_up_to", 6))
     rows, rates = [], []
     for n in range(n_min, n_max + 1):

@@ -37,7 +37,7 @@ from .simulate import (
     _channel_tv_rows,
     _require_words,
     _typical_classes,
-    fixed_nu_block_channel,
+    fixed_nu_block_channels,
     iid_block_law,
     run_protocol,
     word_letters,
@@ -173,7 +173,7 @@ def measure_fidelity(source: Distribution, channel: Channel, family,
 
 def sim_code_family(code: SimCode):
     """The code as one block channel per shared-index value, uniform weights."""
-    fam = [fixed_nu_block_channel(code, nu) for nu in range(code.N)]
+    fam = list(fixed_nu_block_channels(code, range(code.N)))
     return fam, np.full(code.N, 1.0 / code.N)
 
 
@@ -183,7 +183,7 @@ def derandomized_family(dcode: DerandomizedCode):
     counts = {}
     for nu in dcode.selected_indices:
         counts[nu] = counts.get(nu, 0) + 1
-    fam = [fixed_nu_block_channel(dcode.base, nu) for nu in sorted(counts)]
+    fam = list(fixed_nu_block_channels(dcode.base, sorted(counts)))
     weights = np.array([counts[nu] for nu in sorted(counts)], dtype=float) / dcode.Q
     return fam, weights
 
@@ -212,12 +212,14 @@ def derandomize(code: SimCode, epsilon: float, seed: int) -> DerandomizedCode:
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
         return DerandomizedCode(selected, Q, code, epsilon, u, False, 0)
 
-    per_nu = np.stack([fixed_nu_block_channel(code, nu).rows for nu in range(code.N)])
+    a, b = code.source.alphabet_size, code.channel.output_size
+    per_nu = np.empty((code.N, a ** n, b ** n))
+    for nu, ch in enumerate(fixed_nu_block_channels(code, range(code.N))):
+        per_nu[nu] = ch.rows
     averaged = sum(per_nu) / code.N     # summed one index at a time, in index order
     typical = ~_typical_classes(code)[1]
-    b = code.channel.output_size
     base_margs = _letter_marginals(averaged[typical], n, b)
-    supp = code.channel.rows[word_letters(code.source.alphabet_size, n)[typical]] > 0
+    supp = code.channel.rows[word_letters(a, n)[typical]] > 0
     if (base_margs[supp] < u / 2).any():
         raise InvalidInputError(
             "averaged per-letter marginals fall below u/2 on the "

@@ -227,21 +227,25 @@ def _type_weights(code: SimCode, base: ExactType):
     return t_list, weights / total
 
 
-def _law_blocks(code: SimCode, base: ExactType, nu: int = None, rows=None):
+def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
     """The protocol's exact output law on the class of a typical input type.
 
     Given joint type t, index nu and input x, the output is uniform over the
     compatible slots of list nu: y gets counts[nu, y] compat[x, y] / c[nu, x],
-    and the block terminates when c[nu, x] = 0. Averaged over the k = N lists
-    (nu None) or pinned (k = 1), t adds (w_t / k) (1/c)^T @ counts * compat
-    over (class rows, t's output class); rows picks class rows. Returns the
-    [(family, block)] of covered types and the terminate mass per row.
+    and the block terminates when c[nu, x] = 0. Averaged over the k = N
+    lists (nus None), t adds (w_t / k) (1/c)^T @ counts * compat over (class
+    rows, t's output class). Pinned to an index array nus, one sweep over the
+    joint types computes every listed index's law on a leading axis: t adds
+    w_t (counts[nu, y] / c[nu, x]) compat[x, y], the same bits as a one-list
+    matrix product. rows picks class rows. Returns the [(family, block)] of
+    covered types and the terminate mass per row, both with the leading
+    index axis when pinned.
     """
     _require_words(code)
     bt = _base_tables_for(code, base)
     sel = slice(None) if rows is None else rows
-    lists = slice(None) if nu is None else slice(nu, nu + 1)
-    terminate = np.zeros(bt.x_global[sel].size)
+    lead = () if nus is None else (len(nus),)
+    terminate = np.zeros(lead + (bt.x_global[sel].size,))
     blocks = []
     for t, w_t in zip(bt.t_list, bt.weights):
         if w_t == 0.0:
@@ -250,11 +254,18 @@ def _law_blocks(code: SimCode, base: ExactType, nu: int = None, rows=None):
             terminate += w_t
             continue
         fam = code.families[t]
-        c = fam.compatible_counts()[lists, sel]
-        k = c.shape[0]
-        inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
-        terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
-        block = (w_t / k) * (inv_c.T @ fam.counts[lists]) * fam.compat()[sel]
+        if nus is None:
+            c = fam.compatible_counts()[:, sel]
+            k = c.shape[0]
+            inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
+            terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
+            block = (w_t / k) * (inv_c.T @ fam.counts) * fam.compat()[sel]
+        else:
+            c = fam.compatible_counts()[nus][:, sel]
+            inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
+            terminate += w_t * (c == 0)
+            block = w_t * (inv_c[:, :, None] * fam.counts[nus][:, None, :]) \
+                * fam.compat()[sel]
         blocks.append((fam, block))
     return blocks, terminate
 
@@ -351,21 +362,23 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
     return Distribution(size, out)
 
 
-def _block_law(code: SimCode, nu: int = None) -> np.ndarray:
+def _block_law(code: SimCode, nus=None) -> np.ndarray:
     """The protocol as block channel rows X^n -> Y^n, averaged over the
-    shared index or pinned to nu; atypical inputs emit the fallback word."""
+    shared index, or pinned to each index of the array nus on a leading
+    axis; atypical inputs emit the fallback word."""
     _check_output_cap(code)
     if code.source.alphabet_size ** code.n * code.channel.output_size ** code.n \
             > BLOCK_ENUM_CAP:
         raise CapExceededError("block channel exceeds the enumeration cap")
     classes, atypical = _typical_classes(code)
-    rows = np.zeros((atypical.size, code.channel.output_size ** code.n))
+    lead = () if nus is None else (len(nus),)
+    rows = np.zeros(lead + (atypical.size, code.channel.output_size ** code.n))
     for base, bt in classes.items():
-        blocks, terminate = _law_blocks(code, base, nu)
+        blocks, terminate = _law_blocks(code, base, nus)
         for fam, block in blocks:
-            rows[np.ix_(bt.x_global, fam.y_ranks())] += block
-        rows[bt.x_global, 0] += terminate
-    rows[atypical, 0] = 1.0
+            rows[..., bt.x_global[:, None], fam.y_ranks()[None, :]] += block
+        rows[..., bt.x_global, 0] += terminate
+    rows[..., atypical, 0] = 1.0
     return rows
 
 
@@ -416,11 +429,24 @@ def averaged_block_channel(code: SimCode) -> Channel:
     return Channel.from_rows(_block_law(code))
 
 
+def fixed_nu_block_channels(code: SimCode, nus):
+    """The block channel induced by pinning the shared index to each value of
+    nus, yielded in the order given. The laws are computed in one sweep per
+    chunk of indices, each chunk holding at most BLOCK_ENUM_CAP entries (read
+    at call time) in its raw stack, one index when a single law fills it."""
+    nus = np.asarray(nus, dtype=np.int64)
+    bad = nus[(nus < 0) | (nus >= code.N)]
+    if bad.size:
+        raise InvalidInputError(f"nu {int(bad[0])} outside [0, {code.N})")
+    step = max(1, BLOCK_ENUM_CAP // (code.source.alphabet_size ** code.n
+                                     * code.channel.output_size ** code.n))
+    return (Channel.from_rows(raw) for start in range(0, nus.size, step)
+            for raw in _block_law(code, nus[start:start + step]))
+
+
 def fixed_nu_block_channel(code: SimCode, nu: int) -> Channel:
     """The block channel induced by pinning the shared index to one value."""
-    if not 0 <= nu < code.N:
-        raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
-    return Channel.from_rows(_block_law(code, nu))
+    return next(fixed_nu_block_channels(code, [nu]))
 
 
 def encoder_message_law(code: SimCode, nu: int):
@@ -447,14 +473,14 @@ def encoder_message_law(code: SimCode, nu: int):
     y_ranks = np.zeros(num, dtype=np.int64)
     classes, atypical = _typical_classes(code)
     for base, bt in classes.items():
-        blocks, terminate = _law_blocks(code, base, nu)
+        blocks, terminate = _law_blocks(code, base, [nu])
         for fam, block in blocks:
             # a slot holding class rank r has probability block[x, r] / counts[nu, r]
             sel = fam.list_ranks(nu)
             slots = offsets[fam.joint_type] + np.arange(sel.size)
-            cond[np.ix_(bt.x_global, slots)] = block[:, sel] / fam.counts[nu, sel]
+            cond[np.ix_(bt.x_global, slots)] = block[0][:, sel] / fam.counts[nu, sel]
             y_ranks[slots] = fam.y_ranks()[sel]
-        cond[bt.x_global, -1] = terminate
+        cond[bt.x_global, -1] = terminate[0]
     cond[atypical, -1] = 1.0
     return cond, y_ranks
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chansim import covering, fidelity
+from chansim import covering, fidelity, simulate
 from chansim._seeds import child_rng
 from chansim.core_prob import Channel, Distribution
 from chansim.errors import InvalidInputError, RetriesExhaustedError
@@ -152,6 +152,25 @@ def test_family_and_averaged_channel_agree(base_code):
     rep_avg = measure_fidelity(UNIF, BSC, averaged_block_channel(base_code))
     assert rep_fam.global_err == pytest.approx(rep_avg.global_err, abs=1e-12)
     assert rep_fam.local_err == pytest.approx(rep_avg.local_err, abs=1e-12)
+
+
+@pytest.mark.parametrize("one_per_chunk", [False, True])
+def test_families_are_the_pinned_laws_in_index_order(base_code, one_per_chunk,
+                                                     monkeypatch):
+    # the per-index laws are read before the cap shrinks to one law per chunk
+    per_nu = [fixed_nu_block_channel(base_code, nu).rows.tobytes()
+              for nu in range(base_code.N)]
+    dcode = derandomize(base_code, epsilon=0.1, seed=11)
+    if one_per_chunk:
+        monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", 16 * 16)
+        again = derandomize(base_code, epsilon=0.1, seed=11)
+        assert (again.selected_indices, again.retries) == (dcode.selected_indices,
+                                                           dcode.retries)
+    fam, _ = sim_code_family(base_code)
+    assert [ch.rows.tobytes() for ch in fam] == per_nu
+    fam, _ = derandomized_family(dcode)
+    distinct = sorted(set(dcode.selected_indices))
+    assert [ch.rows.tobytes() for ch in fam] == [per_nu[nu] for nu in distinct]
 
 
 def test_report_rejects_out_of_range_values():

@@ -8,6 +8,7 @@ import pytest
 
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
+from chansim import simulate
 from chansim.covering import CoveringFamily
 from chansim.errors import CapExceededError, InvalidInputError
 from chansim.simulate import (
@@ -20,6 +21,7 @@ from chansim.simulate import (
     encode,
     encoder_message_law,
     fixed_nu_block_channel,
+    fixed_nu_block_channels,
     iid_block_law,
     jointly_typical_types,
     load_code,
@@ -222,6 +224,99 @@ def test_pinned_laws_match_the_protocol_definition(code_name, request):
         for rank, x in enumerate(letters):
             np.testing.assert_allclose(rows[rank], reference_pinned_law(code, x, nu),
                                        rtol=0, atol=1e-12)
+
+
+def per_index_law_blocks(code, base, nu):
+    """The pinned exact-law kernel as it ran before the sweep: one index at a
+    time, as a K = 1 product (1/c)^T @ counts per joint type."""
+    bt = simulate._base_tables_for(code, base)
+    terminate = np.zeros(bt.x_global.size)
+    blocks = []
+    for t, w_t in zip(bt.t_list, bt.weights):
+        if w_t == 0.0:
+            continue
+        if t not in code.families:
+            terminate += w_t
+            continue
+        fam = code.families[t]
+        c = fam.compatible_counts()[nu:nu + 1]
+        inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
+        terminate += w_t * (np.count_nonzero(c == 0, axis=0) / 1)
+        block = (w_t / 1) * (inv_c.T @ fam.counts[nu:nu + 1]) * fam.compat()
+        blocks.append((fam, block))
+    return blocks, terminate
+
+
+def per_index_block_law(code, nu):
+    """The pinned block channel rows from the per-index loop."""
+    classes, atypical = simulate._typical_classes(code)
+    rows = np.zeros((atypical.size, code.channel.output_size ** code.n))
+    for base, bt in classes.items():
+        blocks, terminate = per_index_law_blocks(code, base, nu)
+        for fam, block in blocks:
+            rows[np.ix_(bt.x_global, fam.y_ranks())] += block
+        rows[bt.x_global, 0] += terminate
+    rows[atypical, 0] = 1.0
+    return rows
+
+
+INSTANCES = {"bsc25": (UNIF, BSC),
+             "skewed_pair": (Distribution.from_probs([0.6, 0.4]),
+                             Channel.from_rows([[0.9, 0.1], [0.3, 0.7]]))}
+
+
+@pytest.mark.parametrize("one_per_chunk", [False, True])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_pinned_law_sweep_matches_the_per_index_loop(name, n, one_per_chunk,
+                                                     monkeypatch):
+    source, channel = INSTANCES[name]
+    code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
+    if one_per_chunk:
+        # a cap of exactly one law leaves room for one index per chunk
+        monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", 2 ** n * 2 ** n)
+    order = list(range(code.N)) + [code.N - 1, 0]    # any order, repeats kept
+    chunks, block_law = [], simulate._block_law
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_block_law",
+                  lambda code, nus: chunks.append(len(nus)) or block_law(code, nus))
+        laws = list(fixed_nu_block_channels(code, order))
+    assert len(laws) == len(order) == sum(chunks)
+    # each chunk's raw stack stays within the cap that bounds one law
+    assert max(chunks) * 2 ** n * 2 ** n <= simulate.BLOCK_ENUM_CAP
+    for nu, law in zip(order, laws):
+        expect = Channel.from_rows(per_index_block_law(code, nu)).rows
+        assert law.rows.tobytes() == expect.tobytes()
+        assert fixed_nu_block_channel(code, nu).rows.tobytes() == expect.tobytes()
+        assert np.abs(law.rows.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_encoder_message_law_matches_the_per_index_loop(name, n, monkeypatch):
+    source, channel = INSTANCES[name]
+    code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
+    for nu in (0, code.N - 1):
+        cond, y_ranks = encoder_message_law(code, nu)
+        with monkeypatch.context() as m:
+            # the same slot layout, fed by the per-index kernel
+            def per_index(code, base, nus):
+                blocks, terminate = per_index_law_blocks(code, base, nus[0])
+                return [(fam, block[None]) for fam, block in blocks], terminate[None]
+            m.setattr(simulate, "_law_blocks", per_index)
+            expect_cond, expect_ranks = encoder_message_law(code, nu)
+        assert cond.tobytes() == expect_cond.tobytes()
+        assert np.array_equal(y_ranks, expect_ranks)
+
+
+def test_pinned_laws_reject_out_of_range_indices(small_code):
+    for nus in ([small_code.N], [0, -1], [1, small_code.N + 3]):
+        with pytest.raises(InvalidInputError, match="outside"):
+            fixed_nu_block_channels(small_code, nus)
+    for nu in (-1, small_code.N):
+        with pytest.raises(InvalidInputError, match="outside"):
+            fixed_nu_block_channel(small_code, nu)
+    assert list(fixed_nu_block_channels(small_code, [])) == []
 
 
 def test_averaged_block_channel_rows(request):
