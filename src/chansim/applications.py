@@ -38,6 +38,7 @@ from .core_prob import (
 from .errors import CapExceededError, InvalidInputError
 from .simulate import (
     SimCode,
+    _check_block_cap,
     accounting,
     build_sim_code,
     encoder_message_law,
@@ -531,22 +532,6 @@ class PairSimulationResult:
     message_law: Distribution = field(default=None, repr=False)
 
 
-def _message_joint(cond: np.ndarray, p_block: np.ndarray, y_ranks: np.ndarray,
-                   y_size: int, message_scale: np.ndarray) -> np.ndarray:
-    """Joint law over (input word, output word) when message j, sent on
-    input word x with probability cond[x, j], carries weight
-    message_scale[j] and decodes to output rank y_ranks[j].
-
-    One scatter per input word: bincount adds the messages in index order,
-    so each cell equals a sequential sum over its messages.
-    """
-    acc = np.zeros((y_size, p_block.size))
-    for x in range(p_block.size):
-        acc[:, x] = np.bincount(y_ranks, weights=(cond[x] * p_block[x]) * message_scale,
-                                minlength=y_size)
-    return acc.T
-
-
 def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
                              delta: float, epsilon: float, seed: int,
                              nu: int = 0) -> PairSimulationResult:
@@ -558,21 +543,35 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     message. All laws are computed exactly and compared against the
     i.i.d. source-channel joint in total variation.
     """
+    _check_block_cap(source.alphabet_size, channel.output_size, n)
     code = build_sim_code(source, channel, n, delta, epsilon, seed)
-    cond, y_ranks = encoder_message_law(code, nu)
-    count = cond.shape[1]
-    ysz = channel.output_size ** n
+    blocks, count = encoder_message_law(code, nu)
     p_block = iid_block_law(source.probs, n)
-    q = p_block @ cond
+    # each slot lies in one block: sum it over the block's input words in
+    # ascending X^n rank
+    q = np.zeros(count)
+    for blk in blocks:
+        rows, width = blk.probs.shape
+        q[blk.slots] = np.bincount(np.tile(np.arange(width), rows),
+                                   weights=(blk.probs * p_block[blk.x_ranks, None]).ravel(),
+                                   minlength=width)
     law = Distribution(count, q / q.sum())
     plan = build_dilution(law, epsilon)
     mixture = plan.realized_mixture()
     q_tilde = mixture.probs
     ratio = np.divide(q_tilde, law.probs, out=np.zeros_like(q_tilde),
                       where=law.probs > 0)
+    # joints over (x, y), flat in row-major order; a cell gets nonzero mass
+    # from the slots of one joint type, then from the terminate block last
+    ysz = channel.output_size ** n
     target = p_block[:, None] * iid_block_law(channel.rows, n)
-    produced = _message_joint(cond, p_block, y_ranks, ysz, ratio)
-    undiluted = _message_joint(cond, p_block, y_ranks, ysz, np.ones(count))
+    undiluted, produced = np.zeros(target.size), np.zeros(target.size)
+    for blk in blocks:
+        cells = (blk.x_ranks[:, None] * ysz + blk.y_ranks).ravel()
+        mass = blk.probs * p_block[blk.x_ranks, None]
+        undiluted += np.bincount(cells, weights=mass.ravel(), minlength=target.size)
+        produced += np.bincount(cells, weights=(mass * ratio[blk.slots]).ravel(),
+                                minlength=target.size)
     return PairSimulationResult(
         n=n, nu=nu, message_count=count, plan=plan,
         code_joint_tv=tv_distance(undiluted, target),

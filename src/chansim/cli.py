@@ -13,6 +13,7 @@ findings, not errors; they do not change the exit code.
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -665,7 +666,10 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing fills a fresh
+    namespace on each call and reads no module state."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("instance", nargs="?", default=None,
                         help="instance JSON file")

@@ -171,8 +171,17 @@ def measure_fidelity(source: Distribution, channel: Channel, family,
     return FidelityReport(eq3, eq4, eq5, eq6)
 
 
+def _check_family_cap(code: SimCode, count: int):
+    """count block laws of the code, held at once, must fit FIDELITY_ENUM_CAP."""
+    size = count * code.source.alphabet_size ** code.n * code.channel.output_size ** code.n
+    if size > FIDELITY_ENUM_CAP:
+        raise CapExceededError(f"{count} block laws hold {size} entries, "
+                               f"cap is {FIDELITY_ENUM_CAP}")
+
+
 def sim_code_family(code: SimCode):
     """The code as one block channel per shared-index value, uniform weights."""
+    _check_family_cap(code, code.N)
     fam = list(fixed_nu_block_channels(code, range(code.N)))
     return fam, np.full(code.N, 1.0 / code.N)
 
@@ -183,6 +192,7 @@ def derandomized_family(dcode: DerandomizedCode):
     counts = {}
     for nu in dcode.selected_indices:
         counts[nu] = counts.get(nu, 0) + 1
+    _check_family_cap(dcode.base, len(counts))
     fam = list(fixed_nu_block_channels(dcode.base, sorted(counts)))
     weights = np.array([counts[nu] for nu in sorted(counts)], dtype=float) / dcode.Q
     return fam, weights
@@ -212,6 +222,7 @@ def derandomize(code: SimCode, epsilon: float, seed: int) -> DerandomizedCode:
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
         return DerandomizedCode(selected, Q, code, epsilon, u, False, 0)
 
+    _check_family_cap(code, code.N)
     a, b = code.source.alphabet_size, code.channel.output_size
     per_nu = np.empty((code.N, a ** n, b ** n))
     for nu, ch in enumerate(fixed_nu_block_channels(code, range(code.N))):

@@ -24,6 +24,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .typeclasses import (
     enumerate_joint_types,
     enumerate_type_class,
     is_conditionally_typical,
+    type_class_size,
     type_is_typical,
     typical_probability_bounds,
     typical_types,
@@ -331,6 +333,12 @@ def _check_output_cap(code: SimCode):
         raise CapExceededError("output word space exceeds the enumeration cap")
 
 
+def _check_block_cap(x_size: int, y_size: int, n: int):
+    """A table over X^n x Y^n must fit BLOCK_ENUM_CAP, read at call time."""
+    if x_size ** n * y_size ** n > BLOCK_ENUM_CAP:
+        raise CapExceededError("block channel exceeds the enumeration cap")
+
+
 def _typical_classes(code: SimCode):
     """Base tables of every source-typical input type, and a mask over X^n of
     the words outside them, which emit the fallback word."""
@@ -367,9 +375,7 @@ def _block_law(code: SimCode, nus=None) -> np.ndarray:
     shared index, or pinned to each index of the array nus on a leading
     axis; atypical inputs emit the fallback word."""
     _check_output_cap(code)
-    if code.source.alphabet_size ** code.n * code.channel.output_size ** code.n \
-            > BLOCK_ENUM_CAP:
-        raise CapExceededError("block channel exceeds the enumeration cap")
+    _check_block_cap(code.source.alphabet_size, code.channel.output_size, code.n)
     classes, atypical = _typical_classes(code)
     lead = () if nus is None else (len(nus),)
     rows = np.zeros(lead + (atypical.size, code.channel.output_size ** code.n))
@@ -449,40 +455,63 @@ def fixed_nu_block_channel(code: SimCode, nu: int) -> Channel:
     return next(fixed_nu_block_channels(code, [nu]))
 
 
+class MessageBlock(NamedTuple):
+    """One nonzero block of a pinned message law: probs[i, k] is the
+    probability of message slots[k], which the decoder turns into the Y^n
+    word of rank y_ranks[k], given the input word of X^n rank x_ranks[i].
+    probs is row-major, its rows in ascending X^n rank and its slots
+    ascending along each row."""
+
+    x_ranks: np.ndarray
+    slots: np.ndarray
+    y_ranks: np.ndarray
+    probs: np.ndarray
+
+
 def encoder_message_law(code: SimCode, nu: int):
     """Exact law of the encoder's transmitted message for a pinned shared
-    index.
+    index, kept as its nonzero blocks.
 
-    Returns (cond, y_ranks). Column j is one message: the M slots
+    Returns (blocks, count). The count messages are the M slots
     (announced_type, mu), mu ascending, of each joint type in announcement
     order (code.typical_joint_types), then the terminate sentinel last.
-    cond[rank, j] is the probability of message j given the rank-th input
-    word (lexicographic X^n order, rows sum to 1), and y_ranks[j] is the
-    lexicographic Y^n rank of the word the decoder emits on message j.
+    blocks holds one MessageBlock per covered joint type of positive
+    weight, over the class of its row marginal, then one terminate block
+    over every input word, which emits the fallback word (Y^n rank 0). A
+    message outside a word's blocks has probability 0 given that word, and
+    each word's blocks sum to 1. The blocks hold at most
+    sum_t |T_R(t)| M_t + |X|^n entries, checked against BLOCK_ENUM_CAP
+    before any is built.
     """
     _require_words(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     n, a = code.n, code.source.alphabet_size
-    sizes = np.array([code.records[t].M for t in code.typical_joint_types], dtype=np.int64)
-    offsets = dict(zip(code.typical_joint_types, (np.cumsum(sizes) - sizes).tolist()))
-    num = int(sizes.sum()) + 1
-    if a ** n * num > BLOCK_ENUM_CAP:
-        raise CapExceededError("message law table exceeds the enumeration cap")
-    cond = np.zeros((a ** n, num))
-    y_ranks = np.zeros(num, dtype=np.int64)
+    sizes = [code.records[t].M for t in code.typical_joint_types]
+    entries = a ** n + sum(type_class_size(t.row_marginal()) * m
+                           for t, m in zip(code.typical_joint_types, sizes))
+    if entries > BLOCK_ENUM_CAP:
+        raise CapExceededError(f"message law has {entries} block entries, "
+                               f"cap is {BLOCK_ENUM_CAP}")
+    offsets = dict(zip(code.typical_joint_types, np.cumsum([0] + sizes).tolist()))
     classes, atypical = _typical_classes(code)
+    terminate = atypical.astype(float)
+    blocks = []
     for base, bt in classes.items():
-        blocks, terminate = _law_blocks(code, base, [nu])
-        for fam, block in blocks:
+        law, class_terminate = _law_blocks(code, base, [nu])
+        for fam, block in law:
             # a slot holding class rank r has probability block[x, r] / counts[nu, r]
             sel = fam.list_ranks(nu)
-            slots = offsets[fam.joint_type] + np.arange(sel.size)
-            cond[np.ix_(bt.x_global, slots)] = block[0][:, sel] / fam.counts[nu, sel]
-            y_ranks[slots] = fam.y_ranks()[sel]
-        cond[bt.x_global, -1] = terminate[0]
-    cond[atypical, -1] = 1.0
-    return cond, y_ranks
+            blocks.append(MessageBlock(bt.x_global,
+                                       offsets[fam.joint_type] + np.arange(sel.size),
+                                       fam.y_ranks()[sel],
+                                       np.take(block[0], sel, axis=1)
+                                       / fam.counts[nu, sel]))
+        terminate[bt.x_global] = class_terminate[0]
+    count = sum(sizes) + 1
+    blocks.append(MessageBlock(np.arange(a ** n), np.array([count - 1]),
+                               np.zeros(1, dtype=np.int64), terminate[:, None]))
+    return blocks, count
 
 
 def accounting(code: SimCode):

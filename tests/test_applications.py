@@ -25,6 +25,8 @@ from chansim.applications import (
     uniform_index_stream,
 )
 
+from test_simulate import dense_message_law
+
 UNIF2 = Distribution.uniform(2)
 SKEWED2 = Distribution.from_probs([0.6, 0.4])
 
@@ -490,24 +492,53 @@ def test_pipeline_matches_loop_and_add_at_reference(name, bench_seed):
     assert plan.to_json_dict() == pipe.plan.to_json_dict()
 
     code = simulate.build_sim_code(source, channel, n, 2.0, 0.1, seed)
-    cond, y_ranks = simulate.encoder_message_law(code, 0)
+    cond, y_ranks = dense_message_law(code, 0)
     # one column per slot of each type's list, then the terminate column last
     spans = np.cumsum([code.records[t].M for t in code.typical_joint_types])
     assert cond.shape[1] == pipe.message_count == spans[-1] + 1
     assert y_ranks[-1] == 0
     p_block = simulate.iid_block_law(source.probs, n)
+    # the message law sums each slot over input words in ascending X^n rank
+    q = np.zeros(cond.shape[1])
+    for x in range(p_block.size):
+        q += p_block[x] * cond[x]
     law = pipe.message_law.probs
+    assert np.array_equal(law, q / q.sum())
     q_tilde = _loop_mixture(_loop_dilution(pipe.message_law, 0.1))
     ratio = np.divide(q_tilde, law, out=np.zeros_like(q_tilde), where=law > 0)
     target = p_block[:, None] * simulate.iid_block_law(channel.rows, n)
 
     for scale, tv in ((np.ones(law.size), pipe.code_joint_tv), (ratio, pipe.joint_tv)):
+        # each cell summed over its messages in index order
         acc = np.zeros((channel.output_size ** n, p_block.size))
         np.add.at(acc, y_ranks, (cond * p_block[:, None]).T * scale[:, None])
-        joint = applications._message_joint(cond, p_block, y_ranks, acc.shape[0], scale)
-        assert np.array_equal(joint, acc.T) and joint.strides == acc.T.strides
         assert tv == float(0.5 * np.abs(acc.T - target).sum())
     assert pipe.dilution_tv == tv_distance(law, q_tilde)
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_INSTANCES))
+def test_pipeline_runs_at_n6_under_the_default_caps(name):
+    source, channel = PIPELINE_INSTANCES[name]
+    pipe = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
+    code = simulate.build_sim_code(source, channel, 6, 2.0, 0.1, 7)
+    blocks, count = simulate.encoder_message_law(code, 0)
+    assert count == pipe.message_count
+    # the blocks fit the cap that a dense |X|^n x messages table exceeds
+    assert sum(blk.probs.size for blk in blocks) <= simulate.BLOCK_ENUM_CAP < 2 ** 6 * count
+    rows = np.zeros(2 ** 6)
+    for blk in blocks:
+        rows[blk.x_ranks] += blk.probs.sum(axis=1)
+    assert np.abs(rows - 1.0).max() <= 1e-12
+    assert abs(pipe.message_law.probs.sum() - 1.0) <= 1e-12
+
+
+def test_pipeline_checks_its_joint_tables_before_building(monkeypatch):
+    source, channel = PIPELINE_INSTANCES["bsc25"]
+    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", 2 ** 3 * 2 ** 3 - 1)
+    monkeypatch.setattr(applications, "build_sim_code",
+                        lambda *args: pytest.fail("built a code past the cap"))
+    with pytest.raises(CapExceededError, match="block channel"):
+        pair_simulation_pipeline(source, channel, 3, 2.0, 0.1, 7)
 
 
 @pytest.mark.parametrize("epsilon", [0.02, 0.1, 0.3])

@@ -317,6 +317,20 @@ def test_config_hash_ignores_default_caps(monkeypatch, bsc_file):
     assert override.config_hash() != base
 
 
+def test_consecutive_configs_share_no_parser_state(bsc_file):
+    argv = ["derandomize", bsc_file, "--n", "4", "--delta", "2.0"]
+    first = build_config(argv + ["--cap-override", "FIDELITY_ENUM_CAP=3583",
+                                 "--seed", "3"])
+    second = build_config(argv)
+    assert first.caps == {"FIDELITY_ENUM_CAP": 3583} and first.seed == 3
+    assert second.caps == {} and second.seed == 0
+    assert first.params == second.params == {"n": 4, "delta": 2.0}
+    third = build_config(argv + ["--cap-override", "BLOCK_ENUM_CAP=256"])
+    assert third.caps == {"BLOCK_ENUM_CAP": 256}
+    assert first.caps == {"FIDELITY_ENUM_CAP": 3583}
+    assert build_config(["typical", bsc_file]).params == {}
+
+
 def test_csv_headers_and_versioning(tmp_path, bsc_file):
     out = tmp_path / "run"
     assert main(["typical", bsc_file, "--n", "8", "--delta", "1.0",

@@ -8,7 +8,7 @@ import pytest
 from chansim import covering, fidelity, simulate
 from chansim._seeds import child_rng
 from chansim.core_prob import Channel, Distribution
-from chansim.errors import InvalidInputError, RetriesExhaustedError
+from chansim.errors import CapExceededError, InvalidInputError, RetriesExhaustedError
 from chansim.fidelity import (
     DerandomizedCode,
     FidelityReport,
@@ -171,6 +171,29 @@ def test_families_are_the_pinned_laws_in_index_order(base_code, one_per_chunk,
     fam, _ = derandomized_family(dcode)
     distinct = sorted(set(dcode.selected_indices))
     assert [ch.rows.tobytes() for ch in fam] == [per_nu[nu] for nu in distinct]
+
+
+def test_families_check_the_fidelity_cap_before_building(base_code, monkeypatch):
+    dcode = derandomize(base_code, epsilon=0.1, seed=11)
+    held = base_code.N * 16 * 16        # every pinned 16 x 16 law at once
+    distinct = len(set(dcode.selected_indices))
+    sweep = simulate.fixed_nu_block_channels
+    monkeypatch.setattr(fidelity, "fixed_nu_block_channels",
+                        lambda *args: pytest.fail("built laws past the cap"))
+    monkeypatch.setattr(fidelity, "FIDELITY_ENUM_CAP", held - 1)
+    for build in (lambda: derandomize(base_code, epsilon=0.1, seed=11),
+                  lambda: sim_code_family(base_code)):
+        with pytest.raises(CapExceededError, match=f"{base_code.N} block laws"):
+            build()
+    monkeypatch.setattr(fidelity, "FIDELITY_ENUM_CAP", distinct * 16 * 16 - 1)
+    with pytest.raises(CapExceededError, match=f"{distinct} block laws"):
+        derandomized_family(dcode)
+    monkeypatch.setattr(fidelity, "fixed_nu_block_channels", sweep)
+    monkeypatch.setattr(fidelity, "FIDELITY_ENUM_CAP", held)
+    again = derandomize(base_code, epsilon=0.1, seed=11)
+    assert (again.selected_indices, again.retries) == (dcode.selected_indices, dcode.retries)
+    assert len(sim_code_family(base_code)[0]) == base_code.N
+    assert len(derandomized_family(dcode)[0]) == distinct
 
 
 def test_report_rejects_out_of_range_values():

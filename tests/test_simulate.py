@@ -37,6 +37,7 @@ from chansim.typeclasses import (
     count_joint_occurrences,
     count_occurrences,
     is_typical,
+    type_class_size,
 )
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
@@ -291,22 +292,68 @@ def test_pinned_law_sweep_matches_the_per_index_loop(name, n, one_per_chunk,
         assert np.abs(law.rows.sum(axis=1) - 1.0).max() <= 1e-12
 
 
+def dense_message_law(code, nu):
+    """The pinned message law as a dense |X|^n x messages table, fed by the
+    per-index kernel: (cond, y_ranks), one column per slot of each type's
+    list in announcement order, then the terminate column last."""
+    sizes = [code.records[t].M for t in code.typical_joint_types]
+    offsets = dict(zip(code.typical_joint_types, np.cumsum([0] + sizes).tolist()))
+    cond = np.zeros((code.source.alphabet_size ** code.n, sum(sizes) + 1))
+    y_ranks = np.zeros(cond.shape[1], dtype=np.int64)
+    classes, atypical = simulate._typical_classes(code)
+    for base, bt in classes.items():
+        blocks, terminate = per_index_law_blocks(code, base, nu)
+        for fam, block in blocks:
+            sel = fam.list_ranks(nu)
+            slots = offsets[fam.joint_type] + np.arange(sel.size)
+            cond[np.ix_(bt.x_global, slots)] = block[:, sel] / fam.counts[nu, sel]
+            y_ranks[slots] = fam.y_ranks()[sel]
+        cond[bt.x_global, -1] = terminate
+    cond[atypical, -1] = 1.0
+    return cond, y_ranks
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_encoder_message_law_matches_the_per_index_loop(name, n, monkeypatch):
+def test_encoder_message_law_matches_the_per_index_loop(name, n):
     source, channel = INSTANCES[name]
     code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
     for nu in (0, code.N - 1):
-        cond, y_ranks = encoder_message_law(code, nu)
-        with monkeypatch.context() as m:
-            # the same slot layout, fed by the per-index kernel
-            def per_index(code, base, nus):
-                blocks, terminate = per_index_law_blocks(code, base, nus[0])
-                return [(fam, block[None]) for fam, block in blocks], terminate[None]
-            m.setattr(simulate, "_law_blocks", per_index)
-            expect_cond, expect_ranks = encoder_message_law(code, nu)
+        blocks, count = encoder_message_law(code, nu)
+        expect_cond, expect_ranks = dense_message_law(code, nu)
+        cond = np.zeros((2 ** n, count))
+        covered = np.zeros(count, dtype=bool)
+        for blk in blocks:
+            # rows in ascending X^n rank, slots ascending along each row
+            assert np.all(np.diff(blk.x_ranks) > 0) and np.all(np.diff(blk.slots) > 0)
+            assert blk.probs.flags.c_contiguous
+            assert blk.probs.shape == (blk.x_ranks.size, blk.slots.size)
+            assert not covered[blk.slots].any()        # each slot in one block
+            covered[blk.slots] = True
+            cond[np.ix_(blk.x_ranks, blk.slots)] = blk.probs
+            assert np.array_equal(blk.y_ranks, expect_ranks[blk.slots])
         assert cond.tobytes() == expect_cond.tobytes()
-        assert np.array_equal(y_ranks, expect_ranks)
+        last = blocks[-1]
+        assert np.array_equal(last.slots, [count - 1]) and np.array_equal(last.y_ranks, [0])
+        assert np.array_equal(last.x_ranks, np.arange(2 ** n))
+
+
+def test_message_law_checks_its_block_entries_before_building(small_code, monkeypatch):
+    entries = 2 ** small_code.n + sum(
+        type_class_size(t.row_marginal()) * small_code.records[t].M
+        for t in small_code.typical_joint_types)
+    built, law_blocks = [], simulate._law_blocks
+    monkeypatch.setattr(simulate, "_law_blocks",
+                        lambda *args: built.append(args) or law_blocks(*args))
+    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", entries - 1)
+    with pytest.raises(CapExceededError, match="block entries"):
+        encoder_message_law(small_code, 0)
+    assert built == []
+    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", entries)
+    blocks, _ = encoder_message_law(small_code, 0)
+    # every joint type of the BSC has positive weight, so the count is exact
+    assert sum(blk.probs.size for blk in blocks) == entries
+    assert built
 
 
 def test_pinned_laws_reject_out_of_range_indices(small_code):
@@ -427,21 +474,29 @@ def test_output_cap_enforced():
 
 
 def test_message_law_aggregates_to_block_channel(small_code):
-    cond, y_ranks = encoder_message_law(small_code, nu=2)
+    blocks, count = encoder_message_law(small_code, nu=2)
+    cond, y_ranks = dense_message_law(small_code, 2)
     fams = [small_code.families[t] for t in small_code.typical_joint_types]
     starts = np.cumsum([0] + [fam.M for fam in fams])
-    assert cond.shape == (16, starts[-1] + 1)      # the terminate column is last
+    assert cond.shape == (16, count) == (16, starts[-1] + 1)  # terminate is last
     assert np.allclose(cond.sum(axis=1), 1.0, atol=1e-9)
     assert y_ranks[-1] == 0
     x_types = [count_occurrences(x, 2) for x in word_letters(2, 4)]
-    for fam, lo, hi in zip(fams, starts, starts[1:]):
-        # the type's columns span its M slots, in slot order
-        assert hi - lo == fam.M
-        assert np.array_equal(y_ranks[lo:hi], fam.y_ranks()[fam.list_ranks(2)])
-        other = [r for r, t in enumerate(x_types) if t != fam.joint_type.row_marginal()]
-        assert not cond[other, lo:hi].any()
+    # one block per joint type, then the terminate block
+    assert len(blocks) == len(fams) + 1
+    for blk in blocks[:-1]:
+        i = int(np.searchsorted(starts, blk.slots[0], side="right")) - 1
+        fam = fams[i]
+        # the block spans its type's M slots, in slot order, on its input class
+        assert np.array_equal(blk.slots, np.arange(starts[i], starts[i + 1]))
+        assert np.array_equal(blk.y_ranks, fam.y_ranks()[fam.list_ranks(2)])
+        assert np.array_equal(blk.y_ranks, y_ranks[starts[i]:starts[i + 1]])
+        base = fam.joint_type.row_marginal()
+        assert np.array_equal(blk.x_ranks, [r for r, t in enumerate(x_types) if t == base])
+        assert np.array_equal(cond[blk.x_ranks][:, blk.slots], blk.probs)
     rows = np.zeros((16, small_code.channel.output_size ** 4))
-    np.add.at(rows.T, y_ranks, cond.T)
+    for blk in blocks:
+        np.add.at(rows, (blk.x_ranks[:, None], blk.y_ranks[None, :]), blk.probs)
     assert np.allclose(rows, fixed_nu_block_channel(small_code, 2).rows,
                        atol=1e-12)
 
