@@ -24,7 +24,7 @@ print(f"tail mass dropped     = {plan.infinite_mass:.3g}")
 print("\nbuckets (interval index, members, weight / k^2):")
 for b in plan.buckets:
     if b.weight_count:
-        print(f"  {b.interval_index:3d}  {list(b.members)}  {b.weight_count}")
+        print(f"  {b.interval_index:3d}  {b.members.tolist()}  {b.weight_count}")
 
 tv = plan.tv_error()
 print(f"\nrealized tv from target = {tv:.6f}"

@@ -59,13 +59,22 @@ RD_BISECT_ITERS = 200
 # ---------------------------------------------------------------------------
 # dilution of a uniform index into an arbitrary distribution
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DilutionBucket:
-    """One geometric probability bucket: members share a 1+eps scale."""
+    """One geometric probability bucket: members, a read-only int64 array
+    of target symbols in ascending order, share a 1+eps scale. Buckets
+    compare by value and are not hashable."""
     interval_index: int
-    members: tuple
+    members: np.ndarray
     mass: float
     weight_count: int   # numerator of the k^2-type bucket weight
+
+    def __eq__(self, other):
+        if not isinstance(other, DilutionBucket):
+            return NotImplemented
+        return ((self.interval_index, self.mass, self.weight_count)
+                == (other.interval_index, other.mass, other.weight_count)
+                and np.array_equal(self.members, other.members))
 
 
 @dataclass(frozen=True)
@@ -84,7 +93,7 @@ class DilutionPlan:
         probs = np.zeros(self.target.alphabet_size)
         for b in self.buckets:
             if b.weight_count:
-                probs[np.array(b.members)] = b.weight_count / (self.helper_size * len(b.members))
+                probs[b.members] = b.weight_count / (self.helper_size * len(b.members))
         return Distribution(self.target.alphabet_size, probs)
 
     def tv_error(self) -> float:
@@ -96,7 +105,7 @@ class DilutionPlan:
             "epsilon": self.epsilon,
             "k": self.k,
             "buckets": [
-                {"interval_index": b.interval_index, "members": list(b.members),
+                {"interval_index": b.interval_index, "members": [int(c) for c in b.members],
                  "mass": b.mass, "weight_count": b.weight_count}
                 for b in self.buckets
             ],
@@ -108,14 +117,19 @@ class DilutionPlan:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DilutionPlan":
         buckets = tuple(
-            DilutionBucket(int(b["interval_index"]),
-                           tuple(int(c) for c in b["members"]),
+            DilutionBucket(int(b["interval_index"]), _members(b["members"]),
                            float(b["mass"]), int(b["weight_count"]))
             for b in doc["buckets"]
         )
         return cls(Distribution.from_json_dict(doc["target"]), float(doc["epsilon"]),
                    int(doc["k"]), buckets, float(doc["infinite_mass"]),
                    int(doc["helper_size"]), int(doc["total_uniform_size"]))
+
+
+def _members(symbols) -> np.ndarray:
+    members = np.asarray(symbols, dtype=np.int64)
+    members.flags.writeable = False
+    return members
 
 
 def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
@@ -136,19 +150,25 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     k = math.ceil((math.log2(probs.size) - math.log2(epsilon)) / epsilon)
     live = np.flatnonzero(probs > 0.0)
     with np.errstate(over="ignore", invalid="ignore"):   # subnormal q: t = inf, tail
-        t = np.log(1.0 / probs[live]) / math.log1p(epsilon)
+        t = np.log(1.0 / probs[live])
+        t /= math.log1p(epsilon)
         nearest = np.rint(t)
-        t = np.where(np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)), nearest, t)
-    index = np.maximum(1.0, np.ceil(t))
-    kept = index <= k
+        np.copyto(t, nearest, where=np.abs(t - nearest) <= 1e-12 * np.maximum(1.0, np.abs(t)))
+    del nearest
+    np.ceil(t, out=t)
+    kept = t <= k
     in_bucket = live[kept]
+    index = np.maximum(t[kept], 1.0).astype(np.int64)
+    del live, t, kept
     tail = np.ones(probs.size, dtype=bool)
     tail[in_bucket] = False
     infinite_mass = float(np.cumsum(np.append(0.0, probs[tail]))[-1])
-    order, bucket_of, sizes = np.unique(index[kept].astype(np.int64),
-                                        return_inverse=True, return_counts=True)
-    masses = np.bincount(bucket_of, weights=probs[in_bucket], minlength=order.size).tolist()
-    members = np.split(in_bucket[np.argsort(bucket_of, kind="stable")], np.cumsum(sizes)[:-1])
+    del tail
+    sizes = np.bincount(index, minlength=k + 1)
+    order = np.flatnonzero(sizes)
+    masses = np.bincount(index, weights=probs[in_bucket], minlength=k + 1)[order].tolist()
+    members = np.split(_members(in_bucket[np.argsort(index, kind="stable")]),
+                       np.cumsum(sizes[order])[:-1])
     order = order.tolist()
     finite_mass = 1.0 - infinite_mass
     helper = k * k
@@ -159,7 +179,7 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     for i in leftovers[:helper - sum(counts)]:
         counts[i] += 1
     buckets = tuple(
-        DilutionBucket(a, tuple(members[i].tolist()), masses[i], counts[i])
+        DilutionBucket(a, members[i], masses[i], counts[i])
         for i, a in enumerate(order)
     )
     block = math.lcm(*(len(b.members) for b in buckets if b.weight_count > 0))
@@ -195,7 +215,7 @@ def realize_from_uniform(plan: DilutionPlan, uniform_sample_stream):
     for b in plan.buckets:
         acc += b.weight_count
         if slot < acc:
-            return b.members[residue % len(b.members)]
+            return int(b.members[residue % len(b.members)])
     raise InvalidInputError("helper slot not covered by bucket weights")
 
 
@@ -556,17 +576,19 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
                                    weights=(blk.probs * p_block[blk.x_ranks, None]).ravel(),
                                    minlength=width)
     law = Distribution(count, q / q.sum())
+    del q
     plan = build_dilution(law, epsilon)
     mixture = plan.realized_mixture()
     q_tilde = mixture.probs
     ratio = np.divide(q_tilde, law.probs, out=np.zeros_like(q_tilde),
                       where=law.probs > 0)
-    # joints over (x, y), flat in row-major order; a cell gets nonzero mass
-    # from the slots of one joint type, then from the terminate block last
+    # joints over (x, y), flat in row-major order, from a second sweep; a
+    # cell gets nonzero mass from the slots of one joint type, then from
+    # the terminate block last
     ysz = channel.output_size ** n
     target = p_block[:, None] * iid_block_law(channel.rows, n)
     undiluted, produced = np.zeros(target.size), np.zeros(target.size)
-    for blk in blocks:
+    for blk in encoder_message_law(code, nu)[0]:
         cells = (blk.x_ranks[:, None] * ysz + blk.y_ranks).ravel()
         mass = blk.probs * p_block[blk.x_ranks, None]
         undiluted += np.bincount(cells, weights=mass.ravel(), minlength=target.size)

@@ -388,14 +388,6 @@ def _block_law(code: SimCode, nus=None) -> np.ndarray:
     return rows
 
 
-def channel_block_row(channel: Channel, x_word) -> np.ndarray:
-    """The i.i.d. channel law over Y^n for one input word, lexicographic."""
-    row = np.ones(1)
-    for x in x_word:
-        row = np.kron(row, channel.rows[int(x)])
-    return row
-
-
 def _channel_tv_rows(rows: np.ndarray, channel: Channel, n: int) -> np.ndarray:
     """Total variation of every row of a block channel X^n -> Y^n against the
     i.i.d. channel row of its input word, with one block-sized temporary."""
@@ -460,7 +452,8 @@ class MessageBlock(NamedTuple):
     probability of message slots[k], which the decoder turns into the Y^n
     word of rank y_ranks[k], given the input word of X^n rank x_ranks[i].
     probs is row-major, its rows in ascending X^n rank and its slots
-    ascending along each row."""
+    ascending along each row. Blocks come from encoder_message_law's
+    one-pass iterator, one input type's blocks at a time."""
 
     x_ranks: np.ndarray
     slots: np.ndarray
@@ -470,48 +463,52 @@ class MessageBlock(NamedTuple):
 
 def encoder_message_law(code: SimCode, nu: int):
     """Exact law of the encoder's transmitted message for a pinned shared
-    index, kept as its nonzero blocks.
+    index, streamed as its nonzero blocks.
 
     Returns (blocks, count). The count messages are the M slots
     (announced_type, mu), mu ascending, of each joint type in announcement
     order (code.typical_joint_types), then the terminate sentinel last.
-    blocks holds one MessageBlock per covered joint type of positive
-    weight, over the class of its row marginal, then one terminate block
-    over every input word, which emits the fallback word (Y^n rank 0). A
-    message outside a word's blocks has probability 0 given that word, and
-    each word's blocks sum to 1. The blocks hold at most
-    sum_t |T_R(t)| M_t + |X|^n entries, checked against BLOCK_ENUM_CAP
-    before any is built.
+    blocks is a one-pass iterator: one MessageBlock per covered joint type
+    of positive weight, over the class of its row marginal, built one
+    source-typical input type at a time, then one terminate block over
+    every input word, which emits the fallback word (Y^n rank 0). A message
+    outside a word's blocks has probability 0 given that word, and each
+    word's blocks sum to 1. Every check runs at the call: the blocks of one
+    input type R plus the terminate block hold at most
+    sum_{t: row marginal R} |T_R| M_t + |X|^n entries at once, and the
+    largest such sum must fit BLOCK_ENUM_CAP. Call again for a second sweep.
     """
     _require_words(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
-    n, a = code.n, code.source.alphabet_size
     sizes = [code.records[t].M for t in code.typical_joint_types]
-    entries = a ** n + sum(type_class_size(t.row_marginal()) * m
-                           for t, m in zip(code.typical_joint_types, sizes))
+    held = {}
+    for t, m in zip(code.typical_joint_types, sizes):
+        base = t.row_marginal()
+        held[base] = held.get(base, 0) + type_class_size(base) * m
+    entries = code.source.alphabet_size ** code.n + max(held.values(), default=0)
     if entries > BLOCK_ENUM_CAP:
-        raise CapExceededError(f"message law has {entries} block entries, "
-                               f"cap is {BLOCK_ENUM_CAP}")
+        raise CapExceededError(f"message law holds {entries} block entries of one "
+                               f"input type, cap is {BLOCK_ENUM_CAP}")
     offsets = dict(zip(code.typical_joint_types, np.cumsum([0] + sizes).tolist()))
+    count = sum(sizes) + 1
+    return _message_blocks(code, nu, offsets, count), count
+
+
+def _message_blocks(code: SimCode, nu: int, offsets: dict, count: int):
     classes, atypical = _typical_classes(code)
     terminate = atypical.astype(float)
-    blocks = []
     for base, bt in classes.items():
         law, class_terminate = _law_blocks(code, base, [nu])
         for fam, block in law:
             # a slot holding class rank r has probability block[x, r] / counts[nu, r]
             sel = fam.list_ranks(nu)
-            blocks.append(MessageBlock(bt.x_global,
-                                       offsets[fam.joint_type] + np.arange(sel.size),
-                                       fam.y_ranks()[sel],
-                                       np.take(block[0], sel, axis=1)
-                                       / fam.counts[nu, sel]))
+            yield MessageBlock(bt.x_global, offsets[fam.joint_type] + np.arange(sel.size),
+                               fam.y_ranks()[sel],
+                               np.take(block[0], sel, axis=1) / fam.counts[nu, sel])
         terminate[bt.x_global] = class_terminate[0]
-    count = sum(sizes) + 1
-    blocks.append(MessageBlock(np.arange(a ** n), np.array([count - 1]),
-                               np.zeros(1, dtype=np.int64), terminate[:, None]))
-    return blocks, count
+    yield MessageBlock(np.arange(terminate.size), np.array([count - 1]),
+                       np.zeros(1, dtype=np.int64), terminate[:, None])
 
 
 def accounting(code: SimCode):

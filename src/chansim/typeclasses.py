@@ -161,10 +161,6 @@ def type_is_typical(t: ExactType, spec: TypicalSpec) -> bool:
     return True
 
 
-def is_typical(word, spec: TypicalSpec) -> bool:
-    return type_is_typical(count_occurrences(word, spec.p.alphabet_size), spec)
-
-
 def is_conditionally_typical(t: JointType, w: Channel, delta: float) -> bool:
     """Cell-wise window for the conditional part of a joint type: for each x
     with row count r_x, |t[x][y] - r_x W(y|x)| <= delta sqrt(r_x) sigma_xy."""

@@ -3,6 +3,7 @@ built on top of the simulation machinery."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from chansim.applications import (
     uniform_index_stream,
 )
 
-from test_simulate import dense_message_law
+from test_simulate import dense_message_law, message_entries_per_input_type
 
 UNIF2 = Distribution.uniform(2)
 SKEWED2 = Distribution.from_probs([0.6, 0.4])
@@ -118,6 +119,13 @@ def test_dilution_plan_serialization():
     assert (back.k, back.helper_size, back.total_uniform_size) \
         == (plan.k, plan.helper_size, plan.total_uniform_size)
     assert np.allclose(back.target.probs, plan.target.probs)
+    # buckets of several members compare by value; members stay read-only
+    plan = build_dilution(Distribution.from_probs([0.3, 0.3, 0.2, 0.2]), 0.1)
+    back = DilutionPlan.from_json_dict(plan.to_json_dict())
+    assert [b.members.tolist() for b in plan.buckets] == [[0, 1], [2, 3]]
+    assert back.buckets == plan.buckets
+    assert back.buckets != plan.buckets[::-1]
+    assert not any(b.members.flags.writeable for b in plan.buckets + back.buckets)
 
 
 def test_distortion_spec_validation():
@@ -522,6 +530,7 @@ def test_pipeline_runs_at_n6_under_the_default_caps(name):
     pipe = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
     code = simulate.build_sim_code(source, channel, 6, 2.0, 0.1, 7)
     blocks, count = simulate.encoder_message_law(code, 0)
+    blocks = list(blocks)
     assert count == pipe.message_count
     # the blocks fit the cap that a dense |X|^n x messages table exceeds
     assert sum(blk.probs.size for blk in blocks) <= simulate.BLOCK_ENUM_CAP < 2 ** 6 * count
@@ -530,6 +539,54 @@ def test_pipeline_runs_at_n6_under_the_default_caps(name):
         rows[blk.x_ranks] += blk.probs.sum(axis=1)
     assert np.abs(rows - 1.0).max() <= 1e-12
     assert abs(pipe.message_law.probs.sum() - 1.0) <= 1e-12
+
+
+def _message_entries(source, channel, n):
+    """(largest, total) block entries of the pinned message law: the most
+    one input type's blocks and the terminate block hold at once, and all
+    blocks together."""
+    code = simulate.build_sim_code(source, channel, n, 2.0, 0.1, 7)
+    held = message_entries_per_input_type(code)
+    return max(held.values()), sum(held.values()) - (len(held) - 1) * 2 ** n
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_INSTANCES))
+def test_pipeline_runs_at_n6_with_the_cap_at_the_largest_input_type(name, monkeypatch):
+    source, channel = PIPELINE_INSTANCES[name]
+    expect = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
+    largest, total = _message_entries(source, channel, 6)
+    assert largest < total
+    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest - 1)
+    with pytest.raises(CapExceededError, match="block entries"):
+        pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
+    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest)
+    pipe = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
+    assert pipe.message_law.probs.tobytes() == expect.message_law.probs.tobytes()
+    assert (pipe.code_joint_tv, pipe.dilution_tv, pipe.joint_tv) \
+        == (expect.code_joint_tv, expect.dilution_tv, expect.joint_tv)
+
+
+def test_pipeline_runs_bsc25_at_n7_under_the_default_caps():
+    source, channel = PIPELINE_INSTANCES["bsc25"]
+    # all blocks together exceed the cap; one input type's blocks fit it
+    largest, total = _message_entries(source, channel, 7)
+    assert largest <= simulate.BLOCK_ENUM_CAP < total
+    pipe = pair_simulation_pipeline(source, channel, 7, 2.0, 0.1, 7)
+    assert abs(pipe.message_law.probs.sum() - 1.0) <= 1e-12
+    assert pipe.joint_tv <= pipe.code_joint_tv + pipe.dilution_tv
+
+
+def test_pipeline_peak_traced_memory_at_n5():
+    """One n = 5 call, code build included, never holds every message block
+    at once: its traced peak stays at or below 9 MB."""
+    source, channel = PIPELINE_INSTANCES["bsc25"]
+    tracemalloc.start()
+    try:
+        pair_simulation_pipeline(source, channel, 5, 2.0, 0.1, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9 * 2 ** 20
 
 
 def test_pipeline_checks_its_joint_tables_before_building(monkeypatch):

@@ -23,10 +23,11 @@ from chansim.fidelity import (
 from chansim.simulate import (
     averaged_block_channel,
     build_sim_code,
-    channel_block_row,
     fixed_nu_block_channel,
     word_letters,
 )
+
+from test_simulate import channel_block_row
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 UNIF = Distribution.uniform(2)

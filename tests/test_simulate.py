@@ -16,7 +16,6 @@ from chansim.simulate import (
     accounting,
     averaged_block_channel,
     build_sim_code,
-    channel_block_row,
     decode,
     encode,
     encoder_message_law,
@@ -36,12 +35,21 @@ from chansim.typeclasses import (
     TypicalSpec,
     count_joint_occurrences,
     count_occurrences,
-    is_typical,
     type_class_size,
 )
 
+from test_typeclasses import is_typical
+
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 UNIF = Distribution.uniform(2)
+
+
+def channel_block_row(channel, x_word):
+    """The i.i.d. channel law over Y^n for one input word, lexicographic."""
+    row = np.ones(1)
+    for x in x_word:
+        row = np.kron(row, channel.rows[int(x)])
+    return row
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +328,7 @@ def test_encoder_message_law_matches_the_per_index_loop(name, n):
     code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
     for nu in (0, code.N - 1):
         blocks, count = encoder_message_law(code, nu)
+        blocks = list(blocks)
         expect_cond, expect_ranks = dense_message_law(code, nu)
         cond = np.zeros((2 ** n, count))
         covered = np.zeros(count, dtype=bool)
@@ -338,22 +347,41 @@ def test_encoder_message_law_matches_the_per_index_loop(name, n):
         assert np.array_equal(last.x_ranks, np.arange(2 ** n))
 
 
+def message_entries_per_input_type(code):
+    """Block entries the message law holds while it streams each input
+    type: its joint types' |T_R| M_t plus the |X|^n terminate block."""
+    held = {}
+    for t in code.typical_joint_types:
+        base = t.row_marginal()
+        held[base] = held.get(base, code.source.alphabet_size ** code.n) \
+            + type_class_size(base) * code.records[t].M
+    return held
+
+
 def test_message_law_checks_its_block_entries_before_building(small_code, monkeypatch):
-    entries = 2 ** small_code.n + sum(
-        type_class_size(t.row_marginal()) * small_code.records[t].M
-        for t in small_code.typical_joint_types)
+    held = message_entries_per_input_type(small_code)
+    largest = max(held.values())
+    assert largest < sum(held.values())
     built, law_blocks = [], simulate._law_blocks
     monkeypatch.setattr(simulate, "_law_blocks",
                         lambda *args: built.append(args) or law_blocks(*args))
-    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", entries - 1)
+    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest - 1)
     with pytest.raises(CapExceededError, match="block entries"):
         encoder_message_law(small_code, 0)
     assert built == []
-    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", entries)
+    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest)
     blocks, _ = encoder_message_law(small_code, 0)
-    # every joint type of the BSC has positive weight, so the count is exact
-    assert sum(blk.probs.size for blk in blocks) == entries
-    assert built
+    assert built == []
+    # one input type's blocks are built when the sweep reaches them
+    first = next(blocks)
+    assert len(built) == 1
+    entries = {}
+    for blk in [first, *blocks]:
+        entries[blk.x_ranks.tobytes()] = entries.get(blk.x_ranks.tobytes(), 0) + blk.probs.size
+    terminate = entries.pop(np.arange(2 ** small_code.n).tobytes())
+    assert len(built) == len(entries) == len(held)
+    # every joint type of the BSC has positive weight, so the counts are exact
+    assert sorted(e + terminate for e in entries.values()) == sorted(held.values())
 
 
 def test_pinned_laws_reject_out_of_range_indices(small_code):
@@ -475,6 +503,7 @@ def test_output_cap_enforced():
 
 def test_message_law_aggregates_to_block_channel(small_code):
     blocks, count = encoder_message_law(small_code, nu=2)
+    blocks = list(blocks)
     cond, y_ranks = dense_message_law(small_code, 2)
     fams = [small_code.families[t] for t in small_code.typical_joint_types]
     starts = np.cumsum([0] + [fam.M for fam in fams])

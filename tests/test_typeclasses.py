@@ -19,7 +19,6 @@ from chansim.typeclasses import (
     enumerate_type_class,
     enumerate_type_classes,
     is_conditionally_typical,
-    is_typical,
     joint_type_class_size,
     sample_conditional_type_word,
     sample_type_word,
@@ -31,6 +30,12 @@ from chansim.typeclasses import (
 )
 
 SEED = 8191
+
+
+def is_typical(word, spec):
+    """Whether a word's type is delta-typical: a reference built on
+    type_is_typical."""
+    return type_is_typical(count_occurrences(word, spec.p.alphabet_size), spec)
 
 
 class TestTypeBasics:
