@@ -12,10 +12,14 @@ per-row extreme point with at most |Y| nonzero entries, so the E-step
 enumerates basic feasible solutions exactly. For fixed E the feasible D set
 is affine and the D-step maximizes the concave mixture entropy
 sum_c mu_c H(D row c) by projected gradient ascent; this cannot change H(mu)
-but widens the next E-step's polytope. Alternation therefore never increases
-the objective. On small instances a simplex-grid brute force gives the
-minimum over decoders with rows on the grid at a given resolution; its
-declared accuracy is an empirical local modulus, not a proven bound.
+but widens the next E-step's polytope; when E pins the rows the mixture
+reads, every feasible D scores the same and the ascent stops after one step
+that does not gain. Alternation therefore never increases the objective.
+Random restarts draw their decoders at once and run the E-step only on those
+the box test of _hull_candidates keeps. On small instances a simplex-grid
+brute force gives the minimum over decoders with rows on the grid at a given
+resolution; its declared accuracy is an empirical local modulus, not a
+proven bound.
 """
 
 import functools
@@ -31,6 +35,10 @@ from .core_prob import Channel, Distribution, entropy, mutual_information, simpl
 from .errors import CapExceededError, InfeasibleError, InvalidInputError
 
 FEAS_TOL = 1e-7
+ALTERNATE_ITERS = 200
+D_STEP_ITERS = 500
+DYKSTRA_ITERS = 500
+RANDOM_INIT_TRIES = 200
 SOLVE_TOL = 1e-9
 D_STEP_TOL = 1e-8
 ALTERNATE_TOL = 1e-9
@@ -328,13 +336,13 @@ class _AffineProjector:
         v = v - self.correction @ (self.A @ v - self.b)
         return v.reshape(self.shape)
 
-    def onto_feasible(self, d_rows: np.ndarray, iters: int = 500):
-        """Dykstra alternation between the affine set and the nonnegative
-        orthant; returns (point, satisfied)."""
+    def onto_feasible(self, d_rows: np.ndarray):
+        """Dykstra alternation (at most DYKSTRA_ITERS rounds) between the
+        affine set and the nonnegative orthant; returns (point, satisfied)."""
         x = np.asarray(d_rows, dtype=float)
         p = np.zeros_like(x)
         q = np.zeros_like(x)
-        for _ in range(iters):
+        for _ in range(DYKSTRA_ITERS):
             y = self.affine(x + p)
             p = x + p - y
             x_new = np.maximum(y + q, 0.0)
@@ -349,9 +357,18 @@ class _AffineProjector:
 
 
 def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
-           d_start: np.ndarray = None, max_iters: int = 500) -> np.ndarray:
+           d_start: np.ndarray = None) -> np.ndarray:
     """D maximizing the mixture entropy sum_c mu_c H(D row c) over the
-    feasibility set, by projected gradient ascent with backtracking.
+    feasibility set, by projected gradient ascent with backtracking (at most
+    D_STEP_ITERS steps, each halved down to 1e-12 until it gains 1e-15).
+
+    When E pins the rows the mixture reads (_pins_live_rows), every feasible
+    D has the same live rows, so every candidate projects to the same point
+    up to rounding: the ascent then stops at the first feasible candidate
+    that does not gain instead of halving its step 40 times. The first
+    candidate is still scored, and taken when rounding lifts it by 1e-15.
+    A later one the full ladder would take when rounding lifts it (not seen
+    on the demo pairs) is the same D up to rounding.
 
     Rows whose intermediate symbol is unreachable are free (they carry no
     weight in the maximized mixture, so any completion is maximal); they are
@@ -365,6 +382,7 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
     if not ok:
         raise InfeasibleError("no feasible D for the given E")
     mu = _mu_of(instance, e_rows)
+    pinned = _pins_live_rows(e_rows, mu)
 
     def objective(rows):
         vals = 0.0
@@ -375,7 +393,7 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
 
     f = objective(d)
     step = 1.0
-    for _ in range(max_iters):
+    for _ in range(D_STEP_ITERS):
         grad = np.zeros_like(d)
         for c in range(d.shape[0]):
             if mu[c] > 1e-12:
@@ -391,6 +409,8 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
                     step = min(step * 2.0, 1.0)
                     moved = True
                     break
+                if pinned:
+                    break
             step *= 0.5
         if not moved or gain < D_STEP_TOL:
             break
@@ -398,6 +418,18 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
     for j, c in enumerate(dead):
         d[c] = instance.channel.rows[j % instance.channel.input_size]
     return d
+
+
+def _pins_live_rows(e_rows: np.ndarray, mu: np.ndarray) -> bool:
+    """Whether E @ D = W fixes the rows of D with mu_c > 1e-12, the rows
+    d_step's objective reads. A move of D that keeps E @ D and the row sums
+    moves the rows along vectors v with E v = 0, so the live rows are fixed
+    when every such v is zero on them: when rank E = #live + rank E[:, dead].
+    The dead rows are then the only free direction, and the objective
+    ignores them."""
+    live = mu > 1e-12
+    return bool(np.linalg.matrix_rank(e_rows)
+                == live.sum() + np.linalg.matrix_rank(e_rows[:, ~live]))
 
 
 def _trivial_init(instance: ZeroErrorInstance):
@@ -414,27 +446,31 @@ def _trivial_init(instance: ZeroErrorInstance):
     return e_rows, d_rows
 
 
-def _random_init(instance: ZeroErrorInstance, rng, tries: int = 200):
-    c = instance.c_max
-    y = instance.channel.output_size
-    for _ in range(tries):
-        d_rows = rng.dirichlet(np.ones(y), size=c)
+def _random_init(instance: ZeroErrorInstance, rng):
+    """(E, D) from the first of RANDOM_INIT_TRIES random stochastic D, drawn
+    as one (tries, c_max, |Y|) Dirichlet stack (the same numbers as one
+    c_max-row draw per try), over which every channel row decomposes; None
+    when none does. Draws the box test of _hull_candidates rejects are
+    dropped without an e_step: it rejects only what e_step would."""
+    draws = rng.dirichlet(np.ones(instance.channel.output_size),
+                          size=(RANDOM_INIT_TRIES, instance.c_max))
+    for d_rows in draws[_hull_candidates(draws, instance.channel.rows)]:
         try:
-            e_rows = e_step(instance, d_rows)
+            return e_step(instance, d_rows), d_rows
         except InfeasibleError:
             continue
-        return e_rows, d_rows
     return None
 
 
-def alternate(instance: ZeroErrorInstance, seed: int = 0, restarts: int = 20,
-              max_iters: int = 200) -> Factorization:
+def alternate(instance: ZeroErrorInstance, seed: int = 0,
+              restarts: int = 20) -> Factorization:
     """Best factorization over restarts of e_step/d_step alternation.
 
     Restart 0 starts from the route-through code (always feasible when
     c_max >= |X|); later restarts draw random stochastic D and keep it only
     if every channel row decomposes. Iteration stops when the objective
-    improves by less than 1e-9; the per-iteration objective is traced."""
+    improves by less than ALTERNATE_TOL, or after ALTERNATE_ITERS rounds;
+    the per-iteration objective is traced."""
     if restarts < 1:
         raise InvalidInputError("restarts must be at least 1")
     best = None
@@ -447,7 +483,7 @@ def alternate(instance: ZeroErrorInstance, seed: int = 0, restarts: int = 20,
             continue
         e_rows, d_rows = init
         trace = [_entropy_fast(_mu_of(instance, e_rows))]
-        for _ in range(max_iters):
+        for _ in range(ALTERNATE_ITERS):
             d_rows = d_step(instance, e_rows, d_start=d_rows)
             e_rows = e_step(instance, d_rows)
             h = _entropy_fast(_mu_of(instance, e_rows))

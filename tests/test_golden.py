@@ -1,10 +1,13 @@
 """Golden numbers: every --out command of demos/cli_tour.sh, run in process,
-must print the numbers checked in under tests/golden/.
+must print the numbers checked in under tests/golden/, and the zero-error
+solver must return the bits checked in there.
 
 Each golden file holds one tour command's CSV rows, and the leaves of its
 JSON artifacts, with every number formatted %.12g, so a diff names the
 number that moved. A change that moves one updates the file in the same
-change and says why. Regenerate the files with
+change and says why. Numbers within NOISE of each other match there, so
+zero_error_bits.txt also holds every float of alternate's factorization on
+the two demo pairs as float.hex(): a last-bit drift there fails. Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,6 +22,8 @@ from string import Template
 import pytest
 
 from chansim.cli import main
+from chansim.core_prob import Channel, Distribution
+from chansim.zero_error import ZeroErrorInstance, alternate
 
 ROOT = Path(__file__).resolve().parent.parent
 TOUR = ROOT / "demos" / "cli_tour.sh"
@@ -108,10 +113,36 @@ def test_tour_numbers_match_golden(name, argv, tmp_path, capsys):
     assert not moved, moved
 
 
+def render_alternate_bits() -> str:
+    """alternate(seed=3, restarts=20) on bsc25 and skewed_pair at the default
+    c_max: E, D, mu, the objective and the trace, each float as float.hex()."""
+    lines = []
+    for name in ("bsc25", "skewed_pair"):
+        doc = json.loads((ROOT / "demos" / "instances" / f"{name}.json").read_text())
+        instance = ZeroErrorInstance.build(Distribution.from_json_dict(doc["source"]),
+                                           Channel.from_json_dict(doc["channel"]))
+        fact = alternate(instance, seed=3, restarts=20)
+        lines.append(f"## {name}")
+        named = [(f"E.{x}", row) for x, row in enumerate(fact.E.rows)] \
+            + [(f"D.{c}", row) for c, row in enumerate(fact.D.rows)] \
+            + [("mu", fact.mu.probs), ("objective", [fact.objective]),
+               ("trace", fact.trace)]
+        lines += [f"{key} = " + " ".join(float(v).hex() for v in values)
+                  for key, values in named]
+    return "\n".join(lines) + "\n"
+
+
+def test_alternate_bits_match_golden():
+    got = render_alternate_bits().splitlines()
+    want = (GOLDEN / "zero_error_bits.txt").read_text().splitlines()
+    assert got == want
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in TOUR_COMMANDS:
             (GOLDEN / f"{name}.txt").write_text(run_tour_command(argv, Path(tmp)))
+    (GOLDEN / "zero_error_bits.txt").write_text(render_alternate_bits())
     sys.exit(0)

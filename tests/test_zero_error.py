@@ -15,6 +15,7 @@ from chansim.core_prob import (
     mutual_information,
     simplex_grid,
 )
+from chansim._seeds import child_rng
 from chansim.errors import CapExceededError, InfeasibleError, InvalidInputError
 from chansim.zero_error import (
     Factorization,
@@ -549,3 +550,220 @@ def test_make_factorization_rejects_infeasible(bsc_instance):
     with pytest.raises(InfeasibleError):
         make_factorization(bsc_instance, np.eye(2), np.array([[0.5, 0.5],
                                                               [0.5, 0.5]]))
+
+
+def _reference_d_step(instance, e_rows, d_start=None):
+    """d_step with the full halving ladder: every step is halved down to
+    1e-12 before the ascent gives up, whether E pins D or not."""
+    proj = zero_error._AffineProjector(e_rows, instance.channel.rows)
+    if d_start is None:
+        d_start = np.full(proj.shape, 1.0 / proj.shape[1])
+    d, ok = proj.onto_feasible(d_start)
+    assert ok
+    mu = instance.source.probs @ e_rows
+
+    def objective(rows):
+        vals = 0.0
+        for c in range(rows.shape[0]):
+            if mu[c] > 1e-12:
+                vals += mu[c] * zero_error._entropy_fast(rows[c])
+        return vals
+
+    f = objective(d)
+    step = 1.0
+    for _ in range(500):
+        grad = np.zeros_like(d)
+        for c in range(d.shape[0]):
+            if mu[c] > 1e-12:
+                grad[c] = -mu[c] * (np.log2(np.clip(d[c], 1e-12, None)) + 1 / math.log(2))
+        moved = False
+        while step > 1e-12:
+            cand, ok = proj.onto_feasible(d + step * grad)
+            if ok:
+                f_cand = objective(cand)
+                if f_cand > f + 1e-15:
+                    gain = f_cand - f
+                    d, f = cand, f_cand
+                    step = min(step * 2.0, 1.0)
+                    moved = True
+                    break
+            step *= 0.5
+        if not moved or gain < zero_error.D_STEP_TOL:
+            break
+    dead = np.flatnonzero(e_rows.max(axis=0) <= 1e-12)
+    for j, c in enumerate(dead):
+        d[c] = instance.channel.rows[j % instance.channel.input_size]
+    return d
+
+
+def _live_rows_fixed(instance, e_rows):
+    """Whether every direction that keeps E @ D = W and the row sums leaves
+    the rows with mu_c > 1e-12 alone, from the null space of the constraint
+    matrix (independent of the rank test d_step uses)."""
+    proj = zero_error._AffineProjector(e_rows, instance.channel.rows)
+    _, s, vt = np.linalg.svd(proj.A)
+    null = vt[int((s > 1e-9 * s[0]).sum()):].reshape(-1, *proj.shape)
+    live = instance.source.probs @ e_rows > 1e-12
+    return np.abs(null[:, live]).max(initial=0.0) < 1e-9
+
+
+@pytest.mark.parametrize("probs, e_rows, pinned", [
+    ([0.5, 0.5], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], True),
+    ([0.5, 0.5], [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]], False),
+    ([1.0, 0.0], [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], True),
+    ([1.0, 0.0], [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], False),
+    ([0.5, 0.5, 0.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]], True),
+], ids=["dead-zero", "three-live", "dead-used-pinned", "dead-used-free", "three-inputs"])
+def test_pins_live_rows_hand_cases(probs, e_rows, pinned):
+    """A zero-probability input may route to a dead symbol: the live rows
+    stay pinned unless that column lies in the span of the live ones."""
+    e_rows = np.array(e_rows)
+    d_true = np.array([[0.75, 0.25], [0.1, 0.9], [0.5, 0.5]])
+    instance = ZeroErrorInstance(Distribution.from_probs(probs),
+                                 Channel.from_rows(e_rows @ d_true), 3)
+    mu = instance.source.probs @ e_rows
+    assert zero_error._pins_live_rows(e_rows, mu) == pinned
+    assert _live_rows_fixed(instance, e_rows) == pinned
+    got = d_step(instance, e_rows)
+    assert got.tobytes() == _reference_d_step(instance, e_rows).tobytes()
+
+
+def _d_step_calls(instance, seed, restarts, monkeypatch):
+    """(e_rows, d_start) of every d_step call one alternate run makes."""
+    calls = []
+    original = zero_error.d_step
+
+    def record(inst, e_rows, d_start=None):
+        calls.append((e_rows.copy(), d_start.copy()))
+        return original(inst, e_rows, d_start)
+
+    monkeypatch.setattr(zero_error, "d_step", record)
+    alternate(instance, seed=seed, restarts=restarts)
+    monkeypatch.undo()
+    return calls
+
+
+ALTERNATE_BATTERY = [
+    (UNIF, BSC),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED),
+    _random_pair(11, 2, 2),
+    _random_pair(12, 2, 3),
+    _random_pair(13, 3, 2),
+    _random_pair(14, 3, 3),
+]
+
+
+@pytest.mark.parametrize("source, channel, bitwise", [
+    (*pair, i < 2) for i, pair in enumerate(ALTERNATE_BATTERY)
+], ids=["bsc25", "skewed_pair", "random2x2", "random2x3", "random3x2", "random3x3"])
+def test_d_step_pinned_stop_equals_full_ladder(source, channel, bitwise, monkeypatch):
+    """On every E the alternation hands d_step, the rank test says E pins
+    the live rows of D exactly when the constraints' null space leaves them
+    alone (here every E pins them on the two-output pairs, and some leave
+    three live symbols on two inputs). Unpinned, d_step is the full ladder, bit
+    for bit. Pinned, it stops at the first candidate that does not gain:
+    on the two demo pairs that gives the ladder's bytes; elsewhere the
+    ladder may take a later candidate that rounding lifts by about 1e-15,
+    which is the same D up to rounding."""
+    instance = ZeroErrorInstance.build(source, channel)
+    calls = _d_step_calls(instance, 3, 10, monkeypatch)
+    pinned = same = 0
+    for e_rows, d_start in calls:
+        flag = zero_error._pins_live_rows(e_rows, source.probs @ e_rows)
+        assert flag == _live_rows_fixed(instance, e_rows)
+        got = d_step(instance, e_rows, d_start=d_start)
+        want = _reference_d_step(instance, e_rows, d_start)
+        pinned += flag
+        same += got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() or flag
+        assert np.abs(got - want).max() <= 1e-14
+    assert pinned >= 6
+    assert (pinned == len(calls)) == (channel.output_size == 2)
+    assert same == len(calls) if bitwise else same >= len(calls) - 2
+
+
+def _unpinned_battery():
+    """(instance, E, D start) where E @ D = W leaves live rows of D free: the
+    one-parameter family of a single input on two symbols, and random E
+    with 3 live symbols on 2 inputs."""
+    rng = np.random.default_rng(31)
+    half = ZeroErrorInstance(Distribution.from_probs([1.0]),
+                             Channel.from_rows([[0.5, 0.5]]), 2)
+    cases = [(half, np.array([[0.5, 0.5]]), None)]
+    cases += [(half, np.array([[0.5, 0.5]]), rng.dirichlet(np.ones(2), size=2))
+              for _ in range(4)]
+    for y_size in (2, 3, 2, 3, 2, 3):
+        e_rows = rng.dirichlet(np.ones(3), size=2)
+        w = Channel(2, y_size, e_rows @ rng.dirichlet(np.full(y_size, 4.0), size=3))
+        instance = ZeroErrorInstance(Distribution(2, rng.dirichlet(np.ones(2))), w, 3)
+        cases.append((instance, e_rows, rng.dirichlet(np.ones(y_size), size=3)))
+    return cases
+
+
+def test_d_step_unpinned_equals_full_ladder():
+    for instance, e_rows, d_start in _unpinned_battery():
+        assert not zero_error._pins_live_rows(e_rows, instance.source.probs @ e_rows)
+        assert not _live_rows_fixed(instance, e_rows)
+        got = d_step(instance, e_rows, d_start=d_start)
+        assert got.tobytes() == _reference_d_step(instance, e_rows, d_start).tobytes()
+
+
+def _reference_random_init(instance, rng):
+    """_random_init as the per-try loop: one draw and one e_step per try.
+    Also returns how many e_step calls the box test would not skip."""
+    kept = 0
+    for _ in range(200):
+        d_rows = rng.dirichlet(np.ones(instance.channel.output_size), size=instance.c_max)
+        kept += bool(zero_error._hull_candidates(d_rows[None], instance.channel.rows)[0])
+        try:
+            e_rows = e_step(instance, d_rows)
+        except InfeasibleError:
+            continue
+        return (e_rows, d_rows), kept
+    return None, kept
+
+
+def test_dirichlet_stack_equals_per_try_draws():
+    for y_size, c in ((2, 3), (3, 8), (3, 2)):
+        stacked = np.random.default_rng(7).dirichlet(np.ones(y_size), size=(200, c))
+        rng = np.random.default_rng(7)
+        per_try = [rng.dirichlet(np.ones(y_size), size=c) for _ in range(200)]
+        assert stacked.tobytes() == np.stack(per_try).tobytes()
+
+
+@pytest.mark.parametrize("source, channel, c_max", [
+    (UNIF, BSC, None),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, None),
+    (UNIF, BSC, 2),
+    (UNIF, BSC, 1),
+    (*_random_pair(12, 2, 3), 2),
+    (*_random_pair(13, 3, 2), 3),
+    (*_random_pair(14, 3, 3), 3),
+    (*_random_pair(14, 3, 3), 4),
+], ids=["bsc25", "skewed_pair", "bsc25-c2", "bsc25-c1", "random2x3-c2",
+        "random3x2-c3", "random3x3-c3", "random3x3-c4"])
+def test_random_init_equals_per_try_loop(source, channel, c_max, monkeypatch):
+    """Same (E, D) bytes, or None, as the per-try loop, with e_step run only
+    on the draws the box test keeps, up to the first feasible one."""
+    instance = ZeroErrorInstance.build(source, channel, c_max)
+    calls = []
+    original = zero_error.e_step
+
+    def counted(inst, d_rows):
+        calls.append(d_rows)
+        return original(inst, d_rows)
+
+    for restart in range(1, 6):
+        label = f"zero_error:restart:{restart}"
+        want, kept = _reference_random_init(instance, child_rng(3, label))
+        calls.clear()
+        monkeypatch.setattr(zero_error, "e_step", counted)
+        got = zero_error._random_init(instance, child_rng(3, label))
+        monkeypatch.undo()
+        assert len(calls) == kept
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+    if c_max == 1:
+        assert want is None and kept == 0
