@@ -6,7 +6,7 @@ geometric buckets of ratio 1+eps, the bucket-weight law is rounded to a
 k^2-denominator type, and the result is realized exactly by two-stage
 sampling from a single uniform index. The second is rate-distortion
 coding: the distortion-constrained minimum mutual information computed by
-accelerated alternating minimization with a slope bisection, a
+accelerated alternating minimization with a regula falsi slope search, a
 simplex-grid search oracle that certifies it on small alphabets, and a
 deterministic block code extracted from a simulation code by pinning the
 shared index at its best value.
@@ -337,13 +337,14 @@ def rd_function(source: Distribution, spec: DistortionSpec, y_size: int):
     stays at or below the target, with the minimizing channel.
 
     Interior targets are solved by accelerated alternating minimization
-    at a fixed slope plus bisection over the slope; the two corner regimes
-    (support restricted to per-row distortion minimizers, and the zero-rate
-    constant channel) are handled directly. Each solve stops once one
-    plain alternating step moves the output law by less than RD_INNER_TOL
-    in every letter. The bisection stops once |D - target| <= 1e-11; a
-    curve with a flat stretch in the slope blends its two sides onto the
-    target.
+    at a fixed slope plus Illinois regula falsi over the slope (Dowell and
+    Jarratt 1971), falling back to the midpoint of the slope bracket when
+    the secant point leaves it; the two corner regimes (support restricted
+    to per-row distortion minimizers, and the zero-rate constant channel)
+    are handled directly. Each solve stops once one plain alternating step
+    moves the output law by less than RD_INNER_TOL in every letter. The
+    slope search stops once |D - target| <= 1e-11; a curve with a flat
+    stretch in the slope blends its two sides onto the target.
     """
     _check_rd_shapes(source, spec, y_size)
     d = spec.matrix
@@ -377,17 +378,28 @@ def rd_function(source: Distribution, spec: DistortionSpec, y_size: int):
         hi *= 2.0
         w_hi, d_hi = solve(hi)
     lo, w_lo, d_lo = 0.0, None, float(col_cost.min())
+    # Illinois regula falsi on f = D - target: f_lo > 0 >= f_hi, and an end
+    # kept twice in a row has its f halved so both ends keep moving
+    f_lo, f_hi, kept = d_lo - target, d_hi - target, None
     for _ in range(RD_BISECT_ITERS):
         if abs(d_hi - target) <= 1e-11:
             break
-        mid = 0.5 * (lo + hi)
+        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
         if mid in (lo, hi):     # the slope interval cannot shrink further
             break
         w_mid, d_mid = solve(mid)
         if d_mid > target:
-            lo, w_lo, d_lo = mid, w_mid, d_mid
+            lo, w_lo, d_lo, f_lo = mid, w_mid, d_mid, d_mid - target
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
         else:
-            hi, w_hi, d_hi = mid, w_mid, d_mid
+            hi, w_hi, d_hi, f_hi = mid, w_mid, d_mid, d_mid - target
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
     if abs(d_hi - target) <= RD_EQUALITY_TOL or w_lo is None:
         return mutual_information(source, w_hi), w_hi
     # curve has a flat stretch in the slope: blend the two sides onto the

@@ -34,7 +34,7 @@ from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
 from .covering import build_covering
 from .errors import (CapExceededError, ChansimError, InfeasibleError,
                      InvalidInputError, RetriesExhaustedError)
-from .fidelity import derandomize, derandomized_family, measure_fidelity
+from .fidelity import derandomize_with_family, measure_fidelity
 from .simulate import (accounting, build_sim_code, jointly_typical_types,
                        strong_fidelity_report)
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
@@ -446,8 +446,7 @@ def _run_simulate(cfg, bundle):
 
 def _run_derandomize(cfg, bundle):
     code = _build_code(cfg, bundle, keep_words=True)
-    dcode = derandomize(code, code.epsilon, seed=cfg.seed)
-    family, weights = derandomized_family(dcode)
+    dcode, family, weights = derandomize_with_family(code, code.epsilon, seed=cfg.seed)
     report = measure_fidelity(code.source, code.channel, family, weights)
     outputs = {"n": code.n, "Q": dcode.Q, "index_bits": dcode.index_bits(),
                "index_bits_per_letter": dcode.index_bits() / code.n,

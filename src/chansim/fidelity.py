@@ -186,16 +186,31 @@ def sim_code_family(code: SimCode):
     return fam, np.full(code.N, 1.0 / code.N)
 
 
+def _sampled_indices(dcode: DerandomizedCode):
+    """The distinct sampled indices, ascending, and the share of the Q
+    samples that drew each."""
+    counts = np.bincount(dcode.selected_indices, minlength=dcode.base.N)
+    nus = np.flatnonzero(counts)
+    return nus, counts[nus] / dcode.Q
+
+
 def derandomized_family(dcode: DerandomizedCode):
     """The fixed code as distinct-index block channels weighted by how often
     each index was sampled."""
-    counts = {}
-    for nu in dcode.selected_indices:
-        counts[nu] = counts.get(nu, 0) + 1
-    _check_family_cap(dcode.base, len(counts))
-    fam = list(fixed_nu_block_channels(dcode.base, sorted(counts)))
-    weights = np.array([counts[nu] for nu in sorted(counts)], dtype=float) / dcode.Q
-    return fam, weights
+    nus, weights = _sampled_indices(dcode)
+    _check_family_cap(dcode.base, nus.size)
+    return list(fixed_nu_block_channels(dcode.base, nus)), weights
+
+
+def derandomize_with_family(code: SimCode, epsilon: float, seed: int):
+    """derandomize(code, epsilon, seed) with derandomized_family's family and
+    weights: (dcode, family, weights). When the sample was verified on the
+    exact laws, the family's channels are those laws, not a second sweep."""
+    dcode, laws = _derandomize(code, epsilon, seed)
+    if laws is None:
+        return (dcode, *derandomized_family(dcode))
+    nus, weights = _sampled_indices(dcode)
+    return dcode, [laws[nu] for nu in nus], weights
 
 
 def derandomize(code: SimCode, epsilon: float, seed: int) -> DerandomizedCode:
@@ -210,23 +225,34 @@ def derandomize(code: SimCode, epsilon: float, seed: int) -> DerandomizedCode:
     declared good on the Chernoff bound that sized Q, with verified False.
     Precondition, checked when verifying: the averaged code's per-letter
     marginals reach u/2 on those support entries."""
+    return _derandomize(code, epsilon, seed)[0]
+
+
+def _derandomize(code: SimCode, epsilon: float, seed: int):
+    """derandomize, returning (dcode, laws): laws lists the N pinned block
+    channels in index order when the sample was verified on them, and is
+    None otherwise."""
     _require_words(code)
     if code.N == 1:
         return DerandomizedCode((0,), 1, code, epsilon, min_nonzero_entry(code.channel),
-                                True, 0)
+                                True, 0), None
     u = min_nonzero_entry(code.channel)
     n = code.n
     Q = required_Q(n, code.source.alphabet_size, code.channel.output_size, epsilon, u)
     if n > EXACT_VERIFY_N_CAP:
         rng = child_rng(seed, "derandomize:try:0")
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
-        return DerandomizedCode(selected, Q, code, epsilon, u, False, 0)
+        return DerandomizedCode(selected, Q, code, epsilon, u, False, 0), None
 
     _check_family_cap(code, code.N)
     a, b = code.source.alphabet_size, code.channel.output_size
     per_nu = np.empty((code.N, a ** n, b ** n))
+    laws = []
     for nu, ch in enumerate(fixed_nu_block_channels(code, range(code.N))):
         per_nu[nu] = ch.rows
+        ch.rows = per_nu[nu]    # each law is held once: its channel reads the stack
+        ch.rows.flags.writeable = False
+        laws.append(ch)
     averaged = sum(per_nu) / code.N     # summed one index at a time, in index order
     typical = ~_typical_classes(code)[1]
     base_margs = _letter_marginals(averaged[typical], n, b)
@@ -242,7 +268,7 @@ def derandomize(code: SimCode, epsilon: float, seed: int) -> DerandomizedCode:
         mixed_rows = np.tensordot(counts / Q, per_nu, axes=1)
         mixed_margs = _letter_marginals(mixed_rows[typical], n, b)
         if not (np.abs(mixed_margs - base_margs) > epsilon * base_margs + 1e-12).any():
-            return DerandomizedCode(selected, Q, code, epsilon, u, True, attempt)
+            return DerandomizedCode(selected, Q, code, epsilon, u, True, attempt), laws
     raise RetriesExhaustedError("derandomization failed exact verification "
                                 f"{covering.DEFAULT_MAX_RETRIES} times")
 

@@ -239,6 +239,40 @@ def test_rd_function_monotone_and_convex():
         assert rates[i - 1] + rates[i + 1] >= 2 * rates[i] - 1e-8
 
 
+def test_rd_function_meets_binary_closed_form_in_few_solves(monkeypatch):
+    # regula falsi on the slope: about 10 solves per target, not bisection's 35
+    fit, solves = applications._fit_channel, []
+    monkeypatch.setattr(applications, "_fit_channel",
+                        lambda source, gain: solves.append(gain) or fit(source, gain))
+    targets = np.linspace(0.02, 0.4, 12)
+    for source in (UNIF2, SKEWED2):
+        for d in targets:
+            rate, _ = rd_function(source, DistortionSpec.hamming(2, float(d)), 2)
+            if source is UNIF2:
+                assert abs(rate - (1.0 - binary_entropy(float(d)))) <= 1e-12
+    assert len(solves) <= 300
+
+
+def test_rd_function_blends_the_sides_of_a_flat_stretch(monkeypatch):
+    # 3-letter Hamming has R(D) = H(p) - h(D) - D up to D = 2 p_min = 0.4,
+    # where the slope is flat: no single solve meets the target, the blend does
+    source = Distribution.from_probs([0.5, 0.3, 0.2])
+    spec = DistortionSpec.hamming(3, 0.4)
+    fit, solved = applications._fit_channel, []
+
+    def recorded(src, gain):
+        w = fit(src, gain)
+        solved.append(w.rows)
+        return w
+
+    monkeypatch.setattr(applications, "_fit_channel", recorded)
+    rate, w = rd_function(source, spec, 3)
+    assert solved and not any(np.array_equal(w.rows, rows) for rows in solved)
+    assert expected_distortion(source, w, spec) <= 0.4 + 1e-12
+    assert rate == pytest.approx(entropy(source) - binary_entropy(0.4) - 0.4,
+                                 rel=0.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("source", [UNIF2, SKEWED2], ids=["bsc25", "skewed_pair"])
 def test_rd_function_meets_dual_lower_bound(source):
     # Blahut's dual bound at the slope s read off the 2x2 channel:
@@ -254,7 +288,9 @@ def test_rd_function_meets_dual_lower_bound(source):
         lam = 1.0 / (tilt @ (p @ rows))
         c = float((p * lam @ tilt).max())
         dual = -s * target + float(p @ np.log2(lam / c))
-        assert 0.0 <= rate - dual <= 1e-9
+        # where the solver meets R(D) to rounding, the bound lands a few ulps
+        # of the rate above it
+        assert -4 * math.ulp(rate) <= rate - dual <= 1e-9
         assert target - expected_distortion(source, w, spec) >= 0.0
 
 

@@ -13,6 +13,7 @@ from chansim.fidelity import (
     DerandomizedCode,
     FidelityReport,
     derandomize,
+    derandomize_with_family,
     derandomized_family,
     measure_fidelity,
     min_nonzero_entry,
@@ -195,6 +196,29 @@ def test_families_check_the_fidelity_cap_before_building(base_code, monkeypatch)
     assert (again.selected_indices, again.retries) == (dcode.selected_indices, dcode.retries)
     assert len(sim_code_family(base_code)[0]) == base_code.N
     assert len(derandomized_family(dcode)[0]) == distinct
+
+
+@pytest.mark.parametrize("verified", [True, False], ids=["verified", "declared"])
+def test_derandomize_with_family_sweeps_each_law_once(base_code, verified, monkeypatch):
+    if not verified:
+        monkeypatch.setattr(fidelity, "EXACT_VERIFY_N_CAP", 0)
+    dcode = derandomize(base_code, epsilon=0.1, seed=11)
+    fam, weights = derandomized_family(dcode)
+    sweep, swept = fidelity.fixed_nu_block_channels, []
+
+    def recorded(code, nus):
+        swept.extend(int(nu) for nu in nus)
+        return sweep(code, nus)
+
+    monkeypatch.setattr(fidelity, "fixed_nu_block_channels", recorded)
+    again, fam_again, weights_again = derandomize_with_family(base_code, 0.1, 11)
+    assert (again.selected_indices, again.verified, again.retries) == \
+        (dcode.selected_indices, dcode.verified, dcode.retries)
+    assert [ch.rows.tobytes() for ch in fam_again] == [ch.rows.tobytes() for ch in fam]
+    assert weights_again.tobytes() == weights.tobytes()
+    # verifying sweeps every index once; a declared sample sweeps its own
+    assert swept == (list(range(base_code.N)) if verified
+                     else sorted(set(dcode.selected_indices)))
 
 
 def test_report_rejects_out_of_range_values():
