@@ -62,19 +62,11 @@ RD_BISECT_ITERS = 200
 @dataclass(frozen=True, eq=False)
 class DilutionBucket:
     """One geometric probability bucket: members, a read-only int64 array
-    of target symbols in ascending order, share a 1+eps scale. Buckets
-    compare by value and are not hashable."""
+    of target symbols in ascending order, share a 1+eps scale."""
     interval_index: int
     members: np.ndarray
     mass: float
     weight_count: int   # numerator of the k^2-type bucket weight
-
-    def __eq__(self, other):
-        if not isinstance(other, DilutionBucket):
-            return NotImplemented
-        return ((self.interval_index, self.mass, self.weight_count)
-                == (other.interval_index, other.mass, other.weight_count)
-                and np.array_equal(self.members, other.members))
 
 
 @dataclass(frozen=True)
@@ -114,23 +106,6 @@ class DilutionPlan:
             "total_uniform_size": self.total_uniform_size,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DilutionPlan":
-        buckets = tuple(
-            DilutionBucket(int(b["interval_index"]), _members(b["members"]),
-                           float(b["mass"]), int(b["weight_count"]))
-            for b in doc["buckets"]
-        )
-        return cls(Distribution.from_json_dict(doc["target"]), float(doc["epsilon"]),
-                   int(doc["k"]), buckets, float(doc["infinite_mass"]),
-                   int(doc["helper_size"]), int(doc["total_uniform_size"]))
-
-
-def _members(symbols) -> np.ndarray:
-    members = np.asarray(symbols, dtype=np.int64)
-    members.flags.writeable = False
-    return members
-
 
 def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     """Group target probabilities into geometric buckets and round the
@@ -142,7 +117,10 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     Zero probabilities and buckets beyond k form the tail, whose mass is
     added in symbol order. Members keep symbol order within a bucket, and
     each bucket mass is added in the same order. np.log may differ from
-    math.log in the last bit; the snap absorbs that.
+    math.log in the last bit; the snap absorbs that. Past k^2 = 2^53 the
+    floored float shares can fall short of k^2 by more than the bucket
+    count, or exceed it; largest remainder cannot repair that, so it raises
+    InvalidInputError.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must be in (0, 1)")
@@ -164,19 +142,25 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     tail[in_bucket] = False
     infinite_mass = float(np.cumsum(np.append(0.0, probs[tail]))[-1])
     del tail
-    sizes = np.bincount(index, minlength=k + 1)
-    order = np.flatnonzero(sizes)
-    masses = np.bincount(index, weights=probs[in_bucket], minlength=k + 1)[order].tolist()
-    members = np.split(_members(in_bucket[np.argsort(index, kind="stable")]),
-                       np.cumsum(sizes[order])[:-1])
+    # group by the occupied indices only: memory follows |A|, not k
+    order, inverse, sizes = np.unique(index, return_inverse=True, return_counts=True)
+    masses = np.bincount(inverse, weights=probs[in_bucket]).tolist()
+    grouped = in_bucket[np.argsort(index, kind="stable")]
+    grouped.flags.writeable = False
+    members = np.split(grouped, np.cumsum(sizes)[:-1])
     order = order.tolist()
     finite_mass = 1.0 - infinite_mass
     helper = k * k
     shares = [m / finite_mass for m in masses]
     counts = [math.floor(s * helper) for s in shares]
+    short = helper - sum(counts)
+    if not 0 <= short <= len(order):
+        raise InvalidInputError(
+            f"epsilon {epsilon} too small: bucket weights over k^2 = {helper} "
+            "are not exact in floating point")
     leftovers = sorted(range(len(order)),
                        key=lambda i: (counts[i] - shares[i] * helper, order[i]))
-    for i in leftovers[:helper - sum(counts)]:
+    for i in leftovers[:short]:
         counts[i] += 1
     buckets = tuple(
         DilutionBucket(a, members[i], masses[i], counts[i])
@@ -254,13 +238,6 @@ class DistortionSpec:
     def hamming(cls, size: int, target_d: float) -> "DistortionSpec":
         return cls(tuple(tuple(0.0 if i == j else 1.0 for j in range(size))
                          for i in range(size)), target_d)
-
-    def to_json_dict(self) -> dict:
-        return {"d": [list(row) for row in self.d], "target_d": self.target_d}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "DistortionSpec":
-        return cls(tuple(tuple(row) for row in doc["d"]), float(doc["target_d"]))
 
 
 def expected_distortion(source: Distribution, channel: Channel,

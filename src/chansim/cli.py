@@ -832,10 +832,6 @@ def _error_label(exc: Exception):
     raise exc
 
 
-def exit_code_for(exc: Exception) -> int:
-    return _error_label(exc)[1]
-
-
 def _report_error(exc: Exception, command: str) -> int:
     label, code = _error_label(exc)
     reason = " ".join(str(exc).split())

@@ -9,7 +9,7 @@ Conventions used throughout the package:
     larger ones are rejected, and so are NaN and infinite entries.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class Distribution:
     @classmethod
     def uniform(cls, alphabet_size: int) -> "Distribution":
         return cls(alphabet_size, np.full(alphabet_size, 1.0 / alphabet_size))
-
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(self.probs >= ZERO_TOL)
 
     def to_json_dict(self) -> dict:
         return {"probs": [float(p) for p in self.probs]}
@@ -117,9 +114,6 @@ class Channel:
             raise InvalidInputError("channel rows must be a matrix")
         return cls(rows.shape[0], rows.shape[1], rows)
 
-    def row(self, x: int) -> Distribution:
-        return Distribution(self.output_size, self.rows[x])
-
     def to_json_dict(self) -> dict:
         return {"rows": [[float(p) for p in r] for r in self.rows]}
 
@@ -128,55 +122,14 @@ class Channel:
         return cls.from_rows(doc["rows"])
 
 
-@dataclass
-class JointDistribution:
-    """A probability matrix over pairs: probs[x][y]."""
-
-    x_size: int
-    y_size: int
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (self.x_size, self.y_size):
-            raise InvalidInputError(
-                f"joint shape {probs.shape} != ({self.x_size}, {self.y_size})")
-        flat = _clean_prob_vector(probs.reshape(-1), "joint distribution")
-        out = flat.reshape(self.x_size, self.y_size)
-        out.flags.writeable = False
-        self.probs = out
-
-    @classmethod
-    def from_source_and_channel(cls, p: Distribution, w: Channel) -> "JointDistribution":
-        if p.alphabet_size != w.input_size:
-            raise InvalidInputError("source alphabet does not match channel input")
-        return cls(w.input_size, w.output_size, p.probs[:, None] * w.rows)
-
-    def x_marginal(self) -> Distribution:
-        return Distribution(self.x_size, self.probs.sum(axis=1))
-
-    def y_marginal(self) -> Distribution:
-        return Distribution(self.y_size, self.probs.sum(axis=0))
-
-    def to_json_dict(self) -> dict:
-        return {"probs": [[float(p) for p in r] for r in self.probs]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "JointDistribution":
-        probs = np.asarray(doc["probs"], dtype=float)
-        if probs.ndim != 2 or probs.size == 0:
-            raise InvalidInputError("joint probabilities must be a non-empty matrix")
-        return cls(probs.shape[0], probs.shape[1], probs)
-
-
 def _prob_array(p) -> np.ndarray:
     probs = getattr(p, "probs", p)
     return np.asarray(probs, dtype=float).reshape(-1)
 
 
 def entropy(p) -> float:
-    """Shannon entropy in bits. Accepts a Distribution, a JointDistribution,
-    or a bare array of probabilities."""
+    """Shannon entropy in bits. Accepts a Distribution or a bare array of
+    probabilities of any shape."""
     arr = _prob_array(p)
     mask = arr >= ZERO_TOL
     vals = arr[mask]
@@ -215,47 +168,6 @@ def tv_distance(p, q) -> float:
     if a.shape != b.shape:
         raise InvalidInputError("tv_distance requires equal-length vectors")
     return float(0.5 * np.abs(a - b).sum())
-
-
-def transpose_channel(p: Distribution, w: Channel):
-    """Reverse the joint distribution P(x) W(y|x) = Q(y) V(x|y).
-
-    Returns (q, v). Output symbols y with Q(y) below ZERO_TOL are the
-    unreachable ones (q.probs < ZERO_TOL); each gets a uniform row in v.
-    """
-    joint = JointDistribution.from_source_and_channel(p, w)
-    q_vec = joint.probs.sum(axis=0)
-    v_rows = np.empty((w.output_size, w.input_size))
-    for y in range(w.output_size):
-        if q_vec[y] < ZERO_TOL:
-            v_rows[y] = 1.0 / w.input_size
-        else:
-            v_rows[y] = joint.probs[:, y] / q_vec[y]
-    q = Distribution(w.output_size, q_vec)
-    return q, Channel(w.output_size, w.input_size, v_rows)
-
-
-def channel_compose(first: Channel, second: Channel) -> Channel:
-    """The channel obtained by feeding first's output into second."""
-    if first.output_size != second.input_size:
-        raise InvalidInputError("channels are not composable")
-    return Channel(first.input_size, second.output_size, first.rows @ second.rows)
-
-
-def entropy_continuity_bound(p: Distribution, q: Distribution) -> float:
-    """Bound |H(p) - H(q)| <= -lam * log2(lam / a) where lam = sum |p - q|
-    (twice the total variation distance) and a is the alphabet size.
-
-    Only valid for lam <= 1/2; larger lam raises InvalidInputError.
-    """
-    if p.alphabet_size != q.alphabet_size:
-        raise InvalidInputError("alphabets differ")
-    lam = float(np.abs(p.probs - q.probs).sum())
-    if lam > 0.5 + ZERO_TOL:
-        raise InvalidInputError(f"continuity bound needs sum|p-q| <= 1/2, got {lam}")
-    if lam < ZERO_TOL:
-        return 0.0
-    return float(-lam * np.log2(lam / p.alphabet_size))
 
 
 def rate_lower_bound_defect(lam: float, x_size: int, y_size: int) -> float:

@@ -121,7 +121,12 @@ def _family_average(family, weights):
 
 
 def _infer_block_length(rows_shape, x_size: int, y_size: int) -> int:
-    n = round(math.log(rows_shape[1], y_size))
+    """The n with rows_shape == (x_size**n, y_size**n), counted in integer
+    powers of the larger alphabet; n = 1 when both alphabets have one letter."""
+    size, count = max((x_size, rows_shape[0]), (y_size, rows_shape[1]))
+    n, power = 1, size
+    while 1 < power < count:
+        n, power = n + 1, power * size
     if y_size ** n != rows_shape[1] or x_size ** n != rows_shape[0]:
         raise InvalidInputError("code family shape is not a block power of the "
                                 "single-letter alphabets")

@@ -186,14 +186,23 @@ def _require_words(code: SimCode):
 
 
 class _BaseTables:
-    """Per input type: the class position of each class word, their ranks in
-    X^n, and every joint type with this row marginal with its weight."""
+    """Per input type: the ranks in X^n of the class words, ascending because
+    the class is enumerated in lexicographic order, and every joint type with
+    this row marginal with its weight."""
 
     def __init__(self, code: SimCode, base: ExactType):
         x_words = enumerate_type_class(base)
-        self.x_index = {tuple(int(v) for v in w): i for i, w in enumerate(x_words)}
+        self.alphabet_size = base.alphabet_size
         self.x_global = np.ravel_multi_index(x_words.T, (base.alphabet_size,) * base.n)
         self.t_list, self.weights = _type_weights(code, base)
+
+    def position(self, x_word) -> int:
+        """Class position of a word of this type: where its X^n rank sits
+        in x_global."""
+        rank = 0
+        for v in x_word:
+            rank = rank * self.alphabet_size + v
+        return int(np.searchsorted(self.x_global, rank))
 
 
 def _base_tables_for(code: SimCode, base: ExactType) -> _BaseTables:
@@ -287,7 +296,7 @@ def encode(code: SimCode, x_word, nu: int, seed):
         return TERMINATE
     fam = code.families[t]
     # compatible slots per class rank; slots are numbered in rank order
-    hits = fam.counts[nu] * fam.compat()[_base_tables_for(code, base).x_index[x_word]]
+    hits = fam.counts[nu] * fam.compat()[_base_tables_for(code, base).position(x_word)]
     hit_cum = np.cumsum(hits)
     total = int(hit_cum[-1])
     if total == 0:
@@ -362,8 +371,8 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
     if not type_is_typical(base, TypicalSpec(code.source, code.n, code.delta)):
         out[0] = 1.0
         return Distribution(size, out)
-    xi = _base_tables_for(code, base).x_index[x_word]
-    blocks, terminate = _law_blocks(code, base, rows=[xi])
+    blocks, terminate = _law_blocks(code, base,
+                                    rows=[_base_tables_for(code, base).position(x_word)])
     for fam, block in blocks:
         out[fam.y_ranks()] += block[0]
     out[0] += terminate[0]

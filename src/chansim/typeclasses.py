@@ -21,7 +21,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._seeds import _as_rng
 from .core_prob import ZERO_TOL, Channel, Distribution, _compositions
 from .errors import CapExceededError, InvalidInputError
 
@@ -47,16 +46,6 @@ class ExactType:
     @property
     def alphabet_size(self) -> int:
         return len(self.counts)
-
-    def distribution(self) -> Distribution:
-        return Distribution.from_probs(np.asarray(self.counts, dtype=float) / self.n)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "counts": list(self.counts)}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExactType":
-        return cls(int(doc["n"]), tuple(int(c) for c in doc["counts"]))
 
 
 @dataclass(frozen=True)
@@ -88,10 +77,6 @@ class JointType:
 
     def col_marginal(self) -> ExactType:
         return ExactType(self.n, tuple(sum(row[y] for row in self.counts)
-                                       for y in range(self.y_size)))
-
-    def transpose(self) -> "JointType":
-        return JointType(self.n, tuple(tuple(self.counts[x][y] for x in range(self.x_size))
                                        for y in range(self.y_size)))
 
     def to_json_dict(self) -> dict:
@@ -302,11 +287,6 @@ def conditional_type_class_size(t: JointType, x_word) -> int:
     return size
 
 
-def conditional_class_size_given_y(t: JointType, y_word) -> int:
-    """Number of x-words forming joint type t against the fixed y_word."""
-    return conditional_type_class_size(t.transpose(), y_word)
-
-
 def enumerate_type_classes(n: int, alphabet_size: int):
     """All exact types of length-n words, lexicographic by count vector."""
     return [ExactType(n, c) for c in _compositions(n, alphabet_size)]
@@ -373,45 +353,3 @@ def typical_types(spec: TypicalSpec):
     """Exact types inside the typicality window, lexicographic order."""
     return [t for t in enumerate_type_classes(spec.n, spec.p.alphabet_size)
             if type_is_typical(t, spec)]
-
-
-def type_word_log2_prob(t: ExactType, p: Distribution) -> float:
-    """log2 of the i.i.d. probability of any single word of type t."""
-    if t.alphabet_size != p.alphabet_size:
-        raise InvalidInputError("alphabets differ")
-    total = 0.0
-    for c, px in zip(t.counts, p.probs):
-        if c == 0:
-            continue
-        if px < ZERO_TOL:
-            return -math.inf
-        total += c * math.log2(px)
-    return total
-
-
-def sample_type_word(t: ExactType, seed) -> tuple:
-    """A uniformly random word with exact type t."""
-    rng = _as_rng(seed)
-    pool = np.repeat(np.arange(t.alphabet_size), t.counts)
-    return tuple(int(s) for s in rng.permutation(pool))
-
-
-def sample_conditional_type_word(t: JointType, x_word, seed) -> tuple:
-    """A uniformly random y-word with joint type t against the fixed x_word.
-
-    Positions holding the same x letter receive an independent uniform
-    arrangement of the multiset prescribed by that row of t.
-    """
-    rng = _as_rng(seed)
-    x = np.asarray(x_word, dtype=int)
-    x_type = count_occurrences(x, t.x_size)
-    if x_type != t.row_marginal():
-        raise InvalidInputError("x_word type does not match the joint type's row marginal")
-    y = np.zeros(t.n, dtype=int)
-    for sym in range(t.x_size):
-        positions = np.flatnonzero(x == sym)
-        if positions.size == 0:
-            continue
-        pool = np.repeat(np.arange(t.y_size), t.counts[sym])
-        y[positions] = rng.permutation(pool)
-    return tuple(int(s) for s in y)

@@ -65,18 +65,8 @@ class ZeroErrorInstance:
     @classmethod
     def build(cls, source, channel, c_max=None):
         if c_max is None:
-            c_max = intermediate_size_bound(channel.input_size,
-                                            channel.output_size, "thm9")
+            c_max = intermediate_size_bound(channel.input_size, channel.output_size)
         return cls(source, channel, c_max)
-
-    def to_json_dict(self) -> dict:
-        return {"source": self.source.to_json_dict(),
-                "channel": self.channel.to_json_dict(), "c_max": self.c_max}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ZeroErrorInstance":
-        return cls(Distribution.from_json_dict(doc["source"]),
-                   Channel.from_json_dict(doc["channel"]), int(doc["c_max"]))
 
 
 @dataclass(frozen=True)
@@ -96,24 +86,12 @@ class Factorization:
             doc["accuracy"] = self.accuracy
         return doc
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Factorization":
-        return cls(Channel.from_json_dict(doc["E"]), Channel.from_json_dict(doc["D"]),
-                   Distribution.from_json_dict(doc["mu"]), float(doc["objective"]),
-                   tuple(doc.get("trace", ())), doc.get("accuracy"))
 
-
-def intermediate_size_bound(x_size: int, y_size: int, variant: str = "thm9") -> int:
+def intermediate_size_bound(x_size: int, y_size: int) -> int:
     """Largest intermediate alphabet an optimal factorization can need."""
     if x_size < 1 or y_size < 1:
         raise InvalidInputError("alphabet sizes must be positive")
-    if variant == "thm9":
-        return x_size * y_size - 1
-    if variant == "remark2":
-        if x_size < 2 or y_size < 2:
-            raise InvalidInputError("remark2 bound needs both alphabets >= 2")
-        return x_size * y_size - y_size + 1
-    raise InvalidInputError(f"unknown variant {variant!r}")
+    return x_size * y_size - 1
 
 
 def feasible_check(instance: ZeroErrorInstance, E: Channel, D: Channel):
@@ -682,7 +660,7 @@ def product_instance(instance: ZeroErrorInstance, c_max: int = None) -> ZeroErro
     src = Distribution(p2.size, p2)
     ch = Channel(w2.shape[0], w2.shape[1], w2)
     if c_max is None:
-        c_max = intermediate_size_bound(ch.input_size, ch.output_size, "thm9")
+        c_max = intermediate_size_bound(ch.input_size, ch.output_size)
     return ZeroErrorInstance(src, ch, c_max)
 
 

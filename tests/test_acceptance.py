@@ -14,8 +14,7 @@ from chansim.applications import (DistortionSpec, build_dilution, rd_code_via_si
                                   uniform_index_stream)
 from chansim.cli import main
 from chansim.core_prob import (Channel, Distribution, binary_entropy,
-                               conditional_entropy, entropy,
-                               entropy_continuity_bound, mutual_information,
+                               conditional_entropy, entropy, mutual_information,
                                output_marginal, tv_distance)
 from chansim.covering import (build_covering, lemma2_failure_bound,
                               verify_covering)
@@ -23,11 +22,10 @@ from chansim.fidelity import (derandomize, derandomized_family,
                               measure_fidelity, min_nonzero_entry, required_Q)
 from chansim.simulate import (accounting, build_sim_code, jointly_typical_types,
                               strong_fidelity_report)
-from chansim.typeclasses import (TypicalSpec, conditional_class_size_given_y,
-                                 conditional_type_class_size, enumerate_joint_types,
-                                 enumerate_type_class, enumerate_type_classes,
-                                 joint_type_class_size, type_class_size,
-                                 type_word_log2_prob, typical_probability_bounds)
+from chansim.typeclasses import (JointType, TypicalSpec, conditional_type_class_size,
+                                 enumerate_joint_types, enumerate_type_class,
+                                 enumerate_type_classes, joint_type_class_size,
+                                 type_class_size, typical_probability_bounds)
 from chansim.zero_error import (ZeroErrorInstance, alternate, brute_force_oracle,
                                 intermediate_size_bound)
 
@@ -46,7 +44,9 @@ def test_information_identities_and_continuity_bound():
         h_out = entropy(output_marginal(p, w))
         assert h_out == pytest.approx(
             mutual_information(p, w) + conditional_entropy(p, w), abs=1e-9)
-    # entropy difference dominated by the continuity bound on close pairs
+    # entropy difference dominated by the continuity bound on close pairs:
+    # |H(p) - H(q)| <= -lam log2(lam / a) for lam = sum |p - q| <= 1/2
+    # (Cover and Thomas, Theorem 17.3.3)
     for _ in range(1000):
         a = int(rng.integers(2, 7))
         p = rng.dirichlet(np.ones(a))
@@ -55,7 +55,9 @@ def test_information_identities_and_continuity_bound():
         q = (1.0 - t) * p + t * r
         dp, dq = Distribution.from_probs(p), Distribution.from_probs(q)
         gap = abs(entropy(dp) - entropy(dq))
-        assert entropy_continuity_bound(dp, dq) >= gap - 1e-12
+        lam = float(np.abs(dp.probs - dq.probs).sum())
+        bound = -lam * math.log2(lam / a) if lam > 0 else 0.0
+        assert bound >= gap - 1e-12
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -87,13 +89,13 @@ def test_type_cardinality_sandwiches_and_exhaustive_identities():
         for t in enumerate_type_classes(n, a):
             words = enumerate_type_class(t)
             assert len(words) == type_class_size(t)
-            class_log = type_word_log2_prob(t, p)
+            class_log = float(np.dot(t.counts, log_p))
             for word in words:
                 direct = float(sum(log_p[s] for s in word))
                 assert direct == pytest.approx(class_log, abs=1e-9)
             total += len(words) * 2.0 ** class_log
         assert total == pytest.approx(1.0, abs=1e-12)
-    # transpose identities by exact counting for n <= 6
+    # x-side classes against a fixed y word, by exact counting for n <= 6
     for n in (4, 6):
         for t in enumerate_joint_types(n, 2, 2):
             row, col = t.row_marginal(), t.col_marginal()
@@ -101,7 +103,8 @@ def test_type_cardinality_sandwiches_and_exhaustive_identities():
             y_word = tuple(s for s, c in enumerate(col.counts) for _ in range(c))
             joint = joint_type_class_size(t)
             assert conditional_type_class_size(t, x_word) * type_class_size(row) == joint
-            assert conditional_class_size_given_y(t, y_word) * type_class_size(col) == joint
+            transposed = JointType(n, tuple(zip(*t.counts)))
+            assert conditional_type_class_size(transposed, y_word) * type_class_size(col) == joint
     assert time.perf_counter() - t0 < 60.0
 
 

@@ -2,6 +2,7 @@
 built on top of the simulation machinery."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -72,6 +73,24 @@ def test_build_dilution_validation():
         build_dilution(UNIF2, 1.0)
 
 
+def test_build_dilution_tiny_epsilon_is_exact_or_refused():
+    # k = ceil((log2|A| - log2 eps) / eps) reaches 3e10 at eps = 1e-9: the
+    # grouping must not allocate by k, and past k^2 = 2^53 float shares can
+    # miss k^2, which must raise rather than return a plan that misses it
+    rng = np.random.default_rng(29)
+    refused = 0
+    for eps in (1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        for _ in range(40):
+            target = Distribution.from_probs(rng.dirichlet(np.ones(int(rng.integers(2, 30)))))
+            try:
+                plan = build_dilution(target, eps)
+            except InvalidInputError:
+                refused += 1
+                continue
+            assert sum(b.weight_count for b in plan.buckets) == plan.helper_size
+    assert 0 < refused < 200
+
+
 def test_realize_uniform_passthrough():
     plan = build_dilution(Distribution.uniform(5), 0.1)
     seen = {realize_from_uniform(plan, iter([u]))
@@ -113,19 +132,17 @@ def test_realize_stream_validation():
 
 
 def test_dilution_plan_serialization():
-    plan = build_dilution(Distribution.from_probs([0.5, 0.3, 0.2]), 0.1)
-    back = DilutionPlan.from_json_dict(plan.to_json_dict())
-    assert back.buckets == plan.buckets
-    assert (back.k, back.helper_size, back.total_uniform_size) \
-        == (plan.k, plan.helper_size, plan.total_uniform_size)
-    assert np.allclose(back.target.probs, plan.target.probs)
-    # buckets of several members compare by value; members stay read-only
+    # plan.json: buckets in interval order, each bucket's members as the
+    # symbol list, every number as the plan holds it
     plan = build_dilution(Distribution.from_probs([0.3, 0.3, 0.2, 0.2]), 0.1)
-    back = DilutionPlan.from_json_dict(plan.to_json_dict())
-    assert [b.members.tolist() for b in plan.buckets] == [[0, 1], [2, 3]]
-    assert back.buckets == plan.buckets
-    assert back.buckets != plan.buckets[::-1]
-    assert not any(b.members.flags.writeable for b in plan.buckets + back.buckets)
+    doc = json.loads(json.dumps(plan.to_json_dict()))
+    assert [b["members"] for b in doc["buckets"]] == [[0, 1], [2, 3]]
+    assert [(b["interval_index"], b["mass"], b["weight_count"]) for b in doc["buckets"]] \
+        == [(b.interval_index, b.mass, b.weight_count) for b in plan.buckets]
+    assert (doc["k"], doc["helper_size"], doc["total_uniform_size"], doc["infinite_mass"]) \
+        == (plan.k, plan.helper_size, plan.total_uniform_size, plan.infinite_mass)
+    assert doc["target"]["probs"] == plan.target.probs.tolist()
+    assert not any(b.members.flags.writeable for b in plan.buckets)
 
 
 def test_distortion_spec_validation():
@@ -139,7 +156,6 @@ def test_distortion_spec_validation():
         DistortionSpec((0.0, 1.0), 0.1)
     spec = DistortionSpec.hamming(2, 0.1)
     assert spec.matrix.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert DistortionSpec.from_json_dict(spec.to_json_dict()) == spec
 
 
 def test_expected_distortion_hand_value():

@@ -3,13 +3,15 @@ resolution, cap overrides, and byte-identical reruns."""
 
 import json
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chansim import typeclasses
+from chansim import cli, typeclasses
 from chansim.cli import (CAP_REGISTRY, ExperimentConfig, RunRecord,
-                         build_config, compare_bounds, exit_code_for, main,
+                         build_config, compare_bounds, main,
                          parse_cap_overrides, run)
 from chansim.errors import (CapExceededError, InfeasibleError,
                             InvalidInputError, RetriesExhaustedError)
@@ -157,13 +159,43 @@ def test_oracle_multiset_cap_exits_3(tmp_path, bsc_file, capsys):
                  "--cap-override", "ORACLE_MULTISET_CAP=6544"]) == 3
 
 
-def test_exit_code_mapping_covers_all_errors():
-    assert exit_code_for(InvalidInputError("x")) == 2
-    assert exit_code_for(CapExceededError("x")) == 3
-    assert exit_code_for(InfeasibleError("x")) == 4
-    assert exit_code_for(RetriesExhaustedError("x")) == 5
+def test_exit_code_mapping_covers_all_errors(bsc_file, capsys, monkeypatch):
+    for error, code, label in ((InvalidInputError, 2, "invalid-input"),
+                               (CapExceededError, 3, "cap-exceeded"),
+                               (InfeasibleError, 4, "infeasible"),
+                               (RetriesExhaustedError, 5, "retries-exhausted")):
+        def fail(cfg, bundle):
+            raise error("raised by the handler")
+        monkeypatch.setitem(cli._HANDLERS, "info", fail)
+        assert main(["info", bsc_file]) == code
+        assert f"error={label} command=info reason=raised by the handler" \
+            in capsys.readouterr().err
+
+    def unmapped(cfg, bundle):
+        raise KeyError("unmapped errors propagate")
+    monkeypatch.setitem(cli._HANDLERS, "info", unmapped)
     with pytest.raises(KeyError):
-        exit_code_for(KeyError("unmapped errors propagate"))
+        main(["info", bsc_file])
+
+
+def test_dilute_tiny_epsilon_exits_promptly(capsys):
+    # k = 3.1e10 at eps = 1e-9: no table of size k, and inexact k^2 weights
+    # are refused with exit 2 instead of returned
+    target = Path(__file__).resolve().parent.parent / "demos/instances/three_letter_target.json"
+    t0 = time.perf_counter()
+    code = main(["dilute", str(target), "--epsilon", "1e-9"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code in (0, 2)
+    if code == 2:
+        assert "error=invalid-input command=dilute" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [[[1.0], [1.0]], [[1.0]]])
+def test_derandomize_one_output_letter(tmp_path, capsys, rows):
+    path = tmp_path / "y1.json"
+    path.write_text(json.dumps({"channel": {"rows": rows}}))
+    assert main(["derandomize", str(path), "--n", "3", "--delta", "2.0"]) == 0
+    assert "global_err = 0" in capsys.readouterr().out
 
 
 def test_cap_override_raises_limit_and_restores(bsc_file):

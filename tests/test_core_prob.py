@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from chansim.core_prob import (
-    ZERO_TOL,
     Channel,
     Distribution,
-    JointDistribution,
     _clean_prob_vector,
     binary_entropy,
-    channel_compose,
     conditional_entropy,
     entropy,
-    entropy_continuity_bound,
     mutual_information,
     output_marginal,
     rate_lower_bound_defect,
-    transpose_channel,
     tv_distance,
 )
 from chansim.errors import InvalidInputError
@@ -63,8 +58,6 @@ class TestConstruction:
         w = random_channel(rng, 3, 4)
         assert np.allclose(Distribution.from_json_dict(p.to_json_dict()).probs, p.probs)
         assert np.allclose(Channel.from_json_dict(w.to_json_dict()).rows, w.rows)
-        j = JointDistribution.from_source_and_channel(random_distribution(rng, 3), w)
-        assert np.allclose(JointDistribution.from_json_dict(j.to_json_dict()).probs, j.probs)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
@@ -72,20 +65,11 @@ class TestConstruction:
             Distribution.from_probs([bad, 1.0])
         with pytest.raises(InvalidInputError, match="channel row 1 has a non-finite"):
             Channel.from_rows([[0.5, 0.5], [bad, 1.0]])
-        with pytest.raises(InvalidInputError, match="non-finite"):
-            JointDistribution(2, 2, [[0.5, 0.5], [bad, 0.0]])
 
     @pytest.mark.parametrize("rows", [[], np.zeros((0, 2)), np.zeros((2, 0)), [[]]])
     def test_rejects_empty_channel(self, rows):
         with pytest.raises(InvalidInputError):
             Channel.from_rows(rows)
-
-    @pytest.mark.parametrize("probs", [[], np.zeros((0, 2)), np.zeros((2, 0)), [[]],
-                                       [0.5, 0.5], [[[1.0]]]])
-    def test_rejects_empty_or_non_matrix_joint(self, probs):
-        with pytest.raises(InvalidInputError):
-            JointDistribution.from_json_dict({"probs": probs})
-
 
 def _loop_channel_rows(rows):
     """Row-by-row reference for Channel's vectorised validation."""
@@ -153,6 +137,14 @@ class TestEntropy:
         assert mutual_information(p, w) == pytest.approx(1 - binary_entropy(0.25), abs=1e-12)
 
 
+def _reverse_channel(p, w):
+    """Reference for the identities below: the output law q and the reverse
+    channel V(x|y) = P(x) W(y|x) / q(y) of a source pushed through w."""
+    joint = p.probs[:, None] * w.rows
+    q = joint.sum(axis=0)
+    return Distribution.from_probs(q), Channel.from_rows(joint.T / q[:, None])
+
+
 class TestIdentities:
     """Information identities on random instances, alphabets 2..6."""
 
@@ -163,8 +155,8 @@ class TestIdentities:
             b = int(rng.integers(2, 7))
             p = random_distribution(rng, a)
             w = random_channel(rng, a, b)
-            joint = JointDistribution.from_source_and_channel(p, w)
-            q, v = transpose_channel(p, w)
+            joint = p.probs[:, None] * w.rows
+            q, v = _reverse_channel(p, w)
 
             hj = entropy(joint)
             assert hj == pytest.approx(entropy(p) + conditional_entropy(p, w), abs=1e-9)
@@ -177,24 +169,6 @@ class TestIdentities:
             assert -1e-12 <= i_fwd <= min(entropy(p), entropy(q)) + 1e-9
 
             assert np.allclose(q.probs, output_marginal(p, w).probs)
-            assert np.allclose(joint.x_marginal().probs, p.probs)
-
-    def test_transpose_round_trip_reconstructs_joint(self):
-        rng = np.random.default_rng(SEED + 1)
-        for _ in range(100):
-            p = random_distribution(rng, 4)
-            w = random_channel(rng, 4, 3)
-            q, v = transpose_channel(p, w)
-            back = q.probs[:, None] * v.rows
-            assert np.allclose(back.T, p.probs[:, None] * w.rows, atol=1e-12)
-
-    def test_transpose_dead_output_uniform_and_flagged(self):
-        p = Distribution.from_probs([0.5, 0.5])
-        w = Channel.from_rows([[1.0, 0.0], [1.0, 0.0]])
-        q, v = transpose_channel(p, w)
-        assert np.flatnonzero(q.probs < ZERO_TOL).tolist() == [1]
-        assert np.allclose(v.rows[1], [0.5, 0.5])
-        assert q.probs[1] == 0.0
 
 
 class TestTVDistance:
@@ -218,50 +192,6 @@ class TestTVDistance:
         p = Distribution.from_probs([1.0, 0.0])
         q = Distribution.from_probs([0.0, 1.0])
         assert tv_distance(p, q) == 1.0
-
-
-class TestContinuityBound:
-    def test_dominates_entropy_difference(self):
-        # 10,000 random pairs with sum|p-q| <= 1/2, alphabets 2..8
-        rng = np.random.default_rng(SEED + 4)
-        checked = 0
-        while checked < 10000:
-            a = int(rng.integers(2, 9))
-            p = random_distribution(rng, a)
-            t = rng.uniform(0, 0.25)
-            q = Distribution.from_probs((1 - t) * p.probs + t * rng.dirichlet(np.ones(a)))
-            lam = float(np.abs(p.probs - q.probs).sum())
-            if lam > 0.5:
-                continue
-            bound = entropy_continuity_bound(p, q)
-            assert abs(entropy(p) - entropy(q)) <= bound + 1e-9
-            checked += 1
-
-    def test_equal_inputs_give_zero(self):
-        p = Distribution.uniform(4)
-        assert entropy_continuity_bound(p, p) == 0.0
-
-    def test_rejects_distant_pair(self):
-        p = Distribution.from_probs([1.0, 0.0])
-        q = Distribution.from_probs([0.0, 1.0])
-        with pytest.raises(InvalidInputError):
-            entropy_continuity_bound(p, q)
-
-
-class TestCompose:
-    def test_matches_matrix_product_and_is_stochastic(self):
-        rng = np.random.default_rng(SEED + 5)
-        for _ in range(200):
-            e = random_channel(rng, 3, 5)
-            d = random_channel(rng, 5, 4)
-            c = channel_compose(e, d)
-            assert np.allclose(c.rows, e.rows @ d.rows)
-            assert np.allclose(c.rows.sum(axis=1), 1.0)
-
-    def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(SEED + 6)
-        with pytest.raises(InvalidInputError):
-            channel_compose(random_channel(rng, 2, 3), random_channel(rng, 4, 2))
 
 
 class TestRateDefect:

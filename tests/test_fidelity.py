@@ -238,6 +238,18 @@ def test_measure_validations():
                          weights=[0.5, 0.5])
 
 
+def test_measure_one_output_letter():
+    # |Y| = 1: n is read off the input alphabet; one letter each: n = 1
+    one = Channel.from_rows([[1.0], [1.0], [1.0]])
+    rep = measure_fidelity(Distribution.uniform(3), one, Channel.from_rows(np.ones((9, 1))))
+    assert rep == FidelityReport(0.0, 0.0, 0.0, 0.0)
+    single = Channel.from_rows([[1.0]])
+    rep = measure_fidelity(Distribution.uniform(1), single, single)
+    assert rep == FidelityReport(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(InvalidInputError):
+        measure_fidelity(Distribution.uniform(3), one, Channel.from_rows(np.ones((8, 1))))
+
+
 def test_min_nonzero_entry():
     assert min_nonzero_entry(BSC) == 0.25
     mixed = Channel.from_rows([[0.5, 0.5, 0.0], [0.0, 0.125, 0.875]])

@@ -35,6 +35,7 @@ from chansim.typeclasses import (
     TypicalSpec,
     count_joint_occurrences,
     count_occurrences,
+    enumerate_type_class,
     type_class_size,
 )
 
@@ -140,6 +141,18 @@ def test_decode_validations(small_code):
 def test_encode_rejects_bad_nu(small_code):
     with pytest.raises(InvalidInputError):
         encode(small_code, (0, 0, 1, 1), small_code.N, seed=0)
+
+
+@pytest.mark.parametrize("code_name", ["small_code", "skewed_code"])
+def test_class_position_is_the_rank_order(code_name, request):
+    # encode and output_distribution find a word's class position by
+    # searchsorted on the ranks, which the lexicographic class keeps ascending
+    code = request.getfixturevalue(code_name)
+    for base in {t.row_marginal() for t in code.typical_joint_types}:
+        bt = simulate._base_tables_for(code, base)
+        assert np.all(np.diff(bt.x_global) > 0)
+        for i, word in enumerate(enumerate_type_class(base)):
+            assert bt.position(tuple(int(v) for v in word)) == i
 
 
 def test_protocol_deterministic_under_seed(small_code):
