@@ -180,27 +180,44 @@ def uniform_index_stream(size: int, seed: int):
 
 
 def realize_from_uniform(plan: DilutionPlan, uniform_sample_stream):
-    """Draw one target symbol from the next uniform index in the stream.
-
-    The index splits into a helper slot (bucket choice by the k^2-type
-    weights) and a residue (uniform member choice, exact because every
-    live bucket size divides the residue range).
-    """
+    """Draw one target symbol from the next uniform index in the stream:
+    realize_indices on that one index."""
     it = iter(uniform_sample_stream)
     try:
         u = int(next(it))
     except StopIteration:
         raise InvalidInputError("uniform sample stream exhausted") from None
-    if not 0 <= u < plan.total_uniform_size:
-        raise InvalidInputError(f"index {u} outside [0, {plan.total_uniform_size})")
-    block = plan.total_uniform_size // plan.helper_size
-    slot, residue = divmod(u, block)
-    acc = 0
-    for b in plan.buckets:
-        acc += b.weight_count
-        if slot < acc:
-            return int(b.members[residue % len(b.members)])
-    raise InvalidInputError("helper slot not covered by bucket weights")
+    return int(realize_indices(plan, [u])[0])
+
+
+def realize_indices(plan: DilutionPlan, indices) -> np.ndarray:
+    """The target symbol of each uniform index in [0, total_uniform_size),
+    as one int64 array.
+
+    An index u splits into a helper slot u // block and a residue u % block,
+    block = total_uniform_size / k^2. The slot picks the bucket by the
+    k^2-type weights, found by searchsorted on their running sums; the
+    residue picks a member uniformly, exactly because every live bucket size
+    divides block. indices is any iterable of ints, read into an int64
+    array when every valid index fits and into Python ints beyond that."""
+    total = plan.total_uniform_size
+    try:
+        u = np.fromiter(indices, dtype=np.int64 if total <= 1 << 63 else object)
+    except OverflowError:
+        raise InvalidInputError(f"an index is outside [0, {total})") from None
+    outside = (u < 0) | (u >= total)
+    if outside.any():
+        raise InvalidInputError(f"index {u[outside][0]} outside [0, {total})")
+    block = total // plan.helper_size
+    slot, residue = u // block, u % block
+    bucket = np.searchsorted(np.cumsum([b.weight_count for b in plan.buckets]),
+                             slot.astype(np.int64, copy=False), side="right")
+    if (bucket == len(plan.buckets)).any():
+        raise InvalidInputError("helper slot not covered by bucket weights")
+    sizes = np.array([len(b.members) for b in plan.buckets], dtype=np.int64)
+    start = np.cumsum(sizes) - sizes
+    position = start[bucket] + (residue % sizes[bucket]).astype(np.int64)
+    return np.concatenate([b.members for b in plan.buckets])[position]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +431,8 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
     rows = simplex_grid(y_size, resolution)
     g = rows.shape[0]
     if g ** x_size > GRID_ORACLE_CAP:
-        raise CapExceededError("channel grid exceeds the search cap")
+        raise CapExceededError(f"channel grid has {g ** x_size} channels, "
+                               f"above GRID_ORACLE_CAP = {GRID_ORACLE_CAP}")
     limits = [spec.target_d + 1e-12 for spec in specs]
     widest = max(limits)
     row_cost = rows @ specs[0].matrix.T        # (g, x): E d(x, .) per grid row

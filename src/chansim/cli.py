@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ import numpy as np
 from . import applications, covering, fidelity, simulate, typeclasses, zero_error
 from ._seeds import child_seed
 from .applications import (DistortionSpec, build_dilution, expected_distortion,
-                           rd_function, rd_grid_oracle, realize_from_uniform,
+                           rd_function, rd_grid_oracle, realize_indices,
                            uniform_index_stream)
 from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
                         mutual_information, output_marginal, tv_distance)
@@ -575,7 +576,7 @@ def _run_dilute(cfg, bundle):
     if samples > 0:
         stream = uniform_index_stream(plan.total_uniform_size,
                                       child_seed(cfg.seed, "dilute:stream"))
-        draws = [realize_from_uniform(plan, stream) for _ in range(samples)]
+        draws = realize_indices(plan, itertools.islice(stream, samples))
         counts = np.bincount(draws, minlength=target.alphabet_size)
         empirical = Distribution.from_probs(counts / samples)
         empirical_tv = tv_distance(empirical, target)

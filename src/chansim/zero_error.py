@@ -9,8 +9,13 @@ reconstruction must be perfect rather than approximate.
 Structure used by the solver: for fixed D the feasible E rows form a product
 of polytopes, and the concave objective H(mu) attains its minimum at a
 per-row extreme point with at most |Y| nonzero entries, so the E-step
-enumerates basic feasible solutions exactly. For fixed E the feasible D set
-is affine and the D-step maximizes the concave mixture entropy
+enumerates basic feasible solutions exactly: a least-squares solve on each
+support of at most |Y| rows of D, kept when it is nonnegative and meets the
+channel row. The supports of one size are solved in one call of the LAPACK
+gelsd gufunc over their stack, the call np.linalg.lstsq makes for a single
+matrix, with its rcond and error state; the gufunc solves each matrix of a
+stack on its own, so every solve is lstsq's bit for bit. For fixed E the
+feasible D set is affine and the D-step maximizes the concave mixture entropy
 sum_c mu_c H(D row c) by projected gradient ascent; this cannot change H(mu)
 but widens the next E-step's polytope; when E pins the rows the mixture
 reads, every feasible D scores the same and the ascent stops after one step
@@ -29,6 +34,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from ._seeds import child_rng
 from .core_prob import Channel, Distribution, entropy, mutual_information, simplex_grid
@@ -133,48 +139,96 @@ def make_factorization(instance: ZeroErrorInstance, e_rows, d_rows,
 
 def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
     """Extreme points of {e >= 0 : e @ d_rows = w_row}, each with at most
-    |Y| nonzero entries, sorted by support pattern for deterministic ties."""
-    return _distinct_vertices(
-        _support_vertex(d_rows, w_row, supp,
-                        _support_weights(d_rows[list(supp)].T, w_row))
-        for supp in _supports(*d_rows.shape))
+    |Y| nonzero entries, sorted by support pattern for deterministic ties.
+    The supports of each size are solved in one _solve_supports call, and
+    all of them are placed in one _place_vertices pass."""
+    groups = _support_groups(*d_rows.shape)
+    e = np.zeros((sum(len(supps) for supps, _ in groups), d_rows.shape[0]))
+    ok = np.zeros(len(e), dtype=bool)
+    for supps, at in groups:
+        sol, accepted = _solve_supports(d_rows[supps], w_row)
+        e[at, supps] = sol
+        ok[at[:, 0]] = accepted
+    return _distinct_vertices(_place_vertices(e, ok, d_rows, w_row))
 
 
 def _supports(c_size: int, y_size: int):
     """The row-position tuples row_vertices solves on, by size and then in
     combinations order."""
-    return [supp for r in range(1, min(y_size, c_size) + 1)
-            for supp in itertools.combinations(range(c_size), r)]
+    return [tuple(supp) for supps, _ in _support_groups(c_size, y_size)
+            for supp in supps.tolist()]
 
 
-def _support_weights(a: np.ndarray, w_row: np.ndarray):
-    """Least-squares weights of the columns of a for w_row, clipped at 0;
-    None when a is rank deficient or a weight is below -SOLVE_TOL."""
-    sol, _, rank, _ = np.linalg.lstsq(a, w_row, rcond=None)
-    if rank < a.shape[1] or (sol < -SOLVE_TOL).any():
-        return None
-    return np.maximum(sol, 0.0)
+@functools.lru_cache(maxsize=None)
+def _support_groups(c_size: int, y_size: int):
+    """The supports of each size r = 1 .. min(|Y|, c) as one (count, r)
+    array of row positions in combinations order, paired with the (count,
+    1) indices of those supports in the list of all sizes; read-only."""
+    groups, start = [], 0
+    for r in range(1, min(y_size, c_size) + 1):
+        supps = np.array(list(itertools.combinations(range(c_size), r)), dtype=np.intp)
+        at = np.arange(start, start + len(supps))[:, None]
+        supps.flags.writeable = at.flags.writeable = False
+        groups.append((supps, at))
+        start += len(supps)
+    return tuple(groups)
 
 
-def _support_vertex(d_rows: np.ndarray, w_row: np.ndarray, supp, sol):
-    """The vertex of {e >= 0 : e @ d_rows = w_row} on the row positions
-    supp, given sol = _support_weights(d_rows[supp].T, w_row), as
-    (dedupe key, sort key, e); None when the solve is rejected or misses
-    w_row by more than SOLVE_TOL. It depends on d_rows only through supp
-    and the rows at supp (e is zero elsewhere)."""
-    if sol is None:
-        return None
-    e = np.zeros(d_rows.shape[0])
-    e[list(supp)] = sol
-    if np.abs(e @ d_rows - w_row).max() > SOLVE_TOL:
-        return None
-    return (tuple(np.round(e, 10).tolist()),
-            (tuple(np.flatnonzero(e > SOLVE_TOL).tolist()),
-             tuple(np.round(e, 12).tolist())), e)
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_stack(a: np.ndarray, b: np.ndarray):
+    """np.linalg.lstsq(a[i], b, rcond=None) for each (m, n) matrix a[i] of
+    the stack a and the one (m,) right-hand side b, as (k, n) solutions and
+    (k,) ranks.
+
+    lstsq makes one call of the LAPACK gelsd gufunc on its single matrix.
+    This makes the same call on the whole stack, with lstsq's rcond =
+    eps * max(m, n) and its error state (LinAlgError when the SVD fails, as
+    on NaN input). The gufunc solves each matrix of a stack on its own, so
+    every solution and rank is lstsq's bit for bit."""
+    m, n = a.shape[-2:]
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, _, rank, _ = _umath_linalg.lstsq(a, np.asarray(b)[:, None],
+                                            np.finfo(float).eps * max(m, n),
+                                            signature="ddd->ddid")
+    return x[..., 0], rank
+
+
+def _solve_supports(cols: np.ndarray, w_row: np.ndarray):
+    """Least-squares weights of the r rows of each (r, |Y|) matrix in the
+    stack cols for w_row, clipped at 0, and whether each solve is accepted:
+    full rank r and no weight below -SOLVE_TOL."""
+    sol, rank = _lstsq_stack(cols.transpose(0, 2, 1), w_row)
+    accepted = (rank == cols.shape[1]) & ~(sol < -SOLVE_TOL).any(axis=1)
+    return np.maximum(sol, 0.0), accepted
+
+
+def _place_vertices(e: np.ndarray, ok: np.ndarray, d: np.ndarray, w_row: np.ndarray):
+    """The candidate vertex in each row of the (k, c) stack e, whose entries
+    are zero off its support, as (dedupe key, sort key, e row); None where
+    ok is False or |e @ D - w_row|_inf > SOLVE_TOL. D is the one (c, |Y|)
+    decoder d or, for a (k, c, |Y|) stack d, its own matrix per row.
+
+    e @ D is taken as k (1, c) @ (c, |Y|) products, each rounded as the
+    product of one row vector is (a (k, c) @ (c, |Y|) matrix product rounds
+    differently). A row's result depends on D only through its support
+    positions and the rows of D there: its zeros add exact zeros."""
+    resid = np.abs(np.matmul(e[:, None], d)[:, 0] - w_row).max(axis=1)
+    live = np.flatnonzero(ok & ~(resid > SOLVE_TOL))
+    kept = e[live]
+    found = [None] * len(e)
+    for i, key, ties, pos in zip(live.tolist(), np.round(kept, 10).tolist(),
+                                 np.round(kept, 12).tolist(), (kept > SOLVE_TOL).tolist()):
+        found[i] = (tuple(key), (tuple([j for j, v in enumerate(pos) if v]), tuple(ties)),
+                    e[i])
+    return found
 
 
 def _distinct_vertices(found):
-    """The vertices among _support_vertex results in support order, None
+    """The vertices among _place_vertices results in support order, None
     skipped and the first of each dedupe key kept, sorted by sort key."""
     seen, kept = set(), []
     for vertex in found:
@@ -493,7 +547,8 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     - per channel row, _block_vertices gives every survivor its
       row_vertices list, solving each distinct set of grid rows once per
       call and placing and testing the solve once per support position,
-      and the survivors left without a vertex are dropped;
+      each in one stacked pass per chunk, and the survivors left without a
+      vertex are dropped;
     - _min_entropy_stack makes e_step's vertex choice for all survivors
       (the caps keep every product of list lengths, at most 14^3, below
       EXACT_COMBO_CAP, so the exact search is the one that applies);
@@ -502,10 +557,12 @@ def brute_force_oracle(instance: ZeroErrorInstance,
       by more than 1e-12."""
     x_size = instance.channel.input_size
     y_size = instance.channel.output_size
-    if x_size > ORACLE_XY_CAP or y_size > ORACLE_XY_CAP:
-        raise CapExceededError("oracle alphabet cap exceeded")
+    if max(x_size, y_size) > ORACLE_XY_CAP:
+        raise CapExceededError(f"oracle alphabets have |X| = {x_size} and |Y| = {y_size}, "
+                               f"above ORACLE_XY_CAP = {ORACLE_XY_CAP}")
     if instance.c_max > ORACLE_C_CAP:
-        raise CapExceededError("oracle intermediate-size cap exceeded")
+        raise CapExceededError(f"oracle intermediate alphabet has c_max = {instance.c_max}, "
+                               f"above ORACLE_C_CAP = {ORACLE_C_CAP}")
     if grid_resolution < 2:
         raise InvalidInputError("grid resolution must be at least 2")
     g = math.comb(grid_resolution + y_size - 1, y_size - 1)
@@ -553,11 +610,16 @@ def _block_vertices(rows, block, w_row, supports, table, solves):
     (k,) lengths.
 
     Each distinct (support, grid rows at it) pair is looked up once. table
-    maps (supp, key) to _support_vertex's result and solves maps key, the
-    grid rows, to the _support_weights solve it places: the solve sees only
-    the rows, so supports holding the same rows share it, while the
-    residual test does not, since e @ D's rounding depends on where e's
-    zeros sit. Both persist across the chunks of one oracle call. Per combo
+    maps (supp, key) to its _place_vertices result and solves maps key, the
+    grid rows, to its clipped _solve_supports weights (None when rejected):
+    the solve sees only the rows, so supports holding the same rows share
+    it, while the residual test does not, since e @ D's rounding depends on
+    where e's zeros sit. Both persist across the chunks of one oracle call.
+    A chunk first gathers its unsolved keys and solves those of each size in
+    one stacked gelsd call, then places all its unplaced pairs in one pass,
+    each with the first combo in the chunk that holds it as D; the stacked
+    calls round every solve and residual as the per-support ones of
+    row_vertices do, so the lists are row_vertices' bit for bit. Per combo
     the first vertex in support order of each dedupe key is kept and the
     kept ones are ordered by sort key, as _distinct_vertices does."""
     # code (support index, grid rows at it) as one integer per position
@@ -568,15 +630,35 @@ def _block_vertices(rows, block, w_row, supports, table, solves):
             digits[position, s] = len(rows) ** j
     _, first, ids = np.unique((block @ digits) * size + np.arange(size),
                               return_index=True, return_inverse=True)
-    found, at = [], (first % size).tolist()
-    for combo, s in zip(block[first // size].tolist(), at):
-        supp = supports[s]
-        key = tuple([combo[j] for j in supp])
-        if (supp, key) not in table:
-            if key not in solves:
-                solves[key] = _support_weights(rows[list(key)].T, w_row)
-            table[supp, key] = _support_vertex(rows[combo], w_row, supp, solves[key])
-        found.append(table[supp, key])
+    at = (first % size).tolist()
+    pairs = [(supports[s], tuple([combo[j] for j in supports[s]]))
+             for combo, s in zip(block[first // size].tolist(), at)]
+    new = [i for i, pair in enumerate(pairs) if pair not in table]
+    unsolved = {}
+    for i in new:
+        key = pairs[i][1]
+        if key not in solves:
+            unsolved.setdefault(len(key), {})[key] = None
+    for keys in unsolved.values():
+        sol, accepted = _solve_supports(rows[np.array(list(keys))], w_row)
+        solves.update(zip(keys, [weights if ok else None
+                                 for weights, ok in zip(sol.tolist(), accepted.tolist())]))
+    if new:
+        e = np.zeros((len(new), block.shape[1]))
+        placed, at_row, at_col, weights = [], [], [], []
+        for n, i in enumerate(new):
+            supp, key = pairs[i]
+            if solves[key] is not None:
+                placed.append(n)
+                at_row += [n] * len(supp)
+                at_col += supp
+                weights += solves[key]
+        e[at_row, at_col] = weights
+        ok = np.zeros(len(new), dtype=bool)
+        ok[placed] = True
+        table.update(zip([pairs[i] for i in new],
+                         _place_vertices(e, ok, rows[block[first[new] // size]], w_row)))
+    found = [table[pair] for pair in pairs]
     ids = ids.reshape(len(block), size)
     live = [j for j, vertex in enumerate(found) if vertex is not None]
     group = np.full(len(found), -1)

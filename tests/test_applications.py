@@ -14,6 +14,7 @@ from chansim.core_prob import (Channel, Distribution, binary_entropy, entropy, s
                                 tv_distance)
 from chansim.errors import CapExceededError, InvalidInputError
 from chansim.applications import (
+    DilutionBucket,
     DilutionPlan,
     DistortionSpec,
     block_distortion_matrix,
@@ -24,6 +25,7 @@ from chansim.applications import (
     rd_function,
     rd_grid_oracle,
     realize_from_uniform,
+    realize_indices,
     uniform_index_stream,
 )
 
@@ -119,6 +121,46 @@ def test_realize_empirical_frequencies():
     mean_bound = 0.5 * sum(math.sqrt(p * (1 - p) / n) for p in mix)
     tv = 0.5 * np.abs(emp - mix).sum()
     assert tv <= mean_bound + 3.0 / (2.0 * math.sqrt(n))
+
+
+def _reference_realize(plan, u):
+    """The symbol of index u by a scan of the running bucket weights."""
+    block = plan.total_uniform_size // plan.helper_size
+    slot, residue = divmod(u, block)
+    acc = 0
+    for b in plan.buckets:
+        acc += b.weight_count
+        if slot < acc:
+            return int(b.members[residue % len(b.members)])
+    raise AssertionError("slot not covered")
+
+
+def test_realize_indices_equal_per_index_for_every_index():
+    plan = build_dilution(Distribution.from_probs([0.3, 0.3, 0.2, 0.1, 0.1]), 0.3)
+    assert len({len(b.members) for b in plan.buckets}) > 1
+    every = list(range(plan.total_uniform_size))
+    got = realize_indices(plan, every)
+    assert got.dtype == np.int64
+    assert got.tolist() == [realize_from_uniform(plan, iter([u])) for u in every]
+    assert got.tolist() == [_reference_realize(plan, u) for u in every]
+
+
+def test_realize_indices_beyond_64_bits():
+    """A plan whose index range passes 2^63 maps Python-int indices."""
+    members = [np.array([0, 1, 2]), np.array([3, 4])]
+    for m in members:
+        m.flags.writeable = False
+    buckets = (DilutionBucket(1, members[0], 0.5, 1), DilutionBucket(2, members[1], 0.5, 3))
+    total = 4 * 6 * 2 ** 62
+    plan = DilutionPlan(Distribution.uniform(5), 0.1, 2, buckets, 0.0, 4, total)
+    rng = np.random.default_rng(3)
+    indices = [0, total - 1, 2 ** 63, 2 ** 63 - 1] + \
+        [int(v) * 2 ** 40 + int(w) for v, w in rng.integers(0, 2 ** 24, size=(200, 2))]
+    got = realize_indices(plan, indices)
+    assert got.tolist() == [_reference_realize(plan, u) for u in indices]
+    for bad in (total, -1):
+        with pytest.raises(InvalidInputError, match="outside"):
+            realize_indices(plan, [5, bad])
 
 
 def test_realize_stream_validation():

@@ -159,6 +159,29 @@ def test_oracle_multiset_cap_exits_3(tmp_path, bsc_file, capsys):
                  "--cap-override", "ORACLE_MULTISET_CAP=6544"]) == 3
 
 
+ZERO_ERROR_AT_4 = ["zero-error", "--restarts", "1", "--oracle-resolution", "4"]
+
+
+@pytest.mark.parametrize("argv, cap, value, limit", [
+    (ZERO_ERROR_AT_4, "ORACLE_XY_CAP", "|Y| = 2", 1),
+    (ZERO_ERROR_AT_4, "ORACLE_C_CAP", "c_max = 3", 2),
+    (ZERO_ERROR_AT_4, "ORACLE_MULTISET_CAP", "35 multisets", 34),
+    (["rd", "--hamming", "2", "--targets", "0.1", "--certify-resolution", "4"],
+     "GRID_ORACLE_CAP", "25 channels", 24),
+])
+def test_oracle_cap_message_names_cap_value_and_limit(bsc_file, capsys, argv, cap,
+                                                       value, limit):
+    """bsc has |X| = |Y| = 2 and c_max = 3; at resolution 4 the zero-error
+    grid has 5 rows, so C(7, 3) = 35 multisets of three, and the rd grid
+    has 5^2 = 25 channels. One below the value exits 3, the value itself 0."""
+    args = [argv[0], bsc_file, *argv[1:]]
+    assert main(args + ["--cap-override", f"{cap}={limit}"]) == 3
+    err = capsys.readouterr().err
+    assert "error=cap-exceeded" in err
+    assert value in err and f"above {cap} = {limit}" in err
+    assert main(args + ["--cap-override", f"{cap}={limit + 1}"]) == 0
+
+
 def test_exit_code_mapping_covers_all_errors(bsc_file, capsys, monkeypatch):
     for error, code, label in ((InvalidInputError, 2, "invalid-input"),
                                (CapExceededError, 3, "cap-exceeded"),

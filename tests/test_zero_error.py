@@ -108,6 +108,92 @@ def test_row_vertices_support_bound():
         assert v.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def _column_stacks(y_size, r, count, rng):
+    """count (|Y|, r) matrices: random columns on the simplex, a third of
+    them rounded onto a grid of pitch 1/4; when r > 1, every fifth with its
+    last column a copy of its first, every seventh with a zero column, and
+    every eleventh with its last column off its first by 1e-17 to 1e-13,
+    around the rank cutoff eps * max(|Y|, r)."""
+    a = rng.dirichlet(np.ones(y_size), size=(count, r)).transpose(0, 2, 1).copy()
+    a[::3] = np.round(a[::3] * 4) / 4
+    if r > 1:
+        a[::5, :, -1] = a[::5, :, 0]
+        a[::7, :, 0] = 0.0
+        near = a[::11]
+        near[:, :, -1] = near[:, :, 0] + rng.standard_normal(near.shape[:2]) \
+            * 10.0 ** rng.uniform(-17, -13, size=(len(near), 1))
+    return a
+
+
+@pytest.mark.parametrize("y_size, r", [(y, r) for y in (1, 2, 3) for r in range(1, y + 1)])
+def test_lstsq_stack_equals_lstsq_bit_for_bit(y_size, r):
+    rng = np.random.default_rng(100 * y_size + r)
+    a = _column_stacks(y_size, r, 2000, rng)
+    for b in (rng.dirichlet(np.ones(y_size)), np.round(rng.dirichlet(np.ones(y_size)) * 4) / 4):
+        sol, rank = zero_error._lstsq_stack(a, b)
+        deficient = 0
+        for i in range(len(a)):
+            want, _, want_rank, _ = np.linalg.lstsq(a[i], b, rcond=None)
+            assert np.array_equal(sol[i], want) and rank[i] == want_rank
+            deficient += want_rank < r
+        assert (deficient > 0) == (r > 1)
+
+
+def test_lstsq_stack_nan_raises_as_lstsq_does():
+    a = np.array([[[0.5, 0.25], [0.5, 0.75]], [[np.nan, 0.0], [1.0, 1.0]]])
+    b = np.array([0.5, 0.5])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(a[1], b, rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        zero_error._lstsq_stack(a, b)
+
+
+def _reference_row_vertices(d_rows, w_row):
+    """row_vertices as one np.linalg.lstsq and one placement per support:
+    the first vertex of each dedupe key in support order, sorted by sort
+    key."""
+    tol = zero_error.SOLVE_TOL
+    found = {}
+    for r in range(1, min(d_rows.shape) + 1):
+        for supp in itertools.combinations(range(d_rows.shape[0]), r):
+            sol, _, rank, _ = np.linalg.lstsq(d_rows[list(supp)].T, w_row, rcond=None)
+            if rank < r or (sol < -tol).any():
+                continue
+            e = np.zeros(d_rows.shape[0])
+            e[list(supp)] = np.maximum(sol, 0.0)
+            if np.abs(e @ d_rows - w_row).max() > tol:
+                continue
+            found.setdefault(tuple(np.round(e, 10).tolist()),
+                             ((tuple(np.flatnonzero(e > tol).tolist()),
+                               tuple(np.round(e, 12).tolist())), e))
+    return [e for _, e in sorted(found.values(), key=lambda vertex: vertex[0])]
+
+
+def test_row_vertices_equal_per_support_lstsq():
+    """Random 3 x 3 channels through c = 4 decoder rows; half the decoders
+    on a grid of pitch 1/4 with a repeated row. In four trials of five the
+    channel is W = E0 D for a random E0, so its rows decompose in several
+    ways; in the fifth W is drawn on its own, so some rows have no vertex."""
+    rng = np.random.default_rng(21)
+    counts = []
+    for trial in range(200):
+        d_rows = rng.dirichlet(np.ones(3), size=4)
+        if trial % 2:
+            d_rows = np.round(d_rows * 4) / 4
+            d_rows[3] = d_rows[0]
+            d_rows[d_rows.sum(axis=1) != 1.0] = [0.25, 0.25, 0.5]
+        w_rows = rng.dirichlet(np.ones(4), size=3) @ d_rows
+        if trial % 5 == 0:
+            w_rows = rng.dirichlet(np.ones(3), size=3)
+        for w in w_rows:
+            got = row_vertices(d_rows, w)
+            want = _reference_row_vertices(d_rows, w)
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            counts.append(len(want))
+    assert min(counts) == 0 and max(counts) >= 4
+
+
 def test_e_step_identity_decoder(bsc_instance):
     e_rows = e_step(bsc_instance, np.eye(2))
     assert np.allclose(e_rows, BSC.rows)
