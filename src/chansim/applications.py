@@ -35,10 +35,9 @@ from .core_prob import (
     simplex_grid,
     tv_distance,
 )
-from .errors import CapExceededError, InvalidInputError
+from .errors import InvalidInputError, require_cap
 from .simulate import (
     SimCode,
-    _check_block_cap,
     accounting,
     build_sim_code,
     encoder_message_law,
@@ -48,7 +47,6 @@ from .simulate import (
     word_letters,
 )
 
-GRID_ORACLE_CAP = 1 << 24
 GRID_CHUNK = 1 << 16
 RD_EQUALITY_TOL = 1e-9
 RD_INNER_TOL = 1e-14
@@ -430,9 +428,7 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
     x_size = source.alphabet_size
     rows = simplex_grid(y_size, resolution)
     g = rows.shape[0]
-    if g ** x_size > GRID_ORACLE_CAP:
-        raise CapExceededError(f"channel grid has {g ** x_size} channels, "
-                               f"above GRID_ORACLE_CAP = {GRID_ORACLE_CAP}")
+    require_cap("GRID_ORACLE_CAP", g ** x_size, "channel grid has {} channels")
     limits = [spec.target_d + 1e-12 for spec in specs]
     widest = max(limits)
     row_cost = rows @ specs[0].matrix.T        # (g, x): E d(x, .) per grid row
@@ -570,7 +566,8 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     message. All laws are computed exactly and compared against the
     i.i.d. source-channel joint in total variation.
     """
-    _check_block_cap(source.alphabet_size, channel.output_size, n)
+    require_cap("BLOCK_ENUM_CAP", (source.alphabet_size * channel.output_size) ** n,
+                "block channel has {} entries")
     code = build_sim_code(source, channel, n, delta, epsilon, seed)
     blocks, count = encoder_message_law(code, nu)
     p_block = iid_block_law(source.probs, n)

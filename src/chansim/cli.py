@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import applications, covering, fidelity, simulate, typeclasses, zero_error
 from ._seeds import child_seed
 from .applications import (DistortionSpec, build_dilution, expected_distortion,
                            rd_function, rd_grid_oracle, realize_indices,
@@ -33,7 +32,7 @@ from .applications import (DistortionSpec, build_dilution, expected_distortion,
 from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
                         mutual_information, output_marginal, tv_distance)
 from .covering import build_covering
-from .errors import (CapExceededError, ChansimError, InfeasibleError,
+from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
                      InvalidInputError, RetriesExhaustedError)
 from .fidelity import derandomize_with_family, measure_fidelity
 from .simulate import (accounting, build_sim_code, jointly_typical_types,
@@ -48,25 +47,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_CAP_EXCEEDED = 3
 EXIT_INFEASIBLE = 4
 EXIT_RETRIES_EXHAUSTED = 5
-
-# Enumeration caps reachable through --cap-override KEY=VALUE. Overrides are
-# applied for the duration of one run and restored afterwards.
-CAP_REGISTRY = {
-    "JOINT_ENUM_N_CAP": typeclasses,
-    "JOINT_ENUM_CELLS_CAP": typeclasses,
-    "WORD_ENUM_CAP": typeclasses,
-    "EXACT_PROB_N_CAP": typeclasses,
-    "COVER_TABLE_CAP": covering,
-    "OUTPUT_ENUM_CAP": simulate,
-    "BLOCK_ENUM_CAP": simulate,
-    "FIDELITY_ENUM_CAP": fidelity,
-    "EXACT_VERIFY_N_CAP": fidelity,
-    "EXACT_COMBO_CAP": zero_error,
-    "ORACLE_XY_CAP": zero_error,
-    "ORACLE_C_CAP": zero_error,
-    "ORACLE_MULTISET_CAP": zero_error,
-    "GRID_ORACLE_CAP": applications,
-}
 
 _INSTANCE_KEYS = {"source", "channel", "target", "distortion", "c_max"}
 _COMMON_KEYS = {"command", "config", "instance", "seed", "out", "cap_override"}
@@ -97,7 +77,7 @@ class ExperimentConfig:
     def resolved(self) -> dict:
         """Canonical document the hash is taken over: instance content
         inlined and the caps this run overrides. Default caps are left out,
-        so adding or deleting a registry entry rewrites no hash; a default
+        so adding or deleting a CAPS entry rewrites no hash; a default
         change that moves an output bumps CSV_VERSION, which every header
         carries. The output directory is excluded because it changes no
         computed number."""
@@ -246,32 +226,37 @@ def _parse_targets(text: str):
 # cap overrides
 
 
+def _checked_cap(name, value) -> int:
+    """One cap override, from --cap-override or a config file's "caps": a
+    name in errors.CAPS and an integer value."""
+    if name not in CAPS:
+        raise InvalidInputError(f"unknown cap {name!r}; known: {sorted(CAPS)}")
+    if not _is_int(value):
+        raise InvalidInputError(f"cap {name} needs an integer, got {value!r}")
+    return int(value)
+
+
 def parse_cap_overrides(pairs):
     caps = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep:
             raise InvalidInputError(f"--cap-override needs KEY=VALUE, got {pair!r}")
-        if key not in CAP_REGISTRY:
-            raise InvalidInputError(
-                f"unknown cap {key!r}; known: {sorted(CAP_REGISTRY)}")
-        try:
-            caps[key] = int(value, 0)
-        except ValueError:
-            raise InvalidInputError(f"cap {key} needs an integer, got {value!r}")
+        with contextlib.suppress(ValueError):
+            value = int(value, 0)
+        caps[key] = _checked_cap(key, value)
     return caps
 
 
 @contextlib.contextmanager
 def _cap_overrides(caps: dict):
-    saved = {name: getattr(CAP_REGISTRY[name], name) for name in caps}
+    """Replace entries of errors.CAPS for one run, restoring them after."""
+    saved = {name: CAPS[name] for name in caps}
     try:
-        for name, value in caps.items():
-            setattr(CAP_REGISTRY[name], name, value)
+        CAPS.update(caps)
         yield
     finally:
-        for name, value in saved.items():
-            setattr(CAP_REGISTRY[name], name, value)
+        CAPS.update(saved)
 
 
 # ---------------------------------------------------------------------------
@@ -788,14 +773,8 @@ def build_config(argv=None) -> ExperimentConfig:
         raise InvalidInputError('config "instance" must be a path or an object')
     InstanceBundle(instance_doc)   # validate early so bad files exit 2 fast
 
-    caps = dict(doc.get("caps", {}))
-    for key, value in caps.items():
-        if key not in CAP_REGISTRY:
-            raise InvalidInputError(f"unknown cap {key!r} in config file")
-        if not _is_int(value):
-            raise InvalidInputError(f"cap {key} must be an integer")
+    caps = {key: _checked_cap(key, value) for key, value in doc.get("caps", {}).items()}
     caps.update(parse_cap_overrides(ns.cap_override))
-    caps = {k: int(v) for k, v in caps.items()}
 
     seed = ns.seed if ns.seed is not None else doc.get("seed", 0)
     out = ns.out if ns.out is not None else doc.get("out")

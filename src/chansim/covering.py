@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeds import child_rng
-from .errors import CapExceededError, InvalidInputError, RetriesExhaustedError
+from .errors import InvalidInputError, RetriesExhaustedError, require_cap
 from .typeclasses import (
     JointType,
     enumerate_type_class,
@@ -38,11 +38,6 @@ from .typeclasses import (
 
 LN2 = math.log(2.0)
 DEFAULT_MAX_RETRIES = 64
-# Largest counts table (N x |T_S|) or compatibility matrix (|T_R| x |T_S|)
-# build_covering allocates, in entries. At 2^25 the int64 table and the
-# float64 copies verification makes stay under about 1 GB together; the
-# BSC(1/4) sweep needs about 2.9 M at n = 13.
-COVER_TABLE_CAP = 1 << 25
 
 
 def lemma2_failure_bound(K_size: int, M: int, eta: float, s: float) -> float:
@@ -257,10 +252,7 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0,
     """
     M, N = required_M_N(t, epsilon, forced_N=forced_N)
     size_r, size_s, _ = _class_sizes(t)
-    entries = max(N, size_r) * size_s
-    if entries > COVER_TABLE_CAP:
-        raise CapExceededError(
-            f"covering tables of {entries} entries exceed COVER_TABLE_CAP = {COVER_TABLE_CAP}")
+    require_cap("COVER_TABLE_CAP", max(N, size_r) * size_s, "covering tables of {} entries")
     uniform = np.full(size_s, 1.0 / size_s)
     compat = None   # built by the first attempt, shared by every later one
     for attempt in range(DEFAULT_MAX_RETRIES):

@@ -30,7 +30,7 @@ import numpy as np
 from . import covering
 from ._seeds import _as_rng, child_rng
 from .core_prob import Channel, Distribution, tv_distance
-from .errors import CapExceededError, InvalidInputError, RetriesExhaustedError
+from .errors import CAPS, InvalidInputError, RetriesExhaustedError, require_cap
 from .simulate import (
     SimCode,
     Transcript,
@@ -44,8 +44,6 @@ from .simulate import (
 )
 
 LN2 = math.log(2.0)
-FIDELITY_ENUM_CAP = 1 << 24
-EXACT_VERIFY_N_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -152,8 +150,7 @@ def measure_fidelity(source: Distribution, channel: Channel, family,
     rows = _family_average(family, weights)
     a, b = channel.input_size, channel.output_size
     n = _infer_block_length(rows.shape, a, b)
-    if rows.size > FIDELITY_ENUM_CAP:
-        raise CapExceededError("exact fidelity exceeds the enumeration cap")
+    require_cap("FIDELITY_ENUM_CAP", rows.size, "exact fidelity over {} block entries")
     x = word_letters(a, n)
     p_x = iid_block_law(source.probs, n)
     eq3 = float(p_x @ _channel_tv_rows(rows, channel, n))
@@ -178,10 +175,9 @@ def measure_fidelity(source: Distribution, channel: Channel, family,
 
 def _check_family_cap(code: SimCode, count: int):
     """count block laws of the code, held at once, must fit FIDELITY_ENUM_CAP."""
-    size = count * code.source.alphabet_size ** code.n * code.channel.output_size ** code.n
-    if size > FIDELITY_ENUM_CAP:
-        raise CapExceededError(f"{count} block laws hold {size} entries, "
-                               f"cap is {FIDELITY_ENUM_CAP}")
+    require_cap("FIDELITY_ENUM_CAP",
+                count * code.source.alphabet_size ** code.n * code.channel.output_size ** code.n,
+                f"{count} block laws hold {{}} entries")
 
 
 def sim_code_family(code: SimCode):
@@ -244,7 +240,7 @@ def _derandomize(code: SimCode, epsilon: float, seed: int):
     u = min_nonzero_entry(code.channel)
     n = code.n
     Q = required_Q(n, code.source.alphabet_size, code.channel.output_size, epsilon, u)
-    if n > EXACT_VERIFY_N_CAP:
+    if n > CAPS["EXACT_VERIFY_N_CAP"]:
         rng = child_rng(seed, "derandomize:try:0")
         selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
         return DerandomizedCode(selected, Q, code, epsilon, u, False, 0), None

@@ -31,7 +31,7 @@ import numpy as np
 from ._seeds import _as_rng, child_seed
 from .core_prob import Channel, Distribution
 from .covering import CoveringFamily, build_covering, required_M_N
-from .errors import CapExceededError, InvalidInputError
+from .errors import CAPS, InvalidInputError, require_cap
 from .typeclasses import (
     ExactType,
     JointType,
@@ -48,8 +48,6 @@ from .typeclasses import (
 )
 
 TERMINATE = "terminate"
-OUTPUT_ENUM_CAP = 1 << 20
-BLOCK_ENUM_CAP = 1 << 22
 
 
 @dataclass
@@ -337,17 +335,6 @@ def run_protocol(code: SimCode, x_word, nu: int, seed) -> Transcript:
                       math.log2(code.N))
 
 
-def _check_output_cap(code: SimCode):
-    if code.channel.output_size ** code.n > OUTPUT_ENUM_CAP:
-        raise CapExceededError("output word space exceeds the enumeration cap")
-
-
-def _check_block_cap(x_size: int, y_size: int, n: int):
-    """A table over X^n x Y^n must fit BLOCK_ENUM_CAP, read at call time."""
-    if x_size ** n * y_size ** n > BLOCK_ENUM_CAP:
-        raise CapExceededError("block channel exceeds the enumeration cap")
-
-
 def _typical_classes(code: SimCode):
     """Base tables of every source-typical input type, and a mask over X^n of
     the words outside them, which emit the fallback word."""
@@ -363,9 +350,9 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
     """Exact law of the decoder output for a fixed input word, averaged over
     the uniform shared index and all protocol sampling."""
     _require_words(code)
-    _check_output_cap(code)
-    x_word = tuple(int(v) for v in x_word)
     size = code.channel.output_size ** code.n
+    require_cap("OUTPUT_ENUM_CAP", size, "output law over {} words")
+    x_word = tuple(int(v) for v in x_word)
     out = np.zeros(size)
     base = count_occurrences(x_word, code.source.alphabet_size)
     if not type_is_typical(base, TypicalSpec(code.source, code.n, code.delta)):
@@ -383,11 +370,13 @@ def _block_law(code: SimCode, nus=None) -> np.ndarray:
     """The protocol as block channel rows X^n -> Y^n, averaged over the
     shared index, or pinned to each index of the array nus on a leading
     axis; atypical inputs emit the fallback word."""
-    _check_output_cap(code)
-    _check_block_cap(code.source.alphabet_size, code.channel.output_size, code.n)
+    y_words = code.channel.output_size ** code.n
+    require_cap("OUTPUT_ENUM_CAP", y_words, "output law over {} words")
+    require_cap("BLOCK_ENUM_CAP", code.source.alphabet_size ** code.n * y_words,
+                "block channel has {} entries")
     classes, atypical = _typical_classes(code)
     lead = () if nus is None else (len(nus),)
-    rows = np.zeros(lead + (atypical.size, code.channel.output_size ** code.n))
+    rows = np.zeros(lead + (atypical.size, y_words))
     for base, bt in classes.items():
         blocks, terminate = _law_blocks(code, base, nus)
         for fam, block in blocks:
@@ -439,14 +428,14 @@ def averaged_block_channel(code: SimCode) -> Channel:
 def fixed_nu_block_channels(code: SimCode, nus):
     """The block channel induced by pinning the shared index to each value of
     nus, yielded in the order given. The laws are computed in one sweep per
-    chunk of indices, each chunk holding at most BLOCK_ENUM_CAP entries (read
-    at call time) in its raw stack, one index when a single law fills it."""
+    chunk of indices, each chunk holding at most BLOCK_ENUM_CAP entries in
+    its raw stack, one index when a single law fills it."""
     nus = np.asarray(nus, dtype=np.int64)
     bad = nus[(nus < 0) | (nus >= code.N)]
     if bad.size:
         raise InvalidInputError(f"nu {int(bad[0])} outside [0, {code.N})")
-    step = max(1, BLOCK_ENUM_CAP // (code.source.alphabet_size ** code.n
-                                     * code.channel.output_size ** code.n))
+    step = max(1, CAPS["BLOCK_ENUM_CAP"] // (code.source.alphabet_size ** code.n
+                                             * code.channel.output_size ** code.n))
     return (Channel.from_rows(raw) for start in range(0, nus.size, step)
             for raw in _block_law(code, nus[start:start + step]))
 
@@ -495,10 +484,9 @@ def encoder_message_law(code: SimCode, nu: int):
     for t, m in zip(code.typical_joint_types, sizes):
         base = t.row_marginal()
         held[base] = held.get(base, 0) + type_class_size(base) * m
-    entries = code.source.alphabet_size ** code.n + max(held.values(), default=0)
-    if entries > BLOCK_ENUM_CAP:
-        raise CapExceededError(f"message law holds {entries} block entries of one "
-                               f"input type, cap is {BLOCK_ENUM_CAP}")
+    require_cap("BLOCK_ENUM_CAP",
+                code.source.alphabet_size ** code.n + max(held.values(), default=0),
+                "message law holds {} block entries of one input type")
     offsets = dict(zip(code.typical_joint_types, np.cumsum([0] + sizes).tolist()))
     count = sum(sizes) + 1
     return _message_blocks(code, nu, offsets, count), count

@@ -22,12 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_prob import ZERO_TOL, Channel, Distribution, _compositions
-from .errors import CapExceededError, InvalidInputError
-
-JOINT_ENUM_N_CAP = 16
-JOINT_ENUM_CELLS_CAP = 9
-WORD_ENUM_CAP = 2_000_000
-EXACT_PROB_N_CAP = 170
+from .errors import InvalidInputError, require_cap
 
 
 @dataclass(frozen=True)
@@ -217,8 +212,7 @@ def typical_probability_bounds(spec: TypicalSpec) -> TypicalBounds:
     product of truncated exponential generating functions.
     """
     a, n, delta = spec.p.alphabet_size, spec.n, spec.delta
-    if n > EXACT_PROB_N_CAP:
-        raise CapExceededError(f"exact typicality mass capped at n <= {EXACT_PROB_N_CAP}")
+    require_cap("EXACT_PROB_N_CAP", n, "exact typicality mass at n = {}")
     chebyshev = -math.inf if delta == 0 else 1.0 - a / delta**2
     chernoff = _chernoff_floor(spec)
 
@@ -288,20 +282,20 @@ def conditional_type_class_size(t: JointType, x_word) -> int:
 
 
 def enumerate_type_classes(n: int, alphabet_size: int):
-    """All exact types of length-n words, lexicographic by count vector."""
+    """All exact types of length-n words, lexicographic by count vector; at
+    most WORD_ENUM_CAP of them, checked before any is built."""
+    require_cap("WORD_ENUM_CAP", math.comb(n + alphabet_size - 1, alphabet_size - 1),
+                "words of one length have {} exact types")
     return [ExactType(n, c) for c in _compositions(n, alphabet_size)]
 
 
 def enumerate_joint_types(n: int, x_size: int, y_size: int, base_type: ExactType = None):
     """All joint types over X x Y for length n, lexicographic on the flattened
     count matrix. With base_type given, only joint types whose row marginal
-    equals base_type. JOINT_ENUM_N_CAP and JOINT_ENUM_CELLS_CAP, read at call
-    time, guard against blowup."""
-    if n > JOINT_ENUM_N_CAP:
-        raise CapExceededError(f"joint type enumeration capped at n <= {JOINT_ENUM_N_CAP}")
-    if x_size * y_size > JOINT_ENUM_CELLS_CAP:
-        raise CapExceededError(
-            f"joint type enumeration capped at {JOINT_ENUM_CELLS_CAP} cells")
+    equals base_type. JOINT_ENUM_N_CAP and JOINT_ENUM_CELLS_CAP guard against
+    blowup."""
+    require_cap("JOINT_ENUM_N_CAP", n, "joint type enumeration at n = {}")
+    require_cap("JOINT_ENUM_CELLS_CAP", x_size * y_size, "joint types of {} cells")
     out = []
     if base_type is None:
         for flat in _compositions(n, x_size * y_size):
@@ -318,11 +312,9 @@ def enumerate_joint_types(n: int, x_size: int, y_size: int, base_type: ExactType
 
 def enumerate_type_class(t: ExactType) -> np.ndarray:
     """All words with exact type t as a read-only (|T|, n) int64 array in
-    lexicographic order; at most WORD_ENUM_CAP of them. The cap is read and
-    checked on every call, the array built once per type and cached."""
-    size = type_class_size(t)
-    if size > WORD_ENUM_CAP:
-        raise CapExceededError(f"type class has {size} words, cap is {WORD_ENUM_CAP}")
+    lexicographic order; at most WORD_ENUM_CAP of them. The cap is checked
+    on every call, the array built once per type and cached."""
+    require_cap("WORD_ENUM_CAP", type_class_size(t), "type class has {} words")
     return _class_words(t)
 
 

@@ -38,7 +38,7 @@ from numpy.linalg import _umath_linalg
 
 from ._seeds import child_rng
 from .core_prob import Channel, Distribution, entropy, mutual_information, simplex_grid
-from .errors import CapExceededError, InfeasibleError, InvalidInputError
+from .errors import CAPS, InfeasibleError, InvalidInputError, require_cap
 
 FEAS_TOL = 1e-7
 ALTERNATE_ITERS = 200
@@ -48,10 +48,6 @@ RANDOM_INIT_TRIES = 200
 SOLVE_TOL = 1e-9
 D_STEP_TOL = 1e-8
 ALTERNATE_TOL = 1e-9
-EXACT_COMBO_CAP = 20000
-ORACLE_XY_CAP = 3
-ORACLE_C_CAP = 4
-ORACLE_MULTISET_CAP = 1 << 16
 ORACLE_CHUNK = 1 << 14
 HULL_SLACK = 1e-12
 
@@ -257,7 +253,7 @@ def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray) -> np.ndarray:
 def _min_entropy_rows(p: np.ndarray, per_x) -> np.ndarray:
     """One vertex per channel row, chosen to minimize H(sum_x p(x) e_x)."""
     counts = [len(v) for v in per_x]
-    if math.prod(counts) <= EXACT_COMBO_CAP:
+    if math.prod(counts) <= CAPS["EXACT_COMBO_CAP"]:
         return _min_entropy_stack(p, [(np.array(v)[None], np.array([len(v)]))
                                       for v in per_x])[0]
     # coordinate descent over vertices from the lexicographically first corner
@@ -557,19 +553,15 @@ def brute_force_oracle(instance: ZeroErrorInstance,
       by more than 1e-12."""
     x_size = instance.channel.input_size
     y_size = instance.channel.output_size
-    if max(x_size, y_size) > ORACLE_XY_CAP:
-        raise CapExceededError(f"oracle alphabets have |X| = {x_size} and |Y| = {y_size}, "
-                               f"above ORACLE_XY_CAP = {ORACLE_XY_CAP}")
-    if instance.c_max > ORACLE_C_CAP:
-        raise CapExceededError(f"oracle intermediate alphabet has c_max = {instance.c_max}, "
-                               f"above ORACLE_C_CAP = {ORACLE_C_CAP}")
+    require_cap("ORACLE_XY_CAP", max(x_size, y_size),
+                f"oracle alphabets have |X| = {x_size} and |Y| = {y_size}")
+    require_cap("ORACLE_C_CAP", instance.c_max,
+                "oracle intermediate alphabet has c_max = {}")
     if grid_resolution < 2:
         raise InvalidInputError("grid resolution must be at least 2")
     g = math.comb(grid_resolution + y_size - 1, y_size - 1)
     n_multisets = math.comb(g + instance.c_max - 1, instance.c_max)
-    if n_multisets > ORACLE_MULTISET_CAP:
-        raise CapExceededError(f"oracle grid has {n_multisets} multisets of D rows, "
-                               f"above ORACLE_MULTISET_CAP = {ORACLE_MULTISET_CAP}")
+    require_cap("ORACLE_MULTISET_CAP", n_multisets, "oracle grid has {} multisets of D rows")
     rows = simplex_grid(y_size, grid_resolution)
     w_rows = instance.channel.rows
     p = instance.source.probs
@@ -733,26 +725,10 @@ def _local_modulus(instance, d_rows, h_at, resolution):
     return max(worst, 1e-6)
 
 
-def product_instance(instance: ZeroErrorInstance, c_max: int = None) -> ZeroErrorInstance:
-    """The two-letter block instance (P x P, W x W) for sub-additivity probes."""
-    p = instance.source.probs
-    w = instance.channel.rows
-    p2 = np.kron(p, p)
-    w2 = np.kron(w, w)
-    src = Distribution(p2.size, p2)
-    ch = Channel(w2.shape[0], w2.shape[1], w2)
-    if c_max is None:
-        c_max = intermediate_size_bound(ch.input_size, ch.output_size)
-    return ZeroErrorInstance(src, ch, c_max)
-
-
-def gamma_bracket(instance: ZeroErrorInstance, single_letter: float,
-                  two_letter: float = None):
+def gamma_bracket(instance: ZeroErrorInstance, single_letter: float):
     """Bracket for the asymptotic perfect-restitution rate: mutual
     information below, best per-letter achieved value above."""
-    lower = mutual_information(instance.source, instance.channel)
-    upper = single_letter if two_letter is None \
-        else min(single_letter, two_letter / 2.0)
+    lower, upper = mutual_information(instance.source, instance.channel), single_letter
     if upper < lower - 1e-9:
         raise InvalidInputError("bracket inverted; factorization values "
                                 "are inconsistent")

@@ -12,7 +12,7 @@ import pytest
 from chansim import applications, simulate
 from chansim.core_prob import (Channel, Distribution, binary_entropy, entropy, simplex_grid,
                                 tv_distance)
-from chansim.errors import CapExceededError, InvalidInputError
+from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.applications import (
     DilutionBucket,
     DilutionPlan,
@@ -627,7 +627,7 @@ def test_pipeline_runs_at_n6_under_the_default_caps(name):
     blocks = list(blocks)
     assert count == pipe.message_count
     # the blocks fit the cap that a dense |X|^n x messages table exceeds
-    assert sum(blk.probs.size for blk in blocks) <= simulate.BLOCK_ENUM_CAP < 2 ** 6 * count
+    assert sum(blk.probs.size for blk in blocks) <= CAPS["BLOCK_ENUM_CAP"] < 2 ** 6 * count
     rows = np.zeros(2 ** 6)
     for blk in blocks:
         rows[blk.x_ranks] += blk.probs.sum(axis=1)
@@ -650,10 +650,10 @@ def test_pipeline_runs_at_n6_with_the_cap_at_the_largest_input_type(name, monkey
     expect = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
     largest, total = _message_entries(source, channel, 6)
     assert largest < total
-    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest - 1)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest - 1)
     with pytest.raises(CapExceededError, match="block entries"):
         pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
-    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest)
     pipe = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
     assert pipe.message_law.probs.tobytes() == expect.message_law.probs.tobytes()
     assert (pipe.code_joint_tv, pipe.dilution_tv, pipe.joint_tv) \
@@ -664,7 +664,7 @@ def test_pipeline_runs_bsc25_at_n7_under_the_default_caps():
     source, channel = PIPELINE_INSTANCES["bsc25"]
     # all blocks together exceed the cap; one input type's blocks fit it
     largest, total = _message_entries(source, channel, 7)
-    assert largest <= simulate.BLOCK_ENUM_CAP < total
+    assert largest <= CAPS["BLOCK_ENUM_CAP"] < total
     pipe = pair_simulation_pipeline(source, channel, 7, 2.0, 0.1, 7)
     assert abs(pipe.message_law.probs.sum() - 1.0) <= 1e-12
     assert pipe.joint_tv <= pipe.code_joint_tv + pipe.dilution_tv
@@ -685,7 +685,7 @@ def test_pipeline_peak_traced_memory_at_n5():
 
 def test_pipeline_checks_its_joint_tables_before_building(monkeypatch):
     source, channel = PIPELINE_INSTANCES["bsc25"]
-    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", 2 ** 3 * 2 ** 3 - 1)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", 2 ** 3 * 2 ** 3 - 1)
     monkeypatch.setattr(applications, "build_sim_code",
                         lambda *args: pytest.fail("built a code past the cap"))
     with pytest.raises(CapExceededError, match="block channel"):

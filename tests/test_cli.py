@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chansim import cli, typeclasses
-from chansim.cli import (CAP_REGISTRY, ExperimentConfig, RunRecord,
+from chansim import cli
+from chansim.cli import (ExperimentConfig, RunRecord,
                          build_config, compare_bounds, main,
                          parse_cap_overrides, run)
-from chansim.errors import (CapExceededError, InfeasibleError,
+from chansim.errors import (CAPS, CapExceededError, InfeasibleError,
                             InvalidInputError, RetriesExhaustedError)
 
 BSC_DOC = {"source": {"probs": [0.5, 0.5]},
@@ -160,6 +160,8 @@ def test_oracle_multiset_cap_exits_3(tmp_path, bsc_file, capsys):
 
 
 ZERO_ERROR_AT_4 = ["zero-error", "--restarts", "1", "--oracle-resolution", "4"]
+RATES_AT_4 = ["simulate", "--n", "4", "--rates-only"]
+DERANDOMIZE_AT_4 = ["derandomize", "--n", "4", "--delta", "2.0"]
 
 
 @pytest.mark.parametrize("argv, cap, value, limit", [
@@ -168,12 +170,24 @@ ZERO_ERROR_AT_4 = ["zero-error", "--restarts", "1", "--oracle-resolution", "4"]
     (ZERO_ERROR_AT_4, "ORACLE_MULTISET_CAP", "35 multisets", 34),
     (["rd", "--hamming", "2", "--targets", "0.1", "--certify-resolution", "4"],
      "GRID_ORACLE_CAP", "25 channels", 24),
+    (RATES_AT_4, "JOINT_ENUM_N_CAP", "n = 4", 3),
+    (RATES_AT_4, "JOINT_ENUM_CELLS_CAP", "4 cells", 3),
+    (["typical", "--n", "4"], "WORD_ENUM_CAP", "5 exact types", 4),
+    (["typical", "--n", "4"], "EXACT_PROB_N_CAP", "n = 4", 3),
+    (["cover", "--n", "4"], "COVER_TABLE_CAP", "36 entries", 35),
+    (DERANDOMIZE_AT_4, "OUTPUT_ENUM_CAP", "16 words", 15),
+    (DERANDOMIZE_AT_4, "BLOCK_ENUM_CAP", "256 entries", 255),
+    (DERANDOMIZE_AT_4, "FIDELITY_ENUM_CAP", "14 block laws hold 3584", 3583),
 ])
 def test_oracle_cap_message_names_cap_value_and_limit(bsc_file, capsys, argv, cap,
                                                        value, limit):
-    """bsc has |X| = |Y| = 2 and c_max = 3; at resolution 4 the zero-error
-    grid has 5 rows, so C(7, 3) = 35 multisets of three, and the rd grid
-    has 5^2 = 25 channels. One below the value exits 3, the value itself 0."""
+    """Every cap that raises, lowered to one below what a small bsc run
+    needs, exits 3 with a message naming the value, the cap and the limit;
+    the value itself exits 0. bsc has |X| = |Y| = 2 and c_max = 3; at
+    resolution 4 the zero-error grid has 5 rows, so C(7, 3) = 35 multisets
+    of three, and the rd grid has 5^2 = 25 channels. At n = 4 there are 5
+    exact types, the largest covering table has 36 entries, and derandomize
+    holds N = 14 pinned 16 x 16 laws."""
     args = [argv[0], bsc_file, *argv[1:]]
     assert main(args + ["--cap-override", f"{cap}={limit}"]) == 3
     err = capsys.readouterr().err
@@ -222,11 +236,27 @@ def test_derandomize_one_output_letter(tmp_path, capsys, rows):
 
 
 def test_cap_override_raises_limit_and_restores(bsc_file):
-    before = typeclasses.EXACT_PROB_N_CAP
+    before = CAPS["EXACT_PROB_N_CAP"]
     code = main(["typical", bsc_file, "--n", "200", "--delta", "1.0",
                  "--cap-override", "EXACT_PROB_N_CAP=256"])
     assert code == 0
-    assert typeclasses.EXACT_PROB_N_CAP == before
+    assert CAPS["EXACT_PROB_N_CAP"] == before
+
+
+@pytest.mark.parametrize("doc, argv", [
+    # C(51, 11) = 4.8e10 types of 12-letter words at n = 40
+    ({"source": {"probs": [1 / 12] * 12}}, ["typical", "--n", "40"]),
+    # 9 source letters at n = 100: the source's types come before any joint type
+    ({"source": {"probs": [1 / 9] * 9}, "channel": {"rows": [[1.0]] * 9}},
+     ["simulate", "--n", "100", "--rates-only"]),
+])
+def test_type_enumeration_is_capped_before_it_runs(tmp_path, capsys, doc, argv):
+    path = tmp_path / "many_letters.json"
+    path.write_text(json.dumps(doc))
+    t0 = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert "above WORD_ENUM_CAP = 2000000" in capsys.readouterr().err
 
 
 def test_cap_override_can_lower_limit(bsc_file):
@@ -261,11 +291,6 @@ def test_cap_override_rejects_unknown_key():
         parse_cap_overrides(["EXACT_PROB_N_CAP"])
     with pytest.raises(InvalidInputError):
         parse_cap_overrides(["EXACT_PROB_N_CAP=ten"])
-
-
-def test_cap_registry_names_exist():
-    for name, module in CAP_REGISTRY.items():
-        assert isinstance(getattr(module, name), int)
 
 
 def test_config_file_merging(tmp_path, bsc_file):
@@ -365,8 +390,7 @@ def test_config_hash_reflects_instance_and_caps(bsc_file):
 def test_config_hash_ignores_default_caps(monkeypatch, bsc_file):
     argv = ["typical", bsc_file, "--n", "8", "--delta", "1.0"]
     base = build_config(argv).config_hash()
-    monkeypatch.setattr(typeclasses, "EXTRA_TEST_CAP", 7, raising=False)
-    monkeypatch.setitem(CAP_REGISTRY, "EXTRA_TEST_CAP", typeclasses)
+    monkeypatch.setitem(CAPS, "EXTRA_TEST_CAP", 7)
     assert build_config(argv).config_hash() == base
     override = build_config(argv + ["--cap-override", "EXTRA_TEST_CAP=8"])
     assert override.config_hash() != base

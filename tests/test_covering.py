@@ -16,7 +16,7 @@ from chansim.covering import (
     required_M_N,
     verify_covering,
 )
-from chansim.errors import CapExceededError, InvalidInputError, RetriesExhaustedError
+from chansim.errors import CAPS, CapExceededError, InvalidInputError, RetriesExhaustedError
 from chansim.typeclasses import (
     ExactType,
     JointType,
@@ -316,7 +316,7 @@ class TestMultiplicityTables:
         import chansim.covering as covering
         M, N = required_M_N(T_N4, 0.1)
         size_s = type_class_size(T_N4.col_marginal())
-        monkeypatch.setattr(covering, "COVER_TABLE_CAP", N * size_s - 1)
+        monkeypatch.setitem(CAPS, "COVER_TABLE_CAP", N * size_s - 1)
         monkeypatch.setattr(covering, "enumerate_type_class", None)  # must not be reached
         with pytest.raises(CapExceededError):
             build_covering(T_N4, 0.1, seed=SEED)

@@ -8,7 +8,7 @@ import pytest
 from chansim import covering, fidelity, simulate
 from chansim._seeds import child_rng
 from chansim.core_prob import Channel, Distribution
-from chansim.errors import CapExceededError, InvalidInputError, RetriesExhaustedError
+from chansim.errors import CAPS, CapExceededError, InvalidInputError, RetriesExhaustedError
 from chansim.fidelity import (
     DerandomizedCode,
     FidelityReport,
@@ -164,7 +164,7 @@ def test_families_are_the_pinned_laws_in_index_order(base_code, one_per_chunk,
               for nu in range(base_code.N)]
     dcode = derandomize(base_code, epsilon=0.1, seed=11)
     if one_per_chunk:
-        monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", 16 * 16)
+        monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", 16 * 16)
         again = derandomize(base_code, epsilon=0.1, seed=11)
         assert (again.selected_indices, again.retries) == (dcode.selected_indices,
                                                            dcode.retries)
@@ -182,16 +182,16 @@ def test_families_check_the_fidelity_cap_before_building(base_code, monkeypatch)
     sweep = simulate.fixed_nu_block_channels
     monkeypatch.setattr(fidelity, "fixed_nu_block_channels",
                         lambda *args: pytest.fail("built laws past the cap"))
-    monkeypatch.setattr(fidelity, "FIDELITY_ENUM_CAP", held - 1)
+    monkeypatch.setitem(CAPS, "FIDELITY_ENUM_CAP", held - 1)
     for build in (lambda: derandomize(base_code, epsilon=0.1, seed=11),
                   lambda: sim_code_family(base_code)):
         with pytest.raises(CapExceededError, match=f"{base_code.N} block laws"):
             build()
-    monkeypatch.setattr(fidelity, "FIDELITY_ENUM_CAP", distinct * 16 * 16 - 1)
+    monkeypatch.setitem(CAPS, "FIDELITY_ENUM_CAP", distinct * 16 * 16 - 1)
     with pytest.raises(CapExceededError, match=f"{distinct} block laws"):
         derandomized_family(dcode)
     monkeypatch.setattr(fidelity, "fixed_nu_block_channels", sweep)
-    monkeypatch.setattr(fidelity, "FIDELITY_ENUM_CAP", held)
+    monkeypatch.setitem(CAPS, "FIDELITY_ENUM_CAP", held)
     again = derandomize(base_code, epsilon=0.1, seed=11)
     assert (again.selected_indices, again.retries) == (dcode.selected_indices, dcode.retries)
     assert len(sim_code_family(base_code)[0]) == base_code.N
@@ -201,7 +201,7 @@ def test_families_check_the_fidelity_cap_before_building(base_code, monkeypatch)
 @pytest.mark.parametrize("verified", [True, False], ids=["verified", "declared"])
 def test_derandomize_with_family_sweeps_each_law_once(base_code, verified, monkeypatch):
     if not verified:
-        monkeypatch.setattr(fidelity, "EXACT_VERIFY_N_CAP", 0)
+        monkeypatch.setitem(CAPS, "EXACT_VERIFY_N_CAP", 0)
     dcode = derandomize(base_code, epsilon=0.1, seed=11)
     fam, weights = derandomized_family(dcode)
     sweep, swept = fidelity.fixed_nu_block_channels, []
@@ -297,7 +297,7 @@ def test_derandomize_deterministic_under_seed(base_code):
 
 
 def test_derandomize_declared_mode(base_code, monkeypatch):
-    monkeypatch.setattr(fidelity, "EXACT_VERIFY_N_CAP", 0)
+    monkeypatch.setitem(CAPS, "EXACT_VERIFY_N_CAP", 0)
     dcode = derandomize(base_code, epsilon=0.1, seed=11)
     assert not dcode.verified and dcode.Q == 6655
 

@@ -18,7 +18,6 @@ SEARCHED = ("src", "demos", "perfbench")
 ALLOWED = {
     "rate_lower_bound_defect": "item 5",  # strong converse row
     "lemma2_failure_bound": "item 5",     # covering lemma's failure probability
-    "product_instance": "item 3",         # two-letter zero-error bracket
 }
 
 

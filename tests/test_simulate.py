@@ -10,7 +10,7 @@ from chansim.core_prob import (Channel, Distribution, entropy, mutual_informatio
                                output_marginal, tv_distance)
 from chansim import simulate
 from chansim.covering import CoveringFamily
-from chansim.errors import CapExceededError, InvalidInputError
+from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.simulate import (
     TERMINATE,
     accounting,
@@ -296,7 +296,7 @@ def test_pinned_law_sweep_matches_the_per_index_loop(name, n, one_per_chunk,
     code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
     if one_per_chunk:
         # a cap of exactly one law leaves room for one index per chunk
-        monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", 2 ** n * 2 ** n)
+        monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", 2 ** n * 2 ** n)
     order = list(range(code.N)) + [code.N - 1, 0]    # any order, repeats kept
     chunks, block_law = [], simulate._block_law
     with monkeypatch.context() as m:
@@ -305,7 +305,7 @@ def test_pinned_law_sweep_matches_the_per_index_loop(name, n, one_per_chunk,
         laws = list(fixed_nu_block_channels(code, order))
     assert len(laws) == len(order) == sum(chunks)
     # each chunk's raw stack stays within the cap that bounds one law
-    assert max(chunks) * 2 ** n * 2 ** n <= simulate.BLOCK_ENUM_CAP
+    assert max(chunks) * 2 ** n * 2 ** n <= CAPS["BLOCK_ENUM_CAP"]
     for nu, law in zip(order, laws):
         expect = Channel.from_rows(per_index_block_law(code, nu)).rows
         assert law.rows.tobytes() == expect.tobytes()
@@ -378,11 +378,11 @@ def test_message_law_checks_its_block_entries_before_building(small_code, monkey
     built, law_blocks = [], simulate._law_blocks
     monkeypatch.setattr(simulate, "_law_blocks",
                         lambda *args: built.append(args) or law_blocks(*args))
-    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest - 1)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest - 1)
     with pytest.raises(CapExceededError, match="block entries"):
         encoder_message_law(small_code, 0)
     assert built == []
-    monkeypatch.setattr(simulate, "BLOCK_ENUM_CAP", largest)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest)
     blocks, _ = encoder_message_law(small_code, 0)
     assert built == []
     # one input type's blocks are built when the sweep reaches them

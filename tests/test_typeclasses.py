@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from chansim import typeclasses
 from chansim.core_prob import Channel, Distribution, entropy
-from chansim.errors import CapExceededError, InvalidInputError
+from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.typeclasses import (
     ExactType,
     JointType,
@@ -195,12 +194,18 @@ class TestEnumeration:
             enumerate_joint_types(17, 2, 2)
         with pytest.raises(CapExceededError):
             enumerate_joint_types(4, 4, 3)
-        monkeypatch.setattr(typeclasses, "WORD_ENUM_CAP", 1000)
+        monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 1000)
         with pytest.raises(CapExceededError):
             enumerate_type_class(ExactType(40, (20, 20)))
+        # the 5 types of length-4 binary words are counted before any is built
+        monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 4)
+        with pytest.raises(CapExceededError, match="5 exact types, above WORD_ENUM_CAP = 4"):
+            enumerate_type_classes(4, 2)
+        monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 5)
+        assert len(enumerate_type_classes(4, 2)) == 5
 
     def test_caps_are_read_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(typeclasses, "JOINT_ENUM_N_CAP", 17)
+        monkeypatch.setitem(CAPS, "JOINT_ENUM_N_CAP", 17)
         assert len(enumerate_joint_types(17, 2, 1)) == 18
 
     def test_word_enumeration_lex(self):
@@ -218,7 +223,7 @@ class TestEnumeration:
     def test_cap_checked_after_the_class_is_cached(self, monkeypatch):
         t = ExactType(6, (3, 3))
         assert enumerate_type_class(t).shape == (20, 6)
-        monkeypatch.setattr(typeclasses, "WORD_ENUM_CAP", 19)
+        monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 19)
         with pytest.raises(CapExceededError):
             enumerate_type_class(t)
 

@@ -17,7 +17,7 @@ from chansim.core_prob import (
     simplex_grid,
 )
 from chansim._seeds import child_rng
-from chansim.errors import CapExceededError, InfeasibleError, InvalidInputError
+from chansim.errors import CAPS, CapExceededError, InfeasibleError, InvalidInputError
 from chansim.zero_error import (
     ZeroErrorInstance,
     alternate,
@@ -28,7 +28,6 @@ from chansim.zero_error import (
     gamma_bracket,
     intermediate_size_bound,
     make_factorization,
-    product_instance,
     row_vertices,
 )
 
@@ -214,7 +213,7 @@ def test_e_step_infeasible_decoder(bsc_instance):
 
 def test_e_step_greedy_matches_exact_here(bsc_instance, monkeypatch):
     exact = e_step(bsc_instance, OPT_D)
-    monkeypatch.setattr(zero_error, "EXACT_COMBO_CAP", 1)
+    monkeypatch.setitem(CAPS, "EXACT_COMBO_CAP", 1)
     greedy = e_step(bsc_instance, OPT_D)
     h_exact = entropy(UNIF.probs @ exact)
     h_greedy = entropy(UNIF.probs @ greedy)
@@ -587,21 +586,12 @@ def test_oracle_multiset_cap(monkeypatch):
     with pytest.raises(CapExceededError, match="4171338501 multisets"):   # C(564, 4)
         brute_force_oracle(wide, 32)
     bsc = ZeroErrorInstance.build(UNIF, BSC)
-    monkeypatch.setattr(zero_error, "ORACLE_MULTISET_CAP", math.comb(35, 3) - 1)
+    monkeypatch.setitem(CAPS, "ORACLE_MULTISET_CAP", math.comb(35, 3) - 1)
     with pytest.raises(CapExceededError):
         brute_force_oracle(bsc, 32)
-    monkeypatch.setattr(zero_error, "ORACLE_MULTISET_CAP", math.comb(35, 3))
+    monkeypatch.setitem(CAPS, "ORACLE_MULTISET_CAP", math.comb(35, 3))
     assert brute_force_oracle(bsc, 32).objective == pytest.approx(
         binary_entropy(1 / 3), abs=1e-12)
-
-
-def test_product_instance_shapes(bsc_instance):
-    prod = product_instance(bsc_instance)
-    assert prod.source.alphabet_size == 4
-    assert prod.channel.input_size == 4 and prod.channel.output_size == 4
-    assert prod.c_max == 15
-    assert prod.channel.rows[1][1] == pytest.approx(0.75 * 0.75)
-    assert prod.source.probs[3] == pytest.approx(0.25)
 
 
 def test_gamma_bracket(bsc_instance, bsc_alternate):
@@ -609,8 +599,6 @@ def test_gamma_bracket(bsc_instance, bsc_alternate):
     lower, upper = gamma_bracket(bsc_instance, s1)
     assert lower == pytest.approx(mutual_information(UNIF, BSC), abs=1e-12)
     assert upper == s1
-    lower, upper = gamma_bracket(bsc_instance, s1, two_letter=1.9 * s1)
-    assert upper == pytest.approx(0.95 * s1)
     with pytest.raises(InvalidInputError):
         gamma_bracket(bsc_instance, 0.01)
 
