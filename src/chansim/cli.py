@@ -395,6 +395,16 @@ def _build_code(cfg, bundle, keep_words):
     return build_sim_code(*_code_inputs(cfg, bundle), cfg.seed, keep_words=keep_words)
 
 
+def _fidelity_report(code):
+    """strong_fidelity_report, or None when its law is over a cap; the cap's
+    message then goes to stderr, and the run keeps its other rows."""
+    try:
+        return strong_fidelity_report(code)
+    except CapExceededError as exc:
+        print(f"# strong fidelity skipped at n = {code.n}: {exc}", file=sys.stderr)
+        return None
+
+
 def _run_simulate(cfg, bundle):
     rates_only = bool(cfg.params.get("rates_only", False))
     code = _build_code(cfg, bundle, keep_words=not rates_only)
@@ -409,10 +419,7 @@ def _run_simulate(cfg, bundle):
                         rate + cr_rate, entropy(output_marginal(code.source, code.channel)))]
     lam = lam_bound = global_err = None
     if not rates_only:
-        try:
-            report = strong_fidelity_report(code)
-        except CapExceededError:
-            report = None
+        report = _fidelity_report(code)
         if report is not None:
             lam = report["lambda_measured"]
             lam_bound = report["lambda_bound"]
@@ -591,12 +598,8 @@ def _run_sweep(cfg, bundle):
         code = build_sim_code(source, channel, n, delta, epsilon, cfg.seed,
                               keep_words=keep)
         rate, cr_rate = accounting(code)
-        lam = None
-        if keep:
-            try:
-                lam = strong_fidelity_report(code)["lambda_measured"]
-            except CapExceededError:
-                lam = None
+        report = _fidelity_report(code) if keep else None
+        lam = None if report is None else report["lambda_measured"]
         rows.append((n, rate, cr_rate, lam))
         rates.append(rate)
     mi = mutual_information(source, channel)

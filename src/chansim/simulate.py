@@ -120,8 +120,7 @@ def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta:
     spec = TypicalSpec(source, n, delta)
     found = []
     for base in typical_types(spec):
-        for t in enumerate_joint_types(n, channel.input_size, channel.output_size,
-                                       base_type=base):
+        for t in enumerate_joint_types(base, channel.output_size):
             if is_conditionally_typical(t, channel, delta):
                 found.append(t)
     found.sort(key=lambda t: tuple(c for row in t.counts for c in row))
@@ -213,9 +212,7 @@ def _type_weights(code: SimCode, base: ExactType):
     """All joint types with the given row marginal, with the probability that
     the channel output against a base-typed input falls in each conditional
     class. Weights sum to 1 up to float rounding."""
-    x_word = tuple(np.repeat(np.arange(base.alphabet_size), base.counts))
-    t_list = enumerate_joint_types(code.n, code.channel.input_size,
-                                   code.channel.output_size, base_type=base)
+    t_list = enumerate_joint_types(base, code.channel.output_size)
     weights = np.empty(len(t_list))
     log_rows = np.log2(code.channel.rows, where=code.channel.rows > 0,
                        out=np.full_like(code.channel.rows, -np.inf))
@@ -229,7 +226,7 @@ def _type_weights(code: SimCode, base: ExactType):
         if log_mass == -np.inf:
             weights[i] = 0.0
         else:
-            weights[i] = conditional_type_class_size(t, x_word) * 2.0 ** log_mass
+            weights[i] = conditional_type_class_size(t) * 2.0 ** log_mass
     total = weights.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise InvalidInputError(f"type weights sum to {total}")

@@ -5,12 +5,15 @@ A joint type of a word pair is the count matrix over X x Y. All class sizes
 are exact integers (multinomial coefficients); bounds and probabilities are
 floats.
 
-Typicality uses the root-n window
-    |N(x|w) - n P(x)| <= delta * sqrt(n) * sigma_x,
-    sigma_x = sqrt(P(x) (1 - P(x))),
-with the convention that sigma_x = 0 demands the exact count n P(x). The same
-window is applied cell by cell (with row counts in place of n) to joint types
-relative to a channel.
+Typicality is one window rule, written once in _window: a count c of a
+letter of probability P out of total positions is typical when
+    |c - total P| <= delta * sqrt(total) * sigma + 1e-12,
+    sigma = sqrt(P (1 - P)),
+and, when sigma < ZERO_TOL, when c equals total P to within 1e-9. A type is
+typical when every letter's count is (total = n); a joint type is
+conditionally typical for a channel when every cell is (P = W(y|x), total =
+the row count of x). typical_probability_bounds(spec).exact is the mass of
+exactly the types typical_types(spec) lists.
 """
 
 import functools
@@ -115,51 +118,34 @@ def count_joint_occurrences(x_word, y_word, x_size: int, y_size: int) -> JointTy
     return JointType(x.size, tuple(tuple(int(c) for c in row) for row in mat))
 
 
-def _count_window(n: int, mean: float, sigma: float, delta: float):
-    """Integer counts c in [0, n] with |c - mean| <= delta * sigma', where a
-    zero sigma demands the exact (integral) mean."""
+def _sigma(prob) -> float:
+    return math.sqrt(max(prob * (1.0 - prob), 0.0))
+
+
+def _window(total: int, prob, delta: float) -> range:
+    """The typical counts in [0, total] of one letter (or one cell) of
+    probability prob, by the rule in the module docstring."""
+    mean, sigma = total * prob, _sigma(prob)
     if sigma < ZERO_TOL:
         c = int(round(mean))
-        return [c] if abs(c - mean) < 1e-9 and 0 <= c <= n else []
-    lo = math.ceil(mean - delta * sigma - 1e-12)
-    hi = math.floor(mean + delta * sigma + 1e-12)
-    return list(range(max(lo, 0), min(hi, n) + 1))
+        return range(c, c + 1) if abs(c - mean) <= 1e-9 and 0 <= c <= total else range(0)
+    slack = delta * math.sqrt(total) * sigma + 1e-12
+    return range(max(math.ceil(mean - slack), 0), min(math.floor(mean + slack), total) + 1)
 
 
 def type_is_typical(t: ExactType, spec: TypicalSpec) -> bool:
     if t.alphabet_size != spec.p.alphabet_size or t.n != spec.n:
         raise InvalidInputError("type does not match the typicality spec")
-    root_n = math.sqrt(spec.n)
-    for x, c in enumerate(t.counts):
-        px = spec.p.probs[x]
-        sigma = math.sqrt(max(px * (1.0 - px), 0.0))
-        if sigma < ZERO_TOL:
-            if abs(c - spec.n * px) > 1e-9:
-                return False
-        elif abs(c - spec.n * px) > spec.delta * root_n * sigma + 1e-12:
-            return False
-    return True
+    return all(c in _window(spec.n, px, spec.delta) for c, px in zip(t.counts, spec.p.probs))
 
 
 def is_conditionally_typical(t: JointType, w: Channel, delta: float) -> bool:
-    """Cell-wise window for the conditional part of a joint type: for each x
-    with row count r_x, |t[x][y] - r_x W(y|x)| <= delta sqrt(r_x) sigma_xy."""
+    """Every cell of t in the window of its channel entry W(y|x), with the
+    row count of x as the total."""
     if t.x_size != w.input_size or t.y_size != w.output_size:
         raise InvalidInputError("joint type does not match the channel")
-    for x, row in enumerate(t.counts):
-        r = sum(row)
-        if r == 0:
-            continue
-        root_r = math.sqrt(r)
-        for y, c in enumerate(row):
-            wxy = w.rows[x][y]
-            sigma = math.sqrt(max(wxy * (1.0 - wxy), 0.0))
-            if sigma < ZERO_TOL:
-                if abs(c - r * wxy) > 1e-9:
-                    return False
-            elif abs(c - r * wxy) > delta * root_r * sigma + 1e-12:
-                return False
-    return True
+    return all(c in _window(sum(row), wxy, delta)
+               for row, w_row in zip(t.counts, w.rows) for c, wxy in zip(row, w_row))
 
 
 class TypicalBounds(NamedTuple):
@@ -188,7 +174,7 @@ def _chernoff_floor(spec: TypicalSpec) -> float:
     miss = 0.0
     for px in spec.p.probs:
         px = float(px)
-        sigma = math.sqrt(max(px * (1.0 - px), 0.0))
+        sigma = _sigma(px)
         if sigma < ZERO_TOL:
             miss += min(1.0, n * min(px, 1.0 - px))
             continue
@@ -218,16 +204,13 @@ def typical_probability_bounds(spec: TypicalSpec) -> TypicalBounds:
 
     # Factors are renormalized and the scale carried in log space; the raw
     # coefficients underflow float64 well before the cap is reached.
-    root_n = math.sqrt(n)
     poly = np.zeros(n + 1)
     poly[0] = 1.0
     log_scale = 0.0
-    for x in range(a):
-        px = float(spec.p.probs[x])
-        sigma = math.sqrt(max(px * (1.0 - px), 0.0))
-        window = _count_window(n, n * px, delta * root_n * sigma, 1.0)
+    for px in spec.p.probs:
+        px = float(px)
         logs = {}
-        for c in window:
+        for c in _window(n, px, delta):
             if px > 0.0:
                 logs[c] = c * math.log(px) - math.lgamma(c + 1)
             elif c == 0:
@@ -270,15 +253,10 @@ def joint_type_class_size(t: JointType) -> int:
     return _multinomial([c for row in t.counts for c in row])
 
 
-def conditional_type_class_size(t: JointType, x_word) -> int:
-    """Number of y-words forming joint type t against the fixed x_word."""
-    x_type = count_occurrences(x_word, t.x_size)
-    if x_type != t.row_marginal():
-        raise InvalidInputError("x_word type does not match the joint type's row marginal")
-    size = 1
-    for row in t.counts:
-        size *= _multinomial(row)
-    return size
+def conditional_type_class_size(t: JointType) -> int:
+    """Number of y-words forming joint type t against any one x word whose
+    type is t's row marginal: the product of the row multinomials."""
+    return math.prod(_multinomial(row) for row in t.counts)
 
 
 def enumerate_type_classes(n: int, alphabet_size: int):
@@ -289,25 +267,14 @@ def enumerate_type_classes(n: int, alphabet_size: int):
     return [ExactType(n, c) for c in _compositions(n, alphabet_size)]
 
 
-def enumerate_joint_types(n: int, x_size: int, y_size: int, base_type: ExactType = None):
-    """All joint types over X x Y for length n, lexicographic on the flattened
-    count matrix. With base_type given, only joint types whose row marginal
-    equals base_type. JOINT_ENUM_N_CAP and JOINT_ENUM_CELLS_CAP guard against
-    blowup."""
-    require_cap("JOINT_ENUM_N_CAP", n, "joint type enumeration at n = {}")
-    require_cap("JOINT_ENUM_CELLS_CAP", x_size * y_size, "joint types of {} cells")
-    out = []
-    if base_type is None:
-        for flat in _compositions(n, x_size * y_size):
-            rows = tuple(flat[x * y_size:(x + 1) * y_size] for x in range(x_size))
-            out.append(JointType(n, rows))
-        return out
-    if base_type.n != n or base_type.alphabet_size != x_size:
-        raise InvalidInputError("base_type does not match n and x_size")
-    per_row = [list(_compositions(r, y_size)) for r in base_type.counts]
-    for rows in itertools.product(*per_row):
-        out.append(JointType(n, tuple(rows)))
-    return out
+def enumerate_joint_types(base: ExactType, y_size: int):
+    """Every joint type over X x Y whose row marginal is base, lexicographic
+    on the flattened count matrix. JOINT_ENUM_N_CAP and JOINT_ENUM_CELLS_CAP
+    guard against blowup."""
+    require_cap("JOINT_ENUM_N_CAP", base.n, "joint type enumeration at n = {}")
+    require_cap("JOINT_ENUM_CELLS_CAP", base.alphabet_size * y_size, "joint types of {} cells")
+    per_row = [list(_compositions(r, y_size)) for r in base.counts]
+    return [JointType(base.n, rows) for rows in itertools.product(*per_row)]
 
 
 def enumerate_type_class(t: ExactType) -> np.ndarray:

@@ -74,7 +74,8 @@ def test_type_cardinality_sandwiches_and_exhaustive_identities():
     # joint classes are type classes over the product alphabet
     for ax, ay in ((2, 2), (2, 3), (3, 2), (3, 3)):
         for n in range(1, 11):
-            for t in enumerate_joint_types(n, ax, ay):
+            for t in (t for base in enumerate_type_classes(n, ax)
+                      for t in enumerate_joint_types(base, ay)):
                 flat = np.asarray(t.counts, dtype=float).ravel() / n
                 h = entropy(flat)
                 size = joint_type_class_size(t)
@@ -95,16 +96,15 @@ def test_type_cardinality_sandwiches_and_exhaustive_identities():
                 assert direct == pytest.approx(class_log, abs=1e-9)
             total += len(words) * 2.0 ** class_log
         assert total == pytest.approx(1.0, abs=1e-12)
-    # x-side classes against a fixed y word, by exact counting for n <= 6
+    # y-side and x-side classes against a fixed word, n <= 6
     for n in (4, 6):
-        for t in enumerate_joint_types(n, 2, 2):
-            row, col = t.row_marginal(), t.col_marginal()
-            x_word = tuple(s for s, c in enumerate(row.counts) for _ in range(c))
-            y_word = tuple(s for s, c in enumerate(col.counts) for _ in range(c))
-            joint = joint_type_class_size(t)
-            assert conditional_type_class_size(t, x_word) * type_class_size(row) == joint
-            transposed = JointType(n, tuple(zip(*t.counts)))
-            assert conditional_type_class_size(transposed, y_word) * type_class_size(col) == joint
+        for base in enumerate_type_classes(n, 2):
+            for t in enumerate_joint_types(base, 2):
+                joint = joint_type_class_size(t)
+                assert conditional_type_class_size(t) * type_class_size(base) == joint
+                transposed = JointType(n, tuple(zip(*t.counts)))
+                assert conditional_type_class_size(transposed) \
+                    * type_class_size(t.col_marginal()) == joint
     assert time.perf_counter() - t0 < 60.0
 
 

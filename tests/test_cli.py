@@ -524,6 +524,24 @@ def test_sweep_columns_and_rates_only_gap(tmp_path, bsc_file):
     assert float(second[1]) < float(first[1])
 
 
+@pytest.mark.parametrize("argv, csv_name", [
+    (["simulate", "--n", "4"], "simulate.csv"),
+    (["sweep", "--n-min", "3", "--n-max", "4", "--keep-words-up-to", "4"], "sweep.csv"),
+])
+def test_capped_fidelity_report_names_its_cap(tmp_path, bsc_file, capsys, argv, csv_name):
+    """A 16-word output law over OUTPUT_ENUM_CAP = 15 drops the fidelity
+    rows at n = 4 and exits 0, and stderr says which cap dropped them."""
+    out = tmp_path / "capped"
+    assert main([argv[0], bsc_file, *argv[1:], "--cap-override", "OUTPUT_ENUM_CAP=15",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "lambda_measured" not in captured.out
+    assert "per-word output tv" not in captured.out
+    assert captured.err.count("above OUTPUT_ENUM_CAP = 15") == 1
+    last_row = (out / csv_name).read_text().splitlines()[-1].split(",")
+    assert last_row[0] == "4" and last_row[-1] == ""
+
+
 def test_run_record_fields(bsc_file):
     record = run(build_config(["info", bsc_file]))
     assert record.command == "info"

@@ -1,6 +1,7 @@
 """Protocol-level tests for the block channel simulation code."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from chansim.core_prob import (Channel, Distribution, entropy, mutual_informatio
 from chansim import simulate
 from chansim.covering import CoveringFamily
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
+from chansim.fidelity import derandomize, run_fixed_code
 from chansim.simulate import (
     TERMINATE,
     accounting,
@@ -581,3 +583,30 @@ def test_decode_reads_the_sorted_slot_of_every_list():
         for nu in range(code.N):
             expected = [tuple(int(v) for v in y_words[r]) for r in fam.list_ranks(nu)]
             assert [decode(code, t, nu, mu) for mu in range(fam.M)] == expected
+
+
+def test_online_path_transcripts_are_pinned_bit_for_bit():
+    """300 run_protocol blocks of a bsc25 n = 6 code, then 300 run_fixed_code
+    blocks of a derandomized skewed_pair n = 6 code, all drawing from one
+    encoder stream. The digest covers every announced type, index pair,
+    output word and bit count, so it pins the encoder's draws: a change that
+    alters the type weights or the order of draws moves it."""
+    skew_source = Distribution.from_probs([0.6, 0.4])
+    skew_channel = Channel.from_rows([[0.9, 0.1], [0.3, 0.7]])
+    code = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
+    dcode = derandomize(build_sim_code(skew_source, skew_channel, n=6, delta=2.0,
+                                       epsilon=0.1, seed=11), 0.1, 11)
+    rng = np.random.default_rng(2718)
+    x_bsc = rng.choice(2, size=(300, 6), p=UNIF.probs)
+    nus = rng.integers(0, code.N, size=300)
+    x_skew = rng.choice(2, size=(300, 6), p=skew_source.probs)
+    enc = np.random.default_rng(3141)
+    transcripts = [run_protocol(code, x, int(nu), enc) for x, nu in zip(x_bsc, nus)]
+    transcripts += [run_fixed_code(dcode, x, enc) for x in x_skew]
+    digest = hashlib.sha256()
+    for tr in transcripts:
+        announced = TERMINATE if tr.announced_type == TERMINATE else tr.announced_type.counts
+        digest.update(repr((announced, tr.nu, tr.mu, tr.y_word, tr.bits_sent)).encode())
+    assert sum(tr.announced_type == TERMINATE for tr in transcripts) == 58
+    assert digest.hexdigest() == \
+        "dfb5e32c8d938f5683d666200d3a2ff18664931ff3fe096e322667942edfd8a3"

@@ -38,10 +38,31 @@ def word_log2_prob(t, p):
     return sum(c * math.log2(px) for c, px in zip(t.counts, p.probs) if c)
 
 
-def x_class_size_given_y(t, y_word):
-    """Number of x-words forming joint type t against the fixed y_word: the
-    conditional class of the transposed joint type."""
-    return conditional_type_class_size(JointType(t.n, tuple(zip(*t.counts))), y_word)
+def x_class_size_given_y(t):
+    """Number of x-words forming joint type t against any one y word whose
+    type is t's column marginal: the conditional class of the transposed
+    joint type."""
+    return conditional_type_class_size(JointType(t.n, tuple(zip(*t.counts))))
+
+
+def cell_rule_reference(t, w, delta):
+    """The conditional typicality rule written out cell by cell, as it stood
+    before the window was shared: |t[x][y] - r_x W(y|x)| <= delta sqrt(r_x)
+    sigma_xy + 1e-12, or exact to 1e-9 when sigma_xy < 1e-12."""
+    for x, row in enumerate(t.counts):
+        r = sum(row)
+        if r == 0:
+            continue
+        root_r = math.sqrt(r)
+        for y, c in enumerate(row):
+            wxy = w.rows[x][y]
+            sigma = math.sqrt(max(wxy * (1.0 - wxy), 0.0))
+            if sigma < 1e-12:
+                if abs(c - r * wxy) > 1e-9:
+                    return False
+            elif abs(c - r * wxy) > delta * root_r * sigma + 1e-12:
+                return False
+    return True
 
 
 class TestTypeBasics:
@@ -104,28 +125,21 @@ class TestClassSizes:
     def test_conditional_size_sandwich(self):
         # conditional classes obey the same sandwich with H(col | row)
         n = 8
-        base = ExactType(n, (5, 3))
-        x_word = (0,) * 5 + (1,) * 3
-        for t in enumerate_joint_types(n, 2, 2, base_type=base):
+        for t in enumerate_joint_types(ExactType(n, (5, 3)), 2):
             h_cond = sum((r / n) * entropy(np.asarray(row, dtype=float) / r)
                          for row, r in ((row, sum(row)) for row in t.counts) if r > 0)
-            size = conditional_type_class_size(t, x_word)
+            size = conditional_type_class_size(t)
             assert size <= 2.0 ** (n * h_cond) * (1 + 1e-9)
             assert size >= (n + 1.0) ** (-4) * 2.0 ** (n * h_cond) * (1 - 1e-9)
 
     def test_conditional_size_is_product_of_row_multinomials(self):
         t = JointType(5, ((2, 1), (1, 1)))
         x_word = (0, 0, 0, 1, 1)
-        got = conditional_type_class_size(t, x_word)
+        got = conditional_type_class_size(t)
         assert got == 3 * 2
         brute = sum(1 for y in itertools.product(range(2), repeat=5)
                     if count_joint_occurrences(x_word, y, 2, 2) == t)
         assert got == brute
-
-    def test_conditional_size_rejects_wrong_marginal(self):
-        t = JointType(4, ((2, 1), (0, 1)))
-        with pytest.raises(InvalidInputError):
-            conditional_type_class_size(t, (0, 0, 1, 1))
 
 
 class TestConditionalUniformityAndTranspose:
@@ -143,10 +157,10 @@ class TestConditionalUniformityAndTranspose:
         for n in (3, 5, 6):
             for base in enumerate_type_classes(n, 2):
                 x_word = tuple(np.repeat(np.arange(2), base.counts))
-                for t in enumerate_joint_types(n, 2, 2, base_type=base):
+                for t in enumerate_joint_types(base, 2):
                     members = [y for y in itertools.product(range(2), repeat=n)
                                if count_joint_occurrences(x_word, y, 2, 2) == t]
-                    assert len(members) == conditional_type_class_size(t, x_word)
+                    assert len(members) == conditional_type_class_size(t)
                     per_word = 1.0
                     for x in range(2):
                         for y in range(2):
@@ -156,14 +170,16 @@ class TestConditionalUniformityAndTranspose:
                         assert mass == pytest.approx(per_word, rel=1e-12)
                     if members:
                         y_word = members[0]
-                        lhs = x_class_size_given_y(t, y_word)
+                        lhs = x_class_size_given_y(t)
+                        assert lhs == sum(
+                            1 for x in itertools.product(range(2), repeat=n)
+                            if count_joint_occurrences(x, y_word, 2, 2) == t)
                         rhs = joint_type_class_size(t) // type_class_size(t.col_marginal())
                         assert lhs == rhs
 
     def test_transpose_size_identity_three_letter(self):
         t = JointType(6, ((2, 1, 0), (0, 1, 2)))
-        y_word = (0, 0, 1, 1, 2, 2)
-        assert x_class_size_given_y(t, y_word) * type_class_size(t.col_marginal()) \
+        assert x_class_size_given_y(t) * type_class_size(t.col_marginal()) \
             == joint_type_class_size(t)
 
 
@@ -172,28 +188,32 @@ class TestEnumeration:
         types = enumerate_type_classes(3, 3)
         flat = [t.counts for t in types]
         assert flat == sorted(flat)
-        joints = enumerate_joint_types(3, 2, 2)
-        flats = [tuple(c for row in t.counts for c in row) for t in joints]
-        assert flats == sorted(flats)
+        for base in enumerate_type_classes(3, 2):
+            joints = enumerate_joint_types(base, 2)
+            flats = [tuple(c for row in t.counts for c in row) for t in joints]
+            assert flats == sorted(flats)
 
     def test_joint_count_bound(self):
         # number of joint types is at most (n+1)^(|X||Y|)
         for n in (3, 5):
-            joints = enumerate_joint_types(n, 2, 2)
-            assert len(joints) <= (n + 1) ** 4
+            count = sum(len(enumerate_joint_types(base, 2))
+                        for base in enumerate_type_classes(n, 2))
+            assert count <= (n + 1) ** 4
 
     def test_base_type_restriction(self):
         base = ExactType(5, (3, 2))
-        joints = enumerate_joint_types(5, 2, 3, base_type=base)
+        joints = enumerate_joint_types(base, 3)
         assert all(t.row_marginal() == base for t in joints)
         # compositions of 3 into 3 parts times compositions of 2 into 3 parts
         assert len(joints) == 10 * 6
 
     def test_caps(self, monkeypatch):
-        with pytest.raises(CapExceededError):
-            enumerate_joint_types(17, 2, 2)
-        with pytest.raises(CapExceededError):
-            enumerate_joint_types(4, 4, 3)
+        for base in enumerate_type_classes(17, 2):
+            with pytest.raises(CapExceededError, match="JOINT_ENUM_N_CAP"):
+                enumerate_joint_types(base, 2)
+        for base in enumerate_type_classes(4, 4):
+            with pytest.raises(CapExceededError, match="JOINT_ENUM_CELLS_CAP"):
+                enumerate_joint_types(base, 3)
         monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 1000)
         with pytest.raises(CapExceededError):
             enumerate_type_class(ExactType(40, (20, 20)))
@@ -206,7 +226,8 @@ class TestEnumeration:
 
     def test_caps_are_read_at_call_time(self, monkeypatch):
         monkeypatch.setitem(CAPS, "JOINT_ENUM_N_CAP", 17)
-        assert len(enumerate_joint_types(17, 2, 1)) == 18
+        assert sum(len(enumerate_joint_types(base, 1))
+                   for base in enumerate_type_classes(17, 2)) == 18
 
     def test_word_enumeration_lex(self):
         words = enumerate_type_class(ExactType(4, (2, 2)))
@@ -251,10 +272,14 @@ class TestTypicality:
         assert b.exact == pytest.approx(6 / 16, abs=1e-12)
 
     def test_exact_mass_matches_enumeration(self):
+        # the exact mass is that of the listed types, also at delta = 0 and
+        # where n P(x) misses an integer by 1e-10
         rng = np.random.default_rng(SEED + 1)
-        for a, n in [(2, 8), (3, 6)]:
-            p = Distribution.from_probs(rng.dirichlet(np.ones(a)))
-            for delta in (0.5, 1.0, 2.0):
+        sources = [(Distribution.from_probs(rng.dirichlet(np.ones(a))), n)
+                   for a, n in [(2, 8), (3, 6)]]
+        sources.append((Distribution.from_probs([0.3333333333, 0.6666666667]), 3))
+        for p, n in sources:
+            for delta in (0.0, 0.5, 1.0, 2.0):
                 spec = TypicalSpec(p, n, delta)
                 brute = sum(type_class_size(t) * 2.0 ** word_log2_prob(t, p)
                             for t in typical_types(spec))
@@ -292,3 +317,16 @@ class TestTypicality:
         ident = Channel.from_rows([[1.0, 0.0], [0.0, 1.0]])
         assert is_conditionally_typical(JointType(4, ((2, 0), (0, 2))), ident, 1.0)
         assert not is_conditionally_typical(JointType(4, ((1, 1), (0, 2))), ident, 1.0)
+
+    @pytest.mark.parametrize("rows", [[[0.75, 0.25], [0.25, 0.75]], [[0.9, 0.1], [0.3, 0.7]]])
+    def test_conditional_window_matches_the_cell_rule(self, rows):
+        w = Channel.from_rows(rows)
+        verdicts = set()
+        for n in range(1, 9):
+            for base in enumerate_type_classes(n, 2):
+                for t in enumerate_joint_types(base, 2):
+                    for delta in (0.0, 1.0, 2.0):
+                        got = is_conditionally_typical(t, w, delta)
+                        assert got == cell_rule_reference(t, w, delta), (t, delta)
+                        verdicts.add(got)
+        assert verdicts == {False, True}
