@@ -29,12 +29,7 @@ import numpy as np
 
 from ._seeds import child_rng
 from .errors import InvalidInputError, RetriesExhaustedError, require_cap
-from .typeclasses import (
-    JointType,
-    enumerate_type_class,
-    joint_type_class_size,
-    type_class_size,
-)
+from .typeclasses import JointType, enumerate_type_class
 
 LN2 = math.log(2.0)
 DEFAULT_MAX_RETRIES = 64
@@ -53,22 +48,15 @@ def lemma2_failure_bound(K_size: int, M: int, eta: float, s: float) -> float:
     return float(2.0 * K_size * 2.0 ** (-(M * eta * eta * s) / (2.0 * LN2)))
 
 
-def _class_sizes(t: JointType):
-    size_r = type_class_size(t.row_marginal())
-    size_s = type_class_size(t.col_marginal())
-    size_t = joint_type_class_size(t)
-    return size_r, size_s, size_t
-
-
 def _min_M_condition_I(t: JointType, epsilon: float, N: int) -> int:
-    size_r, size_s, size_t = _class_sizes(t)
+    size_r, size_s, size_t = t.class_sizes
     ratio = size_r * size_s / size_t
     rhs = (2.0 * LN2 / epsilon**2) * ratio * math.log2(4.0 * N * size_r)
     return int(math.floor(rhs)) + 1
 
 
 def _rhs_condition_II(t: JointType, epsilon: float) -> float:
-    size_s = type_class_size(t.col_marginal())
+    size_s = t.class_sizes[1]
     return (2.0 * LN2 / epsilon**2) * size_s * math.log2(4.0 * size_s)
 
 
@@ -109,7 +97,9 @@ class CoveringFamily:
     class word of lexicographic rank r in list nu, shape (N, |T_S|), each row
     summing to M. Slot mu of list nu is the mu-th entry of the list sorted by
     rank; list_ranks(nu) gives the M ranks in slot order. check holds the
-    passing verification when the family came from build_covering. The class
+    passing verification when the family came from build_covering. A
+    read-only int64 counts table is shared, not copied, so build_covering
+    hands over the table it drew; any other table is copied. The class
     words, their Y^n ranks, the compatibility matrix and c_nu(x) are built on
     first use and kept read-only; build_covering shares one matrix among attempts.
     """
@@ -118,15 +108,17 @@ class CoveringFamily:
                  epsilon: float, retries: int = 0):
         if not 0.0 < epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
-        size_s = type_class_size(joint_type.col_marginal())
-        counts = np.array(counts, dtype=np.int64)
+        size_s = joint_type.class_sizes[1]
+        if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64
+                and not counts.flags.writeable):
+            counts = np.array(counts, dtype=np.int64)
+            counts.flags.writeable = False
         if counts.shape != (N, size_s):
             raise InvalidInputError(f"counts shape {counts.shape} != ({N}, {size_s})")
         if counts.size and counts.min() < 0:
             raise InvalidInputError("negative word multiplicity")
         if np.any(counts.sum(axis=1) != M):
             raise InvalidInputError(f"a list does not hold exactly M = {M} entries")
-        counts.flags.writeable = False
         self.joint_type, self.N, self.M = joint_type, N, M
         self.counts = counts
         self.epsilon, self.retries = epsilon, retries
@@ -207,14 +199,17 @@ class CoveringFamily:
 
 def compatibility_matrix(t: JointType, x_words: np.ndarray, y_words: np.ndarray) -> np.ndarray:
     """Boolean matrix: entry (i, j) says whether (x_words[i], y_words[j]) has
-    joint type exactly t. Computed cell by cell with indicator products, in
-    float32, which is exact because every product is a count of at most n."""
+    joint type exactly t, for x_words from the class of t's row marginal and
+    y_words from the class of its column marginal. With both marginals fixed
+    the (|X|-1)(|Y|-1) interior cells (x < |X|-1, y < |Y|-1) determine the
+    joint type, so only those are compared: one indicator product per cell,
+    in float32, which is exact because every product is a count of at most n."""
     ok = np.ones((x_words.shape[0], y_words.shape[0]), dtype=bool)
-    for a in range(t.x_size):
+    y_ind = [(y_words == b).astype(np.float32).T for b in range(t.y_size - 1)]
+    for a in range(t.x_size - 1):
         xa = (x_words == a).astype(np.float32)
-        for b in range(t.y_size):
-            yb = (y_words == b).astype(np.float32)
-            ok &= (xa @ yb.T) == t.counts[a][b]
+        for b, yb in enumerate(y_ind):
+            ok &= (xa @ yb) == t.counts[a][b]
     return ok
 
 
@@ -222,7 +217,7 @@ def verify_covering(family: CoveringFamily) -> CoveringCheck:
     """Exact exhaustive verification of both covering conditions. c_nu(x)
     is taken afresh from the counts and not kept: kept, it would double the
     memory of every family a build keeps."""
-    size_r, size_s, size_t = _class_sizes(family.joint_type)
+    size_r, size_s, size_t = family.joint_type.class_sizes
     hits = family.counts.astype(np.float64) @ family.compat().T.astype(np.float64)
 
     mean_i = family.M * size_t / (size_r * size_s)
@@ -251,12 +246,13 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0,
     DEFAULT_MAX_RETRIES failures; both are read at call time.
     """
     M, N = required_M_N(t, epsilon, forced_N=forced_N)
-    size_r, size_s, _ = _class_sizes(t)
+    size_r, size_s, _ = t.class_sizes
     require_cap("COVER_TABLE_CAP", max(N, size_r) * size_s, "covering tables of {} entries")
     uniform = np.full(size_s, 1.0 / size_s)
     compat = None   # built by the first attempt, shared by every later one
     for attempt in range(DEFAULT_MAX_RETRIES):
         counts = child_rng(seed, f"covering:try:{attempt}").multinomial(M, uniform, size=N)
+        counts.flags.writeable = False      # handed over, not copied
         family = CoveringFamily(t, N, M, counts, epsilon, retries=attempt)
         family._compat = compat
         family.check = verify_covering(family)

@@ -241,8 +241,8 @@ def _derandomize(code: SimCode, epsilon: float, seed: int):
     n = code.n
     Q = required_Q(n, code.source.alphabet_size, code.channel.output_size, epsilon, u)
     if n > CAPS["EXACT_VERIFY_N_CAP"]:
-        rng = child_rng(seed, "derandomize:try:0")
-        selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
+        drawn = child_rng(seed, "derandomize:try:0").integers(0, code.N, size=Q)
+        selected = tuple(drawn.tolist())
         return DerandomizedCode(selected, Q, code, epsilon, u, False, 0), None
 
     _check_family_cap(code, code.N)
@@ -263,13 +263,13 @@ def _derandomize(code: SimCode, epsilon: float, seed: int):
             "averaged per-letter marginals fall below u/2 on the "
             "channel support; shrink epsilon or delta")
     for attempt in range(covering.DEFAULT_MAX_RETRIES):
-        rng = child_rng(seed, f"derandomize:try:{attempt}")
-        selected = tuple(int(v) for v in rng.integers(0, code.N, size=Q))
-        counts = np.bincount(selected, minlength=code.N)
+        drawn = child_rng(seed, f"derandomize:try:{attempt}").integers(0, code.N, size=Q)
+        counts = np.bincount(drawn, minlength=code.N)
         mixed_rows = np.tensordot(counts / Q, per_nu, axes=1)
         mixed_margs = _letter_marginals(mixed_rows[typical], n, b)
         if not (np.abs(mixed_margs - base_margs) > epsilon * base_margs + 1e-12).any():
-            return DerandomizedCode(selected, Q, code, epsilon, u, True, attempt), laws
+            return DerandomizedCode(tuple(drawn.tolist()), Q, code, epsilon, u, True,
+                                    attempt), laws
     raise RetriesExhaustedError("derandomization failed exact verification "
                                 f"{covering.DEFAULT_MAX_RETRIES} times")
 

@@ -37,10 +37,10 @@ from .typeclasses import (
     JointType,
     TypicalSpec,
     conditional_type_class_size,
+    conditionally_typical_joint_types,
     count_occurrences,
     enumerate_joint_types,
     enumerate_type_class,
-    is_conditionally_typical,
     type_class_size,
     type_is_typical,
     typical_probability_bounds,
@@ -120,9 +120,7 @@ def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta:
     spec = TypicalSpec(source, n, delta)
     found = []
     for base in typical_types(spec):
-        for t in enumerate_joint_types(base, channel.output_size):
-            if is_conditionally_typical(t, channel, delta):
-                found.append(t)
+        found += conditionally_typical_joint_types(base, channel, delta)
     found.sort(key=lambda t: tuple(c for row in t.counts for c in row))
     return found
 

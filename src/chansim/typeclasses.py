@@ -48,7 +48,10 @@ class ExactType:
 
 @dataclass(frozen=True)
 class JointType:
-    """Count matrix of a word pair; counts[x][y] = #{k : x_k = x, y_k = y}."""
+    """Count matrix of a word pair; counts[x][y] = #{k : x_k = x, y_k = y}.
+
+    The marginals and class_sizes are computed on first use and kept on the
+    instance, outside ==, hash, repr and to_json_dict."""
 
     n: int
     counts: tuple  # tuple of tuples, x_size rows of y_size entries
@@ -71,11 +74,22 @@ class JointType:
         return len(self.counts[0])
 
     def row_marginal(self) -> ExactType:
-        return ExactType(self.n, tuple(sum(row) for row in self.counts))
+        return self._marginals[0]
 
     def col_marginal(self) -> ExactType:
-        return ExactType(self.n, tuple(sum(row[y] for row in self.counts)
-                                       for y in range(self.y_size)))
+        return self._marginals[1]
+
+    @functools.cached_property
+    def _marginals(self) -> tuple:
+        return (ExactType(self.n, tuple(sum(row) for row in self.counts)),
+                ExactType(self.n, tuple(map(sum, zip(*self.counts)))))
+
+    @functools.cached_property
+    def class_sizes(self) -> tuple:
+        """(|T_R|, |T_S|, |T_t|): the class sizes of the row marginal R, the
+        column marginal S and the joint type t itself."""
+        row, col = self._marginals
+        return type_class_size(row), type_class_size(col), joint_type_class_size(self)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "counts": [list(row) for row in self.counts]}
@@ -139,13 +153,32 @@ def type_is_typical(t: ExactType, spec: TypicalSpec) -> bool:
     return all(c in _window(spec.n, px, spec.delta) for c, px in zip(t.counts, spec.p.probs))
 
 
+def _cell_windows(base: ExactType, w: Channel, delta: float) -> list:
+    """The window of every cell (x, y) of a joint type with row marginal
+    base: the counts typical for W(y|x) out of base's count of x."""
+    return [[_window(r, wxy, delta) for wxy in w_row] for r, w_row in zip(base.counts, w.rows)]
+
+
+def _inside(t: JointType, windows: list) -> bool:
+    return all(c in win for row, wins in zip(t.counts, windows) for c, win in zip(row, wins))
+
+
 def is_conditionally_typical(t: JointType, w: Channel, delta: float) -> bool:
     """Every cell of t in the window of its channel entry W(y|x), with the
     row count of x as the total."""
     if t.x_size != w.input_size or t.y_size != w.output_size:
         raise InvalidInputError("joint type does not match the channel")
-    return all(c in _window(sum(row), wxy, delta)
-               for row, w_row in zip(t.counts, w.rows) for c, wxy in zip(row, w_row))
+    return _inside(t, _cell_windows(t.row_marginal(), w, delta))
+
+
+def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float):
+    """The joint types of enumerate_joint_types(base, |Y|) that are
+    conditionally typical for w, in that order; each cell's window is
+    computed once for all of them."""
+    if base.alphabet_size != w.input_size:
+        raise InvalidInputError("input type does not match the channel")
+    windows = _cell_windows(base, w, delta)
+    return [t for t in enumerate_joint_types(base, w.output_size) if _inside(t, windows)]
 
 
 class TypicalBounds(NamedTuple):

@@ -20,8 +20,11 @@ from chansim.errors import CAPS, CapExceededError, InvalidInputError, RetriesExh
 from chansim.typeclasses import (
     ExactType,
     JointType,
+    conditional_type_class_size,
     count_joint_occurrences,
+    enumerate_joint_types,
     enumerate_type_class,
+    enumerate_type_classes,
     joint_type_class_size,
     type_class_size,
 )
@@ -38,6 +41,17 @@ def rank_counts(t, words):
     rank outside the class widens the table past |T_S|."""
     size_s = type_class_size(t.col_marginal())
     return np.array([np.bincount(row, minlength=size_s) for row in np.asarray(words)])
+
+
+def all_cells_reference(t, x_words, y_words):
+    """The compatibility matrix with every cell of the joint type compared,
+    in integer arithmetic: the rule before the interior cells sufficed."""
+    ok = np.ones((len(x_words), len(y_words)), dtype=bool)
+    for a in range(t.x_size):
+        xa = (x_words == a).astype(np.int64)
+        for b in range(t.y_size):
+            ok &= (xa @ (y_words == b).astype(np.int64).T) == t.counts[a][b]
+    return ok
 
 
 def all_lists(fam):
@@ -210,6 +224,23 @@ def small_families(draw):
     return t, np.array(ranks, dtype=np.int64).reshape(N, M)
 
 
+class TestCompatibilityMatrix:
+    @pytest.mark.parametrize("x_size, y_size", itertools.product((2, 3), repeat=2))
+    def test_interior_cells_match_every_cell(self, x_size, y_size):
+        checked = 0
+        for n in range(1, 6):
+            for base in enumerate_type_classes(n, x_size):
+                x_words = enumerate_type_class(base)
+                for t in enumerate_joint_types(base, y_size):
+                    y_words = enumerate_type_class(t.col_marginal())
+                    got = compatibility_matrix(t, x_words, y_words)
+                    assert np.array_equal(got, all_cells_reference(t, x_words, y_words)), t
+                    # each x word sees exactly its conditional class
+                    assert np.all(got.sum(axis=1) == conditional_type_class_size(t)), t
+                    checked += 1
+        assert checked == sum(math.comb(n + x_size * y_size - 1, n) for n in range(1, 6))
+
+
 class TestMultiplicityTables:
     @settings(max_examples=60, deadline=None)
     @given(small_families())
@@ -258,6 +289,22 @@ class TestMultiplicityTables:
         assert np.all(fam.counts.sum(axis=1) == fam.M)
         with pytest.raises(ValueError):
             fam.counts[0, 0] = 1
+
+    def test_a_writable_table_is_copied_and_a_read_only_int64_one_shared(self):
+        size_s = type_class_size(T_N4.col_marginal())
+        table = np.zeros((2, size_s), dtype=np.int64)
+        table[:, 0] = 3
+        fam = CoveringFamily(T_N4, 2, 3, table, 0.1)
+        table[0] = 1
+        assert np.all(fam.counts[:, 0] == 3) and fam.counts[0, 1] == 0
+        assert table.flags.writeable and not np.shares_memory(fam.counts, table)
+        frozen = fam.counts.copy()
+        frozen.flags.writeable = False
+        assert np.shares_memory(CoveringFamily(T_N4, 2, 3, frozen, 0.1).counts, frozen)
+        narrow = frozen.astype(np.int32)
+        narrow.flags.writeable = False
+        copied = CoveringFamily(T_N4, 2, 3, narrow, 0.1).counts
+        assert copied.dtype == np.int64 and not np.shares_memory(copied, narrow)
 
     def test_family_tables_match_a_fresh_build(self):
         built = build_covering(T_N4, 0.1, seed=SEED)

@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
-from chansim import simulate
+from chansim import simulate, typeclasses
 from chansim.covering import CoveringFamily
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.fidelity import derandomize, run_fixed_code
@@ -583,6 +584,18 @@ def test_decode_reads_the_sorted_slot_of_every_list():
         for nu in range(code.N):
             expected = [tuple(int(v) for v in y_words[r]) for r in fam.list_ranks(nu)]
             assert [decode(code, t, nu, mu) for mu in range(fam.M)] == expected
+
+
+def test_each_joint_type_sizes_its_classes_once(monkeypatch):
+    sized = []
+    real = typeclasses.joint_type_class_size
+    for name, module in list(sys.modules.items()):    # every namespace that binds it
+        if name.startswith("chansim") and getattr(module, "joint_type_class_size", None) is real:
+            monkeypatch.setattr(module, "joint_type_class_size",
+                                lambda t: sized.append(t) or real(t))
+    code = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
+    assert len(code.typical_joint_types) == 37
+    assert sorted(sized, key=repr) == sorted(code.typical_joint_types, key=repr)
 
 
 def test_online_path_transcripts_are_pinned_bit_for_bit():

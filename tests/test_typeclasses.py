@@ -11,6 +11,7 @@ from chansim.typeclasses import (
     JointType,
     TypicalSpec,
     conditional_type_class_size,
+    conditionally_typical_joint_types,
     count_joint_occurrences,
     count_occurrences,
     enumerate_joint_types,
@@ -87,6 +88,17 @@ class TestTypeBasics:
     def test_serialization_round_trip(self):
         jt = JointType(4, ((2, 1), (0, 1)))
         assert JointType.from_json_dict(jt.to_json_dict()) == jt
+
+    def test_kept_sizes_and_marginals_are_invisible(self):
+        filled, fresh = JointType(4, ((2, 1), (0, 1))), JointType(4, ((2, 1), (0, 1)))
+        doc, text = fresh.to_json_dict(), repr(fresh)
+        assert filled.class_sizes == (type_class_size(ExactType(4, (3, 1))),
+                                      type_class_size(ExactType(4, (2, 2))),
+                                      joint_type_class_size(fresh)) == (4, 6, 12)
+        assert filled.col_marginal() is filled.col_marginal()
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == text and filled.to_json_dict() == doc
+        assert {filled: 1}[fresh] == 1
 
 
 class TestClassSizes:
@@ -330,3 +342,16 @@ class TestTypicality:
                         assert got == cell_rule_reference(t, w, delta), (t, delta)
                         verdicts.add(got)
         assert verdicts == {False, True}
+
+    @pytest.mark.parametrize("rows", [[[0.75, 0.25], [0.25, 0.75]], [[0.9, 0.1], [0.3, 0.7]],
+                                      [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8]]])
+    def test_typical_joint_types_of_an_input_type_filter_the_enumeration(self, rows):
+        w = Channel.from_rows(rows)
+        for n in range(1, 9):
+            for base in enumerate_type_classes(n, 2):
+                for delta in (0.0, 1.0, 2.0):
+                    expected = [t for t in enumerate_joint_types(base, w.output_size)
+                                if cell_rule_reference(t, w, delta)]
+                    assert conditionally_typical_joint_types(base, w, delta) == expected
+        with pytest.raises(InvalidInputError):
+            conditionally_typical_joint_types(ExactType(2, (1, 1, 0)), w, 1.0)
