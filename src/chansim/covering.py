@@ -98,8 +98,9 @@ class CoveringFamily:
     summing to M. Slot mu of list nu is the mu-th entry of the list sorted by
     rank; list_ranks(nu) gives the M ranks in slot order. check holds the
     passing verification when the family came from build_covering. A
-    read-only int64 counts table is shared, not copied, so build_covering
-    hands over the table it drew; any other table is copied. The class
+    read-only int64 counts table that owns its memory is shared, not
+    copied, so build_covering hands over the table it drew; any other table,
+    a read-only view of a writable array among them, is copied. The class
     words, their Y^n ranks, the compatibility matrix and c_nu(x) are built on
     first use and kept read-only; build_covering shares one matrix among attempts.
     """
@@ -110,7 +111,7 @@ class CoveringFamily:
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
         size_s = joint_type.class_sizes[1]
         if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64
-                and not counts.flags.writeable):
+                and not counts.flags.writeable and counts.flags.owndata):
             counts = np.array(counts, dtype=np.int64)
             counts.flags.writeable = False
         if counts.shape != (N, size_s):

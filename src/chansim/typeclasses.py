@@ -153,32 +153,16 @@ def type_is_typical(t: ExactType, spec: TypicalSpec) -> bool:
     return all(c in _window(spec.n, px, spec.delta) for c, px in zip(t.counts, spec.p.probs))
 
 
-def _cell_windows(base: ExactType, w: Channel, delta: float) -> list:
-    """The window of every cell (x, y) of a joint type with row marginal
-    base: the counts typical for W(y|x) out of base's count of x."""
-    return [[_window(r, wxy, delta) for wxy in w_row] for r, w_row in zip(base.counts, w.rows)]
-
-
-def _inside(t: JointType, windows: list) -> bool:
-    return all(c in win for row, wins in zip(t.counts, windows) for c, win in zip(row, wins))
-
-
-def is_conditionally_typical(t: JointType, w: Channel, delta: float) -> bool:
-    """Every cell of t in the window of its channel entry W(y|x), with the
-    row count of x as the total."""
-    if t.x_size != w.input_size or t.y_size != w.output_size:
-        raise InvalidInputError("joint type does not match the channel")
-    return _inside(t, _cell_windows(t.row_marginal(), w, delta))
-
-
-def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float):
-    """The joint types of enumerate_joint_types(base, |Y|) that are
-    conditionally typical for w, in that order; each cell's window is
-    computed once for all of them."""
+def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float) -> list:
+    """The joint types of enumerate_joint_types(base, |Y|), in that order,
+    whose every cell lies in the window of its channel entry W(y|x), with
+    base's count of x as the total. Each cell's window is computed once for
+    all of them."""
     if base.alphabet_size != w.input_size:
         raise InvalidInputError("input type does not match the channel")
-    windows = _cell_windows(base, w, delta)
-    return [t for t in enumerate_joint_types(base, w.output_size) if _inside(t, windows)]
+    windows = [[_window(r, wxy, delta) for wxy in w_row] for r, w_row in zip(base.counts, w.rows)]
+    return [t for t in enumerate_joint_types(base, w.output_size)
+            if all(c in win for row, wins in zip(t.counts, windows) for c, win in zip(row, wins))]
 
 
 class TypicalBounds(NamedTuple):

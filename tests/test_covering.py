@@ -305,6 +305,12 @@ class TestMultiplicityTables:
         narrow.flags.writeable = False
         copied = CoveringFamily(T_N4, 2, 3, narrow, 0.1).counts
         assert copied.dtype == np.int64 and not np.shares_memory(copied, narrow)
+        base = frozen.copy()
+        view = base.view()          # read-only, but its base stays writable
+        view.flags.writeable = False
+        viewed = CoveringFamily(T_N4, 2, 3, view, 0.1).counts
+        base[1] = 1
+        assert not np.shares_memory(viewed, base) and np.array_equal(viewed, frozen)
 
     def test_family_tables_match_a_fresh_build(self):
         built = build_covering(T_N4, 0.1, seed=SEED)
