@@ -41,9 +41,9 @@ from .simulate import (
     accounting,
     build_sim_code,
     encoder_message_law,
+    fidelity_ceiling,
     fixed_nu_block_channels,
     iid_block_law,
-    strong_fidelity_report,
     word_letters,
 )
 
@@ -476,18 +476,6 @@ class RDCodeResult:
     slack: float
     target_d: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rd_value": self.rd_value,
-            "channel": self.channel.to_json_dict(),
-            "nu": self.nu,
-            "distortion": self.distortion,
-            "average_distortion": self.average_distortion,
-            "rate": self.rate,
-            "slack": self.slack,
-            "target_d": self.target_d,
-        }
-
 
 def block_distortion_matrix(spec: DistortionSpec, n: int) -> np.ndarray:
     """Per-letter average distortion between every X^n and Y^n word pair."""
@@ -520,13 +508,13 @@ def rd_code_via_simulation(source: Distribution, spec: DistortionSpec, y_size: i
     for nu, ch in enumerate(fixed_nu_block_channels(code, range(code.N))):
         per_nu[nu] = p_block @ (ch.rows * d_block).sum(axis=1)
     nu_best = int(np.argmin(per_nu))
-    report = strong_fidelity_report(code)
+    lambda_bound, atypicality = fidelity_ceiling(code)
     sigma = np.sqrt(source.probs * (1.0 - source.probs))
     letter_cost = (w_opt.rows * spec.matrix).sum(axis=1)
     d_max = float(spec.matrix.max())
     slack = (max(expected_distortion(source, w_opt, spec) - spec.target_d, 0.0)
              + delta / math.sqrt(n) * float(sigma @ letter_cost)
-             + d_max * (min(report["lambda_bound"], 1.0) + report["atypicality_mass"]))
+             + d_max * (min(lambda_bound, 1.0) + atypicality))
     rate, _ = accounting(code)
     return RDCodeResult(rd_value, w_opt, code, nu_best, float(per_nu[nu_best]),
                         float(per_nu.mean()), rate, slack, spec.target_d)

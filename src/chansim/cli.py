@@ -35,8 +35,8 @@ from .covering import build_covering
 from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
                      InvalidInputError, RetriesExhaustedError)
 from .fidelity import derandomize_with_family, measure_fidelity
-from .simulate import (accounting, build_sim_code, jointly_typical_types,
-                       strong_fidelity_report)
+from .simulate import (FamilyRecord, accounting, build_sim_code,
+                       jointly_typical_types, strong_fidelity_report)
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
@@ -48,8 +48,6 @@ EXIT_CAP_EXCEEDED = 3
 EXIT_INFEASIBLE = 4
 EXIT_RETRIES_EXHAUSTED = 5
 
-_INSTANCE_KEYS = {"source", "channel", "target", "distortion", "c_max"}
-_COMMON_KEYS = {"command", "config", "instance", "seed", "out", "cap_override"}
 _CONFIG_KEYS = {"instance", "seed", "out", "caps", "params"}
 
 
@@ -148,62 +146,71 @@ def _is_int(value) -> bool:
             or isinstance(value, float) and value.is_integer())
 
 
+def _law(kind, field, shape, key, value):
+    """A distribution or channel entry: an object holding its field."""
+    if not isinstance(value, dict) or field not in value:
+        raise InvalidInputError(f'instance "{key}" must be {{"{field}": {shape}}}')
+    return kind.from_json_dict(value)
+
+
+def _matrix(key, value):
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f'instance "{key}" must be numeric')
+    if m.ndim != 2:
+        raise InvalidInputError(f'instance "{key}" must be a matrix')
+    return m
+
+
+def _integer(key, value):
+    if not _is_int(value):
+        raise InvalidInputError(f'instance "{key}" must be an integer')
+    return int(value)
+
+
+# instance key -> parser of its value, in the order entries are checked
+_INSTANCE_KEYS = {
+    "channel": functools.partial(_law, Channel, "rows", "[[...]]"),
+    "source": functools.partial(_law, Distribution, "probs", "[...]"),
+    "target": functools.partial(_law, Distribution, "probs", "[...]"),
+    "distortion": _matrix,
+    "c_max": _integer,
+}
+
+
 class InstanceBundle:
-    """Parsed instance document: the pieces a command may need."""
+    """Parsed instance document: the pieces a command may need, None where
+    it has no entry; with a channel and no source, the source is uniform."""
 
     def __init__(self, doc: dict):
-        unknown = set(doc) - _INSTANCE_KEYS
+        unknown = set(doc) - set(_INSTANCE_KEYS)
         if unknown:
             raise InvalidInputError(
                 f"unknown instance keys {sorted(unknown)}; "
                 f"allowed: {sorted(_INSTANCE_KEYS)}")
-        self.channel = None
-        if "channel" in doc:
-            if not isinstance(doc["channel"], dict) or "rows" not in doc["channel"]:
-                raise InvalidInputError('instance "channel" must be {"rows": [[...]]}')
-            self.channel = Channel.from_json_dict(doc["channel"])
-        self.source = None
-        if "source" in doc:
-            if not isinstance(doc["source"], dict) or "probs" not in doc["source"]:
-                raise InvalidInputError('instance "source" must be {"probs": [...]}')
-            self.source = Distribution.from_json_dict(doc["source"])
-        elif self.channel is not None:
+        for key, parse in _INSTANCE_KEYS.items():
+            setattr(self, key, parse(key, doc[key]) if key in doc else None)
+        if self.source is None and self.channel is not None:
             self.source = Distribution.uniform(self.channel.input_size)
-        self.target = None
-        if "target" in doc:
-            if not isinstance(doc["target"], dict) or "probs" not in doc["target"]:
-                raise InvalidInputError('instance "target" must be {"probs": [...]}')
-            self.target = Distribution.from_json_dict(doc["target"])
-        self.distortion = None
-        if "distortion" in doc:
-            try:
-                m = np.asarray(doc["distortion"], dtype=float)
-            except (TypeError, ValueError):
-                raise InvalidInputError('instance "distortion" must be numeric')
-            if m.ndim != 2:
-                raise InvalidInputError('instance "distortion" must be a matrix')
-            self.distortion = m
-        self.c_max = None
-        if "c_max" in doc:
-            if not _is_int(doc["c_max"]):
-                raise InvalidInputError('instance "c_max" must be an integer')
-            self.c_max = int(doc["c_max"])
 
-    def need_channel(self) -> Channel:
-        if self.channel is None:
-            raise InvalidInputError("this command needs a channel in the instance")
-        return self.channel
+    def need(self, key: str):
+        """The entry under key, which the running command requires."""
+        value = getattr(self, key)
+        if value is None:
+            raise InvalidInputError(f"this command needs a {key} in the instance")
+        return value
 
-    def need_source(self) -> Distribution:
-        if self.source is None:
-            raise InvalidInputError("this command needs a source in the instance")
-        return self.source
+
+def _flag(key: str) -> str:
+    """The command-line flag of a params key."""
+    return "--" + key.replace("_", "-")
 
 
 def _need_param(cfg: ExperimentConfig, key: str):
     value = cfg.params.get(key)
     if value is None:
-        raise InvalidInputError(f"missing required parameter --{key.replace('_', '-')}")
+        raise InvalidInputError(f"missing required parameter {_flag(key)}")
     return value
 
 
@@ -306,7 +313,7 @@ def _write_artifacts(cfg: ExperimentConfig, record: RunRecord):
 
 
 def _run_info(cfg, bundle):
-    source = bundle.need_source()
+    source = bundle.need("source")
     outputs = {"H(P)": entropy(source)}
     comparisons = [_row("source entropy >= 0", "entropy range", outputs["H(P)"], 0.0)]
     table = [("H(P)", outputs["H(P)"])]
@@ -336,12 +343,12 @@ def _tolerances(cfg):
 
 def _code_inputs(cfg, bundle):
     """(source, channel, n, delta, epsilon) of a one-block-length command."""
-    source, channel = bundle.need_source(), bundle.need_channel()
+    source, channel = bundle.need("source"), bundle.need("channel")
     return (source, channel, int(_need_param(cfg, "n"))) + _tolerances(cfg)
 
 
 def _run_typical(cfg, bundle):
-    source = bundle.need_source()
+    source = bundle.need("source")
     n = int(_need_param(cfg, "n"))
     delta, _ = _tolerances(cfg)
     spec = TypicalSpec(source, n, delta)
@@ -367,24 +374,20 @@ def _run_cover(cfg, bundle):
     types = jointly_typical_types(source, channel, n, delta)
     if not types:
         raise InvalidInputError("no jointly typical types; widen delta")
-    rows, margins_i, margins_ii, retries_total = [], [], [], 0
+    rows = []
     for idx, t in enumerate(types):
-        fam = build_covering(t, epsilon, seed=child_seed(cfg.seed, f"cover:{idx}"))
-        check = fam.check
-        m_i = float(check.condition_I_margin.min())
-        m_ii = float(check.condition_II_margin)
+        rec = FamilyRecord.of(build_covering(t, epsilon,
+                                             seed=child_seed(cfg.seed, f"cover:{idx}")))
         counts = ";".join("-".join(str(c) for c in row) for row in t.counts)
-        rows.append((idx, counts, fam.M, fam.N, fam.retries, m_i, m_ii))
-        margins_i.append(m_i)
-        margins_ii.append(m_ii)
-        retries_total += fam.retries
+        rows.append((idx, counts, rec.M, rec.N, rec.retries,
+                     rec.condition_I_min_margin, rec.condition_II_margin))
     outputs = {"type_count": len(types), "max_M": max(r[2] for r in rows),
-               "max_N": max(r[3] for r in rows), "total_retries": retries_total}
+               "max_N": max(r[3] for r in rows), "total_retries": sum(r[4] for r in rows)}
     comparisons = [
         _row("min per-word hit margin >= 0",
-             "every compatible word is covered with room", min(margins_i), 0.0),
+             "every compatible word is covered with room", min(r[5] for r in rows), 0.0),
         _row("min list-budget margin >= 0",
-             "list sizes clear the counting threshold", min(margins_ii), 0.0),
+             "list sizes clear the counting threshold", min(r[6] for r in rows), 0.0),
     ]
     columns = ("type_index", "counts", "M", "N", "retries",
                "margin_condition_I", "margin_condition_II")
@@ -462,7 +465,7 @@ def _run_derandomize(cfg, bundle):
 
 
 def _run_zero_error(cfg, bundle):
-    source, channel = bundle.need_source(), bundle.need_channel()
+    source, channel = bundle.need("source"), bundle.need("channel")
     instance = ZeroErrorInstance.build(source, channel, bundle.c_max)
     restarts = int(cfg.params.get("restarts", 20))
     fact = alternate(instance, seed=cfg.seed, restarts=restarts)
@@ -500,7 +503,7 @@ def _run_zero_error(cfg, bundle):
 
 
 def _run_rd(cfg, bundle):
-    source = bundle.need_source()
+    source = bundle.need("source")
     if bundle.distortion is not None:
         d_matrix = bundle.distortion
     elif cfg.params.get("hamming") is not None:
@@ -585,7 +588,7 @@ def _run_dilute(cfg, bundle):
 
 
 def _run_sweep(cfg, bundle):
-    source, channel = bundle.need_source(), bundle.need_channel()
+    source, channel = bundle.need("source"), bundle.need("channel")
     n_min = int(_need_param(cfg, "n_min"))
     n_max = int(_need_param(cfg, "n_max"))
     if n_min < 1 or n_max < n_min:
@@ -617,16 +620,43 @@ def _run_sweep(cfg, bundle):
             rows, {})
 
 
-_HANDLERS = {
-    "info": _run_info,
-    "typical": _run_typical,
-    "cover": _run_cover,
-    "simulate": _run_simulate,
-    "derandomize": _run_derandomize,
-    "zero-error": _run_zero_error,
-    "rd": _run_rd,
-    "dilute": _run_dilute,
-    "sweep": _run_sweep,
+# params key -> (value type, --help text). The flag is the key spelled with
+# dashes (_flag); bool is --rates-only, which stores True or nothing. A config
+# file's "params" take the same keys and are checked against the same types.
+_FLAGS = {
+    "n": (int, None),
+    "delta": (float, None),
+    "epsilon": (float, None),
+    "rates_only": (bool, None),
+    "restarts": (int, None),
+    "oracle_resolution": (int, None),
+    "targets": (str, '"0.05,0.1,0.25" or "lo:hi:count"'),
+    "hamming": (int, "use 0/1 distortion on an alphabet of this size"),
+    "certify_resolution": (int, None),
+    "samples": (int, None),
+    "n_min": (int, None),
+    "n_max": (int, None),
+    "keep_words_up_to": (int, None),
+}
+
+# command -> (handler, help, its _FLAGS in --help order)
+_COMMANDS = {
+    "info": (_run_info, "single-letter information quantities", ()),
+    "typical": (_run_typical, "typical-set mass and its lower bounds", ("n", "delta")),
+    "cover": (_run_cover, "covering families for all jointly typical types",
+              ("n", "delta", "epsilon")),
+    "simulate": (_run_simulate, "build the protocol code and account its rates",
+                 ("n", "delta", "epsilon", "rates_only")),
+    "derandomize": (_run_derandomize, "freeze the shared index to a sampled list",
+                    ("n", "delta", "epsilon")),
+    "zero-error": (_run_zero_error, "minimal-entropy exact factorization",
+                   ("restarts", "oracle_resolution")),
+    "rd": (_run_rd, "rate-distortion curve with optional certification",
+           ("targets", "hamming", "certify_resolution")),
+    "dilute": (_run_dilute, "replace a target law by a near-uniform stand-in",
+               ("epsilon", "samples")),
+    "sweep": (_run_sweep, "rates across a range of block lengths",
+              ("n_min", "n_max", "delta", "epsilon", "keep_words_up_to")),
 }
 
 
@@ -637,7 +667,7 @@ def run(cfg: ExperimentConfig) -> RunRecord:
     t0 = time.perf_counter()
     with _cap_overrides(cfg.caps):
         outputs, comparisons, columns, rows, artifacts = \
-            _HANDLERS[cfg.command](cfg, bundle)
+            _COMMANDS[cfg.command][0](cfg, bundle)
     record = RunRecord(config_hash=cfg.config_hash(), command=cfg.command,
                        timings={"run": time.perf_counter() - t0},
                        outputs=outputs, comparisons=comparisons,
@@ -659,11 +689,10 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing fills a fresh
     namespace on each call and reads no module state."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("instance", nargs="?", default=None,
-                        help="instance JSON file")
-    common.add_argument("--config", default=None, help="configuration JSON file")
-    common.add_argument("--seed", type=int, default=None, help="master seed")
-    common.add_argument("--out", default=None, help="output directory")
+    common.add_argument("instance", nargs="?", help="instance JSON file")
+    common.add_argument("--config", help="configuration JSON file")
+    common.add_argument("--seed", type=int, help="master seed")
+    common.add_argument("--out", help="output directory")
     common.add_argument("--cap-override", action="append", metavar="KEY=VALUE",
                         help="raise or lower an enumeration cap for this run")
 
@@ -672,71 +701,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="channel-simulation toolkit: every emitted number is "
                     "computed by a library operation")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("info", parents=[common],
-                       help="single-letter information quantities")
-
-    p = sub.add_parser("typical", parents=[common],
-                       help="typical-set mass and its lower bounds")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-
-    p = sub.add_parser("cover", parents=[common],
-                       help="covering families for all jointly typical types")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-
-    p = sub.add_parser("simulate", parents=[common],
-                       help="build the protocol code and account its rates")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--rates-only", dest="rates_only", action="store_const",
-                   const=True, default=None)
-
-    p = sub.add_parser("derandomize", parents=[common],
-                       help="freeze the shared index to a sampled list")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-
-    p = sub.add_parser("zero-error", parents=[common],
-                       help="minimal-entropy exact factorization")
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--oracle-resolution", dest="oracle_resolution", type=int,
-                   default=None)
-
-    p = sub.add_parser("rd", parents=[common],
-                       help="rate-distortion curve with optional certification")
-    p.add_argument("--targets", default=None,
-                   help='"0.05,0.1,0.25" or "lo:hi:count"')
-    p.add_argument("--hamming", type=int, default=None,
-                   help="use 0/1 distortion on an alphabet of this size")
-    p.add_argument("--certify-resolution", dest="certify_resolution", type=int,
-                   default=None)
-
-    p = sub.add_parser("dilute", parents=[common],
-                       help="replace a target law by a near-uniform stand-in")
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None)
-
-    p = sub.add_parser("sweep", parents=[common],
-                       help="rates across a range of block lengths")
-    p.add_argument("--n-min", dest="n_min", type=int, default=None)
-    p.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--keep-words-up-to", dest="keep_words_up_to", type=int,
-                   default=None)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for key in flags:
+            kind, flag_help = _FLAGS[key]
+            how = dict(action="store_const", const=True) if kind is bool else dict(type=kind)
+            p.add_argument(_flag(key), **how, help=flag_help)
     return parser
 
 
 def build_config(argv=None) -> ExperimentConfig:
     """Parse flags, merge the optional config document (flags win), inline
     the instance content, and resolve cap overrides."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     doc = {}
     if ns.config:
         doc = _load_json_file(ns.config, "config file")
@@ -748,22 +725,18 @@ def build_config(argv=None) -> ExperimentConfig:
             if not isinstance(doc.get(key, {}), dict):
                 raise InvalidInputError(f'config "{key}" must be an object')
     params = dict(doc.get("params", {}))
-    allowed = set(vars(ns)) - _COMMON_KEYS
-    unknown = set(params) - allowed
+    flags = _COMMANDS[ns.command][2]
+    unknown = set(params) - set(flags)
     if unknown:
         raise InvalidInputError(f"unknown {ns.command} params {sorted(unknown)}; "
-                                f"allowed: {sorted(allowed)}")
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in commands.choices[ns.command]._actions}
+                                f"allowed: {sorted(flags)}")
     for key, value in params.items():   # checked, not converted: the hash keeps them
-        kind = bool if flags[key].const is True else flags[key].type or str
+        kind = _FLAGS[key][0]
         number = _is_int(value) or kind is float and isinstance(value, float)
         if not (number if kind in (int, float) else isinstance(value, kind)):
             raise InvalidInputError(f"param {key!r} must be of type {kind.__name__}")
-    for key, value in vars(ns).items():
-        if key in _COMMON_KEYS or value is None:
-            continue
-        params[key] = value
+    params.update((key, getattr(ns, key)) for key in flags
+                  if getattr(ns, key) is not None)
 
     instance_ref = ns.instance if ns.instance is not None else doc.get("instance")
     if instance_ref is None:
@@ -807,20 +780,16 @@ _ERROR_LABELS = (
 )
 
 
-def _error_label(exc: Exception):
-    """(label, exit code) of a package error; other exceptions propagate."""
+def _report_error(exc: Exception, command: str) -> int:
+    """Report a package error on stderr and return its exit code; other
+    exceptions propagate."""
     for klass, label, code in _ERROR_LABELS:
         if isinstance(exc, klass):
-            return label, code
+            reason = " ".join(str(exc).split())
+            print(f"chansim: error={label} command={command} reason={reason}",
+                  file=sys.stderr)
+            return code
     raise exc
-
-
-def _report_error(exc: Exception, command: str) -> int:
-    label, code = _error_label(exc)
-    reason = " ".join(str(exc).split())
-    print(f"chansim: error={label} command={command} reason={reason}",
-          file=sys.stderr)
-    return code
 
 
 def main(argv=None) -> int:

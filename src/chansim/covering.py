@@ -36,16 +36,19 @@ DEFAULT_MAX_RETRIES = 64
 
 
 def lemma2_failure_bound(K_size: int, M: int, eta: float, s: float) -> float:
-    """Union-of-Chernoff failure probability bound for M uniform draws
-    hitting K_size target cells of relative mass s within (1 +- eta):
-    2 K_size 2^(-M eta^2 s / (2 ln 2)). Requires 0 < eta < 1/2 and s > 0."""
+    """Upper bound on the probability that some of K_size target cells of
+    relative mass s gets a hit count outside (1 +- eta) M s in M uniform
+    draws: a union over the cells of the multiplicative Chernoff tails,
+    K_size (e^(-M eta^2 s / (2 + eta)) + e^(-M eta^2 s / 2)), upper then
+    lower. Requires 0 < eta < 1/2 and s > 0."""
     if not 0.0 < eta < 0.5:
         raise InvalidInputError(f"eta must lie in (0, 1/2), got {eta}")
     if s <= 0.0:
         raise InvalidInputError(f"s must be positive, got {s}")
     if K_size < 1 or M < 1:
         raise InvalidInputError("K_size and M must be positive")
-    return float(2.0 * K_size * 2.0 ** (-(M * eta * eta * s) / (2.0 * LN2)))
+    exponent = M * eta * eta * s
+    return K_size * (math.exp(-exponent / (2.0 + eta)) + math.exp(-exponent / 2.0))
 
 
 def _min_M_condition_I(t: JointType, epsilon: float, N: int) -> int:

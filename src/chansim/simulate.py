@@ -70,6 +70,13 @@ class FamilyRecord:
         }
 
     @classmethod
+    def of(cls, fam: CoveringFamily) -> "FamilyRecord":
+        """The record of a family that build_covering verified."""
+        check = fam.check
+        return cls(fam.joint_type, fam.M, fam.N, fam.retries,
+                   float(check.condition_I_margin.min()), float(check.condition_II_margin))
+
+    @classmethod
     def from_json_dict(cls, doc: dict) -> "FamilyRecord":
         return cls(JointType.from_json_dict(doc["joint_type"]), int(doc["M"]),
                    int(doc["N"]), int(doc["retries"]),
@@ -145,10 +152,7 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
     for idx, t in enumerate(jt_list):
         fam = build_covering(t, epsilon, forced_N=n_global,
                              seed=child_seed(seed, f"simulate:covering:{idx}"))
-        check = fam.check
-        records[t] = FamilyRecord(t, fam.M, fam.N, fam.retries,
-                                  float(check.condition_I_margin.min()),
-                                  float(check.condition_II_margin))
+        records[t] = FamilyRecord.of(fam)
         if keep_words:
             families[t] = fam
     announce_bits = math.ceil(math.log2(max(len(jt_list), 1)))
@@ -399,20 +403,27 @@ def strong_fidelity_report(code: SimCode) -> dict:
     """
     n = code.n
     tv = _channel_tv_rows(averaged_block_channel(code).rows, code.channel, n)
-    classes, atypical = _typical_classes(code)
-    bound_parts = [code.epsilon / (1 - code.epsilon)
-                   + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.families)
-                   for bt in classes.values()]
-    per_word = tv[~atypical].tolist()
-    atypicality = 1.0 - typical_probability_bounds(
-        TypicalSpec(code.source, n, code.delta)).exact
+    per_word = tv[~_typical_classes(code)[1]].tolist()
+    lambda_bound, atypicality = fidelity_ceiling(code)
     return {
         "lambda_measured": max(per_word) if per_word else 1.0,
-        "lambda_bound": max(bound_parts) if bound_parts else 1.0,
+        "lambda_bound": lambda_bound,
         "per_word_tv": per_word,
         "global_err": float(iid_block_law(code.source.probs, n) @ tv),
         "atypicality_mass": atypicality,
     }
+
+
+def fidelity_ceiling(code: SimCode):
+    """(lambda_bound, atypicality_mass) of strong_fidelity_report without
+    the protocol law: the largest per-word ceiling over the source-typical
+    input types, and the source's mass outside them."""
+    bound_parts = [code.epsilon / (1 - code.epsilon)
+                   + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.families)
+                   for bt in _typical_classes(code)[0].values()]
+    atypicality = 1.0 - typical_probability_bounds(
+        TypicalSpec(code.source, code.n, code.delta)).exact
+    return (max(bound_parts) if bound_parts else 1.0), atypicality
 
 
 def averaged_block_channel(code: SimCode) -> Channel:

@@ -203,14 +203,14 @@ def test_exit_code_mapping_covers_all_errors(bsc_file, capsys, monkeypatch):
                                (RetriesExhaustedError, 5, "retries-exhausted")):
         def fail(cfg, bundle):
             raise error("raised by the handler")
-        monkeypatch.setitem(cli._HANDLERS, "info", fail)
+        monkeypatch.setitem(cli._COMMANDS, "info", (fail, *cli._COMMANDS["info"][1:]))
         assert main(["info", bsc_file]) == code
         assert f"error={label} command=info reason=raised by the handler" \
             in capsys.readouterr().err
 
     def unmapped(cfg, bundle):
         raise KeyError("unmapped errors propagate")
-    monkeypatch.setitem(cli._HANDLERS, "info", unmapped)
+    monkeypatch.setitem(cli._COMMANDS, "info", (unmapped, *cli._COMMANDS["info"][1:]))
     with pytest.raises(KeyError):
         main(["info", bsc_file])
 
@@ -362,13 +362,48 @@ def test_config_file_rejects_unknown_params(tmp_path, bsc_file):
     assert main(["simulate", "--config", str(conf)]) == 2
 
 
-def test_config_file_accepts_subcommand_params(tmp_path, bsc_file):
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_config_file_accepts_subcommand_params(tmp_path, bsc_file, command):
+    """Every flag of a command is a params key of its config file, and the
+    two routes give the same params and the same hash."""
+    value = {int: 4, float: 0.2, bool: True, str: "0.1,0.2"}
+    params = {key: value[cli._FLAGS[key][0]] for key in cli._COMMANDS[command][2]}
     conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"instance": bsc_file,
-                                "params": {"n": 4, "epsilon": 0.2,
-                                           "rates_only": True}}))
-    cfg = build_config(["simulate", "--config", str(conf)])
-    assert cfg.params == {"n": 4, "epsilon": 0.2, "rates_only": True}
+    conf.write_text(json.dumps({"instance": bsc_file, "params": params}))
+    cfg = build_config([command, "--config", str(conf)])
+    assert cfg.params == params
+    argv = [command, bsc_file]
+    for key, v in params.items():
+        argv += [cli._flag(key)] if v is True else [cli._flag(key), str(v)]
+    assert build_config(argv).params == params
+    assert build_config(argv).config_hash() == cfg.config_hash()
+
+
+COMMON_OPTIONS = ["-h", "--config", "--seed", "--out", "--cap-override"]
+COMMAND_FLAGS = {
+    "info": [],
+    "typical": ["--n", "--delta"],
+    "cover": ["--n", "--delta", "--epsilon"],
+    "simulate": ["--n", "--delta", "--epsilon", "--rates-only"],
+    "derandomize": ["--n", "--delta", "--epsilon"],
+    "zero-error": ["--restarts", "--oracle-resolution"],
+    "rd": ["--targets", "--hamming", "--certify-resolution"],
+    "dilute": ["--epsilon", "--samples"],
+    "sweep": ["--n-min", "--n-max", "--delta", "--epsilon", "--keep-words-up-to"],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_FLAGS))
+def test_every_command_help_lists_common_options_then_its_flags(command, capsys):
+    assert list(cli._COMMANDS) == list(COMMAND_FLAGS)
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: chansim {command} ")
+    assert "  instance  " in out
+    options = out[out.index("\noptions:\n"):].splitlines()[1:]
+    listed = [line.split()[0].rstrip(",") for line in options
+              if line.startswith("  -")]
+    assert listed == COMMON_OPTIONS + COMMAND_FLAGS[command]
 
 
 def test_config_hash_reflects_instance_and_caps(bsc_file):

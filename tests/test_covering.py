@@ -59,10 +59,36 @@ def all_lists(fam):
     return np.stack([fam.list_ranks(nu) for nu in range(fam.N)])
 
 
+def log_binomial_tails(M, s, eta):
+    """Natural logs of the exact P(Bin(M, s) >= (1 + eta) M s) and
+    P(Bin(M, s) <= (1 - eta) M s), summed in log space (-inf when empty)."""
+    def log_sum(ks):
+        terms = np.array([math.lgamma(M + 1) - math.lgamma(k + 1) - math.lgamma(M - k + 1)
+                          + k * math.log(s) + (M - k) * math.log1p(-s) for k in ks])
+        if terms.size == 0:
+            return -math.inf
+        return float(terms.max() + np.log(np.exp(terms - terms.max()).sum()))
+    mean = M * s
+    return (log_sum(range(math.ceil((1 + eta) * mean - 1e-9), M + 1)),
+            log_sum(range(0, math.floor((1 - eta) * mean + 1e-9) + 1)))
+
+
 class TestFailureBound:
     def test_plug_in_value(self):
         got = lemma2_failure_bound(2, 1000, 0.1, 0.5)
-        assert got == pytest.approx(4 * 2 ** (-1000 * 0.005 / (2 * math.log(2))), rel=1e-12)
+        assert got == pytest.approx(2 * (math.exp(-5 / 2.1) + math.exp(-5 / 2)), rel=1e-12)
+
+    # at (100000, 0.01, 0.49) the exact P(X >= 1490) is e^-108.86, above the
+    # old 2K e^(-M eta^2 s / 2) = e^-119.36; the bound is now e^-96.43
+    @pytest.mark.parametrize("M, s, eta", [(100_000, 0.01, 0.49)] + [
+        (M, s, eta) for M in (20, 500, 5000) for s in (0.01, 0.3, 0.9)
+        for eta in (0.05, 0.25, 0.49)])
+    def test_bounds_the_exact_tails(self, M, s, eta):
+        upper, lower = log_binomial_tails(M, s, eta)
+        exact = np.logaddexp(upper, lower)
+        for K in (1, 5):
+            bound = lemma2_failure_bound(K, M, eta, s)
+            assert math.log(bound) >= math.log(K) + exact - 1e-12
 
     def test_decreasing_in_M(self):
         vals = [lemma2_failure_bound(4, m, 0.2, 0.3) for m in (10, 100, 1000, 10000)]
