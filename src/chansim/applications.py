@@ -567,7 +567,7 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
         q[blk.slots] = np.bincount(np.tile(np.arange(width), rows),
                                    weights=(blk.probs * p_block[blk.x_ranks, None]).ravel(),
                                    minlength=width)
-    law = Distribution(count, q / q.sum())
+    law = Distribution(count, q)     # normalized once, by q.sum()
     del q
     plan = build_dilution(law, epsilon)
     mixture = plan.realized_mixture()

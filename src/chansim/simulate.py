@@ -7,17 +7,23 @@ Protocol for one block x = (x_1 ... x_n), with nu a shared uniform index:
      jointly typical, the encoder announces termination and the decoder
      emits the fixed fallback word (0, ..., 0),
   3. otherwise the encoder announces T and sends the index mu of a uniformly
-     chosen compatible entry of list nu of T's covering family, entries
-     numbered in the lexicographic order of the words they hold,
-  4. the decoder outputs the word stored at (nu, mu).
+     chosen compatible entry of list nu mod N_T of T's covering family,
+     entries numbered in the lexicographic order of the words they hold,
+  4. the decoder outputs the word stored at (nu mod N_T, mu).
+
+Each jointly typical type T has its own list count N_T, the smallest power
+of two at or above the N its covering thresholds ask for, and the shared
+index ranges over [0, N) with N the largest N_T. Every N_T divides N, so
+nu mod N_T is uniform on T's lists.
 
 The covering conditions squeeze the protocol's output, conditioned on any
 announced type, between (1-eps)/(1+eps) and (1+eps)/(1-eps) times the true
 conditional distribution, so the per-word total variation error stays below
 eps/(1-eps) plus the mass of atypical joint types.
 
-Message cost is log2(M) plus the type announcement, counted as exactly
-ceil(log2(#jointly typical types)) bits; shared randomness cost is log2(N).
+Message cost is the largest log2(M_T) plus the type announcement, counted as
+exactly ceil(log2(#jointly typical types)) bits; shared randomness cost is
+log2(N).
 """
 
 import json
@@ -136,21 +142,23 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
                    epsilon: float, seed: int, keep_words: bool = True) -> SimCode:
     """Construct verified covering families for every jointly typical type.
 
-    The shared-randomness index must be uniform over one common range, so N
-    is first sized per type, then fixed globally to the maximum, and every
-    family's M is re-derived at that N. With keep_words=False the families
-    are verified and then dropped, keeping only size/margin records (rates
-    and bound accounting remain available; encoding does not).
+    Each type t gets the list count N_t, its own required_M_N list count
+    rounded up to a power of two, and its M is re-derived at N_t. The shared
+    index is uniform on [0, N) with N the largest N_t; every N_t divides N,
+    so type t reads list nu mod N_t, which is uniform on its N_t lists.
+    With keep_words=False the families are verified and then dropped,
+    keeping only size/margin records (rates and bound accounting remain
+    available; encoding does not).
     """
     if source.alphabet_size != channel.input_size:
         raise InvalidInputError("source alphabet does not match channel input")
     jt_list = jointly_typical_types(source, channel, n, delta)
     if not jt_list:
         raise InvalidInputError("no jointly typical types; widen delta")
-    n_global = max(required_M_N(t, epsilon)[1] for t in jt_list)
+    list_counts = [1 << (required_M_N(t, epsilon)[1] - 1).bit_length() for t in jt_list]
     families, records = {}, {}
-    for idx, t in enumerate(jt_list):
-        fam = build_covering(t, epsilon, forced_N=n_global,
+    for idx, (t, n_t) in enumerate(zip(jt_list, list_counts)):
+        fam = build_covering(t, epsilon, forced_N=n_t,
                              seed=child_seed(seed, f"simulate:covering:{idx}"))
         records[t] = FamilyRecord.of(fam)
         if keep_words:
@@ -158,7 +166,7 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
     announce_bits = math.ceil(math.log2(max(len(jt_list), 1)))
     return SimCode(n=n, source=source, channel=channel, delta=delta, epsilon=epsilon,
                    families=families, records=records,
-                   typical_joint_types=tuple(jt_list), N=n_global,
+                   typical_joint_types=tuple(jt_list), N=max(list_counts),
                    announce_bits=announce_bits, seed=seed, rates_only=not keep_words)
 
 
@@ -239,12 +247,13 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
     """The protocol's exact output law on the class of a typical input type.
 
     Given joint type t, index nu and input x, the output is uniform over the
-    compatible slots of list nu: y gets counts[nu, y] compat[x, y] / c[nu, x],
-    and the block terminates when c[nu, x] = 0. Averaged over the k = N
-    lists (nus None), t adds (w_t / k) (1/c)^T @ counts * compat over (class
-    rows, t's output class). Pinned to an index array nus, one sweep over the
-    joint types computes every listed index's law on a leading axis: t adds
-    w_t (counts[nu, y] / c[nu, x]) compat[x, y], the same bits as a one-list
+    compatible slots of list l = nu mod N_t: y gets counts[l, y] compat[x, y]
+    / c[l, x], and the block terminates when c[l, x] = 0. Averaged over the
+    shared index (nus None), each of t's k = N_t lists is read equally often,
+    so t adds (w_t / k) (1/c)^T @ counts * compat over (class rows, t's output
+    class). Pinned to an index array nus, one sweep over the joint types
+    computes every listed index's law on a leading axis: t adds
+    w_t (counts[l, y] / c[l, x]) compat[x, y], the same bits as a one-list
     matrix product. rows picks class rows. Returns the [(family, block)] of
     covered types and the terminate mass per row, both with the leading
     index axis when pinned.
@@ -269,10 +278,11 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
             terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
             block = (w_t / k) * (inv_c.T @ fam.counts) * fam.compat()[sel]
         else:
-            c = fam.compatible_counts()[nus][:, sel]
+            lists = np.asarray(nus) % fam.N
+            c = fam.compatible_counts()[lists][:, sel]
             inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
             terminate += w_t * (c == 0)
-            block = w_t * (inv_c[:, :, None] * fam.counts[nus][:, None, :]) \
+            block = w_t * (inv_c[:, :, None] * fam.counts[lists][:, None, :]) \
                 * fam.compat()[sel]
         blocks.append((fam, block))
     return blocks, terminate
@@ -292,31 +302,33 @@ def encode(code: SimCode, x_word, nu: int, seed):
     if not type_is_typical(base, spec) or t not in code.families:
         return TERMINATE
     fam = code.families[t]
+    lst = nu % fam.N
     # compatible slots per class rank; slots are numbered in rank order
-    hits = fam.counts[nu] * fam.compat()[_base_tables_for(code, base).position(x_word)]
+    hits = fam.counts[lst] * fam.compat()[_base_tables_for(code, base).position(x_word)]
     hit_cum = np.cumsum(hits)
     total = int(hit_cum[-1])
     if total == 0:
         return TERMINATE
     k = int(rng.integers(total))
     r = int(np.searchsorted(hit_cum, k, side="right"))
-    mu = int(fam.cumulative()[nu, r] - hit_cum[r] + k)
+    mu = int(fam.cumulative()[lst, r] - hit_cum[r] + k)
     return t, mu
 
 
 def decode(code: SimCode, announced_type, nu: int, mu) -> tuple:
-    """Pure table lookup; TERMINATE maps to the fallback word."""
+    """Pure table lookup in list nu mod N_t; TERMINATE maps to the fallback
+    word."""
     if announced_type == TERMINATE:
         return code.fallback_word()
     _require_words(code)
     fam = code.families.get(announced_type)
     if fam is None:
         raise InvalidInputError("announced type has no covering family")
-    if not 0 <= nu < fam.N:
-        raise InvalidInputError(f"nu {nu} outside [0, {fam.N})")
+    if not 0 <= nu < code.N:
+        raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     if not 0 <= mu < fam.M:
         raise InvalidInputError(f"mu {mu} outside [0, {fam.M})")
-    return fam.word(nu, mu)
+    return fam.word(nu % fam.N, mu)
 
 
 def run_protocol(code: SimCode, x_word, nu: int, seed) -> Transcript:
@@ -504,11 +516,12 @@ def _message_blocks(code: SimCode, nu: int, offsets: dict, count: int):
     for base, bt in classes.items():
         law, class_terminate = _law_blocks(code, base, [nu])
         for fam, block in law:
-            # a slot holding class rank r has probability block[x, r] / counts[nu, r]
-            sel = fam.list_ranks(nu)
+            # a slot holding class rank r has probability block[x, r] / counts[l, r]
+            lst = nu % fam.N
+            sel = fam.list_ranks(lst)
             yield MessageBlock(bt.x_global, offsets[fam.joint_type] + np.arange(sel.size),
                                fam.y_ranks()[sel],
-                               np.take(block[0], sel, axis=1) / fam.counts[nu, sel])
+                               np.take(block[0], sel, axis=1) / fam.counts[lst, sel])
         terminate[bt.x_global] = class_terminate[0]
     yield MessageBlock(np.arange(terminate.size), np.array([count - 1]),
                        np.zeros(1, dtype=np.int64), terminate[:, None])
@@ -545,6 +558,10 @@ def save_code(code: SimCode, directory: str):
 
 
 def load_code(directory: str) -> SimCode:
+    """Read a code that save_code wrote. Every family's list count must be a
+    power of two dividing the manifest's N, as build_sim_code sizes it, or N
+    itself, as in a code saved before list counts were sized per type;
+    InvalidInputError otherwise."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     source = Distribution.from_json_dict(manifest["source"])
@@ -561,6 +578,11 @@ def load_code(directory: str) -> SimCode:
         for idx, t in enumerate(order):
             with open(os.path.join(fam_dir, f"type_{idx:04d}.json")) as fh:
                 families[t] = CoveringFamily.from_json_dict(json.load(fh))
+    n_shared = manifest["N"]
+    for count in [rec.N for rec in records.values()] + [f.N for f in families.values()]:
+        if count != n_shared and (count < 1 or count & (count - 1) or n_shared % count):
+            raise InvalidInputError(f"a family's list count {count} is not a power of "
+                                    f"two dividing the shared index range {n_shared}")
     return SimCode(n=manifest["n"], source=source, channel=channel,
                    delta=manifest["delta"], epsilon=manifest["epsilon"],
                    families=families, records=records,

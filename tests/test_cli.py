@@ -177,7 +177,7 @@ DERANDOMIZE_AT_4 = ["derandomize", "--n", "4", "--delta", "2.0"]
     (["cover", "--n", "4"], "COVER_TABLE_CAP", "36 entries", 35),
     (DERANDOMIZE_AT_4, "OUTPUT_ENUM_CAP", "16 words", 15),
     (DERANDOMIZE_AT_4, "BLOCK_ENUM_CAP", "256 entries", 255),
-    (DERANDOMIZE_AT_4, "FIDELITY_ENUM_CAP", "14 block laws hold 3584", 3583),
+    (DERANDOMIZE_AT_4, "FIDELITY_ENUM_CAP", "16 block laws hold 4096", 4095),
 ])
 def test_oracle_cap_message_names_cap_value_and_limit(bsc_file, capsys, argv, cap,
                                                        value, limit):
@@ -187,7 +187,7 @@ def test_oracle_cap_message_names_cap_value_and_limit(bsc_file, capsys, argv, ca
     resolution 4 the zero-error grid has 5 rows, so C(7, 3) = 35 multisets
     of three, and the rd grid has 5^2 = 25 channels. At n = 4 there are 5
     exact types, the largest covering table has 36 entries, and derandomize
-    holds N = 14 pinned 16 x 16 laws."""
+    holds N = 16 pinned 16 x 16 laws."""
     args = [argv[0], bsc_file, *argv[1:]]
     assert main(args + ["--cap-override", f"{cap}={limit}"]) == 3
     err = capsys.readouterr().err
@@ -451,7 +451,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v5"
+    assert lines[0] == "# chansim typical csv v6"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"

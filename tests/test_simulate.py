@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import math
 import sys
 
@@ -11,11 +12,13 @@ import pytest
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
 from chansim import simulate, typeclasses
-from chansim.covering import CoveringFamily
+from chansim.covering import CoveringFamily, build_covering, required_M_N
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.fidelity import derandomize, run_fixed_code
 from chansim.simulate import (
     TERMINATE,
+    FamilyRecord,
+    SimCode,
     accounting,
     averaged_block_channel,
     build_sim_code,
@@ -76,7 +79,10 @@ def test_announce_bits_is_ceil_log2_type_count(small_code):
 
 def test_every_family_verified(small_code):
     for t, rec in small_code.records.items():
-        assert rec.N == small_code.N
+        # the type's own list count, rounded up to a power of two
+        own_N = required_M_N(t, small_code.epsilon)[1]
+        assert rec.N & (rec.N - 1) == 0 and own_N <= rec.N < 2 * own_N
+        assert (rec.M, rec.N) == required_M_N(t, small_code.epsilon, forced_N=rec.N)
         assert rec.condition_I_min_margin >= 0.0
         assert rec.condition_II_margin >= 0.0
 
@@ -106,7 +112,9 @@ def test_mu_uniform_over_compatible_slots(small_code):
     nu = 2
     rng = np.random.default_rng(11)
     seen = {}
-    for _ in range(6000):
+    # enough draws that a slot expects about a dozen, where the 4.5 sigma
+    # band below holds for the largest of several hundred slot counts
+    for _ in range(24000):
         outcome = encode(small_code, x, nu, rng)
         if outcome == TERMINATE:
             continue
@@ -116,7 +124,7 @@ def test_mu_uniform_over_compatible_slots(small_code):
     y_words = fam.y_class_words()
     compat_t = {tuple(map(int, w)) for w in y_words
                 if count_joint_occurrences(x, tuple(map(int, w)), 2, 2) == t}
-    ranks = fam.list_ranks(nu)
+    ranks = fam.list_ranks(nu % fam.N)
     slots = [mu for mu in range(fam.M)
              if tuple(map(int, y_words[ranks[mu]])) in compat_t]
     counts = {mu: 0 for mu in slots}
@@ -133,8 +141,9 @@ def test_decode_validations(small_code):
     t = small_code.typical_joint_types[0]
     fam = small_code.families[t]
     assert decode(small_code, TERMINATE, 0, None) == (0, 0, 0, 0)
-    with pytest.raises(InvalidInputError):
-        decode(small_code, t, fam.N, 0)
+    for nu in (-1, small_code.N):
+        with pytest.raises(InvalidInputError):
+            decode(small_code, t, nu, 0)
     with pytest.raises(InvalidInputError):
         decode(small_code, t, 0, fam.M)
     with pytest.raises(InvalidInputError):
@@ -215,8 +224,8 @@ CODES = ["small_code", "skewed_code", "lopsided_code"]
 def reference_pinned_law(code, x, nu):
     """The output law for input x and shared index nu, from the protocol's
     definition: the channel output's joint type t with x is announced (or
-    the block terminates), then a slot of list nu whose word forms t with x
-    is drawn uniformly."""
+    the block terminates), then a slot of list nu mod N_t whose word forms t
+    with x is drawn uniformly."""
     a, b, n = code.source.alphabet_size, code.channel.output_size, code.n
     out = np.zeros(b ** n)
     if not is_typical(x, TypicalSpec(code.source, n, code.delta)):
@@ -231,7 +240,7 @@ def reference_pinned_law(code, x, nu):
         slots = np.zeros(1)
         if fam is not None:
             words = fam.y_class_words()
-            slots = fam.counts[nu] * np.array(
+            slots = fam.counts[nu % fam.N] * np.array(
                 [count_joint_occurrences(x, y, a, b) == t for y in words])
         if slots.sum() == 0:
             out[0] += w
@@ -251,9 +260,49 @@ def test_pinned_laws_match_the_protocol_definition(code_name, request):
                                        rtol=0, atol=1e-12)
 
 
+def test_each_type_reads_its_lists_uniformly_under_the_shared_index(monkeypatch):
+    code = build_sim_code(UNIF, BSC, n=5, delta=2.0, epsilon=0.1, seed=7)
+    assert code.N == max(fam.N for fam in code.families.values())
+    assert len({fam.N for fam in code.families.values()}) > 1
+    for t, fam in code.families.items():
+        assert fam.N & (fam.N - 1) == 0 and code.N % fam.N == 0
+        assert fam.N >= required_M_N(t, code.epsilon)[1]
+    read, word = [], CoveringFamily.word
+    monkeypatch.setattr(CoveringFamily, "word", lambda fam, lst, mu:
+                        read.append((fam.joint_type, lst)) or word(fam, lst, mu))
+    for nu in range(code.N):
+        for t in code.typical_joint_types:
+            decode(code, t, nu, 0)
+    for t, fam in code.families.items():
+        lists = [lst for s, lst in read if s == t]
+        assert np.bincount(lists).tolist() == [code.N // fam.N] * fam.N
+    letters = word_letters(2, 5)
+    for nu in range(code.N):
+        rows = fixed_nu_block_channel(code, nu).rows
+        for rank, x in enumerate(letters):
+            np.testing.assert_allclose(rows[rank], reference_pinned_law(code, x, nu),
+                                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_per_type_list_counts_lower_the_message_rate(n):
+    """Against every family forced to the largest own list count, unrounded,
+    with M re-derived there: the message rate falls and the
+    shared-randomness rate rises by at most 1/n."""
+    code = build_sim_code(UNIF, BSC, n=n, delta=2.0, epsilon=0.1, seed=7,
+                          keep_words=False)
+    types = code.typical_joint_types
+    old_N = max(required_M_N(t, code.epsilon)[1] for t in types)
+    old_M = max(required_M_N(t, code.epsilon, forced_N=old_N)[0] for t in types)
+    rate, cr_rate = accounting(code)
+    assert rate < (math.log2(old_M) + code.announce_bits) / n
+    assert math.log2(old_N) / n <= cr_rate <= math.log2(old_N) / n + 1 / n
+
+
 def per_index_law_blocks(code, base, nu):
     """The pinned exact-law kernel as it ran before the sweep: one index at a
-    time, as a K = 1 product (1/c)^T @ counts per joint type."""
+    time, as a K = 1 product (1/c)^T @ counts per joint type, on list
+    nu mod N_t."""
     bt = simulate._base_tables_for(code, base)
     terminate = np.zeros(bt.x_global.size)
     blocks = []
@@ -264,10 +313,11 @@ def per_index_law_blocks(code, base, nu):
             terminate += w_t
             continue
         fam = code.families[t]
-        c = fam.compatible_counts()[nu:nu + 1]
+        lst = nu % fam.N
+        c = fam.compatible_counts()[lst:lst + 1]
         inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
         terminate += w_t * (np.count_nonzero(c == 0, axis=0) / 1)
-        block = (w_t / 1) * (inv_c.T @ fam.counts[nu:nu + 1]) * fam.compat()
+        block = (w_t / 1) * (inv_c.T @ fam.counts[lst:lst + 1]) * fam.compat()
         blocks.append((fam, block))
     return blocks, terminate
 
@@ -328,9 +378,9 @@ def dense_message_law(code, nu):
     for base, bt in classes.items():
         blocks, terminate = per_index_law_blocks(code, base, nu)
         for fam, block in blocks:
-            sel = fam.list_ranks(nu)
+            sel = fam.list_ranks(nu % fam.N)
             slots = offsets[fam.joint_type] + np.arange(sel.size)
-            cond[np.ix_(bt.x_global, slots)] = block[:, sel] / fam.counts[nu, sel]
+            cond[np.ix_(bt.x_global, slots)] = block[:, sel] / fam.counts[nu % fam.N, sel]
             y_ranks[slots] = fam.y_ranks()[sel]
         cond[bt.x_global, -1] = terminate
     cond[atypical, -1] = 1.0
@@ -534,7 +584,7 @@ def test_message_law_aggregates_to_block_channel(small_code):
         fam = fams[i]
         # the block spans its type's M slots, in slot order, on its input class
         assert np.array_equal(blk.slots, np.arange(starts[i], starts[i + 1]))
-        assert np.array_equal(blk.y_ranks, fam.y_ranks()[fam.list_ranks(2)])
+        assert np.array_equal(blk.y_ranks, fam.y_ranks()[fam.list_ranks(2 % fam.N)])
         assert np.array_equal(blk.y_ranks, y_ranks[starts[i]:starts[i + 1]])
         base = fam.joint_type.row_marginal()
         assert np.array_equal(blk.x_ranks, [r for r, t in enumerate(x_types) if t == base])
@@ -577,12 +627,52 @@ def test_save_load_rates_only(tmp_path):
     assert accounting(loaded)[0] == accounting(code)[0]
 
 
+@pytest.fixture(scope="module")
+def shared_range_code():
+    """A bsc25 n = 4 code as saved before list counts were sized per type:
+    every family at the largest own list count, N = 14, not a power of two."""
+    types = jointly_typical_types(UNIF, BSC, 4, 2.0)
+    n_shared = max(required_M_N(t, 0.1)[1] for t in types)
+    families = {t: build_covering(t, 0.1, seed=idx, forced_N=n_shared)
+                for idx, t in enumerate(types)}
+    records = {t: FamilyRecord.of(fam) for t, fam in families.items()}
+    return SimCode(n=4, source=UNIF, channel=BSC, delta=2.0, epsilon=0.1,
+                   families=families, records=records,
+                   typical_joint_types=tuple(types), N=n_shared, announce_bits=5, seed=0)
+
+
+def test_load_code_reads_a_code_with_one_shared_list_count(tmp_path, shared_range_code):
+    code = shared_range_code
+    assert code.N == 14
+    save_code(code, str(tmp_path / "code"))
+    loaded = load_code(str(tmp_path / "code"))
+    for t, fam in code.families.items():
+        assert loaded.families[t].N == 14
+        for nu in range(14):
+            for mu in (0, fam.M // 3, fam.M - 1):
+                assert decode(loaded, t, nu, mu) == fam.word(nu, mu)
+
+
+@pytest.mark.parametrize("n_shared", [28, 16, 7])
+def test_load_code_rejects_a_list_count_that_is_not_a_power_of_two_dividing_N(
+        tmp_path, shared_range_code, n_shared):
+    # 14 divides 28 but is no power of two; it divides neither 16 nor 7,
+    # and a family above the shared range, 14 > 7, reads lists nu never reaches
+    save_code(shared_range_code, str(tmp_path / "code"))
+    path = tmp_path / "code" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["N"] = n_shared
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(InvalidInputError, match="list count 14"):
+        load_code(str(tmp_path / "code"))
+
+
 def test_decode_reads_the_sorted_slot_of_every_list():
     code = build_sim_code(UNIF, BSC, n=3, delta=2.0, epsilon=0.1, seed=7)
     for t, fam in code.families.items():
         y_words = fam.y_class_words()
         for nu in range(code.N):
-            expected = [tuple(int(v) for v in y_words[r]) for r in fam.list_ranks(nu)]
+            expected = [tuple(int(v) for v in y_words[r]) for r in fam.list_ranks(nu % fam.N)]
             assert [decode(code, t, nu, mu) for mu in range(fam.M)] == expected
 
 
@@ -622,4 +712,4 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
         digest.update(repr((announced, tr.nu, tr.mu, tr.y_word, tr.bits_sent)).encode())
     assert sum(tr.announced_type == TERMINATE for tr in transcripts) == 58
     assert digest.hexdigest() == \
-        "dfb5e32c8d938f5683d666200d3a2ff18664931ff3fe096e322667942edfd8a3"
+        "2d5ae8d76af535d93eecaa861ac7305f77164f02c44f3240effe20e38e3a4b6a"
