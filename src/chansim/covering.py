@@ -16,7 +16,9 @@ makes the whole family blanket the class of S evenly. Random families of the
 threshold size succeed with constant probability, so construction is
 rejection sampling with verification. Since both conditions, and every
 later use of the family, see a list only through how often it holds each
-word of the class of S, a family is stored as that multiplicity table.
+word of the class of S, a family is stored as that multiplicity table, and
+each attempt draws the table directly: N rows of Multinomial(M, uniform)
+counts, taken by Poisson splitting.
 
 Margins are reported in eps units: margin = eps - max relative deviation, so
 any nonnegative margin means the condition holds.
@@ -236,14 +238,44 @@ def verify_covering(family: CoveringFamily) -> CoveringCheck:
     return CoveringCheck(margin_i, margin_ii, passed)
 
 
+def _uniform_counts(rng, M: int, size_s: int, N: int) -> np.ndarray:
+    """N rows of Multinomial(M, uniform on size_s cells), the multiplicity
+    tables of N lists of M i.i.d. uniform ranks, as a read-only int64 table
+    that owns its memory. Drawn by Poisson splitting: independent Poisson
+    cells are, given their total k, Multinomial(k, uniform) (Devroye,
+    Non-Uniform Random Variate Generation, 1986, ch. XI). The cells of a row
+    have total mean M - 2 sqrt(M) (0 when M <= 4), so about 2% of rows pass
+    M and only those are drawn again, which conditions on the total only.
+    The shortfall M - k, about 2 sqrt(M) per row, is then added as uniform
+    ranks, an independent Multinomial(M - k), which makes the row
+    Multinomial(M, uniform) exactly, whatever k is."""
+    lam = max(M - 2.0 * math.sqrt(M), 0.0) / size_s
+    counts = rng.poisson(lam, size=(N, size_s))
+    totals = counts.sum(axis=1)
+    over = np.flatnonzero(totals > M)
+    while over.size:
+        counts[over] = rng.poisson(lam, size=(over.size, size_s))
+        totals[over] = counts[over].sum(axis=1)
+        over = over[totals[over] > M]
+    short = M - totals
+    cells = rng.integers(size_s, size=int(short.sum()))
+    cells += np.repeat(np.arange(0, N * size_s, size_s), short)
+    # in place: a bincount table as large as counts added about 1 MB to the
+    # peak RSS of an n = 10 build
+    np.add.at(counts.reshape(-1), cells, 1)
+    counts.flags.writeable = False
+    return counts
+
+
 def build_covering(t: JointType, epsilon: float, seed: int = 0,
                    forced_N: int = None) -> CoveringFamily:
     """Rejection-sample a covering family and verify it exactly.
 
     (M, N) come from the threshold formulas of required_M_N, with the list
     count pinned to forced_N when given. Each attempt draws all N lists at
-    once as multinomial counts, the law of M i.i.d. uniform ranks per list,
-    until verification passes; the passing check is kept on the family.
+    once as their counts, Multinomial(M, uniform) per list, the law of M
+    i.i.d. uniform ranks (_uniform_counts), until verification passes; the
+    passing check is kept on the family.
     Raises CapExceededError, before anything is enumerated or sampled, when
     the counts table or the compatibility matrix would exceed
     COVER_TABLE_CAP entries, and RetriesExhaustedError after
@@ -252,11 +284,9 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0,
     M, N = required_M_N(t, epsilon, forced_N=forced_N)
     size_r, size_s, _ = t.class_sizes
     require_cap("COVER_TABLE_CAP", max(N, size_r) * size_s, "covering tables of {} entries")
-    uniform = np.full(size_s, 1.0 / size_s)
     compat = None   # built by the first attempt, shared by every later one
     for attempt in range(DEFAULT_MAX_RETRIES):
-        counts = child_rng(seed, f"covering:try:{attempt}").multinomial(M, uniform, size=N)
-        counts.flags.writeable = False      # handed over, not copied
+        counts = _uniform_counts(child_rng(seed, f"covering:try:{attempt}"), M, size_s, N)
         family = CoveringFamily(t, N, M, counts, epsilon, retries=attempt)
         family._compat = compat
         family.check = verify_covering(family)

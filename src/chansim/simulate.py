@@ -248,15 +248,18 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
 
     Given joint type t, index nu and input x, the output is uniform over the
     compatible slots of list l = nu mod N_t: y gets counts[l, y] compat[x, y]
-    / c[l, x], and the block terminates when c[l, x] = 0. Averaged over the
-    shared index (nus None), each of t's k = N_t lists is read equally often,
-    so t adds (w_t / k) (1/c)^T @ counts * compat over (class rows, t's output
-    class). Pinned to an index array nus, one sweep over the joint types
-    computes every listed index's law on a leading axis: t adds
-    w_t (counts[l, y] / c[l, x]) compat[x, y], the same bits as a one-list
-    matrix product. rows picks class rows. Returns the [(family, block)] of
-    covered types and the terminate mass per row, both with the leading
-    index axis when pinned.
+    / c[l, x], and the block terminates when c[l, x] = 0. So t's law lives on
+    its compatible pairs (i, j), and since every (x, y) has exactly one
+    joint type, no two types share a pair. Averaged over the shared index
+    (nus None), each of t's k = N_t lists is read equally often, so t gives
+    (w_t / k) (1/c)^T @ counts at its pairs. Pinned to an index array nus,
+    t gives w_t (1/c[l, i]) counts[l, j] on a leading axis, the same bits as
+    a one-list matrix product; when the indices outnumber t's lists, each
+    list's values are computed once and gathered by nu mod N_t. rows picks
+    class rows. Returns the [(family, pairs, values)] of covered types,
+    pairs holding the row-major positions of the compatible pairs in
+    (picked rows, t's output class), and the terminate mass per row, both
+    with the leading index axis when pinned.
     """
     _require_words(code)
     bt = _base_tables_for(code, base)
@@ -271,20 +274,25 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
             terminate += w_t
             continue
         fam = code.families[t]
+        pairs = np.flatnonzero(fam.compat()[sel])
         if nus is None:
             c = fam.compatible_counts()[:, sel]
             k = c.shape[0]
             inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
             terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
-            block = (w_t / k) * (inv_c.T @ fam.counts) * fam.compat()[sel]
+            values = (w_t / k) * (inv_c.T @ fam.counts).reshape(-1)[pairs]
         else:
             lists = np.asarray(nus) % fam.N
+            if lists.size > fam.N:      # each of t's lists once, then gathered
+                lists, at = np.arange(fam.N), lists
+            else:
+                at = slice(None)
             c = fam.compatible_counts()[lists][:, sel]
             inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
-            terminate += w_t * (c == 0)
-            block = w_t * (inv_c[:, :, None] * fam.counts[lists][:, None, :]) \
-                * fam.compat()[sel]
-        blocks.append((fam, block))
+            terminate += (w_t * (c == 0))[at]
+            law = w_t * (inv_c[:, :, None] * fam.counts[lists][:, None, :])
+            values = law.reshape(lists.size, -1)[:, pairs][at]
+        blocks.append((fam, pairs, values))
     return blocks, terminate
 
 
@@ -371,8 +379,8 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
         return Distribution(size, out)
     blocks, terminate = _law_blocks(code, base,
                                     rows=[_base_tables_for(code, base).position(x_word)])
-    for fam, block in blocks:
-        out[fam.y_ranks()] += block[0]
+    for fam, pairs, values in blocks:
+        out[fam.y_ranks()[pairs]] = values      # one row: pairs are class ranks
     out[0] += terminate[0]
     return Distribution(size, out)
 
@@ -388,10 +396,12 @@ def _block_law(code: SimCode, nus=None) -> np.ndarray:
     classes, atypical = _typical_classes(code)
     lead = () if nus is None else (len(nus),)
     rows = np.zeros(lead + (atypical.size, y_words))
+    cells = rows.reshape(lead + (-1,))
     for base, bt in classes.items():
         blocks, terminate = _law_blocks(code, base, nus)
-        for fam, block in blocks:
-            rows[..., bt.x_global[:, None], fam.y_ranks()[None, :]] += block
+        for fam, pairs, values in blocks:
+            rect = bt.x_global[:, None] * y_words + fam.y_ranks()
+            cells[..., rect.reshape(-1)[pairs]] = values
         rows[..., bt.x_global, 0] += terminate
     rows[..., atypical, 0] = 1.0
     return rows
@@ -515,13 +525,15 @@ def _message_blocks(code: SimCode, nu: int, offsets: dict, count: int):
     terminate = atypical.astype(float)
     for base, bt in classes.items():
         law, class_terminate = _law_blocks(code, base, [nu])
-        for fam, block in law:
+        for fam, pairs, values in law:
             # a slot holding class rank r has probability block[x, r] / counts[l, r]
+            block = np.zeros(fam.compat().shape)
+            block.reshape(-1)[pairs] = values[0]
             lst = nu % fam.N
             sel = fam.list_ranks(lst)
             yield MessageBlock(bt.x_global, offsets[fam.joint_type] + np.arange(sel.size),
                                fam.y_ranks()[sel],
-                               np.take(block[0], sel, axis=1) / fam.counts[lst, sel])
+                               np.take(block, sel, axis=1) / fam.counts[lst, sel])
         terminate[bt.x_global] = class_terminate[0]
     yield MessageBlock(np.arange(terminate.size), np.array([count - 1]),
                        np.zeros(1, dtype=np.int64), terminate[:, None])

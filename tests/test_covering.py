@@ -235,6 +235,73 @@ class TestBuild:
         assert np.all(check.condition_I_margin >= 0)
 
 
+class RecordingRng:
+    """A seeded generator that records the cell mean and the row count of
+    each Poisson table it draws."""
+
+    def __init__(self, seed):
+        self.rng, self.poisson_calls = np.random.default_rng(seed), []
+
+    def poisson(self, lam, size):
+        self.poisson_calls.append((lam, size[0]))
+        return self.rng.poisson(lam, size)
+
+    def integers(self, high, size):
+        return self.rng.integers(high, size=size)
+
+
+class TestUniformCounts:
+    """covering._uniform_counts draws each row as Multinomial(M, uniform)."""
+
+    # chi-square upper 1e-6 quantiles at the degrees of freedom of each law
+    @pytest.mark.parametrize("M, size_s, bound", [(6, 3, 77.19), (12, 2, 50.83),
+                                                  (3, 2, 30.66)])
+    def test_rows_follow_the_multinomial_law(self, M, size_s, bound):
+        rows = covering._uniform_counts(np.random.default_rng(M), M, size_s, 200_000)
+        outcomes = [c for c in itertools.product(range(M + 1), repeat=size_s)
+                    if sum(c) == M]
+        pmf = np.array([math.factorial(M) / math.prod(map(math.factorial, c))
+                        for c in outcomes]) / size_s ** M
+        seen = dict(zip(map(tuple, outcomes), np.zeros(len(outcomes), dtype=int)))
+        found, counts = np.unique(rows, axis=0, return_counts=True)
+        for row, k in zip(found.tolist(), counts):
+            seen[tuple(row)] += k           # a row off the simplex raises KeyError
+        expected = rows.shape[0] * pmf
+        chi2 = float((((np.array(list(seen.values())) - expected) ** 2) / expected).sum())
+        assert chi2 <= bound
+
+    @pytest.mark.parametrize("M, size_s, N", [(1, 4, 50), (4, 3, 1), (7, 1, 5),
+                                              (100, 1, 1), (3866, 252, 4)])
+    def test_rows_sum_to_M_in_a_frozen_int64_table(self, M, size_s, N):
+        rows = covering._uniform_counts(np.random.default_rng(0), M, size_s, N)
+        assert rows.shape == (N, size_s) and rows.dtype == np.int64
+        assert rows.min() >= 0 and np.all(rows.sum(axis=1) == M)
+        assert rows.flags.owndata and not rows.flags.writeable
+        if size_s == 1:
+            assert np.all(rows == M)
+
+    def test_small_M_is_all_shortfall(self):
+        rng = RecordingRng(1)
+        rows = covering._uniform_counts(rng, 4, 3, 10)
+        assert rng.poisson_calls == [(0.0, 10)] and np.all(rows.sum(axis=1) == 4)
+
+    def test_rows_over_M_are_drawn_again(self):
+        rng = RecordingRng(2)
+        rows = covering._uniform_counts(rng, 100, 5, 1000)
+        means, sizes = zip(*rng.poisson_calls)
+        # total mean 100 - 2 sqrt(100) = 80 over 5 cells, in every draw
+        assert set(means) == {16.0} and sizes[0] == 1000
+        assert len(sizes) >= 2 and 0 < sum(sizes[1:]) < 100
+        assert np.all(rows.sum(axis=1) == 100)
+
+    def test_build_hands_the_drawn_table_over(self, monkeypatch):
+        drawn, draw = [], covering._uniform_counts
+        monkeypatch.setattr(covering, "_uniform_counts",
+                            lambda *args: drawn.append(draw(*args)) or drawn[-1])
+        fam = build_covering(T_N4, 0.1, seed=SEED)
+        assert fam.counts is drawn[-1] and len(drawn) == fam.retries + 1
+
+
 @st.composite
 def small_families(draw):
     """A joint type of two short words over alphabets of 2 or 3 letters and

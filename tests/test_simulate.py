@@ -340,6 +340,57 @@ INSTANCES = {"bsc25": (UNIF, BSC),
                              Channel.from_rows([[0.9, 0.1], [0.3, 0.7]]))}
 
 
+def rectangle_law_blocks(code, base, rows=None):
+    """The averaged exact-law kernel as it ran over whole rectangles: each
+    covered type's (w_t / k) (1/c)^T @ counts * compat over (class rows,
+    t's output class), zeros at its incompatible pairs included."""
+    bt = simulate._base_tables_for(code, base)
+    sel = slice(None) if rows is None else rows
+    terminate = np.zeros(bt.x_global[sel].size)
+    blocks = []
+    for t, w_t in zip(bt.t_list, bt.weights):
+        if w_t == 0.0:
+            continue
+        if t not in code.families:
+            terminate += w_t
+            continue
+        fam = code.families[t]
+        c = fam.compatible_counts()[:, sel]
+        k = c.shape[0]
+        inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
+        terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
+        blocks.append((fam, (w_t / k) * (inv_c.T @ fam.counts) * fam.compat()[sel]))
+    return blocks, terminate
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_averaged_law_from_pairs_matches_the_rectangle_kernel(name, n):
+    """Each (x, y) has one joint type, so adding every type's rectangle,
+    whose other cells are +0.0, gives the same bits as writing each type's
+    compatible pairs."""
+    source, channel = INSTANCES[name]
+    code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
+    size = channel.output_size ** n
+    classes, atypical = simulate._typical_classes(code)
+    rows = np.zeros((atypical.size, size))
+    for base, bt in classes.items():
+        blocks, terminate = rectangle_law_blocks(code, base)
+        for fam, block in blocks:
+            rows[np.ix_(bt.x_global, fam.y_ranks())] += block
+        rows[bt.x_global, 0] += terminate
+        for pos, x in enumerate(enumerate_type_class(base)):
+            blocks, terminate = rectangle_law_blocks(code, base, rows=[pos])
+            out = np.zeros(size)
+            for fam, block in blocks:
+                out[fam.y_ranks()] += block[0]
+            out[0] += terminate[0]
+            assert output_distribution(code, x).probs.tobytes() == \
+                Distribution(size, out).probs.tobytes()
+    rows[atypical, 0] = 1.0
+    assert simulate._block_law(code).tobytes() == rows.tobytes()
+
+
 @pytest.mark.parametrize("one_per_chunk", [False, True])
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -712,4 +763,4 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
         digest.update(repr((announced, tr.nu, tr.mu, tr.y_word, tr.bits_sent)).encode())
     assert sum(tr.announced_type == TERMINATE for tr in transcripts) == 58
     assert digest.hexdigest() == \
-        "2d5ae8d76af535d93eecaa861ac7305f77164f02c44f3240effe20e38e3a4b6a"
+        "da5eabe1024980f2adce2a76eef7d3544c1d829c9cdda5e0f75a93d6f76e2193"
