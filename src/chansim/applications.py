@@ -552,21 +552,24 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     message law; one side decodes the message to the output word while the
     other samples an input word from the exact posterior given the
     message. All laws are computed exactly and compared against the
-    i.i.d. source-channel joint in total variation.
+    i.i.d. source-channel joint in total variation, from the message
+    blocks built once per class rank: one pass sums the message law, a
+    second writes both X^n x Y^n joints.
     """
     require_cap("BLOCK_ENUM_CAP", (source.alphabet_size * channel.output_size) ** n,
                 "block channel has {} entries")
     code = build_sim_code(source, channel, n, delta, epsilon, seed)
     blocks, count = encoder_message_law(code, nu)
     p_block = iid_block_law(source.probs, n)
-    # each slot lies in one block: sum it over the block's input words in
-    # ascending X^n rank
+    # each slot lies in one block: sum its mass over the block's input words
+    # in ascending X^n rank, once per class rank, and give it to every copy
     q = np.zeros(count)
     for blk in blocks:
         rows, width = blk.probs.shape
-        q[blk.slots] = np.bincount(np.tile(np.arange(width), rows),
-                                   weights=(blk.probs * p_block[blk.x_ranks, None]).ravel(),
-                                   minlength=width)
+        mass = np.bincount(np.tile(np.arange(width), rows),
+                           weights=(blk.probs / blk.copies * p_block[blk.x_ranks, None]).ravel(),
+                           minlength=width)
+        q[blk.slots[0]:blk.slots[-1] + blk.copies[-1]] = np.repeat(mass, blk.copies)
     law = Distribution(count, q)     # normalized once, by q.sum()
     del q
     plan = build_dilution(law, epsilon)
@@ -574,18 +577,18 @@ def pair_simulation_pipeline(source: Distribution, channel: Channel, n: int,
     q_tilde = mixture.probs
     ratio = np.divide(q_tilde, law.probs, out=np.zeros_like(q_tilde),
                       where=law.probs > 0)
-    # joints over (x, y), flat in row-major order, from a second sweep; a
-    # cell gets nonzero mass from the slots of one joint type, then from
-    # the terminate block last
+    # joints over (x, y), flat in row-major order: a cell gets mass from one
+    # joint type's class rank, whose copies share one probability and so one
+    # ratio (the blocks of types sharing its column class add exact zeros),
+    # then from the terminate block last
     ysz = channel.output_size ** n
     target = p_block[:, None] * iid_block_law(channel.rows, n)
     undiluted, produced = np.zeros(target.size), np.zeros(target.size)
-    for blk in encoder_message_law(code, nu)[0]:
+    for blk in blocks:
         cells = (blk.x_ranks[:, None] * ysz + blk.y_ranks).ravel()
         mass = blk.probs * p_block[blk.x_ranks, None]
-        undiluted += np.bincount(cells, weights=mass.ravel(), minlength=target.size)
-        produced += np.bincount(cells, weights=(mass * ratio[blk.slots]).ravel(),
-                                minlength=target.size)
+        undiluted[cells] += mass.ravel()
+        produced[cells] += (mass * ratio[blk.slots]).ravel()
     return PairSimulationResult(
         n=n, nu=nu, message_count=count, plan=plan,
         code_joint_tv=tv_distance(undiluted, target),

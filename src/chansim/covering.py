@@ -106,8 +106,9 @@ class CoveringFamily:
     read-only int64 counts table that owns its memory is shared, not
     copied, so build_covering hands over the table it drew; any other table,
     a read-only view of a writable array among them, is copied. The class
-    words, their Y^n ranks, the compatibility matrix and c_nu(x) are built on
-    first use and kept read-only; build_covering shares one matrix among attempts.
+    words, their Y^n ranks, the compatibility matrix, c_nu(x) and the running
+    totals are built on first use and kept read-only; build_covering shares
+    one matrix among attempts.
     """
 
     def __init__(self, joint_type: JointType, N: int, M: int, counts,
@@ -171,6 +172,7 @@ class CoveringFamily:
         cum[nu, r]) of list nu hold the word of rank r."""
         if self._cum is None:
             self._cum = np.cumsum(self.counts, axis=1)
+            self._cum.flags.writeable = False
         return self._cum
 
     def list_ranks(self, nu: int) -> np.ndarray:

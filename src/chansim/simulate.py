@@ -47,7 +47,6 @@ from .typeclasses import (
     count_occurrences,
     enumerate_joint_types,
     enumerate_type_class,
-    type_class_size,
     type_is_typical,
     typical_probability_bounds,
     typical_types,
@@ -474,69 +473,62 @@ def fixed_nu_block_channel(code: SimCode, nu: int) -> Channel:
 
 
 class MessageBlock(NamedTuple):
-    """One nonzero block of a pinned message law: probs[i, k] is the
-    probability of message slots[k], which the decoder turns into the Y^n
-    word of rank y_ranks[k], given the input word of X^n rank x_ranks[i].
-    probs is row-major, its rows in ascending X^n rank and its slots
-    ascending along each row. Blocks come from encoder_message_law's
-    one-pass iterator, one input type's blocks at a time."""
+    """One nonzero block of a pinned message law, kept per class rank:
+    probs[i, k] is the probability, given the input word of X^n rank
+    x_ranks[i], of the copies[k] message slots from slots[k] on, each of
+    which the decoder turns into the Y^n word of rank y_ranks[k]. Each of
+    those slots has probability probs[i, k] / copies[k]. probs is
+    row-major, its rows in ascending X^n rank and its columns in ascending
+    slot order."""
 
     x_ranks: np.ndarray
     slots: np.ndarray
+    copies: np.ndarray
     y_ranks: np.ndarray
     probs: np.ndarray
 
 
 def encoder_message_law(code: SimCode, nu: int):
     """Exact law of the encoder's transmitted message for a pinned shared
-    index, streamed as its nonzero blocks.
+    index, as its nonzero blocks.
 
     Returns (blocks, count). The count messages are the M slots
     (announced_type, mu), mu ascending, of each joint type in announcement
     order (code.typical_joint_types), then the terminate sentinel last.
-    blocks is a one-pass iterator: one MessageBlock per covered joint type
-    of positive weight, over the class of its row marginal, built one
-    source-typical input type at a time, then one terminate block over
-    every input word, which emits the fallback word (Y^n rank 0). A message
-    outside a word's blocks has probability 0 given that word, and each
-    word's blocks sum to 1. Every check runs at the call: the blocks of one
-    input type R plus the terminate block hold at most
-    sum_{t: row marginal R} |T_R| M_t + |X|^n entries at once, and the
-    largest such sum must fit BLOCK_ENUM_CAP. Call again for a second sweep.
+    blocks is a list: one MessageBlock per covered joint type t of positive
+    weight, over the class of its row marginal and the class ranks that
+    list nu mod N_t holds, then one terminate block over every input word,
+    which emits the fallback word (Y^n rank 0). A message outside a word's
+    blocks has probability 0 given that word, and each word's blocks sum
+    to 1. Before any block is built, the |X|^n terminate entries plus
+    sum_t |T_R| |T_S| must fit BLOCK_ENUM_CAP.
     """
     _require_words(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
-    sizes = [code.records[t].M for t in code.typical_joint_types]
-    held = {}
-    for t, m in zip(code.typical_joint_types, sizes):
-        base = t.row_marginal()
-        held[base] = held.get(base, 0) + type_class_size(base) * m
-    require_cap("BLOCK_ENUM_CAP",
-                code.source.alphabet_size ** code.n + max(held.values(), default=0),
-                "message law holds {} block entries of one input type")
-    offsets = dict(zip(code.typical_joint_types, np.cumsum([0] + sizes).tolist()))
-    count = sum(sizes) + 1
-    return _message_blocks(code, nu, offsets, count), count
-
-
-def _message_blocks(code: SimCode, nu: int, offsets: dict, count: int):
+    require_cap("BLOCK_ENUM_CAP", code.source.alphabet_size ** code.n
+                + sum(t.class_sizes[0] * t.class_sizes[1] for t in code.typical_joint_types),
+                "message law holds {} block entries")
+    starts = np.cumsum([0] + [code.records[t].M for t in code.typical_joint_types])
+    first = dict(zip(code.typical_joint_types, starts.tolist()))
     classes, atypical = _typical_classes(code)
     terminate = atypical.astype(float)
+    blocks = []
     for base, bt in classes.items():
         law, class_terminate = _law_blocks(code, base, [nu])
         for fam, pairs, values in law:
-            # a slot holding class rank r has probability block[x, r] / counts[l, r]
             block = np.zeros(fam.compat().shape)
             block.reshape(-1)[pairs] = values[0]
             lst = nu % fam.N
-            sel = fam.list_ranks(lst)
-            yield MessageBlock(bt.x_global, offsets[fam.joint_type] + np.arange(sel.size),
-                               fam.y_ranks()[sel],
-                               np.take(block, sel, axis=1) / fam.counts[lst, sel])
+            held = np.flatnonzero(fam.counts[lst])
+            copies = fam.counts[lst, held]
+            slots = first[fam.joint_type] + fam.cumulative()[lst, held] - copies
+            blocks.append(MessageBlock(bt.x_global, slots, copies, fam.y_ranks()[held],
+                                       np.take(block, held, axis=1)))
         terminate[bt.x_global] = class_terminate[0]
-    yield MessageBlock(np.arange(terminate.size), np.array([count - 1]),
-                       np.zeros(1, dtype=np.int64), terminate[:, None])
+    blocks.append(MessageBlock(np.arange(terminate.size), starts[-1:], np.ones(1, dtype=np.int64),
+                               np.zeros(1, dtype=np.int64), terminate[:, None]))
+    return blocks, int(starts[-1]) + 1
 
 
 def accounting(code: SimCode):

@@ -29,7 +29,7 @@ from chansim.applications import (
     uniform_index_stream,
 )
 
-from test_simulate import dense_message_law, message_entries_per_input_type
+from test_simulate import dense_message_law, message_law_entries, per_index_law_blocks
 
 UNIF2 = Distribution.uniform(2)
 SKEWED2 = Distribution.from_probs([0.6, 0.4])
@@ -608,11 +608,24 @@ def test_pipeline_matches_loop_and_add_at_reference(name, bench_seed):
     ratio = np.divide(q_tilde, law, out=np.zeros_like(q_tilde), where=law > 0)
     target = p_block[:, None] * simulate.iid_block_law(channel.rows, n)
 
+    # per class rank: a cell takes the mass of its joint type's rank, scaled
+    # by the ratio at the rank's first slot, then the terminate mass last;
+    # types that share a column class add exact zeros at each other's cells
+    starts = dict(zip(code.typical_joint_types, np.concatenate([[0], spans]).tolist()))
+    classes, atypical = simulate._typical_classes(code)
     for scale, tv in ((np.ones(law.size), pipe.code_joint_tv), (ratio, pipe.joint_tv)):
-        # each cell summed over its messages in index order
-        acc = np.zeros((channel.output_size ** n, p_block.size))
-        np.add.at(acc, y_ranks, (cond * p_block[:, None]).T * scale[:, None])
-        assert tv == float(0.5 * np.abs(acc.T - target).sum())
+        acc = np.zeros((p_block.size, channel.output_size ** n))
+        terminate = atypical.astype(float)
+        for base, bt in classes.items():
+            blocks, class_terminate = per_index_law_blocks(code, base, 0)
+            terminate[bt.x_global] = class_terminate
+            for fam, block in blocks:
+                held = np.flatnonzero(fam.counts[0])
+                first = starts[fam.joint_type] + fam.cumulative()[0, held] - fam.counts[0, held]
+                acc[np.ix_(bt.x_global, fam.y_ranks()[held])] += \
+                    block[:, held] * p_block[bt.x_global, None] * scale[first]
+        acc[:, 0] += terminate * p_block * scale[-1]
+        assert tv == float(0.5 * np.abs(acc - target).sum())
     assert pipe.dilution_tv == tv_distance(law, q_tilde)
 
 
@@ -633,25 +646,15 @@ def test_pipeline_runs_at_n6_under_the_default_caps(name):
     assert abs(pipe.message_law.probs.sum() - 1.0) <= 1e-12
 
 
-def _message_entries(source, channel, n):
-    """(largest, total) block entries of the pinned message law: the most
-    one input type's blocks and the terminate block hold at once, and all
-    blocks together."""
-    code = simulate.build_sim_code(source, channel, n, 2.0, 0.1, 7)
-    held = message_entries_per_input_type(code)
-    return max(held.values()), sum(held.values()) - (len(held) - 1) * 2 ** n
-
-
 @pytest.mark.parametrize("name", sorted(PIPELINE_INSTANCES))
-def test_pipeline_runs_at_n6_with_the_cap_at_the_largest_input_type(name, monkeypatch):
+def test_pipeline_runs_at_n6_with_the_cap_at_its_message_entries(name, monkeypatch):
     source, channel = PIPELINE_INSTANCES[name]
     expect = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
-    largest, total = _message_entries(source, channel, 6)
-    assert largest < total
-    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest - 1)
+    entries = message_law_entries(simulate.build_sim_code(source, channel, 6, 2.0, 0.1, 7))
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", entries - 1)
     with pytest.raises(CapExceededError, match="block entries"):
         pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
-    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", entries)
     pipe = pair_simulation_pipeline(source, channel, 6, 2.0, 0.1, 7)
     assert pipe.message_law.probs.tobytes() == expect.message_law.probs.tobytes()
     assert (pipe.code_joint_tv, pipe.dilution_tv, pipe.joint_tv) \
@@ -660,25 +663,44 @@ def test_pipeline_runs_at_n6_with_the_cap_at_the_largest_input_type(name, monkey
 
 def test_pipeline_runs_bsc25_at_n7_under_the_default_caps():
     source, channel = PIPELINE_INSTANCES["bsc25"]
-    # all blocks together exceed the cap; one input type's blocks fit it
-    largest, total = _message_entries(source, channel, 7)
-    assert largest <= CAPS["BLOCK_ENUM_CAP"] < total
+    code = simulate.build_sim_code(source, channel, 7, 2.0, 0.1, 7)
+    # all class-rank blocks fit the cap, far below one per message slot
+    assert message_law_entries(code) <= CAPS["BLOCK_ENUM_CAP"] < 2 ** 7 * sum(
+        code.records[t].M for t in code.typical_joint_types)
     pipe = pair_simulation_pipeline(source, channel, 7, 2.0, 0.1, 7)
     assert abs(pipe.message_law.probs.sum() - 1.0) <= 1e-12
     assert pipe.joint_tv <= pipe.code_joint_tv + pipe.dilution_tv
 
 
-def test_pipeline_peak_traced_memory_at_n5():
-    """One n = 5 call, code build included, never holds every message block
-    at once: its traced peak stays at or below 9 MB."""
+@pytest.mark.parametrize("name", sorted(PIPELINE_INSTANCES))
+def test_pipeline_runs_at_n8_under_the_default_caps(name):
+    source, channel = PIPELINE_INSTANCES[name]
+    pipe = pair_simulation_pipeline(source, channel, 8, 2.0, 0.1, 7)
+    assert abs(pipe.message_law.probs.sum() - 1.0) <= 1e-12
+    assert pipe.joint_tv <= pipe.code_joint_tv + pipe.dilution_tv
+
+
+def _pipeline_traced_peak(n):
+    """Traced peak bytes of one bsc25 pipeline call, code build included."""
     source, channel = PIPELINE_INSTANCES["bsc25"]
     tracemalloc.start()
     try:
-        pair_simulation_pipeline(source, channel, 5, 2.0, 0.1, 7)
-        peak = tracemalloc.get_traced_memory()[1]
+        pair_simulation_pipeline(source, channel, n, 2.0, 0.1, 7)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 9 * 2 ** 20
+
+
+def test_pipeline_peak_traced_memory_at_n5():
+    """One n = 5 call, code build included, holds its message law per class
+    rank, not per slot: its traced peak stays at or below 9 MB."""
+    assert _pipeline_traced_peak(5) <= 9 * 2 ** 20
+
+
+def test_pipeline_peak_traced_memory_at_n7():
+    """At n = 7 the per-slot message law peaked at 47.7 MiB; per class rank
+    one call stays at or below 24 MiB."""
+    assert _pipeline_traced_peak(7) <= 24 * 2 ** 20
 
 
 def test_pipeline_checks_its_joint_tables_before_building(monkeypatch):

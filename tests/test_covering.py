@@ -444,7 +444,7 @@ class TestMultiplicityTables:
     def test_family_tables_are_read_only(self):
         fam = build_covering(T_N4, 0.1, seed=SEED)
         for table in (fam.y_class_words(), fam.y_ranks(), fam.compat(),
-                      fam.compatible_counts()):
+                      fam.compatible_counts(), fam.cumulative()):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1

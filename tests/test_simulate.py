@@ -42,7 +42,6 @@ from chansim.typeclasses import (
     count_joint_occurrences,
     count_occurrences,
     enumerate_type_class,
-    type_class_size,
 )
 
 from test_typeclasses import is_typical
@@ -438,6 +437,22 @@ def dense_message_law(code, nu):
     return cond, y_ranks
 
 
+def slot_block(blk):
+    """A class-rank message block expanded to its message slots, as
+    (slots, y_ranks, probs): each of a rank's copies gets the rank's
+    probability divided by its copies."""
+    slots = np.concatenate([np.arange(s, s + c) for s, c in zip(blk.slots, blk.copies)])
+    return (slots, np.repeat(blk.y_ranks, blk.copies),
+            np.repeat(blk.probs / blk.copies, blk.copies, axis=1))
+
+
+def message_law_entries(code):
+    """Entries the message law's cap counts: the |X|^n terminate block plus
+    every joint type's |T_R| x |T_S| block."""
+    return code.source.alphabet_size ** code.n + sum(
+        t.class_sizes[0] * t.class_sizes[1] for t in code.typical_joint_types)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_encoder_message_law_matches_the_per_index_loop(name, n):
@@ -445,60 +460,47 @@ def test_encoder_message_law_matches_the_per_index_loop(name, n):
     code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
     for nu in (0, code.N - 1):
         blocks, count = encoder_message_law(code, nu)
-        blocks = list(blocks)
         expect_cond, expect_ranks = dense_message_law(code, nu)
         cond = np.zeros((2 ** n, count))
         covered = np.zeros(count, dtype=bool)
         for blk in blocks:
-            # rows in ascending X^n rank, slots ascending along each row
+            # rows in ascending X^n rank, ranks in ascending slot order
             assert np.all(np.diff(blk.x_ranks) > 0) and np.all(np.diff(blk.slots) > 0)
+            assert np.all(blk.copies > 0)
             assert blk.probs.flags.c_contiguous
             assert blk.probs.shape == (blk.x_ranks.size, blk.slots.size)
-            assert not covered[blk.slots].any()        # each slot in one block
-            covered[blk.slots] = True
-            cond[np.ix_(blk.x_ranks, blk.slots)] = blk.probs
-            assert np.array_equal(blk.y_ranks, expect_ranks[blk.slots])
+            slots, y_ranks, probs = slot_block(blk)
+            assert not covered[slots].any()        # each slot in one block
+            covered[slots] = True
+            cond[np.ix_(blk.x_ranks, slots)] = probs
+            assert np.array_equal(y_ranks, expect_ranks[slots])
+        assert covered.all()
         assert cond.tobytes() == expect_cond.tobytes()
         last = blocks[-1]
         assert np.array_equal(last.slots, [count - 1]) and np.array_equal(last.y_ranks, [0])
+        assert np.array_equal(last.copies, [1])
         assert np.array_equal(last.x_ranks, np.arange(2 ** n))
 
 
-def message_entries_per_input_type(code):
-    """Block entries the message law holds while it streams each input
-    type: its joint types' |T_R| M_t plus the |X|^n terminate block."""
-    held = {}
-    for t in code.typical_joint_types:
-        base = t.row_marginal()
-        held[base] = held.get(base, code.source.alphabet_size ** code.n) \
-            + type_class_size(base) * code.records[t].M
-    return held
-
-
 def test_message_law_checks_its_block_entries_before_building(small_code, monkeypatch):
-    held = message_entries_per_input_type(small_code)
-    largest = max(held.values())
-    assert largest < sum(held.values())
+    entries = message_law_entries(small_code)
     built, law_blocks = [], simulate._law_blocks
     monkeypatch.setattr(simulate, "_law_blocks",
                         lambda *args: built.append(args) or law_blocks(*args))
-    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest - 1)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", entries - 1)
     with pytest.raises(CapExceededError, match="block entries"):
         encoder_message_law(small_code, 0)
     assert built == []
-    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", largest)
+    monkeypatch.setitem(CAPS, "BLOCK_ENUM_CAP", entries)
     blocks, _ = encoder_message_law(small_code, 0)
-    assert built == []
-    # one input type's blocks are built when the sweep reaches them
-    first = next(blocks)
-    assert len(built) == 1
-    entries = {}
-    for blk in [first, *blocks]:
-        entries[blk.x_ranks.tobytes()] = entries.get(blk.x_ranks.tobytes(), 0) + blk.probs.size
-    terminate = entries.pop(np.arange(2 ** small_code.n).tobytes())
-    assert len(built) == len(entries) == len(held)
-    # every joint type of the BSC has positive weight, so the counts are exact
-    assert sorted(e + terminate for e in entries.values()) == sorted(held.values())
+    # one kernel call per input type; every joint type of the BSC has
+    # positive weight and a family, so each has a block of its full class
+    # rows, over no more ranks than its column class holds
+    assert len(built) == len({t.row_marginal() for t in small_code.typical_joint_types})
+    assert len(blocks) == len(small_code.typical_joint_types) + 1
+    held = sum(blk.probs.size for blk in blocks)
+    assert held <= entries
+    assert blocks[-1].probs.size == 2 ** small_code.n
 
 
 def test_pinned_laws_reject_out_of_range_indices(small_code):
@@ -620,7 +622,6 @@ def test_output_cap_enforced():
 
 def test_message_law_aggregates_to_block_channel(small_code):
     blocks, count = encoder_message_law(small_code, nu=2)
-    blocks = list(blocks)
     cond, y_ranks = dense_message_law(small_code, 2)
     fams = [small_code.families[t] for t in small_code.typical_joint_types]
     starts = np.cumsum([0] + [fam.M for fam in fams])
@@ -633,13 +634,19 @@ def test_message_law_aggregates_to_block_channel(small_code):
     for blk in blocks[:-1]:
         i = int(np.searchsorted(starts, blk.slots[0], side="right")) - 1
         fam = fams[i]
-        # the block spans its type's M slots, in slot order, on its input class
-        assert np.array_equal(blk.slots, np.arange(starts[i], starts[i + 1]))
-        assert np.array_equal(blk.y_ranks, fam.y_ranks()[fam.list_ranks(2 % fam.N)])
-        assert np.array_equal(blk.y_ranks, y_ranks[starts[i]:starts[i + 1]])
+        lst = 2 % fam.N
+        # the block holds the ranks of its type's list, whose copies span
+        # the type's M slots in slot order, on its input class
+        held = np.flatnonzero(fam.counts[lst])
+        assert np.array_equal(blk.copies, fam.counts[lst, held])
+        assert np.array_equal(blk.y_ranks, fam.y_ranks()[held])
+        slots, slot_y_ranks, probs = slot_block(blk)
+        assert np.array_equal(slots, np.arange(starts[i], starts[i + 1]))
+        assert np.array_equal(slot_y_ranks, fam.y_ranks()[fam.list_ranks(lst)])
+        assert np.array_equal(slot_y_ranks, y_ranks[starts[i]:starts[i + 1]])
         base = fam.joint_type.row_marginal()
         assert np.array_equal(blk.x_ranks, [r for r, t in enumerate(x_types) if t == base])
-        assert np.array_equal(cond[blk.x_ranks][:, blk.slots], blk.probs)
+        assert np.array_equal(cond[blk.x_ranks][:, slots], probs)
     rows = np.zeros((16, small_code.channel.output_size ** 4))
     for blk in blocks:
         np.add.at(rows, (blk.x_ranks[:, None], blk.y_ranks[None, :]), blk.probs)
