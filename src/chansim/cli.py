@@ -40,7 +40,7 @@ from .simulate import (FamilyRecord, accounting, build_sim_code,
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
-CSV_VERSION = "v7"
+CSV_VERSION = "v8"
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2

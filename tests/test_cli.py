@@ -451,7 +451,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v7"
+    assert lines[0] == "# chansim typical csv v8"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"

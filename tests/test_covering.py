@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,18 +237,43 @@ class TestBuild:
 
 
 class RecordingRng:
-    """A seeded generator that records the cell mean and the row count of
-    each Poisson table it draws."""
+    """A seeded generator that records the shape of each table of uniforms
+    it draws."""
 
     def __init__(self, seed):
-        self.rng, self.poisson_calls = np.random.default_rng(seed), []
+        self.rng, self.random_calls = np.random.default_rng(seed), []
 
-    def poisson(self, lam, size):
-        self.poisson_calls.append((lam, size[0]))
-        return self.rng.poisson(lam, size)
+    def random(self, shape):
+        self.random_calls.append(shape)
+        return self.rng.random(shape)
 
     def integers(self, high, size):
         return self.rng.integers(high, size=size)
+
+
+def exact_truncated_poisson(lam, K):
+    """The pmf proportional to lam^k / k! on 0..K, exactly, as Fractions
+    (lam is a float, so a rational), and an exact upper bound on the
+    Poisson(lam) mass past K: sum_{k > K} lam^k / k! is at most
+    lam^(K+1) / (K+1)! / (1 - lam / (K + 2)), a geometric series, and
+    dividing it by sum_{k <= K} lam^k / k! bounds the tail, since
+    e^-lam sum_{k <= K} lam^k / k! <= 1."""
+    lam = Fraction(lam)
+    terms = [Fraction(1)]
+    for k in range(1, K + 2):
+        terms.append(terms[-1] * lam / k)
+    head = sum(terms[:-1])
+    return [t / head for t in terms[:-1]], terms[-1] / (1 - lam / (K + 2)) / head
+
+
+def table_law(table):
+    """The exact law of _poisson_cells' draws from one table: NumPy's
+    uniforms are j / 2^53 for j in [0, 2^53), and a draw is the number of
+    edges at or below G u, so P(draw <= k) = ceil(2^53 edges[k] / G) / 2^53."""
+    _, edges, _, _ = table
+    cdf = [math.ceil(Fraction(e) * 2 ** 53 / covering.POISSON_GUIDE) for e in edges]
+    cdf = np.array([0] + cdf + [2 ** 53], dtype=object)
+    return [Fraction(int(c), 2 ** 53) for c in np.diff(cdf)]
 
 
 class TestUniformCounts:
@@ -281,16 +307,81 @@ class TestUniformCounts:
     def test_small_M_is_all_shortfall(self):
         rng = RecordingRng(1)
         rows = covering._uniform_counts(rng, 4, 3, 10)
-        assert rng.poisson_calls == [(0.0, 10)] and np.all(rows.sum(axis=1) == 4)
+        assert rng.random_calls == [] and np.all(rows.sum(axis=1) == 4)
 
-    def test_rows_over_M_are_drawn_again(self):
+    def test_rows_over_M_are_drawn_again(self, monkeypatch):
+        tables, draw = [], covering._poisson_cells
+        monkeypatch.setattr(covering, "_poisson_cells",
+                            lambda rng, table, shape: tables.append(table) or
+                            draw(rng, table, shape))
         rng = RecordingRng(2)
         rows = covering._uniform_counts(rng, 100, 5, 1000)
-        means, sizes = zip(*rng.poisson_calls)
+        sizes = [shape[0] for shape in rng.random_calls]
         # total mean 100 - 2 sqrt(100) = 80 over 5 cells, in every draw
-        assert set(means) == {16.0} and sizes[0] == 1000
-        assert len(sizes) >= 2 and 0 < sum(sizes[1:]) < 100
+        assert all(table is covering._poisson_table(16.0) for table in tables)
+        assert len(tables) == len(sizes) >= 2
+        assert all(shape[1] == 5 for shape in rng.random_calls)
+        # fewer than 10% of the rows are drawn again
+        assert sizes[0] == 1000 and 0 < sum(sizes[1:]) < 100
         assert np.all(rows.sum(axis=1) == 100)
+
+    @pytest.mark.parametrize("lam", [0.5, 15.3, 36.0, 203.0, 1119.0])
+    def test_table_law_is_the_truncated_poisson_law(self, lam):
+        """The law a table draws is within a total variation of 1e-12 of the
+        Poisson pmf truncated at K, both taken exactly, and the mass Poisson
+        puts past K is below 2^-60."""
+        table = covering._poisson_table(lam)
+        K = table[0]
+        exact, tail = exact_truncated_poisson(lam, K)
+        drawn = table_law(table)
+        drawn += [Fraction(0)] * (K + 1 - len(drawn))
+        assert len(drawn) == K + 1
+        tv = math.fsum(abs(float(d - e)) for d, e in zip(drawn, exact)) / 2
+        assert tv <= 1e-12
+        assert tail < Fraction(1, 2 ** 60)
+
+    @pytest.mark.parametrize("lam", [0.5, 15.3, 36.0, 1119.0])
+    def test_guide_draws_equal_plain_inversion(self, lam):
+        """The guide and its searches give the same count as searching every
+        uniform, including uniforms on and next to the edges."""
+        table = covering._poisson_table(lam)
+        _, edges, guide, ambiguous = table
+        assert not any(a.flags.writeable for a in (edges, guide, ambiguous))
+        got = covering._poisson_cells(np.random.default_rng(5), table, (400, 250))
+        u = np.random.default_rng(5).random((400, 250))
+        want = np.searchsorted(edges, u * covering.POISSON_GUIDE, side="right")
+        assert got.dtype == np.int64 and got.flags.owndata
+        assert np.array_equal(got, want)
+        near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+        near = near[(near >= 0) & (near < covering.POISSON_GUIDE)] / covering.POISSON_GUIDE
+
+        class Fixed:
+            def random(self, shape):
+                return near.reshape(shape).copy()
+
+        got = covering._poisson_cells(Fixed(), table, near.shape)
+        assert np.array_equal(got, np.searchsorted(edges, near * covering.POISSON_GUIDE,
+                                                   side="right"))
+
+    def test_a_cleared_table_cache_draws_the_same_rows(self):
+        first = covering._uniform_counts(np.random.default_rng(9), 300, 7, 50)
+        covering._poisson_table.cache_clear()
+        again = covering._uniform_counts(np.random.default_rng(9), 300, 7, 50)
+        assert np.array_equal(first, again)
+
+    def test_cells_have_the_binomial_marginal(self):
+        """At (M, |T_S|, N) = (3866, 252, 4096), a bsc25 n = 10 shape, each
+        cell is Binomial(M, 1/|T_S|): every column's mean, and the mean
+        squared deviation over all cells, are within 5 standard errors."""
+        M, size_s, N = 3866, 252, 4096
+        rows = covering._uniform_counts(np.random.default_rng(17), M, size_s, N)
+        p = 1.0 / size_s
+        mean, var = M * p, M * p * (1 - p)
+        assert np.all(np.abs(rows.mean(axis=0) - mean) <= 5 * math.sqrt(var / N))
+        # the rows are independent, so the row averages of the squared
+        # deviation give the standard error of their mean
+        sq = ((rows - mean) ** 2).mean(axis=1)
+        assert abs(sq.mean() - var) <= 5 * sq.std(ddof=1) / math.sqrt(N)
 
     def test_build_hands_the_drawn_table_over(self, monkeypatch):
         drawn, draw = [], covering._uniform_counts
@@ -354,6 +445,36 @@ class TestMultiplicityTables:
         assert np.allclose(check.condition_I_margin, margin_i, rtol=0, atol=1e-12)
         assert check.condition_II_margin == pytest.approx(margin_ii, abs=1e-12)
         assert check.passed == (margin_ii >= 0 and min(margin_i) >= 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_families())
+    def test_condition_I_margins_equal_the_float64_product_bit_for_bit(self, case):
+        """The float32 product gives the margins of the float64 product,
+        byte for byte."""
+        t, words = case
+        N, M = words.shape
+        fam = CoveringFamily(t, N, M, rank_counts(t, words), 0.1)
+        hits = fam.counts.astype(np.float64) @ fam.compat().T.astype(np.float64)
+        mean_i = M * joint_type_class_size(t) / (hits.shape[1] * fam.counts.shape[1])
+        want = 0.1 - np.abs(hits / mean_i - 1.0).max(axis=1)
+        assert verify_covering(fam).condition_I_margin.tobytes() == want.tobytes()
+
+    def test_a_family_of_2_24_entries_is_verified_in_float64(self):
+        """At M = 2^24 + 1 float32 cannot hold c_nu(x) = M, the largest
+        deviation of a list whose every entry is compatible with x; the
+        margins are still exact."""
+        M = 2 ** 24 + 1
+        size_s = type_class_size(T_N4.col_marginal())
+        counts = np.zeros((2, size_s), dtype=np.int64)
+        counts[0, [0, 1, 3]] = (M + 1) // 3, (M + 1) // 3, M - 2 * ((M + 1) // 3)
+        counts[1] = M // size_s
+        counts[1, :M % size_s] += 1
+        fam = CoveringFamily(T_N4, 2, M, counts, 0.1)
+        hits = np.array(counts.tolist(), dtype=object) @ fam.compat().T.astype(int)
+        assert hits.max() == M and int(np.float32(M)) != M
+        mean_i = M * joint_type_class_size(T_N4) / (hits.shape[1] * size_s)
+        want = [0.1 - max(abs(int(h) / mean_i - 1.0) for h in row) for row in hits]
+        assert verify_covering(fam).condition_I_margin.tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(small_families())

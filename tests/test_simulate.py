@@ -770,4 +770,4 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
         digest.update(repr((announced, tr.nu, tr.mu, tr.y_word, tr.bits_sent)).encode())
     assert sum(tr.announced_type == TERMINATE for tr in transcripts) == 58
     assert digest.hexdigest() == \
-        "da5eabe1024980f2adce2a76eef7d3544c1d829c9cdda5e0f75a93d6f76e2193"
+        "5f56a81ff1737aae76b1e5e251e6b19760820ce0125a8709adc0e97893f84f26"
