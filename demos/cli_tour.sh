@@ -14,6 +14,9 @@ echo
 chansim typical "$BSC" --n 8 --delta 1.0 --out "$OUT/typical"
 echo
 
+chansim cover "$BSC" --n 4 --delta 2.0 --epsilon 0.1 --seed 7 --out "$OUT/cover"
+echo
+
 chansim simulate "$BSC" --n 4 --delta 2.0 --epsilon 0.1 --seed 7 \
     --out "$OUT/simulate"
 echo

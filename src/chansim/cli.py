@@ -31,16 +31,14 @@ from .applications import (DistortionSpec, build_dilution, expected_distortion,
                            uniform_index_stream)
 from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
                         mutual_information, output_marginal, tv_distance)
-from .covering import build_covering
 from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
                      InvalidInputError, RetriesExhaustedError)
 from .fidelity import derandomize_with_family, measure_fidelity
-from .simulate import (FamilyRecord, accounting, build_sim_code,
-                       jointly_typical_types, strong_fidelity_report)
+from .simulate import accounting, build_sim_code, strong_fidelity_report
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
-CSV_VERSION = "v8"
+CSV_VERSION = "v9"
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -370,19 +368,14 @@ def _run_typical(cfg, bundle):
 
 
 def _run_cover(cfg, bundle):
-    source, channel, n, delta, epsilon = _code_inputs(cfg, bundle)
-    types = jointly_typical_types(source, channel, n, delta)
-    if not types:
-        raise InvalidInputError("no jointly typical types; widen delta")
+    code = _build_code(cfg, bundle, keep_words=False)
     rows = []
-    for idx, t in enumerate(types):
-        rec = FamilyRecord.of(build_covering(t, epsilon,
-                                             seed=child_seed(cfg.seed, f"cover:{idx}")))
-        counts = ";".join("-".join(str(c) for c in row) for row in t.counts)
+    for idx, rec in enumerate(code.records.values()):
+        counts = ";".join("-".join(str(c) for c in row) for row in rec.joint_type.counts)
         rows.append((idx, counts, rec.M, rec.N, rec.retries,
                      rec.condition_I_min_margin, rec.condition_II_margin))
-    outputs = {"type_count": len(types), "max_M": max(r[2] for r in rows),
-               "max_N": max(r[3] for r in rows), "total_retries": sum(r[4] for r in rows)}
+    outputs = {"type_count": len(rows), "max_M": max(r[2] for r in rows),
+               "max_N": code.N, "total_retries": sum(r[4] for r in rows)}
     comparisons = [
         _row("min per-word hit margin >= 0",
              "every compatible word is covered with room", min(r[5] for r in rows), 0.0),

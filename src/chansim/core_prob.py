@@ -39,7 +39,7 @@ def _clean_prob_vector(v, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass
+@dataclass(eq=False)
 class Distribution:
     """A probability vector over the alphabet {0, ..., alphabet_size - 1}."""
 
@@ -69,7 +69,7 @@ class Distribution:
         return cls.from_probs(doc["probs"])
 
 
-@dataclass
+@dataclass(eq=False)
 class Channel:
     """A row-stochastic matrix: rows[x][y] = W(y | x)."""
 

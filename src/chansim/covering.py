@@ -106,14 +106,13 @@ class CoveringFamily:
     word, so the family is stored as counts[nu, r]: the multiplicity of the
     class word of lexicographic rank r in list nu, shape (N, |T_S|), each row
     summing to M. Slot mu of list nu is the mu-th entry of the list sorted by
-    rank; list_ranks(nu) gives the M ranks in slot order. check holds the
-    passing verification when the family came from build_covering. A
-    read-only int64 counts table that owns its memory is shared, not
-    copied, so build_covering hands over the table it drew; any other table,
-    a read-only view of a writable array among them, is copied. The class
-    words, their Y^n ranks, the compatibility matrix, c_nu(x) and the running
-    totals are built on first use and kept read-only; build_covering shares
-    one matrix among attempts.
+    rank. check holds the passing verification when the family came from
+    build_covering. A read-only int64 counts table that owns its memory is
+    shared, not copied, so build_covering hands over the table it drew; any
+    other table, a read-only view of a writable array among them, is
+    copied. The class words, their Y^n ranks, the compatibility matrix,
+    c_nu(x) and the running totals are built on first use and kept
+    read-only; build_covering shares one matrix among attempts.
     """
 
     def __init__(self, joint_type: JointType, N: int, M: int, counts,
@@ -179,10 +178,6 @@ class CoveringFamily:
             self._cum = np.cumsum(self.counts, axis=1)
             self._cum.flags.writeable = False
         return self._cum
-
-    def list_ranks(self, nu: int) -> np.ndarray:
-        """List nu as M class ranks in slot order."""
-        return np.repeat(np.arange(self.counts.shape[1]), self.counts[nu])
 
     def word(self, nu: int, mu: int) -> tuple:
         rank = np.searchsorted(self.cumulative()[nu], mu, side="right")

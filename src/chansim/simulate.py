@@ -29,7 +29,7 @@ log2(N).
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -90,19 +90,32 @@ class FamilyRecord:
 
 @dataclass
 class SimCode:
+    """A simulation code as its build chose it: one FamilyRecord per jointly
+    typical type, in announcement order (lexicographic), and the covering
+    family of each ({} when the code is rates-only). The rest is derived:
+    the announcement order, the shared index range N (the largest list
+    count), the announcement bits, rates_only and the typicality window."""
+
     n: int
     source: Distribution
     channel: Channel
     delta: float
     epsilon: float
-    families: dict          # JointType -> CoveringFamily ({} when rates_only)
-    records: dict           # JointType -> FamilyRecord (always populated)
-    typical_joint_types: tuple  # canonical (lexicographic) announcement order
-    N: int
-    announce_bits: int
     seed: int
-    rates_only: bool = False
-    _tables: dict = field(default_factory=dict, repr=False)
+    records: dict           # JointType -> FamilyRecord, in announcement order
+    families: dict          # JointType -> CoveringFamily ({} when rates-only)
+
+    def __post_init__(self):
+        if not self.records:
+            raise InvalidInputError("no jointly typical types; widen delta")
+        if self.families and self.families.keys() != self.records.keys():
+            raise InvalidInputError("a code's families must be those of its records")
+        self.typical_joint_types = tuple(self.records)
+        self.N = max(rec.N for rec in self.records.values())
+        self.announce_bits = math.ceil(math.log2(len(self.records)))
+        self.rates_only = not self.families
+        self.spec = TypicalSpec(self.source, self.n, self.delta)
+        self._tables = {}
 
     def fallback_word(self) -> tuple:
         return (0,) * self.n
@@ -111,7 +124,7 @@ class SimCode:
         return self.records[t].M
 
     def max_log2_M(self) -> float:
-        return max(math.log2(r.M) for r in self.records.values()) if self.records else 0.0
+        return max(math.log2(r.M) for r in self.records.values())
 
 
 @dataclass
@@ -151,22 +164,15 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
     """
     if source.alphabet_size != channel.input_size:
         raise InvalidInputError("source alphabet does not match channel input")
-    jt_list = jointly_typical_types(source, channel, n, delta)
-    if not jt_list:
-        raise InvalidInputError("no jointly typical types; widen delta")
-    list_counts = [1 << (required_M_N(t, epsilon)[1] - 1).bit_length() for t in jt_list]
     families, records = {}, {}
-    for idx, (t, n_t) in enumerate(zip(jt_list, list_counts)):
+    for idx, t in enumerate(jointly_typical_types(source, channel, n, delta)):
+        n_t = 1 << (required_M_N(t, epsilon)[1] - 1).bit_length()
         fam = build_covering(t, epsilon, forced_N=n_t,
                              seed=child_seed(seed, f"simulate:covering:{idx}"))
         records[t] = FamilyRecord.of(fam)
         if keep_words:
             families[t] = fam
-    announce_bits = math.ceil(math.log2(max(len(jt_list), 1)))
-    return SimCode(n=n, source=source, channel=channel, delta=delta, epsilon=epsilon,
-                   families=families, records=records,
-                   typical_joint_types=tuple(jt_list), N=max(list_counts),
-                   announce_bits=announce_bits, seed=seed, rates_only=not keep_words)
+    return SimCode(n, source, channel, delta, epsilon, seed, records, families)
 
 
 def word_letters(size: int, n: int) -> np.ndarray:
@@ -305,8 +311,7 @@ def encode(code: SimCode, x_word, nu: int, seed):
     base = count_occurrences(x_word, code.source.alphabet_size)
     t_list, weights = _type_weights(code, base)
     t = t_list[int(rng.choice(len(t_list), p=weights))]
-    spec = TypicalSpec(code.source, code.n, code.delta)
-    if not type_is_typical(base, spec) or t not in code.families:
+    if not type_is_typical(base, code.spec) or t not in code.families:
         return TERMINATE
     fam = code.families[t]
     lst = nu % fam.N
@@ -356,8 +361,7 @@ def run_protocol(code: SimCode, x_word, nu: int, seed) -> Transcript:
 def _typical_classes(code: SimCode):
     """Base tables of every source-typical input type, and a mask over X^n of
     the words outside them, which emit the fallback word."""
-    spec = TypicalSpec(code.source, code.n, code.delta)
-    classes = {base: _base_tables_for(code, base) for base in typical_types(spec)}
+    classes = {base: _base_tables_for(code, base) for base in typical_types(code.spec)}
     atypical = np.ones(code.source.alphabet_size ** code.n, dtype=bool)
     for bt in classes.values():
         atypical[bt.x_global] = False
@@ -373,7 +377,7 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
     x_word = tuple(int(v) for v in x_word)
     out = np.zeros(size)
     base = count_occurrences(x_word, code.source.alphabet_size)
-    if not type_is_typical(base, TypicalSpec(code.source, code.n, code.delta)):
+    if not type_is_typical(base, code.spec):
         out[0] = 1.0
         return Distribution(size, out)
     blocks, terminate = _law_blocks(code, base,
@@ -438,12 +442,13 @@ def strong_fidelity_report(code: SimCode) -> dict:
 def fidelity_ceiling(code: SimCode):
     """(lambda_bound, atypicality_mass) of strong_fidelity_report without
     the protocol law: the largest per-word ceiling over the source-typical
-    input types, and the source's mass outside them."""
+    input types, and the source's mass outside them. A joint type counts
+    as covered when the code has its record, so a rates-only code has the
+    ceiling of the same code built with its words."""
     bound_parts = [code.epsilon / (1 - code.epsilon)
-                   + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.families)
+                   + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.records)
                    for bt in _typical_classes(code)[0].values()]
-    atypicality = 1.0 - typical_probability_bounds(
-        TypicalSpec(code.source, code.n, code.delta)).exact
+    atypicality = 1.0 - typical_probability_bounds(code.spec).exact
     return (max(bound_parts) if bound_parts else 1.0), atypicality
 
 
@@ -564,22 +569,18 @@ def save_code(code: SimCode, directory: str):
 def load_code(directory: str) -> SimCode:
     """Read a code that save_code wrote. Every family's list count must be a
     power of two dividing the manifest's N, as build_sim_code sizes it, or N
-    itself, as in a code saved before list counts were sized per type;
-    InvalidInputError otherwise."""
+    itself, as in a code saved before list counts were sized per type, and
+    N must be the largest of them; InvalidInputError otherwise."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
-    source = Distribution.from_json_dict(manifest["source"])
-    channel = Channel.from_json_dict(manifest["channel"])
     records = {}
-    order = []
     for doc in manifest["records"]:
         rec = FamilyRecord.from_json_dict(doc)
         records[rec.joint_type] = rec
-        order.append(rec.joint_type)
     families = {}
     if not manifest["rates_only"]:
         fam_dir = os.path.join(directory, "families")
-        for idx, t in enumerate(order):
+        for idx, t in enumerate(records):
             with open(os.path.join(fam_dir, f"type_{idx:04d}.json")) as fh:
                 families[t] = CoveringFamily.from_json_dict(json.load(fh))
     n_shared = manifest["N"]
@@ -587,9 +588,10 @@ def load_code(directory: str) -> SimCode:
         if count != n_shared and (count < 1 or count & (count - 1) or n_shared % count):
             raise InvalidInputError(f"a family's list count {count} is not a power of "
                                     f"two dividing the shared index range {n_shared}")
-    return SimCode(n=manifest["n"], source=source, channel=channel,
-                   delta=manifest["delta"], epsilon=manifest["epsilon"],
-                   families=families, records=records,
-                   typical_joint_types=tuple(order), N=manifest["N"],
-                   announce_bits=manifest["announce_bits"], seed=manifest["seed"],
-                   rates_only=manifest["rates_only"])
+    code = SimCode(manifest["n"], Distribution.from_json_dict(manifest["source"]),
+                   Channel.from_json_dict(manifest["channel"]), manifest["delta"],
+                   manifest["epsilon"], manifest["seed"], records, families)
+    if code.N != n_shared:
+        raise InvalidInputError(f"the shared index range {n_shared} is not the largest "
+                                f"list count {code.N}")
+    return code

@@ -13,8 +13,10 @@ from chansim import cli
 from chansim.cli import (ExperimentConfig, RunRecord,
                          build_config, compare_bounds, main,
                          parse_cap_overrides, run)
+from chansim.core_prob import Channel, Distribution
 from chansim.errors import (CAPS, CapExceededError, InfeasibleError,
                             InvalidInputError, RetriesExhaustedError)
+from chansim.simulate import build_sim_code
 
 BSC_DOC = {"source": {"probs": [0.5, 0.5]},
            "channel": {"rows": [[0.75, 0.25], [0.25, 0.75]]}}
@@ -264,6 +266,23 @@ def test_cap_override_can_lower_limit(bsc_file):
                  "--cap-override", "WORD_ENUM_CAP=2"]) == 3
 
 
+def test_cover_reports_the_records_of_the_code(tmp_path, bsc_file):
+    """cover's rows are the records of build_sim_code(..., keep_words=False)
+    at the same options and seed: the families simulate would use."""
+    assert main(["cover", bsc_file, "--n", "4", "--delta", "2.0", "--epsilon", "0.1",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    rows = [line for line in (tmp_path / "cover.csv").read_text().splitlines()
+            if not line.startswith("#")][1:]
+    code = build_sim_code(Distribution.from_probs([0.5, 0.5]),
+                          Channel.from_rows(BSC_DOC["channel"]["rows"]), 4, 2.0, 0.1, 7,
+                          keep_words=False)
+    want = [f"{idx},{';'.join('-'.join(map(str, row)) for row in t.counts)},"
+            f"{rec.M},{rec.N},{rec.retries},"
+            f"{rec.condition_I_min_margin:.12g},{rec.condition_II_margin:.12g}"
+            for idx, (t, rec) in enumerate(code.records.items())]
+    assert rows == want
+
+
 def test_cover_table_cap_exits_before_sampling(bsc_file):
     assert main(["simulate", bsc_file, "--n", "6",
                  "--cap-override", "COVER_TABLE_CAP=10"]) == 3
@@ -451,7 +470,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v8"
+    assert lines[0] == "# chansim typical csv v9"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"

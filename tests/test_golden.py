@@ -99,7 +99,7 @@ TOUR_COMMANDS = tour_commands()
 
 def test_tour_lists_every_out_command():
     assert [name for name, _ in TOUR_COMMANDS] == [
-        "typical", "simulate", "derandomize", "zero-error", "rd", "dilute", "sweep"]
+        "typical", "cover", "simulate", "derandomize", "zero-error", "rd", "dilute", "sweep"]
 
 
 @pytest.mark.parametrize("name,argv", TOUR_COMMANDS, ids=[c[0] for c in TOUR_COMMANDS])

@@ -12,9 +12,9 @@ import pytest
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
 from chansim import simulate, typeclasses
-from chansim.covering import CoveringFamily, build_covering, required_M_N
+from chansim.covering import CoveringFamily, build_covering, required_M_N, verify_covering
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
-from chansim.fidelity import derandomize, run_fixed_code
+from chansim.fidelity import derandomize, measure_fidelity, run_fixed_code, sim_code_family
 from chansim.simulate import (
     TERMINATE,
     FamilyRecord,
@@ -25,6 +25,7 @@ from chansim.simulate import (
     decode,
     encode,
     encoder_message_law,
+    fidelity_ceiling,
     fixed_nu_block_channel,
     fixed_nu_block_channels,
     iid_block_law,
@@ -44,6 +45,7 @@ from chansim.typeclasses import (
     enumerate_type_class,
 )
 
+from test_covering import list_ranks
 from test_typeclasses import is_typical
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
@@ -123,7 +125,7 @@ def test_mu_uniform_over_compatible_slots(small_code):
     y_words = fam.y_class_words()
     compat_t = {tuple(map(int, w)) for w in y_words
                 if count_joint_occurrences(x, tuple(map(int, w)), 2, 2) == t}
-    ranks = fam.list_ranks(nu % fam.N)
+    ranks = list_ranks(fam, nu % fam.N)
     slots = [mu for mu in range(fam.M)
              if tuple(map(int, y_words[ranks[mu]])) in compat_t]
     counts = {mu: 0 for mu in slots}
@@ -213,8 +215,7 @@ def lopsided_code(small_code):
     counts = np.zeros_like(fam.counts)
     counts[:, 0] = fam.M
     lopsided = CoveringFamily(t, fam.N, fam.M, counts=counts, epsilon=fam.epsilon)
-    return dataclasses.replace(small_code, families={**small_code.families, t: lopsided},
-                               _tables={})
+    return dataclasses.replace(small_code, families={**small_code.families, t: lopsided})
 
 
 CODES = ["small_code", "skewed_code", "lopsided_code"]
@@ -428,7 +429,7 @@ def dense_message_law(code, nu):
     for base, bt in classes.items():
         blocks, terminate = per_index_law_blocks(code, base, nu)
         for fam, block in blocks:
-            sel = fam.list_ranks(nu % fam.N)
+            sel = list_ranks(fam, nu % fam.N)
             slots = offsets[fam.joint_type] + np.arange(sel.size)
             cond[np.ix_(bt.x_global, slots)] = block[:, sel] / fam.counts[nu % fam.N, sel]
             y_ranks[slots] = fam.y_ranks()[sel]
@@ -642,7 +643,7 @@ def test_message_law_aggregates_to_block_channel(small_code):
         assert np.array_equal(blk.y_ranks, fam.y_ranks()[held])
         slots, slot_y_ranks, probs = slot_block(blk)
         assert np.array_equal(slots, np.arange(starts[i], starts[i + 1]))
-        assert np.array_equal(slot_y_ranks, fam.y_ranks()[fam.list_ranks(lst)])
+        assert np.array_equal(slot_y_ranks, fam.y_ranks()[list_ranks(fam, lst)])
         assert np.array_equal(slot_y_ranks, y_ranks[starts[i]:starts[i + 1]])
         base = fam.joint_type.row_marginal()
         assert np.array_equal(blk.x_ranks, [r for r, t in enumerate(x_types) if t == base])
@@ -694,9 +695,8 @@ def shared_range_code():
     families = {t: build_covering(t, 0.1, seed=idx, forced_N=n_shared)
                 for idx, t in enumerate(types)}
     records = {t: FamilyRecord.of(fam) for t, fam in families.items()}
-    return SimCode(n=4, source=UNIF, channel=BSC, delta=2.0, epsilon=0.1,
-                   families=families, records=records,
-                   typical_joint_types=tuple(types), N=n_shared, announce_bits=5, seed=0)
+    return SimCode(n=4, source=UNIF, channel=BSC, delta=2.0, epsilon=0.1, seed=0,
+                   records=records, families=families)
 
 
 def test_load_code_reads_a_code_with_one_shared_list_count(tmp_path, shared_range_code):
@@ -730,7 +730,7 @@ def test_decode_reads_the_sorted_slot_of_every_list():
     for t, fam in code.families.items():
         y_words = fam.y_class_words()
         for nu in range(code.N):
-            expected = [tuple(int(v) for v in y_words[r]) for r in fam.list_ranks(nu % fam.N)]
+            expected = [tuple(int(v) for v in y_words[r]) for r in list_ranks(fam, nu % fam.N)]
             assert [decode(code, t, nu, mu) for mu in range(fam.M)] == expected
 
 
@@ -771,3 +771,124 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
     assert sum(tr.announced_type == TERMINATE for tr in transcripts) == 58
     assert digest.hexdigest() == \
         "5f56a81ff1737aae76b1e5e251e6b19760820ce0125a8709adc0e97893f84f26"
+
+
+def test_load_code_rejects_a_shared_range_above_the_largest_list_count(tmp_path, small_code):
+    save_code(small_code, str(tmp_path / "code"))
+    path = tmp_path / "code" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["N"] = 2 * small_code.N
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(InvalidInputError, match="largest list count"):
+        load_code(str(tmp_path / "code"))
+
+
+def test_a_code_holds_a_family_for_every_record_or_none(small_code):
+    first = small_code.typical_joint_types[0]
+    partial = {t: fam for t, fam in small_code.families.items() if t != first}
+    with pytest.raises(InvalidInputError, match="families"):
+        dataclasses.replace(small_code, families=partial)
+    with pytest.raises(InvalidInputError, match="widen delta"):
+        dataclasses.replace(small_code, records={}, families={})
+    assert dataclasses.replace(small_code, families={}).rates_only
+
+
+def test_rates_only_code_has_the_fidelity_ceiling_of_its_words():
+    kept = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
+    rates = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7, keep_words=False)
+    assert fidelity_ceiling(rates) == fidelity_ceiling(kept)
+    assert fidelity_ceiling(rates)[0] == pytest.approx(0.2212, abs=1e-4)
+
+
+def test_a_word_of_the_wrong_length_is_rejected(small_code):
+    for call in (lambda: encode(small_code, (0, 1, 0), 0, seed=1),
+                 lambda: run_protocol(small_code, (0, 1, 0), 0, 1),
+                 lambda: output_distribution(small_code, (0, 1, 0, 1, 1))):
+        with pytest.raises(InvalidInputError):
+            call()
+
+
+def test_instances_compare_by_identity_so_a_code_and_its_window_hash(small_code):
+    assert Distribution.from_probs([0.5, 0.5]) != Distribution.from_probs([0.5, 0.5])
+    assert Channel.from_rows(BSC.rows) != Channel.from_rows(BSC.rows)
+    assert hash(small_code.spec) == hash(small_code.spec)
+    assert small_code == small_code
+
+
+SKEWED_PAIR = (Distribution.from_probs([0.6, 0.4]), Channel.from_rows([[0.9, 0.1], [0.3, 0.7]]))
+# A kernel and the closed form round differently: entries may differ by a
+# few units in the last place, at most 4 machine epsilons since no entry
+# exceeds 1; a quantity summed over a row or over X^n by that many epsilons
+# per summed entry.
+ULPS = 4 * np.finfo(float).eps
+
+
+@pytest.fixture(scope="module",
+                params=[(name, n) for name in ("bsc25", "skewed_pair") for n in (4, 5, 6)],
+                ids=lambda p: f"{p[0]}-n{p[1]}")
+def full_class_code(request):
+    """A code whose every jointly typical type t has one list holding each
+    word of its column class once, an exact covering family (every
+    compatible count equals its mean, so the margin is epsilon); N = 1."""
+    name, n = request.param
+    source, channel = (UNIF, BSC) if name == "bsc25" else SKEWED_PAIR
+    records, families = {}, {}
+    for t in jointly_typical_types(source, channel, n, 2.0):
+        size_s = t.class_sizes[1]
+        fam = CoveringFamily(t, 1, size_s, np.ones((1, size_s), dtype=np.int64), 0.1)
+        fam.check = verify_covering(fam)
+        assert fam.check.passed
+        np.testing.assert_allclose(fam.check.condition_I_margin, 0.1, rtol=0, atol=1e-12)
+        records[t], families[t] = FamilyRecord.of(fam), fam
+    return SimCode(n, source, channel, 2.0, 0.1, 0, records, families)
+
+
+def closed_form_law(code):
+    """The full-class code's law, (law, covered): a typical x gets W^n(y|x) on
+    every y whose joint type with x is jointly typical (covered), and the
+    rest of its row on the fallback word; an atypical x emits the fallback
+    word."""
+    a, b, n = code.source.alphabet_size, code.channel.output_size, code.n
+    exact = iid_block_law(code.channel.rows, n)
+    covered = np.zeros_like(exact, dtype=bool)
+    for i, x in enumerate(word_letters(a, n)):
+        if is_typical(x, code.spec):
+            covered[i] = [count_joint_occurrences(x, y, a, b) in code.records
+                          for y in word_letters(b, n)]
+    law = np.where(covered, exact, 0.0)
+    law[:, 0] += 1.0 - law.sum(axis=1)
+    return law, covered
+
+
+def test_every_exact_law_kernel_matches_the_closed_form_of_full_class_families(
+        full_class_code):
+    code = full_class_code
+    assert code.N == 1
+    law, covered = closed_form_law(code)
+    a, b, n = code.source.alphabet_size, code.channel.output_size, code.n
+    close = dict(rtol=0, atol=ULPS)
+    np.testing.assert_allclose(averaged_block_channel(code).rows, law, **close)
+    np.testing.assert_allclose(next(fixed_nu_block_channels(code, [0])).rows, law, **close)
+    for rank, x in enumerate(word_letters(a, n)):
+        np.testing.assert_allclose(output_distribution(code, x).probs, law[rank], **close)
+    summed = np.zeros_like(law)
+    for blk in encoder_message_law(code, 0)[0]:
+        np.add.at(summed, (blk.x_ranks[:, None], blk.y_ranks[None, :]), blk.probs)
+    np.testing.assert_allclose(summed, law, **close)
+
+    exact = iid_block_law(code.channel.rows, n)
+    tv = 0.5 * np.abs(law - exact).sum(axis=1)
+    typical = np.array([is_typical(x, code.spec) for x in word_letters(a, n)])
+    report = strong_fidelity_report(code)
+    row_tol = b ** n * ULPS
+    assert report["lambda_measured"] == pytest.approx(tv[typical].max(), rel=0, abs=row_tol)
+    assert report["global_err"] == pytest.approx(iid_block_law(code.source.probs, n) @ tv,
+                                                 rel=0, abs=a ** n * row_tol)
+    uncovered = 1.0 - np.where(covered, exact, 0.0).sum(axis=1)
+    assert report["lambda_bound"] == pytest.approx(0.1 / 0.9 + uncovered[typical].max(),
+                                                   rel=0, abs=row_tol)
+    got = measure_fidelity(code.source, code.channel, *sim_code_family(code))
+    want = measure_fidelity(code.source, code.channel, Channel.from_rows(law))
+    for name in ("global_err", "local_err", "letterwise_source_err", "empirical_joint_err"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=0,
+                                                   abs=a ** n * row_tol)
