@@ -14,7 +14,8 @@ Condition (I) makes the uniform distribution over compatible entries of any
 single list imitate the per-letter channel on the class; condition (II)
 makes the whole family blanket the class of S evenly. Random families of the
 threshold size succeed with constant probability, so construction is
-rejection sampling with verification. Since both conditions, and every
+rejection sampling with verification; N is rounded up to a power of two,
+so every family's N divides the largest. Since both conditions, and every
 later use of the family, see a list only through how often it holds each
 word of the class of S, a family is stored as that multiplicity table, and
 each attempt draws the table directly: N rows of Multinomial(M, uniform)
@@ -70,26 +71,27 @@ def _rhs_condition_II(t: JointType, epsilon: float) -> float:
     return (2.0 * LN2 / epsilon**2) * size_s * math.log2(4.0 * size_s)
 
 
-def required_M_N(t: JointType, epsilon: float, forced_N: int = None):
-    """Smallest (M, N) satisfying both covering inequalities.
+def required_M_N(t: JointType, epsilon: float):
+    """The family's own sizing (M, N): N is the smallest power of two at or
+    above the list count where the two covering inequalities meet, so every
+    type's N divides the largest, and M is the smallest size that meets both
+    at that N.
 
-    Starts from N = 1 and alternates the two threshold formulas until they
-    agree; each pass only raises N, so the loop terminates. With forced_N the
-    list count is pinned and only M is computed.
+    The meeting point is found from N = 1 by alternating the two threshold
+    formulas until they agree; each pass only raises N, so the loop
+    terminates.
     """
     if not 0.0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
     rhs_ii = _rhs_condition_II(t, epsilon)
-    if forced_N is not None:
-        M = _min_M_condition_I(t, epsilon, forced_N)
-        M = max(M, int(math.floor(rhs_ii / forced_N)) + 1)
-        return M, forced_N
     N = 1
     while True:
         M = _min_M_condition_I(t, epsilon, N)
         if N * M > rhs_ii:
-            return M, N
+            break
         N = int(math.floor(rhs_ii / M)) + 1
+    N = 1 << (N - 1).bit_length()
+    return max(_min_M_condition_I(t, epsilon, N), int(math.floor(rhs_ii / N)) + 1), N
 
 
 @dataclass
@@ -330,12 +332,10 @@ def _uniform_counts(rng, M: int, size_s: int, N: int) -> np.ndarray:
     return counts
 
 
-def build_covering(t: JointType, epsilon: float, seed: int = 0,
-                   forced_N: int = None) -> CoveringFamily:
+def build_covering(t: JointType, epsilon: float, seed: int = 0) -> CoveringFamily:
     """Rejection-sample a covering family and verify it exactly.
 
-    (M, N) come from the threshold formulas of required_M_N, with the list
-    count pinned to forced_N when given. Each attempt draws all N lists at
+    (M, N) come from required_M_N. Each attempt draws all N lists at
     once as their counts, Multinomial(M, uniform) per list, the law of M
     i.i.d. uniform ranks (_uniform_counts), until verification passes; the
     passing check is kept on the family.
@@ -344,7 +344,7 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0,
     COVER_TABLE_CAP entries, and RetriesExhaustedError after
     DEFAULT_MAX_RETRIES failures; both are read at call time.
     """
-    M, N = required_M_N(t, epsilon, forced_N=forced_N)
+    M, N = required_M_N(t, epsilon)
     size_r, size_s, _ = t.class_sizes
     require_cap("COVER_TABLE_CAP", max(N, size_r) * size_s, "covering tables of {} entries")
     compat = None   # built by the first attempt, shared by every later one

@@ -11,10 +11,11 @@ Protocol for one block x = (x_1 ... x_n), with nu a shared uniform index:
      entries numbered in the lexicographic order of the words they hold,
   4. the decoder outputs the word stored at (nu mod N_T, mu).
 
-Each jointly typical type T has its own list count N_T, the smallest power
-of two at or above the N its covering thresholds ask for, and the shared
-index ranges over [0, N) with N the largest N_T. Every N_T divides N, so
-nu mod N_T is uniform on T's lists.
+Each jointly typical type T has its own list count N_T, the power of two
+that required_M_N sizes its covering family at, and the shared index ranges
+over [0, N) with N the largest N_T. Every N_T divides N, so nu mod N_T is
+uniform on T's lists; a code checks this of its records when it is built,
+however it was built.
 
 The covering conditions squeeze the protocol's output, conditioned on any
 announced type, between (1-eps)/(1+eps) and (1+eps)/(1-eps) times the true
@@ -29,6 +30,7 @@ log2(N).
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from ._seeds import _as_rng, child_seed
 from .core_prob import Channel, Distribution
-from .covering import CoveringFamily, build_covering, required_M_N
+from .covering import CoveringFamily, build_covering
 from .errors import CAPS, InvalidInputError, require_cap
 from .typeclasses import (
     ExactType,
@@ -55,7 +57,7 @@ from .typeclasses import (
 TERMINATE = "terminate"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FamilyRecord:
     """Size and verification summary of one covering family."""
 
@@ -88,13 +90,16 @@ class FamilyRecord:
                    float(doc["condition_I_min_margin"]), float(doc["condition_II_margin"]))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimCode:
     """A simulation code as its build chose it: one FamilyRecord per jointly
     typical type, in announcement order (lexicographic), and the covering
-    family of each ({} when the code is rates-only). The rest is derived:
-    the announcement order, the shared index range N (the largest list
-    count), the announcement bits, rates_only and the typicality window."""
+    family of each ({} when the code is rates-only). The code is frozen, and
+    the rest is derived once: the announcement order, the shared index range
+    N (the largest list count), the announcement bits, rates_only and the
+    typicality window. Each family must match its record and each list count
+    be a power of two dividing N, or N itself as in codes saved before
+    per-type counts; InvalidInputError otherwise."""
 
     n: int
     source: Distribution
@@ -108,14 +113,21 @@ class SimCode:
     def __post_init__(self):
         if not self.records:
             raise InvalidInputError("no jointly typical types; widen delta")
-        if self.families and self.families.keys() != self.records.keys():
-            raise InvalidInputError("a code's families must be those of its records")
-        self.typical_joint_types = tuple(self.records)
-        self.N = max(rec.N for rec in self.records.values())
-        self.announce_bits = math.ceil(math.log2(len(self.records)))
-        self.rates_only = not self.families
-        self.spec = TypicalSpec(self.source, self.n, self.delta)
-        self._tables = {}
+        if self.families and ({t: (f.joint_type, f.M, f.N) for t, f in self.families.items()}
+                              != {t: (t, r.M, r.N) for t, r in self.records.items()}):
+            raise InvalidInputError("a code's families must be those of its records, "
+                                    "with their joint types, M and N")
+        N = max(rec.N for rec in self.records.values())
+        for count in (rec.N for rec in self.records.values()):
+            if count < 1 or N % count or (count & (count - 1) and count != N):
+                raise InvalidInputError(f"a family's list count {count} is not a power of "
+                                        f"two dividing the shared index range {N}")
+        derived = {"typical_joint_types": tuple(self.records), "N": N,
+                   "announce_bits": math.ceil(math.log2(len(self.records))),
+                   "rates_only": not self.families,
+                   "spec": TypicalSpec(self.source, self.n, self.delta), "_tables": {}}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def fallback_word(self) -> tuple:
         return (0,) * self.n
@@ -154,8 +166,8 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
                    epsilon: float, seed: int, keep_words: bool = True) -> SimCode:
     """Construct verified covering families for every jointly typical type.
 
-    Each type t gets the list count N_t, its own required_M_N list count
-    rounded up to a power of two, and its M is re-derived at N_t. The shared
+    Each type t gets its own required_M_N sizing, a power of two list count
+    N_t and the M that meets both covering inequalities there. The shared
     index is uniform on [0, N) with N the largest N_t; every N_t divides N,
     so type t reads list nu mod N_t, which is uniform on its N_t lists.
     With keep_words=False the families are verified and then dropped,
@@ -166,9 +178,7 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
         raise InvalidInputError("source alphabet does not match channel input")
     families, records = {}, {}
     for idx, t in enumerate(jointly_typical_types(source, channel, n, delta)):
-        n_t = 1 << (required_M_N(t, epsilon)[1] - 1).bit_length()
-        fam = build_covering(t, epsilon, forced_N=n_t,
-                             seed=child_seed(seed, f"simulate:covering:{idx}"))
+        fam = build_covering(t, epsilon, seed=child_seed(seed, f"simulate:covering:{idx}"))
         records[t] = FamilyRecord.of(fam)
         if keep_words:
             families[t] = fam
@@ -544,33 +554,31 @@ def accounting(code: SimCode):
 
 
 def save_code(code: SimCode, directory: str):
-    """Persist manifest plus one covering file per joint type."""
+    """Persist what SimCode takes: a manifest of everything but the families,
+    and one covering file per joint type unless the code is rates-only."""
     os.makedirs(directory, exist_ok=True)
-    rate, cr_rate = accounting(code)
     manifest = {
-        "n": code.n, "delta": code.delta, "epsilon": code.epsilon,
-        "seed": code.seed, "N": code.N, "announce_bits": code.announce_bits,
-        "rates_only": code.rates_only,
-        "rate": rate, "cr_rate": cr_rate,
+        "n": code.n, "delta": code.delta, "epsilon": code.epsilon, "seed": code.seed,
         "source": code.source.to_json_dict(),
         "channel": code.channel.to_json_dict(),
         "records": [code.records[t].to_json_dict() for t in code.typical_joint_types],
     }
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
+    fam_dir = os.path.join(directory, "families")
+    if os.path.isdir(fam_dir):      # an earlier save's families would load with these records
+        shutil.rmtree(fam_dir)
     if not code.rates_only:
-        fam_dir = os.path.join(directory, "families")
-        os.makedirs(fam_dir, exist_ok=True)
+        os.makedirs(fam_dir)
         for idx, t in enumerate(code.typical_joint_types):
             with open(os.path.join(fam_dir, f"type_{idx:04d}.json"), "w") as fh:
                 json.dump(code.families[t].to_json_dict(), fh)
 
 
 def load_code(directory: str) -> SimCode:
-    """Read a code that save_code wrote. Every family's list count must be a
-    power of two dividing the manifest's N, as build_sim_code sizes it, or N
-    itself, as in a code saved before list counts were sized per type, and
-    N must be the largest of them; InvalidInputError otherwise."""
+    """Read a code that save_code wrote, with its families when a families
+    directory is there. Manifest keys beyond SimCode's (N, announce_bits,
+    rates_only, rate and cr_rate of earlier versions) are ignored."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     records = {}
@@ -578,20 +586,11 @@ def load_code(directory: str) -> SimCode:
         rec = FamilyRecord.from_json_dict(doc)
         records[rec.joint_type] = rec
     families = {}
-    if not manifest["rates_only"]:
-        fam_dir = os.path.join(directory, "families")
+    fam_dir = os.path.join(directory, "families")
+    if os.path.isdir(fam_dir):
         for idx, t in enumerate(records):
             with open(os.path.join(fam_dir, f"type_{idx:04d}.json")) as fh:
                 families[t] = CoveringFamily.from_json_dict(json.load(fh))
-    n_shared = manifest["N"]
-    for count in [rec.N for rec in records.values()] + [f.N for f in families.values()]:
-        if count != n_shared and (count < 1 or count & (count - 1) or n_shared % count):
-            raise InvalidInputError(f"a family's list count {count} is not a power of "
-                                    f"two dividing the shared index range {n_shared}")
-    code = SimCode(manifest["n"], Distribution.from_json_dict(manifest["source"]),
+    return SimCode(manifest["n"], Distribution.from_json_dict(manifest["source"]),
                    Channel.from_json_dict(manifest["channel"]), manifest["delta"],
                    manifest["epsilon"], manifest["seed"], records, families)
-    if code.N != n_shared:
-        raise InvalidInputError(f"the shared index range {n_shared} is not the largest "
-                                f"list count {code.N}")
-    return code

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chansim import covering
+from chansim.core_prob import Channel, Distribution
 from chansim.covering import (
     CoveringFamily,
     build_covering,
@@ -18,6 +19,7 @@ from chansim.covering import (
     verify_covering,
 )
 from chansim.errors import CAPS, CapExceededError, InvalidInputError, RetriesExhaustedError
+from chansim.simulate import jointly_typical_types
 from chansim.typeclasses import (
     ExactType,
     JointType,
@@ -138,11 +140,28 @@ class TestRequiredSizes:
             M2, _ = required_M_N(t, 0.1)
             assert M2 >= 4 * M1 - 3
 
-    def test_forced_N(self):
-        M0, N0 = required_M_N(T_N4, 0.1)
-        M_forced, N_forced = required_M_N(T_N4, 0.1, forced_N=N0 + 5)
-        assert N_forced == N0 + 5
-        assert M_forced >= M0 * 0.5  # sanity: same order
+    def test_list_count_is_a_power_of_two_at_or_above_the_alternation(self):
+        """On T_N4, T_DIAG and every jointly typical type of bsc25 at n = 6:
+        N is the smallest power of two at or above the count where the two
+        inequalities meet, and M the smallest size meeting both at N."""
+        bsc = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
+        c = 2 * math.log(2) / 0.1 ** 2
+        for t in [T_N4, T_DIAG] + jointly_typical_types(Distribution.uniform(2), bsc, 6, 2.0):
+            size_r, size_s, size_t = t.class_sizes
+            rhs_ii = c * size_s * math.log2(4 * size_s)
+
+            def rhs_i(N):
+                return c * (size_r * size_s / size_t) * math.log2(4 * N * size_r)
+
+            def meets_both(M, N):
+                return M > rhs_i(N) and N * M > rhs_ii
+
+            met = 1     # alternate the two inequalities from N = 1
+            while not meets_both(math.floor(rhs_i(met)) + 1, met):
+                met = math.floor(rhs_ii / (math.floor(rhs_i(met)) + 1)) + 1
+            M, N = required_M_N(t, 0.1)
+            assert N & (N - 1) == 0 and met <= N < 2 * met
+            assert meets_both(M, N) and not meets_both(M - 1, N)
 
     def test_epsilon_domain(self):
         with pytest.raises(InvalidInputError):
@@ -203,7 +222,7 @@ class TestBuild:
         assert f1.retries == f2.retries
 
     def test_sized_mode_too_small_exhausts_retries(self, monkeypatch):
-        monkeypatch.setattr(covering, "required_M_N", lambda t, eps, forced_N=None: (1, 1))
+        monkeypatch.setattr(covering, "required_M_N", lambda t, eps: (1, 1))
         monkeypatch.setattr(covering, "DEFAULT_MAX_RETRIES", 5)
         with pytest.raises(RetriesExhaustedError, match="5 times"):
             build_covering(T_N4, 0.1, seed=SEED)
@@ -211,12 +230,6 @@ class TestBuild:
     def test_rank_validation(self):
         with pytest.raises(InvalidInputError):
             CoveringFamily(T_N4, 1, 2, rank_counts(T_N4, [[0, 99]]), 0.1)
-
-    def test_forced_N_padding_keeps_verification(self):
-        _, N0 = required_M_N(T_DIAG, 0.1)
-        fam = build_covering(T_DIAG, 0.1, seed=SEED, forced_N=N0 + 3)
-        assert fam.N == N0 + 3
-        assert verify_covering(fam).passed
 
     def test_serialization_round_trip(self):
         fam = build_covering(T_DIAG, 0.1, seed=SEED + 3)

@@ -11,8 +11,8 @@ import pytest
 
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
-from chansim import simulate, typeclasses
-from chansim.covering import CoveringFamily, build_covering, required_M_N, verify_covering
+from chansim import covering, simulate, typeclasses
+from chansim.covering import CoveringFamily, required_M_N, verify_covering
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.fidelity import derandomize, measure_fidelity, run_fixed_code, sim_code_family
 from chansim.simulate import (
@@ -60,6 +60,18 @@ def channel_block_row(channel, x_word):
     return row
 
 
+def unrounded_sizing(t, epsilon, N=None):
+    """(M, N) as sized before list counts were rounded to powers of two: the
+    count where the two covering inequalities meet by alternation from
+    N = 1, or the given N, with the smallest M that meets both there."""
+    rhs_ii = covering._rhs_condition_II(t, epsilon)
+    if N is None:
+        N = 1
+        while N * covering._min_M_condition_I(t, epsilon, N) <= rhs_ii:
+            N = math.floor(rhs_ii / covering._min_M_condition_I(t, epsilon, N)) + 1
+    return max(covering._min_M_condition_I(t, epsilon, N), math.floor(rhs_ii / N) + 1), N
+
+
 @pytest.fixture(scope="module")
 def small_code():
     return build_sim_code(UNIF, BSC, n=4, delta=2.0, epsilon=0.1, seed=7)
@@ -80,10 +92,12 @@ def test_announce_bits_is_ceil_log2_type_count(small_code):
 
 def test_every_family_verified(small_code):
     for t, rec in small_code.records.items():
-        # the type's own list count, rounded up to a power of two
-        own_N = required_M_N(t, small_code.epsilon)[1]
+        # the type's own list count, rounded up to a power of two, and M
+        # re-derived there
+        own_N = unrounded_sizing(t, small_code.epsilon)[1]
         assert rec.N & (rec.N - 1) == 0 and own_N <= rec.N < 2 * own_N
-        assert (rec.M, rec.N) == required_M_N(t, small_code.epsilon, forced_N=rec.N)
+        assert (rec.M, rec.N) == required_M_N(t, small_code.epsilon) \
+            == unrounded_sizing(t, small_code.epsilon, rec.N)
         assert rec.condition_I_min_margin >= 0.0
         assert rec.condition_II_margin >= 0.0
 
@@ -292,8 +306,8 @@ def test_per_type_list_counts_lower_the_message_rate(n):
     code = build_sim_code(UNIF, BSC, n=n, delta=2.0, epsilon=0.1, seed=7,
                           keep_words=False)
     types = code.typical_joint_types
-    old_N = max(required_M_N(t, code.epsilon)[1] for t in types)
-    old_M = max(required_M_N(t, code.epsilon, forced_N=old_N)[0] for t in types)
+    old_N = max(unrounded_sizing(t, code.epsilon)[1] for t in types)
+    old_M = max(unrounded_sizing(t, code.epsilon, old_N)[0] for t in types)
     rate, cr_rate = accounting(code)
     assert rate < (math.log2(old_M) + code.announce_bits) / n
     assert math.log2(old_N) / n <= cr_rate <= math.log2(old_N) / n + 1 / n
@@ -614,11 +628,13 @@ def test_source_channel_size_mismatch_rejected():
                        epsilon=0.1, seed=0)
 
 
-def test_output_cap_enforced():
-    code = build_sim_code(UNIF, BSC, n=4, delta=2.0, epsilon=0.1, seed=7)
-    code.n = 25  # forged block length to trip the cap check
-    with pytest.raises(CapExceededError):
-        output_distribution(code, (0,) * 25)
+def test_output_cap_enforced(small_code, monkeypatch):
+    # the output law of an n = 4 binary code spans 16 words
+    monkeypatch.setitem(CAPS, "OUTPUT_ENUM_CAP", 15)
+    with pytest.raises(CapExceededError, match="OUTPUT_ENUM_CAP"):
+        output_distribution(small_code, (0, 1, 1, 0))
+    monkeypatch.setitem(CAPS, "OUTPUT_ENUM_CAP", 16)
+    assert output_distribution(small_code, (0, 1, 1, 0)).probs.sum() == pytest.approx(1.0)
 
 
 def test_message_law_aggregates_to_block_channel(small_code):
@@ -677,9 +693,10 @@ def test_output_distribution_survives_save_load(tmp_path, small_code):
         assert a.tobytes() == b.tobytes()
 
 
-def test_save_load_rates_only(tmp_path):
+def test_save_load_rates_only(tmp_path, small_code):
     code = build_sim_code(UNIF, BSC, n=4, delta=2.0, epsilon=0.1, seed=7,
                           keep_words=False)
+    save_code(small_code, str(tmp_path / "ro"))     # its families must not load with code
     save_code(code, str(tmp_path / "ro"))
     loaded = load_code(str(tmp_path / "ro"))
     assert loaded.rates_only and not loaded.families
@@ -689,12 +706,17 @@ def test_save_load_rates_only(tmp_path):
 @pytest.fixture(scope="module")
 def shared_range_code():
     """A bsc25 n = 4 code as saved before list counts were sized per type:
-    every family at the largest own list count, N = 14, not a power of two."""
+    every family at the largest unrounded list count, N = 14, not a power of
+    two, with M re-derived there and its lists drawn uniformly."""
     types = jointly_typical_types(UNIF, BSC, 4, 2.0)
-    n_shared = max(required_M_N(t, 0.1)[1] for t in types)
-    families = {t: build_covering(t, 0.1, seed=idx, forced_N=n_shared)
-                for idx, t in enumerate(types)}
-    records = {t: FamilyRecord.of(fam) for t, fam in families.items()}
+    assert max(unrounded_sizing(t, 0.1)[1] for t in types) == 14
+    rng = np.random.default_rng(0)
+    records, families = {}, {}
+    for t in types:
+        M, size_s = unrounded_sizing(t, 0.1, 14)[0], t.class_sizes[1]
+        fam = CoveringFamily(t, 14, M, rng.multinomial(M, np.full(size_s, 1 / size_s), 14), 0.1)
+        fam.check = verify_covering(fam)
+        records[t], families[t] = FamilyRecord.of(fam), fam
     return SimCode(n=4, source=UNIF, channel=BSC, delta=2.0, epsilon=0.1, seed=0,
                    records=records, families=families)
 
@@ -714,14 +736,21 @@ def test_load_code_reads_a_code_with_one_shared_list_count(tmp_path, shared_rang
 @pytest.mark.parametrize("n_shared", [28, 16, 7])
 def test_load_code_rejects_a_list_count_that_is_not_a_power_of_two_dividing_N(
         tmp_path, shared_range_code, n_shared):
-    # 14 divides 28 but is no power of two; it divides neither 16 nor 7,
-    # and a family above the shared range, 14 > 7, reads lists nu never reaches
+    # one family forged to n_shared lists, its record with it: the other
+    # families' 14 divides 28 but is no power of two and does not divide
+    # 16; at 7 the shared range stays 14, and 7 divides it but is no power
+    # of two
     save_code(shared_range_code, str(tmp_path / "code"))
     path = tmp_path / "code" / "manifest.json"
     manifest = json.loads(path.read_text())
-    manifest["N"] = n_shared
+    manifest["records"][0]["N"] = n_shared
     path.write_text(json.dumps(manifest))
-    with pytest.raises(InvalidInputError, match="list count 14"):
+    fam = shared_range_code.families[shared_range_code.typical_joint_types[0]]
+    forged = CoveringFamily(fam.joint_type, n_shared, fam.M,
+                            np.resize(fam.counts, (n_shared, fam.counts.shape[1])), fam.epsilon)
+    (tmp_path / "code" / "families" / "type_0000.json").write_text(
+        json.dumps(forged.to_json_dict()))
+    with pytest.raises(InvalidInputError, match=f"list count {min(n_shared, 14)} is not"):
         load_code(str(tmp_path / "code"))
 
 
@@ -773,16 +802,6 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
         "5f56a81ff1737aae76b1e5e251e6b19760820ce0125a8709adc0e97893f84f26"
 
 
-def test_load_code_rejects_a_shared_range_above_the_largest_list_count(tmp_path, small_code):
-    save_code(small_code, str(tmp_path / "code"))
-    path = tmp_path / "code" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["N"] = 2 * small_code.N
-    path.write_text(json.dumps(manifest))
-    with pytest.raises(InvalidInputError, match="largest list count"):
-        load_code(str(tmp_path / "code"))
-
-
 def test_a_code_holds_a_family_for_every_record_or_none(small_code):
     first = small_code.typical_joint_types[0]
     partial = {t: fam for t, fam in small_code.families.items() if t != first}
@@ -791,6 +810,66 @@ def test_a_code_holds_a_family_for_every_record_or_none(small_code):
     with pytest.raises(InvalidInputError, match="widen delta"):
         dataclasses.replace(small_code, records={}, families={})
     assert dataclasses.replace(small_code, families={}).rates_only
+
+
+def test_a_code_is_frozen(small_code):
+    derived = ["typical_joint_types", "N", "announce_bits", "rates_only", "spec"]
+    for name in [f.name for f in dataclasses.fields(SimCode)] + derived:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(small_code, name, getattr(small_code, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_code.records[small_code.typical_joint_types[0]].N = 8
+
+
+def test_a_code_checks_its_list_counts_however_it_was_built(small_code):
+    records = dict(small_code.records)
+    t = next(t for t, rec in records.items() if rec.N == 8)
+    records[t] = dataclasses.replace(records[t], N=12)
+    assert small_code.N == 16
+    with pytest.raises(InvalidInputError, match="list count 12 is not a power of two "
+                                                "dividing the shared index range 16"):
+        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, records, {})
+
+
+def test_a_family_must_match_its_record(tmp_path, small_code):
+    """A family file holding 8 lists beside a record N of 16 is refused,
+    rather than encoded from 8 lists while its record is priced."""
+    idx, t = next((i, t) for i, t in enumerate(small_code.typical_joint_types)
+                  if small_code.records[t].N == 16)
+    fam = small_code.families[t]
+    halved = CoveringFamily(t, 8, fam.M, fam.counts[:8], fam.epsilon)
+    with pytest.raises(InvalidInputError, match="families must be those of its records"):
+        dataclasses.replace(small_code, families={**small_code.families, t: halved})
+    save_code(small_code, str(tmp_path / "code"))
+    (tmp_path / "code" / "families" / f"type_{idx:04d}.json").write_text(
+        json.dumps(halved.to_json_dict()))
+    with pytest.raises(InvalidInputError, match="families must be those of its records"):
+        load_code(str(tmp_path / "code"))
+
+
+def test_the_manifest_holds_exactly_what_the_constructor_takes(tmp_path, small_code):
+    save_code(small_code, str(tmp_path / "code"))
+    manifest = json.loads((tmp_path / "code" / "manifest.json").read_text())
+    assert set(manifest) == {f.name for f in dataclasses.fields(SimCode)} - {"families"}
+
+
+def test_a_manifest_with_the_derived_keys_of_earlier_versions_loads_to_the_same_code(
+        tmp_path, small_code):
+    save_code(small_code, str(tmp_path / "code"))
+    path = tmp_path / "code" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    rate, cr_rate = accounting(small_code)
+    manifest.update(N=small_code.N, announce_bits=small_code.announce_bits,
+                    rates_only=False, rate=rate, cr_rate=cr_rate)
+    path.write_text(json.dumps(manifest, indent=1))
+    loaded = load_code(str(tmp_path / "code"))
+    assert loaded.records == small_code.records
+    assert list(loaded.records) == list(small_code.records)
+    assert accounting(loaded) == accounting(small_code)
+    for t, fam in small_code.families.items():
+        for nu in range(small_code.N):
+            assert [decode(loaded, t, nu, mu) for mu in range(0, fam.M, 7)] == \
+                [decode(small_code, t, nu, mu) for mu in range(0, fam.M, 7)]
 
 
 def test_rates_only_code_has_the_fidelity_ceiling_of_its_words():
