@@ -464,7 +464,7 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
 # ---------------------------------------------------------------------------
 # deterministic rate-distortion code from a simulation code
 
-@dataclass
+@dataclass(frozen=True)
 class RDCodeResult:
     rd_value: float
     channel: Channel            # distortion-optimal single-letter channel
@@ -528,7 +528,7 @@ PIPELINE_NOTE = ("rate is conjectural: the pinned-index slice stands in for a "
                  "the reported randomness cost carries no optimality claim")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairSimulationResult:
     n: int
     nu: int

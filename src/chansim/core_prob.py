@@ -6,7 +6,9 @@ Conventions used throughout the package:
     an exact zero inside entropy-like sums,
   * distributions and channel rows must sum to 1 within STOCH_TOL = 1e-9 at
     construction; deviations below the tolerance are renormalized away,
-    larger ones are rejected, and so are NaN and infinite entries.
+    larger ones are rejected, and so are NaN and infinite entries,
+  * Distribution and Channel are frozen, hold read-only arrays and compare
+    by identity (eq=False).
 """
 
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ def _clean_prob_vector(v, what: str) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """A probability vector over the alphabet {0, ..., alphabet_size - 1}."""
 
@@ -47,7 +49,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        self.probs = _clean_prob_vector(self.probs, "distribution")
+        object.__setattr__(self, "probs", _clean_prob_vector(self.probs, "distribution"))
         if self.alphabet_size != self.probs.size:
             raise InvalidInputError(
                 f"alphabet_size {self.alphabet_size} != len(probs) {self.probs.size}")
@@ -69,7 +71,7 @@ class Distribution:
         return cls.from_probs(doc["probs"])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """A row-stochastic matrix: rows[x][y] = W(y | x)."""
 
@@ -105,7 +107,7 @@ class Channel:
             _clean_prob_vector(given[x], f"channel row {x}")
         rows /= totals[:, None]
         rows.flags.writeable = False
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_rows(cls, rows) -> "Channel":

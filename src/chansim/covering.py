@@ -22,7 +22,8 @@ each attempt draws the table directly: N rows of Multinomial(M, uniform)
 counts, taken by Poisson splitting, each Poisson cell drawn by inverting a
 cached float64 CDF through a guide table. That law is exact up to the
 CDF's rounding, a total variation below 1e-12 per cell; every family is
-still verified exactly.
+still verified exactly. A family is frozen: its check and its derived
+tables are cached properties, built on first use.
 
 Margins are reported in eps units: margin = eps - max relative deviation, so
 any nonnegative margin means the condition holds.
@@ -94,13 +95,21 @@ def required_M_N(t: JointType, epsilon: float):
     return max(_min_M_condition_I(t, epsilon, N), int(math.floor(rhs_ii / N)) + 1), N
 
 
-@dataclass
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+@dataclass(frozen=True, eq=False)
 class CoveringCheck:
-    condition_I_margin: np.ndarray  # per list nu, in eps units
+    """verify_covering's verdict, compared by identity (eq=False) as it holds an array."""
+
+    condition_I_margin: np.ndarray  # per list nu, in eps units, read-only
     condition_II_margin: float
     passed: bool
 
 
+@dataclass(frozen=True, eq=False)
 class CoveringFamily:
     """N lists of M words from the class of the column marginal of joint_type.
 
@@ -108,82 +117,77 @@ class CoveringFamily:
     word, so the family is stored as counts[nu, r]: the multiplicity of the
     class word of lexicographic rank r in list nu, shape (N, |T_S|), each row
     summing to M. Slot mu of list nu is the mu-th entry of the list sorted by
-    rank. check holds the passing verification when the family came from
-    build_covering. A read-only int64 counts table that owns its memory is
-    shared, not copied, so build_covering hands over the table it drew; any
-    other table, a read-only view of a writable array among them, is
-    copied. The class words, their Y^n ranks, the compatibility matrix,
-    c_nu(x) and the running totals are built on first use and kept
-    read-only; build_covering shares one matrix among attempts.
+    rank. A read-only int64 counts table that owns its memory is shared, not
+    copied, so build_covering hands over the table it drew; any other table,
+    a read-only view of a writable array among them, is copied. The family
+    is frozen and compares by identity (eq=False). Its check and its tables
+    (class words, their Y^n ranks, the compatibility matrix, c_nu(x) and the
+    running totals) are cached properties, built on first use, read-only.
     """
 
-    def __init__(self, joint_type: JointType, N: int, M: int, counts,
-                 epsilon: float, retries: int = 0):
-        if not 0.0 < epsilon < 0.5:
+    joint_type: JointType
+    N: int
+    M: int
+    counts: np.ndarray
+    epsilon: float
+    retries: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
-        size_s = joint_type.class_sizes[1]
+        counts, size_s = self.counts, self.joint_type.class_sizes[1]
         if not (isinstance(counts, np.ndarray) and counts.dtype == np.int64
                 and not counts.flags.writeable and counts.flags.owndata):
-            counts = np.array(counts, dtype=np.int64)
-            counts.flags.writeable = False
-        if counts.shape != (N, size_s):
-            raise InvalidInputError(f"counts shape {counts.shape} != ({N}, {size_s})")
+            counts = _read_only(np.array(counts, dtype=np.int64))
+            object.__setattr__(self, "counts", counts)
+        if counts.shape != (self.N, size_s):
+            raise InvalidInputError(f"counts shape {counts.shape} != ({self.N}, {size_s})")
         if counts.size and counts.min() < 0:
             raise InvalidInputError("negative word multiplicity")
-        if np.any(counts.sum(axis=1) != M):
-            raise InvalidInputError(f"a list does not hold exactly M = {M} entries")
-        self.joint_type, self.N, self.M = joint_type, N, M
-        self.counts = counts
-        self.epsilon, self.retries = epsilon, retries
-        self.check = None
-        self._y_words = self._y_ranks = self._compat = self._c = None
-        self._cum = None
+        if np.any(counts.sum(axis=1) != self.M):
+            raise InvalidInputError(f"a list does not hold exactly M = {self.M} entries")
 
+    @functools.cached_property
+    def check(self) -> CoveringCheck:
+        """verify_covering of this family, taken on first use."""
+        return verify_covering(self)
+
+    @functools.cached_property
     def y_class_words(self) -> np.ndarray:
         """The lexicographic enumeration of the column-marginal class, as an
         array of shape (|T_S|, n)."""
-        if self._y_words is None:
-            self._y_words = enumerate_type_class(self.joint_type.col_marginal())
-        return self._y_words
+        return enumerate_type_class(self.joint_type.col_marginal())
 
+    @functools.cached_property
     def y_ranks(self) -> np.ndarray:
         """The lexicographic Y^n rank of every class word, shape (|T_S|,)."""
-        if self._y_ranks is None:
-            t = self.joint_type
-            self._y_ranks = np.ravel_multi_index(self.y_class_words().T, (t.y_size,) * t.n)
-            self._y_ranks.flags.writeable = False
-        return self._y_ranks
+        t = self.joint_type
+        return _read_only(np.ravel_multi_index(self.y_class_words.T, (t.y_size,) * t.n))
 
+    @functools.cached_property
     def compat(self) -> np.ndarray:
         """The compatibility matrix of the joint type, shape (|T_R|, |T_S|):
         rows the row-marginal class, columns the column-marginal class."""
-        if self._compat is None:
-            t = self.joint_type
-            self._compat = compatibility_matrix(
-                t, enumerate_type_class(t.row_marginal()), self.y_class_words())
-            self._compat.flags.writeable = False
-        return self._compat
+        t = self.joint_type
+        return _read_only(compatibility_matrix(
+            t, enumerate_type_class(t.row_marginal()), self.y_class_words))
 
+    @functools.cached_property
     def compatible_counts(self) -> np.ndarray:
         """c_nu(x) for every list nu and every x of the row-marginal class,
         shape (N, |T_R|), for the exact-law kernels. Taken as a float64
         product, which is exact because every entry is at most M < 2^53."""
-        if self._c is None:
-            self._c = self.counts.astype(np.float64) @ self.compat().T.astype(np.float64)
-            self._c.flags.writeable = False
-        return self._c
+        return _read_only(self.counts.astype(np.float64) @ self.compat.T.astype(np.float64))
 
+    @functools.cached_property
     def cumulative(self) -> np.ndarray:
         """Per-list running totals of counts: slots [cum[nu, r] - counts[nu, r],
         cum[nu, r]) of list nu hold the word of rank r."""
-        if self._cum is None:
-            self._cum = np.cumsum(self.counts, axis=1)
-            self._cum.flags.writeable = False
-        return self._cum
+        return _read_only(np.cumsum(self.counts, axis=1))
 
     def word(self, nu: int, mu: int) -> tuple:
-        rank = np.searchsorted(self.cumulative()[nu], mu, side="right")
-        return tuple(int(s) for s in self.y_class_words()[rank])
+        rank = np.searchsorted(self.cumulative[nu], mu, side="right")
+        return tuple(int(s) for s in self.y_class_words[rank])
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,11 +235,11 @@ def verify_covering(family: CoveringFamily) -> CoveringCheck:
     and a float64 one otherwise; the margins are taken in float64."""
     size_r, size_s, size_t = family.joint_type.class_sizes
     dtype = np.float32 if family.M < 2 ** 24 else np.float64
-    hits = family.counts.astype(dtype) @ family.compat().T.astype(dtype)
+    hits = family.counts.astype(dtype) @ family.compat.T.astype(dtype)
 
     mean_i = family.M * size_t / (size_r * size_s)
     dev_i = np.abs(np.divide(hits, mean_i, dtype=np.float64) - 1.0)
-    margin_i = family.epsilon - dev_i.max(axis=1)
+    margin_i = _read_only(family.epsilon - dev_i.max(axis=1))
 
     mean_ii = family.N * family.M / size_s
     dev_ii = np.abs(family.counts.sum(axis=0) / mean_ii - 1.0)
@@ -274,9 +278,7 @@ def _poisson_table(lam: float):
     cells = np.arange(POISSON_GUIDE + 1.0)
     guide = np.searchsorted(edges, cells[:-1], side="right")
     ambiguous = np.searchsorted(edges, cells[1:], side="left") > guide
-    for table in (edges, guide, ambiguous):
-        table.flags.writeable = False
-    return K, edges, guide, ambiguous
+    return K, _read_only(edges), _read_only(guide), _read_only(ambiguous)
 
 
 def _poisson_cells(rng, table, shape) -> np.ndarray:
@@ -328,8 +330,7 @@ def _uniform_counts(rng, M: int, size_s: int, N: int) -> np.ndarray:
     # in place: a bincount table as large as counts added about 1 MB to the
     # peak RSS of an n = 10 build
     np.add.at(counts.reshape(-1), cells, 1)
-    counts.flags.writeable = False
-    return counts
+    return _read_only(counts)
 
 
 def build_covering(t: JointType, epsilon: float, seed: int = 0) -> CoveringFamily:
@@ -337,8 +338,8 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0) -> CoveringFamil
 
     (M, N) come from required_M_N. Each attempt draws all N lists at
     once as their counts, Multinomial(M, uniform) per list, the law of M
-    i.i.d. uniform ranks (_uniform_counts), until verification passes; the
-    passing check is kept on the family.
+    i.i.d. uniform ranks (_uniform_counts), until its family's check passes;
+    the returned family keeps that check.
     Raises CapExceededError, before anything is enumerated or sampled, when
     the counts table or the compatibility matrix would exceed
     COVER_TABLE_CAP entries, and RetriesExhaustedError after
@@ -347,14 +348,10 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0) -> CoveringFamil
     M, N = required_M_N(t, epsilon)
     size_r, size_s, _ = t.class_sizes
     require_cap("COVER_TABLE_CAP", max(N, size_r) * size_s, "covering tables of {} entries")
-    compat = None   # built by the first attempt, shared by every later one
     for attempt in range(DEFAULT_MAX_RETRIES):
         counts = _uniform_counts(child_rng(seed, f"covering:try:{attempt}"), M, size_s, N)
         family = CoveringFamily(t, N, M, counts, epsilon, retries=attempt)
-        family._compat = compat
-        family.check = verify_covering(family)
         if family.check.passed:
             return family
-        compat = family.compat()
     raise RetriesExhaustedError(f"covering for joint type {t.counts} failed "
                                 f"verification {DEFAULT_MAX_RETRIES} times")

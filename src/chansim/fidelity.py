@@ -36,7 +36,6 @@ from .simulate import (
     Transcript,
     _channel_tv_rows,
     _require_words,
-    _typical_classes,
     fixed_nu_block_channels,
     iid_block_law,
     run_protocol,
@@ -247,15 +246,9 @@ def _derandomize(code: SimCode, epsilon: float, seed: int):
 
     _check_family_cap(code, code.N)
     a, b = code.source.alphabet_size, code.channel.output_size
-    per_nu = np.empty((code.N, a ** n, b ** n))
-    laws = []
-    for nu, ch in enumerate(fixed_nu_block_channels(code, range(code.N))):
-        per_nu[nu] = ch.rows
-        ch.rows = per_nu[nu]    # each law is held once: its channel reads the stack
-        ch.rows.flags.writeable = False
-        laws.append(ch)
-    averaged = sum(per_nu) / code.N     # summed one index at a time, in index order
-    typical = ~_typical_classes(code)[1]
+    laws = list(fixed_nu_block_channels(code, range(code.N)))
+    averaged = sum(ch.rows for ch in laws) / code.N     # one index at a time, in index order
+    typical = ~code.atypical_words
     base_margs = _letter_marginals(averaged[typical], n, b)
     supp = code.channel.rows[word_letters(a, n)[typical]] > 0
     if (base_margs[supp] < u / 2).any():
@@ -265,7 +258,7 @@ def _derandomize(code: SimCode, epsilon: float, seed: int):
     for attempt in range(covering.DEFAULT_MAX_RETRIES):
         drawn = child_rng(seed, f"derandomize:try:{attempt}").integers(0, code.N, size=Q)
         counts = np.bincount(drawn, minlength=code.N)
-        mixed_rows = np.tensordot(counts / Q, per_nu, axes=1)
+        mixed_rows = sum(counts[nu] / Q * laws[nu].rows for nu in np.flatnonzero(counts))
         mixed_margs = _letter_marginals(mixed_rows[typical], n, b)
         if not (np.abs(mixed_margs - base_margs) > epsilon * base_margs + 1e-12).any():
             return DerandomizedCode(tuple(drawn.tolist()), Q, code, epsilon, u, True,

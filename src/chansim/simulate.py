@@ -14,8 +14,8 @@ Protocol for one block x = (x_1 ... x_n), with nu a shared uniform index:
 Each jointly typical type T has its own list count N_T, the power of two
 that required_M_N sizes its covering family at, and the shared index ranges
 over [0, N) with N the largest N_T. Every N_T divides N, so nu mod N_T is
-uniform on T's lists; a code checks this of its records when it is built,
-however it was built.
+uniform on T's lists. A code is frozen; it checks this of its records, and
+that each family has its record, however it was built.
 
 The covering conditions squeeze the protocol's output, conditioned on any
 announced type, between (1-eps)/(1+eps) and (1+eps)/(1-eps) times the true
@@ -27,11 +27,13 @@ exactly ceil(log2(#jointly typical types)) bits; shared randomness cost is
 log2(N).
 """
 
+import functools
 import json
 import math
 import os
 import shutil
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +80,7 @@ class FamilyRecord:
 
     @classmethod
     def of(cls, fam: CoveringFamily) -> "FamilyRecord":
-        """The record of a family that build_covering verified."""
+        """The record of a family: its sizes, retries and its check's margins."""
         check = fam.check
         return cls(fam.joint_type, fam.M, fam.N, fam.retries,
                    float(check.condition_I_margin.min()), float(check.condition_II_margin))
@@ -94,12 +96,12 @@ class FamilyRecord:
 class SimCode:
     """A simulation code as its build chose it: one FamilyRecord per jointly
     typical type, in announcement order (lexicographic), and the covering
-    family of each ({} when the code is rates-only). The code is frozen, and
-    the rest is derived once: the announcement order, the shared index range
-    N (the largest list count), the announcement bits, rates_only and the
-    typicality window. Each family must match its record and each list count
-    be a power of two dividing N, or N itself as in codes saved before
-    per-type counts; InvalidInputError otherwise."""
+    family of each ({} when the code is rates-only), both held as read-only
+    mappings. The code is frozen; the announcement order, the shared index
+    range N (the largest list count), the announcement bits, rates_only and
+    the typicality window are derived once. Each family must have its record
+    (FamilyRecord.of) and each list count be a power of two dividing N, or N
+    itself as in codes saved before per-type counts; InvalidInputError otherwise."""
 
     n: int
     source: Distribution
@@ -113,33 +115,47 @@ class SimCode:
     def __post_init__(self):
         if not self.records:
             raise InvalidInputError("no jointly typical types; widen delta")
-        if self.families and ({t: (f.joint_type, f.M, f.N) for t, f in self.families.items()}
-                              != {t: (t, r.M, r.N) for t, r in self.records.items()}):
+        if self.families and ({t: (t, FamilyRecord.of(f)) for t, f in self.families.items()}
+                              != {t: (r.joint_type, r) for t, r in self.records.items()}):
             raise InvalidInputError("a code's families must be those of its records, "
-                                    "with their joint types, M and N")
+                                    "with their joint types, sizes, retries and margins")
         N = max(rec.N for rec in self.records.values())
         for count in (rec.N for rec in self.records.values()):
             if count < 1 or N % count or (count & (count - 1) and count != N):
                 raise InvalidInputError(f"a family's list count {count} is not a power of "
                                         f"two dividing the shared index range {N}")
-        derived = {"typical_joint_types": tuple(self.records), "N": N,
+        derived = {"records": MappingProxyType(dict(self.records)),
+                   "families": MappingProxyType(dict(self.families)),
+                   "typical_joint_types": tuple(self.records), "N": N,
                    "announce_bits": math.ceil(math.log2(len(self.records))),
                    "rates_only": not self.families,
-                   "spec": TypicalSpec(self.source, self.n, self.delta), "_tables": {}}
+                   "spec": TypicalSpec(self.source, self.n, self.delta)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
+    @functools.cached_property
+    def typical_classes(self) -> MappingProxyType:
+        """The _BaseTables of each source-typical input type, in typical_types order."""
+        return MappingProxyType({base: _BaseTables.of(self, base)
+                                 for base in typical_types(self.spec)})
+
+    @functools.cached_property
+    def atypical_words(self) -> np.ndarray:
+        """Read-only mask over X^n of the words of no typical class (fallback word)."""
+        mask = np.ones(self.source.alphabet_size ** self.n, dtype=bool)
+        for bt in self.typical_classes.values():
+            mask[bt.x_global] = False
+        mask.flags.writeable = False
+        return mask
+
     def fallback_word(self) -> tuple:
         return (0,) * self.n
-
-    def family_M(self, t: JointType) -> int:
-        return self.records[t].M
 
     def max_log2_M(self) -> float:
         return max(math.log2(r.M) for r in self.records.values())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Transcript:
     x_word: tuple
     announced_type: object      # JointType or TERMINATE
@@ -207,16 +223,24 @@ def _require_words(code: SimCode):
         raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
 
 
+@dataclass(frozen=True, eq=False)
 class _BaseTables:
     """Per input type: the ranks in X^n of the class words, ascending because
     the class is enumerated in lexicographic order, and every joint type with
-    this row marginal with its weight."""
+    this row marginal with its weight; both arrays read-only."""
 
-    def __init__(self, code: SimCode, base: ExactType):
+    alphabet_size: int
+    x_global: np.ndarray
+    t_list: list
+    weights: np.ndarray
+
+    @classmethod
+    def of(cls, code: SimCode, base: ExactType) -> "_BaseTables":
         x_words = enumerate_type_class(base)
-        self.alphabet_size = base.alphabet_size
-        self.x_global = np.ravel_multi_index(x_words.T, (base.alphabet_size,) * base.n)
-        self.t_list, self.weights = _type_weights(code, base)
+        x_global = np.ravel_multi_index(x_words.T, (base.alphabet_size,) * base.n)
+        t_list, weights = _type_weights(code, base)
+        x_global.flags.writeable = weights.flags.writeable = False
+        return cls(base.alphabet_size, x_global, t_list, weights)
 
     def position(self, x_word) -> int:
         """Class position of a word of this type: where its X^n rank sits
@@ -225,12 +249,6 @@ class _BaseTables:
         for v in x_word:
             rank = rank * self.alphabet_size + v
         return int(np.searchsorted(self.x_global, rank))
-
-
-def _base_tables_for(code: SimCode, base: ExactType) -> _BaseTables:
-    if base not in code._tables:
-        code._tables[base] = _BaseTables(code, base)
-    return code._tables[base]
 
 
 def _type_weights(code: SimCode, base: ExactType):
@@ -277,7 +295,7 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
     with the leading index axis when pinned.
     """
     _require_words(code)
-    bt = _base_tables_for(code, base)
+    bt = code.typical_classes[base]
     sel = slice(None) if rows is None else rows
     lead = () if nus is None else (len(nus),)
     terminate = np.zeros(lead + (bt.x_global[sel].size,))
@@ -289,9 +307,9 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
             terminate += w_t
             continue
         fam = code.families[t]
-        pairs = np.flatnonzero(fam.compat()[sel])
+        pairs = np.flatnonzero(fam.compat[sel])
         if nus is None:
-            c = fam.compatible_counts()[:, sel]
+            c = fam.compatible_counts[:, sel]
             k = c.shape[0]
             inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
             terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
@@ -302,7 +320,7 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
                 lists, at = np.arange(fam.N), lists
             else:
                 at = slice(None)
-            c = fam.compatible_counts()[lists][:, sel]
+            c = fam.compatible_counts[lists][:, sel]
             inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
             terminate += (w_t * (c == 0))[at]
             law = w_t * (inv_c[:, :, None] * fam.counts[lists][:, None, :])
@@ -326,14 +344,14 @@ def encode(code: SimCode, x_word, nu: int, seed):
     fam = code.families[t]
     lst = nu % fam.N
     # compatible slots per class rank; slots are numbered in rank order
-    hits = fam.counts[lst] * fam.compat()[_base_tables_for(code, base).position(x_word)]
+    hits = fam.counts[lst] * fam.compat[code.typical_classes[base].position(x_word)]
     hit_cum = np.cumsum(hits)
     total = int(hit_cum[-1])
     if total == 0:
         return TERMINATE
     k = int(rng.integers(total))
     r = int(np.searchsorted(hit_cum, k, side="right"))
-    mu = int(fam.cumulative()[lst, r] - hit_cum[r] + k)
+    mu = int(fam.cumulative[lst, r] - hit_cum[r] + k)
     return t, mu
 
 
@@ -363,19 +381,9 @@ def run_protocol(code: SimCode, x_word, nu: int, seed) -> Transcript:
                           math.log2(code.N))
     t, mu = outcome
     y_word = decode(code, t, nu, mu)
-    bits = math.log2(code.family_M(t)) + code.announce_bits
+    bits = math.log2(code.records[t].M) + code.announce_bits
     return Transcript(tuple(int(v) for v in x_word), t, nu, mu, y_word, bits,
                       math.log2(code.N))
-
-
-def _typical_classes(code: SimCode):
-    """Base tables of every source-typical input type, and a mask over X^n of
-    the words outside them, which emit the fallback word."""
-    classes = {base: _base_tables_for(code, base) for base in typical_types(code.spec)}
-    atypical = np.ones(code.source.alphabet_size ** code.n, dtype=bool)
-    for bt in classes.values():
-        atypical[bt.x_global] = False
-    return classes, atypical
 
 
 def output_distribution(code: SimCode, x_word) -> Distribution:
@@ -391,9 +399,9 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
         out[0] = 1.0
         return Distribution(size, out)
     blocks, terminate = _law_blocks(code, base,
-                                    rows=[_base_tables_for(code, base).position(x_word)])
+                                    rows=[code.typical_classes[base].position(x_word)])
     for fam, pairs, values in blocks:
-        out[fam.y_ranks()[pairs]] = values      # one row: pairs are class ranks
+        out[fam.y_ranks[pairs]] = values      # one row: pairs are class ranks
     out[0] += terminate[0]
     return Distribution(size, out)
 
@@ -406,14 +414,14 @@ def _block_law(code: SimCode, nus=None) -> np.ndarray:
     require_cap("OUTPUT_ENUM_CAP", y_words, "output law over {} words")
     require_cap("BLOCK_ENUM_CAP", code.source.alphabet_size ** code.n * y_words,
                 "block channel has {} entries")
-    classes, atypical = _typical_classes(code)
+    atypical = code.atypical_words
     lead = () if nus is None else (len(nus),)
     rows = np.zeros(lead + (atypical.size, y_words))
     cells = rows.reshape(lead + (-1,))
-    for base, bt in classes.items():
+    for base, bt in code.typical_classes.items():
         blocks, terminate = _law_blocks(code, base, nus)
         for fam, pairs, values in blocks:
-            rect = bt.x_global[:, None] * y_words + fam.y_ranks()
+            rect = bt.x_global[:, None] * y_words + fam.y_ranks
             cells[..., rect.reshape(-1)[pairs]] = values
         rows[..., bt.x_global, 0] += terminate
     rows[..., atypical, 0] = 1.0
@@ -438,7 +446,7 @@ def strong_fidelity_report(code: SimCode) -> dict:
     """
     n = code.n
     tv = _channel_tv_rows(averaged_block_channel(code).rows, code.channel, n)
-    per_word = tv[~_typical_classes(code)[1]].tolist()
+    per_word = tv[~code.atypical_words].tolist()
     lambda_bound, atypicality = fidelity_ceiling(code)
     return {
         "lambda_measured": max(per_word) if per_word else 1.0,
@@ -457,7 +465,7 @@ def fidelity_ceiling(code: SimCode):
     ceiling of the same code built with its words."""
     bound_parts = [code.epsilon / (1 - code.epsilon)
                    + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.records)
-                   for bt in _typical_classes(code)[0].values()]
+                   for bt in code.typical_classes.values()]
     atypicality = 1.0 - typical_probability_bounds(code.spec).exact
     return (max(bound_parts) if bound_parts else 1.0), atypicality
 
@@ -526,19 +534,18 @@ def encoder_message_law(code: SimCode, nu: int):
                 "message law holds {} block entries")
     starts = np.cumsum([0] + [code.records[t].M for t in code.typical_joint_types])
     first = dict(zip(code.typical_joint_types, starts.tolist()))
-    classes, atypical = _typical_classes(code)
-    terminate = atypical.astype(float)
+    terminate = code.atypical_words.astype(float)
     blocks = []
-    for base, bt in classes.items():
+    for base, bt in code.typical_classes.items():
         law, class_terminate = _law_blocks(code, base, [nu])
         for fam, pairs, values in law:
-            block = np.zeros(fam.compat().shape)
+            block = np.zeros(fam.compat.shape)
             block.reshape(-1)[pairs] = values[0]
             lst = nu % fam.N
             held = np.flatnonzero(fam.counts[lst])
             copies = fam.counts[lst, held]
-            slots = first[fam.joint_type] + fam.cumulative()[lst, held] - copies
-            blocks.append(MessageBlock(bt.x_global, slots, copies, fam.y_ranks()[held],
+            slots = first[fam.joint_type] + fam.cumulative[lst, held] - copies
+            blocks.append(MessageBlock(bt.x_global, slots, copies, fam.y_ranks[held],
                                        np.take(block, held, axis=1)))
         terminate[bt.x_global] = class_terminate[0]
     blocks.append(MessageBlock(np.arange(terminate.size), starts[-1:], np.ones(1, dtype=np.int64),

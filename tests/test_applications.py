@@ -612,7 +612,7 @@ def test_pipeline_matches_loop_and_add_at_reference(name, bench_seed):
     # by the ratio at the rank's first slot, then the terminate mass last;
     # types that share a column class add exact zeros at each other's cells
     starts = dict(zip(code.typical_joint_types, np.concatenate([[0], spans]).tolist()))
-    classes, atypical = simulate._typical_classes(code)
+    classes, atypical = code.typical_classes, code.atypical_words
     for scale, tv in ((np.ones(law.size), pipe.code_joint_tv), (ratio, pipe.joint_tv)):
         acc = np.zeros((p_block.size, channel.output_size ** n))
         terminate = atypical.astype(float)
@@ -621,8 +621,8 @@ def test_pipeline_matches_loop_and_add_at_reference(name, bench_seed):
             terminate[bt.x_global] = class_terminate
             for fam, block in blocks:
                 held = np.flatnonzero(fam.counts[0])
-                first = starts[fam.joint_type] + fam.cumulative()[0, held] - fam.counts[0, held]
-                acc[np.ix_(bt.x_global, fam.y_ranks()[held])] += \
+                first = starts[fam.joint_type] + fam.cumulative[0, held] - fam.counts[0, held]
+                acc[np.ix_(bt.x_global, fam.y_ranks[held])] += \
                     block[:, held] * p_block[bt.x_global, None] * scale[first]
         acc[:, 0] += terminate * p_block * scale[-1]
         assert tv == float(0.5 * np.abs(acc - target).sum())

@@ -19,7 +19,7 @@ from chansim.covering import (
     verify_covering,
 )
 from chansim.errors import CAPS, CapExceededError, InvalidInputError, RetriesExhaustedError
-from chansim.simulate import jointly_typical_types
+from chansim.simulate import FamilyRecord, jointly_typical_types
 from chansim.typeclasses import (
     ExactType,
     JointType,
@@ -242,7 +242,7 @@ class TestBuild:
         # condition (I) with margin >= 0 forces c_nu(x) > 0 everywhere
         fam = build_covering(T_N4, 0.1, seed=SEED + 4)
         x_words = np.asarray(enumerate_type_class(T_N4.row_marginal()))
-        y_words = fam.y_class_words()
+        y_words = fam.y_class_words
         for nu in range(fam.N):
             ranks = list_ranks(fam, nu)
             for xi in range(x_words.shape[0]):
@@ -472,7 +472,7 @@ class TestMultiplicityTables:
         t, words = case
         N, M = words.shape
         fam = CoveringFamily(t, N, M, rank_counts(t, words), 0.1)
-        hits = fam.counts.astype(np.float64) @ fam.compat().T.astype(np.float64)
+        hits = fam.counts.astype(np.float64) @ fam.compat.T.astype(np.float64)
         mean_i = M * joint_type_class_size(t) / (hits.shape[1] * fam.counts.shape[1])
         want = 0.1 - np.abs(hits / mean_i - 1.0).max(axis=1)
         assert verify_covering(fam).condition_I_margin.tobytes() == want.tobytes()
@@ -488,7 +488,7 @@ class TestMultiplicityTables:
         counts[1] = M // size_s
         counts[1, :M % size_s] += 1
         fam = CoveringFamily(T_N4, 2, M, counts, 0.1)
-        hits = np.array(counts.tolist(), dtype=object) @ fam.compat().T.astype(int)
+        hits = np.array(counts.tolist(), dtype=object) @ fam.compat.T.astype(int)
         assert hits.max() == M and int(np.float32(M)) != M
         mean_i = M * joint_type_class_size(T_N4) / (hits.shape[1] * size_s)
         want = [0.1 - max(abs(int(h) / mean_i - 1.0) for h in row) for row in hits]
@@ -502,7 +502,7 @@ class TestMultiplicityTables:
         fam = CoveringFamily(t, N, M, rank_counts(t, words), 0.1)
         lists = all_lists(fam)
         assert np.array_equal(lists, np.sort(words, axis=1))
-        y_words = fam.y_class_words()
+        y_words = fam.y_class_words
         for nu in range(N):
             for mu in range(M):
                 assert fam.word(nu, mu) == tuple(y_words[lists[nu, mu]])
@@ -551,42 +551,47 @@ class TestMultiplicityTables:
         compat = compatibility_matrix(T_N4, x_words, y_words)
         c = built.counts.astype(np.float64) @ compat.T.astype(np.float64)
         for fam in (built, by_hand, loaded):
-            assert np.array_equal(fam.y_class_words(), y_words)
-            assert np.array_equal(fam.compat(), compat)
-            assert np.array_equal(fam.compatible_counts(), c)
-            assert np.array_equal(fam.y_ranks(), y_words @ (2 ** np.arange(3, -1, -1)))
+            assert np.array_equal(fam.y_class_words, y_words)
+            assert np.array_equal(fam.compat, compat)
+            assert np.array_equal(fam.compatible_counts, c)
+            assert np.array_equal(fam.y_ranks, y_words @ (2 ** np.arange(3, -1, -1)))
 
-    def test_attempts_share_one_matrix(self, monkeypatch):
-        built, matrices = [], []
-        real_matrix, real_verify = covering.compatibility_matrix, covering.verify_covering
-        monkeypatch.setattr(covering, "compatibility_matrix",
-                            lambda *args: built.append(1) or real_matrix(*args))
+    def test_forced_failures_leave_a_family_passing_its_check(self, monkeypatch):
+        # each attempt's lazy check goes through the module's verify_covering
+        real_verify, verified = covering.verify_covering, []
 
         def fail_twice(fam):
+            verified.append(fam)
             check = real_verify(fam)
-            matrices.append(fam.compat())
-            return check if len(matrices) > 2 else dataclasses.replace(check, passed=False)
+            return check if len(verified) > 2 else dataclasses.replace(check, passed=False)
 
         monkeypatch.setattr(covering, "verify_covering", fail_twice)
         fam = build_covering(T_N4, 0.1, seed=SEED)
-        assert fam.retries == 2 and len(built) == 1
-        assert all(m is matrices[0] for m in matrices)
+        assert fam.retries == 2 and len(verified) == 3 and verified[-1] is fam
+        assert fam.check.passed and real_verify(fam).passed
 
     def test_reverification_reads_the_counts_afresh(self):
         fam = build_covering(T_N4, 0.1, seed=SEED)
         assert verify_covering(fam).passed
         constant = np.zeros_like(fam.counts)
         constant[:, 0] = fam.M      # every list holds one word M times
-        fam.counts = constant
-        assert not verify_covering(fam).passed
+        assert not verify_covering(dataclasses.replace(fam, counts=constant)).passed
 
     def test_family_tables_are_read_only(self):
         fam = build_covering(T_N4, 0.1, seed=SEED)
-        for table in (fam.y_class_words(), fam.y_ranks(), fam.compat(),
-                      fam.compatible_counts(), fam.cumulative()):
+        for table in (fam.y_class_words, fam.y_ranks, fam.compat,
+                      fam.compatible_counts, fam.cumulative):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0] = 1
+
+    def test_a_hand_built_family_verifies_itself_on_first_use(self):
+        built = build_covering(T_N4, 0.1, seed=SEED)
+        fam = CoveringFamily(T_N4, built.N, built.M, built.counts, 0.1, built.retries)
+        assert "check" not in vars(fam)
+        assert FamilyRecord.of(fam) == FamilyRecord.of(built)
+        assert fam.check is fam.check and fam.check.passed
+        assert not fam.check.condition_I_margin.flags.writeable
 
     def test_build_keeps_its_passing_check(self):
         fam = build_covering(T_N4, 0.1, seed=SEED)

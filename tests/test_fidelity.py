@@ -313,7 +313,7 @@ def _letter_deviation(code):
     sampled index list's mixture and of the averaged code, over typical
     inputs, as a function of the list."""
     per_nu = np.stack([fixed_nu_block_channel(code, nu).rows for nu in range(code.N)])
-    typical = ~fidelity._typical_classes(code)[1]
+    typical = ~code.atypical_words
     letters = word_letters(code.channel.output_size, code.n)
     masks = [letters[:, k] == b for k in range(code.n)
              for b in range(code.channel.output_size)]

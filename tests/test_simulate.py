@@ -11,8 +11,8 @@ import pytest
 
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
-from chansim import covering, simulate, typeclasses
-from chansim.covering import CoveringFamily, required_M_N, verify_covering
+from chansim import applications, covering, simulate, typeclasses
+from chansim.covering import CoveringFamily, required_M_N
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.fidelity import derandomize, measure_fidelity, run_fixed_code, sim_code_family
 from chansim.simulate import (
@@ -117,7 +117,7 @@ def test_encoder_decoder_agree_on_transcripts(small_code):
             assert decode(small_code, tr.announced_type, nu, tr.mu) == tr.y_word
             joint = count_joint_occurrences(x, tr.y_word, 2, 2)
             assert joint == tr.announced_type
-            m = small_code.family_M(tr.announced_type)
+            m = small_code.records[tr.announced_type].M
             assert tr.bits_sent == math.log2(m) + small_code.announce_bits
         assert tr.randomness_used == math.log2(small_code.N)
 
@@ -136,7 +136,7 @@ def test_mu_uniform_over_compatible_slots(small_code):
         seen.setdefault(outcome[0], []).append(outcome[1])
     t, mus = max(seen.items(), key=lambda kv: len(kv[1]))
     fam = small_code.families[t]
-    y_words = fam.y_class_words()
+    y_words = fam.y_class_words
     compat_t = {tuple(map(int, w)) for w in y_words
                 if count_joint_occurrences(x, tuple(map(int, w)), 2, 2) == t}
     ranks = list_ranks(fam, nu % fam.N)
@@ -176,7 +176,7 @@ def test_class_position_is_the_rank_order(code_name, request):
     # searchsorted on the ranks, which the lexicographic class keeps ascending
     code = request.getfixturevalue(code_name)
     for base in {t.row_marginal() for t in code.typical_joint_types}:
-        bt = simulate._base_tables_for(code, base)
+        bt = code.typical_classes[base]
         assert np.all(np.diff(bt.x_global) > 0)
         for i, word in enumerate(enumerate_type_class(base)):
             assert bt.position(tuple(int(v) for v in word)) == i
@@ -229,7 +229,9 @@ def lopsided_code(small_code):
     counts = np.zeros_like(fam.counts)
     counts[:, 0] = fam.M
     lopsided = CoveringFamily(t, fam.N, fam.M, counts=counts, epsilon=fam.epsilon)
-    return dataclasses.replace(small_code, families={**small_code.families, t: lopsided})
+    return dataclasses.replace(small_code,
+                               records={**small_code.records, t: FamilyRecord.of(lopsided)},
+                               families={**small_code.families, t: lopsided})
 
 
 CODES = ["small_code", "skewed_code", "lopsided_code"]
@@ -253,7 +255,7 @@ def reference_pinned_law(code, x, nu):
         fam = code.families.get(t)
         slots = np.zeros(1)
         if fam is not None:
-            words = fam.y_class_words()
+            words = fam.y_class_words
             slots = fam.counts[nu % fam.N] * np.array(
                 [count_joint_occurrences(x, y, a, b) == t for y in words])
         if slots.sum() == 0:
@@ -317,7 +319,7 @@ def per_index_law_blocks(code, base, nu):
     """The pinned exact-law kernel as it ran before the sweep: one index at a
     time, as a K = 1 product (1/c)^T @ counts per joint type, on list
     nu mod N_t."""
-    bt = simulate._base_tables_for(code, base)
+    bt = code.typical_classes[base]
     terminate = np.zeros(bt.x_global.size)
     blocks = []
     for t, w_t in zip(bt.t_list, bt.weights):
@@ -328,22 +330,22 @@ def per_index_law_blocks(code, base, nu):
             continue
         fam = code.families[t]
         lst = nu % fam.N
-        c = fam.compatible_counts()[lst:lst + 1]
+        c = fam.compatible_counts[lst:lst + 1]
         inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
         terminate += w_t * (np.count_nonzero(c == 0, axis=0) / 1)
-        block = (w_t / 1) * (inv_c.T @ fam.counts[lst:lst + 1]) * fam.compat()
+        block = (w_t / 1) * (inv_c.T @ fam.counts[lst:lst + 1]) * fam.compat
         blocks.append((fam, block))
     return blocks, terminate
 
 
 def per_index_block_law(code, nu):
     """The pinned block channel rows from the per-index loop."""
-    classes, atypical = simulate._typical_classes(code)
+    classes, atypical = code.typical_classes, code.atypical_words
     rows = np.zeros((atypical.size, code.channel.output_size ** code.n))
     for base, bt in classes.items():
         blocks, terminate = per_index_law_blocks(code, base, nu)
         for fam, block in blocks:
-            rows[np.ix_(bt.x_global, fam.y_ranks())] += block
+            rows[np.ix_(bt.x_global, fam.y_ranks)] += block
         rows[bt.x_global, 0] += terminate
     rows[atypical, 0] = 1.0
     return rows
@@ -358,7 +360,7 @@ def rectangle_law_blocks(code, base, rows=None):
     """The averaged exact-law kernel as it ran over whole rectangles: each
     covered type's (w_t / k) (1/c)^T @ counts * compat over (class rows,
     t's output class), zeros at its incompatible pairs included."""
-    bt = simulate._base_tables_for(code, base)
+    bt = code.typical_classes[base]
     sel = slice(None) if rows is None else rows
     terminate = np.zeros(bt.x_global[sel].size)
     blocks = []
@@ -369,11 +371,11 @@ def rectangle_law_blocks(code, base, rows=None):
             terminate += w_t
             continue
         fam = code.families[t]
-        c = fam.compatible_counts()[:, sel]
+        c = fam.compatible_counts[:, sel]
         k = c.shape[0]
         inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0)
         terminate += w_t * (np.count_nonzero(c == 0, axis=0) / k)
-        blocks.append((fam, (w_t / k) * (inv_c.T @ fam.counts) * fam.compat()[sel]))
+        blocks.append((fam, (w_t / k) * (inv_c.T @ fam.counts) * fam.compat[sel]))
     return blocks, terminate
 
 
@@ -386,18 +388,18 @@ def test_averaged_law_from_pairs_matches_the_rectangle_kernel(name, n):
     source, channel = INSTANCES[name]
     code = build_sim_code(source, channel, n=n, delta=2.0, epsilon=0.1, seed=7)
     size = channel.output_size ** n
-    classes, atypical = simulate._typical_classes(code)
+    classes, atypical = code.typical_classes, code.atypical_words
     rows = np.zeros((atypical.size, size))
     for base, bt in classes.items():
         blocks, terminate = rectangle_law_blocks(code, base)
         for fam, block in blocks:
-            rows[np.ix_(bt.x_global, fam.y_ranks())] += block
+            rows[np.ix_(bt.x_global, fam.y_ranks)] += block
         rows[bt.x_global, 0] += terminate
         for pos, x in enumerate(enumerate_type_class(base)):
             blocks, terminate = rectangle_law_blocks(code, base, rows=[pos])
             out = np.zeros(size)
             for fam, block in blocks:
-                out[fam.y_ranks()] += block[0]
+                out[fam.y_ranks] += block[0]
             out[0] += terminate[0]
             assert output_distribution(code, x).probs.tobytes() == \
                 Distribution(size, out).probs.tobytes()
@@ -439,14 +441,14 @@ def dense_message_law(code, nu):
     offsets = dict(zip(code.typical_joint_types, np.cumsum([0] + sizes).tolist()))
     cond = np.zeros((code.source.alphabet_size ** code.n, sum(sizes) + 1))
     y_ranks = np.zeros(cond.shape[1], dtype=np.int64)
-    classes, atypical = simulate._typical_classes(code)
+    classes, atypical = code.typical_classes, code.atypical_words
     for base, bt in classes.items():
         blocks, terminate = per_index_law_blocks(code, base, nu)
         for fam, block in blocks:
             sel = list_ranks(fam, nu % fam.N)
             slots = offsets[fam.joint_type] + np.arange(sel.size)
             cond[np.ix_(bt.x_global, slots)] = block[:, sel] / fam.counts[nu % fam.N, sel]
-            y_ranks[slots] = fam.y_ranks()[sel]
+            y_ranks[slots] = fam.y_ranks[sel]
         cond[bt.x_global, -1] = terminate
     cond[atypical, -1] = 1.0
     return cond, y_ranks
@@ -656,10 +658,10 @@ def test_message_law_aggregates_to_block_channel(small_code):
         # the type's M slots in slot order, on its input class
         held = np.flatnonzero(fam.counts[lst])
         assert np.array_equal(blk.copies, fam.counts[lst, held])
-        assert np.array_equal(blk.y_ranks, fam.y_ranks()[held])
+        assert np.array_equal(blk.y_ranks, fam.y_ranks[held])
         slots, slot_y_ranks, probs = slot_block(blk)
         assert np.array_equal(slots, np.arange(starts[i], starts[i + 1]))
-        assert np.array_equal(slot_y_ranks, fam.y_ranks()[list_ranks(fam, lst)])
+        assert np.array_equal(slot_y_ranks, fam.y_ranks[list_ranks(fam, lst)])
         assert np.array_equal(slot_y_ranks, y_ranks[starts[i]:starts[i + 1]])
         base = fam.joint_type.row_marginal()
         assert np.array_equal(blk.x_ranks, [r for r, t in enumerate(x_types) if t == base])
@@ -715,7 +717,6 @@ def shared_range_code():
     for t in types:
         M, size_s = unrounded_sizing(t, 0.1, 14)[0], t.class_sizes[1]
         fam = CoveringFamily(t, 14, M, rng.multinomial(M, np.full(size_s, 1 / size_s), 14), 0.1)
-        fam.check = verify_covering(fam)
         records[t], families[t] = FamilyRecord.of(fam), fam
     return SimCode(n=4, source=UNIF, channel=BSC, delta=2.0, epsilon=0.1, seed=0,
                    records=records, families=families)
@@ -757,7 +758,7 @@ def test_load_code_rejects_a_list_count_that_is_not_a_power_of_two_dividing_N(
 def test_decode_reads_the_sorted_slot_of_every_list():
     code = build_sim_code(UNIF, BSC, n=3, delta=2.0, epsilon=0.1, seed=7)
     for t, fam in code.families.items():
-        y_words = fam.y_class_words()
+        y_words = fam.y_class_words
         for nu in range(code.N):
             expected = [tuple(int(v) for v in y_words[r]) for r in list_ranks(fam, nu % fam.N)]
             assert [decode(code, t, nu, mu) for mu in range(fam.M)] == expected
@@ -819,6 +820,66 @@ def test_a_code_is_frozen(small_code):
             setattr(small_code, name, getattr(small_code, name))
     with pytest.raises(dataclasses.FrozenInstanceError):
         small_code.records[small_code.typical_joint_types[0]].N = 8
+
+
+@pytest.fixture(scope="module")
+def frozen_values():
+    """One value of each class the library hands out, by class name."""
+    code = build_sim_code(UNIF, BSC, n=3, delta=2.0, epsilon=0.1, seed=7)
+    fam = next(iter(code.families.values()))
+    return {
+        "Distribution": UNIF, "Channel": BSC, "CoveringFamily": fam,
+        "CoveringCheck": fam.check, "FamilyRecord": code.records[fam.joint_type],
+        "SimCode": code, "Transcript": run_protocol(code, (0, 1, 0), 0, 1),
+        "RDCodeResult": applications.rd_code_via_simulation(
+            UNIF, applications.DistortionSpec.hamming(2, 0.1), 2, 3, 2.0, 0.1, 7),
+        "PairSimulationResult": applications.pair_simulation_pipeline(
+            UNIF, BSC, 3, 2.0, 0.1, 7),
+    }
+
+
+@pytest.mark.parametrize("name", ["Distribution", "Channel", "CoveringFamily", "CoveringCheck",
+                                  "FamilyRecord", "SimCode", "Transcript", "RDCodeResult",
+                                  "PairSimulationResult"])
+def test_no_field_of_a_library_value_can_be_assigned(name, frozen_values):
+    value = frozen_values[name]
+    assert type(value).__name__ == name
+    for field in dataclasses.fields(value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field.name, getattr(value, field.name))
+
+
+def test_a_built_code_cannot_be_changed_under_its_records(small_code):
+    """The assignments that used to succeed on a built code raise, and the
+    code encodes as it did."""
+    t = next(t for t, rec in small_code.records.items() if rec.N == 16)
+    with pytest.raises(TypeError):
+        small_code.records[t] = dataclasses.replace(small_code.records[t], N=12)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_code.families[t].M = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        small_code.source.probs = np.array([0.999, 0.001])
+    with pytest.raises(ValueError):
+        small_code.atypical_words[0] = False
+    assert small_code.records[t].N == small_code.families[t].N == 16
+    assert encode(small_code, (0, 1, 0, 1), 0, 1) == (JointType(4, ((2, 0), (0, 2))), 1102)
+
+
+def test_load_code_rejects_a_family_file_that_is_not_its_records_family(tmp_path, small_code):
+    """A family file whose lists each hold rank 0 M times keeps its sizes and
+    row sums, but not its record's margins, so it is refused: loaded, it
+    would give a per-word error above the record's fidelity ceiling."""
+    idx, t = 1, small_code.typical_joint_types[1]
+    fam = small_code.families[t]
+    counts = np.zeros_like(fam.counts)
+    counts[:, 0] = fam.M
+    lopsided = dataclasses.replace(fam, counts=counts)
+    assert (lopsided.counts.sum(axis=1) == small_code.records[t].M).all()
+    save_code(small_code, str(tmp_path / "code"))
+    (tmp_path / "code" / "families" / f"type_{idx:04d}.json").write_text(
+        json.dumps(lopsided.to_json_dict()))
+    with pytest.raises(InvalidInputError, match="families must be those of its records"):
+        load_code(str(tmp_path / "code"))
 
 
 def test_a_code_checks_its_list_counts_however_it_was_built(small_code):
@@ -915,7 +976,6 @@ def full_class_code(request):
     for t in jointly_typical_types(source, channel, n, 2.0):
         size_s = t.class_sizes[1]
         fam = CoveringFamily(t, 1, size_s, np.ones((1, size_s), dtype=np.int64), 0.1)
-        fam.check = verify_covering(fam)
         assert fam.check.passed
         np.testing.assert_allclose(fam.check.condition_I_margin, 0.1, rtol=0, atol=1e-12)
         records[t], families[t] = FamilyRecord.of(fam), fam
