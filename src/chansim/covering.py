@@ -189,27 +189,6 @@ class CoveringFamily:
         rank = np.searchsorted(self.cumulative[nu], mu, side="right")
         return tuple(int(s) for s in self.y_class_words[rank])
 
-    def to_json_dict(self) -> dict:
-        return {
-            "joint_type": self.joint_type.to_json_dict(),
-            "N": int(self.N),
-            "M": int(self.M),
-            "epsilon": float(self.epsilon),
-            "retries": int(self.retries),
-            "counts": self.counts.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CoveringFamily":
-        return cls(
-            joint_type=JointType.from_json_dict(doc["joint_type"]),
-            N=int(doc["N"]),
-            M=int(doc["M"]),
-            counts=doc["counts"],
-            epsilon=float(doc["epsilon"]),
-            retries=int(doc.get("retries", 0)),
-        )
-
 
 def compatibility_matrix(t: JointType, x_words: np.ndarray, y_words: np.ndarray) -> np.ndarray:
     """Boolean matrix: entry (i, j) says whether (x_words[i], y_words[j]) has

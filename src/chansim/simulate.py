@@ -14,8 +14,10 @@ Protocol for one block x = (x_1 ... x_n), with nu a shared uniform index:
 Each jointly typical type T has its own list count N_T, the power of two
 that required_M_N sizes its covering family at, and the shared index ranges
 over [0, N) with N the largest N_T. Every N_T divides N, so nu mod N_T is
-uniform on T's lists. A code is frozen; it checks this of its records, and
-that each family has its record, however it was built.
+uniform on T's lists. A code is frozen, and its constructor checks its
+records and families. It is a function of its build inputs alone:
+build_sim_code(code.source, code.channel, code.n, code.delta, code.epsilon,
+code.seed) rebuilds it, records and lists bit for bit.
 
 The covering conditions squeeze the protocol's output, conditioned on any
 announced type, between (1-eps)/(1+eps) and (1+eps)/(1-eps) times the true
@@ -28,10 +30,7 @@ log2(N).
 """
 
 import functools
-import json
 import math
-import os
-import shutil
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
@@ -70,26 +69,12 @@ class FamilyRecord:
     condition_I_min_margin: float
     condition_II_margin: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "joint_type": self.joint_type.to_json_dict(),
-            "M": self.M, "N": self.N, "retries": self.retries,
-            "condition_I_min_margin": self.condition_I_min_margin,
-            "condition_II_margin": self.condition_II_margin,
-        }
-
     @classmethod
     def of(cls, fam: CoveringFamily) -> "FamilyRecord":
         """The record of a family: its sizes, retries and its check's margins."""
         check = fam.check
         return cls(fam.joint_type, fam.M, fam.N, fam.retries,
                    float(check.condition_I_margin.min()), float(check.condition_II_margin))
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "FamilyRecord":
-        return cls(JointType.from_json_dict(doc["joint_type"]), int(doc["M"]),
-                   int(doc["N"]), int(doc["retries"]),
-                   float(doc["condition_I_min_margin"]), float(doc["condition_II_margin"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,9 +84,10 @@ class SimCode:
     family of each ({} when the code is rates-only), both held as read-only
     mappings. The code is frozen; the announcement order, the shared index
     range N (the largest list count), the announcement bits, rates_only and
-    the typicality window are derived once. Each family must have its record
-    (FamilyRecord.of) and each list count be a power of two dividing N, or N
-    itself as in codes saved before per-type counts; InvalidInputError otherwise."""
+    the typicality window are derived once. Each record must sit under its
+    own joint type, each family have its record (FamilyRecord.of) and each
+    list count be a power of two, so that it divides N; InvalidInputError
+    otherwise."""
 
     n: int
     source: Distribution
@@ -115,18 +101,19 @@ class SimCode:
     def __post_init__(self):
         if not self.records:
             raise InvalidInputError("no jointly typical types; widen delta")
-        if self.families and ({t: (t, FamilyRecord.of(f)) for t, f in self.families.items()}
-                              != {t: (r.joint_type, r) for t, r in self.records.items()}):
+        if any(t != rec.joint_type for t, rec in self.records.items()):
+            raise InvalidInputError("a code's records must sit under their own joint types")
+        if self.families and ({t: FamilyRecord.of(f) for t, f in self.families.items()}
+                              != dict(self.records)):
             raise InvalidInputError("a code's families must be those of its records, "
                                     "with their joint types, sizes, retries and margins")
-        N = max(rec.N for rec in self.records.values())
         for count in (rec.N for rec in self.records.values()):
-            if count < 1 or N % count or (count & (count - 1) and count != N):
-                raise InvalidInputError(f"a family's list count {count} is not a power of "
-                                        f"two dividing the shared index range {N}")
+            if count < 1 or count & (count - 1):
+                raise InvalidInputError(f"a family's list count {count} is not a power of two")
         derived = {"records": MappingProxyType(dict(self.records)),
                    "families": MappingProxyType(dict(self.families)),
-                   "typical_joint_types": tuple(self.records), "N": N,
+                   "typical_joint_types": tuple(self.records),
+                   "N": max(rec.N for rec in self.records.values()),
                    "announce_bits": math.ceil(math.log2(len(self.records))),
                    "rates_only": not self.families,
                    "spec": TypicalSpec(self.source, self.n, self.delta)}
@@ -558,46 +545,3 @@ def accounting(code: SimCode):
     announcement) and shared randomness (log2 N), each over n."""
     rate = (code.max_log2_M() + code.announce_bits) / code.n
     return rate, math.log2(code.N) / code.n
-
-
-def save_code(code: SimCode, directory: str):
-    """Persist what SimCode takes: a manifest of everything but the families,
-    and one covering file per joint type unless the code is rates-only."""
-    os.makedirs(directory, exist_ok=True)
-    manifest = {
-        "n": code.n, "delta": code.delta, "epsilon": code.epsilon, "seed": code.seed,
-        "source": code.source.to_json_dict(),
-        "channel": code.channel.to_json_dict(),
-        "records": [code.records[t].to_json_dict() for t in code.typical_joint_types],
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    fam_dir = os.path.join(directory, "families")
-    if os.path.isdir(fam_dir):      # an earlier save's families would load with these records
-        shutil.rmtree(fam_dir)
-    if not code.rates_only:
-        os.makedirs(fam_dir)
-        for idx, t in enumerate(code.typical_joint_types):
-            with open(os.path.join(fam_dir, f"type_{idx:04d}.json"), "w") as fh:
-                json.dump(code.families[t].to_json_dict(), fh)
-
-
-def load_code(directory: str) -> SimCode:
-    """Read a code that save_code wrote, with its families when a families
-    directory is there. Manifest keys beyond SimCode's (N, announce_bits,
-    rates_only, rate and cr_rate of earlier versions) are ignored."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    records = {}
-    for doc in manifest["records"]:
-        rec = FamilyRecord.from_json_dict(doc)
-        records[rec.joint_type] = rec
-    families = {}
-    fam_dir = os.path.join(directory, "families")
-    if os.path.isdir(fam_dir):
-        for idx, t in enumerate(records):
-            with open(os.path.join(fam_dir, f"type_{idx:04d}.json")) as fh:
-                families[t] = CoveringFamily.from_json_dict(json.load(fh))
-    return SimCode(manifest["n"], Distribution.from_json_dict(manifest["source"]),
-                   Channel.from_json_dict(manifest["channel"]), manifest["delta"],
-                   manifest["epsilon"], manifest["seed"], records, families)

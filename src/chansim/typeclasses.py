@@ -51,7 +51,7 @@ class JointType:
     """Count matrix of a word pair; counts[x][y] = #{k : x_k = x, y_k = y}.
 
     The marginals and class_sizes are computed on first use and kept on the
-    instance, outside ==, hash, repr and to_json_dict."""
+    instance, outside ==, hash and repr."""
 
     n: int
     counts: tuple  # tuple of tuples, x_size rows of y_size entries
@@ -90,13 +90,6 @@ class JointType:
         column marginal S and the joint type t itself."""
         row, col = self._marginals
         return type_class_size(row), type_class_size(col), joint_type_class_size(self)
-
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "counts": [list(row) for row in self.counts]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "JointType":
-        return cls(int(doc["n"]), tuple(tuple(int(c) for c in row) for row in doc["counts"]))
 
 
 @dataclass(frozen=True)

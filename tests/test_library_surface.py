@@ -1,7 +1,9 @@
-"""The library is what a command, a demo, the benchmark or the README calls.
+"""The library is what a command, a demo or the benchmark calls.
 
 Every public top-level function and class in src/chansim must be named, as
-a whole word, somewhere outside tests/ other than its own def or class line.
+a whole word, in a .py, .sh or .json file under src, demos or perfbench
+other than on its own def or class line; README.md and other docs do not
+count.
 A definition that only tests reach is dead weight: delete it with its tests,
 and move a test's reference computation into the test file.
 """
@@ -33,12 +35,13 @@ def _public_definitions():
 
 
 def _searched_lines():
-    """(file, line number, text) of every line of README.md and of the
-    code, scripts and docs under SEARCHED; run outputs (out/) are skipped."""
-    files = [ROOT / "README.md"]
+    """(file, line number, text) of every line of the code, scripts and
+    instance files under SEARCHED; docs are not callers, and run outputs
+    (out/) are skipped."""
+    files = []
     for top in SEARCHED:
         files += sorted(p for p in (ROOT / top).rglob("*")
-                        if p.is_file() and p.suffix in (".py", ".sh", ".md", ".json")
+                        if p.is_file() and p.suffix in (".py", ".sh", ".json")
                         and "out" not in p.relative_to(ROOT).parts)
     return [(path, number, text)
             for path in files

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import json
 import math
 import sys
 
@@ -30,10 +29,8 @@ from chansim.simulate import (
     fixed_nu_block_channels,
     iid_block_law,
     jointly_typical_types,
-    load_code,
     output_distribution,
     run_protocol,
-    save_code,
     strong_fidelity_report,
     word_letters,
 )
@@ -673,42 +670,29 @@ def test_message_law_aggregates_to_block_channel(small_code):
                        atol=1e-12)
 
 
-def test_save_load_round_trip(tmp_path, small_code):
-    save_code(small_code, str(tmp_path / "code"))
-    loaded = load_code(str(tmp_path / "code"))
-    assert loaded.typical_joint_types == small_code.typical_joint_types
-    assert loaded.N == small_code.N
-    assert loaded.announce_bits == small_code.announce_bits
-    for t in small_code.typical_joint_types:
-        assert np.array_equal(loaded.families[t].counts, small_code.families[t].counts)
-    tr_a = run_protocol(small_code, (0, 1, 1, 0), 4, seed=99)
-    tr_b = run_protocol(loaded, (0, 1, 1, 0), 4, seed=99)
-    assert tr_a == tr_b
-
-
-def test_output_distribution_survives_save_load(tmp_path, small_code):
-    save_code(small_code, str(tmp_path / "code"))
-    loaded = load_code(str(tmp_path / "code"))
+def test_a_code_is_rebuilt_from_its_own_fields(small_code):
+    """build_sim_code on a code's own source, channel, n, delta, epsilon and
+    seed gives its records, its lists byte for byte and its transcripts;
+    rates-only, it gives the same records."""
+    inputs = (small_code.source, small_code.channel, small_code.n, small_code.delta,
+              small_code.epsilon, small_code.seed)
+    rebuilt = build_sim_code(*inputs)
+    assert list(rebuilt.records.items()) == list(small_code.records.items())
+    for t, fam in small_code.families.items():
+        assert rebuilt.families[t].counts.tobytes() == fam.counts.tobytes()
+    rng = np.random.default_rng(5)
     for x in word_letters(2, 4):
-        a = output_distribution(small_code, x).probs
-        b = output_distribution(loaded, x).probs
-        assert a.tobytes() == b.tobytes()
-
-
-def test_save_load_rates_only(tmp_path, small_code):
-    code = build_sim_code(UNIF, BSC, n=4, delta=2.0, epsilon=0.1, seed=7,
-                          keep_words=False)
-    save_code(small_code, str(tmp_path / "ro"))     # its families must not load with code
-    save_code(code, str(tmp_path / "ro"))
-    loaded = load_code(str(tmp_path / "ro"))
-    assert loaded.rates_only and not loaded.families
-    assert accounting(loaded)[0] == accounting(code)[0]
+        nu, seed = int(rng.integers(small_code.N)), int(rng.integers(2**32))
+        assert run_protocol(rebuilt, x, nu, seed) == run_protocol(small_code, x, nu, seed)
+    rates = build_sim_code(*inputs, keep_words=False)
+    assert rates.rates_only
+    assert list(rates.records.items()) == list(small_code.records.items())
 
 
 @pytest.fixture(scope="module")
-def shared_range_code():
-    """A bsc25 n = 4 code as saved before list counts were sized per type:
-    every family at the largest unrounded list count, N = 14, not a power of
+def fourteen_list_parts():
+    """(records, families) of a bsc25 n = 4 code with every family at 14
+    lists, the largest list count before counts were rounded to powers of
     two, with M re-derived there and its lists drawn uniformly."""
     types = jointly_typical_types(UNIF, BSC, 4, 2.0)
     assert max(unrounded_sizing(t, 0.1)[1] for t in types) == 14
@@ -718,41 +702,7 @@ def shared_range_code():
         M, size_s = unrounded_sizing(t, 0.1, 14)[0], t.class_sizes[1]
         fam = CoveringFamily(t, 14, M, rng.multinomial(M, np.full(size_s, 1 / size_s), 14), 0.1)
         records[t], families[t] = FamilyRecord.of(fam), fam
-    return SimCode(n=4, source=UNIF, channel=BSC, delta=2.0, epsilon=0.1, seed=0,
-                   records=records, families=families)
-
-
-def test_load_code_reads_a_code_with_one_shared_list_count(tmp_path, shared_range_code):
-    code = shared_range_code
-    assert code.N == 14
-    save_code(code, str(tmp_path / "code"))
-    loaded = load_code(str(tmp_path / "code"))
-    for t, fam in code.families.items():
-        assert loaded.families[t].N == 14
-        for nu in range(14):
-            for mu in (0, fam.M // 3, fam.M - 1):
-                assert decode(loaded, t, nu, mu) == fam.word(nu, mu)
-
-
-@pytest.mark.parametrize("n_shared", [28, 16, 7])
-def test_load_code_rejects_a_list_count_that_is_not_a_power_of_two_dividing_N(
-        tmp_path, shared_range_code, n_shared):
-    # one family forged to n_shared lists, its record with it: the other
-    # families' 14 divides 28 but is no power of two and does not divide
-    # 16; at 7 the shared range stays 14, and 7 divides it but is no power
-    # of two
-    save_code(shared_range_code, str(tmp_path / "code"))
-    path = tmp_path / "code" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    manifest["records"][0]["N"] = n_shared
-    path.write_text(json.dumps(manifest))
-    fam = shared_range_code.families[shared_range_code.typical_joint_types[0]]
-    forged = CoveringFamily(fam.joint_type, n_shared, fam.M,
-                            np.resize(fam.counts, (n_shared, fam.counts.shape[1])), fam.epsilon)
-    (tmp_path / "code" / "families" / "type_0000.json").write_text(
-        json.dumps(forged.to_json_dict()))
-    with pytest.raises(InvalidInputError, match=f"list count {min(n_shared, 14)} is not"):
-        load_code(str(tmp_path / "code"))
+    return records, families
 
 
 def test_decode_reads_the_sorted_slot_of_every_list():
@@ -865,72 +815,71 @@ def test_a_built_code_cannot_be_changed_under_its_records(small_code):
     assert encode(small_code, (0, 1, 0, 1), 0, 1) == (JointType(4, ((2, 0), (0, 2))), 1102)
 
 
-def test_load_code_rejects_a_family_file_that_is_not_its_records_family(tmp_path, small_code):
-    """A family file whose lists each hold rank 0 M times keeps its sizes and
-    row sums, but not its record's margins, so it is refused: loaded, it
-    would give a per-word error above the record's fidelity ceiling."""
-    idx, t = 1, small_code.typical_joint_types[1]
+def test_a_code_rejects_a_family_that_is_not_its_records_family(small_code):
+    """A family whose lists each hold rank 0 M times keeps its sizes and row
+    sums, but not its record's margins, so the constructor refuses it:
+    beside that record, it would give a per-word error above the record's
+    fidelity ceiling."""
+    t = small_code.typical_joint_types[1]
     fam = small_code.families[t]
     counts = np.zeros_like(fam.counts)
     counts[:, 0] = fam.M
     lopsided = dataclasses.replace(fam, counts=counts)
     assert (lopsided.counts.sum(axis=1) == small_code.records[t].M).all()
-    save_code(small_code, str(tmp_path / "code"))
-    (tmp_path / "code" / "families" / f"type_{idx:04d}.json").write_text(
-        json.dumps(lopsided.to_json_dict()))
     with pytest.raises(InvalidInputError, match="families must be those of its records"):
-        load_code(str(tmp_path / "code"))
+        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, small_code.records,
+                {**small_code.families, t: lopsided})
 
 
-def test_a_code_checks_its_list_counts_however_it_was_built(small_code):
-    records = dict(small_code.records)
-    t = next(t for t, rec in records.items() if rec.N == 8)
-    records[t] = dataclasses.replace(records[t], N=12)
-    assert small_code.N == 16
-    with pytest.raises(InvalidInputError, match="list count 12 is not a power of two "
-                                                "dividing the shared index range 16"):
-        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, records, {})
+@pytest.mark.parametrize("with_families", [True, False], ids=["families", "rates-only"])
+@pytest.mark.parametrize("base, forged, rejected", [
+    ("small", 12, 12),          # one type at 12 lists beside powers of two up to 16
+    ("fourteen", None, 14),     # every type at 14 lists, the shared range itself
+    ("fourteen", 28, 28),       # 14 divides 28, but neither is a power of two
+    ("fourteen", 16, 14),       # 16 is one, and the other types' 14 does not divide it
+    ("fourteen", 7, 7),         # 7 divides the others' 14, but is no power of two
+], ids=["12-in-16", "all-14", "28-in-14", "16-in-14", "7-in-14"])
+def test_a_code_checks_its_list_counts_however_it_was_built(
+        base, forged, rejected, with_families, small_code, fourteen_list_parts):
+    records, families = map(dict, (small_code.records, small_code.families)
+                            if base == "small" else fourteen_list_parts)
+    if forged is not None:      # the first type of 8 (small) or 14 lists, and its record
+        t = next(t for t, rec in records.items() if rec.N == (8 if base == "small" else 14))
+        fam = families[t]
+        families[t] = CoveringFamily(t, forged, fam.M,
+                                     np.resize(fam.counts, (forged, fam.counts.shape[1])),
+                                     fam.epsilon)
+        records[t] = FamilyRecord.of(families[t])
+    with pytest.raises(InvalidInputError, match=f"list count {rejected} is not a power of two"):
+        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, records, families if with_families else {})
 
 
-def test_a_family_must_match_its_record(tmp_path, small_code):
-    """A family file holding 8 lists beside a record N of 16 is refused,
-    rather than encoded from 8 lists while its record is priced."""
-    idx, t = next((i, t) for i, t in enumerate(small_code.typical_joint_types)
-                  if small_code.records[t].N == 16)
+def test_a_family_must_match_its_record(small_code):
+    """A family holding 8 lists beside a record N of 16 is refused, rather
+    than encoded from 8 lists while its record is priced."""
+    t = next(t for t, rec in small_code.records.items() if rec.N == 16)
     fam = small_code.families[t]
     halved = CoveringFamily(t, 8, fam.M, fam.counts[:8], fam.epsilon)
+    families = {**small_code.families, t: halved}
     with pytest.raises(InvalidInputError, match="families must be those of its records"):
-        dataclasses.replace(small_code, families={**small_code.families, t: halved})
-    save_code(small_code, str(tmp_path / "code"))
-    (tmp_path / "code" / "families" / f"type_{idx:04d}.json").write_text(
-        json.dumps(halved.to_json_dict()))
+        dataclasses.replace(small_code, families=families)
     with pytest.raises(InvalidInputError, match="families must be those of its records"):
-        load_code(str(tmp_path / "code"))
+        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, small_code.records, families)
 
 
-def test_the_manifest_holds_exactly_what_the_constructor_takes(tmp_path, small_code):
-    save_code(small_code, str(tmp_path / "code"))
-    manifest = json.loads((tmp_path / "code" / "manifest.json").read_text())
-    assert set(manifest) == {f.name for f in dataclasses.fields(SimCode)} - {"families"}
-
-
-def test_a_manifest_with_the_derived_keys_of_earlier_versions_loads_to_the_same_code(
-        tmp_path, small_code):
-    save_code(small_code, str(tmp_path / "code"))
-    path = tmp_path / "code" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    rate, cr_rate = accounting(small_code)
-    manifest.update(N=small_code.N, announce_bits=small_code.announce_bits,
-                    rates_only=False, rate=rate, cr_rate=cr_rate)
-    path.write_text(json.dumps(manifest, indent=1))
-    loaded = load_code(str(tmp_path / "code"))
-    assert loaded.records == small_code.records
-    assert list(loaded.records) == list(small_code.records)
-    assert accounting(loaded) == accounting(small_code)
-    for t, fam in small_code.families.items():
-        for nu in range(small_code.N):
-            assert [decode(loaded, t, nu, mu) for mu in range(0, fam.M, 7)] == \
-                [decode(small_code, t, nu, mu) for mu in range(0, fam.M, 7)]
+@pytest.mark.parametrize("with_families", [True, False], ids=["families", "rates-only"])
+def test_a_record_must_sit_under_its_own_joint_type(small_code, with_families):
+    """Moved under ((0, 2), (2, 0)), a type that is not jointly typical, the
+    first record would make that type the first announced and leave its own
+    type uncovered: the fidelity ceiling would read 0.478, not 0.232."""
+    first, stray = small_code.typical_joint_types[0], JointType(4, ((0, 2), (2, 0)))
+    assert stray not in small_code.records
+    assert fidelity_ceiling(small_code)[0] == pytest.approx(0.232, abs=1e-3)
+    moved = {(stray if t == first else t): rec for t, rec in small_code.records.items()}
+    families = ({(stray if t == first else t): fam for t, fam in small_code.families.items()}
+                if with_families else {})
+    with pytest.raises(InvalidInputError, match="records must sit under their own joint types"):
+        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, moved, families)
 
 
 def test_rates_only_code_has_the_fidelity_ceiling_of_its_words():
