@@ -34,7 +34,7 @@ from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
 from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
                      InvalidInputError, RetriesExhaustedError)
 from .fidelity import derandomize_with_family, measure_fidelity
-from .simulate import accounting, build_sim_code, strong_fidelity_report
+from .simulate import build_sim_code, sized_rates, sized_types, strong_fidelity_report
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
@@ -368,7 +368,7 @@ def _run_typical(cfg, bundle):
 
 
 def _run_cover(cfg, bundle):
-    code = _build_code(cfg, bundle, keep_words=False)
+    code = build_sim_code(*_code_inputs(cfg, bundle), cfg.seed, keep_words=False)
     rows = []
     for idx, rec in enumerate(code.records.values()):
         counts = ";".join("-".join(str(c) for c in row) for row in rec.joint_type.counts)
@@ -387,10 +387,6 @@ def _run_cover(cfg, bundle):
     return outputs, comparisons, columns, rows, {}
 
 
-def _build_code(cfg, bundle, keep_words):
-    return build_sim_code(*_code_inputs(cfg, bundle), cfg.seed, keep_words=keep_words)
-
-
 def _fidelity_report(code):
     """strong_fidelity_report, or None when its law is over a cap; the cap's
     message then goes to stderr, and the run keeps its other rows."""
@@ -401,40 +397,47 @@ def _fidelity_report(code):
         return None
 
 
+def _sized(inputs, seed, keep_words):
+    """(code, sized_rates, type count): the code built with its words, or
+    without keep_words no code and the rates of the sizing alone, no draw."""
+    code = build_sim_code(*inputs, seed) if keep_words else None
+    sizes = (sized_types(*inputs).values() if code is None
+             else [(r.M, r.N) for r in code.records.values()])
+    return code, sized_rates(sizes, inputs[2]), len(sizes)
+
+
 def _run_simulate(cfg, bundle):
-    rates_only = bool(cfg.params.get("rates_only", False))
-    code = _build_code(cfg, bundle, keep_words=not rates_only)
-    rate, cr_rate = accounting(code)
-    outputs = {"n": code.n, "rate": rate, "cr_rate": cr_rate,
-               "announce_bits": code.announce_bits, "N": code.N,
-               "type_count": len(code.typical_joint_types)}
+    source, channel, n, delta, epsilon = inputs = _code_inputs(cfg, bundle)
+    code, (rate, cr_rate, announce_bits, N), type_count = _sized(
+        inputs, cfg.seed, keep_words=not cfg.params.get("rates_only", False))
+    outputs = {"n": n, "rate": rate, "cr_rate": cr_rate, "announce_bits": announce_bits,
+               "N": N, "type_count": type_count}
     floors = "single-letter information floors"
     comparisons = [_row("message rate >= mutual information", floors, rate,
-                        mutual_information(code.source, code.channel)),
+                        mutual_information(source, channel)),
                    _row("message plus randomness rate >= output entropy", floors,
-                        rate + cr_rate, entropy(output_marginal(code.source, code.channel)))]
+                        rate + cr_rate, entropy(output_marginal(source, channel)))]
     lam = lam_bound = global_err = None
-    if not rates_only:
-        report = _fidelity_report(code)
-        if report is not None:
-            lam = report["lambda_measured"]
-            lam_bound = report["lambda_bound"]
-            global_err = report["global_err"]
-            outputs.update({"lambda_measured": lam, "lambda_bound": lam_bound,
-                            "global_err": global_err})
-            comparisons.append(_row_le(
-                "per-word output tv <= claimed ceiling",
-                "covering corridor plus non-covered type mass", lam, lam_bound))
+    report = None if code is None else _fidelity_report(code)
+    if report is not None:
+        lam = report["lambda_measured"]
+        lam_bound = report["lambda_bound"]
+        global_err = report["global_err"]
+        outputs.update({"lambda_measured": lam, "lambda_bound": lam_bound,
+                        "global_err": global_err})
+        comparisons.append(_row_le(
+            "per-word output tv <= claimed ceiling",
+            "covering corridor plus non-covered type mass", lam, lam_bound))
     columns = ("n", "delta", "epsilon", "seed", "rate", "cr_rate",
                "announce_bits", "N", "lambda_measured", "lambda_bound",
                "global_err")
-    rows = [(code.n, code.delta, code.epsilon, cfg.seed, rate, cr_rate,
-             code.announce_bits, code.N, lam, lam_bound, global_err)]
+    rows = [(n, delta, epsilon, cfg.seed, rate, cr_rate,
+             announce_bits, N, lam, lam_bound, global_err)]
     return outputs, comparisons, columns, rows, {}
 
 
 def _run_derandomize(cfg, bundle):
-    code = _build_code(cfg, bundle, keep_words=True)
+    code = build_sim_code(*_code_inputs(cfg, bundle), cfg.seed)
     dcode, family, weights = derandomize_with_family(code, code.epsilon, seed=cfg.seed)
     report = measure_fidelity(code.source, code.channel, family, weights)
     outputs = {"n": code.n, "Q": dcode.Q, "index_bits": dcode.index_bits(),
@@ -590,11 +593,9 @@ def _run_sweep(cfg, bundle):
     keep_limit = int(cfg.params.get("keep_words_up_to", 6))
     rows, rates = [], []
     for n in range(n_min, n_max + 1):
-        keep = n <= keep_limit
-        code = build_sim_code(source, channel, n, delta, epsilon, cfg.seed,
-                              keep_words=keep)
-        rate, cr_rate = accounting(code)
-        report = _fidelity_report(code) if keep else None
+        code, (rate, cr_rate, _, _), _ = _sized((source, channel, n, delta, epsilon),
+                                                cfg.seed, keep_words=n <= keep_limit)
+        report = None if code is None else _fidelity_report(code)
         lam = None if report is None else report["lambda_measured"]
         rows.append((n, rate, cr_rate, lam))
         rates.append(rate)

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._seeds import _as_rng, child_seed
 from .core_prob import Channel, Distribution
-from .covering import CoveringFamily, build_covering
+from .covering import CoveringFamily, build_covering, required_M_N
 from .errors import CAPS, InvalidInputError, require_cap
 from .typeclasses import (
     ExactType,
@@ -99,8 +99,7 @@ class SimCode:
     families: dict          # JointType -> CoveringFamily ({} when rates-only)
 
     def __post_init__(self):
-        if not self.records:
-            raise InvalidInputError("no jointly typical types; widen delta")
+        _, _, announce_bits, N = sized_rates([(r.M, r.N) for r in self.records.values()], self.n)
         if any(t != rec.joint_type for t, rec in self.records.items()):
             raise InvalidInputError("a code's records must sit under their own joint types")
         if self.families and ({t: FamilyRecord.of(f) for t, f in self.families.items()}
@@ -113,8 +112,7 @@ class SimCode:
         derived = {"records": MappingProxyType(dict(self.records)),
                    "families": MappingProxyType(dict(self.families)),
                    "typical_joint_types": tuple(self.records),
-                   "N": max(rec.N for rec in self.records.values()),
-                   "announce_bits": math.ceil(math.log2(len(self.records))),
+                   "N": N, "announce_bits": announce_bits,
                    "rates_only": not self.families,
                    "spec": TypicalSpec(self.source, self.n, self.delta)}
         for name, value in derived.items():
@@ -137,9 +135,6 @@ class SimCode:
 
     def fallback_word(self) -> tuple:
         return (0,) * self.n
-
-    def max_log2_M(self) -> float:
-        return max(math.log2(r.M) for r in self.records.values())
 
 
 @dataclass(frozen=True)
@@ -165,22 +160,30 @@ def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta:
     return found
 
 
+def sized_types(source: Distribution, channel: Channel, n: int, delta: float,
+                epsilon: float) -> dict:
+    """required_M_N(t, epsilon), the (M_t, N_t) a family is drawn at, of
+    every jointly typical type t, in announcement order. Nothing is drawn or
+    allocated, so only the type-enumeration caps apply."""
+    if source.alphabet_size != channel.input_size:
+        raise InvalidInputError("source alphabet does not match channel input")
+    return {t: required_M_N(t, epsilon) for t in jointly_typical_types(source, channel, n, delta)}
+
+
 def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
                    epsilon: float, seed: int, keep_words: bool = True) -> SimCode:
     """Construct verified covering families for every jointly typical type.
 
-    Each type t gets its own required_M_N sizing, a power of two list count
-    N_t and the M that meets both covering inequalities there. The shared
-    index is uniform on [0, N) with N the largest N_t; every N_t divides N,
-    so type t reads list nu mod N_t, which is uniform on its N_t lists.
-    With keep_words=False the families are verified and then dropped,
-    keeping only size/margin records (rates and bound accounting remain
-    available; encoding does not).
+    Each type t is drawn at its sized_types sizing, a power of two list
+    count N_t and the M that meets both covering inequalities there. The
+    shared index is uniform on [0, N) with N the largest N_t; every N_t
+    divides N, so type t reads list nu mod N_t, uniform on its N_t lists.
+    With keep_words=False the families are verified and dropped, keeping
+    the records, whose retries and margins `cover` prints; the rates alone
+    need no draw (sized_rates over sized_types).
     """
-    if source.alphabet_size != channel.input_size:
-        raise InvalidInputError("source alphabet does not match channel input")
     families, records = {}, {}
-    for idx, t in enumerate(jointly_typical_types(source, channel, n, delta)):
+    for idx, t in enumerate(sized_types(source, channel, n, delta, epsilon)):
         fam = build_covering(t, epsilon, seed=child_seed(seed, f"simulate:covering:{idx}"))
         records[t] = FamilyRecord.of(fam)
         if keep_words:
@@ -540,8 +543,16 @@ def encoder_message_law(code: SimCode, nu: int):
     return blocks, int(starts[-1]) + 1
 
 
+def sized_rates(sizes, n: int):
+    """(rate, cr_rate, announce_bits, N) of the (M_t, N_t) sizes of a code's
+    types: message (max log2 M_t plus ceil(log2 #types) announcement bits)
+    and shared randomness (log2 N, N the largest N_t), each over n."""
+    if not sizes:
+        raise InvalidInputError("no jointly typical types; widen delta")
+    bits, N = math.ceil(math.log2(len(sizes))), max(N_t for _, N_t in sizes)
+    return (max(math.log2(M) for M, _ in sizes) + bits) / n, math.log2(N) / n, bits, N
+
+
 def accounting(code: SimCode):
-    """(rate, cr_rate) in bits per letter: message (largest log2 M plus the
-    announcement) and shared randomness (log2 N), each over n."""
-    rate = (code.max_log2_M() + code.announce_bits) / code.n
-    return rate, math.log2(code.N) / code.n
+    """(rate, cr_rate) in bits per letter: sized_rates of the code's records."""
+    return sized_rates([(r.M, r.N) for r in code.records.values()], code.n)[:2]

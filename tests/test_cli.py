@@ -3,13 +3,14 @@ resolution, cap overrides, and byte-identical reruns."""
 
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chansim import cli
+from chansim import cli, covering
 from chansim.cli import (ExperimentConfig, RunRecord,
                          build_config, compare_bounds, main,
                          parse_cap_overrides, run)
@@ -576,6 +577,43 @@ def test_sweep_columns_and_rates_only_gap(tmp_path, bsc_file):
     assert first[3] != ""          # words kept: fidelity measured
     assert second[3] == ""         # rates-only row leaves the column empty
     assert float(second[1]) < float(first[1])
+
+
+def test_rates_only_runs_draw_no_covering_family(bsc_file, monkeypatch):
+    """simulate --rates-only and sweep's rows above --keep-words-up-to read
+    the sizing alone: with build_covering raising in every chansim module
+    that binds it, both still exit 0, while cover, which draws, reaches it."""
+    original = covering.build_covering
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rates-only run drew a covering family")
+    for name, module in list(sys.modules.items()):
+        if name == "chansim" or name.startswith("chansim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)
+    assert main(["simulate", bsc_file, "--n", "6", "--rates-only"]) == 0
+    assert main(["sweep", bsc_file, "--n-min", "4", "--n-max", "6",
+                 "--keep-words-up-to", "0"]) == 0
+    with pytest.raises(AssertionError, match="drew a covering family"):
+        main(["cover", bsc_file, "--n", "4"])
+
+
+def test_rates_only_rows_reach_the_joint_enumeration_cap(capsys):
+    """With no family drawn, sweep's rates-only rows run to n = 16, the
+    largest block length JOINT_ENUM_N_CAP admits, under the default caps
+    and at the benchmark's delta = 2, epsilon = 0.1; n = 17 exits 3 at
+    that cap."""
+    bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
+    t0 = time.perf_counter()
+    assert main(["sweep", bsc25, "--n-min", "13", "--n-max", "16", "--keep-words-up-to", "0",
+                 "--delta", "2.0", "--epsilon", "0.1"]) == 0
+    assert time.perf_counter() - t0 < 2.0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 2 and "FAIL" not in out
+    assert "last_rate = 2.04594149797" in out
+    assert main(["simulate", bsc25, "--n", "17", "--rates-only"]) == 3
+    assert "above JOINT_ENUM_N_CAP = 16" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, csv_name", [

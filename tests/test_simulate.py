@@ -31,6 +31,8 @@ from chansim.simulate import (
     jointly_typical_types,
     output_distribution,
     run_protocol,
+    sized_rates,
+    sized_types,
     strong_fidelity_report,
     word_letters,
 )
@@ -578,6 +580,22 @@ def test_accounting_rates_and_bounds(small_code):
     assert cr_rate == math.log2(small_code.N) / 4
     assert rate >= mutual_information(UNIF, BSC) - 1e-9
     assert rate + cr_rate >= entropy(output_marginal(UNIF, BSC)) - 1e-9
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_the_sizing_alone_gives_the_drawn_codes_rates(name, n):
+    """sized_types holds the (M, N) of every record build_sim_code draws, in
+    its announcement order, so sized_rates over it gives the code's rates,
+    announcement bits, N and type count exactly, with no family drawn."""
+    source, channel = INSTANCES[name]
+    sizes = sized_types(source, channel, n, 2.0, 0.1)
+    code = build_sim_code(source, channel, n, 2.0, 0.1, seed=7, keep_words=False)
+    assert list(sizes.items()) == [(t, (rec.M, rec.N)) for t, rec in code.records.items()]
+    rate, cr_rate, announce_bits, N = sized_rates(list(sizes.values()), n)
+    assert (rate, cr_rate) == accounting(code)
+    assert (announce_bits, N, len(sizes)) == (code.announce_bits, code.N,
+                                              len(code.typical_joint_types))
 
 
 def test_identity_channel_protocol():
