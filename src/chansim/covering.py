@@ -60,23 +60,14 @@ def lemma2_failure_bound(K_size: int, M: int, eta: float, s: float) -> float:
     return K_size * (math.exp(-exponent / (2.0 + eta)) + math.exp(-exponent / 2.0))
 
 
-def _min_M_condition_I(t: JointType, epsilon: float, N: int) -> int:
-    size_r, size_s, size_t = t.class_sizes
-    ratio = size_r * size_s / size_t
-    rhs = (2.0 * LN2 / epsilon**2) * ratio * math.log2(4.0 * N * size_r)
-    return int(math.floor(rhs)) + 1
-
-
-def _rhs_condition_II(t: JointType, epsilon: float) -> float:
-    size_s = t.class_sizes[1]
-    return (2.0 * LN2 / epsilon**2) * size_s * math.log2(4.0 * size_s)
-
-
 def required_M_N(t: JointType, epsilon: float):
     """The family's own sizing (M, N): N is the smallest power of two at or
     above the list count where the two covering inequalities meet, so every
     type's N divides the largest, and M is the smallest size that meets both
-    at that N.
+    at that N. With c = 2 ln 2 / eps^2, condition (I) needs
+    M > c |T_R| |T_S| / |T_t| log2(4 N |T_R|) and condition (II) needs
+    N M > c |T_S| log2(4 |T_S|). The class sizes are read from
+    t.class_sizes, attached when t came from conditionally_typical_joint_types.
 
     The meeting point is found from N = 1 by alternating the two threshold
     formulas until they agree; each pass only raises N, so the loop
@@ -84,15 +75,19 @@ def required_M_N(t: JointType, epsilon: float):
     """
     if not 0.0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
-    rhs_ii = _rhs_condition_II(t, epsilon)
+    size_r, size_s, size_t = t.class_sizes
+    scale = 2.0 * LN2 / epsilon**2
+    rhs_i = scale * (size_r * size_s / size_t)
+    rhs_ii = scale * size_s * math.log2(4.0 * size_s)
+
+    def min_M(N):
+        return int(math.floor(rhs_i * math.log2(4.0 * N * size_r))) + 1
+
     N = 1
-    while True:
-        M = _min_M_condition_I(t, epsilon, N)
-        if N * M > rhs_ii:
-            break
+    while N * (M := min_M(N)) <= rhs_ii:
         N = int(math.floor(rhs_ii / M)) + 1
     N = 1 << (N - 1).bit_length()
-    return max(_min_M_condition_I(t, epsilon, N), int(math.floor(rhs_ii / N)) + 1), N
+    return max(min_M(N), int(math.floor(rhs_ii / N)) + 1), N
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

@@ -163,8 +163,9 @@ def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta:
 def sized_types(source: Distribution, channel: Channel, n: int, delta: float,
                 epsilon: float) -> dict:
     """required_M_N(t, epsilon), the (M_t, N_t) a family is drawn at, of
-    every jointly typical type t, in announcement order. Nothing is drawn or
-    allocated, so only the type-enumeration caps apply."""
+    every jointly typical type t, in announcement order. Only those types
+    are built, each carrying the class sizes required_M_N reads. Nothing is
+    drawn or allocated, so only the type-enumeration caps apply."""
     if source.alphabet_size != channel.input_size:
         raise InvalidInputError("source alphabet does not match channel input")
     return {t: required_M_N(t, epsilon) for t in jointly_typical_types(source, channel, n, delta)}

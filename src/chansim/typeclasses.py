@@ -50,7 +50,8 @@ class ExactType:
 class JointType:
     """Count matrix of a word pair; counts[x][y] = #{k : x_k = x, y_k = y}.
 
-    The marginals and class_sizes are computed on first use and kept on the
+    The marginals and class_sizes are computed on first use, or class_sizes
+    attached by conditionally_typical_joint_types, and kept on the
     instance, outside ==, hash and repr."""
 
     n: int
@@ -149,13 +150,27 @@ def type_is_typical(t: ExactType, spec: TypicalSpec) -> bool:
 def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float) -> list:
     """The joint types of enumerate_joint_types(base, |Y|), in that order,
     whose every cell lies in the window of its channel entry W(y|x), with
-    base's count of x as the total. Each cell's window is computed once for
-    all of them."""
+    base's count of x as the total. Each row keeps only its windowed
+    compositions, and their product, taken in the same order, builds no
+    other joint type. Every type carries its class_sizes from shared
+    factors: |T_R| once, one multinomial per row composition,
+    |T_t| = |T_R| times its rows' multinomials, and |T_S| once per column
+    marginal. Both joint enumeration caps are checked first."""
     if base.alphabet_size != w.input_size:
         raise InvalidInputError("input type does not match the channel")
-    windows = [[_window(r, wxy, delta) for wxy in w_row] for r, w_row in zip(base.counts, w.rows)]
-    return [t for t in enumerate_joint_types(base, w.output_size)
-            if all(c in win for row, wins in zip(t.counts, windows) for c, win in zip(row, wins))]
+    _require_joint_caps(base, w.output_size)
+    per_row = []
+    for r, w_row in zip(base.counts, w.rows):
+        wins = [_window(r, wxy, delta) for wxy in w_row]
+        per_row.append([(row, _multinomial(row)) for row in _compositions(r, w.output_size)
+                        if all(c in win for c, win in zip(row, wins))])
+    size_r, size_s, found = type_class_size(base), functools.cache(_multinomial), []
+    for rows in itertools.product(*per_row):
+        t = JointType(base.n, tuple(row for row, _ in rows))
+        object.__setattr__(t, "class_sizes", (size_r, size_s(tuple(map(sum, zip(*t.counts)))),
+                                              size_r * math.prod(m for _, m in rows)))
+        found.append(t)
+    return found
 
 
 class TypicalBounds(NamedTuple):
@@ -277,12 +292,16 @@ def enumerate_type_classes(n: int, alphabet_size: int):
     return [ExactType(n, c) for c in _compositions(n, alphabet_size)]
 
 
+def _require_joint_caps(base: ExactType, y_size: int):
+    require_cap("JOINT_ENUM_N_CAP", base.n, "joint type enumeration at n = {}")
+    require_cap("JOINT_ENUM_CELLS_CAP", base.alphabet_size * y_size, "joint types of {} cells")
+
+
 def enumerate_joint_types(base: ExactType, y_size: int):
     """Every joint type over X x Y whose row marginal is base, lexicographic
     on the flattened count matrix. JOINT_ENUM_N_CAP and JOINT_ENUM_CELLS_CAP
     guard against blowup."""
-    require_cap("JOINT_ENUM_N_CAP", base.n, "joint type enumeration at n = {}")
-    require_cap("JOINT_ENUM_CELLS_CAP", base.alphabet_size * y_size, "joint types of {} cells")
+    _require_joint_caps(base, y_size)
     per_row = [list(_compositions(r, y_size)) for r in base.counts]
     return [JointType(base.n, rows) for rows in itertools.product(*per_row)]
 

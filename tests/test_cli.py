@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line front end: exit codes, config
 resolution, cap overrides, and byte-identical reruns."""
 
+import hashlib
 import json
 import math
 import sys
@@ -614,6 +615,24 @@ def test_rates_only_rows_reach_the_joint_enumeration_cap(capsys):
     assert "last_rate = 2.04594149797" in out
     assert main(["simulate", bsc25, "--n", "17", "--rates-only"]) == 3
     assert "above JOINT_ENUM_N_CAP = 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, digest", [
+    (64, "6146850fc05453f22c4201ba4539154ffd3affeb4c4bde1ae0d5f067f2431c62"),
+    (128, "438dbf0a14973ecaff32a0543db46d3b7ee2344545477989e6b7e78dd602e741"),
+], ids=["n64", "n128"])
+def test_rates_only_rows_past_the_cap_keep_their_bytes(tmp_path, capsys, n, digest):
+    """With JOINT_ENUM_N_CAP raised to n, rates-only bsc25 rows at n = 64
+    (rate 0.903608) and n = 128 (rate 0.625574), both at cr_rate 0.890625,
+    write the simulate.csv bytes pinned when every joint type was
+    enumerated and filtered."""
+    bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
+    out = tmp_path / f"rates{n}"
+    assert main(["simulate", bsc25, "--n", str(n), "--delta", "2.0", "--epsilon", "0.1",
+                 "--rates-only", "--cap-override", f"JOINT_ENUM_N_CAP={n}",
+                 "--out", str(out)]) == 0
+    assert "cr_rate = 0.890625" in capsys.readouterr().out
+    assert hashlib.sha256((out / "simulate.csv").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv, csv_name", [

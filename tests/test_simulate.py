@@ -10,7 +10,7 @@ import pytest
 
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
-from chansim import applications, covering, simulate, typeclasses
+from chansim import applications, simulate, typeclasses
 from chansim.covering import CoveringFamily, required_M_N
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.fidelity import derandomize, measure_fidelity, run_fixed_code, sim_code_family
@@ -62,13 +62,23 @@ def channel_block_row(channel, x_word):
 def unrounded_sizing(t, epsilon, N=None):
     """(M, N) as sized before list counts were rounded to powers of two: the
     count where the two covering inequalities meet by alternation from
-    N = 1, or the given N, with the smallest M that meets both there."""
-    rhs_ii = covering._rhs_condition_II(t, epsilon)
+    N = 1, or the given N, with the smallest M that meets both there. The
+    two thresholds are written out from the covering module's docstring,
+    with the class sizes taken from scratch."""
+    size_r, size_s = (typeclasses.type_class_size(m) for m in (t.row_marginal(), t.col_marginal()))
+    size_t = typeclasses.joint_type_class_size(t)
+    scale = 2.0 * math.log(2.0) / epsilon**2
+
+    def min_m(n_lists):
+        rhs_i = scale * (size_r * size_s / size_t) * math.log2(4.0 * n_lists * size_r)
+        return math.floor(rhs_i) + 1
+
+    rhs_ii = scale * size_s * math.log2(4.0 * size_s)
     if N is None:
         N = 1
-        while N * covering._min_M_condition_I(t, epsilon, N) <= rhs_ii:
-            N = math.floor(rhs_ii / covering._min_M_condition_I(t, epsilon, N)) + 1
-    return max(covering._min_M_condition_I(t, epsilon, N), math.floor(rhs_ii / N) + 1), N
+        while N * min_m(N) <= rhs_ii:
+            N = math.floor(rhs_ii / min_m(N)) + 1
+    return max(min_m(N), math.floor(rhs_ii / N) + 1), N
 
 
 @pytest.fixture(scope="module")
@@ -598,6 +608,28 @@ def test_the_sizing_alone_gives_the_drawn_codes_rates(name, n):
                                               len(code.typical_joint_types))
 
 
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_sized_types_match_the_sizing_of_fresh_types(name):
+    """The sizes sized_types reads from the class sizes the row product
+    attaches are those of fresh joint types, which take theirs from
+    scratch, at n = 4 to 16."""
+    source, channel = INSTANCES[name]
+    for n in range(4, 17):
+        sizes = sized_types(source, channel, n, 2.0, 0.1)
+        assert sizes == {t: required_M_N(JointType(t.n, t.counts), 0.1) for t in sizes}
+
+
+def test_sized_types_build_only_the_types_they_return(monkeypatch):
+    """At n = 32 the row product builds each jointly typical type once and
+    no other joint type."""
+    monkeypatch.setitem(CAPS, "JOINT_ENUM_N_CAP", 32)
+    built = []
+    check = JointType.__post_init__
+    monkeypatch.setattr(JointType, "__post_init__", lambda t: (built.append(t), check(t)))
+    sizes = sized_types(UNIF, BSC, 32, 2.0, 0.1)
+    assert len(built) == len(sizes) > 100 and set(built) == set(sizes)
+
+
 def test_identity_channel_protocol():
     ident = Channel.from_rows([[1.0, 0.0], [0.0, 1.0]])
     code = build_sim_code(UNIF, ident, n=4, delta=2.0, epsilon=0.1, seed=5)
@@ -733,6 +765,9 @@ def test_decode_reads_the_sorted_slot_of_every_list():
 
 
 def test_each_joint_type_sizes_its_classes_once(monkeypatch):
+    """Every jointly typical type gets its class sizes once, from the row
+    factors, as the row product builds it, so neither the sizing nor
+    build_covering takes a joint class size from scratch."""
     sized = []
     real = typeclasses.joint_type_class_size
     for name, module in list(sys.modules.items()):    # every namespace that binds it
@@ -741,7 +776,8 @@ def test_each_joint_type_sizes_its_classes_once(monkeypatch):
                                 lambda t: sized.append(t) or real(t))
     code = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
     assert len(code.typical_joint_types) == 37
-    assert sorted(sized, key=repr) == sorted(code.typical_joint_types, key=repr)
+    assert sized == []
+    assert all("class_sizes" in vars(t) for t in code.typical_joint_types)
 
 
 def test_online_path_transcripts_are_pinned_bit_for_bit():

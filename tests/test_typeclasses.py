@@ -25,6 +25,9 @@ from chansim.typeclasses import (
 )
 
 SEED = 8191
+# 3 x 2 with a zero entry and 3 x 3 channel rows
+THREE_LETTER_INPUTS = ([[0.6, 0.4], [0.0, 1.0], [0.3, 0.7]],
+                       [[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]])
 
 
 def is_typical(word, spec):
@@ -215,12 +218,18 @@ class TestEnumeration:
         assert len(joints) == 10 * 6
 
     def test_caps(self, monkeypatch):
+        bsc = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
         for base in enumerate_type_classes(17, 2):
             with pytest.raises(CapExceededError, match="JOINT_ENUM_N_CAP"):
                 enumerate_joint_types(base, 2)
+            with pytest.raises(CapExceededError, match="JOINT_ENUM_N_CAP"):
+                conditionally_typical_joint_types(base, bsc, 2.0)
+        four_by_three = Channel.from_rows([[1 / 3] * 3] * 4)
         for base in enumerate_type_classes(4, 4):
             with pytest.raises(CapExceededError, match="JOINT_ENUM_CELLS_CAP"):
                 enumerate_joint_types(base, 3)
+            with pytest.raises(CapExceededError, match="JOINT_ENUM_CELLS_CAP"):
+                conditionally_typical_joint_types(base, four_by_three, 2.0)
         monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 1000)
         with pytest.raises(CapExceededError):
             enumerate_type_class(ExactType(40, (20, 20)))
@@ -326,12 +335,15 @@ class TestTypicality:
             JointType(4, ((2, 0), (0, 2)))]
 
     @pytest.mark.parametrize("rows", [[[0.75, 0.25], [0.25, 0.75]], [[0.9, 0.1], [0.3, 0.7]],
-                                      [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8]]])
+                                      [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8]], *THREE_LETTER_INPUTS])
     def test_conditional_window_matches_the_cell_rule(self, rows):
+        """The windowed row product lists, in order, exactly the joint types
+        of the full enumeration that pass the cell rule, over binary bases
+        to n = 8 and three-letter bases to n = 6."""
         w = Channel.from_rows(rows)
         verdicts = set()
-        for n in range(1, 9):
-            for base in enumerate_type_classes(n, 2):
+        for n in range(1, 9 if w.input_size == 2 else 7):
+            for base in enumerate_type_classes(n, w.input_size):
                 for delta in (0.0, 1.0, 2.0):
                     every = enumerate_joint_types(base, w.output_size)
                     rule = [cell_rule_reference(t, w, delta) for t in every]
@@ -340,4 +352,19 @@ class TestTypicality:
                     verdicts.update(rule)
         assert verdicts == {False, True}
         with pytest.raises(InvalidInputError):
-            conditionally_typical_joint_types(ExactType(2, (1, 1, 0)), w, 1.0)
+            conditionally_typical_joint_types(ExactType(2, (2,) + (0,) * w.input_size), w, 1.0)
+
+    @pytest.mark.parametrize("rows", [[[0.75, 0.25], [0.25, 0.75]],
+                                      [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8]], *THREE_LETTER_INPUTS])
+    def test_attached_class_sizes_are_the_multinomials(self, rows):
+        """The class sizes the row product attaches from its shared factors
+        equal the multinomials of each type taken from scratch, at every
+        base to n = 8; delta = 50 keeps every cell of a positive entry."""
+        w = Channel.from_rows(rows)
+        for n in range(1, 9):
+            for base in enumerate_type_classes(n, w.input_size):
+                for delta in (2.0, 50.0):
+                    for t in conditionally_typical_joint_types(base, w, delta):
+                        assert t.class_sizes == (type_class_size(t.row_marginal()),
+                                                 type_class_size(t.col_marginal()),
+                                                 joint_type_class_size(t)), t
