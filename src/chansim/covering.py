@@ -71,23 +71,36 @@ def required_M_N(t: JointType, epsilon: float):
 
     The meeting point is found from N = 1 by alternating the two threshold
     formulas until they agree; each pass only raises N, so the loop
-    terminates.
+    terminates. A sizing that leaves float64 (bsc25 at n = 550, delta = 2)
+    raises InvalidInputError: no cap admits it.
     """
     if not 0.0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
     size_r, size_s, size_t = t.class_sizes
     scale = 2.0 * LN2 / epsilon**2
-    rhs_i = scale * (size_r * size_s / size_t)
-    rhs_ii = scale * size_s * math.log2(4.0 * size_s)
+    try:
+        rhs_i = scale * (size_r * size_s / size_t)
+        rhs_ii = scale * size_s * math.log2(4.0 * size_s)
 
-    def min_M(N):
-        return int(math.floor(rhs_i * math.log2(4.0 * N * size_r))) + 1
+        def min_M(N):
+            return int(math.floor(rhs_i * math.log2(4.0 * N * size_r))) + 1
 
-    N = 1
-    while N * (M := min_M(N)) <= rhs_ii:
-        N = int(math.floor(rhs_ii / M)) + 1
-    N = 1 << (N - 1).bit_length()
-    return max(min_M(N), int(math.floor(rhs_ii / N)) + 1), N
+        N = 1
+        while N * (M := min_M(N)) <= rhs_ii:
+            N = int(math.floor(rhs_ii / M)) + 1
+        N = 1 << (N - 1).bit_length()
+        return max(min_M(N), int(math.floor(rhs_ii / N)) + 1), N
+    except OverflowError:
+        raise InvalidInputError(
+            f"covering sizes at n = {t.n} leave float64: the joint type class has "
+            f"2^{size_t.bit_length() - 1} or more word pairs") from None
+
+
+def require_table_cap(t: JointType, N: int):
+    """COVER_TABLE_CAP on the larger of t's counts table at N lists
+    (N x |T_S|) and its compatibility matrix (|T_R| x |T_S|)."""
+    size_r, size_s, _ = t.class_sizes
+    require_cap("COVER_TABLE_CAP", max(N, size_r) * size_s, "covering tables of {} entries")
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:
@@ -320,8 +333,8 @@ def build_covering(t: JointType, epsilon: float, seed: int = 0) -> CoveringFamil
     DEFAULT_MAX_RETRIES failures; both are read at call time.
     """
     M, N = required_M_N(t, epsilon)
-    size_r, size_s, _ = t.class_sizes
-    require_cap("COVER_TABLE_CAP", max(N, size_r) * size_s, "covering tables of {} entries")
+    require_table_cap(t, N)
+    size_s = t.class_sizes[1]
     for attempt in range(DEFAULT_MAX_RETRIES):
         counts = _uniform_counts(child_rng(seed, f"covering:try:{attempt}"), M, size_s, N)
         family = CoveringFamily(t, N, M, counts, epsilon, retries=attempt)

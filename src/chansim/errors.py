@@ -35,13 +35,9 @@ class RetriesExhaustedError(ChansimError):
 
 
 CAPS = {
-    # block length n of a joint-type enumeration
-    "JOINT_ENUM_N_CAP": 16,
-    # cells |X|·|Y| of a joint type
-    "JOINT_ENUM_CELLS_CAP": 9,
     # entries of any list enumerated at once: the words of one type class,
-    # and the exact types of one length, C(n + a - 1, a - 1) (joint types
-    # stay below it at the two caps above, C(24, 8) = 735,471)
+    # and the types of one length over k cells, C(n + k - 1, k - 1), with
+    # k = |X|·|Y| for joint types (2 x 2 reaches n = 226, 3 x 3 n = 18)
     "WORD_ENUM_CAP": 2_000_000,
     # block length n of the exact typical-set mass
     "EXACT_PROB_N_CAP": 170,

@@ -39,7 +39,7 @@ import numpy as np
 
 from ._seeds import _as_rng, child_seed
 from .core_prob import Channel, Distribution
-from .covering import CoveringFamily, build_covering, required_M_N
+from .covering import CoveringFamily, build_covering, require_table_cap, required_M_N
 from .errors import CAPS, InvalidInputError, require_cap
 from .typeclasses import (
     ExactType,
@@ -165,7 +165,9 @@ def sized_types(source: Distribution, channel: Channel, n: int, delta: float,
     """required_M_N(t, epsilon), the (M_t, N_t) a family is drawn at, of
     every jointly typical type t, in announcement order. Only those types
     are built, each carrying the class sizes required_M_N reads. Nothing is
-    drawn or allocated, so only the type-enumeration caps apply."""
+    drawn or allocated, so only WORD_ENUM_CAP applies, to the count of all
+    joint types of length n; 2 x 2 instances reach n = 226, 2 x 3 n = 44
+    and 3 x 3 n = 18 under its default."""
     if source.alphabet_size != channel.input_size:
         raise InvalidInputError("source alphabet does not match channel input")
     return {t: required_M_N(t, epsilon) for t in jointly_typical_types(source, channel, n, delta)}
@@ -181,10 +183,15 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
     divides N, so type t reads list nu mod N_t, uniform on its N_t lists.
     With keep_words=False the families are verified and dropped, keeping
     the records, whose retries and margins `cover` prints; the rates alone
-    need no draw (sized_rates over sized_types).
+    need no draw (sized_rates over sized_types). Every type's tables are
+    checked against COVER_TABLE_CAP, in announcement order, before the
+    first draw.
     """
+    sizes = sized_types(source, channel, n, delta, epsilon)
+    for t, (_, N) in sizes.items():
+        require_table_cap(t, N)
     families, records = {}, {}
-    for idx, t in enumerate(sized_types(source, channel, n, delta, epsilon)):
+    for idx, t in enumerate(sizes):
         fam = build_covering(t, epsilon, seed=child_seed(seed, f"simulate:covering:{idx}"))
         records[t] = FamilyRecord.of(fam)
         if keep_words:

@@ -155,10 +155,10 @@ def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float)
     other joint type. Every type carries its class_sizes from shared
     factors: |T_R| once, one multinomial per row composition,
     |T_t| = |T_R| times its rows' multinomials, and |T_S| once per column
-    marginal. Both joint enumeration caps are checked first."""
+    marginal. All joint types of length n are counted first, under WORD_ENUM_CAP."""
     if base.alphabet_size != w.input_size:
         raise InvalidInputError("input type does not match the channel")
-    _require_joint_caps(base, w.output_size)
+    _require_type_count(base.n, base.alphabet_size * w.output_size, "joint")
     per_row = []
     for r, w_row in zip(base.counts, w.rows):
         wins = [_window(r, wxy, delta) for wxy in w_row]
@@ -284,24 +284,26 @@ def conditional_type_class_size(t: JointType) -> int:
     return math.prod(_multinomial(row) for row in t.counts)
 
 
+def _require_type_count(n: int, cells: int, kind: str):
+    """WORD_ENUM_CAP on the C(n + cells - 1, cells - 1) types of length n,
+    cells being |X| for exact types and |X||Y| for joint types."""
+    require_cap("WORD_ENUM_CAP", math.comb(n + cells - 1, cells - 1),
+                "words of one length have {} " + kind + " types")
+
+
 def enumerate_type_classes(n: int, alphabet_size: int):
     """All exact types of length-n words, lexicographic by count vector; at
-    most WORD_ENUM_CAP of them, checked before any is built."""
-    require_cap("WORD_ENUM_CAP", math.comb(n + alphabet_size - 1, alphabet_size - 1),
-                "words of one length have {} exact types")
+    most WORD_ENUM_CAP of them."""
+    _require_type_count(n, alphabet_size, "exact")
     return [ExactType(n, c) for c in _compositions(n, alphabet_size)]
-
-
-def _require_joint_caps(base: ExactType, y_size: int):
-    require_cap("JOINT_ENUM_N_CAP", base.n, "joint type enumeration at n = {}")
-    require_cap("JOINT_ENUM_CELLS_CAP", base.alphabet_size * y_size, "joint types of {} cells")
 
 
 def enumerate_joint_types(base: ExactType, y_size: int):
     """Every joint type over X x Y whose row marginal is base, lexicographic
-    on the flattened count matrix. JOINT_ENUM_N_CAP and JOINT_ENUM_CELLS_CAP
-    guard against blowup."""
-    _require_joint_caps(base, y_size)
+    on the flattened count matrix. All joint types of length n are counted
+    first, under WORD_ENUM_CAP: that total bounds this list and the ones
+    jointly_typical_types joins."""
+    _require_type_count(base.n, base.alphabet_size * y_size, "joint")
     per_row = [list(_compositions(r, y_size)) for r in base.counts]
     return [JointType(base.n, rows) for rows in itertools.product(*per_row)]
 

@@ -1,7 +1,6 @@
 """End-to-end checks of the command-line front end: exit codes, config
 resolution, cap overrides, and byte-identical reruns."""
 
-import hashlib
 import json
 import math
 import sys
@@ -174,8 +173,8 @@ DERANDOMIZE_AT_4 = ["derandomize", "--n", "4", "--delta", "2.0"]
     (ZERO_ERROR_AT_4, "ORACLE_MULTISET_CAP", "35 multisets", 34),
     (["rd", "--hamming", "2", "--targets", "0.1", "--certify-resolution", "4"],
      "GRID_ORACLE_CAP", "25 channels", 24),
-    (RATES_AT_4, "JOINT_ENUM_N_CAP", "n = 4", 3),
-    (RATES_AT_4, "JOINT_ENUM_CELLS_CAP", "4 cells", 3),
+    (RATES_AT_4, "WORD_ENUM_CAP", "35 joint types", 34),
+    (["cover", "--n", "4"], "WORD_ENUM_CAP", "35 joint types", 34),
     (["typical", "--n", "4"], "WORD_ENUM_CAP", "5 exact types", 4),
     (["typical", "--n", "4"], "EXACT_PROB_N_CAP", "n = 4", 3),
     (["cover", "--n", "4"], "COVER_TABLE_CAP", "36 entries", 35),
@@ -190,8 +189,9 @@ def test_oracle_cap_message_names_cap_value_and_limit(bsc_file, capsys, argv, ca
     the value itself exits 0. bsc has |X| = |Y| = 2 and c_max = 3; at
     resolution 4 the zero-error grid has 5 rows, so C(7, 3) = 35 multisets
     of three, and the rd grid has 5^2 = 25 channels. At n = 4 there are 5
-    exact types, the largest covering table has 36 entries, and derandomize
-    holds N = 16 pinned 16 x 16 laws."""
+    exact types and C(7, 3) = 35 joint types, counted before the rates are
+    sized and before any family is drawn, the largest covering table has 36
+    entries, and derandomize holds N = 16 pinned 16 x 16 laws."""
     args = [argv[0], bsc_file, *argv[1:]]
     assert main(args + ["--cap-override", f"{cap}={limit}"]) == 3
     err = capsys.readouterr().err
@@ -288,13 +288,6 @@ def test_cover_reports_the_records_of_the_code(tmp_path, bsc_file):
 def test_cover_table_cap_exits_before_sampling(bsc_file):
     assert main(["simulate", bsc_file, "--n", "6",
                  "--cap-override", "COVER_TABLE_CAP=10"]) == 3
-
-
-@pytest.mark.parametrize("cap", ["JOINT_ENUM_N_CAP=3", "JOINT_ENUM_CELLS_CAP=2"])
-def test_joint_enum_cap_overrides_apply(bsc_file, capsys, cap):
-    assert main(["simulate", bsc_file, "--n", "6", "--rates-only",
-                 "--cap-override", cap]) == 3
-    assert "error=cap-exceeded" in capsys.readouterr().err
 
 
 def test_derandomize_cap_override_declares_without_verifying(bsc_file, capsys):
@@ -601,10 +594,11 @@ def test_rates_only_runs_draw_no_covering_family(bsc_file, monkeypatch):
 
 
 def test_rates_only_rows_reach_the_joint_enumeration_cap(capsys):
-    """With no family drawn, sweep's rates-only rows run to n = 16, the
-    largest block length JOINT_ENUM_N_CAP admits, under the default caps
-    and at the benchmark's delta = 2, epsilon = 0.1; n = 17 exits 3 at
-    that cap."""
+    """With no family drawn, sweep's rates-only rows run at n = 13 to 16,
+    and a bsc25 rates-only row runs to n = 226, the largest block length
+    whose C(n + 3, 3) joint types WORD_ENUM_CAP admits, under the default
+    caps and at the benchmark's delta = 2, epsilon = 0.1; n = 227, with
+    C(230, 3) = 2,001,460 joint types, exits 3 at that cap."""
     bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
     t0 = time.perf_counter()
     assert main(["sweep", bsc25, "--n-min", "13", "--n-max", "16", "--keep-words-up-to", "0",
@@ -613,26 +607,65 @@ def test_rates_only_rows_reach_the_joint_enumeration_cap(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 2 and "FAIL" not in out
     assert "last_rate = 2.04594149797" in out
-    assert main(["simulate", bsc25, "--n", "17", "--rates-only"]) == 3
-    assert "above JOINT_ENUM_N_CAP = 16" in capsys.readouterr().err
+    tolerances = ["--delta", "2.0", "--epsilon", "0.1", "--rates-only"]
+    assert main(["simulate", bsc25, "--n", "226", *tolerances]) == 0
+    capsys.readouterr()
+    assert main(["simulate", bsc25, "--n", "227", *tolerances]) == 3
+    assert ("2001460 joint types, above WORD_ENUM_CAP = 2000000"
+            in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("n, digest", [
-    (64, "6146850fc05453f22c4201ba4539154ffd3affeb4c4bde1ae0d5f067f2431c62"),
-    (128, "438dbf0a14973ecaff32a0543db46d3b7ee2344545477989e6b7e78dd602e741"),
+@pytest.mark.parametrize("rows, reach, count", [
+    ([[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]], 44, math.comb(50, 5)),
+    ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]], 18, math.comb(27, 8)),
+], ids=["2x3", "3x3"])
+def test_rates_only_reach_follows_the_joint_type_count(tmp_path, capsys, rows, reach, count):
+    """The one limit on a rates-only row is the count of joint types of
+    length n over |X|·|Y| cells: under the default caps a 2 x 3 instance
+    runs to n = 44 and a 3 x 3 one to n = 18, and one more letter exits 3."""
+    x_size = len(rows)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"source": {"probs": [1 / x_size] * x_size},
+                                "channel": {"rows": rows}}))
+    assert main(["simulate", str(path), "--n", str(reach), "--rates-only"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(path), "--n", str(reach + 1), "--rates-only"]) == 3
+    assert f"{count} joint types, above WORD_ENUM_CAP" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, row", [
+    (64, "64,2,0.1,0,0.903607927134,0.890625,11,144115188075855872,,,"),
+    (128, "128,2,0.1,0,0.625574114758,0.890625,13,20769187434139310514121985316880384,,,"),
 ], ids=["n64", "n128"])
-def test_rates_only_rows_past_the_cap_keep_their_bytes(tmp_path, capsys, n, digest):
-    """With JOINT_ENUM_N_CAP raised to n, rates-only bsc25 rows at n = 64
-    (rate 0.903608) and n = 128 (rate 0.625574), both at cr_rate 0.890625,
-    write the simulate.csv bytes pinned when every joint type was
-    enumerated and filtered."""
+def test_rates_only_rows_past_the_cap_keep_their_bytes(tmp_path, capsys, n, row):
+    """Under the default caps, rates-only bsc25 rows at n = 64 (rate
+    0.903608) and n = 128 (rate 0.625574), both at cr_rate 0.890625, are
+    the rows written when these n took a raised joint-type cap and every
+    joint type was enumerated and filtered; only the # config: line, which
+    hashes the overridden caps, differs from that file."""
     bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
     out = tmp_path / f"rates{n}"
     assert main(["simulate", bsc25, "--n", str(n), "--delta", "2.0", "--epsilon", "0.1",
-                 "--rates-only", "--cap-override", f"JOINT_ENUM_N_CAP={n}",
-                 "--out", str(out)]) == 0
+                 "--rates-only", "--out", str(out)]) == 0
     assert "cr_rate = 0.890625" in capsys.readouterr().out
-    assert hashlib.sha256((out / "simulate.csv").read_bytes()).hexdigest() == digest
+    head = "n,delta,epsilon,seed,rate,cr_rate,announce_bits,N,lambda_measured,lambda_bound,global_err"
+    lines = (out / "simulate.csv").read_text().splitlines()
+    assert lines[2].startswith("# config: ")
+    assert lines[:2] + lines[3:] == ["# chansim simulate csv v9", f"# columns: {head}", head, row]
+
+
+def test_sizing_past_float64_is_invalid_input(capsys):
+    """At n = 550 (bsc25, delta = 2) some jointly typical type's class
+    sizes put its covering threshold past float64: with WORD_ENUM_CAP
+    raised to admit the C(553, 3) joint types, simulate exits 2 naming n
+    and the class size, not 1 with a traceback."""
+    bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
+    assert main(["simulate", bsc25, "--n", "550", "--delta", "2.0", "--epsilon", "0.1",
+                 "--rates-only", "--cap-override",
+                 f"WORD_ENUM_CAP={math.comb(553, 3)}"]) == 2
+    err = capsys.readouterr().err
+    assert "error=invalid-input" in err
+    assert "covering sizes at n = 550 leave float64" in err and "2^1021" in err
 
 
 @pytest.mark.parametrize("argv, csv_name", [

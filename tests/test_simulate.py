@@ -622,12 +622,30 @@ def test_sized_types_match_the_sizing_of_fresh_types(name):
 def test_sized_types_build_only_the_types_they_return(monkeypatch):
     """At n = 32 the row product builds each jointly typical type once and
     no other joint type."""
-    monkeypatch.setitem(CAPS, "JOINT_ENUM_N_CAP", 32)
     built = []
     check = JointType.__post_init__
     monkeypatch.setattr(JointType, "__post_init__", lambda t: (built.append(t), check(t)))
     sizes = sized_types(UNIF, BSC, 32, 2.0, 0.1)
     assert len(built) == len(sizes) > 100 and set(built) == set(sizes)
+
+
+def test_cover_table_cap_is_checked_before_the_first_draw(monkeypatch):
+    """At n = 16 (delta = 2, epsilon = 0.1) some type's covering tables
+    exceed COVER_TABLE_CAP: build_sim_code checks every sized type, in
+    announcement order, and refuses before it draws any family, with the
+    message build_covering gives for the same type."""
+    drawn = []
+
+    def draw(*args, **kwargs):
+        drawn.append(args)
+        raise AssertionError("a family was drawn")
+
+    monkeypatch.setattr(simulate, "build_covering", draw)
+    with pytest.raises(CapExceededError) as refused:
+        build_sim_code(UNIF, BSC, 16, 2.0, 0.1, seed=0)
+    assert str(refused.value) == ("covering tables of 93716480 entries, "
+                                  "above COVER_TABLE_CAP = 33554432")
+    assert drawn == []
 
 
 def test_identity_channel_protocol():

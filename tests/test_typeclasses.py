@@ -204,11 +204,13 @@ class TestEnumeration:
             assert flats == sorted(flats)
 
     def test_joint_count_bound(self):
-        # number of joint types is at most (n+1)^(|X||Y|)
-        for n in (3, 5):
-            count = sum(len(enumerate_joint_types(base, 2))
-                        for base in enumerate_type_classes(n, 2))
-            assert count <= (n + 1) ** 4
+        # the joint types of length n over k = |X||Y| cells are the
+        # C(n + k - 1, k - 1) compositions of n into k parts, at most (n+1)^k
+        for n, x_size, y_size in [(3, 2, 2), (5, 2, 2), (5, 2, 3), (4, 3, 3)]:
+            k = x_size * y_size
+            count = sum(len(enumerate_joint_types(base, y_size))
+                        for base in enumerate_type_classes(n, x_size))
+            assert count == math.comb(n + k - 1, k - 1) <= (n + 1) ** k
 
     def test_base_type_restriction(self):
         base = ExactType(5, (3, 2))
@@ -218,18 +220,21 @@ class TestEnumeration:
         assert len(joints) == 10 * 6
 
     def test_caps(self, monkeypatch):
+        # every joint type of length n is counted before one is built: the
+        # list is refused one below C(n + k - 1, k - 1), and built at it
         bsc = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
-        for base in enumerate_type_classes(17, 2):
-            with pytest.raises(CapExceededError, match="JOINT_ENUM_N_CAP"):
-                enumerate_joint_types(base, 2)
-            with pytest.raises(CapExceededError, match="JOINT_ENUM_N_CAP"):
-                conditionally_typical_joint_types(base, bsc, 2.0)
         four_by_three = Channel.from_rows([[1 / 3] * 3] * 4)
-        for base in enumerate_type_classes(4, 4):
-            with pytest.raises(CapExceededError, match="JOINT_ENUM_CELLS_CAP"):
-                enumerate_joint_types(base, 3)
-            with pytest.raises(CapExceededError, match="JOINT_ENUM_CELLS_CAP"):
-                conditionally_typical_joint_types(base, four_by_three, 2.0)
+        for n, w, count in [(17, bsc, math.comb(20, 3)), (4, four_by_three, math.comb(15, 11))]:
+            for base in enumerate_type_classes(n, w.input_size):
+                monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", count - 1)
+                refused = f"{count} joint types, above WORD_ENUM_CAP = {count - 1}"
+                with pytest.raises(CapExceededError, match=refused):
+                    enumerate_joint_types(base, w.output_size)
+                with pytest.raises(CapExceededError, match=refused):
+                    conditionally_typical_joint_types(base, w, 2.0)
+                monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", count)
+                every = enumerate_joint_types(base, w.output_size)
+                assert every and set(conditionally_typical_joint_types(base, w, 2.0)) <= set(every)
         monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 1000)
         with pytest.raises(CapExceededError):
             enumerate_type_class(ExactType(40, (20, 20)))
@@ -241,9 +246,13 @@ class TestEnumeration:
         assert len(enumerate_type_classes(4, 2)) == 5
 
     def test_caps_are_read_at_call_time(self, monkeypatch):
-        monkeypatch.setitem(CAPS, "JOINT_ENUM_N_CAP", 17)
+        # length 17 over 2 x 1 cells has C(18, 1) = 18 joint types
+        monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 18)
         assert sum(len(enumerate_joint_types(base, 1))
                    for base in enumerate_type_classes(17, 2)) == 18
+        monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 17)
+        with pytest.raises(CapExceededError, match="18 joint types"):
+            enumerate_joint_types(ExactType(17, (9, 8)), 1)
 
     def test_word_enumeration_lex(self):
         words = enumerate_type_class(ExactType(4, (2, 2)))
