@@ -19,7 +19,7 @@ channel = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 code = build_sim_code(source, channel, n=4, delta=2.0, epsilon=0.1, seed=SEED)
 print(f"jointly typical types: {len(code.typical_joint_types)}")
 print(f"shared-randomness lists per type: N = {code.N}")
-print(f"announcement bits: {code.announce_bits}")
+print(f"messages per block: {code.message_count} (every type's slots, then terminate)")
 
 rate, cr_rate = accounting(code)
 print(f"\nmessage rate        = {rate:.6f} bits/letter")
@@ -36,7 +36,9 @@ x_word = (0, 1, 1, 0)
 transcript = run_protocol(code, x_word, nu=2, seed=SEED)
 print(f"\ninput word      {x_word}")
 print(f"announced type  {transcript.announced_type}")
-print(f"message index   {transcript.mu}")
+print(f"slot in type    {transcript.mu}")
+print(f"message         {code.offsets[transcript.announced_type] + transcript.mu}"
+      f" of {code.message_count}")
 print(f"decoded word    {transcript.y_word}")
 print(f"bits sent       {transcript.bits_sent:.2f}")
 

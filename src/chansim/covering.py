@@ -320,19 +320,20 @@ def _uniform_counts(rng, M: int, size_s: int, N: int) -> np.ndarray:
     return _read_only(counts)
 
 
-def build_covering(t: JointType, epsilon: float, seed: int = 0) -> CoveringFamily:
-    """Rejection-sample a covering family and verify it exactly.
+def build_covering(t: JointType, epsilon: float, M: int, N: int,
+                   seed: int = 0) -> CoveringFamily:
+    """Rejection-sample a covering family of N lists of M words, the sizing
+    required_M_N(t, epsilon) gives, and verify it exactly.
 
-    (M, N) come from required_M_N. Each attempt draws all N lists at
-    once as their counts, Multinomial(M, uniform) per list, the law of M
-    i.i.d. uniform ranks (_uniform_counts), until its family's check passes;
-    the returned family keeps that check.
+    Each attempt draws all N lists at once as their counts,
+    Multinomial(M, uniform) per list, the law of M i.i.d. uniform ranks
+    (_uniform_counts), until its family's check passes; the returned
+    family keeps that check.
     Raises CapExceededError, before anything is enumerated or sampled, when
     the counts table or the compatibility matrix would exceed
     COVER_TABLE_CAP entries, and RetriesExhaustedError after
     DEFAULT_MAX_RETRIES failures; both are read at call time.
     """
-    M, N = required_M_N(t, epsilon)
     require_table_cap(t, N)
     size_s = t.class_sizes[1]
     for attempt in range(DEFAULT_MAX_RETRIES):

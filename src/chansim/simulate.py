@@ -24,12 +24,14 @@ announced type, between (1-eps)/(1+eps) and (1+eps)/(1-eps) times the true
 conditional distribution, so the per-word total variation error stays below
 eps/(1-eps) plus the mass of atypical joint types.
 
-Message cost is the largest log2(M_T) plus the type announcement, counted as
-exactly ceil(log2(#jointly typical types)) bits; shared randomness cost is
-log2(N).
+A block's message is one of sum_T M_T + 1: slot mu of jointly typical type
+T is message offset_T + mu, with offset_T the M of the types announced
+before T, and terminate is message sum_T M_T. Every block costs log2 of
+that count; shared randomness costs log2(N).
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -83,11 +85,12 @@ class SimCode:
     typical type, in announcement order (lexicographic), and the covering
     family of each ({} when the code is rates-only), both held as read-only
     mappings. The code is frozen; the announcement order, the shared index
-    range N (the largest list count), the announcement bits, rates_only and
-    the typicality window are derived once. Each record must sit under its
-    own joint type, each family have its record (FamilyRecord.of) and each
-    list count be a power of two, so that it divides N; InvalidInputError
-    otherwise."""
+    range N (the largest list count), each type's first message slot
+    (offsets, the running sums of M in announcement order), the message
+    count sum_t M_t + 1, rates_only and the typicality window are derived
+    once. Each record must sit under its own joint type, each family have
+    its record (FamilyRecord.of) and each list count be a power of two, so
+    that it divides N; InvalidInputError otherwise."""
 
     n: int
     source: Distribution
@@ -99,7 +102,7 @@ class SimCode:
     families: dict          # JointType -> CoveringFamily ({} when rates-only)
 
     def __post_init__(self):
-        _, _, announce_bits, N = sized_rates([(r.M, r.N) for r in self.records.values()], self.n)
+        *_, N = sized_rates([(r.M, r.N) for r in self.records.values()], self.n)
         if any(t != rec.joint_type for t, rec in self.records.items()):
             raise InvalidInputError("a code's records must sit under their own joint types")
         if self.families and ({t: FamilyRecord.of(f) for t, f in self.families.items()}
@@ -109,10 +112,12 @@ class SimCode:
         for count in (rec.N for rec in self.records.values()):
             if count < 1 or count & (count - 1):
                 raise InvalidInputError(f"a family's list count {count} is not a power of two")
+        firsts = list(itertools.accumulate((rec.M for rec in self.records.values()), initial=0))
         derived = {"records": MappingProxyType(dict(self.records)),
                    "families": MappingProxyType(dict(self.families)),
                    "typical_joint_types": tuple(self.records),
-                   "N": N, "announce_bits": announce_bits,
+                   "N": N, "offsets": MappingProxyType(dict(zip(self.records, firsts))),
+                   "message_count": firsts[-1] + 1,
                    "rates_only": not self.families,
                    "spec": TypicalSpec(self.source, self.n, self.delta)}
         for name, value in derived.items():
@@ -191,8 +196,9 @@ def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
     for t, (_, N) in sizes.items():
         require_table_cap(t, N)
     families, records = {}, {}
-    for idx, t in enumerate(sizes):
-        fam = build_covering(t, epsilon, seed=child_seed(seed, f"simulate:covering:{idx}"))
+    for idx, (t, (M, N)) in enumerate(sizes.items()):
+        fam = build_covering(t, epsilon, M, N,
+                             seed=child_seed(seed, f"simulate:covering:{idx}"))
         records[t] = FamilyRecord.of(fam)
         if keep_words:
             families[t] = fam
@@ -371,17 +377,13 @@ def decode(code: SimCode, announced_type, nu: int, mu) -> tuple:
 
 def run_protocol(code: SimCode, x_word, nu: int, seed) -> Transcript:
     """Encode, decode, and account one block; the encoder's reconstruction of
-    the output word is the same table lookup the decoder performs."""
+    the output word is the same table lookup the decoder performs. Every
+    block sends one of code.message_count messages."""
     outcome = encode(code, x_word, nu, seed)
-    if outcome == TERMINATE:
-        return Transcript(tuple(int(v) for v in x_word), TERMINATE, nu, None,
-                          code.fallback_word(), float(code.announce_bits),
-                          math.log2(code.N))
-    t, mu = outcome
+    t, mu = (TERMINATE, None) if outcome == TERMINATE else outcome
     y_word = decode(code, t, nu, mu)
-    bits = math.log2(code.records[t].M) + code.announce_bits
-    return Transcript(tuple(int(v) for v in x_word), t, nu, mu, y_word, bits,
-                      math.log2(code.N))
+    return Transcript(tuple(int(v) for v in x_word), t, nu, mu, y_word,
+                      math.log2(code.message_count), math.log2(code.N))
 
 
 def output_distribution(code: SimCode, x_word) -> Distribution:
@@ -513,9 +515,9 @@ def encoder_message_law(code: SimCode, nu: int):
     """Exact law of the encoder's transmitted message for a pinned shared
     index, as its nonzero blocks.
 
-    Returns (blocks, count). The count messages are the M slots
-    (announced_type, mu), mu ascending, of each joint type in announcement
-    order (code.typical_joint_types), then the terminate sentinel last.
+    Returns (blocks, code.message_count). Message offset_t + mu is slot mu
+    of joint type t (code.offsets), the types in announcement order
+    (code.typical_joint_types), and terminate is the last message.
     blocks is a list: one MessageBlock per covered joint type t of positive
     weight, over the class of its row marginal and the class ranks that
     list nu mod N_t holds, then one terminate block over every input word,
@@ -530,8 +532,6 @@ def encoder_message_law(code: SimCode, nu: int):
     require_cap("BLOCK_ENUM_CAP", code.source.alphabet_size ** code.n
                 + sum(t.class_sizes[0] * t.class_sizes[1] for t in code.typical_joint_types),
                 "message law holds {} block entries")
-    starts = np.cumsum([0] + [code.records[t].M for t in code.typical_joint_types])
-    first = dict(zip(code.typical_joint_types, starts.tolist()))
     terminate = code.atypical_words.astype(float)
     blocks = []
     for base, bt in code.typical_classes.items():
@@ -542,25 +542,28 @@ def encoder_message_law(code: SimCode, nu: int):
             lst = nu % fam.N
             held = np.flatnonzero(fam.counts[lst])
             copies = fam.counts[lst, held]
-            slots = first[fam.joint_type] + fam.cumulative[lst, held] - copies
+            slots = code.offsets[fam.joint_type] + fam.cumulative[lst, held] - copies
             blocks.append(MessageBlock(bt.x_global, slots, copies, fam.y_ranks[held],
                                        np.take(block, held, axis=1)))
         terminate[bt.x_global] = class_terminate[0]
-    blocks.append(MessageBlock(np.arange(terminate.size), starts[-1:], np.ones(1, dtype=np.int64),
+    last = np.array([code.message_count - 1], dtype=np.int64)
+    blocks.append(MessageBlock(np.arange(terminate.size), last, np.ones(1, dtype=np.int64),
                                np.zeros(1, dtype=np.int64), terminate[:, None]))
-    return blocks, int(starts[-1]) + 1
+    return blocks, code.message_count
 
 
 def sized_rates(sizes, n: int):
-    """(rate, cr_rate, announce_bits, N) of the (M_t, N_t) sizes of a code's
-    types: message (max log2 M_t plus ceil(log2 #types) announcement bits)
-    and shared randomness (log2 N, N the largest N_t), each over n."""
+    """(rate, cr_rate, N) of the (M_t, N_t) sizes of a code's types, each
+    over n: the message, log2(sum_t M_t + 1), one index over every type's
+    slots in announcement order and then terminate, and the shared
+    randomness, log2 N with N the largest N_t."""
     if not sizes:
         raise InvalidInputError("no jointly typical types; widen delta")
-    bits, N = math.ceil(math.log2(len(sizes))), max(N_t for _, N_t in sizes)
-    return (max(math.log2(M) for M, _ in sizes) + bits) / n, math.log2(N) / n, bits, N
+    N = max(N_t for _, N_t in sizes)
+    return math.log2(sum(M for M, _ in sizes) + 1) / n, math.log2(N) / n, N
 
 
 def accounting(code: SimCode):
-    """(rate, cr_rate) in bits per letter: sized_rates of the code's records."""
+    """(rate, cr_rate) in bits per letter: sized_rates of the code's
+    records, the rate log2(code.message_count) / n."""
     return sized_rates([(r.M, r.N) for r in code.records.values()], code.n)[:2]

@@ -497,7 +497,7 @@ def test_rd_code_constant_target_needs_no_shared_randomness():
     # message budget still pays the full union-bound M for its families
     assert res.code.N == 1
     assert res.rate == pytest.approx(
-        (max(math.log2(r.M) for r in res.code.records.values()) + res.code.announce_bits) / 4)
+        math.log2(sum(r.M for r in res.code.records.values()) + 1) / 4)
     assert res.distortion == pytest.approx(0.5)  # half the letters disagree
     assert res.distortion <= 0.9
 

@@ -465,7 +465,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v9"
+    assert lines[0] == "# chansim typical csv v10"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"
@@ -573,6 +573,19 @@ def test_sweep_columns_and_rates_only_gap(tmp_path, bsc_file):
     assert float(second[1]) < float(first[1])
 
 
+def test_sweep_reports_its_largest_rate_rise_without_a_bound_row(capsys):
+    """The rate is not monotone in n: at the default delta = 1 the bsc25
+    rate rises from n = 50 to 51. sweep reports the largest step as
+    max_rate_increase, and its one bound row, the mutual-information floor,
+    passes."""
+    bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
+    assert main(["sweep", bsc25, "--n-min", "50", "--n-max", "52",
+                 "--keep-words-up-to", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "max_rate_increase = 0.000333356149413" in out
+    assert out.count("PASS") == 1 and "FAIL" not in out
+
+
 def test_rates_only_runs_draw_no_covering_family(bsc_file, monkeypatch):
     """simulate --rates-only and sweep's rows above --keep-words-up-to read
     the sizing alone: with build_covering raising in every chansim module
@@ -597,7 +610,9 @@ def test_rates_only_rows_reach_the_joint_enumeration_cap(capsys):
     """With no family drawn, sweep's rates-only rows run at n = 13 to 16,
     and a bsc25 rates-only row runs to n = 226, the largest block length
     whose C(n + 3, 3) joint types WORD_ENUM_CAP admits, under the default
-    caps and at the benchmark's delta = 2, epsilon = 0.1; n = 227, with
+    caps and at the benchmark's delta = 2, epsilon = 0.1, where both
+    single-letter floor rows pass, as they do at the default delta = 1,
+    where the message rate's slack is smallest; n = 227, with
     C(230, 3) = 2,001,460 joint types, exits 3 at that cap."""
     bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
     t0 = time.perf_counter()
@@ -605,11 +620,13 @@ def test_rates_only_rows_reach_the_joint_enumeration_cap(capsys):
                  "--delta", "2.0", "--epsilon", "0.1"]) == 0
     assert time.perf_counter() - t0 < 2.0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 2 and "FAIL" not in out
-    assert "last_rate = 2.04594149797" in out
+    assert out.count("PASS") == 1 and "FAIL" not in out
+    assert "last_rate = 1.72020635721" in out
     tolerances = ["--delta", "2.0", "--epsilon", "0.1", "--rates-only"]
-    assert main(["simulate", bsc25, "--n", "226", *tolerances]) == 0
-    capsys.readouterr()
+    for flags in (tolerances, ["--rates-only"]):
+        assert main(["simulate", bsc25, "--n", "226", *flags]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 2 and "FAIL" not in out
     assert main(["simulate", bsc25, "--n", "227", *tolerances]) == 3
     assert ("2001460 joint types, above WORD_ENUM_CAP = 2000000"
             in capsys.readouterr().err)
@@ -634,24 +651,25 @@ def test_rates_only_reach_follows_the_joint_type_count(tmp_path, capsys, rows, r
 
 
 @pytest.mark.parametrize("n, row", [
-    (64, "64,2,0.1,0,0.903607927134,0.890625,11,144115188075855872,,,"),
-    (128, "128,2,0.1,0,0.625574114758,0.890625,13,20769187434139310514121985316880384,,,"),
+    (64, "64,2,0.1,0,0.793443660374,0.890625,144115188075855872,,,"),
+    (128, "128,2,0.1,0,0.559682746168,0.890625,20769187434139310514121985316880384,,,"),
 ], ids=["n64", "n128"])
 def test_rates_only_rows_past_the_cap_keep_their_bytes(tmp_path, capsys, n, row):
     """Under the default caps, rates-only bsc25 rows at n = 64 (rate
-    0.903608) and n = 128 (rate 0.625574), both at cr_rate 0.890625, are
-    the rows written when these n took a raised joint-type cap and every
-    joint type was enumerated and filtered; only the # config: line, which
-    hashes the overridden caps, differs from that file."""
+    0.793444) and n = 128 (rate 0.559683), both at cr_rate 0.890625. Their
+    sizes are those written when these n took a raised joint-type cap and
+    every joint type was enumerated and filtered; the rate is the v10 count
+    log2(sum_t M_t + 1) / n of those sizes, where that file read 0.903608
+    and 0.625574."""
     bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
     out = tmp_path / f"rates{n}"
     assert main(["simulate", bsc25, "--n", str(n), "--delta", "2.0", "--epsilon", "0.1",
                  "--rates-only", "--out", str(out)]) == 0
     assert "cr_rate = 0.890625" in capsys.readouterr().out
-    head = "n,delta,epsilon,seed,rate,cr_rate,announce_bits,N,lambda_measured,lambda_bound,global_err"
+    head = "n,delta,epsilon,seed,rate,cr_rate,N,lambda_measured,lambda_bound,global_err"
     lines = (out / "simulate.csv").read_text().splitlines()
     assert lines[2].startswith("# config: ")
-    assert lines[:2] + lines[3:] == ["# chansim simulate csv v9", f"# columns: {head}", head, row]
+    assert lines[:2] + lines[3:] == ["# chansim simulate csv v10", f"# columns: {head}", head, row]
 
 
 def test_sizing_past_float64_is_invalid_input(capsys):

@@ -170,7 +170,7 @@ class TestRequiredSizes:
 
 class TestVerification:
     def test_guaranteed_family_passes(self):
-        fam = build_covering(T_N4, 0.1, seed=SEED)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         check = verify_covering(fam)
         assert check.passed
         assert check.condition_I_margin.shape == (fam.N,)
@@ -193,7 +193,7 @@ class TestVerification:
         assert not check.passed
 
     def test_margins_permutation_invariant(self):
-        fam = build_covering(T_N4, 0.1, seed=SEED + 1)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED + 1)
         rng = np.random.default_rng(SEED)
         shuffled = all_lists(fam)
         for nu in range(fam.N):
@@ -205,7 +205,7 @@ class TestVerification:
         assert c1.condition_II_margin == pytest.approx(c2.condition_II_margin, abs=1e-15)
 
     def test_stored_words_have_type_S(self):
-        fam = build_covering(T_N4, 0.1, seed=SEED + 2)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED + 2)
         s = T_N4.col_marginal()
         for nu in (0, fam.N - 1):
             for mu in (0, 1, fam.M - 1):
@@ -216,16 +216,15 @@ class TestVerification:
 
 class TestBuild:
     def test_deterministic_under_seed(self):
-        f1 = build_covering(T_N4, 0.1, seed=SEED)
-        f2 = build_covering(T_N4, 0.1, seed=SEED)
+        f1 = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        f2 = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         assert np.array_equal(f1.counts, f2.counts)
         assert f1.retries == f2.retries
 
     def test_sized_mode_too_small_exhausts_retries(self, monkeypatch):
-        monkeypatch.setattr(covering, "required_M_N", lambda t, eps: (1, 1))
         monkeypatch.setattr(covering, "DEFAULT_MAX_RETRIES", 5)
         with pytest.raises(RetriesExhaustedError, match="5 times"):
-            build_covering(T_N4, 0.1, seed=SEED)
+            build_covering(T_N4, 0.1, 1, 1, seed=SEED)
 
     def test_rank_validation(self):
         with pytest.raises(InvalidInputError):
@@ -233,7 +232,7 @@ class TestBuild:
 
     def test_compatible_counts_positive_on_guaranteed_families(self):
         # condition (I) with margin >= 0 forces c_nu(x) > 0 everywhere
-        fam = build_covering(T_N4, 0.1, seed=SEED + 4)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED + 4)
         x_words = np.asarray(enumerate_type_class(T_N4.row_marginal()))
         y_words = fam.y_class_words
         for nu in range(fam.N):
@@ -398,7 +397,7 @@ class TestUniformCounts:
         drawn, draw = [], covering._uniform_counts
         monkeypatch.setattr(covering, "_uniform_counts",
                             lambda *args: drawn.append(draw(*args)) or drawn[-1])
-        fam = build_covering(T_N4, 0.1, seed=SEED)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         assert fam.counts is drawn[-1] and len(drawn) == fam.retries + 1
 
 
@@ -508,7 +507,7 @@ class TestMultiplicityTables:
             CoveringFamily(T_N4, 1, 2, counts=[[1, 1]], epsilon=0.1)
 
     def test_counts_table_is_read_only(self):
-        fam = build_covering(T_N4, 0.1, seed=SEED)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         assert np.all(fam.counts.sum(axis=1) == fam.M)
         with pytest.raises(ValueError):
             fam.counts[0, 0] = 1
@@ -536,7 +535,7 @@ class TestMultiplicityTables:
         assert not np.shares_memory(viewed, base) and np.array_equal(viewed, frozen)
 
     def test_family_tables_match_a_fresh_build(self):
-        built = build_covering(T_N4, 0.1, seed=SEED)
+        built = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         by_hand = CoveringFamily(T_N4, built.N, built.M, built.counts, 0.1)
         x_words = np.array(sorted(set(itertools.permutations((0, 0, 0, 1)))))
         y_words = np.array(sorted(set(itertools.permutations((0, 0, 1, 1)))))
@@ -558,19 +557,19 @@ class TestMultiplicityTables:
             return check if len(verified) > 2 else dataclasses.replace(check, passed=False)
 
         monkeypatch.setattr(covering, "verify_covering", fail_twice)
-        fam = build_covering(T_N4, 0.1, seed=SEED)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         assert fam.retries == 2 and len(verified) == 3 and verified[-1] is fam
         assert fam.check.passed and real_verify(fam).passed
 
     def test_reverification_reads_the_counts_afresh(self):
-        fam = build_covering(T_N4, 0.1, seed=SEED)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         assert verify_covering(fam).passed
         constant = np.zeros_like(fam.counts)
         constant[:, 0] = fam.M      # every list holds one word M times
         assert not verify_covering(dataclasses.replace(fam, counts=constant)).passed
 
     def test_family_tables_are_read_only(self):
-        fam = build_covering(T_N4, 0.1, seed=SEED)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         for table in (fam.y_class_words, fam.y_ranks, fam.compat,
                       fam.compatible_counts, fam.cumulative):
             assert not table.flags.writeable
@@ -578,7 +577,7 @@ class TestMultiplicityTables:
                 table[0] = 1
 
     def test_a_hand_built_family_verifies_itself_on_first_use(self):
-        built = build_covering(T_N4, 0.1, seed=SEED)
+        built = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         fam = CoveringFamily(T_N4, built.N, built.M, built.counts, 0.1, built.retries)
         assert "check" not in vars(fam)
         assert FamilyRecord.of(fam) == FamilyRecord.of(built)
@@ -586,7 +585,7 @@ class TestMultiplicityTables:
         assert not fam.check.condition_I_margin.flags.writeable
 
     def test_build_keeps_its_passing_check(self):
-        fam = build_covering(T_N4, 0.1, seed=SEED)
+        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
         again = verify_covering(fam)
         assert fam.check.passed
         assert np.array_equal(fam.check.condition_I_margin, again.condition_I_margin)
@@ -599,4 +598,4 @@ class TestMultiplicityTables:
         monkeypatch.setitem(CAPS, "COVER_TABLE_CAP", N * size_s - 1)
         monkeypatch.setattr(covering, "enumerate_type_class", None)  # must not be reached
         with pytest.raises(CapExceededError):
-            build_covering(T_N4, 0.1, seed=SEED)
+            build_covering(T_N4, 0.1, M, N, seed=SEED)

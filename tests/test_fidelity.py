@@ -385,5 +385,4 @@ def test_run_fixed_code_accounting(base_code):
         tr = run_fixed_code(dcode, (0, 1, 1, 0), rng)
         assert tr.randomness_used == 0.0
         assert tr.nu in dcode.selected_indices
-        base_bits = tr.bits_sent - dcode.index_bits()
-        assert base_bits >= base_code.announce_bits
+        assert tr.bits_sent == math.log2(base_code.message_count) + dcode.index_bits()

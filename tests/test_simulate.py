@@ -94,9 +94,13 @@ def test_jointly_typical_types_sorted_and_consistent(small_code):
     assert all(t.n == 4 for t in jt)
 
 
-def test_announce_bits_is_ceil_log2_type_count(small_code):
-    assert small_code.announce_bits == math.ceil(
-        math.log2(len(small_code.typical_joint_types)))
+def test_message_count_is_every_types_slots_then_terminate(small_code):
+    """offset_t is the M of the types announced before t, and the count
+    holds every type's M slots plus terminate."""
+    ms = [small_code.records[t].M for t in small_code.typical_joint_types]
+    assert list(small_code.offsets.values()) == np.cumsum([0] + ms[:-1]).tolist()
+    assert tuple(small_code.offsets) == small_code.typical_joint_types
+    assert small_code.message_count == sum(ms) + 1
 
 
 def test_every_family_verified(small_code):
@@ -121,13 +125,11 @@ def test_encoder_decoder_agree_on_transcripts(small_code):
         if tr.announced_type == TERMINATE:
             assert tr.mu is None
             assert tr.y_word == (0, 0, 0, 0)
-            assert tr.bits_sent == small_code.announce_bits
         else:
             assert decode(small_code, tr.announced_type, nu, tr.mu) == tr.y_word
             joint = count_joint_occurrences(x, tr.y_word, 2, 2)
             assert joint == tr.announced_type
-            m = small_code.records[tr.announced_type].M
-            assert tr.bits_sent == math.log2(m) + small_code.announce_bits
+        assert tr.bits_sent == math.log2(small_code.message_count)
         assert tr.randomness_used == math.log2(small_code.N)
 
 
@@ -318,9 +320,9 @@ def test_per_type_list_counts_lower_the_message_rate(n):
                           keep_words=False)
     types = code.typical_joint_types
     old_N = max(unrounded_sizing(t, code.epsilon)[1] for t in types)
-    old_M = max(unrounded_sizing(t, code.epsilon, old_N)[0] for t in types)
+    old_count = sum(unrounded_sizing(t, code.epsilon, old_N)[0] for t in types) + 1
     rate, cr_rate = accounting(code)
-    assert rate < (math.log2(old_M) + code.announce_bits) / n
+    assert rate < math.log2(old_count) / n
     assert math.log2(old_N) / n <= cr_rate <= math.log2(old_N) / n + 1 / n
 
 
@@ -508,6 +510,43 @@ def test_encoder_message_law_matches_the_per_index_loop(name, n):
         assert np.array_equal(last.x_ranks, np.arange(2 ** n))
 
 
+@pytest.mark.parametrize("delta", [1.0, 2.0])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_the_rate_prices_every_message_the_message_law_numbers(name, n, delta):
+    """n * rate is log2 of the count encoder_message_law numbers, every
+    type's slots and then terminate, and every block sends that many bits."""
+    source, channel = INSTANCES[name]
+    code = build_sim_code(source, channel, n, delta, 0.1, seed=7)
+    _, count = encoder_message_law(code, code.N - 1)
+    rate, _ = accounting(code)
+    assert count == code.message_count
+    assert rate == math.log2(count) / n
+    assert run_protocol(code, (0,) * n, 0, seed=1).bits_sent == math.log2(count)
+    if (name, n, delta) == ("bsc25", 4, 1.0):
+        assert (count, round(rate, 6)) == (16049, 3.492549)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_message_blocks_sit_in_their_types_slots(name, n):
+    """Each joint type's MessageBlock holds slots in [offset_t, offset_t +
+    M_t), t read from the block's words, and terminate's slot is sum_t M_t."""
+    source, channel = INSTANCES[name]
+    code = build_sim_code(source, channel, n, 1.0, 0.1, seed=7)
+    x_letters, y_letters = word_letters(2, n), word_letters(2, n)
+    for nu in (0, code.N - 1):
+        blocks, count = encoder_message_law(code, nu)
+        for blk in blocks[:-1]:
+            types = {count_joint_occurrences(x_letters[blk.x_ranks[i]], y_letters[blk.y_ranks[k]],
+                                             2, 2) for i, k in np.argwhere(blk.probs > 0)}
+            assert len(types) == 1
+            t = types.pop()
+            first = code.offsets[t]
+            assert first <= blk.slots[0] and blk.slots[-1] + blk.copies[-1] <= first + code.records[t].M
+        assert blocks[-1].slots.tolist() == [sum(r.M for r in code.records.values())] == [count - 1]
+
+
 def test_message_law_checks_its_block_entries_before_building(small_code, monkeypatch):
     entries = message_law_entries(small_code)
     built, law_blocks = [], simulate._law_blocks
@@ -585,8 +624,7 @@ def test_strong_fidelity_report_structure(small_code):
 
 def test_accounting_rates_and_bounds(small_code):
     rate, cr_rate = accounting(small_code)
-    max_m = max(r.M for r in small_code.records.values())
-    assert rate == (math.log2(max_m) + small_code.announce_bits) / 4
+    assert rate == math.log2(sum(r.M for r in small_code.records.values()) + 1) / 4
     assert cr_rate == math.log2(small_code.N) / 4
     assert rate >= mutual_information(UNIF, BSC) - 1e-9
     assert rate + cr_rate >= entropy(output_marginal(UNIF, BSC)) - 1e-9
@@ -597,15 +635,14 @@ def test_accounting_rates_and_bounds(small_code):
 def test_the_sizing_alone_gives_the_drawn_codes_rates(name, n):
     """sized_types holds the (M, N) of every record build_sim_code draws, in
     its announcement order, so sized_rates over it gives the code's rates,
-    announcement bits, N and type count exactly, with no family drawn."""
+    N and type count exactly, with no family drawn."""
     source, channel = INSTANCES[name]
     sizes = sized_types(source, channel, n, 2.0, 0.1)
     code = build_sim_code(source, channel, n, 2.0, 0.1, seed=7, keep_words=False)
     assert list(sizes.items()) == [(t, (rec.M, rec.N)) for t, rec in code.records.items()]
-    rate, cr_rate, announce_bits, N = sized_rates(list(sizes.values()), n)
+    rate, cr_rate, N = sized_rates(list(sizes.values()), n)
     assert (rate, cr_rate) == accounting(code)
-    assert (announce_bits, N, len(sizes)) == (code.announce_bits, code.N,
-                                              len(code.typical_joint_types))
+    assert (N, len(sizes)) == (code.N, len(code.typical_joint_types))
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
@@ -803,7 +840,9 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
     blocks of a derandomized skewed_pair n = 6 code, all drawing from one
     encoder stream. The digest covers every announced type, index pair,
     output word and bit count, so it pins the encoder's draws: a change that
-    alters the type weights or the order of draws moves it."""
+    alters the type weights or the order of draws moves it. Every block of
+    a code sends one of its message_count messages, and a fixed code adds
+    its index bits."""
     skew_source = Distribution.from_probs([0.6, 0.4])
     skew_channel = Channel.from_rows([[0.9, 0.1], [0.3, 0.7]])
     code = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
@@ -821,8 +860,11 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
         announced = TERMINATE if tr.announced_type == TERMINATE else tr.announced_type.counts
         digest.update(repr((announced, tr.nu, tr.mu, tr.y_word, tr.bits_sent)).encode())
     assert sum(tr.announced_type == TERMINATE for tr in transcripts) == 58
+    assert {tr.bits_sent for tr in transcripts[:300]} == {math.log2(code.message_count)}
+    assert {tr.bits_sent for tr in transcripts[300:]} == {
+        math.log2(dcode.base.message_count) + dcode.index_bits()}
     assert digest.hexdigest() == \
-        "5f56a81ff1737aae76b1e5e251e6b19760820ce0125a8709adc0e97893f84f26"
+        "fb3f767da57c20bb4a5976bbeb088a141076c1e2d4f29d6e48d3e8b756879d5e"
 
 
 def test_a_code_holds_a_family_for_every_record_or_none(small_code):
@@ -836,7 +878,7 @@ def test_a_code_holds_a_family_for_every_record_or_none(small_code):
 
 
 def test_a_code_is_frozen(small_code):
-    derived = ["typical_joint_types", "N", "announce_bits", "rates_only", "spec"]
+    derived = ["typical_joint_types", "N", "offsets", "message_count", "rates_only", "spec"]
     for name in [f.name for f in dataclasses.fields(SimCode)] + derived:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(small_code, name, getattr(small_code, name))
