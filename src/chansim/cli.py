@@ -34,7 +34,8 @@ from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
 from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
                      InvalidInputError, RetriesExhaustedError)
 from .fidelity import derandomize_with_family, measure_fidelity
-from .simulate import build_sim_code, sized_rates, sized_types, strong_fidelity_report
+from .simulate import (FamilyRecord, build_sim_code, draw_families, sized_rates, sized_types,
+                       strong_fidelity_report)
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
@@ -368,14 +369,18 @@ def _run_typical(cfg, bundle):
 
 
 def _run_cover(cfg, bundle):
-    code = build_sim_code(*_code_inputs(cfg, bundle), cfg.seed, keep_words=False)
+    """One row per family draw_families yields, each family dropped once
+    its record is read, so no two are held at once."""
+    inputs = _code_inputs(cfg, bundle)
+    records = list(map(FamilyRecord.of, draw_families(*inputs, cfg.seed)))
+    *_, N = sized_rates([(rec.M, rec.N) for rec in records], inputs[2])
     rows = []
-    for idx, rec in enumerate(code.records.values()):
+    for idx, rec in enumerate(records):
         counts = ";".join("-".join(str(c) for c in row) for row in rec.joint_type.counts)
         rows.append((idx, counts, rec.M, rec.N, rec.retries,
                      rec.condition_I_min_margin, rec.condition_II_margin))
     outputs = {"type_count": len(rows), "max_M": max(r[2] for r in rows),
-               "max_N": code.N, "total_retries": sum(r[4] for r in rows)}
+               "max_N": N, "total_retries": sum(r[4] for r in rows)}
     comparisons = [
         _row("min per-word hit margin >= 0",
              "every compatible word is covered with room", min(r[5] for r in rows), 0.0),
@@ -397,19 +402,19 @@ def _fidelity_report(code):
         return None
 
 
-def _sized(inputs, seed, keep_words):
-    """(code, sized_rates, type count): the code built with its words, or
-    without keep_words no code and the rates of the sizing alone, no draw."""
-    code = build_sim_code(*inputs, seed) if keep_words else None
+def _sized(inputs, seed, draw):
+    """(code, sized_rates, type count): the code drawn, or without draw no
+    code and the rates of the sizing alone, no draw."""
+    code = build_sim_code(*inputs, seed) if draw else None
     sizes = (sized_types(*inputs).values() if code is None
-             else [(r.M, r.N) for r in code.records.values()])
+             else [(f.M, f.N) for f in code.families.values()])
     return code, sized_rates(sizes, inputs[2]), len(sizes)
 
 
 def _run_simulate(cfg, bundle):
     source, channel, n, delta, epsilon = inputs = _code_inputs(cfg, bundle)
     code, (rate, cr_rate, N), type_count = _sized(
-        inputs, cfg.seed, keep_words=not cfg.params.get("rates_only", False))
+        inputs, cfg.seed, draw=not cfg.params.get("rates_only", False))
     outputs = {"n": n, "rate": rate, "cr_rate": cr_rate, "N": N, "type_count": type_count}
     floors = "single-letter information floors"
     comparisons = [_row("message rate >= mutual information", floors, rate,
@@ -591,7 +596,7 @@ def _run_sweep(cfg, bundle):
     rows, rates = [], []
     for n in range(n_min, n_max + 1):
         code, (rate, cr_rate, _), _ = _sized((source, channel, n, delta, epsilon),
-                                             cfg.seed, keep_words=n <= keep_limit)
+                                             cfg.seed, draw=n <= keep_limit)
         report = None if code is None else _fidelity_report(code)
         lam = None if report is None else report["lambda_measured"]
         rows.append((n, rate, cr_rate, lam))

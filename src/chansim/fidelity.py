@@ -35,7 +35,6 @@ from .simulate import (
     SimCode,
     Transcript,
     _channel_tv_rows,
-    _require_words,
     fixed_nu_block_channels,
     iid_block_law,
     run_protocol,
@@ -232,7 +231,6 @@ def _derandomize(code: SimCode, epsilon: float, seed: int):
     """derandomize, returning (dcode, laws): laws lists the N pinned block
     channels in index order when the sample was verified on them, and is
     None otherwise."""
-    _require_words(code)
     if code.N == 1:
         return DerandomizedCode((0,), 1, code, epsilon, min_nonzero_entry(code.channel),
                                 True, 0), None

@@ -14,10 +14,12 @@ Protocol for one block x = (x_1 ... x_n), with nu a shared uniform index:
 Each jointly typical type T has its own list count N_T, the power of two
 that required_M_N sizes its covering family at, and the shared index ranges
 over [0, N) with N the largest N_T. Every N_T divides N, so nu mod N_T is
-uniform on T's lists. A code is frozen, and its constructor checks its
-records and families. It is a function of its build inputs alone:
-build_sim_code(code.source, code.channel, code.n, code.delta, code.epsilon,
-code.seed) rebuilds it, records and lists bit for bit.
+uniform on T's lists. A code is its covering families and nothing else:
+it is frozen, and its records, offsets and counts are derived from them.
+It is a function of its build inputs alone: build_sim_code(code.source,
+code.channel, code.n, code.delta, code.epsilon, code.seed) rebuilds it,
+records and lists bit for bit. draw_families streams the same families
+one at a time, so a caller that reads each family once keeps none.
 
 The covering conditions squeeze the protocol's output, conditioned on any
 announced type, between (1-eps)/(1+eps) and (1+eps)/(1-eps) times the true
@@ -81,16 +83,15 @@ class FamilyRecord:
 
 @dataclass(frozen=True, eq=False)
 class SimCode:
-    """A simulation code as its build chose it: one FamilyRecord per jointly
-    typical type, in announcement order (lexicographic), and the covering
-    family of each ({} when the code is rates-only), both held as read-only
-    mappings. The code is frozen; the announcement order, the shared index
-    range N (the largest list count), each type's first message slot
-    (offsets, the running sums of M in announcement order), the message
-    count sum_t M_t + 1, rates_only and the typicality window are derived
-    once. Each record must sit under its own joint type, each family have
-    its record (FamilyRecord.of) and each list count be a power of two, so
-    that it divides N; InvalidInputError otherwise."""
+    """A simulation code as its build chose it: the covering family of each
+    jointly typical type, in announcement order (lexicographic), held as a
+    read-only mapping. The code is frozen; the announcement order, each
+    family's FamilyRecord (records, read-only), the shared index range N
+    (the largest list count), each type's first message slot (offsets, the
+    running sums of M in announcement order), the message count
+    sum_t M_t + 1 and the typicality window are derived once. Each family
+    must sit under its own joint type and have a power of two list count,
+    so that it divides N; InvalidInputError otherwise."""
 
     n: int
     source: Distribution
@@ -98,27 +99,22 @@ class SimCode:
     delta: float
     epsilon: float
     seed: int
-    records: dict           # JointType -> FamilyRecord, in announcement order
-    families: dict          # JointType -> CoveringFamily ({} when rates-only)
+    families: dict          # JointType -> CoveringFamily, in announcement order
 
     def __post_init__(self):
-        *_, N = sized_rates([(r.M, r.N) for r in self.records.values()], self.n)
-        if any(t != rec.joint_type for t, rec in self.records.items()):
-            raise InvalidInputError("a code's records must sit under their own joint types")
-        if self.families and ({t: FamilyRecord.of(f) for t, f in self.families.items()}
-                              != dict(self.records)):
-            raise InvalidInputError("a code's families must be those of its records, "
-                                    "with their joint types, sizes, retries and margins")
-        for count in (rec.N for rec in self.records.values()):
+        *_, N = sized_rates([(f.M, f.N) for f in self.families.values()], self.n)
+        if any(t != fam.joint_type for t, fam in self.families.items()):
+            raise InvalidInputError("a code's families must sit under their own joint types")
+        for count in (fam.N for fam in self.families.values()):
             if count < 1 or count & (count - 1):
                 raise InvalidInputError(f"a family's list count {count} is not a power of two")
-        firsts = list(itertools.accumulate((rec.M for rec in self.records.values()), initial=0))
-        derived = {"records": MappingProxyType(dict(self.records)),
-                   "families": MappingProxyType(dict(self.families)),
-                   "typical_joint_types": tuple(self.records),
-                   "N": N, "offsets": MappingProxyType(dict(zip(self.records, firsts))),
+        firsts = list(itertools.accumulate((f.M for f in self.families.values()), initial=0))
+        derived = {"families": MappingProxyType(dict(self.families)),
+                   "records": MappingProxyType({t: FamilyRecord.of(f)
+                                                for t, f in self.families.items()}),
+                   "typical_joint_types": tuple(self.families),
+                   "N": N, "offsets": MappingProxyType(dict(zip(self.families, firsts))),
                    "message_count": firsts[-1] + 1,
-                   "rates_only": not self.families,
                    "spec": TypicalSpec(self.source, self.n, self.delta)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -178,31 +174,31 @@ def sized_types(source: Distribution, channel: Channel, n: int, delta: float,
     return {t: required_M_N(t, epsilon) for t in jointly_typical_types(source, channel, n, delta)}
 
 
-def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
-                   epsilon: float, seed: int, keep_words: bool = True) -> SimCode:
-    """Construct verified covering families for every jointly typical type.
-
-    Each type t is drawn at its sized_types sizing, a power of two list
-    count N_t and the M that meets both covering inequalities there. The
-    shared index is uniform on [0, N) with N the largest N_t; every N_t
-    divides N, so type t reads list nu mod N_t, uniform on its N_t lists.
-    With keep_words=False the families are verified and dropped, keeping
-    the records, whose retries and margins `cover` prints; the rates alone
-    need no draw (sized_rates over sized_types). Every type's tables are
+def draw_families(source: Distribution, channel: Channel, n: int, delta: float,
+                  epsilon: float, seed: int):
+    """Yield the verified covering family of every jointly typical type, in
+    announcement order, each drawn at its sized_types sizing, a power of two
+    list count N_t and the M that meets both covering inequalities there,
+    from child seed simulate:covering:{index}. Every type's tables are
     checked against COVER_TABLE_CAP, in announcement order, before the
-    first draw.
-    """
+    first draw. The generator keeps no family it has yielded."""
     sizes = sized_types(source, channel, n, delta, epsilon)
     for t, (_, N) in sizes.items():
         require_table_cap(t, N)
-    families, records = {}, {}
     for idx, (t, (M, N)) in enumerate(sizes.items()):
-        fam = build_covering(t, epsilon, M, N,
+        yield build_covering(t, epsilon, M, N,
                              seed=child_seed(seed, f"simulate:covering:{idx}"))
-        records[t] = FamilyRecord.of(fam)
-        if keep_words:
-            families[t] = fam
-    return SimCode(n, source, channel, delta, epsilon, seed, records, families)
+
+
+def build_sim_code(source: Distribution, channel: Channel, n: int, delta: float,
+                   epsilon: float, seed: int) -> SimCode:
+    """The code of draw_families' families. The shared index is uniform on
+    [0, N) with N the largest N_t; every N_t divides N, so type t reads
+    list nu mod N_t, uniform on its N_t lists. The rates alone need no draw
+    (sized_rates over sized_types)."""
+    families = {fam.joint_type: fam
+                for fam in draw_families(source, channel, n, delta, epsilon, seed)}
+    return SimCode(n, source, channel, delta, epsilon, seed, families)
 
 
 def word_letters(size: int, n: int) -> np.ndarray:
@@ -220,11 +216,6 @@ def iid_block_law(law, n: int) -> np.ndarray:
     for _ in range(n):
         out = np.kron(out, law)
     return out
-
-
-def _require_words(code: SimCode):
-    if code.rates_only:
-        raise InvalidInputError("code was built rates-only; rebuild with keep_words=True")
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +289,6 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
     (picked rows, t's output class), and the terminate mass per row, both
     with the leading index axis when pinned.
     """
-    _require_words(code)
     bt = code.typical_classes[base]
     sel = slice(None) if rows is None else rows
     lead = () if nus is None else (len(nus),)
@@ -335,7 +325,6 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
 
 def encode(code: SimCode, x_word, nu: int, seed):
     """One protocol run; returns (announced_type, mu) or TERMINATE."""
-    _require_words(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     x_word = tuple(int(v) for v in x_word)
@@ -364,7 +353,6 @@ def decode(code: SimCode, announced_type, nu: int, mu) -> tuple:
     word."""
     if announced_type == TERMINATE:
         return code.fallback_word()
-    _require_words(code)
     fam = code.families.get(announced_type)
     if fam is None:
         raise InvalidInputError("announced type has no covering family")
@@ -389,7 +377,6 @@ def run_protocol(code: SimCode, x_word, nu: int, seed) -> Transcript:
 def output_distribution(code: SimCode, x_word) -> Distribution:
     """Exact law of the decoder output for a fixed input word, averaged over
     the uniform shared index and all protocol sampling."""
-    _require_words(code)
     size = code.channel.output_size ** code.n
     require_cap("OUTPUT_ENUM_CAP", size, "output law over {} words")
     x_word = tuple(int(v) for v in x_word)
@@ -461,10 +448,9 @@ def fidelity_ceiling(code: SimCode):
     """(lambda_bound, atypicality_mass) of strong_fidelity_report without
     the protocol law: the largest per-word ceiling over the source-typical
     input types, and the source's mass outside them. A joint type counts
-    as covered when the code has its record, so a rates-only code has the
-    ceiling of the same code built with its words."""
+    as covered when the code has its family."""
     bound_parts = [code.epsilon / (1 - code.epsilon)
-                   + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.records)
+                   + sum(w for t, w in zip(bt.t_list, bt.weights) if t not in code.families)
                    for bt in code.typical_classes.values()]
     atypicality = 1.0 - typical_probability_bounds(code.spec).exact
     return (max(bound_parts) if bound_parts else 1.0), atypicality
@@ -526,7 +512,6 @@ def encoder_message_law(code: SimCode, nu: int):
     to 1. Before any block is built, the |X|^n terminate entries plus
     sum_t |T_R| |T_S| must fit BLOCK_ENUM_CAP.
     """
-    _require_words(code)
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
     require_cap("BLOCK_ENUM_CAP", code.source.alphabet_size ** code.n
@@ -565,5 +550,5 @@ def sized_rates(sizes, n: int):
 
 def accounting(code: SimCode):
     """(rate, cr_rate) in bits per letter: sized_rates of the code's
-    records, the rate log2(code.message_count) / n."""
-    return sized_rates([(r.M, r.N) for r in code.records.values()], code.n)[:2]
+    families, the rate log2(code.message_count) / n."""
+    return sized_rates([(f.M, f.N) for f in code.families.values()], code.n)[:2]

@@ -20,7 +20,7 @@ from chansim.covering import (build_covering, lemma2_failure_bound, required_M_N
                               verify_covering)
 from chansim.fidelity import (derandomize, derandomized_family,
                               measure_fidelity, min_nonzero_entry, required_Q)
-from chansim.simulate import (accounting, build_sim_code, jointly_typical_types,
+from chansim.simulate import (build_sim_code, jointly_typical_types, sized_rates, sized_types,
                               strong_fidelity_report)
 from chansim.typeclasses import (JointType, TypicalSpec, conditional_type_class_size,
                                  enumerate_joint_types, enumerate_type_class,
@@ -170,9 +170,7 @@ def test_rate_trends_across_block_lengths():
     mi = 1.0 - binary_entropy(0.25)
     rates = []
     for n in range(4, 13):
-        code = build_sim_code(UNIF, BSC, n, delta=2.0, epsilon=0.1, seed=7,
-                              keep_words=False)
-        rate, cr_rate = accounting(code)
+        rate, cr_rate, _ = sized_rates(list(sized_types(UNIF, BSC, n, 2.0, 0.1).values()), n)
         assert rate >= mi - 1e-9
         assert rate + cr_rate >= entropy(output_marginal(UNIF, BSC)) - 1e-9
         rates.append(rate)

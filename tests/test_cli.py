@@ -1,16 +1,18 @@
 """End-to-end checks of the command-line front end: exit codes, config
 resolution, cap overrides, and byte-identical reruns."""
 
+import gc
 import json
 import math
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chansim import cli, covering
+from chansim import cli, covering, simulate
 from chansim.cli import (ExperimentConfig, RunRecord,
                          build_config, compare_bounds, main,
                          parse_cap_overrides, run)
@@ -269,20 +271,57 @@ def test_cap_override_can_lower_limit(bsc_file):
 
 
 def test_cover_reports_the_records_of_the_code(tmp_path, bsc_file):
-    """cover's rows are the records of build_sim_code(..., keep_words=False)
-    at the same options and seed: the families simulate would use."""
+    """cover's rows are the records of build_sim_code at the same options
+    and seed: the families simulate would use."""
     assert main(["cover", bsc_file, "--n", "4", "--delta", "2.0", "--epsilon", "0.1",
                  "--seed", "7", "--out", str(tmp_path)]) == 0
     rows = [line for line in (tmp_path / "cover.csv").read_text().splitlines()
             if not line.startswith("#")][1:]
     code = build_sim_code(Distribution.from_probs([0.5, 0.5]),
-                          Channel.from_rows(BSC_DOC["channel"]["rows"]), 4, 2.0, 0.1, 7,
-                          keep_words=False)
+                          Channel.from_rows(BSC_DOC["channel"]["rows"]), 4, 2.0, 0.1, 7)
     want = [f"{idx},{';'.join('-'.join(map(str, row)) for row in t.counts)},"
             f"{rec.M},{rec.N},{rec.retries},"
             f"{rec.condition_I_min_margin:.12g},{rec.condition_II_margin:.12g}"
             for idx, (t, rec) in enumerate(code.records.items())]
     assert rows == want
+
+
+def test_cover_holds_at_most_one_drawn_family(bsc_file, monkeypatch):
+    """cover streams its draws: when each family is drawn, every family
+    drawn before it is gone. build_sim_code, which keeps its families,
+    holds all earlier ones, so the tracking sees a kept family."""
+    drawn, live = [], []
+    draw = simulate.build_covering
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        live.append(sum(ref() is not None for ref in drawn))
+        fam = draw(*args, **kwargs)
+        drawn.append(weakref.ref(fam))
+        return fam
+    monkeypatch.setattr(simulate, "build_covering", tracked)
+    assert main(["cover", bsc_file, "--n", "6", "--delta", "2.0", "--epsilon", "0.1"]) == 0
+    assert live == [0] * 37
+    drawn.clear()
+    live.clear()
+    code = build_sim_code(Distribution.from_probs([0.5, 0.5]),
+                          Channel.from_rows(BSC_DOC["channel"]["rows"]), 6, 2.0, 0.1, 7)
+    assert live == list(range(37)) and len(code.families) == 37
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--n", "4"],
+    ["simulate", "--n", "4"],
+    ["simulate", "--n", "4", "--rates-only"],
+    ["sweep", "--n-min", "4", "--n-max", "4"],
+], ids=["cover", "simulate", "simulate-rates-only", "sweep"])
+def test_no_jointly_typical_type_exits_2_saying_widen_delta(capsys, argv):
+    """At delta = 0 no bsc25 joint type of length 4 is jointly typical:
+    every command that sizes a code exits 2 and says to widen delta."""
+    bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
+    assert main([argv[0], bsc25, *argv[1:], "--delta", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "error=invalid-input" in err and "widen delta" in err
 
 
 def test_cover_table_cap_exits_before_sampling(bsc_file):

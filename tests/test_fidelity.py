@@ -371,13 +371,6 @@ def test_derandomize_single_index_shortcut():
     assert tr.nu == 0 and tr.randomness_used == 0.0
 
 
-def test_derandomize_rejects_rates_only():
-    code = build_sim_code(UNIF, BSC, n=4, delta=2.0, epsilon=0.1, seed=7,
-                          keep_words=False)
-    with pytest.raises(InvalidInputError):
-        derandomize(code, epsilon=0.1, seed=0)
-
-
 def test_run_fixed_code_accounting(base_code):
     dcode = derandomize(base_code, epsilon=0.1, seed=11)
     rng = np.random.default_rng(17)

@@ -240,9 +240,7 @@ def lopsided_code(small_code):
     counts = np.zeros_like(fam.counts)
     counts[:, 0] = fam.M
     lopsided = CoveringFamily(t, fam.N, fam.M, counts=counts, epsilon=fam.epsilon)
-    return dataclasses.replace(small_code,
-                               records={**small_code.records, t: FamilyRecord.of(lopsided)},
-                               families={**small_code.families, t: lopsided})
+    return dataclasses.replace(small_code, families={**small_code.families, t: lopsided})
 
 
 CODES = ["small_code", "skewed_code", "lopsided_code"]
@@ -315,13 +313,12 @@ def test_each_type_reads_its_lists_uniformly_under_the_shared_index(monkeypatch)
 def test_per_type_list_counts_lower_the_message_rate(n):
     """Against every family forced to the largest own list count, unrounded,
     with M re-derived there: the message rate falls and the
-    shared-randomness rate rises by at most 1/n."""
-    code = build_sim_code(UNIF, BSC, n=n, delta=2.0, epsilon=0.1, seed=7,
-                          keep_words=False)
-    types = code.typical_joint_types
-    old_N = max(unrounded_sizing(t, code.epsilon)[1] for t in types)
-    old_count = sum(unrounded_sizing(t, code.epsilon, old_N)[0] for t in types) + 1
-    rate, cr_rate = accounting(code)
+    shared-randomness rate rises by at most 1/n. The sizing alone gives
+    the rates, with no family drawn."""
+    sizes = sized_types(UNIF, BSC, n, 2.0, 0.1)
+    old_N = max(unrounded_sizing(t, 0.1)[1] for t in sizes)
+    old_count = sum(unrounded_sizing(t, 0.1, old_N)[0] for t in sizes) + 1
+    rate, cr_rate, _ = sized_rates(list(sizes.values()), n)
     assert rate < math.log2(old_count) / n
     assert math.log2(old_N) / n <= cr_rate <= math.log2(old_N) / n + 1 / n
 
@@ -638,7 +635,7 @@ def test_the_sizing_alone_gives_the_drawn_codes_rates(name, n):
     N and type count exactly, with no family drawn."""
     source, channel = INSTANCES[name]
     sizes = sized_types(source, channel, n, 2.0, 0.1)
-    code = build_sim_code(source, channel, n, 2.0, 0.1, seed=7, keep_words=False)
+    code = build_sim_code(source, channel, n, 2.0, 0.1, seed=7)
     assert list(sizes.items()) == [(t, (rec.M, rec.N)) for t, rec in code.records.items()]
     rate, cr_rate, N = sized_rates(list(sizes.values()), n)
     assert (rate, cr_rate) == accounting(code)
@@ -714,18 +711,6 @@ def test_atypical_word_gets_fallback_mass():
     assert np.allclose(out.probs, expect)
 
 
-def test_rates_only_build_blocks_encoding():
-    code = build_sim_code(UNIF, BSC, n=4, delta=2.0, epsilon=0.1, seed=7,
-                          keep_words=False)
-    assert code.rates_only and not code.families and code.records
-    rate, cr_rate = accounting(code)
-    assert rate > 0 and cr_rate > 0
-    with pytest.raises(InvalidInputError):
-        encode(code, (0, 1, 0, 1), 0, seed=0)
-    with pytest.raises(InvalidInputError):
-        output_distribution(code, (0, 1, 0, 1))
-
-
 def test_source_channel_size_mismatch_rejected():
     with pytest.raises(InvalidInputError):
         build_sim_code(Distribution.uniform(3), BSC, n=4, delta=2.0,
@@ -777,8 +762,7 @@ def test_message_law_aggregates_to_block_channel(small_code):
 
 def test_a_code_is_rebuilt_from_its_own_fields(small_code):
     """build_sim_code on a code's own source, channel, n, delta, epsilon and
-    seed gives its records, its lists byte for byte and its transcripts;
-    rates-only, it gives the same records."""
+    seed gives its records, its lists byte for byte and its transcripts."""
     inputs = (small_code.source, small_code.channel, small_code.n, small_code.delta,
               small_code.epsilon, small_code.seed)
     rebuilt = build_sim_code(*inputs)
@@ -789,25 +773,22 @@ def test_a_code_is_rebuilt_from_its_own_fields(small_code):
     for x in word_letters(2, 4):
         nu, seed = int(rng.integers(small_code.N)), int(rng.integers(2**32))
         assert run_protocol(rebuilt, x, nu, seed) == run_protocol(small_code, x, nu, seed)
-    rates = build_sim_code(*inputs, keep_words=False)
-    assert rates.rates_only
-    assert list(rates.records.items()) == list(small_code.records.items())
 
 
 @pytest.fixture(scope="module")
-def fourteen_list_parts():
-    """(records, families) of a bsc25 n = 4 code with every family at 14
-    lists, the largest list count before counts were rounded to powers of
-    two, with M re-derived there and its lists drawn uniformly."""
+def fourteen_list_families():
+    """The families of a bsc25 n = 4 code with every family at 14 lists,
+    the largest list count before counts were rounded to powers of two,
+    with M re-derived there and its lists drawn uniformly."""
     types = jointly_typical_types(UNIF, BSC, 4, 2.0)
     assert max(unrounded_sizing(t, 0.1)[1] for t in types) == 14
     rng = np.random.default_rng(0)
-    records, families = {}, {}
+    families = {}
     for t in types:
         M, size_s = unrounded_sizing(t, 0.1, 14)[0], t.class_sizes[1]
-        fam = CoveringFamily(t, 14, M, rng.multinomial(M, np.full(size_s, 1 / size_s), 14), 0.1)
-        records[t], families[t] = FamilyRecord.of(fam), fam
-    return records, families
+        families[t] = CoveringFamily(t, 14, M,
+                                     rng.multinomial(M, np.full(size_s, 1 / size_s), 14), 0.1)
+    return families
 
 
 def test_decode_reads_the_sorted_slot_of_every_list():
@@ -868,17 +849,20 @@ def test_online_path_transcripts_are_pinned_bit_for_bit():
 
 
 def test_a_code_holds_a_family_for_every_record_or_none(small_code):
+    """A code's records are those of its families, so a code without a
+    type's family has no record of it, and a code of no family is refused."""
     first = small_code.typical_joint_types[0]
-    partial = {t: fam for t, fam in small_code.families.items() if t != first}
-    with pytest.raises(InvalidInputError, match="families"):
-        dataclasses.replace(small_code, families=partial)
+    partial = dataclasses.replace(small_code, families={
+        t: fam for t, fam in small_code.families.items() if t != first})
+    assert list(partial.records) == list(partial.families) == list(small_code.families)[1:]
+    assert all(rec == FamilyRecord.of(partial.families[t]) for t, rec in partial.records.items())
+    assert partial.message_count == small_code.message_count - small_code.records[first].M
     with pytest.raises(InvalidInputError, match="widen delta"):
-        dataclasses.replace(small_code, records={}, families={})
-    assert dataclasses.replace(small_code, families={}).rates_only
+        dataclasses.replace(small_code, families={})
 
 
 def test_a_code_is_frozen(small_code):
-    derived = ["typical_joint_types", "N", "offsets", "message_count", "rates_only", "spec"]
+    derived = ["records", "typical_joint_types", "N", "offsets", "message_count", "spec"]
     for name in [f.name for f in dataclasses.fields(SimCode)] + derived:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(small_code, name, getattr(small_code, name))
@@ -929,23 +913,13 @@ def test_a_built_code_cannot_be_changed_under_its_records(small_code):
     assert encode(small_code, (0, 1, 0, 1), 0, 1) == (JointType(4, ((2, 0), (0, 2))), 1102)
 
 
-def test_a_code_rejects_a_family_that_is_not_its_records_family(small_code):
-    """A family whose lists each hold rank 0 M times keeps its sizes and row
-    sums, but not its record's margins, so the constructor refuses it:
-    beside that record, it would give a per-word error above the record's
-    fidelity ceiling."""
-    t = small_code.typical_joint_types[1]
-    fam = small_code.families[t]
-    counts = np.zeros_like(fam.counts)
-    counts[:, 0] = fam.M
-    lopsided = dataclasses.replace(fam, counts=counts)
-    assert (lopsided.counts.sum(axis=1) == small_code.records[t].M).all()
-    with pytest.raises(InvalidInputError, match="families must be those of its records"):
-        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, small_code.records,
-                {**small_code.families, t: lopsided})
+# A code is built from its families, or from another code's by
+# dataclasses.replace; both run the constructor's checks.
+BUILDS = {"families": lambda code, families: SimCode(4, UNIF, BSC, 2.0, 0.1, 7, families),
+          "replace": lambda code, families: dataclasses.replace(code, families=families)}
 
 
-@pytest.mark.parametrize("with_families", [True, False], ids=["families", "rates-only"])
+@pytest.mark.parametrize("build", sorted(BUILDS))
 @pytest.mark.parametrize("base, forged, rejected", [
     ("small", 12, 12),          # one type at 12 lists beside powers of two up to 16
     ("fourteen", None, 14),     # every type at 14 lists, the shared range itself
@@ -954,53 +928,38 @@ def test_a_code_rejects_a_family_that_is_not_its_records_family(small_code):
     ("fourteen", 7, 7),         # 7 divides the others' 14, but is no power of two
 ], ids=["12-in-16", "all-14", "28-in-14", "16-in-14", "7-in-14"])
 def test_a_code_checks_its_list_counts_however_it_was_built(
-        base, forged, rejected, with_families, small_code, fourteen_list_parts):
-    records, families = map(dict, (small_code.records, small_code.families)
-                            if base == "small" else fourteen_list_parts)
-    if forged is not None:      # the first type of 8 (small) or 14 lists, and its record
-        t = next(t for t, rec in records.items() if rec.N == (8 if base == "small" else 14))
+        base, forged, rejected, build, small_code, fourteen_list_families):
+    families = dict(small_code.families if base == "small" else fourteen_list_families)
+    if forged is not None:      # the first family of 8 (small) or 14 lists
+        t = next(t for t, fam in families.items() if fam.N == (8 if base == "small" else 14))
         fam = families[t]
         families[t] = CoveringFamily(t, forged, fam.M,
                                      np.resize(fam.counts, (forged, fam.counts.shape[1])),
                                      fam.epsilon)
-        records[t] = FamilyRecord.of(families[t])
     with pytest.raises(InvalidInputError, match=f"list count {rejected} is not a power of two"):
-        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, records, families if with_families else {})
+        BUILDS[build](small_code, families)
 
 
-def test_a_family_must_match_its_record(small_code):
-    """A family holding 8 lists beside a record N of 16 is refused, rather
-    than encoded from 8 lists while its record is priced."""
-    t = next(t for t, rec in small_code.records.items() if rec.N == 16)
-    fam = small_code.families[t]
-    halved = CoveringFamily(t, 8, fam.M, fam.counts[:8], fam.epsilon)
-    families = {**small_code.families, t: halved}
-    with pytest.raises(InvalidInputError, match="families must be those of its records"):
-        dataclasses.replace(small_code, families=families)
-    with pytest.raises(InvalidInputError, match="families must be those of its records"):
-        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, small_code.records, families)
-
-
-@pytest.mark.parametrize("with_families", [True, False], ids=["families", "rates-only"])
-def test_a_record_must_sit_under_its_own_joint_type(small_code, with_families):
-    """Moved under ((0, 2), (2, 0)), a type that is not jointly typical, the
-    first record would make that type the first announced and leave its own
-    type uncovered: the fidelity ceiling would read 0.478, not 0.232."""
+@pytest.mark.parametrize("build", sorted(BUILDS))
+def test_a_record_must_sit_under_its_own_joint_type(small_code, build):
+    """A record is its family's, so the family must sit under its own joint
+    type. Moved under ((0, 2), (2, 0)), a type that is not jointly typical,
+    the first family would make that type the first announced and leave
+    its own type uncovered: the fidelity ceiling would read 0.478, not
+    0.232."""
     first, stray = small_code.typical_joint_types[0], JointType(4, ((0, 2), (2, 0)))
     assert stray not in small_code.records
     assert fidelity_ceiling(small_code)[0] == pytest.approx(0.232, abs=1e-3)
-    moved = {(stray if t == first else t): rec for t, rec in small_code.records.items()}
-    families = ({(stray if t == first else t): fam for t, fam in small_code.families.items()}
-                if with_families else {})
-    with pytest.raises(InvalidInputError, match="records must sit under their own joint types"):
-        SimCode(4, UNIF, BSC, 2.0, 0.1, 7, moved, families)
+    moved = {(stray if t == first else t): fam for t, fam in small_code.families.items()}
+    with pytest.raises(InvalidInputError, match="families must sit under their own joint types"):
+        BUILDS[build](small_code, moved)
 
 
 def test_rates_only_code_has_the_fidelity_ceiling_of_its_words():
-    kept = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
-    rates = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7, keep_words=False)
-    assert fidelity_ceiling(rates) == fidelity_ceiling(kept)
-    assert fidelity_ceiling(rates)[0] == pytest.approx(0.2212, abs=1e-4)
+    """The ceiling reads only which types have a family; at n = 6 the
+    drawn code's is 0.2212."""
+    code = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
+    assert fidelity_ceiling(code)[0] == pytest.approx(0.2212, abs=1e-4)
 
 
 def test_a_word_of_the_wrong_length_is_rejected(small_code):
@@ -1035,14 +994,14 @@ def full_class_code(request):
     compatible count equals its mean, so the margin is epsilon); N = 1."""
     name, n = request.param
     source, channel = (UNIF, BSC) if name == "bsc25" else SKEWED_PAIR
-    records, families = {}, {}
+    families = {}
     for t in jointly_typical_types(source, channel, n, 2.0):
         size_s = t.class_sizes[1]
         fam = CoveringFamily(t, 1, size_s, np.ones((1, size_s), dtype=np.int64), 0.1)
         assert fam.check.passed
         np.testing.assert_allclose(fam.check.condition_I_margin, 0.1, rtol=0, atol=1e-12)
-        records[t], families[t] = FamilyRecord.of(fam), fam
-    return SimCode(n, source, channel, 2.0, 0.1, 0, records, families)
+        families[t] = fam
+    return SimCode(n, source, channel, 2.0, 0.1, 0, families)
 
 
 def closed_form_law(code):
