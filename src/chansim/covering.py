@@ -61,22 +61,29 @@ def lemma2_failure_bound(K_size: int, M: int, eta: float, s: float) -> float:
 
 
 def required_M_N(t: JointType, epsilon: float):
-    """The family's own sizing (M, N): N is the smallest power of two at or
-    above the list count where the two covering inequalities meet, so every
-    type's N divides the largest, and M is the smallest size that meets both
-    at that N. With c = 2 ln 2 / eps^2, condition (I) needs
+    """The (M, N) t's covering family is drawn at: class_sizing of t.class_sizes."""
+    return class_sizing(t.class_sizes, epsilon, t.n)
+
+
+def class_sizing(class_sizes, epsilon: float, n: int):
+    """The covering family's own sizing (M, N) for a joint type of length n
+    whose class sizes are class_sizes = (|T_R|, |T_S|, |T_t|): N is the
+    smallest power of two at or above the list count where the two
+    covering inequalities meet, so every type's N divides the largest, and
+    M is the smallest size that meets both at that N. With
+    c = 2 ln 2 / eps^2, condition (I) needs
     M > c |T_R| |T_S| / |T_t| log2(4 N |T_R|) and condition (II) needs
-    N M > c |T_S| log2(4 |T_S|). The class sizes are read from
-    t.class_sizes, attached when t came from conditionally_typical_joint_types.
+    N M > c |T_S| log2(4 |T_S|). It reads nothing but the three sizes, so
+    joint types with equal class sizes share one sizing.
 
     The meeting point is found from N = 1 by alternating the two threshold
     formulas until they agree; each pass only raises N, so the loop
     terminates. A sizing that leaves float64 (bsc25 at n = 550, delta = 2)
-    raises InvalidInputError: no cap admits it.
+    raises InvalidInputError, naming n: no cap admits it.
     """
     if not 0.0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
-    size_r, size_s, size_t = t.class_sizes
+    size_r, size_s, size_t = class_sizes
     scale = 2.0 * LN2 / epsilon**2
     try:
         rhs_i = scale * (size_r * size_s / size_t)
@@ -92,7 +99,7 @@ def required_M_N(t: JointType, epsilon: float):
         return max(min_M(N), int(math.floor(rhs_ii / N)) + 1), N
     except OverflowError:
         raise InvalidInputError(
-            f"covering sizes at n = {t.n} leave float64: the joint type class has "
+            f"covering sizes at n = {n} leave float64: the joint type class has "
             f"2^{size_t.bit_length() - 1} or more word pairs") from None
 
 

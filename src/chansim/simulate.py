@@ -43,7 +43,7 @@ import numpy as np
 
 from ._seeds import _as_rng, child_seed
 from .core_prob import Channel, Distribution
-from .covering import CoveringFamily, build_covering, require_table_cap, required_M_N
+from .covering import CoveringFamily, build_covering, class_sizing, require_table_cap
 from .errors import CAPS, InvalidInputError, require_cap
 from .typeclasses import (
     ExactType,
@@ -55,6 +55,7 @@ from .typeclasses import (
     enumerate_joint_types,
     enumerate_type_class,
     type_is_typical,
+    typical_joint_classes,
     typical_probability_bounds,
     typical_types,
 )
@@ -152,26 +153,44 @@ class Transcript:
 def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta: float):
     """Joint types whose row marginal is delta-typical for the source and
     whose conditional part sits in the channel's typicality window, in
-    lexicographic order of the flattened count matrix."""
+    lexicographic order of the flattened count matrix (that of the tuple of
+    rows, which all have |Y| entries)."""
     spec = TypicalSpec(source, n, delta)
     found = []
     for base in typical_types(spec):
         found += conditionally_typical_joint_types(base, channel, delta)
-    found.sort(key=lambda t: tuple(c for row in t.counts for c in row))
+    found.sort(key=lambda t: t.counts)
     return found
+
+
+def _sizing(source: Distribution, channel: Channel, n: int, epsilon: float):
+    """class_sizing at (epsilon, n), run once per distinct class-size triple."""
+    if source.alphabet_size != channel.input_size:
+        raise InvalidInputError("source alphabet does not match channel input")
+    return functools.cache(lambda sizes: class_sizing(sizes, epsilon, n))
 
 
 def sized_types(source: Distribution, channel: Channel, n: int, delta: float,
                 epsilon: float) -> dict:
     """required_M_N(t, epsilon), the (M_t, N_t) a family is drawn at, of
     every jointly typical type t, in announcement order. Only those types
-    are built, each carrying the class sizes required_M_N reads. Nothing is
-    drawn or allocated, so only WORD_ENUM_CAP applies, to the count of all
-    joint types of length n; 2 x 2 instances reach n = 226, 2 x 3 n = 44
-    and 3 x 3 n = 18 under its default."""
-    if source.alphabet_size != channel.input_size:
-        raise InvalidInputError("source alphabet does not match channel input")
-    return {t: required_M_N(t, epsilon) for t in jointly_typical_types(source, channel, n, delta)}
+    are built, each carrying the class sizes the sizing reads, and the
+    sizing runs once per distinct class-size triple. Nothing is drawn or
+    allocated, so only WORD_ENUM_CAP applies, to the count of all joint
+    types of length n; 2 x 2 instances reach n = 226, 2 x 3 n = 44 and
+    3 x 3 n = 18 under its default."""
+    sizing = _sizing(source, channel, n, epsilon)
+    return {t: sizing(t.class_sizes) for t in jointly_typical_types(source, channel, n, delta)}
+
+
+def typical_sizes(source: Distribution, channel: Channel, n: int, delta: float,
+                  epsilon: float) -> list:
+    """The values of sized_types as a multiset, for sized_rates, which reads
+    no order: the sizing of the class sizes typical_joint_classes yields per
+    typical input type, with no JointType built and nothing sorted."""
+    sizing = _sizing(source, channel, n, epsilon)
+    return [sizing(sizes) for base in typical_types(TypicalSpec(source, n, delta))
+            for _, sizes in typical_joint_classes(base, channel, delta)]
 
 
 def draw_families(source: Distribution, channel: Channel, n: int, delta: float,

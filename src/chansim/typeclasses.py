@@ -147,28 +147,40 @@ def type_is_typical(t: ExactType, spec: TypicalSpec) -> bool:
     return all(c in _window(spec.n, px, spec.delta) for c, px in zip(t.counts, spec.p.probs))
 
 
-def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float) -> list:
-    """The joint types of enumerate_joint_types(base, |Y|), in that order,
-    whose every cell lies in the window of its channel entry W(y|x), with
-    base's count of x as the total. Each row keeps only its windowed
-    compositions, and their product, taken in the same order, builds no
-    other joint type. Every type carries its class_sizes from shared
-    factors: |T_R| once, one multinomial per row composition,
-    |T_t| = |T_R| times its rows' multinomials, and |T_S| once per column
-    marginal. All joint types of length n are counted first, under WORD_ENUM_CAP."""
+def typical_joint_classes(base: ExactType, w: Channel, delta: float):
+    """Yield (counts, class_sizes) of the joint types of
+    enumerate_joint_types(base, |Y|), in that order, whose every cell lies in
+    the window of its channel entry W(y|x), with base's count of x as the
+    total; class_sizes is (|T_R|, |T_S|, |T_t|). Only the product of each
+    row's windowed compositions is visited, and no JointType is built. The
+    sizes share factors: |T_R| once, one multinomial per windowed row,
+    |T_t| = |T_R| times its rows' multinomials, |T_S| once per column
+    marginal. All joint types of length n are counted first, under
+    WORD_ENUM_CAP."""
     if base.alphabet_size != w.input_size:
         raise InvalidInputError("input type does not match the channel")
     _require_type_count(base.n, base.alphabet_size * w.output_size, "joint")
-    per_row = []
+    rows, mults = [], []
     for r, w_row in zip(base.counts, w.rows):
         wins = [_window(r, wxy, delta) for wxy in w_row]
-        per_row.append([(row, _multinomial(row)) for row in _compositions(r, w.output_size)
-                        if all(c in win for c, win in zip(row, wins))])
-    size_r, size_s, found = type_class_size(base), functools.cache(_multinomial), []
-    for rows in itertools.product(*per_row):
-        t = JointType(base.n, tuple(row for row, _ in rows))
-        object.__setattr__(t, "class_sizes", (size_r, size_s(tuple(map(sum, zip(*t.counts)))),
-                                              size_r * math.prod(m for _, m in rows)))
+        rows.append([(*head, last) for head in itertools.product(*wins[:-1])
+                     if (last := r - sum(head)) in wins[-1]])
+        mults.append([_multinomial(row) for row in rows[-1]])
+    size_r, size_s = type_class_size(base), {}
+    for counts, factors in zip(itertools.product(*rows), itertools.product(*mults)):
+        col = tuple(map(sum, zip(*counts)))
+        if col not in size_s:
+            size_s[col] = _multinomial(col)
+        yield counts, (size_r, size_s[col], size_r * math.prod(factors))
+
+
+def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float) -> list:
+    """The joint types typical_joint_classes(base, w, delta) yields, in its
+    order, each a validated JointType carrying the class_sizes it yields."""
+    found = []
+    for counts, sizes in typical_joint_classes(base, w, delta):
+        t = JointType(base.n, counts)
+        object.__setattr__(t, "class_sizes", sizes)
         found.append(t)
     return found
 

@@ -2,6 +2,7 @@
 resolution, cap overrides, and byte-identical reruns."""
 
 import gc
+import hashlib
 import json
 import math
 import sys
@@ -709,6 +710,23 @@ def test_rates_only_rows_past_the_cap_keep_their_bytes(tmp_path, capsys, n, row)
     lines = (out / "simulate.csv").read_text().splitlines()
     assert lines[2].startswith("# config: ")
     assert lines[:2] + lines[3:] == ["# chansim simulate csv v10", f"# columns: {head}", head, row]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("bsc25", "ede71d01c2baf09d7afaaee812f2159e8693c0ca08220383ddf571f1d488795c"),
+    ("skewed_pair", "22d25ec78d4bbace6c03442628b204acedcab8a612d4db99914beab1b69d8bca"),
+], ids=["bsc25", "skewed_pair"])
+def test_rates_only_sweep_keeps_its_bytes(tmp_path, name, digest):
+    """The rates-only sweep from n = 17 to 128 (delta = 2, epsilon = 0.1)
+    writes the sweep.csv it wrote when every sized type was a JointType,
+    sorted, and sized one at a time: the sha256 of every line but the
+    config hash."""
+    path = str(Path(__file__).resolve().parent.parent / f"demos/instances/{name}.json")
+    assert main(["sweep", path, "--n-min", "17", "--n-max", "128", "--keep-words-up-to", "0",
+                 "--delta", "2", "--epsilon", "0.1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if not line.startswith(b"# config:"))
+    assert hashlib.sha256(kept).hexdigest() == digest
 
 
 def test_sizing_past_float64_is_invalid_input(capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from chansim.core_prob import (Channel, Distribution, entropy, mutual_information,
                                output_marginal, tv_distance)
 from chansim import applications, simulate, typeclasses
+from chansim.cli import main
 from chansim.covering import CoveringFamily, required_M_N
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.fidelity import derandomize, measure_fidelity, run_fixed_code, sim_code_family
@@ -34,6 +36,7 @@ from chansim.simulate import (
     sized_rates,
     sized_types,
     strong_fidelity_report,
+    typical_sizes,
     word_letters,
 )
 from chansim.typeclasses import (
@@ -661,6 +664,47 @@ def test_sized_types_build_only_the_types_they_return(monkeypatch):
     monkeypatch.setattr(JointType, "__post_init__", lambda t: (built.append(t), check(t)))
     sizes = sized_types(UNIF, BSC, 32, 2.0, 0.1)
     assert len(built) == len(sizes) > 100 and set(built) == set(sizes)
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_rates_only_sizes_are_the_sized_types(name, delta):
+    """At n = 2 to 64, 128 and 226, the sizes typical_sizes reads from the
+    row kernel, with no joint type built or sorted, are the values of
+    sized_types as a multiset, so sized_rates and the type count agree."""
+    source, channel = INSTANCES[name]
+    for n in [*range(2, 65), 128, 226]:
+        sizes = list(sized_types(source, channel, n, delta, 0.1).values())
+        fast = typical_sizes(source, channel, n, delta, 0.1)
+        assert sorted(fast) == sorted(sizes)
+        assert sized_rates(fast, n) == sized_rates(sizes, n)
+
+
+def test_the_sizing_runs_once_per_class_size_triple(monkeypatch):
+    """bsc25 at n = 10 has 90 jointly typical types and 44 distinct
+    class-size triples: sized_types and typical_sizes each run the sizing
+    formula once per triple."""
+    calls = []
+    sizing = simulate.class_sizing
+    monkeypatch.setattr(simulate, "class_sizing",
+                        lambda *args: (calls.append(args[0]), sizing(*args))[1])
+    sizes = sized_types(UNIF, BSC, 10, 2.0, 0.1)
+    triples = {t.class_sizes for t in sizes}
+    assert (len(sizes), len(triples)) == (90, 44)
+    assert sorted(calls) == sorted(triples)
+    calls.clear()
+    typical_sizes(UNIF, BSC, 10, 2.0, 0.1)
+    assert sorted(calls) == sorted(triples)
+
+
+def test_rates_only_simulate_builds_no_joint_type(monkeypatch, tmp_path):
+    """simulate --n 32 --rates-only sizes every type from the kernel's class
+    sizes: with JointType construction raising, it still exits 0."""
+    def refuse(t):
+        raise AssertionError("a rates-only run built a joint type")
+    monkeypatch.setattr(JointType, "__post_init__", refuse)
+    bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
+    assert main(["simulate", bsc25, "--n", "32", "--rates-only", "--out", str(tmp_path)]) == 0
 
 
 def test_cover_table_cap_is_checked_before_the_first_draw(monkeypatch):
