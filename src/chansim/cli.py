@@ -35,7 +35,7 @@ from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
                      InvalidInputError, RetriesExhaustedError)
 from .fidelity import derandomize_with_family, measure_fidelity
 from .simulate import (FamilyRecord, build_sim_code, draw_families, sized_rates,
-                       strong_fidelity_report, typical_sizes)
+                       sized_types, strong_fidelity_report)
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
@@ -404,9 +404,9 @@ def _fidelity_report(code):
 
 def _sized(inputs, seed, draw):
     """(code, sized_rates, type count): the code drawn, or without draw no
-    code and the rates of the sizing alone (typical_sizes), no draw."""
+    code and the rates of the sizing alone (sized_types, unsorted), no draw."""
     code = build_sim_code(*inputs, seed) if draw else None
-    sizes = (typical_sizes(*inputs) if code is None
+    sizes = ([sizing for _, sizing in sized_types(*inputs)] if code is None
              else [(f.M, f.N) for f in code.families.values()])
     return code, sized_rates(sizes, inputs[2]), len(sizes)
 

@@ -60,11 +60,6 @@ def lemma2_failure_bound(K_size: int, M: int, eta: float, s: float) -> float:
     return K_size * (math.exp(-exponent / (2.0 + eta)) + math.exp(-exponent / 2.0))
 
 
-def required_M_N(t: JointType, epsilon: float):
-    """The (M, N) t's covering family is drawn at: class_sizing of t.class_sizes."""
-    return class_sizing(t.class_sizes, epsilon, t.n)
-
-
 def class_sizing(class_sizes, epsilon: float, n: int):
     """The covering family's own sizing (M, N) for a joint type of length n
     whose class sizes are class_sizes = (|T_R|, |T_S|, |T_t|): N is the
@@ -330,7 +325,7 @@ def _uniform_counts(rng, M: int, size_s: int, N: int) -> np.ndarray:
 def build_covering(t: JointType, epsilon: float, M: int, N: int,
                    seed: int = 0) -> CoveringFamily:
     """Rejection-sample a covering family of N lists of M words, the sizing
-    required_M_N(t, epsilon) gives, and verify it exactly.
+    class_sizing(t.class_sizes, epsilon, t.n) gives, and verify it exactly.
 
     Each attempt draws all N lists at once as their counts,
     Multinomial(M, uniform) per list, the law of M i.i.d. uniform ranks

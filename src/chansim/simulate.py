@@ -12,7 +12,7 @@ Protocol for one block x = (x_1 ... x_n), with nu a shared uniform index:
   4. the decoder outputs the word stored at (nu mod N_T, mu).
 
 Each jointly typical type T has its own list count N_T, the power of two
-that required_M_N sizes its covering family at, and the shared index ranges
+that class_sizing sizes its covering family at, and the shared index ranges
 over [0, N) with N the largest N_T. Every N_T divides N, so nu mod N_T is
 uniform on T's lists. A code is its covering families and nothing else:
 it is frozen, and its records, offsets and counts are derived from them.
@@ -50,7 +50,6 @@ from .typeclasses import (
     JointType,
     TypicalSpec,
     conditional_type_class_size,
-    conditionally_typical_joint_types,
     count_occurrences,
     enumerate_joint_types,
     enumerate_type_class,
@@ -151,46 +150,30 @@ class Transcript:
 
 
 def jointly_typical_types(source: Distribution, channel: Channel, n: int, delta: float):
-    """Joint types whose row marginal is delta-typical for the source and
-    whose conditional part sits in the channel's typicality window, in
-    lexicographic order of the flattened count matrix (that of the tuple of
-    rows, which all have |Y| entries)."""
-    spec = TypicalSpec(source, n, delta)
-    found = []
-    for base in typical_types(spec):
-        found += conditionally_typical_joint_types(base, channel, delta)
-    found.sort(key=lambda t: t.counts)
-    return found
-
-
-def _sizing(source: Distribution, channel: Channel, n: int, epsilon: float):
-    """class_sizing at (epsilon, n), run once per distinct class-size triple."""
+    """The one walk of the jointly typical types: (counts, class_sizes) of
+    every joint type whose row marginal is delta-typical for the source and
+    whose conditional part sits in the channel's typicality window, as
+    typical_joint_classes yields them per input type of typical_types, with
+    no JointType built and nothing sorted. Sorting by counts gives the
+    announcement order, lexicographic in the flattened count matrix (that
+    of the tuple of rows, which all have |Y| entries)."""
     if source.alphabet_size != channel.input_size:
         raise InvalidInputError("source alphabet does not match channel input")
-    return functools.cache(lambda sizes: class_sizing(sizes, epsilon, n))
+    return [row for base in typical_types(TypicalSpec(source, n, delta))
+            for row in typical_joint_classes(base, channel, delta)]
 
 
 def sized_types(source: Distribution, channel: Channel, n: int, delta: float,
-                epsilon: float) -> dict:
-    """required_M_N(t, epsilon), the (M_t, N_t) a family is drawn at, of
-    every jointly typical type t, in announcement order. Only those types
-    are built, each carrying the class sizes the sizing reads, and the
-    sizing runs once per distinct class-size triple. Nothing is drawn or
+                epsilon: float) -> list:
+    """(counts, (M_t, N_t)) of every jointly typical type t, in the order of
+    the walk: class_sizing of its class sizes, the sizing its family is drawn
+    at, run once per distinct class-size triple. Nothing is drawn or
     allocated, so only WORD_ENUM_CAP applies, to the count of all joint
     types of length n; 2 x 2 instances reach n = 226, 2 x 3 n = 44 and
     3 x 3 n = 18 under its default."""
-    sizing = _sizing(source, channel, n, epsilon)
-    return {t: sizing(t.class_sizes) for t in jointly_typical_types(source, channel, n, delta)}
-
-
-def typical_sizes(source: Distribution, channel: Channel, n: int, delta: float,
-                  epsilon: float) -> list:
-    """The values of sized_types as a multiset, for sized_rates, which reads
-    no order: the sizing of the class sizes typical_joint_classes yields per
-    typical input type, with no JointType built and nothing sorted."""
-    sizing = _sizing(source, channel, n, epsilon)
-    return [sizing(sizes) for base in typical_types(TypicalSpec(source, n, delta))
-            for _, sizes in typical_joint_classes(base, channel, delta)]
+    sizing = functools.cache(lambda sizes: class_sizing(sizes, epsilon, n))
+    return [(counts, sizing(sizes))
+            for counts, sizes in jointly_typical_types(source, channel, n, delta)]
 
 
 def draw_families(source: Distribution, channel: Channel, n: int, delta: float,
@@ -198,13 +181,15 @@ def draw_families(source: Distribution, channel: Channel, n: int, delta: float,
     """Yield the verified covering family of every jointly typical type, in
     announcement order, each drawn at its sized_types sizing, a power of two
     list count N_t and the M that meets both covering inequalities there,
-    from child seed simulate:covering:{index}. Every type's tables are
-    checked against COVER_TABLE_CAP, in announcement order, before the
-    first draw. The generator keeps no family it has yielded."""
-    sizes = sized_types(source, channel, n, delta, epsilon)
-    for t, (_, N) in sizes.items():
+    from child seed simulate:covering:{index}. A JointType is built for each
+    drawn type only, and every type's tables are checked against
+    COVER_TABLE_CAP, in announcement order, before the first draw. The
+    generator keeps no family it has yielded."""
+    types = [(JointType(n, counts), M, N)
+             for counts, (M, N) in sorted(sized_types(source, channel, n, delta, epsilon))]
+    for t, _, N in types:
         require_table_cap(t, N)
-    for idx, (t, (M, N)) in enumerate(sizes.items()):
+    for idx, (t, M, N) in enumerate(types):
         yield build_covering(t, epsilon, M, N,
                              seed=child_seed(seed, f"simulate:covering:{idx}"))
 
@@ -568,6 +553,6 @@ def sized_rates(sizes, n: int):
 
 
 def accounting(code: SimCode):
-    """(rate, cr_rate) in bits per letter: sized_rates of the code's
-    families, the rate log2(code.message_count) / n."""
-    return sized_rates([(f.M, f.N) for f in code.families.values()], code.n)[:2]
+    """(rate, cr_rate) in bits per letter: log2(code.message_count) / n and
+    log2(code.N) / n, the sized_rates of the code's families."""
+    return math.log2(code.message_count) / code.n, math.log2(code.N) / code.n

@@ -50,8 +50,7 @@ class ExactType:
 class JointType:
     """Count matrix of a word pair; counts[x][y] = #{k : x_k = x, y_k = y}.
 
-    The marginals and class_sizes are computed on first use, or class_sizes
-    attached by conditionally_typical_joint_types, and kept on the
+    The marginals and class_sizes are computed on first use and kept on the
     instance, outside ==, hash and repr."""
 
     n: int
@@ -172,17 +171,6 @@ def typical_joint_classes(base: ExactType, w: Channel, delta: float):
         if col not in size_s:
             size_s[col] = _multinomial(col)
         yield counts, (size_r, size_s[col], size_r * math.prod(factors))
-
-
-def conditionally_typical_joint_types(base: ExactType, w: Channel, delta: float) -> list:
-    """The joint types typical_joint_classes(base, w, delta) yields, in its
-    order, each a validated JointType carrying the class_sizes it yields."""
-    found = []
-    for counts, sizes in typical_joint_classes(base, w, delta):
-        t = JointType(base.n, counts)
-        object.__setattr__(t, "class_sizes", sizes)
-        found.append(t)
-    return found
 
 
 class TypicalBounds(NamedTuple):
@@ -314,7 +302,7 @@ def enumerate_joint_types(base: ExactType, y_size: int):
     """Every joint type over X x Y whose row marginal is base, lexicographic
     on the flattened count matrix. All joint types of length n are counted
     first, under WORD_ENUM_CAP: that total bounds this list and the ones
-    jointly_typical_types joins."""
+    typical_joint_classes yields."""
     _require_type_count(base.n, base.alphabet_size * y_size, "joint")
     per_row = [list(_compositions(r, y_size)) for r in base.counts]
     return [JointType(base.n, rows) for rows in itertools.product(*per_row)]

@@ -16,18 +16,18 @@ from chansim.cli import main
 from chansim.core_prob import (Channel, Distribution, binary_entropy,
                                conditional_entropy, entropy, mutual_information,
                                output_marginal, tv_distance)
-from chansim.covering import (build_covering, lemma2_failure_bound, required_M_N,
-                              verify_covering)
+from chansim.covering import build_covering, lemma2_failure_bound, verify_covering
 from chansim.fidelity import (derandomize, derandomized_family,
                               measure_fidelity, min_nonzero_entry, required_Q)
-from chansim.simulate import (build_sim_code, jointly_typical_types, sized_rates, sized_types,
-                              strong_fidelity_report)
+from chansim.simulate import build_sim_code, sized_rates, sized_types, strong_fidelity_report
 from chansim.typeclasses import (JointType, TypicalSpec, conditional_type_class_size,
                                  enumerate_joint_types, enumerate_type_class,
                                  enumerate_type_classes, joint_type_class_size,
                                  type_class_size, typical_probability_bounds)
 from chansim.zero_error import (ZeroErrorInstance, alternate, brute_force_oracle,
                                 intermediate_size_bound)
+
+from test_covering import announced_types, type_sizing
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 UNIF = Distribution.uniform(2)
@@ -120,11 +120,11 @@ def test_typical_mass_dominates_closed_form_floors(probs, n, delta):
 
 def test_covering_families_verify_and_retry_statistics():
     t0 = time.perf_counter()
-    types = jointly_typical_types(UNIF, BSC, 4, 2.0)
+    types = announced_types(UNIF, BSC, 4, 2.0)
     assert types
     hardest, hardest_fam = None, None
     for idx, t in enumerate(types):
-        fam = build_covering(t, 0.1, *required_M_N(t, 0.1), seed=idx)
+        fam = build_covering(t, 0.1, *type_sizing(t, 0.1), seed=idx)
         check = verify_covering(fam)
         assert check.passed
         assert float(check.condition_I_margin.min()) >= 0.0
@@ -134,7 +134,7 @@ def test_covering_families_verify_and_retry_statistics():
     # retry statistics across 100 seeds on the most demanding type
     failed_first = 0
     for s in range(100):
-        fam = build_covering(hardest, 0.1, *required_M_N(hardest, 0.1),
+        fam = build_covering(hardest, 0.1, *type_sizing(hardest, 0.1),
                              seed=1000 + s)
         assert fam.retries < 16
         failed_first += 1 if fam.retries > 0 else 0
@@ -170,7 +170,7 @@ def test_rate_trends_across_block_lengths():
     mi = 1.0 - binary_entropy(0.25)
     rates = []
     for n in range(4, 13):
-        rate, cr_rate, _ = sized_rates(list(sized_types(UNIF, BSC, n, 2.0, 0.1).values()), n)
+        rate, cr_rate, _ = sized_rates([s for _, s in sized_types(UNIF, BSC, n, 2.0, 0.1)], n)
         assert rate >= mi - 1e-9
         assert rate + cr_rate >= entropy(output_marginal(UNIF, BSC)) - 1e-9
         rates.append(rate)

@@ -13,9 +13,9 @@ from chansim.core_prob import Channel, Distribution
 from chansim.covering import (
     CoveringFamily,
     build_covering,
+    class_sizing,
     compatibility_matrix,
     lemma2_failure_bound,
-    required_M_N,
     verify_covering,
 )
 from chansim.errors import CAPS, CapExceededError, InvalidInputError, RetriesExhaustedError
@@ -37,6 +37,18 @@ SEED = 424242
 T_N4 = JointType(4, ((2, 1), (0, 1)))
 # the identity-style instance: R = S = (2, 2), diagonal joint counts
 T_DIAG = JointType(4, ((2, 0), (0, 2)))
+
+
+def type_sizing(t, epsilon):
+    """The (M, N) t's covering family is drawn at: class_sizing of its
+    class sizes."""
+    return class_sizing(t.class_sizes, epsilon, t.n)
+
+
+def announced_types(source, channel, n, delta):
+    """The jointly typical types as JointTypes, in announcement order."""
+    return [JointType(n, counts)
+            for counts, _ in sorted(jointly_typical_types(source, channel, n, delta))]
 
 
 def rank_counts(t, words):
@@ -115,7 +127,7 @@ class TestFailureBound:
 class TestRequiredSizes:
     def test_strictness_of_both_inequalities(self):
         for t in (T_N4, T_DIAG, JointType(6, ((3, 1), (1, 1)))):
-            M, N = required_M_N(t, 0.1)
+            M, N = type_sizing(t, 0.1)
             size_r = type_class_size(t.row_marginal())
             size_s = type_class_size(t.col_marginal())
             size_t = joint_type_class_size(t)
@@ -131,13 +143,13 @@ class TestRequiredSizes:
         assert type_class_size(T_DIAG.row_marginal()) == 6
         assert type_class_size(T_DIAG.col_marginal()) == 6
         assert joint_type_class_size(T_DIAG) == 6
-        M, N = required_M_N(T_DIAG, 0.1)
+        M, N = type_sizing(T_DIAG, 0.1)
         assert M >= 1 and N >= 1
 
     def test_epsilon_halving_quadruples_M(self):
         for t in (T_N4, T_DIAG):
-            M1, _ = required_M_N(t, 0.2)
-            M2, _ = required_M_N(t, 0.1)
+            M1, _ = type_sizing(t, 0.2)
+            M2, _ = type_sizing(t, 0.1)
             assert M2 >= 4 * M1 - 3
 
     def test_list_count_is_a_power_of_two_at_or_above_the_alternation(self):
@@ -146,7 +158,7 @@ class TestRequiredSizes:
         inequalities meet, and M the smallest size meeting both at N."""
         bsc = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
         c = 2 * math.log(2) / 0.1 ** 2
-        for t in [T_N4, T_DIAG] + jointly_typical_types(Distribution.uniform(2), bsc, 6, 2.0):
+        for t in [T_N4, T_DIAG] + announced_types(Distribution.uniform(2), bsc, 6, 2.0):
             size_r, size_s, size_t = t.class_sizes
             rhs_ii = c * size_s * math.log2(4 * size_s)
 
@@ -159,18 +171,18 @@ class TestRequiredSizes:
             met = 1     # alternate the two inequalities from N = 1
             while not meets_both(math.floor(rhs_i(met)) + 1, met):
                 met = math.floor(rhs_ii / (math.floor(rhs_i(met)) + 1)) + 1
-            M, N = required_M_N(t, 0.1)
+            M, N = type_sizing(t, 0.1)
             assert N & (N - 1) == 0 and met <= N < 2 * met
             assert meets_both(M, N) and not meets_both(M - 1, N)
 
     def test_epsilon_domain(self):
         with pytest.raises(InvalidInputError):
-            required_M_N(T_N4, 0.6)
+            type_sizing(T_N4, 0.6)
 
 
 class TestVerification:
     def test_guaranteed_family_passes(self):
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         check = verify_covering(fam)
         assert check.passed
         assert check.condition_I_margin.shape == (fam.N,)
@@ -193,7 +205,7 @@ class TestVerification:
         assert not check.passed
 
     def test_margins_permutation_invariant(self):
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED + 1)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED + 1)
         rng = np.random.default_rng(SEED)
         shuffled = all_lists(fam)
         for nu in range(fam.N):
@@ -205,7 +217,7 @@ class TestVerification:
         assert c1.condition_II_margin == pytest.approx(c2.condition_II_margin, abs=1e-15)
 
     def test_stored_words_have_type_S(self):
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED + 2)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED + 2)
         s = T_N4.col_marginal()
         for nu in (0, fam.N - 1):
             for mu in (0, 1, fam.M - 1):
@@ -216,8 +228,8 @@ class TestVerification:
 
 class TestBuild:
     def test_deterministic_under_seed(self):
-        f1 = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
-        f2 = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        f1 = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
+        f2 = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         assert np.array_equal(f1.counts, f2.counts)
         assert f1.retries == f2.retries
 
@@ -232,7 +244,7 @@ class TestBuild:
 
     def test_compatible_counts_positive_on_guaranteed_families(self):
         # condition (I) with margin >= 0 forces c_nu(x) > 0 everywhere
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED + 4)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED + 4)
         x_words = np.asarray(enumerate_type_class(T_N4.row_marginal()))
         y_words = fam.y_class_words
         for nu in range(fam.N):
@@ -397,7 +409,7 @@ class TestUniformCounts:
         drawn, draw = [], covering._uniform_counts
         monkeypatch.setattr(covering, "_uniform_counts",
                             lambda *args: drawn.append(draw(*args)) or drawn[-1])
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         assert fam.counts is drawn[-1] and len(drawn) == fam.retries + 1
 
 
@@ -507,7 +519,7 @@ class TestMultiplicityTables:
             CoveringFamily(T_N4, 1, 2, counts=[[1, 1]], epsilon=0.1)
 
     def test_counts_table_is_read_only(self):
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         assert np.all(fam.counts.sum(axis=1) == fam.M)
         with pytest.raises(ValueError):
             fam.counts[0, 0] = 1
@@ -535,7 +547,7 @@ class TestMultiplicityTables:
         assert not np.shares_memory(viewed, base) and np.array_equal(viewed, frozen)
 
     def test_family_tables_match_a_fresh_build(self):
-        built = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        built = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         by_hand = CoveringFamily(T_N4, built.N, built.M, built.counts, 0.1)
         x_words = np.array(sorted(set(itertools.permutations((0, 0, 0, 1)))))
         y_words = np.array(sorted(set(itertools.permutations((0, 0, 1, 1)))))
@@ -557,19 +569,19 @@ class TestMultiplicityTables:
             return check if len(verified) > 2 else dataclasses.replace(check, passed=False)
 
         monkeypatch.setattr(covering, "verify_covering", fail_twice)
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         assert fam.retries == 2 and len(verified) == 3 and verified[-1] is fam
         assert fam.check.passed and real_verify(fam).passed
 
     def test_reverification_reads_the_counts_afresh(self):
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         assert verify_covering(fam).passed
         constant = np.zeros_like(fam.counts)
         constant[:, 0] = fam.M      # every list holds one word M times
         assert not verify_covering(dataclasses.replace(fam, counts=constant)).passed
 
     def test_family_tables_are_read_only(self):
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         for table in (fam.y_class_words, fam.y_ranks, fam.compat,
                       fam.compatible_counts, fam.cumulative):
             assert not table.flags.writeable
@@ -577,7 +589,7 @@ class TestMultiplicityTables:
                 table[0] = 1
 
     def test_a_hand_built_family_verifies_itself_on_first_use(self):
-        built = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        built = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         fam = CoveringFamily(T_N4, built.N, built.M, built.counts, 0.1, built.retries)
         assert "check" not in vars(fam)
         assert FamilyRecord.of(fam) == FamilyRecord.of(built)
@@ -585,7 +597,7 @@ class TestMultiplicityTables:
         assert not fam.check.condition_I_margin.flags.writeable
 
     def test_build_keeps_its_passing_check(self):
-        fam = build_covering(T_N4, 0.1, *required_M_N(T_N4, 0.1), seed=SEED)
+        fam = build_covering(T_N4, 0.1, *type_sizing(T_N4, 0.1), seed=SEED)
         again = verify_covering(fam)
         assert fam.check.passed
         assert np.array_equal(fam.check.condition_I_margin, again.condition_I_margin)
@@ -593,7 +605,7 @@ class TestMultiplicityTables:
 
     def test_table_cap_checked_before_sampling(self, monkeypatch):
         import chansim.covering as covering
-        M, N = required_M_N(T_N4, 0.1)
+        M, N = type_sizing(T_N4, 0.1)
         size_s = type_class_size(T_N4.col_marginal())
         monkeypatch.setitem(CAPS, "COVER_TABLE_CAP", N * size_s - 1)
         monkeypatch.setattr(covering, "enumerate_type_class", None)  # must not be reached

@@ -13,7 +13,7 @@ from chansim.core_prob import (Channel, Distribution, entropy, mutual_informatio
                                output_marginal, tv_distance)
 from chansim import applications, simulate, typeclasses
 from chansim.cli import main
-from chansim.covering import CoveringFamily, required_M_N
+from chansim.covering import CoveringFamily
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
 from chansim.fidelity import derandomize, measure_fidelity, run_fixed_code, sim_code_family
 from chansim.simulate import (
@@ -36,7 +36,6 @@ from chansim.simulate import (
     sized_rates,
     sized_types,
     strong_fidelity_report,
-    typical_sizes,
     word_letters,
 )
 from chansim.typeclasses import (
@@ -47,7 +46,7 @@ from chansim.typeclasses import (
     enumerate_type_class,
 )
 
-from test_covering import list_ranks
+from test_covering import announced_types, list_ranks, type_sizing
 from test_typeclasses import is_typical
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
@@ -90,11 +89,12 @@ def small_code():
 
 
 def test_jointly_typical_types_sorted_and_consistent(small_code):
-    jt = jointly_typical_types(UNIF, BSC, 4, 2.0)
+    """The walk, sorted by its count rows, is the code's announcement order:
+    lexicographic in the flattened count matrix."""
+    jt = [JointType(4, counts) for counts, _ in sorted(jointly_typical_types(UNIF, BSC, 4, 2.0))]
     keys = [tuple(c for row in t.counts for c in row) for t in jt]
     assert keys == sorted(keys)
     assert tuple(jt) == small_code.typical_joint_types
-    assert all(t.n == 4 for t in jt)
 
 
 def test_message_count_is_every_types_slots_then_terminate(small_code):
@@ -112,7 +112,7 @@ def test_every_family_verified(small_code):
         # re-derived there
         own_N = unrounded_sizing(t, small_code.epsilon)[1]
         assert rec.N & (rec.N - 1) == 0 and own_N <= rec.N < 2 * own_N
-        assert (rec.M, rec.N) == required_M_N(t, small_code.epsilon) \
+        assert (rec.M, rec.N) == type_sizing(t, small_code.epsilon) \
             == unrounded_sizing(t, small_code.epsilon, rec.N)
         assert rec.condition_I_min_margin >= 0.0
         assert rec.condition_II_margin >= 0.0
@@ -294,7 +294,7 @@ def test_each_type_reads_its_lists_uniformly_under_the_shared_index(monkeypatch)
     assert len({fam.N for fam in code.families.values()}) > 1
     for t, fam in code.families.items():
         assert fam.N & (fam.N - 1) == 0 and code.N % fam.N == 0
-        assert fam.N >= required_M_N(t, code.epsilon)[1]
+        assert fam.N >= type_sizing(t, code.epsilon)[1]
     read, word = [], CoveringFamily.word
     monkeypatch.setattr(CoveringFamily, "word", lambda fam, lst, mu:
                         read.append((fam.joint_type, lst)) or word(fam, lst, mu))
@@ -319,9 +319,10 @@ def test_per_type_list_counts_lower_the_message_rate(n):
     shared-randomness rate rises by at most 1/n. The sizing alone gives
     the rates, with no family drawn."""
     sizes = sized_types(UNIF, BSC, n, 2.0, 0.1)
-    old_N = max(unrounded_sizing(t, 0.1)[1] for t in sizes)
-    old_count = sum(unrounded_sizing(t, 0.1, old_N)[0] for t in sizes) + 1
-    rate, cr_rate, _ = sized_rates(list(sizes.values()), n)
+    types = [JointType(n, counts) for counts, _ in sizes]
+    old_N = max(unrounded_sizing(t, 0.1)[1] for t in types)
+    old_count = sum(unrounded_sizing(t, 0.1, old_N)[0] for t in types) + 1
+    rate, cr_rate, _ = sized_rates([sizing for _, sizing in sizes], n)
     assert rate < math.log2(old_count) / n
     assert math.log2(old_N) / n <= cr_rate <= math.log2(old_N) / n + 1 / n
 
@@ -639,70 +640,75 @@ def test_the_sizing_alone_gives_the_drawn_codes_rates(name, n):
     source, channel = INSTANCES[name]
     sizes = sized_types(source, channel, n, 2.0, 0.1)
     code = build_sim_code(source, channel, n, 2.0, 0.1, seed=7)
-    assert list(sizes.items()) == [(t, (rec.M, rec.N)) for t, rec in code.records.items()]
-    rate, cr_rate, N = sized_rates(list(sizes.values()), n)
+    assert sorted(sizes) == [(t.counts, (rec.M, rec.N)) for t, rec in code.records.items()]
+    rate, cr_rate, N = sized_rates([sizing for _, sizing in sizes], n)
     assert (rate, cr_rate) == accounting(code)
     assert (N, len(sizes)) == (code.N, len(code.typical_joint_types))
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_sized_types_match_the_sizing_of_fresh_types(name):
-    """The sizes sized_types reads from the class sizes the row product
-    attaches are those of fresh joint types, which take theirs from
-    scratch, at n = 4 to 16."""
+    """The sizes sized_types reads from the class sizes of the walk are
+    those of fresh joint types, which take theirs from scratch, at n = 4
+    to 16."""
     source, channel = INSTANCES[name]
     for n in range(4, 17):
         sizes = sized_types(source, channel, n, 2.0, 0.1)
-        assert sizes == {t: required_M_N(JointType(t.n, t.counts), 0.1) for t in sizes}
+        assert sizes == [(counts, type_sizing(JointType(n, counts), 0.1))
+                         for counts, _ in sizes]
+
+
+def refuse_joint_types(monkeypatch):
+    def refuse(t):
+        raise AssertionError(f"a joint type was built: {t.counts}")
+    monkeypatch.setattr(JointType, "__post_init__", refuse)
 
 
 def test_sized_types_build_only_the_types_they_return(monkeypatch):
-    """At n = 32 the row product builds each jointly typical type once and
-    no other joint type."""
+    """At n = 32 the walk and the sizing return count rows and build no
+    joint type."""
+    refuse_joint_types(monkeypatch)
+    assert len(jointly_typical_types(UNIF, BSC, 32, 2.0)) > 100
+    assert len(sized_types(UNIF, BSC, 32, 2.0, 0.1)) > 100
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_draw_families_builds_each_drawn_type_once(monkeypatch, name):
+    """At n = 6 draw_families builds the JointType of each type it draws,
+    once, in announcement order, and no other joint type."""
+    source, channel = INSTANCES[name]
+    walk = sorted(counts for counts, _ in jointly_typical_types(source, channel, 6, 2.0))
     built = []
     check = JointType.__post_init__
     monkeypatch.setattr(JointType, "__post_init__", lambda t: (built.append(t), check(t)))
-    sizes = sized_types(UNIF, BSC, 32, 2.0, 0.1)
-    assert len(built) == len(sizes) > 100 and set(built) == set(sizes)
+    families = list(simulate.draw_families(source, channel, 6, 2.0, 0.1, seed=7))
+    assert built == [fam.joint_type for fam in families]
+    assert [t.counts for t in built] == walk
 
 
-@pytest.mark.parametrize("delta", [1.0, 2.0])
-@pytest.mark.parametrize("name", sorted(INSTANCES))
-def test_rates_only_sizes_are_the_sized_types(name, delta):
-    """At n = 2 to 64, 128 and 226, the sizes typical_sizes reads from the
-    row kernel, with no joint type built or sorted, are the values of
-    sized_types as a multiset, so sized_rates and the type count agree."""
-    source, channel = INSTANCES[name]
-    for n in [*range(2, 65), 128, 226]:
-        sizes = list(sized_types(source, channel, n, delta, 0.1).values())
-        fast = typical_sizes(source, channel, n, delta, 0.1)
-        assert sorted(fast) == sorted(sizes)
-        assert sized_rates(fast, n) == sized_rates(sizes, n)
+def test_the_walk_refuses_a_channel_of_another_input_alphabet():
+    with pytest.raises(InvalidInputError, match="source alphabet does not match"):
+        jointly_typical_types(Distribution.uniform(3), BSC, 4, 2.0)
 
 
 def test_the_sizing_runs_once_per_class_size_triple(monkeypatch):
     """bsc25 at n = 10 has 90 jointly typical types and 44 distinct
-    class-size triples: sized_types and typical_sizes each run the sizing
-    formula once per triple."""
+    class-size triples: sized_types runs the sizing formula once per
+    triple."""
     calls = []
     sizing = simulate.class_sizing
     monkeypatch.setattr(simulate, "class_sizing",
                         lambda *args: (calls.append(args[0]), sizing(*args))[1])
     sizes = sized_types(UNIF, BSC, 10, 2.0, 0.1)
-    triples = {t.class_sizes for t in sizes}
+    triples = {class_sizes for _, class_sizes in jointly_typical_types(UNIF, BSC, 10, 2.0)}
     assert (len(sizes), len(triples)) == (90, 44)
-    assert sorted(calls) == sorted(triples)
-    calls.clear()
-    typical_sizes(UNIF, BSC, 10, 2.0, 0.1)
     assert sorted(calls) == sorted(triples)
 
 
 def test_rates_only_simulate_builds_no_joint_type(monkeypatch, tmp_path):
     """simulate --n 32 --rates-only sizes every type from the kernel's class
     sizes: with JointType construction raising, it still exits 0."""
-    def refuse(t):
-        raise AssertionError("a rates-only run built a joint type")
-    monkeypatch.setattr(JointType, "__post_init__", refuse)
+    refuse_joint_types(monkeypatch)
     bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
     assert main(["simulate", bsc25, "--n", "32", "--rates-only", "--out", str(tmp_path)]) == 0
 
@@ -824,7 +830,7 @@ def fourteen_list_families():
     """The families of a bsc25 n = 4 code with every family at 14 lists,
     the largest list count before counts were rounded to powers of two,
     with M re-derived there and its lists drawn uniformly."""
-    types = jointly_typical_types(UNIF, BSC, 4, 2.0)
+    types = announced_types(UNIF, BSC, 4, 2.0)
     assert max(unrounded_sizing(t, 0.1)[1] for t in types) == 14
     rng = np.random.default_rng(0)
     families = {}
@@ -845,9 +851,9 @@ def test_decode_reads_the_sorted_slot_of_every_list():
 
 
 def test_each_joint_type_sizes_its_classes_once(monkeypatch):
-    """Every jointly typical type gets its class sizes once, from the row
-    factors, as the row product builds it, so neither the sizing nor
-    build_covering takes a joint class size from scratch."""
+    """The sizing reads the walk's class sizes, and each drawn type takes
+    its own once, on first use, kept for build_covering and every later
+    reader."""
     sized = []
     real = typeclasses.joint_type_class_size
     for name, module in list(sys.modules.items()):    # every namespace that binds it
@@ -856,7 +862,7 @@ def test_each_joint_type_sizes_its_classes_once(monkeypatch):
                                 lambda t: sized.append(t) or real(t))
     code = build_sim_code(UNIF, BSC, n=6, delta=2.0, epsilon=0.1, seed=7)
     assert len(code.typical_joint_types) == 37
-    assert sized == []
+    assert sized == list(code.typical_joint_types)
     assert all("class_sizes" in vars(t) for t in code.typical_joint_types)
 
 
@@ -1039,7 +1045,7 @@ def full_class_code(request):
     name, n = request.param
     source, channel = (UNIF, BSC) if name == "bsc25" else SKEWED_PAIR
     families = {}
-    for t in jointly_typical_types(source, channel, n, 2.0):
+    for t in announced_types(source, channel, n, 2.0):
         size_s = t.class_sizes[1]
         fam = CoveringFamily(t, 1, size_s, np.ones((1, size_s), dtype=np.int64), 0.1)
         assert fam.check.passed

@@ -11,7 +11,6 @@ from chansim.typeclasses import (
     JointType,
     TypicalSpec,
     conditional_type_class_size,
-    conditionally_typical_joint_types,
     count_joint_occurrences,
     count_occurrences,
     enumerate_joint_types,
@@ -20,6 +19,7 @@ from chansim.typeclasses import (
     joint_type_class_size,
     type_class_size,
     type_is_typical,
+    typical_joint_classes,
     typical_probability_bounds,
     typical_types,
 )
@@ -28,6 +28,12 @@ SEED = 8191
 # 3 x 2 with a zero entry and 3 x 3 channel rows
 THREE_LETTER_INPUTS = ([[0.6, 0.4], [0.0, 1.0], [0.3, 0.7]],
                        [[0.5, 0.3, 0.2], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]])
+
+
+def typical_joint_types(base, w, delta):
+    """The joint types typical_joint_classes yields, in its order, as
+    JointTypes."""
+    return [JointType(base.n, counts) for counts, _ in typical_joint_classes(base, w, delta)]
 
 
 def is_typical(word, spec):
@@ -231,10 +237,10 @@ class TestEnumeration:
                 with pytest.raises(CapExceededError, match=refused):
                     enumerate_joint_types(base, w.output_size)
                 with pytest.raises(CapExceededError, match=refused):
-                    conditionally_typical_joint_types(base, w, 2.0)
+                    typical_joint_types(base, w, 2.0)
                 monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", count)
                 every = enumerate_joint_types(base, w.output_size)
-                assert every and set(conditionally_typical_joint_types(base, w, 2.0)) <= set(every)
+                assert every and set(typical_joint_types(base, w, 2.0)) <= set(every)
         monkeypatch.setitem(CAPS, "WORD_ENUM_CAP", 1000)
         with pytest.raises(CapExceededError):
             enumerate_type_class(ExactType(40, (20, 20)))
@@ -334,13 +340,13 @@ class TestTypicality:
     def test_conditional_typicality_window(self):
         w = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
         t = JointType(8, ((3, 1), (1, 3)))
-        assert t in conditionally_typical_joint_types(t.row_marginal(), w, 2.0)
+        assert t in typical_joint_types(t.row_marginal(), w, 2.0)
         t_bad = JointType(8, ((0, 4), (1, 3)))
-        assert t_bad not in conditionally_typical_joint_types(t_bad.row_marginal(), w, 2.0)
+        assert t_bad not in typical_joint_types(t_bad.row_marginal(), w, 2.0)
 
     def test_conditional_typicality_zero_noise(self):
         ident = Channel.from_rows([[1.0, 0.0], [0.0, 1.0]])
-        assert conditionally_typical_joint_types(ExactType(4, (2, 2)), ident, 1.0) == [
+        assert typical_joint_types(ExactType(4, (2, 2)), ident, 1.0) == [
             JointType(4, ((2, 0), (0, 2)))]
 
     @pytest.mark.parametrize("rows", [[[0.75, 0.25], [0.25, 0.75]], [[0.9, 0.1], [0.3, 0.7]],
@@ -356,24 +362,27 @@ class TestTypicality:
                 for delta in (0.0, 1.0, 2.0):
                     every = enumerate_joint_types(base, w.output_size)
                     rule = [cell_rule_reference(t, w, delta) for t in every]
-                    got = conditionally_typical_joint_types(base, w, delta)
+                    got = typical_joint_types(base, w, delta)
                     assert got == [t for t, ok in zip(every, rule) if ok], (base, delta)
                     verdicts.update(rule)
         assert verdicts == {False, True}
         with pytest.raises(InvalidInputError):
-            conditionally_typical_joint_types(ExactType(2, (2,) + (0,) * w.input_size), w, 1.0)
+            typical_joint_types(ExactType(2, (2,) + (0,) * w.input_size), w, 1.0)
 
     @pytest.mark.parametrize("rows", [[[0.75, 0.25], [0.25, 0.75]],
                                       [[0.5, 0.5, 0.0], [0.0, 0.2, 0.8]], *THREE_LETTER_INPUTS])
     def test_attached_class_sizes_are_the_multinomials(self, rows):
-        """The class sizes the row product attaches from its shared factors
-        equal the multinomials of each type taken from scratch, at every
-        base to n = 8; delta = 50 keeps every cell of a positive entry."""
+        """The class sizes the kernel yields beside each type's count rows,
+        from its shared factors, equal those of a fresh JointType and the
+        multinomials taken from scratch, at every base to n = 8; delta = 50
+        keeps every cell of a positive entry."""
         w = Channel.from_rows(rows)
         for n in range(1, 9):
             for base in enumerate_type_classes(n, w.input_size):
                 for delta in (2.0, 50.0):
-                    for t in conditionally_typical_joint_types(base, w, delta):
-                        assert t.class_sizes == (type_class_size(t.row_marginal()),
-                                                 type_class_size(t.col_marginal()),
-                                                 joint_type_class_size(t)), t
+                    for counts, sizes in typical_joint_classes(base, w, delta):
+                        t = JointType(n, counts)
+                        assert sizes == t.class_sizes == (
+                            type_class_size(t.row_marginal()),
+                            type_class_size(t.col_marginal()),
+                            joint_type_class_size(t)), t
