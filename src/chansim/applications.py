@@ -409,12 +409,14 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
     in order. Each rate upper-bounds the true optimum at its target and is
     exact whenever the optimal channel lies on the grid.
 
-    Channels are visited in itertools.product order of their grid-row
-    indices (C order of the flat index), GRID_CHUNK at a time. A chunk's
-    distortions are computed once, and its rates once, for the channels
-    that meet the largest target. For each target, the first minimum of a
-    chunk among the channels meeting that target replaces the target's best
-    so far only when it is lower by more than 1e-15."""
+    Each target's result is the first channel in itertools.product order
+    of the grid-row indices (C order of the flat index) with the least rate
+    among those meeting the target. Channels are scored GRID_CHUNK at a
+    time, a bound on memory only: a channel's distortion, its output law
+    q = sum_x P(x) rows[c_x] and its rate H(q) - sum_x P(x) H(rows[c_x])
+    are per-letter sums over its own rows, so no result depends on the
+    chunk size or on the other targets. A chunk's first minimum replaces a
+    target's best so far only when it is strictly lower."""
     specs = list(specs)
     if not specs:
         raise InvalidInputError("the grid oracle needs at least one target")
@@ -441,18 +443,19 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
         ok = np.flatnonzero(dist <= widest)
         if ok.size == 0:
             continue
-        q = np.einsum("x,cxy->cy", source.probs, rows[chunk[ok]])
+        picked = chunk[ok]
+        q = sum(p * rows[picked[:, x]] for x, p in enumerate(source.probs))
         with np.errstate(divide="ignore", invalid="ignore"):
             h_q = -np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0).sum(axis=1)
-        rate = h_q - row_ent[chunk[ok]] @ source.probs
+        rate = h_q - sum(p * row_ent[picked[:, x]] for x, p in enumerate(source.probs))
         dist = dist[ok]
         for i, limit in enumerate(limits):
             meets = np.flatnonzero(dist <= limit)
             if meets.size == 0:
                 continue
             j = meets[int(np.argmin(rate[meets]))]
-            if rate[j] < best_rate[i] - 1e-15:
-                best_rate[i], best_idx[i] = float(rate[j]), chunk[ok[j]].copy()
+            if rate[j] < best_rate[i]:
+                best_rate[i], best_idx[i] = float(rate[j]), picked[j].copy()
     for spec, idx in zip(specs, best_idx):
         if idx is None:
             raise InvalidInputError(f"no grid channel meets the distortion "

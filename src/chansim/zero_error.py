@@ -137,8 +137,9 @@ def make_factorization(instance: ZeroErrorInstance, e_rows, d_rows,
 def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
     """Extreme points of {e >= 0 : e @ d_rows = w_row}, each with at most
     |Y| nonzero entries, sorted by support pattern for deterministic ties.
-    The supports of each size are solved in one _solve_supports call, and
-    all of them are placed in one _place_vertices pass."""
+    The supports of each size are solved and tested in one _solve_supports
+    call, so a vertex depends only on the rows of d_rows at its support and
+    on w_row; all of them are placed in one _place_vertices pass."""
     groups = _support_groups(*d_rows.shape)
     e = np.zeros((sum(len(supps) for supps, _ in groups), d_rows.shape[0]))
     ok = np.zeros(len(e), dtype=bool)
@@ -146,14 +147,7 @@ def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
         sol, accepted = _solve_supports(d_rows[supps], w_row)
         e[at, supps] = sol
         ok[at[:, 0]] = accepted
-    return _distinct_vertices(_place_vertices(e, ok, d_rows, w_row))
-
-
-def _supports(c_size: int, y_size: int):
-    """The row-position tuples row_vertices solves on, by size and then in
-    combinations order."""
-    return [tuple(supp) for supps, _ in _support_groups(c_size, y_size)
-            for supp in supps.tolist()]
+    return _distinct_vertices(_place_vertices(e, ok))
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,24 +191,22 @@ def _lstsq_stack(a: np.ndarray, b: np.ndarray):
 def _solve_supports(cols: np.ndarray, w_row: np.ndarray):
     """Least-squares weights of the r rows of each (r, |Y|) matrix in the
     stack cols for w_row, clipped at 0, and whether each solve is accepted:
-    full rank r and no weight below -SOLVE_TOL."""
+    full rank r, no weight below -SOLVE_TOL, and |weights @ rows - w_row|_inf
+    <= SOLVE_TOL. The residual is one (1, r) @ (r, |Y|) product per matrix,
+    so each result depends only on its own rows and on w_row."""
     sol, rank = _lstsq_stack(cols.transpose(0, 2, 1), w_row)
-    accepted = (rank == cols.shape[1]) & ~(sol < -SOLVE_TOL).any(axis=1)
-    return np.maximum(sol, 0.0), accepted
+    clipped = np.maximum(sol, 0.0)
+    resid = np.abs(np.matmul(clipped[:, None], cols)[:, 0] - w_row).max(axis=1)
+    accepted = (rank == cols.shape[1]) & ~(sol < -SOLVE_TOL).any(axis=1) \
+        & ~(resid > SOLVE_TOL)
+    return clipped, accepted
 
 
-def _place_vertices(e: np.ndarray, ok: np.ndarray, d: np.ndarray, w_row: np.ndarray):
-    """The candidate vertex in each row of the (k, c) stack e, whose entries
-    are zero off its support, as (dedupe key, sort key, e row); None where
-    ok is False or |e @ D - w_row|_inf > SOLVE_TOL. D is the one (c, |Y|)
-    decoder d or, for a (k, c, |Y|) stack d, its own matrix per row.
-
-    e @ D is taken as k (1, c) @ (c, |Y|) products, each rounded as the
-    product of one row vector is (a (k, c) @ (c, |Y|) matrix product rounds
-    differently). A row's result depends on D only through its support
-    positions and the rows of D there: its zeros add exact zeros."""
-    resid = np.abs(np.matmul(e[:, None], d)[:, 0] - w_row).max(axis=1)
-    live = np.flatnonzero(ok & ~(resid > SOLVE_TOL))
+def _place_vertices(e: np.ndarray, ok: np.ndarray):
+    """The vertex in each row of the (k, c) stack e, whose entries are zero
+    off its support, as (dedupe key, sort key, e row); None where ok is
+    False."""
+    live = np.flatnonzero(ok)
     kept = e[live]
     found = [None] * len(e)
     for i, key, ties, pos in zip(live.tolist(), np.round(kept, 10).tolist(),
@@ -340,23 +332,12 @@ class _AffineProjector:
     """Euclidean projection onto {D : E @ D = W, rows of D sum to 1}."""
 
     def __init__(self, e_rows: np.ndarray, w_rows: np.ndarray):
-        x_size, c_size = e_rows.shape
+        c_size = e_rows.shape[1]
         y_size = w_rows.shape[1]
-        n_vars = c_size * y_size
-        rows, rhs = [], []
-        for x in range(x_size):
-            for y in range(y_size):
-                a = np.zeros(n_vars)
-                a[y::y_size] = e_rows[x]
-                rows.append(a)
-                rhs.append(w_rows[x, y])
-        for c in range(c_size):
-            a = np.zeros(n_vars)
-            a[c * y_size:(c + 1) * y_size] = 1.0
-            rows.append(a)
-            rhs.append(1.0)
-        self.A = np.vstack(rows)
-        self.b = np.array(rhs)
+        # D is raveled row by row: E @ D = W, then each row of D sums to 1
+        self.A = np.vstack([np.kron(e_rows, np.eye(y_size)),
+                            np.kron(np.eye(c_size), np.ones((1, y_size)))])
+        self.b = np.concatenate([w_rows.ravel(), np.ones(c_size)])
         self.shape = (c_size, y_size)
         self.correction = self.A.T @ np.linalg.pinv(self.A @ self.A.T)
 
@@ -538,16 +519,16 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     D rows are exchangeable, so the candidates are the multisets of c_max
     grid rows, visited in combinations_with_replacement order; more than
     ORACLE_MULTISET_CAP of them is refused before any is built. They are
-    taken ORACLE_CHUNK at a time, and each chunk is handled by array passes
-    that give e_step's result on every multiset, bit for bit:
+    taken ORACLE_CHUNK at a time, a bound on memory only, and each chunk is
+    handled by array passes that give e_step's result on every multiset,
+    bit for bit:
     - the box test of _hull_candidates drops every multiset over which some
       channel row has no vertex (it only drops what e_step would reject as
       infeasible);
     - per channel row, _block_vertices gives every survivor its
-      row_vertices list, solving each distinct set of grid rows once per
-      call and placing and testing the solve once per support position,
-      each in one stacked pass per chunk, and the survivors left without a
-      vertex are dropped;
+      row_vertices list, solving and testing each distinct set of grid rows
+      once per call and placing each distinct (support, grid rows) pair once
+      per chunk, and the survivors left without a vertex are dropped;
     - _min_entropy_stack makes e_step's vertex choice for all survivors
       (the caps keep every product of list lengths, at most 14^3, below
       EXACT_COMBO_CAP, so the exact search is the one that applies);
@@ -568,8 +549,7 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     rows = simplex_grid(y_size, grid_resolution)
     w_rows = instance.channel.rows
     p = instance.source.probs
-    supports = _supports(instance.c_max, y_size)
-    lookups = [({}, {}) for _ in range(x_size)]
+    solves = [{} for _ in range(x_size)]
     best_h, best_e, best_d = None, None, None
     multisets = itertools.combinations_with_replacement(range(g), instance.c_max)
     for _ in range(0, n_multisets, ORACLE_CHUNK):
@@ -579,8 +559,7 @@ def brute_force_oracle(instance: ZeroErrorInstance,
         for x in range(x_size):
             if not len(block):
                 break
-            verts, counts = _block_vertices(rows, block, w_rows[x], supports,
-                                            *lookups[x])
+            verts, counts = _block_vertices(rows, block, w_rows[x], solves[x])
             feasible = counts > 0
             block = block[feasible]
             per_x = [(v[feasible], n[feasible]) for v, n in per_x] \
@@ -599,61 +578,50 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     return make_factorization(instance, best_e, best_d, accuracy=accuracy)
 
 
-def _block_vertices(rows, block, w_row, supports, table, solves):
+def _block_vertices(rows, block, w_row, solves):
     """row_vertices(rows[combo], w_row) for every multiset combo in block:
     a (k, L, c) stack of vertex lists, each padded past its length, and the
     (k,) lengths.
 
-    Each distinct (support, grid rows at it) pair is looked up once. table
-    maps (supp, key) to its _place_vertices result and solves maps key, the
-    grid rows, to its clipped _solve_supports weights (None when rejected):
-    the solve sees only the rows, so supports holding the same rows share
-    it, while the residual test does not, since e @ D's rounding depends on
-    where e's zeros sit. Both persist across the chunks of one oracle call.
-    A chunk first gathers its unsolved keys and solves those of each size in
-    one stacked gelsd call, then places all its unplaced pairs in one pass,
-    each with the first combo in the chunk that holds it as D; the stacked
-    calls round every solve and residual as the per-support ones of
-    row_vertices do, so the lists are row_vertices' bit for bit. Per combo
-    the first vertex in support order of each dedupe key is kept and the
-    kept ones are ordered by sort key, as _distinct_vertices does."""
-    # code (support index, grid rows at it) as one integer per position
+    solves maps key, the grid rows at a support, to the weights
+    _solve_supports accepts for them or to None; it persists across the
+    chunks of one oracle call. A vertex depends only on its key and on
+    w_row, so a chunk solves the keys it misses in one stacked call per
+    size, then places each of its distinct (support, key) pairs once, in
+    one pass. Per combo the first vertex in support order of each dedupe
+    key is kept and the kept ones are ordered by sort key, as
+    _distinct_vertices does."""
+    groups = _support_groups(block.shape[1], rows.shape[1])
+    supports = [supp for supps, _ in groups for supp in supps.tolist()]
     size = len(supports)
+    # code (support index, grid rows at it) as one integer per position
     digits = np.zeros((block.shape[1], size), dtype=np.intp)
-    for s, supp in enumerate(supports):
-        for j, position in enumerate(supp):
-            digits[position, s] = len(rows) ** j
+    for supps, column in groups:
+        digits[supps, column] = len(rows) ** np.arange(supps.shape[1])
     _, first, ids = np.unique((block @ digits) * size + np.arange(size),
                               return_index=True, return_inverse=True)
     at = (first % size).tolist()
     pairs = [(supports[s], tuple([combo[j] for j in supports[s]]))
              for combo, s in zip(block[first // size].tolist(), at)]
-    new = [i for i, pair in enumerate(pairs) if pair not in table]
     unsolved = {}
-    for i in new:
-        key = pairs[i][1]
+    for _, key in pairs:
         if key not in solves:
             unsolved.setdefault(len(key), {})[key] = None
     for keys in unsolved.values():
         sol, accepted = _solve_supports(rows[np.array(list(keys))], w_row)
         solves.update(zip(keys, [weights if ok else None
                                  for weights, ok in zip(sol.tolist(), accepted.tolist())]))
-    if new:
-        e = np.zeros((len(new), block.shape[1]))
-        placed, at_row, at_col, weights = [], [], [], []
-        for n, i in enumerate(new):
-            supp, key = pairs[i]
-            if solves[key] is not None:
-                placed.append(n)
-                at_row += [n] * len(supp)
-                at_col += supp
-                weights += solves[key]
-        e[at_row, at_col] = weights
-        ok = np.zeros(len(new), dtype=bool)
-        ok[placed] = True
-        table.update(zip([pairs[i] for i in new],
-                         _place_vertices(e, ok, rows[block[first[new] // size]], w_row)))
-    found = [table[pair] for pair in pairs]
+    e = np.zeros((len(pairs), block.shape[1]))
+    ok = np.zeros(len(pairs), dtype=bool)
+    at_row, at_col, weights = [], [], []
+    for n, (supp, key) in enumerate(pairs):
+        if solves[key] is not None:
+            ok[n] = True
+            at_row += [n] * len(supp)
+            at_col += supp
+            weights += solves[key]
+    e[at_row, at_col] = weights
+    found = _place_vertices(e, ok)
     ids = ids.reshape(len(block), size)
     live = [j for j, vertex in enumerate(found) if vertex is not None]
     group = np.full(len(found), -1)
@@ -668,9 +636,6 @@ def _block_vertices(rows, block, w_row, supports, table, solves):
     kept = (group >= 0) & ~repeat.any(axis=2)
     counts = kept.sum(axis=1)
     order = np.argsort(np.where(kept, rank[ids], len(found)), axis=1)
-    e = np.zeros((len(found), block.shape[1]))
-    if live:
-        e[live] = [found[j][2] for j in live]
     return e[np.take_along_axis(ids, order[:, :counts.max()], axis=1)], counts
 
 

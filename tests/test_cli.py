@@ -545,6 +545,18 @@ def test_rd_linspace_targets(bsc_file):
     assert ds == pytest.approx([0.1, 0.2, 0.3], abs=1e-12)
 
 
+def test_rd_rows_do_not_depend_on_the_other_targets(tmp_path, bsc_file):
+    rows = {}
+    for targets in ("0.25,0.05,0.1", "0.05,0.1,0.25", "0.1"):
+        out = tmp_path / targets
+        assert main(["rd", bsc_file, "--hamming", "2", "--targets", targets,
+                     "--certify-resolution", "400", "--out", str(out)]) == 0
+        for line in (out / "rd.csv").read_text().splitlines()[4:]:
+            rows.setdefault(line.split(",")[0], set()).add(line)
+    assert sorted(rows) == ["0.05", "0.1", "0.25"]
+    assert all(len(lines) == 1 for lines in rows.values())
+
+
 def test_rd_zero_slack_writes_positive_zero(tmp_path):
     # the zero-rate corner at D = 0.4 leaves slack exactly 0.0
     path = tmp_path / "skewed.json"

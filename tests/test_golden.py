@@ -7,7 +7,9 @@ JSON artifacts, with every number formatted %.12g, so a diff names the
 number that moved. A change that moves one updates the file in the same
 change and says why. Numbers within NOISE of each other match there, so
 zero_error_bits.txt also holds every float of alternate's factorization on
-the two demo pairs as float.hex(): a last-bit drift there fails. Regenerate the files with
+the two demo pairs as float.hex(), and rd_bits.txt the grid and solver rates
+of the solvers benchmark's rd curve: a last-bit drift there fails.
+Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,8 +21,10 @@ import sys
 from pathlib import Path
 from string import Template
 
+import numpy as np
 import pytest
 
+from chansim.applications import DistortionSpec, rd_function, rd_grid_oracle
 from chansim.cli import main
 from chansim.core_prob import Channel, Distribution
 from chansim.zero_error import ZeroErrorInstance, alternate
@@ -138,6 +142,30 @@ def test_alternate_bits_match_golden():
     assert got == want
 
 
+def render_rd_bits() -> str:
+    """The rd curve of the solvers benchmark (Hamming distortion, 12 targets
+    in [0.02, 0.4]) on bsc25 and skewed_pair: the grid oracle's rate at
+    resolution 400 and rd_function's rate at each target, as float.hex()."""
+    lines = []
+    for name in ("bsc25", "skewed_pair"):
+        doc = json.loads((ROOT / "demos" / "instances" / f"{name}.json").read_text())
+        source = Distribution.from_json_dict(doc["source"])
+        specs = [DistortionSpec.hamming(2, target)
+                 for target in np.linspace(0.02, 0.4, 12).tolist()]
+        lines += [f"## {name}",
+                  "grid = " + " ".join(rate.hex() for rate, _ in
+                                       rd_grid_oracle(source, specs, 2, 400)),
+                  "solver = " + " ".join(rd_function(source, spec, 2)[0].hex()
+                                         for spec in specs)]
+    return "\n".join(lines) + "\n"
+
+
+def test_rd_bits_match_golden():
+    got = render_rd_bits().splitlines()
+    want = (GOLDEN / "rd_bits.txt").read_text().splitlines()
+    assert got == want
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
@@ -145,4 +173,5 @@ if __name__ == "__main__":
         for name, argv in TOUR_COMMANDS:
             (GOLDEN / f"{name}.txt").write_text(run_tour_command(argv, Path(tmp)))
     (GOLDEN / "zero_error_bits.txt").write_text(render_alternate_bits())
+    (GOLDEN / "rd_bits.txt").write_text(render_rd_bits())
     sys.exit(0)

@@ -439,9 +439,8 @@ def test_block_vertices_equal_row_vertices(channel, c_max, resolution):
     rows = simplex_grid(channel.output_size, resolution)
     block = np.array(list(itertools.combinations_with_replacement(range(len(rows)), c_max)),
                      dtype=np.intp)
-    supports = zero_error._supports(c_max, channel.output_size)
     for w in channel.rows:
-        verts, counts = zero_error._block_vertices(rows, block, w, supports, {}, {})
+        verts, counts = zero_error._block_vertices(rows, block, w, {})
         for combo, got, n in zip(block, verts, counts):
             want = row_vertices(rows[combo], w)
             assert n == len(want)
@@ -571,6 +570,29 @@ def test_vertex_table_equals_per_multiset_search(source, channel, c_max, resolut
     got = brute_force_oracle(instance, resolution)
     want = _per_multiset_oracle(instance, resolution)
     assert got.to_json_dict() == want.to_json_dict()
+
+
+@pytest.mark.parametrize("source, channel, c_max, resolution", [
+    (UNIF, BSC, None, 8),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, 4, 8),
+    (Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 3, 4),
+    (*_random_pair(1, 3, 2), 3, 16),
+    (*_random_pair(2, 3, 2), 4, 8),
+    (*_random_pair(3, 3, 3), 3, 4),
+    (*_random_pair(4, 3, 3), 4, 4),
+], ids=["bsc25-c3-8", "skewed_pair-c4-8", "two_by_three-c3-4", "random3x2-c3-16",
+        "random3x2-c4-8", "random3x3-c3-4", "random3x3-c4-4"])
+def test_oracle_chunk_only_bounds_memory(monkeypatch, source, channel, c_max, resolution):
+    instance = ZeroErrorInstance.build(source, channel, c_max)
+
+    def bits(fact):
+        return [float(v).hex() for v in (*fact.E.rows.ravel(), *fact.D.rows.ravel(),
+                                         fact.objective, fact.accuracy)]
+
+    want = bits(brute_force_oracle(instance, resolution))
+    for chunk in (7, 97):
+        monkeypatch.setattr(zero_error, "ORACLE_CHUNK", chunk)
+        assert bits(brute_force_oracle(instance, resolution)) == want
 
 
 def test_oracle_infeasible_grid():
