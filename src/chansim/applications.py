@@ -21,17 +21,21 @@ error but makes no rate claim; its rate field is labeled conjectural.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core_prob import (
+    ZERO_TOL,
     Channel,
     Distribution,
     entropy,
     mutual_information,
+    _sum_in_order,
     simplex_grid,
     tv_distance,
 )
@@ -416,7 +420,12 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
     q = sum_x P(x) rows[c_x] and its rate H(q) - sum_x P(x) H(rows[c_x])
     are per-letter sums over its own rows, so no result depends on the
     chunk size or on the other targets. A chunk's first minimum replaces a
-    target's best so far only when it is strictly lower."""
+    target's best so far only when it is strictly lower.
+
+    The per-letter terms P(x) E d(x, .), P(x) rows and P(x) H(row) are
+    tabled once per grid row. Letter x of the channel at flat index f uses
+    grid row f // g^(|X|-1-x) % g (_grid_letters), and each sum adds its
+    letters' table entries elementwise in letter order."""
     specs = list(specs)
     if not specs:
         raise InvalidInputError("the grid oracle needs at least one target")
@@ -433,21 +442,27 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
     require_cap("GRID_ORACLE_CAP", g ** x_size, "channel grid has {} channels")
     limits = [spec.target_d + 1e-12 for spec in specs]
     widest = max(limits)
+    p = source.probs
     row_cost = rows @ specs[0].matrix.T        # (g, x): E d(x, .) per grid row
-    row_ent = np.array([entropy(r) for r in rows])
-    best_rate, best_idx = [math.inf] * len(specs), [None] * len(specs)
+    cost = [row_cost[:, x] * p[x] for x in range(x_size)]
+    mix = [[rows[:, y] * p[x] for x in range(x_size)] for y in range(y_size)]
+    row_ent = _grid_entropies(rows)
+    ent = [row_ent * p[x] for x in range(x_size)]
+    best_rate, best_flat = [math.inf] * len(specs), [None] * len(specs)
     for start in range(0, g ** x_size, GRID_CHUNK):
         flat = np.arange(start, min(start + GRID_CHUNK, g ** x_size))
-        chunk = np.stack(np.unravel_index(flat, (g,) * x_size), axis=1)
-        dist = (row_cost[chunk, np.arange(x_size)] * source.probs).sum(axis=1)
+        letters = _grid_letters(flat, g, x_size)
+        dist = _sum_in_order([cost[x][c] for x, c in enumerate(letters)])
         ok = np.flatnonzero(dist <= widest)
         if ok.size == 0:
             continue
-        picked = chunk[ok]
-        q = sum(p * rows[picked[:, x]] for x, p in enumerate(source.probs))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h_q = -np.where(q > 0, q * np.log2(np.where(q > 0, q, 1.0)), 0.0).sum(axis=1)
-        rate = h_q - sum(p * row_ent[picked[:, x]] for x, p in enumerate(source.probs))
+        letters = [c[ok] for c in letters]
+        plogq = []
+        for terms in mix:
+            q = functools.reduce(operator.add, [t[c] for t, c in zip(terms, letters)])
+            plogq.append(q * np.log2(np.where(q > 0, q, 1.0)))
+        rate = -_sum_in_order(plogq) \
+            - functools.reduce(operator.add, [e[c] for e, c in zip(ent, letters)])
         dist = dist[ok]
         for i, limit in enumerate(limits):
             meets = np.flatnonzero(dist <= limit)
@@ -455,13 +470,35 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
                 continue
             j = meets[int(np.argmin(rate[meets]))]
             if rate[j] < best_rate[i]:
-                best_rate[i], best_idx[i] = float(rate[j]), picked[j].copy()
-    for spec, idx in zip(specs, best_idx):
-        if idx is None:
+                best_rate[i], best_flat[i] = float(rate[j]), start + int(ok[j])
+    for spec, f in zip(specs, best_flat):
+        if f is None:
             raise InvalidInputError(f"no grid channel meets the distortion "
                                     f"target {spec.target_d}")
-    return [(rate, Channel(x_size, y_size, rows[idx]))
-            for rate, idx in zip(best_rate, best_idx)]
+    return [(rate, Channel(x_size, y_size, rows[_grid_letters(f, g, x_size)]))
+            for rate, f in zip(best_rate, best_flat)]
+
+
+def _grid_letters(flat, g: int, x_size: int) -> list:
+    """The grid row flat // g^(|X|-1-x) % g of each letter x, for an int or
+    an int array flat: its base-g digits, taken by repeated division."""
+    letters = []
+    for _ in range(x_size - 1):
+        quotient = flat // g
+        letters.append(flat - quotient * g)
+        flat = quotient
+    return [flat, *letters[::-1]]
+
+
+def _grid_entropies(rows: np.ndarray) -> np.ndarray:
+    """entropy(r) of each row of a 2-D stack, bit for bit: with fewer than
+    8 columns the entries below ZERO_TOL add 1 log 1 = 0 in their place, and
+    np.sum adds fewer than 8 terms left to right; wider rows go through
+    entropy itself."""
+    if rows.shape[1] >= 8:
+        return np.array([entropy(r) for r in rows])
+    safe = np.where(rows >= ZERO_TOL, rows, 1.0)
+    return -functools.reduce(operator.add, (safe * np.log2(safe)).T) + 0.0
 
 
 # ---------------------------------------------------------------------------

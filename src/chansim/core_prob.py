@@ -11,6 +11,8 @@ Conventions used throughout the package:
     by identity (eq=False).
 """
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +194,16 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
+
+
+def _sum_in_order(terms) -> np.ndarray:
+    """The sum of a list of equal-shape arrays, bit for bit as
+    np.stack(terms, axis=-1).sum(axis=-1): NumPy adds fewer than 8 terms
+    left to right, so those are added elementwise in list order; 8 or more
+    go through np.sum itself."""
+    if len(terms) < 8:
+        return functools.reduce(operator.add, terms)
+    return np.stack(terms, axis=-1).sum(axis=-1)
 
 
 def simplex_grid(size: int, resolution: int) -> np.ndarray:

@@ -73,8 +73,11 @@ def class_sizing(class_sizes, epsilon: float, n: int):
 
     The meeting point is found from N = 1 by alternating the two threshold
     formulas until they agree; each pass only raises N, so the loop
-    terminates. A sizing that leaves float64 (bsc25 at n = 550, delta = 2)
-    raises InvalidInputError, naming n: no cap admits it.
+    terminates. Both logs are taken of exact integers, 4 N |T_R| and
+    4 |T_S|, so they stay finite where the products pass 2^1024 (bsc25 at
+    n = 550, delta = 2). A sizing where c |T_S| or |T_R| |T_S| / |T_t|
+    leaves float64 (bsc25 from n = 1,013, delta = 2) raises
+    InvalidInputError, naming n: no cap admits it.
     """
     if not 0.0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
@@ -82,10 +85,10 @@ def class_sizing(class_sizes, epsilon: float, n: int):
     scale = 2.0 * LN2 / epsilon**2
     try:
         rhs_i = scale * (size_r * size_s / size_t)
-        rhs_ii = scale * size_s * math.log2(4.0 * size_s)
+        rhs_ii = scale * size_s * math.log2(4 * size_s)
 
         def min_M(N):
-            return int(math.floor(rhs_i * math.log2(4.0 * N * size_r))) + 1
+            return int(math.floor(rhs_i * math.log2(4 * N * size_r))) + 1
 
         N = 1
         while N * (M := min_M(N)) <= rhs_ii:

@@ -31,13 +31,15 @@ import functools
 import itertools
 import math
 import operator
+from collections import ChainMap
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from ._seeds import child_rng
-from .core_prob import Channel, Distribution, entropy, mutual_information, simplex_grid
+from .core_prob import (Channel, Distribution, _sum_in_order, entropy, mutual_information,
+                        simplex_grid)
 from .errors import CAPS, InfeasibleError, InvalidInputError, require_cap
 
 FEAS_TOL = 1e-7
@@ -519,9 +521,9 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     D rows are exchangeable, so the candidates are the multisets of c_max
     grid rows, visited in combinations_with_replacement order; more than
     ORACLE_MULTISET_CAP of them is refused before any is built. They are
-    taken ORACLE_CHUNK at a time, a bound on memory only, and each chunk is
-    handled by array passes that give e_step's result on every multiset,
-    bit for bit:
+    taken ORACLE_CHUNK at a time (_multisets), a bound on memory only, and
+    each chunk is handled by array passes that give e_step's result on every
+    multiset, bit for bit:
     - the box test of _hull_candidates drops every multiset over which some
       channel row has no vertex (it only drops what e_step would reject as
       infeasible);
@@ -534,7 +536,8 @@ def brute_force_oracle(instance: ZeroErrorInstance,
       EXACT_COMBO_CAP, so the exact search is the one that applies);
     - one stacked p @ E scores them, and they are scanned in multiset
       order, a multiset replacing the best only when its entropy is lower
-      by more than 1e-12."""
+      by more than 1e-12.
+    _local_modulus probes the optimum's neighbors from the same solves."""
     x_size = instance.channel.input_size
     y_size = instance.channel.output_size
     require_cap("ORACLE_XY_CAP", max(x_size, y_size),
@@ -550,10 +553,9 @@ def brute_force_oracle(instance: ZeroErrorInstance,
     w_rows = instance.channel.rows
     p = instance.source.probs
     solves = [{} for _ in range(x_size)]
-    best_h, best_e, best_d = None, None, None
-    multisets = itertools.combinations_with_replacement(range(g), instance.c_max)
-    for _ in range(0, n_multisets, ORACLE_CHUNK):
-        block = np.array(list(itertools.islice(multisets, ORACLE_CHUNK)), dtype=np.intp)
+    best_h, best_e, best_combo = None, None, None
+    for start in range(0, n_multisets, ORACLE_CHUNK):
+        block = _multisets(g, instance.c_max, start, min(start + ORACLE_CHUNK, n_multisets))
         block = block[_hull_candidates(rows[block], w_rows)]
         per_x = []
         for x in range(x_size):
@@ -569,18 +571,41 @@ def brute_force_oracle(instance: ZeroErrorInstance,
         e_stack = _min_entropy_stack(p, per_x)
         for i, h in enumerate(_entropy_rows(p @ e_stack).tolist()):
             if best_h is None or h < best_h - 1e-12:
-                best_h, best_e, best_d = h, e_stack[i], rows[block[i]]
+                best_h, best_e, best_combo = h, e_stack[i], block[i]
     if best_h is None:
         raise InfeasibleError("no feasible D on the grid; raise resolution")
     pitch = y_size / grid_resolution
-    modulus = _local_modulus(instance, best_d, best_h, grid_resolution)
+    modulus = _local_modulus(instance, rows, best_combo, best_h, grid_resolution, solves)
     accuracy = modulus * pitch * instance.c_max + 1e-9
-    return make_factorization(instance, best_e, best_d, accuracy=accuracy)
+    return make_factorization(instance, best_e, rows[best_combo], accuracy=accuracy)
+
+
+def _multisets(g: int, c: int, start: int, stop: int) -> np.ndarray:
+    """Entries start .. stop - 1 of combinations_with_replacement(range(g),
+    c), as one (stop - start, c) intp array, each unranked from its index.
+
+    With above[v] the number of multisets of the open positions whose
+    entries are all at least v, the ones whose next entry is v follow
+    above[low] - above[v] ones that start lower, low being the entry
+    before. So each position takes the largest v with above[v] at least
+    above[low] minus the rank, by one searchsorted on the decreasing above,
+    and passes the rest of the rank on."""
+    rank = np.arange(start, stop)
+    low = np.zeros(len(rank), dtype=np.intp)
+    block = np.empty((len(rank), c), dtype=np.intp)
+    for j in range(c):
+        above = np.array([math.comb(g - v + c - j - 1, c - j) for v in range(g + 1)])
+        base = above[low]
+        low = np.searchsorted(-above, rank - base, side="right") - 1
+        rank = rank - (base - above[low])
+        block[:, j] = low
+    return block
 
 
 def _block_vertices(rows, block, w_row, solves):
-    """row_vertices(rows[combo], w_row) for every multiset combo in block:
-    a (k, L, c) stack of vertex lists, each padded past its length, and the
+    """row_vertices(rows[combo], w_row) for every combo in block, a row of
+    indices into rows (a multiset of grid rows, or a grid neighbor): a
+    (k, L, c) stack of vertex lists, each padded past its length, and the
     (k,) lengths.
 
     solves maps key, the grid rows at a support, to the weights
@@ -650,44 +675,73 @@ def _hull_candidates(d_stack: np.ndarray, w_rows: np.ndarray) -> np.ndarray:
     min_c D[c, y] sum(e) - tau <= w_y <= max_c D[c, y] sum(e) + tau.
     A row is rejected only outside that band by more than HULL_SLACK
     (relative to the band's edge, which covers the rounding of the test
-    itself); a NaN edge (from 0 * inf) never rejects."""
+    itself); a NaN edge (from 0 * inf) never rejects.
+
+    The row sums, their extremes and the column extremes over the c rows
+    are taken once, by elementwise passes over the rows and columns (the
+    sums in column order, as np.sum adds them), and each channel row is
+    tested column by column."""
     tau = SOLVE_TOL
-    y_size = d_stack.shape[2]
-    sums = d_stack.sum(axis=2)
-    lo, hi = d_stack.min(axis=1), d_stack.max(axis=1)
+    _, c_size, y_size = d_stack.shape
+    columns = [d_stack[:, :, y] for y in range(y_size)]
+    sums = _sum_in_order(columns)
+    sums_max = functools.reduce(np.maximum, [sums[:, c] for c in range(c_size)])
+    sums_min = functools.reduce(np.minimum, [sums[:, c] for c in range(c_size)])
+    lo = [functools.reduce(np.minimum, [col[:, c] for c in range(c_size)]) for col in columns]
+    hi = [functools.reduce(np.maximum, [col[:, c] for c in range(c_size)]) for col in columns]
     keep = np.ones(d_stack.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for w in w_rows:
-            s_lo = (w.sum() - y_size * tau) / sums.max(axis=1)
-            s_hi = (w.sum() + y_size * tau) / sums.min(axis=1)
-            low = lo * s_lo[:, None] - tau
-            high = hi * s_hi[:, None] + tau
-            out = (w < low - HULL_SLACK * (1 + np.abs(low))) \
-                | (w > high + HULL_SLACK * (1 + np.abs(high)))
-            keep &= ~out.any(axis=1)
+            s_lo = (w.sum() - y_size * tau) / sums_max
+            s_hi = (w.sum() + y_size * tau) / sums_min
+            for w_y, lo_y, hi_y in zip(w, lo, hi):
+                low = lo_y * s_lo - tau
+                high = hi_y * s_hi + tau
+                keep &= ~((w_y < low - HULL_SLACK * (1 + np.abs(low)))
+                          | (w_y > high + HULL_SLACK * (1 + np.abs(high))))
     return keep
 
 
-def _local_modulus(instance, d_rows, h_at, resolution):
+def _local_modulus(instance, rows, combo, h_at, resolution, solves):
     """Largest observed objective change per unit l1 move of one D row,
-    probed at grid neighbors of the optimum."""
-    y_size = d_rows.shape[1]
-    worst = 0.0
-    for c in range(d_rows.shape[0]):
+    probed at grid neighbors of the optimum D = rows[combo]: row c moves
+    1/resolution of mass from column down to column up, a move that leaves
+    [0, 1] by more than SOLVE_TOL is not made, and the moved row is clipped
+    at 0. A neighbor over which some channel row has no vertex is skipped.
+
+    Each neighbor's E is e_step's, bit for bit, chosen as brute_force_oracle
+    chooses it: the moved rows are appended to the grid rows, so that
+    _block_vertices reads the oracle's per-row solves for every support of
+    unmoved rows (and keeps the others to itself), and one
+    _min_entropy_stack call scores all neighbors."""
+    c_size, y_size = len(combo), rows.shape[1]
+    moved, block = [], []
+    for c in range(c_size):
         for up in range(y_size):
             for down in range(y_size):
                 if up == down:
                     continue
-                cand = d_rows.copy()
-                cand[c, up] += 1.0 / resolution
-                cand[c, down] -= 1.0 / resolution
-                if cand[c, down] < -SOLVE_TOL or cand[c, up] > 1 + SOLVE_TOL:
+                row = rows[combo[c]].copy()
+                row[up] += 1.0 / resolution
+                row[down] -= 1.0 / resolution
+                if row[down] < -SOLVE_TOL or row[up] > 1 + SOLVE_TOL:
                     continue
-                cand[c] = np.clip(cand[c], 0.0, None)
-                try:
-                    e_rows = e_step(instance, cand)
-                except InfeasibleError:
-                    continue
+                moved.append(np.clip(row, 0.0, None))
+                block.append(combo.copy())
+                block[-1][c] = len(rows) + len(moved) - 1
+    worst = 0.0
+    if moved:
+        table, block = np.vstack([rows, *moved]), np.array(block)
+        per_x = []
+        for x, w in enumerate(instance.channel.rows):
+            # a layer over the oracle's solves: a moved row's index names
+            # another row in another call
+            verts, counts = _block_vertices(table, block, w, ChainMap({}, solves[x]))
+            per_x.append((verts, counts))
+        feasible = np.logical_and.reduce([counts > 0 for _, counts in per_x])
+        if feasible.any():
+            per_x = [(verts[feasible], counts[feasible]) for verts, counts in per_x]
+            for e_rows in _min_entropy_stack(instance.source.probs, per_x):
                 h = _entropy_fast(_mu_of(instance, e_rows))
                 worst = max(worst, abs(h - h_at) / (2.0 / resolution))
     return max(worst, 1e-6)

@@ -1,7 +1,7 @@
 """Tests for dilution plans, the rate-distortion solver, and the codes
 built on top of the simulation machinery."""
 
-import itertools
+import functools
 import json
 import math
 import tracemalloc
@@ -379,7 +379,8 @@ def _reference_grid_oracle(source, spec, y_size, resolution):
     one pass by per-letter sums over its own rows."""
     rows = simplex_grid(y_size, resolution)
     p = source.probs
-    channels = np.array(list(itertools.product(range(len(rows)), repeat=len(p))))
+    channels = np.stack(np.unravel_index(np.arange(len(rows) ** len(p)),
+                                         (len(rows),) * len(p)), axis=1)
     row_cost = rows @ spec.matrix.T
     row_ent = np.array([entropy(r) for r in rows])
     dist = (row_cost[channels, np.arange(len(p))] * p).sum(axis=1)
@@ -434,6 +435,38 @@ def test_rd_grid_curve_chunks_follow_product_order(monkeypatch, chunk_size, sour
     for spec, (rate, channel) in zip(specs, curve):
         ref_rate, ref_rows = _reference_grid_oracle(source, spec, y_size, resolution)
         assert (rate, channel.rows.tolist()) == (ref_rate, ref_rows.tolist())
+
+
+HAMMING3 = tuple(tuple(float(i != j) for j in range(3)) for i in range(3))
+
+
+@functools.lru_cache(maxsize=None)
+def _three_letter_reference(target):
+    return _reference_grid_oracle(Distribution.from_probs([0.5, 0.3, 0.2]),
+                                  DistortionSpec(HAMMING3, target), 3, 12)
+
+
+@pytest.mark.parametrize("chunk_size", [7, 33, applications.GRID_CHUNK])
+def test_rd_grid_three_letters_follow_product_order(monkeypatch, chunk_size):
+    """A 3-letter source on 3 x 3 Hamming at resolution 12: 91^3 channels,
+    three targets, the last (0.5) met at rate 0 by constant channels in
+    many chunks. Letters come from the flat index by repeated division, and
+    every bit equals the reference's, the sign of a zero rate included."""
+    monkeypatch.setattr(applications, "GRID_CHUNK", chunk_size)
+    targets = (0.1, 0.3, 0.5)
+    curve = rd_grid_oracle(Distribution.from_probs([0.5, 0.3, 0.2]),
+                           [DistortionSpec(HAMMING3, d) for d in targets], 3, 12)
+    for target, (rate, channel) in zip(targets, curve):
+        ref_rate, ref_rows = _three_letter_reference(target)
+        assert rate.hex() == ref_rate.hex()
+        assert channel.rows.tobytes() == ref_rows.tobytes()
+
+
+def test_grid_entropies_equal_entropy_per_row():
+    for y_size, resolution in [(1, 5), (2, 400), (3, 30), (3, 12), (4, 10), (7, 4), (9, 2)]:
+        rows = simplex_grid(y_size, resolution)
+        want = np.array([entropy(r) for r in rows])
+        assert applications._grid_entropies(rows).tobytes() == want.tobytes()
 
 
 def test_rd_grid_oracle_validation():

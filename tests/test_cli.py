@@ -742,17 +742,21 @@ def test_rates_only_sweep_keeps_its_bytes(tmp_path, name, digest):
 
 
 def test_sizing_past_float64_is_invalid_input(capsys):
-    """At n = 550 (bsc25, delta = 2) some jointly typical type's class
-    sizes put its covering threshold past float64: with WORD_ENUM_CAP
-    raised to admit the C(553, 3) joint types, simulate exits 2 naming n
-    and the class size, not 1 with a traceback."""
+    """The sizing takes log2 of the exact integers 4 N |T_R| and 4 |T_S|, so
+    bsc25 at n = 550 (delta = 2), whose 4 N |T_R| passes 2^1024, gets a
+    rates-only row once WORD_ENUM_CAP admits the C(553, 3) joint types. A
+    sizing still leaves float64 when c |T_S| or |T_R| |T_S| / |T_t| does
+    (bsc25 from n = 1,013); it raises InvalidInputError naming n and the
+    class size, which the CLI maps to exit 2."""
     bsc25 = str(Path(__file__).resolve().parent.parent / "demos/instances/bsc25.json")
     assert main(["simulate", bsc25, "--n", "550", "--delta", "2.0", "--epsilon", "0.1",
                  "--rates-only", "--cap-override",
-                 f"WORD_ENUM_CAP={math.comb(553, 3)}"]) == 2
-    err = capsys.readouterr().err
-    assert "error=invalid-input" in err
-    assert "covering sizes at n = 550 leave float64" in err and "2^1021" in err
+                 f"WORD_ENUM_CAP={math.comb(553, 3)}"]) == 0
+    assert "rate = 0.327295485478\n" in capsys.readouterr().out
+    for sizes in [(2, 2 ** 1100, 2 ** 1101), (2 ** 1100, 2 ** 1000, 2)]:
+        with pytest.raises(InvalidInputError, match="covering sizes at n = 7 leave float64: "
+                           rf"the joint type class has 2\^{sizes[2].bit_length() - 1} or more"):
+            covering.class_sizing(sizes, 0.1, 7)
 
 
 @pytest.mark.parametrize("argv, csv_name", [

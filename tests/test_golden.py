@@ -7,8 +7,10 @@ JSON artifacts, with every number formatted %.12g, so a diff names the
 number that moved. A change that moves one updates the file in the same
 change and says why. Numbers within NOISE of each other match there, so
 zero_error_bits.txt also holds every float of alternate's factorization on
-the two demo pairs as float.hex(), and rd_bits.txt the grid and solver rates
-of the solvers benchmark's rd curve: a last-bit drift there fails.
+the two demo pairs as float.hex(), rd_bits.txt the grid and solver rates
+of the solvers benchmark's rd curve, and oracle_bits.txt the full results
+of both grid oracles at the solvers benchmark's settings: a last-bit drift
+there fails.
 Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,7 +29,7 @@ import pytest
 from chansim.applications import DistortionSpec, rd_function, rd_grid_oracle
 from chansim.cli import main
 from chansim.core_prob import Channel, Distribution
-from chansim.zero_error import ZeroErrorInstance, alternate
+from chansim.zero_error import ZeroErrorInstance, alternate, brute_force_oracle
 
 ROOT = Path(__file__).resolve().parent.parent
 TOUR = ROOT / "demos" / "cli_tour.sh"
@@ -117,15 +119,26 @@ def test_tour_numbers_match_golden(name, argv, tmp_path, capsys):
     assert not moved, moved
 
 
+def _demo_instance(name: str) -> ZeroErrorInstance:
+    """The demo pair name at the default c_max."""
+    doc = json.loads((ROOT / "demos" / "instances" / f"{name}.json").read_text())
+    return ZeroErrorInstance.build(Distribution.from_json_dict(doc["source"]),
+                                   Channel.from_json_dict(doc["channel"]))
+
+
+def _rd_curve():
+    """The solvers benchmark's rd targets: Hamming distortion, 12 targets in
+    [0.02, 0.4]."""
+    return [DistortionSpec.hamming(2, target)
+            for target in np.linspace(0.02, 0.4, 12).tolist()]
+
+
 def render_alternate_bits() -> str:
     """alternate(seed=3, restarts=20) on bsc25 and skewed_pair at the default
     c_max: E, D, mu, the objective and the trace, each float as float.hex()."""
     lines = []
     for name in ("bsc25", "skewed_pair"):
-        doc = json.loads((ROOT / "demos" / "instances" / f"{name}.json").read_text())
-        instance = ZeroErrorInstance.build(Distribution.from_json_dict(doc["source"]),
-                                           Channel.from_json_dict(doc["channel"]))
-        fact = alternate(instance, seed=3, restarts=20)
+        fact = alternate(_demo_instance(name), seed=3, restarts=20)
         lines.append(f"## {name}")
         named = [(f"E.{x}", row) for x, row in enumerate(fact.E.rows)] \
             + [(f"D.{c}", row) for c, row in enumerate(fact.D.rows)] \
@@ -148,10 +161,8 @@ def render_rd_bits() -> str:
     resolution 400 and rd_function's rate at each target, as float.hex()."""
     lines = []
     for name in ("bsc25", "skewed_pair"):
-        doc = json.loads((ROOT / "demos" / "instances" / f"{name}.json").read_text())
-        source = Distribution.from_json_dict(doc["source"])
-        specs = [DistortionSpec.hamming(2, target)
-                 for target in np.linspace(0.02, 0.4, 12).tolist()]
+        source = _demo_instance(name).source
+        specs = _rd_curve()
         lines += [f"## {name}",
                   "grid = " + " ".join(rate.hex() for rate, _ in
                                        rd_grid_oracle(source, specs, 2, 400)),
@@ -166,6 +177,33 @@ def test_rd_bits_match_golden():
     assert got == want
 
 
+def render_oracle_bits() -> str:
+    """Both grid oracles at the solvers benchmark's settings on bsc25 and
+    skewed_pair: brute_force_oracle at resolution 32 and the default c_max
+    (objective, accuracy, E and D), and the certifying channel rows of
+    rd_grid_oracle on the rd curve at resolution 400, each float as
+    float.hex()."""
+    lines = []
+    for name in ("bsc25", "skewed_pair"):
+        instance = _demo_instance(name)
+        fact = brute_force_oracle(instance, 32)
+        named = [("objective", [fact.objective]), ("accuracy", [fact.accuracy])] \
+            + [(f"E.{x}", row) for x, row in enumerate(fact.E.rows)] \
+            + [(f"D.{c}", row) for c, row in enumerate(fact.D.rows)] \
+            + [(f"rd.{i}", channel.rows.ravel()) for i, (_, channel) in
+               enumerate(rd_grid_oracle(instance.source, _rd_curve(), 2, 400))]
+        lines.append(f"## {name}")
+        lines += [f"{key} = " + " ".join(float(v).hex() for v in values)
+                  for key, values in named]
+    return "\n".join(lines) + "\n"
+
+
+def test_oracle_bits_match_golden():
+    got = render_oracle_bits().splitlines()
+    want = (GOLDEN / "oracle_bits.txt").read_text().splitlines()
+    assert got == want
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
@@ -174,4 +212,5 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.txt").write_text(run_tour_command(argv, Path(tmp)))
     (GOLDEN / "zero_error_bits.txt").write_text(render_alternate_bits())
     (GOLDEN / "rd_bits.txt").write_text(render_rd_bits())
+    (GOLDEN / "oracle_bits.txt").write_text(render_oracle_bits())
     sys.exit(0)

@@ -385,6 +385,31 @@ def test_hull_prefilter_rejects_only_rows_without_vertices(y_size):
     assert rejected > 100 and kept_with_vertices > 100
 
 
+def _reference_local_modulus(instance, d_rows, h_at, resolution):
+    """_local_modulus as the per-neighbor loop it replaced: one e_step per
+    grid neighbor of d_rows."""
+    y_size = d_rows.shape[1]
+    worst = 0.0
+    for c in range(d_rows.shape[0]):
+        for up in range(y_size):
+            for down in range(y_size):
+                if up == down:
+                    continue
+                cand = d_rows.copy()
+                cand[c, up] += 1.0 / resolution
+                cand[c, down] -= 1.0 / resolution
+                if cand[c, down] < -zero_error.SOLVE_TOL or cand[c, up] > 1 + zero_error.SOLVE_TOL:
+                    continue
+                cand[c] = np.clip(cand[c], 0.0, None)
+                try:
+                    e_rows = e_step(instance, cand)
+                except InfeasibleError:
+                    continue
+                h = zero_error._entropy_fast(instance.source.probs @ e_rows)
+                worst = max(worst, abs(h - h_at) / (2.0 / resolution))
+    return max(worst, 1e-6)
+
+
 def _reference_oracle(instance, resolution):
     """The oracle as a plain loop: one e_step per multiset of grid rows."""
     y_size = instance.channel.output_size
@@ -400,7 +425,7 @@ def _reference_oracle(instance, resolution):
         h = zero_error._entropy_fast(instance.source.probs @ e_rows)
         if best_h is None or h < best_h - 1e-12:
             best_h, best_e, best_d = h, e_rows, d_rows
-    modulus = zero_error._local_modulus(instance, best_d, best_h, resolution)
+    modulus = _reference_local_modulus(instance, best_d, best_h, resolution)
     accuracy = modulus * (y_size / resolution) * instance.c_max + 1e-9
     return make_factorization(instance, best_e, best_d, accuracy=accuracy)
 
@@ -542,7 +567,7 @@ def _per_multiset_oracle(instance, resolution):
         h = zero_error._entropy_fast(instance.source.probs @ e_rows)
         if best_h is None or h < best_h - 1e-12:
             best_h, best_e, best_d = h, e_rows, d_rows
-    modulus = zero_error._local_modulus(instance, best_d, best_h, resolution)
+    modulus = _reference_local_modulus(instance, best_d, best_h, resolution)
     accuracy = modulus * (instance.channel.output_size / resolution) * instance.c_max + 1e-9
     return make_factorization(instance, best_e, best_d, accuracy=accuracy)
 
@@ -593,6 +618,104 @@ def test_oracle_chunk_only_bounds_memory(monkeypatch, source, channel, c_max, re
     for chunk in (7, 97):
         monkeypatch.setattr(zero_error, "ORACLE_CHUNK", chunk)
         assert bits(brute_force_oracle(instance, resolution)) == want
+
+
+def _reference_hull_candidates(d_stack, w_rows):
+    """_hull_candidates as the axis reductions it replaced, redone per
+    channel row."""
+    tau = zero_error.SOLVE_TOL
+    y_size = d_stack.shape[2]
+    sums = d_stack.sum(axis=2)
+    lo, hi = d_stack.min(axis=1), d_stack.max(axis=1)
+    keep = np.ones(d_stack.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for w in w_rows:
+            s_lo = (w.sum() - y_size * tau) / sums.max(axis=1)
+            s_hi = (w.sum() + y_size * tau) / sums.min(axis=1)
+            low = lo * s_lo[:, None] - tau
+            high = hi * s_hi[:, None] + tau
+            out = (w < low - zero_error.HULL_SLACK * (1 + np.abs(low))) \
+                | (w > high + zero_error.HULL_SLACK * (1 + np.abs(high)))
+            keep &= ~out.any(axis=1)
+    return keep
+
+
+@pytest.mark.parametrize("y_size", [2, 3])
+def test_hull_candidates_equal_axis_reductions(y_size):
+    """Random stacks with zero rows (an infinite upper edge) and all-zero
+    stacks (0 * inf, a NaN edge), channel rows inside, on the edge of and
+    outside the cone of one stack, and every multiset of a grid."""
+    rng = np.random.default_rng(60 + y_size)
+    for _ in range(300):
+        c_size, k = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+        d_stack = np.stack([_random_d_stack(rng, c_size, y_size) for _ in range(k)])
+        d_stack[rng.random((k, c_size)) < 0.2] = 0.0
+        d_stack[rng.random(k) < 0.1] = 0.0
+        w_rows = np.stack([_random_w_row(rng, d_stack[0]) for _ in range(int(rng.integers(1, 4)))])
+        assert np.array_equal(zero_error._hull_candidates(d_stack, w_rows),
+                              _reference_hull_candidates(d_stack, w_rows))
+    rows = simplex_grid(y_size, 6)
+    for c_size in (2, 3):
+        block = zero_error._multisets(len(rows), c_size, 0, math.comb(len(rows) + c_size - 1, c_size))
+        for w_rows in (BSC.rows, TWO_BY_THREE.rows, rng.dirichlet(np.ones(y_size), size=3)):
+            if w_rows.shape[1] == y_size:
+                got = zero_error._hull_candidates(rows[block], w_rows)
+                assert np.array_equal(got, _reference_hull_candidates(rows[block], w_rows))
+                assert 0 < got.sum() < len(block)
+
+
+@pytest.mark.parametrize("chunk", [7, 97, zero_error.ORACLE_CHUNK])
+def test_multisets_follow_combinations_with_replacement(monkeypatch, chunk):
+    """The oracle's blocks, cut at its ORACLE_CHUNK boundaries, concatenate
+    to itertools' multisets for g = 2..40 grid rows and c = 1..4. Blocks of
+    7 are checked where there are at most 20,000 multisets (every c up to 3,
+    and c = 4 up to g = 23), which keeps the test near a second."""
+    monkeypatch.setattr(zero_error, "ORACLE_CHUNK", chunk)
+    for g in range(2, 41):
+        for c in range(1, 5):
+            total = math.comb(g + c - 1, c)
+            if chunk == 7 and total > 20_000:
+                continue
+            want = np.array(list(itertools.combinations_with_replacement(range(g), c)))
+            got = [zero_error._multisets(g, c, start, min(start + zero_error.ORACLE_CHUNK, total))
+                   for start in range(0, total, zero_error.ORACLE_CHUNK)]
+            assert all(b.dtype == np.intp for b in got)
+            assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("source, channel, c_max, resolution", [
+    (UNIF, BSC, None, 8),
+    (UNIF, BSC, None, 12),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 8),
+    (Distribution.from_probs([0.6, 0.4]), SKEWED, None, 12),
+    (Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 3, 4),
+    (Distribution.from_probs([0.6, 0.4]), TWO_BY_THREE, 4, 4),
+])
+def test_local_modulus_equals_per_neighbor_e_step(source, channel, c_max, resolution):
+    """On the oracle's optimum, then on up to 24 feasible multisets in
+    random order, sharing one solve cache per channel row as the oracle
+    does. At resolution 12 a moved row k/12 + 1/12 need not be the grid row
+    (k + 1)/12, so it is solved afresh."""
+    instance = ZeroErrorInstance.build(source, channel, c_max)
+    rows = simplex_grid(channel.output_size, resolution)
+    combos = zero_error._multisets(len(rows), instance.c_max, 0,
+                                   math.comb(len(rows) + instance.c_max - 1, instance.c_max))
+    best = brute_force_oracle(instance, resolution).D.rows
+    order = np.random.default_rng(resolution).permutation(len(combos))
+    first = [c for c in combos if np.array_equal(rows[c], best)]
+    solves = [{} for _ in channel.rows]
+    checked = 0
+    for combo in [*first, *combos[order]]:
+        try:
+            h = zero_error._entropy_fast(instance.source.probs @ e_step(instance, rows[combo]))
+        except InfeasibleError:
+            continue
+        want = _reference_local_modulus(instance, rows[combo], h, resolution)
+        assert zero_error._local_modulus(instance, rows, combo, h, resolution, solves) == want
+        checked += 1
+        if checked == 25:
+            break
+    assert len(first) == 1 and checked >= 13
 
 
 def test_oracle_infeasible_grid():
