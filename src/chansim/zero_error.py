@@ -10,11 +10,14 @@ Structure used by the solver: for fixed D the feasible E rows form a product
 of polytopes, and the concave objective H(mu) attains its minimum at a
 per-row extreme point with at most |Y| nonzero entries, so the E-step
 enumerates basic feasible solutions exactly: a least-squares solve on each
-support of at most |Y| rows of D, kept when it is nonnegative and meets the
-channel row. The supports of one size are solved in one call of the LAPACK
-gelsd gufunc over their stack, the call np.linalg.lstsq makes for a single
-matrix, with its rcond and error state; the gufunc solves each matrix of a
-stack on its own, so every solve is lstsq's bit for bit. For fixed E the
+support of at most |Y| rows of D, accepted when the rows have full rank,
+every weight is above SOLVE_TOL and it meets the channel row within
+SOLVE_TOL, so each vertex is found once, from its own positive support, and
+the vertices are listed in lexicographic order of their supports. The
+supports of one size are solved in one call of the LAPACK gelsd gufunc over
+their stack, the call np.linalg.lstsq makes for a single matrix, with its
+rcond and error state; the gufunc solves each matrix of a stack on its own,
+so every solve is lstsq's bit for bit. For fixed E the
 feasible D set is affine and the D-step maximizes the concave mixture entropy
 sum_c mu_c H(D row c) by projected gradient ascent; this cannot change H(mu)
 but widens the next E-step's polytope; when E pins the rows the mixture
@@ -138,10 +141,10 @@ def make_factorization(instance: ZeroErrorInstance, e_rows, d_rows,
 
 def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
     """Extreme points of {e >= 0 : e @ d_rows = w_row}, each with at most
-    |Y| nonzero entries, sorted by support pattern for deterministic ties.
-    The supports of each size are solved and tested in one _solve_supports
-    call, so a vertex depends only on the rows of d_rows at its support and
-    on w_row; all of them are placed in one _place_vertices pass."""
+    |Y| nonzero entries: the solves _solve_supports accepts, each on its
+    own positive support, listed in lexicographic order of the supports.
+    The supports of each size are solved in one call, so a vertex depends
+    only on the rows of d_rows at its support and on w_row."""
     groups = _support_groups(*d_rows.shape)
     e = np.zeros((sum(len(supps) for supps, _ in groups), d_rows.shape[0]))
     ok = np.zeros(len(e), dtype=bool)
@@ -149,21 +152,23 @@ def row_vertices(d_rows: np.ndarray, w_row: np.ndarray):
         sol, accepted = _solve_supports(d_rows[supps], w_row)
         e[at, supps] = sol
         ok[at[:, 0]] = accepted
-    return _distinct_vertices(_place_vertices(e, ok))
+    return list(e[ok])
 
 
 @functools.lru_cache(maxsize=None)
 def _support_groups(c_size: int, y_size: int):
     """The supports of each size r = 1 .. min(|Y|, c) as one (count, r)
     array of row positions in combinations order, paired with the (count,
-    1) indices of those supports in the list of all sizes; read-only."""
-    groups, start = [], 0
-    for r in range(1, min(y_size, c_size) + 1):
-        supps = np.array(list(itertools.combinations(range(c_size), r)), dtype=np.intp)
-        at = np.arange(start, start + len(supps))[:, None]
+    1) positions of those supports in the lexicographic order of the
+    supports of all sizes; read-only."""
+    sizes = range(1, min(y_size, c_size) + 1)
+    supports = sorted(supp for r in sizes for supp in itertools.combinations(range(c_size), r))
+    groups = []
+    for r in sizes:
+        at = np.array([[i] for i, supp in enumerate(supports) if len(supp) == r], dtype=np.intp)
+        supps = np.array([supports[i] for i in at[:, 0]], dtype=np.intp)
         supps.flags.writeable = at.flags.writeable = False
         groups.append((supps, at))
-        start += len(supps)
     return tuple(groups)
 
 
@@ -192,42 +197,16 @@ def _lstsq_stack(a: np.ndarray, b: np.ndarray):
 
 def _solve_supports(cols: np.ndarray, w_row: np.ndarray):
     """Least-squares weights of the r rows of each (r, |Y|) matrix in the
-    stack cols for w_row, clipped at 0, and whether each solve is accepted:
-    full rank r, no weight below -SOLVE_TOL, and |weights @ rows - w_row|_inf
-    <= SOLVE_TOL. The residual is one (1, r) @ (r, |Y|) product per matrix,
-    so each result depends only on its own rows and on w_row."""
+    stack cols for w_row, and whether each solve is a vertex on that
+    support: full rank r, every weight above SOLVE_TOL, and
+    |weights @ rows - w_row|_inf <= SOLVE_TOL. The residual is one
+    (1, r) @ (r, |Y|) product per matrix, so each result depends only on
+    its own rows and on w_row."""
     sol, rank = _lstsq_stack(cols.transpose(0, 2, 1), w_row)
-    clipped = np.maximum(sol, 0.0)
-    resid = np.abs(np.matmul(clipped[:, None], cols)[:, 0] - w_row).max(axis=1)
-    accepted = (rank == cols.shape[1]) & ~(sol < -SOLVE_TOL).any(axis=1) \
-        & ~(resid > SOLVE_TOL)
-    return clipped, accepted
-
-
-def _place_vertices(e: np.ndarray, ok: np.ndarray):
-    """The vertex in each row of the (k, c) stack e, whose entries are zero
-    off its support, as (dedupe key, sort key, e row); None where ok is
-    False."""
-    live = np.flatnonzero(ok)
-    kept = e[live]
-    found = [None] * len(e)
-    for i, key, ties, pos in zip(live.tolist(), np.round(kept, 10).tolist(),
-                                 np.round(kept, 12).tolist(), (kept > SOLVE_TOL).tolist()):
-        found[i] = (tuple(key), (tuple([j for j, v in enumerate(pos) if v]), tuple(ties)),
-                    e[i])
-    return found
-
-
-def _distinct_vertices(found):
-    """The vertices among _place_vertices results in support order, None
-    skipped and the first of each dedupe key kept, sorted by sort key."""
-    seen, kept = set(), []
-    for vertex in found:
-        if vertex is not None and vertex[0] not in seen:
-            seen.add(vertex[0])
-            kept.append(vertex)
-    kept.sort(key=lambda vertex: vertex[1])
-    return [vertex[2] for vertex in kept]
+    resid = np.abs(np.matmul(sol[:, None], cols)[:, 0] - w_row).max(axis=1)
+    accepted = (rank == cols.shape[1]) & (sol > SOLVE_TOL).all(axis=1) \
+        & (resid <= SOLVE_TOL)
+    return sol, accepted
 
 
 def e_step(instance: ZeroErrorInstance, d_rows: np.ndarray) -> np.ndarray:
@@ -529,8 +508,8 @@ def brute_force_oracle(instance: ZeroErrorInstance,
       infeasible);
     - per channel row, _block_vertices gives every survivor its
       row_vertices list, solving and testing each distinct set of grid rows
-      once per call and placing each distinct (support, grid rows) pair once
-      per chunk, and the survivors left without a vertex are dropped;
+      once per call and gathering the accepted solves in lexicographic
+      support order, and the survivors left without a vertex are dropped;
     - _min_entropy_stack makes e_step's vertex choice for all survivors
       (the caps keep every product of list lengths, at most 14^3, below
       EXACT_COMBO_CAP, so the exact search is the one that applies);
@@ -609,59 +588,32 @@ def _block_vertices(rows, block, w_row, solves):
     (k,) lengths.
 
     solves maps key, the grid rows at a support, to the weights
-    _solve_supports accepts for them or to None; it persists across the
-    chunks of one oracle call. A vertex depends only on its key and on
-    w_row, so a chunk solves the keys it misses in one stacked call per
-    size, then places each of its distinct (support, key) pairs once, in
-    one pass. Per combo the first vertex in support order of each dedupe
-    key is kept and the kept ones are ordered by sort key, as
-    _distinct_vertices does."""
-    groups = _support_groups(block.shape[1], rows.shape[1])
-    supports = [supp for supps, _ in groups for supp in supps.tolist()]
-    size = len(supports)
-    # code (support index, grid rows at it) as one integer per position
-    digits = np.zeros((block.shape[1], size), dtype=np.intp)
-    for supps, column in groups:
-        digits[supps, column] = len(rows) ** np.arange(supps.shape[1])
-    _, first, ids = np.unique((block @ digits) * size + np.arange(size),
-                              return_index=True, return_inverse=True)
-    at = (first % size).tolist()
-    pairs = [(supports[s], tuple([combo[j] for j in supports[s]]))
-             for combo, s in zip(block[first // size].tolist(), at)]
-    unsolved = {}
-    for _, key in pairs:
-        if key not in solves:
-            unsolved.setdefault(len(key), {})[key] = None
-    for keys in unsolved.values():
-        sol, accepted = _solve_supports(rows[np.array(list(keys))], w_row)
-        solves.update(zip(keys, [weights if ok else None
-                                 for weights, ok in zip(sol.tolist(), accepted.tolist())]))
-    e = np.zeros((len(pairs), block.shape[1]))
-    ok = np.zeros(len(pairs), dtype=bool)
-    at_row, at_col, weights = [], [], []
-    for n, (supp, key) in enumerate(pairs):
-        if solves[key] is not None:
-            ok[n] = True
-            at_row += [n] * len(supp)
-            at_col += supp
-            weights += solves[key]
-    e[at_row, at_col] = weights
-    found = _place_vertices(e, ok)
-    ids = ids.reshape(len(block), size)
-    live = [j for j, vertex in enumerate(found) if vertex is not None]
-    group = np.full(len(found), -1)
-    dedupe = {}
-    for j in live:
-        group[j] = dedupe.setdefault(found[j][0], len(dedupe))
-    rank = np.full(len(found), len(found))
-    # ties in sort key keep support order, as the stable sort there does
-    rank[sorted(live, key=lambda j: (found[j][1], at[j]))] = np.arange(len(live))
-    group = group[ids]
-    repeat = (group[:, :, None] == group[:, None, :]) & np.tri(size, k=-1, dtype=bool)
-    kept = (group >= 0) & ~repeat.any(axis=2)
-    counts = kept.sum(axis=1)
-    order = np.argsort(np.where(kept, rank[ids], len(found)), axis=1)
-    return e[np.take_along_axis(ids, order[:, :counts.max()], axis=1)], counts
+    _solve_supports gives for them and whether it accepts them; it persists
+    across the chunks of one oracle call. A vertex depends only on its key and on
+    w_row, so per support size a chunk codes each position's key as one
+    integer, finds the distinct ones by np.unique, solves those it misses
+    in one stacked call and gathers the weights back; the accepted
+    positions are then taken in lexicographic support order."""
+    k, c_size = block.shape
+    groups = _support_groups(c_size, rows.shape[1])
+    e = np.zeros((k, sum(len(supps) for supps, _ in groups), c_size))
+    ok = np.zeros(e.shape[:2], dtype=bool)
+    for supps, at in groups:
+        keys = block[:, supps]
+        _, first, inverse = np.unique(keys @ len(rows) ** np.arange(supps.shape[1]),
+                                      return_index=True, return_inverse=True)
+        distinct = list(map(tuple, keys.reshape(-1, supps.shape[1])[first].tolist()))
+        missing = [key for key in distinct if key not in solves]
+        if missing:
+            sol, accepted = _solve_supports(rows[np.array(missing)], w_row)
+            solves.update(zip(missing, zip(sol, accepted.tolist())))
+        weights, live = map(np.array, zip(*[solves[key] for key in distinct]))
+        inverse = inverse.reshape(k, len(supps))
+        e[:, at, supps] = weights[inverse]
+        ok[:, at[:, 0]] = live[inverse]
+    counts = ok.sum(axis=1)
+    order = np.argsort(~ok, axis=1, kind="stable")[:, :counts.max(), None]
+    return np.take_along_axis(e, order, axis=1), counts
 
 
 def _hull_candidates(d_stack: np.ndarray, w_rows: np.ndarray) -> np.ndarray:

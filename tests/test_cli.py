@@ -505,7 +505,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v10"
+    assert lines[0] == "# chansim typical csv v11"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"
@@ -721,12 +721,12 @@ def test_rates_only_rows_past_the_cap_keep_their_bytes(tmp_path, capsys, n, row)
     head = "n,delta,epsilon,seed,rate,cr_rate,N,lambda_measured,lambda_bound,global_err"
     lines = (out / "simulate.csv").read_text().splitlines()
     assert lines[2].startswith("# config: ")
-    assert lines[:2] + lines[3:] == ["# chansim simulate csv v10", f"# columns: {head}", head, row]
+    assert lines[:2] + lines[3:] == ["# chansim simulate csv v11", f"# columns: {head}", head, row]
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("bsc25", "ede71d01c2baf09d7afaaee812f2159e8693c0ca08220383ddf571f1d488795c"),
-    ("skewed_pair", "22d25ec78d4bbace6c03442628b204acedcab8a612d4db99914beab1b69d8bca"),
+    ("bsc25", "c82f59522c7836a1b3ad2e9a4638aa246fe94161bc38d23112cf34359dc13f16"),
+    ("skewed_pair", "ee2350a7f34245a7ef91f752996fcb21677d03ea9c3f581005cb8790821df709"),
 ], ids=["bsc25", "skewed_pair"])
 def test_rates_only_sweep_keeps_its_bytes(tmp_path, name, digest):
     """The rates-only sweep from n = 17 to 128 (delta = 2, epsilon = 0.1)

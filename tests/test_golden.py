@@ -9,8 +9,9 @@ change and says why. Numbers within NOISE of each other match there, so
 zero_error_bits.txt also holds every float of alternate's factorization on
 the two demo pairs as float.hex(), rd_bits.txt the grid and solver rates
 of the solvers benchmark's rd curve, and oracle_bits.txt the full results
-of both grid oracles at the solvers benchmark's settings: a last-bit drift
-there fails.
+of both grid oracles at the solvers benchmark's settings, and
+zero_error_battery.txt both zero-error solvers on 60 random instances: a
+last-bit drift there fails.
 Regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,8 +29,10 @@ import pytest
 
 from chansim.applications import DistortionSpec, rd_function, rd_grid_oracle
 from chansim.cli import main
-from chansim.core_prob import Channel, Distribution
-from chansim.zero_error import ZeroErrorInstance, alternate, brute_force_oracle
+from chansim.core_prob import Channel, Distribution, simplex_grid
+from chansim.errors import ChansimError
+from chansim.zero_error import (ZeroErrorInstance, alternate, brute_force_oracle,
+                                intermediate_size_bound)
 
 ROOT = Path(__file__).resolve().parent.parent
 TOUR = ROOT / "demos" / "cli_tour.sh"
@@ -204,6 +207,64 @@ def test_oracle_bits_match_golden():
     assert got == want
 
 
+def _battery_instances():
+    """60 random zero-error instances from default_rng(2024): |X| and |Y| in
+    {2, 3}, a Dirichlet(1) source, and channel rows drawn Dirichlet(1), or
+    on every fifth instance from the grid of pitch 1/4; each with alternate's
+    c_max (the largest, |X||Y| - 1) and the oracle's c_max and resolution
+    (c_max 2 to 4, resolution 8 to 32 on |Y| = 2 and 3 to 6 on |Y| = 3)."""
+    rng = np.random.default_rng(2024)
+    instances = []
+    for i in range(60):
+        x_size, y_size = rng.integers(2, 4, size=2).tolist()
+        source = Distribution.from_probs(rng.dirichlet(np.ones(x_size)))
+        if i % 5 == 0:
+            grid = simplex_grid(y_size, 4)
+            rows = grid[rng.integers(len(grid), size=x_size)]
+        else:
+            rows = rng.dirichlet(np.ones(y_size), size=x_size)
+        channel = Channel.from_rows(rows)
+        c_oracle = int(rng.integers(2, min(4, intermediate_size_bound(x_size, y_size)) + 1))
+        resolution = int(rng.integers(8, 33) if y_size == 2 else rng.integers(3, 7))
+        instances.append((ZeroErrorInstance.build(source, channel),
+                          ZeroErrorInstance.build(source, channel, c_oracle), resolution))
+    return instances
+
+
+def _factorization_line(label: str, run) -> str:
+    """label, then the objective, the accuracy when there is one, E and D as
+    float.hex(); or the error class when run() raises one."""
+    try:
+        fact = run()
+    except ChansimError as err:
+        return f"{label} = {type(err).__name__}"
+    values = [fact.objective] + ([fact.accuracy] if fact.accuracy is not None else []) \
+        + fact.E.rows.ravel().tolist() + fact.D.rows.ravel().tolist()
+    return f"{label} = " + " ".join(float(v).hex() for v in values)
+
+
+def render_zero_error_battery() -> str:
+    """One line per solver run on the 60 battery instances: alternate
+    (restarts=3, seed = the instance's index) and brute_force_oracle at the
+    instance's c_max and resolution."""
+    lines = []
+    for i, (instance, small, resolution) in enumerate(_battery_instances()):
+        shape = f"{instance.channel.input_size}x{instance.channel.output_size}"
+        lines.append(_factorization_line(
+            f"{i} {shape} alternate c={instance.c_max}",
+            lambda: alternate(instance, seed=i, restarts=3)))
+        lines.append(_factorization_line(
+            f"{i} {shape} oracle c={small.c_max} resolution={resolution}",
+            lambda: brute_force_oracle(small, resolution)))
+    return "\n".join(lines) + "\n"
+
+
+def test_zero_error_battery_matches_golden():
+    got = render_zero_error_battery().splitlines()
+    want = (GOLDEN / "zero_error_battery.txt").read_text().splitlines()
+    assert got == want
+
+
 if __name__ == "__main__":
     import tempfile
     GOLDEN.mkdir(exist_ok=True)
@@ -213,4 +274,5 @@ if __name__ == "__main__":
     (GOLDEN / "zero_error_bits.txt").write_text(render_alternate_bits())
     (GOLDEN / "rd_bits.txt").write_text(render_rd_bits())
     (GOLDEN / "oracle_bits.txt").write_text(render_oracle_bits())
+    (GOLDEN / "zero_error_battery.txt").write_text(render_zero_error_battery())
     sys.exit(0)

@@ -148,9 +148,14 @@ def test_lstsq_stack_nan_raises_as_lstsq_does():
 
 
 def _reference_row_vertices(d_rows, w_row):
-    """row_vertices as one np.linalg.lstsq and one placement per support:
-    the first vertex of each dedupe key in support order, sorted by sort
-    key."""
+    """row_vertices as one np.linalg.lstsq and one placement per support,
+    by the former rule: a solve with no weight below -SOLVE_TOL, clipped at
+    0, the first of the vertices equal to 10 decimals kept, and the kept
+    ones sorted by the entries above SOLVE_TOL. That is row_vertices' list
+    (each vertex solved on its own positive support, in lexicographic
+    support order) unless some solve has a weight within SOLVE_TOL of 0
+    that does not round to 0 at 10 decimals: only the former rule lists
+    such a point."""
     tol = zero_error.SOLVE_TOL
     found = {}
     for r in range(1, min(d_rows.shape) + 1):
@@ -191,6 +196,32 @@ def test_row_vertices_equal_per_support_lstsq():
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             counts.append(len(want))
     assert min(counts) == 0 and max(counts) >= 4
+
+
+@pytest.mark.parametrize("t, supports", [
+    (3e-10, [(1,)]),
+    (2e-9, [(0, 1), (1,), (1, 2)]),
+])
+def test_row_vertices_lists_each_vertex_once(t, supports):
+    """w = (1 - t) D[1] + t D[0] sits within t of the vertex (0, 1, 0). Below
+    SOLVE_TOL the weights t on row 0 and 0.6 t on row 2 are not a support,
+    so only (0, ~1, 0) is listed; above it the solves on (0, 1) and (1, 2)
+    are vertices of their own. Each vertex is the solve on the entries above
+    SOLVE_TOL, zero elsewhere, and the supports come in lexicographic order."""
+    tol = zero_error.SOLVE_TOL
+    d_rows = np.array([[0.3, 0.7], [0.6, 0.4], [0.1, 0.9]])
+    w = (1 - t) * d_rows[1] + t * d_rows[0]
+    got = row_vertices(d_rows, w)
+    assert [tuple(np.flatnonzero(v > tol).tolist()) for v in got] == supports
+    for v, supp in zip(got, supports):
+        sol, _, _, _ = np.linalg.lstsq(d_rows[list(supp)].T, w, rcond=None)
+        assert np.array_equal(v[list(supp)], sol)
+        assert not np.delete(v, supp).any()
+    if t < tol:
+        assert np.allclose(got[0], [0.0, 1.0, 0.0], atol=1e-9)
+    verts, counts = zero_error._block_vertices(d_rows, np.array([[0, 1, 2]]), w, {})
+    assert counts.tolist() == [len(got)]
+    assert all(np.array_equal(a, b) for a, b in zip(verts[0], got))
 
 
 def test_e_step_identity_decoder(bsc_instance):
@@ -458,9 +489,10 @@ def test_oracle_equals_plain_loop(source, channel, c_max, resolution):
     (Channel.from_rows([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.0, 0.25, 0.75]]), 3, 4),
 ], ids=["bsc25-8", "skewed_pair-10", "three_by_three-4"])
 def test_block_vertices_equal_row_vertices(channel, c_max, resolution):
-    """Channel rows on the grid make supports that differ in size yield
-    vertices with one dedupe key and different bits; the block lookup must
-    keep the same one as row_vertices (the first in support order)."""
+    """Channel rows on the grid make supports that differ in size meet at
+    one point with different bits; the block lookup must list the same
+    solves as row_vertices (each on its own positive support), in the same
+    lexicographic support order."""
     rows = simplex_grid(channel.output_size, resolution)
     block = np.array(list(itertools.combinations_with_replacement(range(len(rows)), c_max)),
                      dtype=np.intp)
