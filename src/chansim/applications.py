@@ -30,10 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_prob import (
-    ZERO_TOL,
     Channel,
     Distribution,
-    entropy,
+    entropy_rows,
     mutual_information,
     _sum_in_order,
     simplex_grid,
@@ -446,7 +445,7 @@ def rd_grid_oracle(source: Distribution, specs, y_size: int, resolution: int):
     row_cost = rows @ specs[0].matrix.T        # (g, x): E d(x, .) per grid row
     cost = [row_cost[:, x] * p[x] for x in range(x_size)]
     mix = [[rows[:, y] * p[x] for x in range(x_size)] for y in range(y_size)]
-    row_ent = _grid_entropies(rows)
+    row_ent = entropy_rows(rows)
     ent = [row_ent * p[x] for x in range(x_size)]
     best_rate, best_flat = [math.inf] * len(specs), [None] * len(specs)
     for start in range(0, g ** x_size, GRID_CHUNK):
@@ -488,17 +487,6 @@ def _grid_letters(flat, g: int, x_size: int) -> list:
         letters.append(flat - quotient * g)
         flat = quotient
     return [flat, *letters[::-1]]
-
-
-def _grid_entropies(rows: np.ndarray) -> np.ndarray:
-    """entropy(r) of each row of a 2-D stack, bit for bit: with fewer than
-    8 columns the entries below ZERO_TOL add 1 log 1 = 0 in their place, and
-    np.sum adds fewer than 8 terms left to right; wider rows go through
-    entropy itself."""
-    if rows.shape[1] >= 8:
-        return np.array([entropy(r) for r in rows])
-    safe = np.where(rows >= ZERO_TOL, rows, 1.0)
-    return -functools.reduce(operator.add, (safe * np.log2(safe)).T) + 0.0
 
 
 # ---------------------------------------------------------------------------

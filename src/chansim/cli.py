@@ -39,7 +39,7 @@ from .simulate import (FamilyRecord, build_sim_code, draw_families, sized_rates,
 from .typeclasses import TypicalSpec, typical_probability_bounds, typical_types
 from .zero_error import ZeroErrorInstance, alternate, brute_force_oracle, gamma_bracket
 
-CSV_VERSION = "v11"
+CSV_VERSION = "v12"
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2

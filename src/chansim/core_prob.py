@@ -141,6 +141,20 @@ def entropy(p) -> float:
     return float(-(vals * np.log2(vals)).sum()) + 0.0
 
 
+def entropy_rows(rows: np.ndarray) -> np.ndarray:
+    """entropy(r) of each row of a 2-D stack, bit for bit: entries below
+    ZERO_TOL add 1 log 1 = 0 in their place, and NumPy sums fewer than 8
+    terms left to right; a row with 8 or more entries at or above ZERO_TOL
+    goes through entropy itself."""
+    live = rows >= ZERO_TOL
+    safe = np.where(live, rows, 1.0)
+    h = -functools.reduce(operator.add, (safe * np.log2(safe)).T) + 0.0
+    if rows.shape[1] >= 8:
+        for i in np.flatnonzero(live.sum(axis=1) >= 8):
+            h[i] = entropy(rows[i])
+    return h
+
+
 def binary_entropy(t: float) -> float:
     """h(t) = -t log2 t - (1-t) log2 (1-t)."""
     return entropy(np.array([t, 1.0 - t]))

@@ -36,8 +36,10 @@ class RetriesExhaustedError(ChansimError):
 
 CAPS = {
     # entries of any list enumerated at once: the words of one type class,
-    # and the types of one length over k cells, C(n + k - 1, k - 1), with
-    # k = |X|·|Y| for joint types (2 x 2 reaches n = 226, 3 x 3 n = 18)
+    # the types of one length over k cells, C(n + k - 1, k - 1), with
+    # k = |X|·|Y| for joint types (2 x 2 reaches n = 226, 3 x 3 n = 18),
+    # and the zero-error vertex table, c_max entries for each support of
+    # at most |Y| of the c_max decoder rows (3 x 3 at c_max 8 has 736)
     "WORD_ENUM_CAP": 2_000_000,
     # block length n of the exact typical-set mass
     "EXACT_PROB_N_CAP": 170,

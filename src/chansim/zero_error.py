@@ -19,10 +19,11 @@ their stack, the call np.linalg.lstsq makes for a single matrix, with its
 rcond and error state; the gufunc solves each matrix of a stack on its own,
 so every solve is lstsq's bit for bit. For fixed E the
 feasible D set is affine and the D-step maximizes the concave mixture entropy
-sum_c mu_c H(D row c) by projected gradient ascent; this cannot change H(mu)
-but widens the next E-step's polytope; when E pins the rows the mixture
-reads, every feasible D scores the same and the ascent stops after one step
-that does not gain. Alternation therefore never increases the objective.
+sum_c mu_c H(D row c) by projected gradient ascent, each candidate projected
+once onto that set and clipped at 0; this cannot change H(mu) but widens the
+next E-step's polytope; when E pins the rows the mixture reads, every
+feasible D scores the same and the ascent stops after one step that does not
+gain. Alternation therefore never increases the objective.
 Random restarts draw their decoders at once and run the E-step only on those
 the box test of _hull_candidates keeps. On small instances a simplex-grid
 brute force gives the minimum over decoders with rows on the grid at a given
@@ -33,7 +34,6 @@ proven bound.
 import functools
 import itertools
 import math
-import operator
 from collections import ChainMap
 from dataclasses import dataclass
 
@@ -41,14 +41,13 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from ._seeds import child_rng
-from .core_prob import (Channel, Distribution, _sum_in_order, entropy, mutual_information,
-                        simplex_grid)
+from .core_prob import (Channel, Distribution, _sum_in_order, entropy, entropy_rows,
+                        mutual_information, simplex_grid)
 from .errors import CAPS, InfeasibleError, InvalidInputError, require_cap
 
 FEAS_TOL = 1e-7
 ALTERNATE_ITERS = 200
 D_STEP_ITERS = 500
-DYKSTRA_ITERS = 500
 RANDOM_INIT_TRIES = 200
 SOLVE_TOL = 1e-9
 D_STEP_TOL = 1e-8
@@ -69,6 +68,9 @@ class ZeroErrorInstance:
             raise InvalidInputError("source alphabet does not match channel input")
         if self.c_max < 1:
             raise InvalidInputError("c_max must be positive")
+        sizes = range(1, min(self.channel.output_size, self.c_max) + 1)
+        require_cap("WORD_ENUM_CAP", self.c_max * sum(math.comb(self.c_max, r) for r in sizes),
+                    "zero-error vertex table has {} entries")
 
     @classmethod
     def build(cls, source, channel, c_max=None):
@@ -117,16 +119,11 @@ def _mu_of(instance: ZeroErrorInstance, e_rows: np.ndarray) -> np.ndarray:
     return instance.source.probs @ e_rows
 
 
-def _entropy_fast(p: np.ndarray) -> float:
-    live = p[p > 1e-12]
-    return float(-(live * np.log2(live)).sum())
-
-
 def make_factorization(instance: ZeroErrorInstance, e_rows, d_rows,
                        trace=(), accuracy=None) -> Factorization:
     e_rows = np.asarray(e_rows, dtype=float)
     d_rows = np.asarray(d_rows, dtype=float)
-    # squeeze out sub-1e-9 stochasticity drift from the iterative projections
+    # squeeze out sub-1e-9 stochasticity drift from the projections
     e_rows = e_rows / e_rows.sum(axis=1, keepdims=True)
     d_rows = d_rows / d_rows.sum(axis=1, keepdims=True)
     E = Channel(instance.channel.input_size, d_rows.shape[0], e_rows)
@@ -240,7 +237,7 @@ def _min_entropy_rows(p: np.ndarray, per_x) -> np.ndarray:
                           for z in range(len(counts)) if z != x)
             best_h, best_i = None, choice[x]
             for i in range(counts[x]):
-                h = _entropy_fast(contrib + p[x] * per_x[x][i])
+                h = entropy(contrib + p[x] * per_x[x][i])
                 if best_h is None or h < best_h - 1e-12:
                     best_h, best_i = h, i
             if best_i != choice[x]:
@@ -256,7 +253,7 @@ def _min_entropy_stack(p: np.ndarray, per_x) -> np.ndarray:
     and their (k,) lengths (entries past a length are ignored); returns the
     (k, |X|, c) chosen rows. Each instance's combinations are scored in
     itertools.product order, mu summed as (p_0 v_0 + p_1 v_1) + ... and H
-    by _entropy_rows, and the one chosen is the last to pass
+    by entropy_rows, and the one chosen is the last to pass
     h < best - 1e-12 in that order. That is the first minimizer unless an
     earlier h lies within 2e-12 above the minimum (only such an acceptance
     can block it, and no later h can pass once it is taken), so only those
@@ -274,7 +271,7 @@ def _min_entropy_stack(p: np.ndarray, per_x) -> np.ndarray:
             past = index[x] >= counts[lo:lo + step, None]
             mu = term if mu is None else mu + term
             padded = past if padded is None else padded | past
-        h = _entropy_rows(mu.reshape(-1, c)).reshape(padded.shape)
+        h = entropy_rows(mu.reshape(-1, c)).reshape(padded.shape)
         h[padded] = np.inf
         pick = h.argmin(axis=1)
         # every h before the first minimizer lies above it
@@ -296,19 +293,6 @@ def _sequential_pick(values: np.ndarray) -> int:
     return best
 
 
-def _entropy_rows(mu: np.ndarray) -> np.ndarray:
-    """_entropy_fast of each row of a 2-D stack, bit for bit. NumPy sums
-    fewer than 8 terms left to right, so live entries are added in column
-    order with zeros (1 log 1) in place of the others; a row with 8 or more
-    live entries goes through _entropy_fast itself."""
-    safe = np.where(mu > 1e-12, mu, 1.0)
-    h = -functools.reduce(operator.add, (safe * np.log2(safe)).T)
-    if mu.shape[1] >= 8:
-        for i in np.flatnonzero((mu > 1e-12).sum(axis=1) >= 8):
-            h[i] = _entropy_fast(mu[i])
-    return h
-
-
 class _AffineProjector:
     """Euclidean projection onto {D : E @ D = W, rows of D sum to 1}."""
 
@@ -328,32 +312,24 @@ class _AffineProjector:
         return v.reshape(self.shape)
 
     def onto_feasible(self, d_rows: np.ndarray):
-        """Dykstra alternation (at most DYKSTRA_ITERS rounds) between the
-        affine set and the nonnegative orthant; returns (point, satisfied)."""
-        x = np.asarray(d_rows, dtype=float)
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        for _ in range(DYKSTRA_ITERS):
-            y = self.affine(x + p)
-            p = x + p - y
-            x_new = np.maximum(y + q, 0.0)
-            q = y + q - x_new
-            if np.abs(x_new - x).max() < 1e-12:
-                x = x_new
-                break
-            x = x_new
-        ok = (x >= -SOLVE_TOL).all() and \
-            np.abs(self.A @ x.ravel() - self.b).max() <= FEAS_TOL
-        return np.clip(x, 0.0, None), ok
+        """The affine projection of d_rows clipped at 0; returns (point,
+        satisfied), satisfied when the clipped point meets E @ D = W and the
+        row sums within FEAS_TOL."""
+        x = np.maximum(self.affine(np.asarray(d_rows, dtype=float)), 0.0)
+        return x, np.abs(self.A @ x.ravel() - self.b).max() <= FEAS_TOL
 
 
 def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
-           d_start: np.ndarray = None) -> np.ndarray:
+           d_start: np.ndarray) -> np.ndarray:
     """D maximizing the mixture entropy sum_c mu_c H(D row c) over the
     feasibility set, by projected gradient ascent with backtracking (at most
     D_STEP_ITERS steps, each halved down to 1e-12 until it gains more than
     D_STEP_GAIN_ULPS ulps of the objective f, a threshold relative to f
-    above what rounding alone gains).
+    above what rounding alone gains). Each candidate is projected once, by
+    _AffineProjector.onto_feasible. The ascent starts from d_start, which
+    alternate sets to the D its E was solved against (feasible within
+    SOLVE_TOL); a start whose projection is not feasible raises
+    InfeasibleError.
 
     When E pins the rows the mixture reads (_pins_live_rows), every feasible
     D has the same live rows, so every candidate projects to the same point
@@ -369,11 +345,10 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
     targets instead of wasting the dead symbols."""
     e_rows = np.asarray(e_rows, dtype=float)
     proj = _AffineProjector(e_rows, instance.channel.rows)
-    if d_start is None:
-        d_start = np.full(proj.shape, 1.0 / proj.shape[1])
     d, ok = proj.onto_feasible(d_start)
     if not ok:
-        raise InfeasibleError("no feasible D for the given E")
+        raise InfeasibleError("the start does not project onto the feasible D set "
+                              "of the given E")
     mu = _mu_of(instance, e_rows)
     pinned = _pins_live_rows(e_rows, mu)
 
@@ -381,7 +356,7 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
         vals = 0.0
         for c in range(rows.shape[0]):
             if mu[c] > 1e-12:
-                vals += mu[c] * _entropy_fast(rows[c])
+                vals += mu[c] * entropy(rows[c])
         return vals
 
     f = objective(d)
@@ -475,11 +450,11 @@ def alternate(instance: ZeroErrorInstance, seed: int = 0,
         if init is None:
             continue
         e_rows, d_rows = init
-        trace = [_entropy_fast(_mu_of(instance, e_rows))]
+        trace = [entropy(_mu_of(instance, e_rows))]
         for _ in range(ALTERNATE_ITERS):
             d_rows = d_step(instance, e_rows, d_start=d_rows)
             e_rows = e_step(instance, d_rows)
-            h = _entropy_fast(_mu_of(instance, e_rows))
+            h = entropy(_mu_of(instance, e_rows))
             trace.append(h)
             if trace[-2] - h < ALTERNATE_TOL:
                 break
@@ -548,7 +523,7 @@ def brute_force_oracle(instance: ZeroErrorInstance,
         if not len(block):
             continue
         e_stack = _min_entropy_stack(p, per_x)
-        for i, h in enumerate(_entropy_rows(p @ e_stack).tolist()):
+        for i, h in enumerate(entropy_rows(p @ e_stack).tolist()):
             if best_h is None or h < best_h - 1e-12:
                 best_h, best_e, best_combo = h, e_stack[i], block[i]
     if best_h is None:
@@ -694,7 +669,7 @@ def _local_modulus(instance, rows, combo, h_at, resolution, solves):
         if feasible.any():
             per_x = [(verts[feasible], counts[feasible]) for verts, counts in per_x]
             for e_rows in _min_entropy_stack(instance.source.probs, per_x):
-                h = _entropy_fast(_mu_of(instance, e_rows))
+                h = entropy(_mu_of(instance, e_rows))
                 worst = max(worst, abs(h - h_at) / (2.0 / resolution))
     return max(worst, 1e-6)
 

@@ -462,13 +462,6 @@ def test_rd_grid_three_letters_follow_product_order(monkeypatch, chunk_size):
         assert channel.rows.tobytes() == ref_rows.tobytes()
 
 
-def test_grid_entropies_equal_entropy_per_row():
-    for y_size, resolution in [(1, 5), (2, 400), (3, 30), (3, 12), (4, 10), (7, 4), (9, 2)]:
-        rows = simplex_grid(y_size, resolution)
-        want = np.array([entropy(r) for r in rows])
-        assert applications._grid_entropies(rows).tobytes() == want.tobytes()
-
-
 def test_rd_grid_oracle_validation():
     with pytest.raises(InvalidInputError):
         rd_grid_oracle(UNIF2, [DistortionSpec.hamming(2, 0.1)], 2, 1)

@@ -165,6 +165,20 @@ def test_oracle_multiset_cap_exits_3(tmp_path, bsc_file, capsys):
                  "--cap-override", "ORACLE_MULTISET_CAP=6544"]) == 3
 
 
+def test_zero_error_vertex_table_cap_exits_3(tmp_path, capsys):
+    """c_max 1000 on a 2 x 3 instance asks for a vertex table of 1000
+    entries for each of the 1.67e8 supports of at most 3 rows; the instance
+    is refused before anything is allocated."""
+    doc = {"source": {"probs": [0.6, 0.4]},
+           "channel": {"rows": [[0.5, 0.3, 0.2], [0.1, 0.2, 0.7]]}, "c_max": 1000}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["zero-error", str(path), "--restarts", "1"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "above WORD_ENUM_CAP" in capsys.readouterr().err
+
+
 ZERO_ERROR_AT_4 = ["zero-error", "--restarts", "1", "--oracle-resolution", "4"]
 RATES_AT_4 = ["simulate", "--n", "4", "--rates-only"]
 DERANDOMIZE_AT_4 = ["derandomize", "--n", "4", "--delta", "2.0"]
@@ -184,6 +198,7 @@ DERANDOMIZE_AT_4 = ["derandomize", "--n", "4", "--delta", "2.0"]
     (DERANDOMIZE_AT_4, "OUTPUT_ENUM_CAP", "16 words", 15),
     (DERANDOMIZE_AT_4, "BLOCK_ENUM_CAP", "256 entries", 255),
     (DERANDOMIZE_AT_4, "FIDELITY_ENUM_CAP", "16 block laws hold 4096", 4095),
+    (ZERO_ERROR_AT_4, "WORD_ENUM_CAP", "vertex table has 18 entries", 17),
 ])
 def test_oracle_cap_message_names_cap_value_and_limit(bsc_file, capsys, argv, cap,
                                                        value, limit):
@@ -191,7 +206,8 @@ def test_oracle_cap_message_names_cap_value_and_limit(bsc_file, capsys, argv, ca
     needs, exits 3 with a message naming the value, the cap and the limit;
     the value itself exits 0. bsc has |X| = |Y| = 2 and c_max = 3; at
     resolution 4 the zero-error grid has 5 rows, so C(7, 3) = 35 multisets
-    of three, and the rd grid has 5^2 = 25 channels. At n = 4 there are 5
+    of three, its vertex table has 3 entries for each of the 6 supports of
+    at most 2 of the 3 decoder rows, and the rd grid has 5^2 = 25 channels. At n = 4 there are 5
     exact types and C(7, 3) = 35 joint types, counted before the rates are
     sized and before any family is drawn, the largest covering table has 36
     entries, and derandomize holds N = 16 pinned 16 x 16 laws."""
@@ -505,7 +521,7 @@ def test_csv_headers_and_versioning(tmp_path, bsc_file):
                  "--out", str(out)]) == 0
     text = (out / "typical.csv").read_text()
     lines = text.splitlines()
-    assert lines[0] == "# chansim typical csv v11"
+    assert lines[0] == "# chansim typical csv v12"
     assert lines[1] == "# columns: n,delta,typical_type_count,chebyshev,chernoff,exact"
     assert lines[2].startswith("# config: ")
     assert lines[3] == "n,delta,typical_type_count,chebyshev,chernoff,exact"
@@ -721,12 +737,12 @@ def test_rates_only_rows_past_the_cap_keep_their_bytes(tmp_path, capsys, n, row)
     head = "n,delta,epsilon,seed,rate,cr_rate,N,lambda_measured,lambda_bound,global_err"
     lines = (out / "simulate.csv").read_text().splitlines()
     assert lines[2].startswith("# config: ")
-    assert lines[:2] + lines[3:] == ["# chansim simulate csv v11", f"# columns: {head}", head, row]
+    assert lines[:2] + lines[3:] == ["# chansim simulate csv v12", f"# columns: {head}", head, row]
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("bsc25", "c82f59522c7836a1b3ad2e9a4638aa246fe94161bc38d23112cf34359dc13f16"),
-    ("skewed_pair", "ee2350a7f34245a7ef91f752996fcb21677d03ea9c3f581005cb8790821df709"),
+    ("bsc25", "33664e41ed977826900691e1e77bb5d38b831ce55781671ca2777c63ef9fb185"),
+    ("skewed_pair", "32c35b730dbaaefd7d9830d1e4f4ae9207a98f1d493d59041f54ce86106a52dd"),
 ], ids=["bsc25", "skewed_pair"])
 def test_rates_only_sweep_keeps_its_bytes(tmp_path, name, digest):
     """The rates-only sweep from n = 17 to 128 (delta = 2, epsilon = 0.1)

@@ -8,9 +8,11 @@ from chansim.core_prob import (
     binary_entropy,
     conditional_entropy,
     entropy,
+    entropy_rows,
     mutual_information,
     output_marginal,
     rate_lower_bound_defect,
+    simplex_grid,
     tv_distance,
 )
 from chansim.errors import InvalidInputError
@@ -135,6 +137,20 @@ class TestEntropy:
         p = Distribution.uniform(2)
         w = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
         assert mutual_information(p, w) == pytest.approx(1 - binary_entropy(0.25), abs=1e-12)
+
+    def test_entropy_rows_equal_entropy_per_row(self):
+        """Bit for bit, on simplex grids (wide ones too), and on 9-wide rows
+        with 0 to 9 entries at or above ZERO_TOL, some exactly at it."""
+        stacks = [simplex_grid(y_size, resolution) for y_size, resolution
+                  in [(1, 5), (2, 400), (3, 30), (3, 12), (4, 10), (7, 4), (9, 2)]]
+        rng = np.random.default_rng(SEED)
+        rows = rng.dirichlet(np.ones(9), size=200)
+        for row, live in zip(rows, rng.integers(0, 10, size=len(rows))):
+            row[rng.permutation(9)[live:]] = rng.choice([0.0, 1e-12, 9e-13], size=9 - live)
+        stacks.append(rows)
+        for rows in stacks:
+            want = np.array([entropy(r) for r in rows])
+            assert entropy_rows(rows).tobytes() == want.tobytes()
 
 
 def _reverse_channel(p, w):

@@ -253,7 +253,7 @@ def test_e_step_greedy_matches_exact_here(bsc_instance, monkeypatch):
 
 def test_d_step_unique_feasible_returned_unchanged():
     inst = ZeroErrorInstance(UNIF, BSC, 2)
-    d_rows = d_step(inst, np.eye(2))
+    d_rows = d_step(inst, np.eye(2), np.full((2, 2), 0.5))
     assert np.allclose(d_rows, BSC.rows, atol=1e-7)
 
 
@@ -262,7 +262,7 @@ def test_d_step_one_parameter_family_maximum():
     src = Distribution.from_probs([1.0])
     ch = Channel.from_rows([[0.5, 0.5]])
     inst = ZeroErrorInstance(src, ch, 2)
-    d_rows = d_step(inst, np.array([[0.5, 0.5]]))
+    d_rows = d_step(inst, np.array([[0.5, 0.5]]), np.array([[0.2, 0.8], [0.8, 0.2]]))
     got = 0.5 * entropy(d_rows[0]) + 0.5 * entropy(d_rows[1])
     best = max(0.5 * binary_entropy(t) + 0.5 * binary_entropy(1 - t)
                for t in np.linspace(0.0, 1.0, 2001))
@@ -279,8 +279,8 @@ def test_d_step_objective_neutral(bsc_instance):
 
 def test_d_step_infeasible_encoder(bsc_instance):
     bad_e = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    with pytest.raises(InfeasibleError):
-        d_step(bsc_instance, bad_e)
+    with pytest.raises(InfeasibleError, match="does not project"):
+        d_step(bsc_instance, bad_e, np.full((3, 2), 0.5))
 
 
 def test_alternate_identical_rows_reaches_zero():
@@ -436,7 +436,7 @@ def _reference_local_modulus(instance, d_rows, h_at, resolution):
                     e_rows = e_step(instance, cand)
                 except InfeasibleError:
                     continue
-                h = zero_error._entropy_fast(instance.source.probs @ e_rows)
+                h = entropy(instance.source.probs @ e_rows)
                 worst = max(worst, abs(h - h_at) / (2.0 / resolution))
     return max(worst, 1e-6)
 
@@ -453,7 +453,7 @@ def _reference_oracle(instance, resolution):
             e_rows = e_step(instance, d_rows)
         except InfeasibleError:
             continue
-        h = zero_error._entropy_fast(instance.source.probs @ e_rows)
+        h = entropy(instance.source.probs @ e_rows)
         if best_h is None or h < best_h - 1e-12:
             best_h, best_e, best_d = h, e_rows, d_rows
     modulus = _reference_local_modulus(instance, best_d, best_h, resolution)
@@ -511,7 +511,7 @@ def _reference_min_entropy_rows(p, per_x):
     best_h, best = None, None
     for combo in itertools.product(*(range(len(v)) for v in per_x)):
         mu = sum(p[x] * per_x[x][i] for x, i in enumerate(combo))
-        h = zero_error._entropy_fast(mu)
+        h = entropy(mu)
         if best_h is None or h < best_h - 1e-12:
             best_h, best = h, combo
     return np.vstack([per_x[x][i] for x, i in enumerate(best)])
@@ -574,7 +574,7 @@ def test_stacked_choice_equals_product_loop_with_near_ties():
             assert np.array_equal(got[k], want)
             assert np.array_equal(zero_error._min_entropy_rows(p, per_x), want)
             combos = list(itertools.product(*(range(len(v)) for v in per_x)))
-            hs = [zero_error._entropy_fast(sum(p[x] * per_x[x][i] for x, i in enumerate(combo)))
+            hs = [entropy(sum(p[x] * per_x[x][i] for x, i in enumerate(combo)))
                   for combo in combos]
             best = combos[int(np.argmin(hs))]
             disagree += not np.array_equal(
@@ -596,7 +596,7 @@ def _per_multiset_oracle(instance, resolution):
         if not all(per_x):
             continue
         e_rows = _reference_min_entropy_rows(instance.source.probs, per_x)
-        h = zero_error._entropy_fast(instance.source.probs @ e_rows)
+        h = entropy(instance.source.probs @ e_rows)
         if best_h is None or h < best_h - 1e-12:
             best_h, best_e, best_d = h, e_rows, d_rows
     modulus = _reference_local_modulus(instance, best_d, best_h, resolution)
@@ -739,7 +739,7 @@ def test_local_modulus_equals_per_neighbor_e_step(source, channel, c_max, resolu
     checked = 0
     for combo in [*first, *combos[order]]:
         try:
-            h = zero_error._entropy_fast(instance.source.probs @ e_step(instance, rows[combo]))
+            h = entropy(instance.source.probs @ e_step(instance, rows[combo]))
         except InfeasibleError:
             continue
         want = _reference_local_modulus(instance, rows[combo], h, resolution)
@@ -796,12 +796,10 @@ def test_make_factorization_rejects_infeasible(bsc_instance):
                                                               [0.5, 0.5]]))
 
 
-def _reference_d_step(instance, e_rows, d_start=None):
+def _reference_d_step(instance, e_rows, d_start):
     """d_step with the full halving ladder: every step is halved down to
     1e-12 before the ascent gives up, whether E pins D or not."""
     proj = zero_error._AffineProjector(e_rows, instance.channel.rows)
-    if d_start is None:
-        d_start = np.full(proj.shape, 1.0 / proj.shape[1])
     d, ok = proj.onto_feasible(d_start)
     assert ok
     mu = instance.source.probs @ e_rows
@@ -810,7 +808,7 @@ def _reference_d_step(instance, e_rows, d_start=None):
         vals = 0.0
         for c in range(rows.shape[0]):
             if mu[c] > 1e-12:
-                vals += mu[c] * zero_error._entropy_fast(rows[c])
+                vals += mu[c] * entropy(rows[c])
         return vals
 
     f = objective(d)
@@ -868,8 +866,8 @@ def test_pins_live_rows_hand_cases(probs, e_rows, pinned):
     mu = instance.source.probs @ e_rows
     assert zero_error._pins_live_rows(e_rows, mu) == pinned
     assert _live_rows_fixed(instance, e_rows) == pinned
-    got = d_step(instance, e_rows)
-    assert got.tobytes() == _reference_d_step(instance, e_rows).tobytes()
+    got = d_step(instance, e_rows, d_true)
+    assert got.tobytes() == _reference_d_step(instance, e_rows, d_true).tobytes()
 
 
 def _d_step_calls(instance, seed, restarts, monkeypatch):
@@ -877,7 +875,7 @@ def _d_step_calls(instance, seed, restarts, monkeypatch):
     calls = []
     original = zero_error.d_step
 
-    def record(inst, e_rows, d_start=None):
+    def record(inst, e_rows, d_start):
         calls.append((e_rows.copy(), d_start.copy()))
         return original(inst, e_rows, d_start)
 
@@ -924,28 +922,61 @@ def test_d_step_pinned_stop_equals_full_ladder(source, channel, monkeypatch):
 
 def _unpinned_battery():
     """(instance, E, D start) where E @ D = W leaves live rows of D free: the
-    one-parameter family of a single input on two symbols, and random E
-    with 3 live symbols on 2 inputs."""
+    one-parameter family of a single input on two symbols, from the feasible
+    starts (t, 1 - t), (1 - t, t), and random E with 3 live symbols on 2
+    inputs, from the D their W was built from."""
     rng = np.random.default_rng(31)
     half = ZeroErrorInstance(Distribution.from_probs([1.0]),
                              Channel.from_rows([[0.5, 0.5]]), 2)
-    cases = [(half, np.array([[0.5, 0.5]]), None)]
-    cases += [(half, np.array([[0.5, 0.5]]), rng.dirichlet(np.ones(2), size=2))
-              for _ in range(4)]
+    cases = [(half, np.array([[0.5, 0.5]]), np.array([[t, 1 - t], [1 - t, t]]))
+             for t in (0.0, 0.1, 0.3, 0.45)]
     for y_size in (2, 3, 2, 3, 2, 3):
         e_rows = rng.dirichlet(np.ones(3), size=2)
-        w = Channel(2, y_size, e_rows @ rng.dirichlet(np.full(y_size, 4.0), size=3))
+        d_rows = rng.dirichlet(np.full(y_size, 4.0), size=3)
+        w = Channel(2, y_size, e_rows @ d_rows)
         instance = ZeroErrorInstance(Distribution(2, rng.dirichlet(np.ones(2))), w, 3)
-        cases.append((instance, e_rows, rng.dirichlet(np.ones(y_size), size=3)))
+        cases.append((instance, e_rows, d_rows))
     return cases
 
 
+def _mixture_entropy(instance, e_rows, d_rows):
+    mu = instance.source.probs @ e_rows
+    return sum(mu[c] * entropy(d_rows[c]) for c in range(len(mu)) if mu[c] > 1e-12)
+
+
 def test_d_step_unpinned_equals_full_ladder():
+    """From a feasible start that leaves live rows free, d_step moves D and
+    gains, and returns the full ladder's bytes."""
     for instance, e_rows, d_start in _unpinned_battery():
         assert not zero_error._pins_live_rows(e_rows, instance.source.probs @ e_rows)
         assert not _live_rows_fixed(instance, e_rows)
         got = d_step(instance, e_rows, d_start=d_start)
+        assert not np.array_equal(got, d_start)
+        assert _mixture_entropy(instance, e_rows, got) > _mixture_entropy(instance, e_rows,
+                                                                          d_start)
         assert got.tobytes() == _reference_d_step(instance, e_rows, d_start).tobytes()
+
+
+def test_d_step_projects_each_candidate_once(monkeypatch):
+    """Every candidate of the ascent costs one affine projection: on
+    instance 31 of the zero-error golden battery (2 x 3, source (0.965,
+    0.035)), whose ascents reject most candidates, alternate calls
+    onto_feasible and affine equally often."""
+    source = Distribution.from_probs([float.fromhex(v) for v in
+                                      ("0x1.ee53703dec55ep-1", "0x1.1ac8fc213aa18p-5")])
+    channel = Channel.from_rows([[float.fromhex(v) for v in row] for row in (
+        ("0x1.314ad77426d4dp-3", "0x1.7aa9fb680353bp-4", "0x1.84580ab5f5e06p-1"),
+        ("0x1.84a35cde3d8c9p-6", "0x1.0a94af78f8a5fp-1", "0x1.d28c6b402adb7p-2"))])
+    calls = {"affine": 0, "onto_feasible": 0}
+    projector = zero_error._AffineProjector
+    for name in calls:
+        def counted(self, d_rows, original=getattr(projector, name), name=name):
+            calls[name] += 1
+            return original(self, d_rows)
+        monkeypatch.setattr(projector, name, counted)
+    alternate(ZeroErrorInstance.build(source, channel), seed=31, restarts=3)
+    assert calls["onto_feasible"] > 0
+    assert calls["affine"] == calls["onto_feasible"]
 
 
 def _reference_random_init(instance, rng):
