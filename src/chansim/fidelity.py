@@ -39,6 +39,7 @@ from .simulate import (
     iid_block_law,
     run_protocol,
     word_letters,
+    word_type,
 )
 
 LN2 = math.log(2.0)
@@ -268,6 +269,7 @@ def _derandomize(code: SimCode, epsilon: float, seed: int):
 def run_fixed_code(dcode: DerandomizedCode, x_word, seed) -> Transcript:
     """Run the base protocol with a sender-chosen index from the sampled list;
     the index rides in the message, so no common randomness is consumed."""
+    word_type(dcode.base, x_word)       # a rejected word draws no index
     rng = _as_rng(seed)
     nu = dcode.selected_indices[int(rng.integers(dcode.Q))]
     tr = run_protocol(dcode.base, x_word, nu, rng)

@@ -49,9 +49,8 @@ from .typeclasses import (
     ExactType,
     JointType,
     TypicalSpec,
-    conditional_type_class_size,
+    conditional_classes,
     count_occurrences,
-    enumerate_joint_types,
     enumerate_type_class,
     type_is_typical,
     typical_joint_classes,
@@ -226,7 +225,8 @@ def iid_block_law(law, n: int) -> np.ndarray:
 class _BaseTables:
     """Per input type: the ranks in X^n of the class words, ascending because
     the class is enumerated in lexicographic order, and every joint type with
-    this row marginal with its weight; both arrays read-only."""
+    this row marginal, as the JointType of each _type_weights row, with its
+    weight; both arrays read-only."""
 
     alphabet_size: int
     x_global: np.ndarray
@@ -237,9 +237,10 @@ class _BaseTables:
     def of(cls, code: SimCode, base: ExactType) -> "_BaseTables":
         x_words = enumerate_type_class(base)
         x_global = np.ravel_multi_index(x_words.T, (base.alphabet_size,) * base.n)
-        t_list, weights = _type_weights(code, base)
+        rows, weights = _type_weights(code.channel, base)
         x_global.flags.writeable = weights.flags.writeable = False
-        return cls(base.alphabet_size, x_global, t_list, weights)
+        return cls(base.alphabet_size, x_global,
+                   [JointType(base.n, counts) for counts in rows], weights)
 
     def position(self, x_word) -> int:
         """Class position of a word of this type: where its X^n rank sits
@@ -250,29 +251,28 @@ class _BaseTables:
         return int(np.searchsorted(self.x_global, rank))
 
 
-def _type_weights(code: SimCode, base: ExactType):
-    """All joint types with the given row marginal, with the probability that
+def _type_weights(channel: Channel, base: ExactType):
+    """(rows, weights): the count rows of every joint type with the given
+    row marginal, in conditional_classes order, and the probability that
     the channel output against a base-typed input falls in each conditional
-    class. Weights sum to 1 up to float rounding."""
-    t_list = enumerate_joint_types(base, code.channel.output_size)
-    weights = np.empty(len(t_list))
-    log_rows = np.log2(code.channel.rows, where=code.channel.rows > 0,
-                       out=np.full_like(code.channel.rows, -np.inf))
-    for i, t in enumerate(t_list):
+    class, its size times 2 to the log-mass, the log-mass summed cell by
+    cell in row-major order. No JointType is built. Weights sum to 1 up to
+    float rounding."""
+    classes = conditional_classes(base, channel.output_size)
+    weights = np.empty(len(classes))
+    log_rows = np.log2(channel.rows, where=channel.rows > 0,
+                       out=np.full_like(channel.rows, -np.inf)).tolist()
+    for i, (counts, size) in enumerate(classes):
         log_mass = 0.0
-        for x, row in enumerate(t.counts):
-            for y, c in enumerate(row):
-                if c == 0:
-                    continue
-                log_mass += c * log_rows[x, y]
-        if log_mass == -np.inf:
-            weights[i] = 0.0
-        else:
-            weights[i] = conditional_type_class_size(t) * 2.0 ** log_mass
+        for row, logs in zip(counts, log_rows):
+            for c, log_w in zip(row, logs):
+                if c:
+                    log_mass += c * log_w
+        weights[i] = 0.0 if log_mass == -math.inf else size * 2.0 ** log_mass
     total = weights.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-9):
         raise InvalidInputError(f"type weights sum to {total}")
-    return t_list, weights / total
+    return [counts for counts, _ in classes], weights / total
 
 
 def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
@@ -327,16 +327,32 @@ def _law_blocks(code: SimCode, base: ExactType, nus=None, rows=None):
     return blocks, terminate
 
 
+def word_type(code: SimCode, x_word):
+    """(letters, type): x_word as a tuple of ints and its exact type, once
+    its length is the code's block length and its letters lie in the
+    source alphabet; InvalidInputError otherwise. Nothing is drawn."""
+    x_word = tuple(int(v) for v in x_word)
+    if len(x_word) != code.n:
+        raise InvalidInputError(f"a word of length {len(x_word)} given to a code "
+                                f"of block length {code.n}")
+    return x_word, count_occurrences(x_word, code.source.alphabet_size)
+
+
 def encode(code: SimCode, x_word, nu: int, seed):
-    """One protocol run; returns (announced_type, mu) or TERMINATE."""
+    """One protocol run; returns (announced_type, mu) or TERMINATE. The
+    announced type's count rows are drawn from _type_weights, atypical
+    inputs included, and only the drawn type is built as a JointType. A
+    rejected block draws nothing."""
     if not 0 <= nu < code.N:
         raise InvalidInputError(f"nu {nu} outside [0, {code.N})")
-    x_word = tuple(int(v) for v in x_word)
+    x_word, base = word_type(code, x_word)
     rng = _as_rng(seed)
-    base = count_occurrences(x_word, code.source.alphabet_size)
-    t_list, weights = _type_weights(code, base)
-    t = t_list[int(rng.choice(len(t_list), p=weights))]
-    if not type_is_typical(base, code.spec) or t not in code.families:
+    rows, weights = _type_weights(code.channel, base)
+    counts = rows[int(rng.choice(len(rows), p=weights))]
+    if not type_is_typical(base, code.spec):
+        return TERMINATE
+    t = JointType(code.n, counts)
+    if t not in code.families:
         return TERMINATE
     fam = code.families[t]
     lst = nu % fam.N
@@ -383,9 +399,8 @@ def output_distribution(code: SimCode, x_word) -> Distribution:
     the uniform shared index and all protocol sampling."""
     size = code.channel.output_size ** code.n
     require_cap("OUTPUT_ENUM_CAP", size, "output law over {} words")
-    x_word = tuple(int(v) for v in x_word)
+    x_word, base = word_type(code, x_word)
     out = np.zeros(size)
-    base = count_occurrences(x_word, code.source.alphabet_size)
     if not type_is_typical(base, code.spec):
         out[0] = 1.0
         return Distribution(size, out)

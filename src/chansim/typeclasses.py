@@ -148,7 +148,7 @@ def type_is_typical(t: ExactType, spec: TypicalSpec) -> bool:
 
 def typical_joint_classes(base: ExactType, w: Channel, delta: float):
     """Yield (counts, class_sizes) of the joint types of
-    enumerate_joint_types(base, |Y|), in that order, whose every cell lies in
+    conditional_classes(base, |Y|), in that order, whose every cell lies in
     the window of its channel entry W(y|x), with base's count of x as the
     total; class_sizes is (|T_R|, |T_S|, |T_t|). Only the product of each
     row's windowed compositions is visited, and no JointType is built. The
@@ -278,12 +278,6 @@ def joint_type_class_size(t: JointType) -> int:
     return _multinomial([c for row in t.counts for c in row])
 
 
-def conditional_type_class_size(t: JointType) -> int:
-    """Number of y-words forming joint type t against any one x word whose
-    type is t's row marginal: the product of the row multinomials."""
-    return math.prod(_multinomial(row) for row in t.counts)
-
-
 def _require_type_count(n: int, cells: int, kind: str):
     """WORD_ENUM_CAP on the C(n + cells - 1, cells - 1) types of length n,
     cells being |X| for exact types and |X||Y| for joint types."""
@@ -298,14 +292,24 @@ def enumerate_type_classes(n: int, alphabet_size: int):
     return [ExactType(n, c) for c in _compositions(n, alphabet_size)]
 
 
-def enumerate_joint_types(base: ExactType, y_size: int):
-    """Every joint type over X x Y whose row marginal is base, lexicographic
-    on the flattened count matrix. All joint types of length n are counted
-    first, under WORD_ENUM_CAP: that total bounds this list and the ones
-    typical_joint_classes yields."""
+def conditional_classes(base: ExactType, y_size: int) -> list:
+    """(counts, size) of every joint type over X x Y whose row marginal is
+    base, lexicographic on the flattened count matrix: its count rows and
+    its conditional class size, the number of y words that form it against
+    any one x word of type base, the exact product of its rows'
+    multinomials. No JointType is built. All joint types of length n are
+    counted first, under WORD_ENUM_CAP: that total bounds this list and the
+    ones typical_joint_classes yields."""
     _require_type_count(base.n, base.alphabet_size * y_size, "joint")
     per_row = [list(_compositions(r, y_size)) for r in base.counts]
-    return [JointType(base.n, rows) for rows in itertools.product(*per_row)]
+    mults = [[_multinomial(row) for row in rows] for rows in per_row]
+    return [(counts, math.prod(factors))
+            for counts, factors in zip(itertools.product(*per_row), itertools.product(*mults))]
+
+
+def enumerate_joint_types(base: ExactType, y_size: int):
+    """The JointType of every conditional_classes entry, in its order."""
+    return [JointType(base.n, counts) for counts, _ in conditional_classes(base, y_size)]
 
 
 def enumerate_type_class(t: ExactType) -> np.ndarray:

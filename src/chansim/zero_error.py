@@ -34,6 +34,7 @@ proven bound.
 import functools
 import itertools
 import math
+import operator
 from collections import ChainMap
 from dataclasses import dataclass
 
@@ -329,7 +330,9 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
     _AffineProjector.onto_feasible. The ascent starts from d_start, which
     alternate sets to the D its E was solved against (feasible within
     SOLVE_TOL); a start whose projection is not feasible raises
-    InfeasibleError.
+    InfeasibleError. The live rows (mu_c > 1e-12) are read as one array: a
+    candidate's score is one entropy_rows call, its terms summed left to
+    right from 0.0, and the gradient is one array expression over them.
 
     When E pins the rows the mixture reads (_pins_live_rows), every feasible
     D has the same live rows, so every candidate projects to the same point
@@ -350,22 +353,20 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
         raise InfeasibleError("the start does not project onto the feasible D set "
                               "of the given E")
     mu = _mu_of(instance, e_rows)
-    pinned = _pins_live_rows(e_rows, mu)
+    live = mu > 1e-12
+    mu_live = mu[live]
+    pinned = _pins_live_rows(e_rows, live)
 
     def objective(rows):
-        vals = 0.0
-        for c in range(rows.shape[0]):
-            if mu[c] > 1e-12:
-                vals += mu[c] * entropy(rows[c])
-        return vals
+        return functools.reduce(operator.add,
+                                (mu_live * entropy_rows(rows[live])).tolist(), 0.0)
 
     f = objective(d)
     step = 1.0
     for _ in range(D_STEP_ITERS):
         grad = np.zeros_like(d)
-        for c in range(d.shape[0]):
-            if mu[c] > 1e-12:
-                grad[c] = -mu[c] * (np.log2(np.clip(d[c], 1e-12, None)) + 1 / math.log(2))
+        grad[live] = (-mu_live)[:, None] * (np.log2(np.clip(d[live], 1e-12, None))
+                                            + 1 / math.log(2))
         moved = False
         while step > 1e-12:
             cand, ok = proj.onto_feasible(d + step * grad)
@@ -388,14 +389,13 @@ def d_step(instance: ZeroErrorInstance, e_rows: np.ndarray,
     return d
 
 
-def _pins_live_rows(e_rows: np.ndarray, mu: np.ndarray) -> bool:
-    """Whether E @ D = W fixes the rows of D with mu_c > 1e-12, the rows
-    d_step's objective reads. A move of D that keeps E @ D and the row sums
-    moves the rows along vectors v with E v = 0, so the live rows are fixed
-    when every such v is zero on them: when rank E = #live + rank E[:, dead].
-    The dead rows are then the only free direction, and the objective
-    ignores them."""
-    live = mu > 1e-12
+def _pins_live_rows(e_rows: np.ndarray, live: np.ndarray) -> bool:
+    """Whether E @ D = W fixes the live rows of D (the mask live, where
+    mu_c > 1e-12), the rows d_step's objective reads. A move of D that
+    keeps E @ D and the row sums moves the rows along vectors v with
+    E v = 0, so the live rows are fixed when every such v is zero on them:
+    when rank E = #live + rank E[:, dead]. The dead rows are then the only
+    free direction, and the objective ignores them."""
     return bool(np.linalg.matrix_rank(e_rows)
                 == live.sum() + np.linalg.matrix_rank(e_rows[:, ~live]))
 

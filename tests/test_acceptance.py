@@ -20,7 +20,7 @@ from chansim.covering import build_covering, lemma2_failure_bound, verify_coveri
 from chansim.fidelity import (derandomize, derandomized_family,
                               measure_fidelity, min_nonzero_entry, required_Q)
 from chansim.simulate import build_sim_code, sized_rates, sized_types, strong_fidelity_report
-from chansim.typeclasses import (JointType, TypicalSpec, conditional_type_class_size,
+from chansim.typeclasses import (JointType, TypicalSpec,
                                  enumerate_joint_types, enumerate_type_class,
                                  enumerate_type_classes, joint_type_class_size,
                                  type_class_size, typical_probability_bounds)
@@ -28,6 +28,7 @@ from chansim.zero_error import (ZeroErrorInstance, alternate, brute_force_oracle
                                 intermediate_size_bound)
 
 from test_covering import announced_types, type_sizing
+from test_typeclasses import conditional_type_class_size
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 UNIF = Distribution.uniform(2)

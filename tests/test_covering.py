@@ -23,7 +23,6 @@ from chansim.simulate import FamilyRecord, jointly_typical_types
 from chansim.typeclasses import (
     ExactType,
     JointType,
-    conditional_type_class_size,
     count_joint_occurrences,
     enumerate_joint_types,
     enumerate_type_class,
@@ -31,6 +30,8 @@ from chansim.typeclasses import (
     joint_type_class_size,
     type_class_size,
 )
+
+from test_typeclasses import conditional_type_class_size
 
 SEED = 424242
 

@@ -15,7 +15,8 @@ from chansim import applications, simulate, typeclasses
 from chansim.cli import main
 from chansim.covering import CoveringFamily
 from chansim.errors import CAPS, CapExceededError, InvalidInputError
-from chansim.fidelity import derandomize, measure_fidelity, run_fixed_code, sim_code_family
+from chansim.fidelity import (DerandomizedCode, derandomize, measure_fidelity, run_fixed_code,
+                              sim_code_family)
 from chansim.simulate import (
     TERMINATE,
     FamilyRecord,
@@ -43,11 +44,13 @@ from chansim.typeclasses import (
     TypicalSpec,
     count_joint_occurrences,
     count_occurrences,
+    enumerate_joint_types,
     enumerate_type_class,
+    enumerate_type_classes,
 )
 
 from test_covering import announced_types, list_ranks, type_sizing
-from test_typeclasses import is_typical
+from test_typeclasses import conditional_type_class_size, is_typical
 
 BSC = Channel.from_rows([[0.75, 0.25], [0.25, 0.75]])
 UNIF = Distribution.uniform(2)
@@ -1013,11 +1016,72 @@ def test_rates_only_code_has_the_fidelity_ceiling_of_its_words():
 
 
 def test_a_word_of_the_wrong_length_is_rejected(small_code):
-    for call in (lambda: encode(small_code, (0, 1, 0), 0, seed=1),
-                 lambda: run_protocol(small_code, (0, 1, 0), 0, 1),
+    """A word whose length is not the code's block length is refused, with
+    both lengths named, before anything is drawn: the caller's generator
+    is where it was after each rejection."""
+    dcode = DerandomizedCode((0, 1), 2, small_code, 0.1, 0.25, True, 0)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for call in (lambda: encode(small_code, (0, 1, 0), 0, seed=rng),
+                 lambda: run_protocol(small_code, (0, 1, 0), 0, rng),
+                 lambda: run_fixed_code(dcode, (0, 1, 0, 1, 1), rng),
                  lambda: output_distribution(small_code, (0, 1, 0, 1, 1))):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"length [35] given to a code of block length 4"):
             call()
+        assert rng.bit_generator.state == state
+
+
+def test_encode_builds_at_most_the_joint_type_it_announces(small_code, monkeypatch):
+    """With the code's class tables built, a block builds one JointType at
+    most, the drawn one, and not every joint type of the input's type (up
+    to 9 at n = 4)."""
+    assert small_code.typical_classes
+    built = []
+    check = JointType.__post_init__
+    monkeypatch.setattr(JointType, "__post_init__", lambda t: (built.append(t), check(t)))
+    rng = np.random.default_rng(5)
+    for x in rng.integers(0, 2, size=(200, 4)):
+        before = len(built)
+        outcome = encode(small_code, x, int(rng.integers(small_code.N)), rng)
+        assert len(built) - before <= 1
+        if outcome != TERMINATE:
+            assert built[-1] == outcome[0]
+
+
+def reference_type_weights(channel, base):
+    """The announcement weights from every JointType of the input type, as
+    encode computed them when it built each one: the count rows of
+    enumerate_joint_types and, per type, its conditional class size times 2
+    to its log-mass summed cell by cell."""
+    t_list = enumerate_joint_types(base, channel.output_size)
+    weights = np.empty(len(t_list))
+    log_rows = np.log2(channel.rows, where=channel.rows > 0,
+                       out=np.full_like(channel.rows, -np.inf))
+    for i, t in enumerate(t_list):
+        log_mass = 0.0
+        for x, row in enumerate(t.counts):
+            for y, c in enumerate(row):
+                if c == 0:
+                    continue
+                log_mass += c * log_rows[x, y]
+        if log_mass == -np.inf:
+            weights[i] = 0.0
+        else:
+            weights[i] = conditional_type_class_size(t) * 2.0 ** log_mass
+    return [t.counts for t in t_list], weights / weights.sum()
+
+
+@pytest.mark.parametrize("channel, n_max", [
+    (BSC, 8), (INSTANCES["skewed_pair"][1], 8),
+    (Channel.from_rows([[0.5, 0.3, 0.2], [0.0, 0.6, 0.4]]), 6)],
+    ids=["bsc25", "skewed_pair", "two-by-three"])
+def test_type_weights_are_the_joint_type_weights_bit_for_bit(channel, n_max):
+    for n in range(1, n_max + 1):
+        for base in enumerate_type_classes(n, 2):
+            rows, weights = simulate._type_weights(channel, base)
+            ref_rows, ref_weights = reference_type_weights(channel, base)
+            assert rows == ref_rows
+            assert np.array_equal(weights, ref_weights)
 
 
 def test_instances_compare_by_identity_so_a_code_and_its_window_hash(small_code):

@@ -10,7 +10,7 @@ from chansim.typeclasses import (
     ExactType,
     JointType,
     TypicalSpec,
-    conditional_type_class_size,
+    conditional_classes,
     count_joint_occurrences,
     count_occurrences,
     enumerate_joint_types,
@@ -45,6 +45,14 @@ def is_typical(word, spec):
 def word_log2_prob(t, p):
     """log2 of the i.i.d. probability of any single word of type t."""
     return sum(c * math.log2(px) for c, px in zip(t.counts, p.probs) if c)
+
+
+def conditional_type_class_size(t):
+    """Number of y-words forming joint type t against any one x word whose
+    type is t's row marginal: the product of the row multinomials, from
+    factorials."""
+    return math.prod(math.factorial(sum(row)) // math.prod(map(math.factorial, row))
+                     for row in t.counts)
 
 
 def x_class_size_given_y(t):
@@ -156,6 +164,14 @@ class TestClassSizes:
         brute = sum(1 for y in itertools.product(range(2), repeat=5)
                     if count_joint_occurrences(x_word, y, 2, 2) == t)
         assert got == brute
+
+    @pytest.mark.parametrize("x_size, y_size", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_conditional_classes_are_the_joint_types_with_their_sizes(self, x_size, y_size):
+        for n in range(1, 6):
+            for base in enumerate_type_classes(n, x_size):
+                assert conditional_classes(base, y_size) == [
+                    (t.counts, conditional_type_class_size(t))
+                    for t in enumerate_joint_types(base, y_size)]
 
 
 class TestConditionalUniformityAndTranspose:

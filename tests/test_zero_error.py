@@ -864,7 +864,7 @@ def test_pins_live_rows_hand_cases(probs, e_rows, pinned):
     instance = ZeroErrorInstance(Distribution.from_probs(probs),
                                  Channel.from_rows(e_rows @ d_true), 3)
     mu = instance.source.probs @ e_rows
-    assert zero_error._pins_live_rows(e_rows, mu) == pinned
+    assert zero_error._pins_live_rows(e_rows, mu > 1e-12) == pinned
     assert _live_rows_fixed(instance, e_rows) == pinned
     got = d_step(instance, e_rows, d_true)
     assert got.tobytes() == _reference_d_step(instance, e_rows, d_true).tobytes()
@@ -910,7 +910,7 @@ def test_d_step_pinned_stop_equals_full_ladder(source, channel, monkeypatch):
     calls = _d_step_calls(instance, 3, 10, monkeypatch)
     pinned = 0
     for e_rows, d_start in calls:
-        flag = zero_error._pins_live_rows(e_rows, source.probs @ e_rows)
+        flag = zero_error._pins_live_rows(e_rows, source.probs @ e_rows > 1e-12)
         assert flag == _live_rows_fixed(instance, e_rows)
         got = d_step(instance, e_rows, d_start=d_start)
         want = _reference_d_step(instance, e_rows, d_start)
@@ -948,7 +948,8 @@ def test_d_step_unpinned_equals_full_ladder():
     """From a feasible start that leaves live rows free, d_step moves D and
     gains, and returns the full ladder's bytes."""
     for instance, e_rows, d_start in _unpinned_battery():
-        assert not zero_error._pins_live_rows(e_rows, instance.source.probs @ e_rows)
+        assert not zero_error._pins_live_rows(e_rows,
+                                           instance.source.probs @ e_rows > 1e-12)
         assert not _live_rows_fixed(instance, e_rows)
         got = d_step(instance, e_rows, d_start=d_start)
         assert not np.array_equal(got, d_start)
