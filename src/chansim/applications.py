@@ -121,12 +121,15 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     math.log in the last bit; the snap absorbs that. Past k^2 = 2^53 the
     floored float shares can fall short of k^2 by more than the bucket
     count, or exceed it; largest remainder cannot repair that, so it raises
-    InvalidInputError.
+    InvalidInputError, as it does when k^2 passes the float64 range.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must be in (0, 1)")
     probs = target.probs
-    k = math.ceil((math.log2(probs.size) - math.log2(epsilon)) / epsilon)
+    k = (math.log2(probs.size) - math.log2(epsilon)) / epsilon
+    if not math.isfinite(k * k):
+        raise InvalidInputError(f"epsilon {epsilon} too small: k^2 is past the float64 range")
+    k = math.ceil(k)
     live = np.flatnonzero(probs > 0.0)
     with np.errstate(over="ignore", invalid="ignore"):   # subnormal q: t = inf, tail
         t = np.log(1.0 / probs[live])

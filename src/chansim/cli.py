@@ -1,10 +1,11 @@
 """Command-line front end for the toolkit.
 
 Every number the CLI prints or writes is produced by a module operation;
-this file only parses configuration, dispatches, and formats. Runs are
-deterministic: the master seed fixes all randomness, CSV files carry no
-timestamps, and rerunning with the same resolved configuration yields
-byte-identical output files. Timings go to stderr only.
+this file only parses flags, dispatches, and formats. A run is fixed by
+its instance file, its flags and its seed: the master seed fixes all
+randomness, CSV files carry no timestamps, and rerunning with the same
+instance, flags and seed yields byte-identical output files. Timings go
+to stderr only.
 
 Exit codes: 0 success, 2 invalid input, 3 cap exceeded, 4 infeasible,
 5 retries exhausted. Bound rows that fail (FAIL in the table) are
@@ -32,7 +33,7 @@ from .applications import (DistortionSpec, build_dilution, expected_distortion,
 from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
                         mutual_information, output_marginal, tv_distance)
 from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
-                     InvalidInputError, RetriesExhaustedError)
+                     InvalidInputError, RetriesExhaustedError, require_cap)
 from .fidelity import derandomize_with_family, measure_fidelity
 from .simulate import (FamilyRecord, build_sim_code, draw_families, sized_rates,
                        sized_types, strong_fidelity_report)
@@ -46,8 +47,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_CAP_EXCEEDED = 3
 EXIT_INFEASIBLE = 4
 EXIT_RETRIES_EXHAUSTED = 5
-
-_CONFIG_KEYS = {"instance", "seed", "out", "caps", "params"}
 
 
 @dataclass(frozen=True)
@@ -126,23 +125,17 @@ def _row_le(name, reference, lhs, rhs, tol=1e-9):
 # instance documents
 
 
-def _load_json_file(path: str, what: str) -> dict:
+def _load_instance_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise InvalidInputError(f"cannot read {what} {path}: {exc}")
+        raise InvalidInputError(f"cannot read instance file {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"{what} {path} is not valid JSON: {exc}")
+        raise InvalidInputError(f"instance file {path} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise InvalidInputError(f"{what} {path} must hold a JSON object")
+        raise InvalidInputError(f"instance file {path} must hold a JSON object")
     return doc
-
-
-def _is_int(value) -> bool:
-    """Whether a JSON value is an integer: an int or an integral float."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and value.is_integer())
 
 
 def _law(kind, field, shape, key, value):
@@ -163,7 +156,9 @@ def _matrix(key, value):
 
 
 def _integer(key, value):
-    if not _is_int(value):
+    """An int or an integral float, not a bool."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
         raise InvalidInputError(f'instance "{key}" must be an integer')
     return int(value)
 
@@ -214,11 +209,14 @@ def _need_param(cfg: ExperimentConfig, key: str):
 
 
 def _parse_targets(text: str):
-    """Comma list "0.05,0.1" or linspace "lo:hi:count", not empty."""
+    """Comma list "0.05,0.1" or linspace "lo:hi:count", not empty; count
+    is checked against WORD_ENUM_CAP before the list is built."""
     try:
         if ":" in text:
             lo, hi, count = text.split(":")
-            targets = np.linspace(float(lo), float(hi), int(count)).tolist()
+            lo, hi, count = float(lo), float(hi), int(count)
+            require_cap("WORD_ENUM_CAP", count, "--targets asks for {} points")
+            targets = np.linspace(lo, hi, count).tolist()
         else:
             targets = [float(t) for t in text.split(",") if t.strip()]
         if not targets:
@@ -232,25 +230,20 @@ def _parse_targets(text: str):
 # cap overrides
 
 
-def _checked_cap(name, value) -> int:
-    """One cap override, from --cap-override or a config file's "caps": a
-    name in errors.CAPS and an integer value."""
-    if name not in CAPS:
-        raise InvalidInputError(f"unknown cap {name!r}; known: {sorted(CAPS)}")
-    if not _is_int(value):
-        raise InvalidInputError(f"cap {name} needs an integer, got {value!r}")
-    return int(value)
-
-
 def parse_cap_overrides(pairs):
+    """The --cap-override KEY=VALUE pairs as {name: value}: each name an
+    entry of errors.CAPS and each value an integer literal."""
     caps = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep:
             raise InvalidInputError(f"--cap-override needs KEY=VALUE, got {pair!r}")
-        with contextlib.suppress(ValueError):
-            value = int(value, 0)
-        caps[key] = _checked_cap(key, value)
+        if key not in CAPS:
+            raise InvalidInputError(f"unknown cap {key!r}; known: {sorted(CAPS)}")
+        try:
+            caps[key] = int(value, 0)
+        except ValueError:
+            raise InvalidInputError(f"cap {key} needs an integer, got {value!r}")
     return caps
 
 
@@ -551,6 +544,10 @@ def _run_dilute(cfg, bundle):
     if target is None:
         raise InvalidInputError('dilute needs a "target" distribution in the instance')
     epsilon = float(_need_param(cfg, "epsilon"))
+    samples = int(cfg.params.get("samples", 0))
+    if samples < 0:
+        raise InvalidInputError("samples must be nonnegative")
+    require_cap("WORD_ENUM_CAP", samples, "--samples asks for {} draws")
     plan = build_dilution(target, epsilon)
     tv = plan.tv_error()
     bound = 2.0 * epsilon + 1.0 / plan.k
@@ -562,9 +559,6 @@ def _run_dilute(cfg, bundle):
     comparisons = [_row_le("realized tv <= 2*epsilon + 1/k",
                            "geometric bucketing plus tail and rounding budget",
                            tv, bound)]
-    samples = int(cfg.params.get("samples", 0))
-    if samples < 0:
-        raise InvalidInputError("samples must be nonnegative")
     empirical_tv = None
     if samples > 0:
         stream = uniform_index_stream(plan.total_uniform_size,
@@ -613,8 +607,7 @@ def _run_sweep(cfg, bundle):
 
 
 # params key -> (value type, --help text). The flag is the key spelled with
-# dashes (_flag); bool is --rates-only, which stores True or nothing. A config
-# file's "params" take the same keys and are checked against the same types.
+# dashes (_flag); bool is --rates-only, which stores True or nothing.
 _FLAGS = {
     "n": (int, None),
     "delta": (float, None),
@@ -681,9 +674,8 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing fills a fresh
     namespace on each call and reads no module state."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("instance", nargs="?", help="instance JSON file")
-    common.add_argument("--config", help="configuration JSON file")
-    common.add_argument("--seed", type=int, help="master seed")
+    common.add_argument("instance", help="instance JSON file")
+    common.add_argument("--seed", type=int, default=0, help="master seed")
     common.add_argument("--out", help="output directory")
     common.add_argument("--cap-override", action="append", metavar="KEY=VALUE",
                         help="raise or lower an enumeration cap for this run")
@@ -703,55 +695,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(argv=None) -> ExperimentConfig:
-    """Parse flags, merge the optional config document (flags win), inline
-    the instance content, and resolve cap overrides."""
+    """Parse the flags, keep the command's given flags as params, load and
+    validate the instance file, resolve cap overrides and check the seed."""
     ns = _build_parser().parse_args(argv)
-    doc = {}
-    if ns.config:
-        doc = _load_json_file(ns.config, "config file")
-        unknown = set(doc) - _CONFIG_KEYS
-        if unknown:
-            raise InvalidInputError(
-                f"unknown config keys {sorted(unknown)}; allowed: {sorted(_CONFIG_KEYS)}")
-        for key in ("caps", "params"):
-            if not isinstance(doc.get(key, {}), dict):
-                raise InvalidInputError(f'config "{key}" must be an object')
-    params = dict(doc.get("params", {}))
-    flags = _COMMANDS[ns.command][2]
-    unknown = set(params) - set(flags)
-    if unknown:
-        raise InvalidInputError(f"unknown {ns.command} params {sorted(unknown)}; "
-                                f"allowed: {sorted(flags)}")
-    for key, value in params.items():   # checked, not converted: the hash keeps them
-        kind = _FLAGS[key][0]
-        number = _is_int(value) or kind is float and isinstance(value, float)
-        if not (number if kind in (int, float) else isinstance(value, kind)):
-            raise InvalidInputError(f"param {key!r} must be of type {kind.__name__}")
-    params.update((key, getattr(ns, key)) for key in flags
-                  if getattr(ns, key) is not None)
-
-    instance_ref = ns.instance if ns.instance is not None else doc.get("instance")
-    if instance_ref is None:
-        raise InvalidInputError("no instance given (positional file or config key)")
-    if isinstance(instance_ref, str):
-        instance_doc = _load_json_file(instance_ref, "instance file")
-    elif isinstance(instance_ref, dict):
-        instance_doc = instance_ref
-    else:
-        raise InvalidInputError('config "instance" must be a path or an object')
+    params = {key: getattr(ns, key) for key in _COMMANDS[ns.command][2]
+              if getattr(ns, key) is not None}
+    instance_doc = _load_instance_file(ns.instance)
     InstanceBundle(instance_doc)   # validate early so bad files exit 2 fast
-
-    caps = {key: _checked_cap(key, value) for key, value in doc.get("caps", {}).items()}
-    caps.update(parse_cap_overrides(ns.cap_override))
-
-    seed = ns.seed if ns.seed is not None else doc.get("seed", 0)
-    out = ns.out if ns.out is not None else doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise InvalidInputError('config "out" must be a directory path')
-    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
+    caps = parse_cap_overrides(ns.cap_override)
+    if not 0 <= ns.seed < 2 ** 64:
         raise InvalidInputError("seed must be an unsigned 64-bit integer")
     return ExperimentConfig(command=ns.command, instance=instance_doc,
-                            params=params, seed=int(seed), out=out, caps=caps)
+                            params=params, seed=ns.seed, out=ns.out, caps=caps)
 
 
 def _print_record(record: RunRecord):

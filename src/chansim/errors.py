@@ -9,8 +9,8 @@ with the block length or the alphabets checks that size through
 require_cap before it allocates, so an oversized request raises
 CapExceededError instead of exhausting memory; three thresholds read CAPS
 directly to choose a method or a chunk size. Entries are read at call time,
-so --cap-override (or a config file's "caps") changes one run by
-replacing entries for its duration.
+so --cap-override changes one run by replacing entries for its
+duration.
 """
 
 
@@ -19,7 +19,7 @@ class ChansimError(Exception):
 
 
 class InvalidInputError(ChansimError):
-    """Malformed or out-of-contract input (bad distribution, bad config)."""
+    """Malformed or out-of-contract input (bad distribution, bad flag)."""
 
 
 class CapExceededError(ChansimError):
@@ -38,8 +38,9 @@ CAPS = {
     # entries of any list enumerated at once: the words of one type class,
     # the types of one length over k cells, C(n + k - 1, k - 1), with
     # k = |X|·|Y| for joint types (2 x 2 reaches n = 226, 3 x 3 n = 18),
-    # and the zero-error vertex table, c_max entries for each support of
-    # at most |Y| of the c_max decoder rows (3 x 3 at c_max 8 has 736)
+    # the zero-error vertex table, c_max entries for each support of
+    # at most |Y| of the c_max decoder rows (3 x 3 at c_max 8 has 736),
+    # an rd --targets lo:hi:count list and the draws of dilute --samples
     "WORD_ENUM_CAP": 2_000_000,
     # block length n of the exact typical-set mass
     "EXACT_PROB_N_CAP": 170,

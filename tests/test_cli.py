@@ -129,8 +129,9 @@ def test_unmeetable_counts_exit_2(tmp_path, bsc_file, capsys):
     assert capsys.readouterr().err.count("error=invalid-input") == 4
 
 
-def test_missing_instance_exits_2():
+def test_missing_instance_exits_2(capsys):
     assert main(["info"]) == 2
+    assert "the following arguments are required: instance" in capsys.readouterr().err
 
 
 def test_missing_required_param_exits_2(bsc_file):
@@ -238,16 +239,33 @@ def test_exit_code_mapping_covers_all_errors(bsc_file, capsys, monkeypatch):
         main(["info", bsc_file])
 
 
-def test_dilute_tiny_epsilon_exits_promptly(capsys):
+@pytest.mark.parametrize("epsilon", ["1e-9", "1e-200", "1e-320"])
+def test_dilute_tiny_epsilon_exits_promptly(capsys, epsilon):
     # k = 3.1e10 at eps = 1e-9: no table of size k, and inexact k^2 weights
-    # are refused with exit 2 instead of returned
+    # are refused with exit 2 instead of returned; at 1e-200 k^2 passes the
+    # float64 range, and at 1e-320 k itself is infinite
     target = Path(__file__).resolve().parent.parent / "demos/instances/three_letter_target.json"
     t0 = time.perf_counter()
-    code = main(["dilute", str(target), "--epsilon", "1e-9"])
+    code = main(["dilute", str(target), "--epsilon", epsilon])
     assert time.perf_counter() - t0 < 1.0
-    assert code in (0, 2)
+    assert code in ((0, 2) if epsilon == "1e-9" else (2,))
     if code == 2:
-        assert "error=invalid-input command=dilute" in capsys.readouterr().err
+        assert "error=invalid-input command=dilute reason=epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("bsc25", ["rd", "--hamming", "2", "--targets", f"0.02:0.4:{CAPS['WORD_ENUM_CAP'] + 1}"]),
+    ("three_letter_target",
+     ["dilute", "--epsilon", "0.1", "--samples", str(CAPS["WORD_ENUM_CAP"] + 1)]),
+], ids=["rd-targets", "dilute-samples"])
+def test_count_flags_past_the_cap_exit_3_at_once(capsys, name, argv):
+    """A --targets lo:hi:COUNT or --samples S one above WORD_ENUM_CAP is
+    refused before its list or its draws are built."""
+    path = Path(__file__).resolve().parent.parent / f"demos/instances/{name}.json"
+    t0 = time.perf_counter()
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert f"above WORD_ENUM_CAP = {CAPS['WORD_ENUM_CAP']}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rows", [[[1.0], [1.0]], [[1.0]]])
@@ -363,93 +381,40 @@ def test_cap_override_rejects_unknown_key():
         parse_cap_overrides(["EXACT_PROB_N_CAP=ten"])
 
 
-def test_config_file_merging(tmp_path, bsc_file):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({
-        "instance": bsc_file,
-        "seed": 9,
-        "params": {"n": 8, "delta": 1.0},
-        "caps": {"EXACT_PROB_N_CAP": 200},
-    }))
-    cfg = build_config(["typical", "--config", str(conf)])
-    assert cfg.seed == 9
-    assert cfg.params["n"] == 8
-    assert cfg.caps == {"EXACT_PROB_N_CAP": 200}
-    assert cfg.instance == BSC_DOC
-    # explicit flags win over the config document
-    cfg2 = build_config(["typical", "--config", str(conf), "--seed", "3",
-                         "--n", "6"])
-    assert cfg2.seed == 3
-    assert cfg2.params["n"] == 6
-    # integral floats stand for integers and keep the hash
-    conf.write_text(json.dumps({
-        "instance": bsc_file,
-        "seed": 9.0,
-        "params": {"n": 8, "delta": 1.0},
-        "caps": {"EXACT_PROB_N_CAP": 200.0},
-    }))
-    cfg3 = build_config(["typical", "--config", str(conf)])
-    assert cfg3.config_hash() == cfg.config_hash()
-
-
-def test_config_file_rejects_unknown_keys(tmp_path, bsc_file):
-    conf = tmp_path / "conf.json"
-    for doc in ({"instance": bsc_file, "sede": 9},
-                {"instance": bsc_file, "mode": "exact"}):
-        conf.write_text(json.dumps(doc))
-        with pytest.raises(InvalidInputError):
-            build_config(["info", "--config", str(conf)])
-
-
-@pytest.mark.parametrize("command, doc", [
-    ("simulate", {"caps": {"WORD_ENUM_CAP": "abc"}}),
-    ("simulate", {"caps": ["WORD_ENUM_CAP"]}),
-    ("simulate", {"caps": {"WORD_ENUM_CAP": 2.5}}),
-    ("simulate", {"seed": "abc"}),
-    ("simulate", {"seed": 1.5}),
-    ("simulate", {"seed": True}),
-    ("simulate", {"params": [1, 2]}),
-    ("simulate", {"params": {"n": "abc"}}),
-    ("simulate", {"params": {"n": 4.7}}),
-    ("simulate", {"params": {"n": 4, "delta": "2"}}),
-    ("simulate", {"params": {"n": 4, "rates_only": "false"}}),
-    ("rd", {"params": {"hamming": 2, "targets": 0.1}}),
-    ("simulate", {"out": 5}),
-])
-def test_malformed_config_exits_2(tmp_path, bsc_file, capsys, command, doc):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"instance": bsc_file, "params": {"n": 4}, **doc}))
-    assert main([command, "--config", str(conf)]) == 2
-    assert "error=invalid-input" in capsys.readouterr().err
-
-
-def test_config_file_rejects_unknown_params(tmp_path, bsc_file):
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"instance": bsc_file,
-                                "params": {"n": 4, "epsilom": 0.1}}))
-    with pytest.raises(InvalidInputError, match="epsilom"):
-        build_config(["simulate", "--config", str(conf)])
-    assert main(["simulate", "--config", str(conf)]) == 2
+@pytest.mark.parametrize("argv, reason", [
+    (["--cap-override", "WORD_ENUM_CAP=abc"], "cap WORD_ENUM_CAP needs an integer"),
+    (["--cap-override", "WORD_ENUM_CAP=2.5"], "cap WORD_ENUM_CAP needs an integer"),
+    (["--seed", "-1"], "seed must be an unsigned 64-bit integer"),
+    (["--seed", str(2 ** 64)], "seed must be an unsigned 64-bit integer"),
+    (["--seed", "abc"], "argument --seed: invalid int value"),
+    (["--seed", "1.5"], "argument --seed: invalid int value"),
+    (["--n", "abc"], "argument --n: invalid int value"),
+    (["--n", "4.7"], "argument --n: invalid int value"),
+    (["--rates-only", "false"], "unrecognized arguments: false"),
+    (["--config", "x.json"], "unrecognized arguments: --config x.json"),
+], ids=["cap-text", "cap-float", "seed-negative", "seed-too-large", "seed-text",
+        "seed-float", "n-text", "n-float", "rates-only-value", "config"])
+def test_malformed_flags_exit_2(bsc_file, capsys, argv, reason):
+    assert main(["simulate", bsc_file, *argv]) == 2
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_config_file_accepts_subcommand_params(tmp_path, bsc_file, command):
-    """Every flag of a command is a params key of its config file, and the
-    two routes give the same params and the same hash."""
+def test_config_file_accepts_subcommand_params(bsc_file, command):
+    """Every flag of a command parses to a params entry of its _FLAGS type,
+    and the same flags parsed again give the same params and hash."""
     value = {int: 4, float: 0.2, bool: True, str: "0.1,0.2"}
     params = {key: value[cli._FLAGS[key][0]] for key in cli._COMMANDS[command][2]}
-    conf = tmp_path / "conf.json"
-    conf.write_text(json.dumps({"instance": bsc_file, "params": params}))
-    cfg = build_config([command, "--config", str(conf)])
-    assert cfg.params == params
     argv = [command, bsc_file]
     for key, v in params.items():
         argv += [cli._flag(key)] if v is True else [cli._flag(key), str(v)]
-    assert build_config(argv).params == params
+    cfg = build_config(argv)
+    assert cfg.params == params
+    assert all(type(v) is cli._FLAGS[key][0] for key, v in cfg.params.items())
     assert build_config(argv).config_hash() == cfg.config_hash()
 
 
-COMMON_OPTIONS = ["-h", "--config", "--seed", "--out", "--cap-override"]
+COMMON_OPTIONS = ["-h", "--seed", "--out", "--cap-override"]
 COMMAND_FLAGS = {
     "info": [],
     "typical": ["--n", "--delta"],
