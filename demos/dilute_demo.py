@@ -8,8 +8,7 @@ budget of the target that the caller controls through epsilon.
 
 import math
 
-from chansim.applications import (build_dilution, realize_from_uniform,
-                                  uniform_index_stream)
+from chansim.applications import build_dilution, realize_indices, uniform_indices
 from chansim.core_prob import Distribution
 
 target = Distribution.from_probs([0.7, 0.2, 0.1])
@@ -30,6 +29,6 @@ tv = plan.tv_error()
 print(f"\nrealized tv from target = {tv:.6f}"
       f"  (budget 2*eps + 1/k = {2 * epsilon + 1 / plan.k:.6f})")
 
-stream = uniform_index_stream(plan.total_uniform_size, seed=5)
-draws = [realize_from_uniform(plan, stream) for _ in range(20)]
+stream = uniform_indices(plan.total_uniform_size, seed=5, count=20)
+draws = realize_indices(plan, stream).tolist()
 print(f"twenty draws: {draws}")

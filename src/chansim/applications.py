@@ -121,7 +121,8 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     math.log in the last bit; the snap absorbs that. Past k^2 = 2^53 the
     floored float shares can fall short of k^2 by more than the bucket
     count, or exceed it; largest remainder cannot repair that, so it raises
-    InvalidInputError, as it does when k^2 passes the float64 range.
+    InvalidInputError, as it does when k^2 passes the float64 range and,
+    before any bucket index is cast to int64, when k reaches 2^63.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must be in (0, 1)")
@@ -130,6 +131,10 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
     if not math.isfinite(k * k):
         raise InvalidInputError(f"epsilon {epsilon} too small: k^2 is past the float64 range")
     k = math.ceil(k)
+    if float(k) >= 2.0 ** 63:     # bucket indices up to k are cast to int64
+        raise InvalidInputError(
+            f"epsilon {epsilon} too small: k = {k:.4g} passes 2^63, so bucket "
+            "weights over k^2 are not exact in floating point")
     live = np.flatnonzero(probs > 0.0)
     with np.errstate(over="ignore", invalid="ignore"):   # subnormal q: t = inf, tail
         t = np.log(1.0 / probs[live])
@@ -175,12 +180,42 @@ def build_dilution(target: Distribution, epsilon: float) -> DilutionPlan:
                         helper, helper * block)
 
 
-def uniform_index_stream(size: int, seed: int):
-    """Endless deterministic uniform indices in [0, size); handles sizes
-    beyond 64 bits."""
-    rng = random.Random(seed)
-    while True:
-        yield rng.randrange(size)
+def uniform_indices(size: int, seed: int, count: int) -> np.ndarray:
+    """The first count values of random.Random(seed).randrange(size), as
+    one array: int64 when size <= 2^63, Python ints (dtype object) beyond.
+
+    randrange draws k = size.bit_length() bits with getrandbits and draws
+    again while the value is not below size. getrandbits(k) takes ceil(k/32)
+    MT19937 words, least significant first, and shifts the top word right
+    by 32 ceil(k/32) - k. The seeded generator's state is copied into
+    NumPy's MT19937, whose random_raw gives the same words; they are drawn
+    at most 4,096 at a time, combined the same way, and the candidates
+    below size are kept in order."""
+    if size < 1:
+        raise InvalidInputError("the uniform index range must be nonempty")
+    if count < 0:
+        raise InvalidInputError("the index count must be nonnegative")
+    state = random.Random(seed).getstate()[1]
+    generator = np.random.MT19937(0)
+    generator.state = {"bit_generator": "MT19937",
+                       "state": {"key": np.array(state[:-1], dtype=np.uint32),
+                                 "pos": state[-1]}}
+    k = size.bit_length()
+    words = -(-k // 32)
+    wide = size > 1 << 63
+    per_draw = max(1, 4096 // words)     # candidates per random_raw call
+    kept, have = [np.empty(0, dtype=object if wide else np.int64)], 0
+    while have < count:
+        raw = generator.random_raw(per_draw * words).reshape(per_draw, words)
+        if wide:
+            raw = raw.astype(object)
+        value = raw[:, -1] >> (32 * words - k)
+        for i in range(words - 2, -1, -1):
+            value = (value << 32) | raw[:, i]
+        value = value[value < size]
+        kept.append(value if wide else value.astype(np.int64))
+        have += value.size
+    return np.concatenate(kept)[:count]
 
 
 def realize_from_uniform(plan: DilutionPlan, uniform_sample_stream):
@@ -203,12 +238,17 @@ def realize_indices(plan: DilutionPlan, indices) -> np.ndarray:
     k^2-type weights, found by searchsorted on their running sums; the
     residue picks a member uniformly, exactly because every live bucket size
     divides block. indices is any iterable of ints, read into an int64
-    array when every valid index fits and into Python ints beyond that."""
+    array when every valid index fits and into Python ints beyond that; a
+    1-d array already of that dtype is taken as it is."""
     total = plan.total_uniform_size
-    try:
-        u = np.fromiter(indices, dtype=np.int64 if total <= 1 << 63 else object)
-    except OverflowError:
-        raise InvalidInputError(f"an index is outside [0, {total})") from None
+    dtype = np.dtype(np.int64) if total <= 1 << 63 else np.dtype(object)
+    if isinstance(indices, np.ndarray) and indices.dtype == dtype and indices.ndim == 1:
+        u = indices
+    else:
+        try:
+            u = np.fromiter(indices, dtype=dtype)
+        except OverflowError:
+            raise InvalidInputError(f"an index is outside [0, {total})") from None
     outside = (u < 0) | (u >= total)
     if outside.any():
         raise InvalidInputError(f"index {u[outside][0]} outside [0, {total})")
@@ -330,7 +370,8 @@ def _fit_channel(source: Distribution, gain: np.ndarray):
     return Channel(x_size, y_size, rows)
 
 
-def rd_function(source: Distribution, spec: DistortionSpec, y_size: int):
+def rd_function(source: Distribution, spec: DistortionSpec, y_size: int,
+                solves=None):
     """Minimum mutual information over channels whose expected distortion
     stays at or below the target, with the minimizing channel.
 
@@ -343,6 +384,12 @@ def rd_function(source: Distribution, spec: DistortionSpec, y_size: int):
     moves the output law by less than RD_INNER_TOL in every letter. The
     slope search stops once |D - target| <= 1e-11; a curve with a flat
     stretch in the slope blends its two sides onto the target.
+
+    solves, when given, is a dict the targets of one curve share: it maps
+    (source, distortion matrix, slope) to the solved (channel, distortion),
+    neither of which depends on the target. A slope another target already
+    solved is then read from it, with the same bits; each target still
+    walks its own slope sequence.
     """
     _check_rd_shapes(source, spec, y_size)
     d = spec.matrix
@@ -363,10 +410,16 @@ def rd_function(source: Distribution, spec: DistortionSpec, y_size: int):
         return 0.0, Channel(spec.x_size, y_size, rows)
 
     shifted = d - row_min[:, None]
+    curve = (source.probs.tobytes(), spec.d)
+    if solves is None:
+        solves = {}
 
     def solve(beta: float):
-        w = _fit_channel(source, np.exp2(-beta * shifted))
-        return w, expected_distortion(source, w, spec)
+        solved = solves.get((curve, beta))
+        if solved is None:
+            w = _fit_channel(source, np.exp2(-beta * shifted))
+            solved = solves[curve, beta] = (w, expected_distortion(source, w, spec))
+        return solved
 
     hi = 1.0
     w_hi, d_hi = solve(hi)

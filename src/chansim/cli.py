@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -29,7 +28,7 @@ import numpy as np
 from ._seeds import child_seed
 from .applications import (DistortionSpec, build_dilution, expected_distortion,
                            rd_function, rd_grid_oracle, realize_indices,
-                           uniform_index_stream)
+                           uniform_indices)
 from .core_prob import (Channel, Distribution, conditional_entropy, entropy,
                         mutual_information, output_marginal, tv_distance)
 from .errors import (CAPS, CapExceededError, ChansimError, InfeasibleError,
@@ -507,9 +506,9 @@ def _run_rd(cfg, bundle):
     targets = _parse_targets(str(_need_param(cfg, "targets")))
     resolution = cfg.params.get("certify_resolution")
     specs = [DistortionSpec(d_matrix, float(target)) for target in targets]
-    rates, slacks = [], []
+    rates, slacks, solves = [], [], {}
     for spec in specs:
-        rate, w_opt = rd_function(source, spec, y_size)
+        rate, w_opt = rd_function(source, spec, y_size, solves)
         rates.append(rate)
         slacks.append(spec.target_d - expected_distortion(source, w_opt, spec))
     gaps, certified = [], [None] * len(specs)
@@ -561,9 +560,9 @@ def _run_dilute(cfg, bundle):
                            tv, bound)]
     empirical_tv = None
     if samples > 0:
-        stream = uniform_index_stream(plan.total_uniform_size,
-                                      child_seed(cfg.seed, "dilute:stream"))
-        draws = realize_indices(plan, itertools.islice(stream, samples))
+        stream = uniform_indices(plan.total_uniform_size,
+                                 child_seed(cfg.seed, "dilute:stream"), samples)
+        draws = realize_indices(plan, stream)
         counts = np.bincount(draws, minlength=target.alphabet_size)
         empirical = Distribution.from_probs(counts / samples)
         empirical_tv = tv_distance(empirical, target)
@@ -669,6 +668,15 @@ def run(cfg: ExperimentConfig) -> RunRecord:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose flag errors raise InvalidInputError, so
+    main reports them with the CLI's error label; its subparsers are of
+    the same class."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing fills a fresh
@@ -680,7 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap-override", action="append", metavar="KEY=VALUE",
                         help="raise or lower an enumeration cap for this run")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chansim",
         description="channel-simulation toolkit: every emitted number is "
                     "computed by a library operation")

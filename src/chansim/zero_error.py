@@ -300,9 +300,12 @@ class _AffineProjector:
     def __init__(self, e_rows: np.ndarray, w_rows: np.ndarray):
         c_size = e_rows.shape[1]
         y_size = w_rows.shape[1]
-        # D is raveled row by row: E @ D = W, then each row of D sums to 1
-        self.A = np.vstack([np.kron(e_rows, np.eye(y_size)),
-                            np.kron(np.eye(c_size), np.ones((1, y_size)))])
+        # D is raveled row by row: E @ D = W, then each row of D sums to 1;
+        # the blocks are kron(E, I_|Y|) and kron(I_c, ones(1, |Y|))
+        eye = np.eye(y_size)
+        self.A = np.vstack([
+            (e_rows[:, None, :, None] * eye[None, :, None, :]).reshape(-1, c_size * y_size),
+            np.repeat(np.eye(c_size), y_size, axis=1)])
         self.b = np.concatenate([w_rows.ravel(), np.ones(c_size)])
         self.shape = (c_size, y_size)
         self.correction = self.A.T @ np.linalg.pinv(self.A @ self.A.T)

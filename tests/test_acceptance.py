@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from chansim.applications import (DistortionSpec, build_dilution, rd_code_via_simulation,
-                                  rd_function, rd_grid_oracle, realize_from_uniform,
-                                  uniform_index_stream)
+                                  rd_function, rd_grid_oracle, realize_indices,
+                                  uniform_indices)
 from chansim.cli import main
 from chansim.core_prob import (Channel, Distribution, binary_entropy,
                                conditional_entropy, entropy, mutual_information,
@@ -267,9 +267,8 @@ def test_dilution_tv_budget_and_sampling():
     draws = 10_000
     for epsilon, target in zip((0.05, 0.1, 0.2), targets[:3]):
         plan = build_dilution(target, epsilon)
-        stream = uniform_index_stream(plan.total_uniform_size, seed=99)
         counts = np.bincount(
-            [realize_from_uniform(plan, stream) for _ in range(draws)],
+            realize_indices(plan, uniform_indices(plan.total_uniform_size, 99, draws)),
             minlength=target.alphabet_size)
         empirical = Distribution.from_probs(counts / draws)
         window = (math.sqrt(target.alphabet_size) + 3.0) / (2.0 * math.sqrt(draws))

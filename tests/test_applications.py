@@ -4,6 +4,7 @@ built on top of the simulation machinery."""
 import functools
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from chansim.applications import (
     rd_grid_oracle,
     realize_from_uniform,
     realize_indices,
-    uniform_index_stream,
+    uniform_indices,
 )
 
 from test_simulate import dense_message_law, message_law_entries, per_index_law_blocks
@@ -107,15 +108,14 @@ def test_realize_tail_never_sampled():
     # 0.03 falls below 1.2**-17, so only the heavy element is realizable
     plan = build_dilution(Distribution.from_probs([0.97, 0.03]), 0.2)
     assert plan.infinite_mass == pytest.approx(0.03)
-    stream = uniform_index_stream(plan.total_uniform_size, 5)
-    assert all(realize_from_uniform(plan, stream) == 0 for _ in range(500))
+    draws = realize_indices(plan, uniform_indices(plan.total_uniform_size, 5, 500))
+    assert draws.tolist() == [0] * 500
 
 
 def test_realize_empirical_frequencies():
     plan = build_dilution(Distribution.from_probs([0.45, 0.25, 0.18, 0.12]), 0.1)
     n = 10_000
-    stream = uniform_index_stream(plan.total_uniform_size, 17)
-    draws = [realize_from_uniform(plan, stream) for _ in range(n)]
+    draws = realize_indices(plan, uniform_indices(plan.total_uniform_size, 17, n))
     emp = np.bincount(draws, minlength=4) / n
     mix = plan.realized_mixture().probs
     mean_bound = 0.5 * sum(math.sqrt(p * (1 - p) / n) for p in mix)
@@ -171,6 +171,40 @@ def test_realize_stream_validation():
         realize_from_uniform(plan, iter([plan.total_uniform_size]))
     with pytest.raises(InvalidInputError):
         realize_from_uniform(plan, iter([-1]))
+
+
+UNIFORM_SIZES = sorted({1, 2, 3, 5, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63 - 1,
+                        2 ** 63, 2 ** 63 + 1, 2 ** 64, 2 ** 64 + 1}
+                       | {2 ** (bits - 1) for bits in range(1, 131)}
+                       | {3 * 2 ** (bits - 2) + 1 for bits in range(3, 131)}
+                       | {2 ** bits - 1 for bits in range(1, 131)})
+
+
+@pytest.mark.parametrize("seed", [0, 5, 99, 2 ** 64 - 1])
+def test_uniform_indices_equal_randrange(seed):
+    """uniform_indices gives randrange's values, in order, at every bit
+    length from 1 to 130: one word, two words with a partial or full top
+    word (2^63 and 2^64 included) and Python ints past 2^63."""
+    assert {size.bit_length() for size in UNIFORM_SIZES} == set(range(1, 131))
+    for size in UNIFORM_SIZES:
+        rng = random.Random(seed)
+        want = [rng.randrange(size) for _ in range(50)]
+        got = uniform_indices(size, seed, 50)
+        assert got.dtype == (np.int64 if size <= 2 ** 63 else object)
+        assert got.tolist() == want, size
+
+
+def test_uniform_indices_across_draw_chunks():
+    # 20,000 indices below 3 (half the candidates rejected) and 3,000 below
+    # 2^64 + 1 (three words each) span several random_raw calls
+    for size, count in ((3, 20_000), (2500, 20_000), (2 ** 64 + 1, 3_000)):
+        rng = random.Random(7)
+        assert uniform_indices(size, 7, count).tolist() == \
+            [rng.randrange(size) for _ in range(count)]
+    assert uniform_indices(5, 7, 0).tolist() == []
+    for size, count in ((0, 5), (5, -1)):
+        with pytest.raises(InvalidInputError):
+            uniform_indices(size, 7, count)
 
 
 def test_dilution_plan_serialization():
@@ -286,6 +320,34 @@ def test_rd_function_matches_plain_alternating_minimization(monkeypatch, index):
     monkeypatch.setattr(applications, "_fit_channel", _plain_fit_channel)
     plain = [rd_function(source, spec, d.shape[1])[0] for spec in specs]
     assert fast == pytest.approx(plain, rel=0.0, abs=1e-9)
+
+
+def _assert_shared_solves_keep_bits(curves):
+    """Every target of every (source, specs, y_size) curve, solved through
+    one shared table, returns the bits it gets alone."""
+    solves = {}
+    for source, specs, y_size in curves:
+        for spec in specs:
+            rate, w = rd_function(source, spec, y_size, solves)
+            rate_alone, w_alone = rd_function(source, spec, y_size)
+            assert rate.hex() == rate_alone.hex()
+            assert w.rows.tobytes() == w_alone.rows.tobytes()
+    assert solves
+
+
+@pytest.mark.parametrize("index", RD_BATTERY)
+def test_rd_function_shared_solves_keep_every_bit(index):
+    rng = np.random.default_rng(1)
+    for _ in range(index + 1):
+        source, d, targets = _rd_battery_instance(rng)
+    _assert_shared_solves_keep_bits(
+        [(source, [DistortionSpec(d, float(t)) for t in targets], d.shape[1])])
+
+
+def test_rd_function_shared_solves_keep_every_bit_on_the_demo_curves():
+    # both curves share one table, which keys its solves by source too
+    specs = [DistortionSpec.hamming(2, float(t)) for t in np.linspace(0.02, 0.4, 12)]
+    _assert_shared_solves_keep_bits([(UNIF2, specs, 2), (SKEWED2, specs, 2)])
 
 
 def test_rd_function_monotone_and_convex():

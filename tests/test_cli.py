@@ -7,13 +7,14 @@ import json
 import math
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chansim import cli, covering, simulate
+from chansim import applications, cli, covering, simulate
 from chansim.cli import (ExperimentConfig, RunRecord,
                          build_config, compare_bounds, main,
                          parse_cap_overrides, run)
@@ -131,7 +132,9 @@ def test_unmeetable_counts_exit_2(tmp_path, bsc_file, capsys):
 
 def test_missing_instance_exits_2(capsys):
     assert main(["info"]) == 2
-    assert "the following arguments are required: instance" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error=invalid-input command=(parse)" in err
+    assert "the following arguments are required: instance" in err
 
 
 def test_missing_required_param_exits_2(bsc_file):
@@ -251,6 +254,36 @@ def test_dilute_tiny_epsilon_exits_promptly(capsys, epsilon):
     assert code in ((0, 2) if epsilon == "1e-9" else (2,))
     if code == 2:
         assert "error=invalid-input command=dilute reason=epsilon" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target, epsilon", [
+    ({"probs": [0.25, 0.25, 0.25, 0.25]}, "1e-19"),
+    ({"probs": [0.7, 0.2, 0.1]}, "1e-150"),
+], ids=["uniform4-1e-19", "three-letter-1e-150"])
+def test_dilute_k_past_int64_exits_2_without_a_warning(tmp_path, capsys, target, epsilon):
+    # k passes 2^63 while k^2 stays finite: the plan is refused before its
+    # bucket indices are cast to int64, so NumPy warns of no invalid cast
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"target": target}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["dilute", str(path), "--epsilon", epsilon]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("chansim: error=invalid-input command=dilute reason=epsilon")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, fits", [("bsc25", 93), ("skewed_pair", 88)])
+def test_rd_curve_solves_each_slope_once(monkeypatch, name, fits):
+    """The solvers benchmark's rd curve shares its slope solves across its
+    12 targets: 93 and 88 fits, where solving every target alone takes 119
+    and 113."""
+    path = str(Path(__file__).resolve().parent.parent / f"demos/instances/{name}.json")
+    fit, calls = applications._fit_channel, []
+    monkeypatch.setattr(applications, "_fit_channel",
+                        lambda source, gain: calls.append(gain) or fit(source, gain))
+    run(build_config(["rd", path, "--hamming", "2", "--targets", "0.02:0.4:12"]))
+    assert len(calls) == fits
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -396,7 +429,9 @@ def test_cap_override_rejects_unknown_key():
         "seed-float", "n-text", "n-float", "rates-only-value", "config"])
 def test_malformed_flags_exit_2(bsc_file, capsys, argv, reason):
     assert main(["simulate", bsc_file, *argv]) == 2
-    assert reason in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error=invalid-input" in err
+    assert reason in err
 
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))

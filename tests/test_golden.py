@@ -27,6 +27,7 @@ from string import Template
 import numpy as np
 import pytest
 
+from chansim import zero_error
 from chansim.applications import DistortionSpec, rd_function, rd_grid_oracle
 from chansim.cli import main
 from chansim.core_prob import Channel, Distribution, simplex_grid
@@ -263,6 +264,29 @@ def test_zero_error_battery_matches_golden():
     got = render_zero_error_battery().splitlines()
     want = (GOLDEN / "zero_error_battery.txt").read_text().splitlines()
     assert got == want
+
+
+def test_affine_projector_matrix_equals_the_kron_form(monkeypatch):
+    """_AffineProjector builds A without np.kron: on every projector that
+    alternate builds over the battery, A equals [kron(E, I_|Y|);
+    kron(I_c, ones(1, |Y|))] bit for bit."""
+    init, built = zero_error._AffineProjector.__init__, []
+
+    def recorded(self, e_rows, w_rows):
+        init(self, e_rows, w_rows)
+        built.append((self.A, e_rows, w_rows.shape[1]))
+
+    monkeypatch.setattr(zero_error._AffineProjector, "__init__", recorded)
+    for i, (instance, _, _) in enumerate(_battery_instances()):
+        try:
+            alternate(instance, seed=i, restarts=3)
+        except ChansimError:
+            pass
+    assert len(built) > 60
+    for a, e_rows, y_size in built:
+        kron = np.vstack([np.kron(e_rows, np.eye(y_size)),
+                          np.kron(np.eye(e_rows.shape[1]), np.ones((1, y_size)))])
+        assert a.shape == kron.shape and a.tobytes() == kron.tobytes()
 
 
 if __name__ == "__main__":
